@@ -1342,13 +1342,17 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the bytes are valid UTF-8 by construction).
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII, so the run ends
+                    // on a char boundary of the input (a &str, valid
+                    // UTF-8 by construction).
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = text.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..len]).expect("input was a &str"));
+                    self.pos += len;
                 }
             }
         }
@@ -1937,5 +1941,47 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn multibyte_runs_around_escapes_decode_exactly() {
+        // Multi-byte runs directly before and after escapes.
+        let v = parse_json(r#""héllo\"wörld\\ñ\n日本\t語""#).unwrap();
+        assert_eq!(v, Json::Str("héllo\"wörld\\ñ\n日本\t語".to_owned()));
+        // A surrogate pair in the middle of literal runs.
+        let v = parse_json(r#""αβ😀γδ😀ε""#).unwrap();
+        assert_eq!(v, Json::Str("αβ😀γδ😀ε".to_owned()));
+        // A run that is the whole string, and an empty one.
+        assert_eq!(parse_json("\"ünï\"").unwrap(), Json::Str("ünï".into()));
+        assert_eq!(parse_json("\"\"").unwrap(), Json::Str(String::new()));
+    }
+
+    #[test]
+    fn unterminated_strings_are_rejected() {
+        for bad in ["\"abc", "\"日本", "\"abc\\\"", "\"a\\", "{\"type\":\"siz"] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // ~2 MB of mixed ASCII and multi-byte text with an escape every
+        // few KB. The old per-character decode re-validated the rest of
+        // the line for every character: quadratic, minutes at this size.
+        let chunk = "abcdefghij→ünï".repeat(200);
+        let mut text = String::from("\"");
+        let mut want = String::new();
+        while text.len() < 2_000_000 {
+            text.push_str(&chunk);
+            text.push_str("\\n");
+            want.push_str(&chunk);
+            want.push('\n');
+        }
+        text.push('"');
+        let started = std::time::Instant::now();
+        let v = parse_json(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(v, Json::Str(want));
+        assert!(took.as_secs_f64() < 5.0, "2 MB string took {took:?}");
     }
 }

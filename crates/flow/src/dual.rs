@@ -27,7 +27,7 @@
 use crate::dual_simplex::DualSimplexSolver;
 use crate::error::FlowError;
 use crate::network::FlowNetwork;
-use crate::pivot::{BlockSearch, FirstEligible};
+use crate::pivot::PivotRule;
 use crate::simplex::SimplexSolver;
 use crate::solver::{McfSolver, ProbeHandle, ReferenceSolver, SolverStats, SspSolver};
 
@@ -137,11 +137,11 @@ impl FlowAlgorithm {
         match self {
             FlowAlgorithm::SuccessiveShortestPaths => Box::new(SspSolver::new(net)),
             FlowAlgorithm::NetworkSimplex => Box::new(SimplexSolver::new(net)),
-            FlowAlgorithm::SimplexFirstEligible => Box::new(
-                SimplexSolver::new(net).with_pivot_rule(Box::new(FirstEligible::default())),
-            ),
+            FlowAlgorithm::SimplexFirstEligible => {
+                Box::new(SimplexSolver::new(net).with_pivot_rule(PivotRule::first_eligible()))
+            }
             FlowAlgorithm::SimplexBlockSearch => {
-                Box::new(SimplexSolver::new(net).with_pivot_rule(Box::new(BlockSearch::default())))
+                Box::new(SimplexSolver::new(net).with_pivot_rule(PivotRule::block_search()))
             }
             FlowAlgorithm::DualSimplex => Box::new(DualSimplexSolver::new(net)),
             FlowAlgorithm::Reference => Box::new(ReferenceSolver::new(net)),

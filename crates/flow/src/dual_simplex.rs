@@ -32,11 +32,11 @@
 //!
 //! Cold solves (first solve, warm starts disabled, or a dual loop that
 //! hits its safety cap) delegate to the primal cold path and are
-//! bit-identical to [`SimplexSolver`] with [`BestEligible`] pricing.
+//! bit-identical to [`SimplexSolver`] with
+//! [`PivotRule::Dantzig`](crate::PivotRule::Dantzig) pricing.
 
 use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
-use crate::pivot::{BestEligible, PivotRule};
 use crate::solver::{McfInstance, McfSolver, SolverStats};
 use crate::topology::{CostLayer, NetworkTopology};
 use crate::ArcId;
@@ -383,8 +383,7 @@ impl DualSimplexSolver {
         // not remove (uncapacitated arcs whose reduced cost went
         // negative). On a warm solve of the supply-drift pattern this
         // usually confirms optimality without pivoting.
-        let mut rule: Box<dyn PivotRule> = Box::new(BestEligible);
-        let (p, s) = self.core.run_pivots(rule.as_mut(), big_m, eps)?;
+        let (p, s) = self.core.run_pivots(big_m, eps)?;
         self.core.finish(
             warm,
             dual_pivots + p,

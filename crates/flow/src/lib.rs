@@ -44,10 +44,10 @@
 //! the same pattern to difference-constraint LPs
 //! ([`DualLp::into_solver`]).
 //!
-//! The simplex solvers' entering-arc *pricing* is pluggable via
-//! [`PivotRule`] (see [`pivot`]): Dantzig [`BestEligible`] by default,
-//! with [`FirstEligible`] and the candidate-list [`BlockSearch`] as
-//! cheaper-scan alternatives for large networks. [`FlowAlgorithm`]
+//! The simplex solvers' entering-arc *pricing* is chosen via the closed
+//! [`PivotRule`] enum (see [`pivot`]): [`PivotRule::Dantzig`] by
+//! default, with first-eligible and candidate-list block-search pricing
+//! as cheaper-scan alternatives for large networks. [`FlowAlgorithm`]
 //! names every backend × rule combination for configuration surfaces.
 //!
 //! # Examples
@@ -106,7 +106,7 @@ pub use dual::{DualLp, DualSolution, DualSolver, FlowAlgorithm};
 pub use dual_simplex::DualSimplexSolver;
 pub use error::FlowError;
 pub use network::{ArcId, FlowNetwork, FlowSolution};
-pub use pivot::{BestEligible, BlockSearch, FirstEligible, PivotRule, PricingContext};
+pub use pivot::{BlockSearch, PivotRule, PricingContext};
 pub use simplex::SimplexSolver;
 pub use solver::{
     CancelProbe, McfInstance, McfSolver, ProbeHandle, ReferenceSolver, SolverStats, SspSolver,

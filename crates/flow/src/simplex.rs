@@ -9,12 +9,28 @@
 //! * an artificial root node with big-`M` arcs gives the initial
 //!   spanning tree (all supplies routed through the root);
 //! * each pivot brings in an arc with a negative reduced-cost
-//!   violation — *which* one is chosen by a pluggable
-//!   [`PivotRule`](crate::PivotRule) (Dantzig [`BestEligible`] by
-//!   default; see [`crate::pivot`] for the alternatives) — pushes flow
-//!   around the unique tree cycle, and re-hangs the tree;
+//!   violation — *which* one is chosen by the solver's
+//!   [`PivotRule`] ([`PivotRule::Dantzig`] by default; see
+//!   [`crate::pivot`] for the alternatives) — pushes flow around the
+//!   unique tree cycle, and re-hangs the subtree cut off by the leaving
+//!   arc;
 //! * artificial flow remaining at optimality signals infeasibility; an
 //!   uncapacitated negative cycle signals unboundedness.
+//!
+//! **Per-pivot cost.** A pivot costs one pricing scan (O(arcs) for
+//! Dantzig, monomorphic: the rule's `select` is generic over the
+//! pricing view, so the reduced-cost test inlines), the walk around the
+//! tree cycle, and one top-down walk of the moved subtree that
+//! re-derives its parents, depths and exact `i128` potentials (Király &
+//! Kovács, "Efficient implementations of minimum-cost flow algorithms",
+//! 2012). The tree adjacency is patched in place: the leaving arc is
+//! removed from its endpoints' lists and the entering arc pushed. The
+//! O(arcs) [`SimplexSolver::rebuild_tree`] BFS runs only when a basis
+//! is installed (cold start, warm repair, dual prepare), and
+//! `bfs_order` is valid only right after such a rebuild. A rooted
+//! spanning tree determines its parents, depths and potentials, so the
+//! incremental tree equals a rebuilt one and the pivot sequence is the
+//! one a rebuild after every pivot would give.
 //!
 //! **Warm starts** reuse the previous solve's spanning tree: non-basic
 //! arc flows are kept, the basic (tree) arc flows are recomputed
@@ -31,11 +47,10 @@
 
 use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
-use crate::pivot::{BestEligible, PivotRule, PricingContext};
+use crate::pivot::{PivotRule, PricingContext};
 use crate::solver::{impl_instance_for_solver, McfInstance, McfSolver, SolverStats};
 use crate::topology::{CostLayer, NetworkTopology};
 use crate::ArcId;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc as Shared;
 
@@ -52,14 +67,21 @@ pub struct SimplexSolver {
     pub(crate) in_tree: Vec<bool>,
     /// Direction of each node's artificial arc (`true` = node → root).
     pub(crate) art_to_root: Vec<bool>,
-    // Tree scratch, rebuilt in place.
+    // The spanning tree rooted at the artificial root: rebuilt by
+    // [`SimplexSolver::rebuild_tree`] on basis installs, kept up to date
+    // by [`SimplexSolver::exchange`] on every pivot.
     pub(crate) parent: Vec<usize>,
     pub(crate) parent_arc: Vec<usize>,
     pub(crate) depth: Vec<u32>,
     pub(crate) pi: Vec<i128>,
+    /// Root-first BFS order of the tree. Valid only right after
+    /// [`SimplexSolver::rebuild_tree`]: pivots re-hang subtrees without
+    /// touching it.
     pub(crate) bfs_order: Vec<u32>,
+    /// Tree arcs incident to each node (order unspecified).
     pub(crate) tree_adj: Vec<Vec<u32>>,
     visited: Vec<bool>,
+    /// BFS queue of the rebuild; stack of the subtree walk on pivots.
     bfs_queue: VecDeque<usize>,
     /// Cycle walks of the current pivot (taken/restored around borrows).
     cycle_va: Vec<usize>,
@@ -67,8 +89,8 @@ pub struct SimplexSolver {
     /// Warm-basis scratch: per-node imbalance and deferred flow commits.
     need: Vec<f64>,
     new_flow: Vec<(usize, f64)>,
-    /// Entering-arc selection; [`BestEligible`] unless overridden.
-    pivot_rule: Box<dyn PivotRule>,
+    /// Entering-arc selection; [`PivotRule::Dantzig`] unless overridden.
+    pivot_rule: PivotRule,
     /// Cooperative cancellation probe, polled between pivots.
     pub(crate) probe: Option<crate::solver::ProbeHandle>,
     pub(crate) stats: SolverStats,
@@ -77,39 +99,69 @@ pub struct SimplexSolver {
 impl_instance_for_solver!(SimplexSolver);
 
 /// The pricing view [`SimplexSolver::run_pivots`] offers its
-/// [`PivotRule`]: reduced-cost eligibility per arc, with every lookup
-/// counted as one pricing arc touch.
+/// [`PivotRule`]: reduced-cost eligibility per arc. It borrows the
+/// solver's fields one by one, so the rule (another field) can be
+/// borrowed mutably beside it.
 struct TreePricing<'a> {
-    solver: &'a SimplexSolver,
+    topo: &'a NetworkTopology,
+    layer: &'a CostLayer,
+    art_to_root: &'a [bool],
+    flow: &'a [f64],
+    in_tree: &'a [bool],
+    pi: &'a [i128],
     big_m: i64,
     /// Minimum residual flow for backward eligibility.
     backward_eps: f64,
-    touched: Cell<usize>,
 }
 
 impl PricingContext for TreePricing<'_> {
     fn num_arcs(&self) -> usize {
-        self.solver.flow.len()
+        self.flow.len()
     }
 
+    // Forced: without it the rule's scan loop keeps an out-of-line call
+    // per arc, a third of the pricing time on a c6288-like D-phase.
+    #[inline(always)]
     fn violation(&self, k: usize) -> Option<(i128, bool)> {
-        self.touched.set(self.touched.get() + 1);
-        let s = self.solver;
-        if s.in_tree[k] {
+        if self.in_tree[k] {
             return None;
         }
-        let (from, to) = s.endpoints(k);
-        let rc = s.arc_cost(k, self.big_m) as i128 + s.pi[from] - s.pi[to];
+        let (from, to) = arc_endpoints(self.topo, self.art_to_root, k);
+        let (cost, cap) = if k < self.topo.num_arcs() {
+            (self.layer.costs[k], self.layer.caps[k])
+        } else {
+            (self.big_m, f64::INFINITY)
+        };
+        let rc = cost as i128 + self.pi[from] - self.pi[to];
         // Forward and backward eligibility are mutually exclusive
         // (rc < 0 vs rc > 0), so checking forward first preserves the
         // historical inline loop's outcome exactly.
-        if s.flow[k] < s.arc_cap(k) && rc < 0 {
+        if self.flow[k] < cap && rc < 0 {
             return Some((rc, true));
         }
-        if s.flow[k] > self.backward_eps && -rc < 0 {
+        if self.flow[k] > self.backward_eps && -rc < 0 {
             return Some((-rc, false));
         }
         None
+    }
+}
+
+/// Endpoints of internal arc `k`: public arcs first, then one
+/// artificial arc per node `v` between `v` and the root, in its current
+/// orientation.
+#[inline]
+fn arc_endpoints(topo: &NetworkTopology, art_to_root: &[bool], k: usize) -> (usize, usize) {
+    let m = topo.num_arcs();
+    if k < m {
+        topo.arc_endpoints(k)
+    } else {
+        let v = k - m;
+        let root = topo.num_nodes();
+        if art_to_root[v] {
+            (v, root)
+        } else {
+            (root, v)
+        }
     }
 }
 
@@ -150,7 +202,7 @@ impl SimplexSolver {
             cycle_vb: Vec::new(),
             need: vec![0.0; num_nodes],
             new_flow: Vec::with_capacity(num_nodes),
-            pivot_rule: Box::new(BestEligible),
+            pivot_rule: PivotRule::Dantzig,
             probe: None,
             stats: SolverStats::default(),
             topo,
@@ -159,13 +211,13 @@ impl SimplexSolver {
 
     /// Replaces the entering-arc selection rule (builder style).
     #[must_use]
-    pub fn with_pivot_rule(mut self, rule: Box<dyn PivotRule>) -> Self {
+    pub fn with_pivot_rule(mut self, rule: PivotRule) -> Self {
         self.pivot_rule = rule;
         self
     }
 
     /// Replaces the entering-arc selection rule.
-    pub fn set_pivot_rule(&mut self, rule: Box<dyn PivotRule>) {
+    pub fn set_pivot_rule(&mut self, rule: PivotRule) {
         self.pivot_rule = rule;
     }
 
@@ -176,18 +228,7 @@ impl SimplexSolver {
 
     /// Endpoints of arc `k` (public or artificial, current orientation).
     pub(crate) fn endpoints(&self, k: usize) -> (usize, usize) {
-        let m = self.topo.num_arcs();
-        if k < m {
-            self.topo.arc_endpoints(k)
-        } else {
-            let v = k - m;
-            let root = self.topo.num_nodes();
-            if self.art_to_root[v] {
-                (v, root)
-            } else {
-                (root, v)
-            }
-        }
+        arc_endpoints(&self.topo, &self.art_to_root, k)
     }
 
     pub(crate) fn arc_cap(&self, k: usize) -> f64 {
@@ -222,8 +263,26 @@ impl SimplexSolver {
             })
     }
 
-    /// Rebuilds parent/depth/potential arrays from the current tree-arc
-    /// set by BFS from the root, reusing scratch buffers.
+    /// Hangs node `w` from `u` through tree arc `k`: sets its parent,
+    /// depth and exact potential (tree arcs have zero reduced cost:
+    /// c + π(from) − π(to) = 0).
+    fn hang(&mut self, w: usize, u: usize, k: usize, big_m: i64) {
+        self.parent[w] = u;
+        self.parent_arc[w] = k;
+        self.depth[w] = self.depth[u] + 1;
+        let c = self.arc_cost(k, big_m) as i128;
+        let (from, _) = self.endpoints(k);
+        self.pi[w] = if from == u {
+            self.pi[u] + c
+        } else {
+            self.pi[u] - c
+        };
+    }
+
+    /// Rebuilds the tree adjacency and the parent/depth/potential arrays
+    /// from the current tree-arc set by BFS from the root, reusing
+    /// scratch buffers. O(arcs): for basis installs (cold, warm repair,
+    /// dual prepare) only; pivots use [`SimplexSolver::exchange`].
     pub(crate) fn rebuild_tree(&mut self, big_m: i64) {
         let root = self.topo.num_nodes();
         for adj in &mut self.tree_adj {
@@ -255,16 +314,55 @@ impl SimplexSolver {
                     continue;
                 }
                 self.visited[w] = true;
-                self.parent[w] = u;
-                self.parent_arc[w] = k;
-                self.depth[w] = self.depth[u] + 1;
-                // Tree arcs have zero reduced cost: c + π(from) − π(to) = 0.
-                let c = self.arc_cost(k, big_m) as i128;
-                self.pi[w] = if from == u {
-                    self.pi[u] + c
-                } else {
-                    self.pi[u] - c
-                };
+                self.hang(w, u, k, big_m);
+                self.bfs_queue.push_back(w);
+            }
+        }
+    }
+
+    /// Basis exchange of one pivot: tree arc `leaving` leaves and
+    /// `entering` joins. Removing `leaving` cuts off the subtree holding
+    /// `inner`; `entering` re-attaches it below `outer`. Only that
+    /// subtree is walked (once, top-down), re-deriving parents, depths
+    /// and potentials, so the cost is O(moved subtree) instead of a full
+    /// [`SimplexSolver::rebuild_tree`]. The result is the tree a rebuild
+    /// would produce (a rooted spanning tree determines its parents,
+    /// depths and potentials), so the pivot sequence does not depend on
+    /// which of the two maintained it.
+    fn exchange(
+        &mut self,
+        entering: usize,
+        leaving: usize,
+        inner: usize,
+        outer: usize,
+        big_m: i64,
+    ) {
+        self.in_tree[leaving] = false;
+        self.in_tree[entering] = true;
+        let (lfrom, lto) = self.endpoints(leaving);
+        for end in [lfrom, lto] {
+            let adj = &mut self.tree_adj[end];
+            let at = adj
+                .iter()
+                .position(|&k| k as usize == leaving)
+                .expect("the leaving arc is a tree arc");
+            adj.swap_remove(at);
+        }
+        let (efrom, eto) = self.endpoints(entering);
+        self.tree_adj[efrom].push(entering as u32);
+        self.tree_adj[eto].push(entering as u32);
+        self.hang(inner, outer, entering, big_m);
+        self.bfs_queue.clear();
+        self.bfs_queue.push_back(inner);
+        while let Some(u) = self.bfs_queue.pop_back() {
+            for i in 0..self.tree_adj[u].len() {
+                let k = self.tree_adj[u][i] as usize;
+                if k == self.parent_arc[u] {
+                    continue;
+                }
+                let (from, to) = self.endpoints(k);
+                let w = if from == u { to } else { from };
+                self.hang(w, u, k, big_m);
                 self.bfs_queue.push_back(w);
             }
         }
@@ -442,19 +540,16 @@ impl SimplexSolver {
     }
 
     /// Runs primal pivots until optimality, selecting entering arcs via
-    /// `rule`. Returns `(pivots, arcs_scanned)` for stats attribution.
+    /// the solver's [`PivotRule`]. Returns `(pivots, arcs_scanned)` for
+    /// stats attribution. Each pivot costs one pricing scan, the tree
+    /// cycle, and the walk of the subtree it re-hangs.
     ///
     /// # Errors
     ///
     /// * [`FlowError::IterationLimit`] past the safety pivot cap.
     /// * [`FlowError::NegativeCycle`] when an uncapacitated negative
     ///   cycle admits an unbounded augmentation.
-    pub(crate) fn run_pivots(
-        &mut self,
-        rule: &mut dyn PivotRule,
-        big_m: i64,
-        eps: f64,
-    ) -> Result<(usize, usize), FlowError> {
+    pub(crate) fn run_pivots(&mut self, big_m: i64, eps: f64) -> Result<(usize, usize), FlowError> {
         // The pivot cap is a generous safety net; typical instances use
         // far fewer.
         let num_arcs = self.flow.len();
@@ -462,7 +557,7 @@ impl SimplexSolver {
         let mut attempts = 0usize;
         let mut pivots = 0usize;
         let mut scanned = 0usize;
-        rule.reset(num_arcs);
+        self.pivot_rule.reset(num_arcs);
         loop {
             attempts += 1;
             if attempts > max_pivots {
@@ -480,18 +575,17 @@ impl SimplexSolver {
             {
                 return Err(FlowError::Cancelled);
             }
-            let selected = {
-                let pricing = TreePricing {
-                    solver: self,
-                    big_m,
-                    backward_eps: eps.min(1e-12),
-                    touched: Cell::new(0),
-                };
-                let selected = rule.select(&pricing);
-                scanned += pricing.touched.get();
-                selected
+            let pricing = TreePricing {
+                topo: &self.topo,
+                layer: &self.layer,
+                art_to_root: &self.art_to_root,
+                flow: &self.flow,
+                in_tree: &self.in_tree,
+                pi: &self.pi,
+                big_m,
+                backward_eps: eps.min(1e-12),
             };
-            let Some((entering, forward)) = selected else {
+            let Some((entering, forward)) = self.pivot_rule.select(&pricing, &mut scanned) else {
                 break; // optimal
             };
             pivots += 1;
@@ -506,7 +600,9 @@ impl SimplexSolver {
                 self.flow[entering]
             };
             let mut delta = entering_residual;
-            let mut leaving: Option<usize> = None;
+            // The leaving arc, and the entering endpoint on its subtree
+            // side: `v` when it lies on the v-side walk, `u` otherwise.
+            let mut leaving: Option<(usize, usize)> = None;
             let (mut a_node, mut b_node) = (v, u);
             // Walk both endpoints to the LCA, measuring residuals.
             // v-side travels upward WITH the cycle direction; u-side
@@ -535,7 +631,7 @@ impl SimplexSolver {
                 };
                 if residual < delta {
                     delta = residual;
-                    leaving = Some(k);
+                    leaving = Some((k, v));
                 }
             }
             for &w in &vb {
@@ -549,7 +645,7 @@ impl SimplexSolver {
                 };
                 if residual < delta {
                     delta = residual;
-                    leaving = Some(k);
+                    leaving = Some((k, u));
                 }
             }
             if delta.is_infinite() {
@@ -583,16 +679,13 @@ impl SimplexSolver {
                     }
                 }
             }
-            // Replace the leaving arc with the entering one.
-            match leaving {
-                None => {
-                    // The entering arc itself saturated: tree unchanged.
-                }
-                Some(k) => {
-                    self.in_tree[k] = false;
-                    self.in_tree[entering] = true;
-                    self.rebuild_tree(big_m);
-                }
+            // Replace the leaving arc with the entering one (when the
+            // entering arc itself saturated, the tree is unchanged).
+            if let Some((k, inner)) = leaving {
+                let outer = if inner == v { u } else { v };
+                self.exchange(entering, k, inner, outer, big_m);
+                #[cfg(test)]
+                self.assert_tree_matches_rebuild(big_m);
             }
             // Return the cycle walks' capacity to the scratch slots.
             self.cycle_va = va;
@@ -698,23 +791,17 @@ impl SimplexSolver {
         }
         self.has_state = false;
 
-        // The rule leaves `self` while pivoting (it borrows the solver
-        // through the pricing view); `BestEligible` is a ZST, so the
-        // placeholder box does not allocate.
-        let mut rule = std::mem::replace(&mut self.pivot_rule, Box::new(BestEligible));
-        let outcome = self.run_pivots(rule.as_mut(), big_m, eps);
-        self.pivot_rule = rule;
-        let (pivots, scanned) = outcome?;
+        let (pivots, scanned) = self.run_pivots(big_m, eps)?;
         self.finish(warm, pivots, scanned, total_pos, scale, eps)
     }
 }
 
 impl McfSolver for SimplexSolver {
     fn name(&self) -> &'static str {
-        match self.pivot_rule.name() {
-            "first-eligible" => "network-simplex-first",
-            "block-search" => "network-simplex-block",
-            _ => "network-simplex",
+        match self.pivot_rule {
+            PivotRule::Dantzig => "network-simplex",
+            PivotRule::FirstEligible { .. } => "network-simplex-first",
+            PivotRule::BlockSearch(_) => "network-simplex-block",
         }
     }
     fn topology(&self) -> &NetworkTopology {
@@ -768,7 +855,107 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pivot::{BlockSearch, FirstEligible};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Basis exchanges cross-checked on this test thread.
+        static TREE_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    impl SimplexSolver {
+        /// Compares the incrementally kept tree with a from-scratch
+        /// rebuild on a clone; runs after every basis exchange in
+        /// this crate's unit tests.
+        pub(super) fn assert_tree_matches_rebuild(&self, big_m: i64) {
+            let mut fresh = self.clone();
+            fresh.rebuild_tree(big_m);
+            assert_eq!(self.parent, fresh.parent, "parent");
+            assert_eq!(self.parent_arc, fresh.parent_arc, "parent_arc");
+            assert_eq!(self.depth, fresh.depth, "depth");
+            assert_eq!(self.pi, fresh.pi, "pi");
+            for (kept, rebuilt) in self.tree_adj.iter().zip(&fresh.tree_adj) {
+                let mut kept = kept.clone();
+                kept.sort_unstable();
+                assert_eq!(&kept, rebuilt, "tree_adj");
+            }
+            TREE_CHECKS.with(|c| c.set(c.get() + 1));
+        }
+    }
+
+    /// Every basis exchange of cold solves, warm re-solves (with
+    /// repairs that swap artificial arcs in), finite capacities and
+    /// every pricing rule leaves the tree a rebuild would produce.
+    #[test]
+    fn incremental_tree_matches_rebuild_after_every_pivot() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let checks_before = TREE_CHECKS.with(Cell::get);
+        let mut repairs = 0;
+        for case in 0..12 {
+            let n = rng.gen_range(6..24);
+            let mut net = FlowNetwork::new(n);
+            let mut total = 0.0;
+            for v in 0..n - 1 {
+                let s = rng.gen_range(-3.0..3.0);
+                net.set_supply(v, s);
+                total += s;
+            }
+            net.set_supply(n - 1, -total);
+            for v in 0..n {
+                net.add_arc(v, (v + 1) % n, f64::INFINITY, rng.gen_range(0..10))
+                    .unwrap();
+                for _ in 0..3 {
+                    let u = rng.gen_range(0..n);
+                    if u != v {
+                        let cap = if rng.gen_bool(0.4) {
+                            rng.gen_range(0.5..3.0)
+                        } else {
+                            f64::INFINITY
+                        };
+                        net.add_arc(v, u, cap, rng.gen_range(0..20)).unwrap();
+                    }
+                }
+            }
+            let rule = match case % 3 {
+                0 => PivotRule::Dantzig,
+                1 => PivotRule::first_eligible(),
+                _ => PivotRule::block_search(),
+            };
+            let mut solver = SimplexSolver::new(&net).with_pivot_rule(rule);
+            solver.set_warm_start(true);
+            for _ in 0..4 {
+                solver.solve().unwrap();
+                let m = solver.num_arcs();
+                for _ in 0..m / 2 {
+                    let k = rng.gen_range(0..m);
+                    solver
+                        .layer_mut()
+                        .set_cost(k, rng.gen_range(0..25))
+                        .unwrap();
+                }
+                // Supply drift moves tree flows past their bounds,
+                // which the warm start repairs with artificial arcs.
+                let mut shift = 0.0;
+                for v in 0..n - 1 {
+                    let d = rng.gen_range(-1.0..1.0);
+                    let s = solver.supply(v);
+                    solver.layer_mut().set_supply(v, s + d);
+                    shift += d;
+                }
+                let last = solver.supply(n - 1);
+                solver.layer_mut().set_supply(n - 1, last - shift);
+            }
+            let stats = solver.stats();
+            assert!(
+                stats.cold_solves >= 1 && stats.warm_solves >= 1,
+                "{stats:?}"
+            );
+            repairs += stats.warm_repairs;
+        }
+        assert!(repairs > 0, "no warm repair brought artificial arcs back");
+        assert!(TREE_CHECKS.with(Cell::get) > checks_before + 100);
+    }
 
     #[test]
     fn matches_ssp_on_basics() {
@@ -907,10 +1094,7 @@ mod tests {
             let Ok(want) = net.solve_simplex() else {
                 continue; // disconnected instance: nothing to race
             };
-            let rules: [Box<dyn PivotRule>; 2] = [
-                Box::new(FirstEligible::default()),
-                Box::new(BlockSearch::default()),
-            ];
+            let rules = [PivotRule::first_eligible(), PivotRule::block_search()];
             for rule in rules {
                 let label = rule.name();
                 let mut solver = SimplexSolver::new(&net).with_pivot_rule(rule);

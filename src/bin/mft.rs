@@ -239,6 +239,8 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     // A full solution carries the persistent D-phase solver's reuse
     // statistics; a TILOS-only run reports sizes alone.
     let objective = flag_value(args, "--objective").unwrap_or("area");
+    // `--report` prints the timing-engine line itself.
+    let report = args.iter().any(|a| a == "--report");
     let solution = if args.iter().any(|a| a == "--tilos-only") {
         None
     } else {
@@ -258,7 +260,9 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
                     sol.iterations,
                     100.0 * (tilos.area - sol.area) / tilos.area
                 );
-                println!("timing engine: {}", sol.timing_stats);
+                if !report {
+                    println!("timing engine: {}", sol.timing_stats);
+                }
                 Some(sol)
             }
             "power" => {
@@ -276,7 +280,9 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
                     ps.solution.iterations,
                     ps.solution.area_saving_percent()
                 );
-                println!("timing engine: {}", ps.solution.timing_stats);
+                if !report {
+                    println!("timing engine: {}", ps.solution.timing_stats);
+                }
                 Some(ps.solution)
             }
             other => return Err(format!("unknown objective `{other}` (area | power)")),
@@ -284,7 +290,7 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     };
     let tilos_sizes = tilos.sizes;
     let final_sizes: &[f64] = solution.as_ref().map_or(&tilos_sizes, |sol| &sol.sizes);
-    if args.iter().any(|a| a == "--report") {
+    if report {
         let report = match &solution {
             Some(sol) => problem.report(sol, target),
             None => SizingReport::build(&problem, final_sizes, target),
