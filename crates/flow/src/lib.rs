@@ -45,9 +45,10 @@
 //! ([`DualLp::into_solver`]).
 //!
 //! The simplex solvers' entering-arc *pricing* is chosen via the closed
-//! [`PivotRule`] enum (see [`pivot`]): [`PivotRule::Dantzig`] by
-//! default, with first-eligible and candidate-list block-search pricing
-//! as cheaper-scan alternatives for large networks. [`FlowAlgorithm`]
+//! [`PivotRule`] enum (see [`pivot`]): block-cached
+//! [`PivotRule::Dantzig`] by default, with first-eligible and
+//! candidate-list block-search pricing as cheaper-scan alternatives
+//! for large networks. [`FlowAlgorithm`]
 //! names every backend × rule combination for configuration surfaces.
 //!
 //! # Examples
@@ -98,6 +99,7 @@ mod dual_simplex;
 mod error;
 mod network;
 pub mod pivot;
+mod potentials;
 mod simplex;
 mod solver;
 mod topology;
@@ -106,7 +108,7 @@ pub use dual::{DualLp, DualSolution, DualSolver, FlowAlgorithm};
 pub use dual_simplex::DualSimplexSolver;
 pub use error::FlowError;
 pub use network::{ArcId, FlowNetwork, FlowSolution};
-pub use pivot::{BlockSearch, PivotRule, PricingContext};
+pub use pivot::{BlockSearch, DantzigBlocks, PivotRule, PricingContext};
 pub use simplex::SimplexSolver;
 pub use solver::{
     CancelProbe, McfInstance, McfSolver, ProbeHandle, ReferenceSolver, SolverStats, SspSolver,

@@ -17,20 +17,25 @@
 //! * artificial flow remaining at optimality signals infeasibility; an
 //!   uncapacitated negative cycle signals unboundedness.
 //!
-//! **Per-pivot cost.** A pivot costs one pricing scan (O(arcs) for
-//! Dantzig, monomorphic: the rule's `select` is generic over the
-//! pricing view, so the reduced-cost test inlines), the walk around the
+//! **Per-pivot cost.** A pivot costs its pricing, the walk around the
 //! tree cycle, and one top-down walk of the moved subtree that
 //! re-derives its parents, depths and exact `i128` potentials (Király &
 //! Kovács, "Efficient implementations of minimum-cost flow algorithms",
-//! 2012). The tree adjacency is patched in place: the leaving arc is
-//! removed from its endpoints' lists and the entering arc pushed. The
-//! O(arcs) [`SimplexSolver::rebuild_tree`] BFS runs only when a basis
-//! is installed (cold start, warm repair, dual prepare), and
-//! `bfs_order` is valid only right after such a rebuild. A rooted
-//! spanning tree determines its parents, depths and potentials, so the
-//! incremental tree equals a rebuilt one and the pivot sequence is the
-//! one a rebuild after every pivot would give.
+//! 2012). Only the moved subtree's potentials change, so only arcs
+//! incident to it (plus the entering and leaving arcs) can change
+//! eligibility: the subtree walk [`touch`](PivotRule::touch)es them, and
+//! Dantzig pricing re-prices just the dirty blocks of its block cache
+//! before taking the minimum over the block bests. A Dantzig pivot thus
+//! costs dirty blocks + moved subtree + cycle instead of an O(arcs)
+//! scan (the rule's `select` is generic over the pricing view, so the
+//! reduced-cost test inlines). The tree adjacency is patched in place:
+//! the leaving arc is removed from its endpoints' lists and the
+//! entering arc pushed. The O(arcs) [`SimplexSolver::rebuild_tree`] BFS
+//! runs only when a basis is installed (cold start, warm repair, dual
+//! prepare), and `bfs_order` is valid only right after such a
+//! rebuild. A rooted spanning tree determines its parents, depths and
+//! potentials, so the incremental tree equals a rebuilt one and the
+//! pivot sequence is the one a rebuild after every pivot would give.
 //!
 //! **Warm starts** reuse the previous solve's spanning tree: non-basic
 //! arc flows are kept, the basic (tree) arc flows are recomputed
@@ -42,12 +47,13 @@
 //!
 //! Potentials are maintained in `i128` (one big-`M` artificial arc can
 //! appear on a tree path); the *returned* certificate potentials are
-//! recomputed cleanly from the optimal flow, exactly as the one-shot
-//! solver always did.
+//! recomputed cleanly from the optimal flow by a label-correcting queue
+//! ([`crate::potentials`]).
 
 use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
 use crate::pivot::{PivotRule, PricingContext};
+use crate::potentials::CertificatePotentials;
 use crate::solver::{impl_instance_for_solver, McfInstance, McfSolver, SolverStats};
 use crate::topology::{CostLayer, NetworkTopology};
 use crate::ArcId;
@@ -91,6 +97,8 @@ pub struct SimplexSolver {
     new_flow: Vec<(usize, f64)>,
     /// Entering-arc selection; [`PivotRule::Dantzig`] unless overridden.
     pivot_rule: PivotRule,
+    /// Scratch of the certificate-potential pass in [`SimplexSolver::finish`].
+    certificate: CertificatePotentials,
     /// Cooperative cancellation probe, polled between pivots.
     pub(crate) probe: Option<crate::solver::ProbeHandle>,
     pub(crate) stats: SolverStats,
@@ -202,7 +210,8 @@ impl SimplexSolver {
             cycle_vb: Vec::new(),
             need: vec![0.0; num_nodes],
             new_flow: Vec::with_capacity(num_nodes),
-            pivot_rule: PivotRule::Dantzig,
+            pivot_rule: PivotRule::dantzig(),
+            certificate: CertificatePotentials::default(),
             probe: None,
             stats: SolverStats::default(),
             topo,
@@ -328,7 +337,8 @@ impl SimplexSolver {
     /// [`SimplexSolver::rebuild_tree`]. The result is the tree a rebuild
     /// would produce (a rooted spanning tree determines its parents,
     /// depths and potentials), so the pivot sequence does not depend on
-    /// which of the two maintained it.
+    /// which of the two maintained it. The walk touches, for the pivot
+    /// rule, every arc whose reduced cost the new potentials can move.
     fn exchange(
         &mut self,
         entering: usize,
@@ -352,9 +362,13 @@ impl SimplexSolver {
         self.tree_adj[efrom].push(entering as u32);
         self.tree_adj[eto].push(entering as u32);
         self.hang(inner, outer, entering, big_m);
+        let touching = self.pivot_rule.wants_touches();
         self.bfs_queue.clear();
         self.bfs_queue.push_back(inner);
         while let Some(u) = self.bfs_queue.pop_back() {
+            if touching {
+                self.touch_node(u);
+            }
             for i in 0..self.tree_adj[u].len() {
                 let k = self.tree_adj[u][i] as usize;
                 if k == self.parent_arc[u] {
@@ -365,6 +379,23 @@ impl SimplexSolver {
                 self.hang(w, u, k, big_m);
                 self.bfs_queue.push_back(w);
             }
+        }
+    }
+
+    /// Touches the non-tree arcs incident to re-hung node `w`: its public
+    /// arcs (internal arc `i < 2m` of the topology is public arc
+    /// `i >> 1`) and its artificial arc `m + w`. Tree arcs are never
+    /// eligible, so they need no re-price.
+    fn touch_node(&mut self, w: usize) {
+        let m = self.topo.num_arcs();
+        for &i in self.topo.adjacent(w) {
+            let i = i as usize;
+            if i < 2 * m && !self.in_tree[i >> 1] {
+                self.pivot_rule.touch(i >> 1);
+            }
+        }
+        if !self.in_tree[m + w] {
+            self.pivot_rule.touch(m + w);
         }
     }
 
@@ -541,8 +572,9 @@ impl SimplexSolver {
 
     /// Runs primal pivots until optimality, selecting entering arcs via
     /// the solver's [`PivotRule`]. Returns `(pivots, arcs_scanned)` for
-    /// stats attribution. Each pivot costs one pricing scan, the tree
-    /// cycle, and the walk of the subtree it re-hangs.
+    /// stats attribution. Each pivot costs its pricing, the tree cycle,
+    /// and the walk of the subtree it re-hangs; every arc whose
+    /// eligibility a pivot can change is touched for the rule.
     ///
     /// # Errors
     ///
@@ -585,7 +617,10 @@ impl SimplexSolver {
                 big_m,
                 backward_eps: eps.min(1e-12),
             };
-            let Some((entering, forward)) = self.pivot_rule.select(&pricing, &mut scanned) else {
+            let selected = self.pivot_rule.select(&pricing, &mut scanned);
+            #[cfg(test)]
+            self.assert_selection_matches_full_scan(&pricing, selected);
+            let Some((entering, forward)) = selected else {
                 break; // optimal
             };
             pivots += 1;
@@ -680,10 +715,14 @@ impl SimplexSolver {
                 }
             }
             // Replace the leaving arc with the entering one (when the
-            // entering arc itself saturated, the tree is unchanged).
+            // entering arc itself saturated, the tree is unchanged and
+            // the entering arc's flow is the only eligibility input that
+            // moved, so it is the only touch).
+            self.pivot_rule.touch(entering);
             if let Some((k, inner)) = leaving {
                 let outer = if inner == v { u } else { v };
                 self.exchange(entering, k, inner, outer, big_m);
+                self.pivot_rule.touch(k);
                 #[cfg(test)]
                 self.assert_tree_matches_rebuild(big_m);
             }
@@ -706,7 +745,6 @@ impl SimplexSolver {
         scale: f64,
         eps: f64,
     ) -> Result<FlowSolution, FlowError> {
-        let n = self.topo.num_nodes();
         let m = self.topo.num_arcs();
         // Infeasibility: artificial flow that could not be drained.
         let residual_artificial: f64 = self.flow[m..].iter().sum();
@@ -724,40 +762,10 @@ impl SimplexSolver {
         }
         // The tree potentials contain big-M offsets from artificial arcs,
         // which amplify floating-point supply dust into visible duality
-        // gaps. Recompute clean dual-optimal potentials directly from the
-        // optimal flow: shortest walks over the residual graph of *real*
-        // arcs (all-zero initialization; the optimal residual graph has no
-        // negative cycles).
-        let mut clean = vec![0i64; n];
-        let dust = 1e-12 * scale;
-        let mut changed = true;
-        let mut rounds = 0usize;
-        while changed {
-            changed = false;
-            rounds += 1;
-            if rounds > n + 1 {
-                return Err(FlowError::BadInput {
-                    message: "residual graph of the optimal flow has a negative cycle".to_owned(),
-                });
-            }
-            for k in 0..m {
-                let (u, v) = self.topo.arc_endpoints(k);
-                let c = self.layer.costs[k];
-                // Residual traversability is dust-tolerant on BOTH
-                // bounds: an arc saturated to within an ulp of its
-                // capacity must not contribute a forward residual arc,
-                // or a spurious "negative cycle" of ~1e-16 capacity
-                // derails the relaxation.
-                if self.layer.caps[k] - self.flow[k] > dust && clean[u] + c < clean[v] {
-                    clean[v] = clean[u] + c;
-                    changed = true;
-                }
-                if self.flow[k] > dust && clean[v] - c < clean[u] {
-                    clean[u] = clean[v] - c;
-                    changed = true;
-                }
-            }
-        }
+        // gaps; return clean ones recomputed from the optimal flow.
+        let clean =
+            self.certificate
+                .compute(&self.topo, &self.layer, &self.flow[..m], 1e-12 * scale)?;
         self.has_state = true;
         self.stats.pivots += pivots;
         self.stats.arcs_scanned += scanned;
@@ -799,7 +807,7 @@ impl SimplexSolver {
 impl McfSolver for SimplexSolver {
     fn name(&self) -> &'static str {
         match self.pivot_rule {
-            PivotRule::Dantzig => "network-simplex",
+            PivotRule::Dantzig(_) => "network-simplex",
             PivotRule::FirstEligible { .. } => "network-simplex-first",
             PivotRule::BlockSearch(_) => "network-simplex-block",
         }
@@ -860,6 +868,8 @@ mod tests {
     thread_local! {
         /// Basis exchanges cross-checked on this test thread.
         static TREE_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Dantzig selections cross-checked on this test thread.
+        static PRICING_CHECKS: Cell<usize> = const { Cell::new(0) };
     }
 
     impl SimplexSolver {
@@ -880,17 +890,33 @@ mod tests {
             }
             TREE_CHECKS.with(|c| c.set(c.get() + 1));
         }
+
+        /// Compares a block-cached Dantzig selection with a fresh
+        /// ascending scan of every arc; runs before every pivot in this
+        /// crate's unit tests.
+        pub(super) fn assert_selection_matches_full_scan(
+            &self,
+            pricing: &TreePricing<'_>,
+            selected: Option<(usize, bool)>,
+        ) {
+            if let PivotRule::Dantzig(_) = self.pivot_rule {
+                assert_eq!(selected, crate::pivot::dantzig_full_scan(pricing));
+                PRICING_CHECKS.with(|c| c.set(c.get() + 1));
+            }
+        }
     }
 
     /// Every basis exchange of cold solves, warm re-solves (with
     /// repairs that swap artificial arcs in), finite capacities and
-    /// every pricing rule leaves the tree a rebuild would produce.
+    /// every pricing rule leaves the tree a rebuild would produce, and
+    /// every block-cached Dantzig selection is the full scan's.
     #[test]
     fn incremental_tree_matches_rebuild_after_every_pivot() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let checks_before = TREE_CHECKS.with(Cell::get);
+        let pricing_before = PRICING_CHECKS.with(Cell::get);
         let mut repairs = 0;
         for case in 0..12 {
             let n = rng.gen_range(6..24);
@@ -918,7 +944,7 @@ mod tests {
                 }
             }
             let rule = match case % 3 {
-                0 => PivotRule::Dantzig,
+                0 => PivotRule::dantzig(),
                 1 => PivotRule::first_eligible(),
                 _ => PivotRule::block_search(),
             };
@@ -955,6 +981,7 @@ mod tests {
         }
         assert!(repairs > 0, "no warm repair brought artificial arcs back");
         assert!(TREE_CHECKS.with(Cell::get) > checks_before + 100);
+        assert!(PRICING_CHECKS.with(Cell::get) > pricing_before + 50);
     }
 
     #[test]

@@ -107,9 +107,11 @@ pub struct SolverStats {
     /// Simplex pivots performed across completed solves (primal and
     /// dual pivots both count; the SSP/reference backends leave this 0).
     pub pivots: usize,
-    /// Arcs touched by entering-arc pricing scans across completed
-    /// solves — the cost the pivot rules compete on (simplex backends
-    /// only).
+    /// Arcs covered by entering-arc selections across completed solves
+    /// (simplex backends only): the arcs a scanning rule priced, and
+    /// for block-cached Dantzig every arc per selection, whether its
+    /// block was re-priced or served from the cache. It counts the
+    /// selections' reach, not the per-pivot pricing work.
     pub arcs_scanned: usize,
 }
 

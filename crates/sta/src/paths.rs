@@ -9,10 +9,7 @@
 //! from the multiplier row.
 
 use crate::error::StaError;
-use crate::timing::arrival_times;
 use mft_circuit::{SizingDag, VertexId};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// One enumerated path: its vertices (source first) and total delay.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,100 +20,106 @@ pub struct DelayPath {
     pub delay: f64,
 }
 
-/// Partial path for the K-longest search (best-first by upper bound).
-#[derive(Debug, Clone)]
-struct Frontier {
-    /// Upper bound: delay accumulated so far + longest completion.
-    bound: f64,
-    /// Path so far, reversed (current vertex first).
-    suffix: Vec<VertexId>,
+/// One of a vertex's `k` longest prefixes: its delay (source through
+/// the vertex) and where it came from.
+#[derive(Debug, Clone, Copy)]
+struct Prefix {
+    delay: f64,
+    /// Predecessor vertex, or `u32::MAX` at a source.
+    pred: u32,
+    /// Rank of the extended prefix in the predecessor's list.
+    rank: u32,
 }
 
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.bound
-            .partial_cmp(&other.bound)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-/// Enumerates the `k` longest paths of the DAG (ties broken arbitrarily),
-/// longest first.
+/// Enumerates the `k` longest paths of the DAG (ties broken by a stable
+/// order), longest first.
 ///
-/// Runs a best-first search backwards from end-of-path vertices using the
-/// exact "longest completion through predecessor" bound, so each popped
-/// complete path is emitted in order and only `O(k · depth)` partial
-/// paths are expanded beyond the heap logistics.
+/// A per-vertex top-`k` longest-prefix DP in topological order: every
+/// vertex keeps its `k` longest source→vertex prefixes, each extending
+/// one of a predecessor's. A longest path's prefix is among its
+/// vertex's `k` longest (otherwise `k` longer prefixes with the same
+/// suffix would outrank it), so the best `k` prefixes ending at
+/// end-of-path vertices are the `k` longest paths. Time
+/// O((V + E) · k log k) and memory O(V · k), however many near-tied
+/// reconvergent paths the circuit has.
 ///
 /// # Errors
 ///
 /// Returns [`StaError::ShapeMismatch`] if `delays` has the wrong length.
 pub fn top_paths(dag: &SizingDag, delays: &[f64], k: usize) -> Result<Vec<DelayPath>, StaError> {
-    if delays.len() != dag.num_vertices() {
+    let n = dag.num_vertices();
+    if delays.len() != n {
         return Err(StaError::ShapeMismatch {
-            expected: dag.num_vertices(),
+            expected: n,
             found: delays.len(),
         });
     }
     if k == 0 {
         return Ok(Vec::new());
     }
-    // at[v] = longest arrival into v: the longest prefix ending before v.
-    let at = arrival_times(dag, delays);
-    let mut heap: BinaryHeap<Frontier> = BinaryHeap::new();
-    // Seed with every end-of-path vertex (no successors or a PO leaf);
-    // bound = at[v] + delay[v] = the longest full path through v.
-    let mut seeded = vec![false; dag.num_vertices()];
-    for v in dag.vertex_ids() {
-        let endpoint = dag.out_edges(v).is_empty() || dag.po_leaves().contains(&v);
-        if endpoint && !seeded[v.index()] {
-            seeded[v.index()] = true;
-            heap.push(Frontier {
-                bound: at[v.index()] + delays[v.index()],
-                suffix: vec![v],
+    let longest_first = |a: &Prefix, b: &Prefix| b.delay.total_cmp(&a.delay);
+    // v's prefixes are prefixes[span[v].0..span[v].1], longest first.
+    let mut prefixes: Vec<Prefix> = Vec::new();
+    let mut span = vec![(0usize, 0usize); n];
+    let mut candidates: Vec<Prefix> = Vec::new();
+    for &v in dag.topo_order() {
+        let d = delays[v.index()];
+        candidates.clear();
+        if dag.in_edges(v).is_empty() {
+            candidates.push(Prefix {
+                delay: d,
+                pred: u32::MAX,
+                rank: 0,
             });
         }
-    }
-    let mut result = Vec::with_capacity(k);
-    while let Some(front) = heap.pop() {
-        let head = front.suffix[front.suffix.len() - 1];
-        if dag.in_edges(head).is_empty() {
-            // Complete path (head is a source). Emit.
-            let mut vertices = front.suffix.clone();
-            vertices.reverse();
-            result.push(DelayPath {
-                vertices,
-                delay: front.bound,
-            });
-            if result.len() == k {
-                break;
-            }
-            continue;
-        }
-        // Extend through each predecessor; the new bound replaces the
-        // prefix estimate at[head] with at[pred] + delay[pred].
-        let fixed = front.bound - at[head.index()];
-        for &e in dag.in_edges(head) {
+        for &e in dag.in_edges(v) {
             let (u, _) = dag.edge(e);
-            let mut suffix = front.suffix.clone();
-            suffix.push(u);
-            heap.push(Frontier {
-                bound: fixed + at[u.index()] + delays[u.index()],
-                suffix,
-            });
+            let (lo, hi) = span[u.index()];
+            for (rank, p) in prefixes[lo..hi].iter().enumerate() {
+                candidates.push(Prefix {
+                    delay: p.delay + d,
+                    pred: u.index() as u32,
+                    rank: rank as u32,
+                });
+            }
+        }
+        if candidates.len() > k {
+            candidates.select_nth_unstable_by(k - 1, longest_first);
+            candidates.truncate(k);
+        }
+        candidates.sort_by(longest_first);
+        span[v.index()] = (prefixes.len(), prefixes.len() + candidates.len());
+        prefixes.extend_from_slice(&candidates);
+    }
+    // End-of-path vertices: sinks and PO leaves.
+    let mut endpoint = vec![false; n];
+    for &v in dag.po_leaves() {
+        endpoint[v.index()] = true;
+    }
+    // (delay, end vertex, slot of its prefix)
+    let mut ends: Vec<(f64, VertexId, usize)> = Vec::new();
+    for v in dag.vertex_ids() {
+        if endpoint[v.index()] || dag.out_edges(v).is_empty() {
+            let (lo, hi) = span[v.index()];
+            ends.extend((lo..hi).map(|i| (prefixes[i].delay, v, i)));
         }
     }
+    ends.sort_by(|a, b| b.0.total_cmp(&a.0));
+    ends.truncate(k);
+    let result = ends
+        .into_iter()
+        .map(|(delay, mut v, mut slot)| {
+            let mut vertices = vec![v];
+            while prefixes[slot].pred != u32::MAX {
+                let Prefix { pred, rank, .. } = prefixes[slot];
+                v = VertexId::new(pred as usize);
+                slot = span[v.index()].0 + rank as usize;
+                vertices.push(v);
+            }
+            vertices.reverse();
+            DelayPath { vertices, delay }
+        })
+        .collect();
     Ok(result)
 }
 
@@ -201,6 +204,25 @@ mod tests {
         assert_eq!(near_critical_count(&dag, &delays, 0.999, 16).unwrap(), 1);
     }
 
+    /// Brute force: the delay of every source→end path, by DFS.
+    fn all_path_delays(dag: &SizingDag, delays: &[f64]) -> Vec<f64> {
+        fn dfs(dag: &SizingDag, delays: &[f64], v: VertexId, total: f64, all: &mut Vec<f64>) {
+            let total = total + delays[v.index()];
+            if dag.out_edges(v).is_empty() || dag.po_leaves().contains(&v) {
+                all.push(total);
+            }
+            for &e in dag.out_edges(v) {
+                let (_, w) = dag.edge(e);
+                dfs(dag, delays, w, total, all);
+            }
+        }
+        let mut all = Vec::new();
+        for &s in dag.sources() {
+            dfs(dag, delays, s, 0.0, &mut all);
+        }
+        all
+    }
+
     /// Exhaustive cross-check on a random-ish multi-branch DAG: top_paths
     /// must match a brute-force enumeration of all source→end paths.
     #[test]
@@ -220,36 +242,69 @@ mod tests {
         let delays: Vec<f64> = (0..dag.num_vertices())
             .map(|i| 1.0 + (i as f64) * 0.37)
             .collect();
-        // Brute force: DFS over all paths from sources.
-        fn dfs(
-            dag: &SizingDag,
-            delays: &[f64],
-            v: mft_circuit::VertexId,
-            total: f64,
-            all: &mut Vec<f64>,
-        ) {
-            let total = total + delays[v.index()];
-            if dag.out_edges(v).is_empty() {
-                all.push(total);
-                return;
-            }
-            if dag.po_leaves().contains(&v) {
-                all.push(total);
-            }
-            for &e in dag.out_edges(v) {
-                let (_, w) = dag.edge(e);
-                dfs(dag, delays, w, total, all);
-            }
-        }
-        let mut all = Vec::new();
-        for &s in dag.sources() {
-            dfs(&dag, &delays, s, 0.0, &mut all);
-        }
+        let mut all = all_path_delays(&dag, &delays);
         all.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let got = top_paths(&dag, &delays, all.len() + 4).unwrap();
         assert_eq!(got.len(), all.len());
         for (p, &want) in got.iter().zip(all.iter()) {
             assert!((p.delay - want).abs() < 1e-9, "{} vs {want}", p.delay);
+        }
+    }
+
+    /// Seeded random reconvergent circuits: for several `k` below the
+    /// path count, the `k` delays equal brute force's `k` largest, and
+    /// every returned path is a real source→end path summing to its
+    /// delay.
+    #[test]
+    fn random_dags_match_brute_force_top_k() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..20 {
+            let mut b = NetlistBuilder::new("r");
+            let mut nets: Vec<_> = (0..4).map(|i| b.input(format!("i{i}"))).collect();
+            for _ in 0..rng.gen_range(8..24) {
+                let x = nets[rng.gen_range(0..nets.len())];
+                let y = nets[rng.gen_range(0..nets.len())];
+                let g = if x == y || rng.gen_bool(0.3) {
+                    b.inv(x).unwrap()
+                } else {
+                    b.nand2(x, y).unwrap()
+                };
+                nets.push(g);
+            }
+            for (i, &net) in nets[nets.len() - 3..].iter().enumerate() {
+                b.output(net, format!("o{i}"));
+            }
+            let dag = SizingDag::gate_mode(&b.finish().unwrap()).unwrap();
+            // Quantized delays make exact ties common.
+            let delays: Vec<f64> = (0..dag.num_vertices())
+                .map(|_| f64::from(rng.gen_range(1..5u8)) * 0.5)
+                .collect();
+            let mut all = all_path_delays(&dag, &delays);
+            all.sort_by(|a, b| b.total_cmp(a));
+            for k in [1, 3, 10, all.len() / 2 + 1, all.len() + 1] {
+                let got = top_paths(&dag, &delays, k).unwrap();
+                assert_eq!(got.len(), k.min(all.len()), "case {case} k {k}");
+                for (p, &want) in got.iter().zip(&all) {
+                    assert!(
+                        (p.delay - want).abs() < 1e-9,
+                        "case {case}: {} vs {want}",
+                        p.delay
+                    );
+                    let sum: f64 = p.vertices.iter().map(|v| delays[v.index()]).sum();
+                    assert!((sum - p.delay).abs() < 1e-9);
+                    assert!(dag.in_edges(p.vertices[0]).is_empty());
+                    let last = *p.vertices.last().unwrap();
+                    assert!(dag.out_edges(last).is_empty() || dag.po_leaves().contains(&last));
+                    for pair in p.vertices.windows(2) {
+                        assert!(dag
+                            .out_edges(pair[0])
+                            .iter()
+                            .any(|&e| dag.edge(e).1 == pair[1]));
+                    }
+                }
+            }
         }
     }
 

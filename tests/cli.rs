@@ -37,3 +37,46 @@ fn size_prints_the_timing_engine_line_once() {
         );
     }
 }
+
+/// The README quickstart's `console` block is real output: each `$ mft`
+/// command, re-run in a scratch directory, prints the block's lines
+/// under it as its first lines.
+#[test]
+fn readme_quickstart_block_matches_real_output() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let marker = "Size a circuit to 60 % of its minimum-sized delay:";
+    let after = &readme[readme.find(marker).expect("quickstart marker") + marker.len()..];
+    let body = after
+        .split("```console\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n```").next())
+        .expect("console block");
+    // (command argv, expected leading output lines)
+    let mut steps: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
+    for line in body.lines() {
+        if let Some(cmd) = line.strip_prefix("$ ./target/release/mft ") {
+            steps.push((cmd.split_whitespace().collect(), Vec::new()));
+        } else {
+            steps
+                .last_mut()
+                .expect("block opens with a command")
+                .1
+                .push(line);
+        }
+    }
+    assert_eq!(steps.len(), 2, "generate + size");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("readme_quickstart");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (argv, want) in steps {
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .args(&argv)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{argv:?}: {stdout}");
+        let got: Vec<&str> = stdout.lines().take(want.len()).collect();
+        assert_eq!(got, want, "README output of `mft {}`", argv.join(" "));
+    }
+}

@@ -311,15 +311,24 @@ fn full_queue_answers_busy_and_recovers() {
     })
     .for_circuit("c17")
     .with_id("admitted");
-    client.send(&sweep).unwrap();
-    // …and everything behind it is rejected, not queued.
+    // …and everything behind it is rejected, not queued. Both lines go
+    // out in one write, so the server reads the second from its buffer
+    // while the sweep is still in flight instead of waiting on the
+    // socket (a c17 sweep can finish within one read wake-up).
     let size = RequestFrame::new(Request::Size {
         spec: Some(0.8),
         target: None,
         return_sizes: false,
     })
     .for_circuit("c17");
-    client.send(&size.clone().with_id("rejected")).unwrap();
+    let rejected = size.clone().with_id("rejected");
+    client
+        .send_raw(&format!(
+            "{}\n{}",
+            sweep.to_json_line(),
+            rejected.to_json_line()
+        ))
+        .unwrap();
 
     let responses = recv_by_id(&mut client, 2);
     let busy = line_for(&responses, "rejected");
