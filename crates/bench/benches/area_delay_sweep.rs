@@ -43,24 +43,6 @@ fn bench_sweep(c: &mut Criterion) {
         ),
         ("warm", SweepOptions::warm()),
         ("warm_jobs4", SweepOptions::warm().with_jobs(4)),
-        // The warm engine on the other D-phase backends: the dual
-        // simplex's bound-flip warm start and the auto policy
-        // (block-search pricing cold, dual simplex warm) raced against
-        // the default warm network simplex above.
-        (
-            "warm_dual_simplex",
-            SweepOptions::warm_with(MinflotransitConfig {
-                flow_algorithm: mft_flow::FlowAlgorithm::DualSimplex,
-                ..Default::default()
-            }),
-        ),
-        (
-            "warm_auto",
-            SweepOptions::warm_with(MinflotransitConfig {
-                flow_algorithm: mft_flow::FlowAlgorithm::Auto,
-                ..Default::default()
-            }),
-        ),
     ];
     for (tag, options) in configs {
         group.bench_with_input(BenchmarkId::new(tag, SPECS.len()), &options, |b, opts| {

@@ -1,15 +1,12 @@
-//! Criterion bench of the min-cost flow substrate: every backend
-//! (SSP, network simplex under its three pivot rules, dual simplex) on
-//! random transshipment networks, the D-phase LP dual, and the
+//! Criterion bench of the min-cost flow substrate: the network simplex
+//! on random transshipment networks, the D-phase LP dual, and the
 //! cold-rebuild vs incremental-reuse comparison for the optimizer's
 //! iteration cost-update pattern.
 //!
-//! Set `MFT_BENCH_SMOKE=1` for the single-sample CI run. The
-//! machine-readable backend race (the numbers quoted in CHANGES.md)
-//! lives in `flow_backend_race.rs`.
+//! Set `MFT_BENCH_SMOKE=1` for the single-sample CI run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mft_flow::{DualLp, FlowAlgorithm, FlowNetwork, McfSolver, SimplexSolver};
+use mft_flow::{DualLp, FlowNetwork, McfSolver, SimplexSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -50,20 +47,16 @@ fn bench_flow(c: &mut Criterion) {
     group.sample_size(if smoke() { 1 } else { 20 });
     for nodes in [100usize, 400, 1600] {
         let net = random_network(nodes, 3, 7);
-        for (algorithm, tag) in [
-            (FlowAlgorithm::SuccessiveShortestPaths, "ssp"),
-            (FlowAlgorithm::NetworkSimplex, "simplex_dantzig"),
-            (FlowAlgorithm::SimplexFirstEligible, "simplex_first"),
-            (FlowAlgorithm::SimplexBlockSearch, "simplex_block"),
-            (FlowAlgorithm::DualSimplex, "dual_simplex"),
-        ] {
-            group.bench_with_input(BenchmarkId::new(tag, nodes), &nodes, |b, _| {
+        group.bench_with_input(
+            BenchmarkId::new("simplex_dantzig", nodes),
+            &nodes,
+            |b, _| {
                 b.iter(|| {
-                    let sol = algorithm.build_solver(&net).solve().expect("feasible");
+                    let sol = net.solve().expect("feasible");
                     black_box(sol.total_cost)
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
     // The LP-dual path used by the D-phase.
@@ -101,115 +94,91 @@ fn bench_flow(c: &mut Criterion) {
 /// "cold_rebuild" reconstructs the LP and its flow network from scratch
 /// each round (the pre-refactor per-iteration cost); "incremental_reuse"
 /// holds one persistent `DualSolver`, rewrites bounds/objective in place
-/// and warm-starts each re-solve. The network simplex is the headline
-/// backend here: its spanning-tree warm start (with basis repair) is
-/// what amortizes the iteration pattern; SSP reuse mainly saves the
-/// rebuild and allocation work.
+/// and warm-starts each re-solve: the network simplex's spanning-tree
+/// warm start (with basis repair) is what amortizes the iteration
+/// pattern.
 fn bench_iteration_pattern(c: &mut Criterion) {
     const ITERS: usize = 10;
     let mut group = c.benchmark_group("dphase_iteration_pattern");
     group.sample_size(if smoke() { 1 } else { 10 });
-    for (algorithm, tag, sizes) in [
-        (
-            FlowAlgorithm::NetworkSimplex,
-            "simplex",
-            &[100usize, 400, 1600][..],
-        ),
-        (
-            FlowAlgorithm::DualSimplex,
-            "dual_simplex",
-            &[100usize, 400, 1600][..],
-        ),
-        (
-            FlowAlgorithm::SimplexBlockSearch,
-            "simplex_block",
-            &[400usize][..],
-        ),
-        (
-            FlowAlgorithm::SuccessiveShortestPaths,
-            "ssp",
-            &[400usize][..],
-        ),
-    ] {
-        for &vars in sizes {
-            // Fixed constraint graph (arcs) + per-iteration bound and
-            // objective schedules, precomputed so both paths replay
-            // identical work.
-            let mut rng = StdRng::seed_from_u64(500 + vars as u64);
-            let mut arcs: Vec<(usize, usize)> = Vec::new();
-            for v in 1..vars {
-                arcs.push((v, 0));
-                arcs.push((0, v));
-            }
-            for _ in 0..vars * 2 {
-                let u = rng.gen_range(0..vars);
-                let v = rng.gen_range(0..vars);
-                if u != v {
-                    arcs.push((u, v));
-                }
-            }
-            let base_bounds: Vec<i64> = arcs.iter().map(|_| 50 + rng.gen_range(0i64..30)).collect();
-            let base_obj: Vec<f64> = (0..vars).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let schedules: Vec<(Vec<i64>, Vec<f64>)> = (0..ITERS)
-                .map(|_| {
-                    let bounds: Vec<i64> = base_bounds
-                        .iter()
-                        .map(|&b| (b + rng.gen_range(-3i64..4)).max(0))
-                        .collect();
-                    let objective: Vec<f64> = base_obj
-                        .iter()
-                        .map(|&o| o + rng.gen_range(-0.05..0.05))
-                        .collect();
-                    (bounds, objective)
-                })
-                .collect();
-
-            group.bench_with_input(
-                BenchmarkId::new(format!("cold_rebuild_{tag}"), vars),
-                &vars,
-                |b, _| {
-                    b.iter(|| {
-                        let mut acc = 0.0;
-                        for (bounds, objective) in &schedules {
-                            let mut lp = DualLp::new(vars);
-                            for (&(u, v), &bound) in arcs.iter().zip(bounds.iter()) {
-                                lp.add_constraint(u, v, bound).expect("valid");
-                            }
-                            for (v, &ob) in objective.iter().enumerate().skip(1) {
-                                lp.add_objective(v, ob);
-                            }
-                            acc += lp.maximize_with(0, algorithm).expect("bounded").objective;
-                        }
-                        black_box(acc)
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("incremental_reuse_{tag}"), vars),
-                &vars,
-                |b, _| {
-                    b.iter(|| {
-                        let mut lp = DualLp::new(vars);
-                        for &(u, v) in &arcs {
-                            lp.add_constraint(u, v, 0).expect("valid");
-                        }
-                        let mut solver = lp.into_solver(0, algorithm).expect("valid");
-                        solver.set_warm_start(true);
-                        let mut acc = 0.0;
-                        for (bounds, objective) in &schedules {
-                            for (k, &bound) in bounds.iter().enumerate() {
-                                solver.set_bound(k, bound).expect("valid");
-                            }
-                            for (v, &ob) in objective.iter().enumerate().skip(1) {
-                                solver.set_objective(v, ob);
-                            }
-                            acc += solver.maximize().expect("bounded").objective;
-                        }
-                        black_box(acc)
-                    })
-                },
-            );
+    for vars in [100usize, 400, 1600] {
+        // Fixed constraint graph (arcs) + per-iteration bound and
+        // objective schedules, precomputed so both paths replay
+        // identical work.
+        let mut rng = StdRng::seed_from_u64(500 + vars as u64);
+        let mut arcs: Vec<(usize, usize)> = Vec::new();
+        for v in 1..vars {
+            arcs.push((v, 0));
+            arcs.push((0, v));
         }
+        for _ in 0..vars * 2 {
+            let u = rng.gen_range(0..vars);
+            let v = rng.gen_range(0..vars);
+            if u != v {
+                arcs.push((u, v));
+            }
+        }
+        let base_bounds: Vec<i64> = arcs.iter().map(|_| 50 + rng.gen_range(0i64..30)).collect();
+        let base_obj: Vec<f64> = (0..vars).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let schedules: Vec<(Vec<i64>, Vec<f64>)> = (0..ITERS)
+            .map(|_| {
+                let bounds: Vec<i64> = base_bounds
+                    .iter()
+                    .map(|&b| (b + rng.gen_range(-3i64..4)).max(0))
+                    .collect();
+                let objective: Vec<f64> = base_obj
+                    .iter()
+                    .map(|&o| o + rng.gen_range(-0.05..0.05))
+                    .collect();
+                (bounds, objective)
+            })
+            .collect();
+
+        group.bench_with_input(
+            BenchmarkId::new("cold_rebuild_simplex", vars),
+            &vars,
+            |b, _| {
+                b.iter(|| {
+                    let mut acc = 0.0;
+                    for (bounds, objective) in &schedules {
+                        let mut lp = DualLp::new(vars);
+                        for (&(u, v), &bound) in arcs.iter().zip(bounds.iter()) {
+                            lp.add_constraint(u, v, bound).expect("valid");
+                        }
+                        for (v, &ob) in objective.iter().enumerate().skip(1) {
+                            lp.add_objective(v, ob);
+                        }
+                        acc += lp.maximize(0).expect("bounded").objective;
+                    }
+                    black_box(acc)
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("incremental_reuse_simplex", vars),
+            &vars,
+            |b, _| {
+                b.iter(|| {
+                    let mut lp = DualLp::new(vars);
+                    for &(u, v) in &arcs {
+                        lp.add_constraint(u, v, 0).expect("valid");
+                    }
+                    let mut solver = lp.into_solver(0).expect("valid");
+                    solver.set_warm_start(true);
+                    let mut acc = 0.0;
+                    for (bounds, objective) in &schedules {
+                        for (k, &bound) in bounds.iter().enumerate() {
+                            solver.set_bound(k, bound).expect("valid");
+                        }
+                        for (v, &ob) in objective.iter().enumerate().skip(1) {
+                            solver.set_objective(v, ob);
+                        }
+                        acc += solver.maximize().expect("bounded").objective;
+                    }
+                    black_box(acc)
+                })
+            },
+        );
     }
     group.finish();
 
@@ -241,7 +210,7 @@ fn bench_iteration_pattern(c: &mut Criterion) {
                         let (u, v, cap, _) = net.arc_info(k);
                         fresh.add_arc(u, v, cap, cost).expect("valid");
                     }
-                    acc += fresh.solve_simplex().expect("feasible").total_cost;
+                    acc += fresh.solve().expect("feasible").total_cost;
                 }
                 black_box(acc)
             })

@@ -78,20 +78,8 @@ fn main() {
         run(label, config);
     }
 
-    println!("\n## D-phase flow backend (same optimum, different pivoting)");
-    for (label, alg) in [
-        (
-            "SSP forests",
-            mft_flow::FlowAlgorithm::SuccessiveShortestPaths,
-        ),
-        ("network simplex", mft_flow::FlowAlgorithm::NetworkSimplex),
-    ] {
-        let config = MinflotransitConfig {
-            flow_algorithm: alg,
-            ..Default::default()
-        };
-        run(label, config);
-    }
+    println!("\n## D-phase flow backend");
+    run("network simplex", MinflotransitConfig::default());
 
     println!("\n## integerization precision (decimal digits kept)");
     for digits in [2u32, 4, 6, 9] {

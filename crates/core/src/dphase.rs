@@ -29,12 +29,12 @@
 //! builds the dummy-augmented constraint graph and the flow network
 //! topology **once**; each [`DPhaseSolver::solve`] only rewrites bounds,
 //! costs and supplies in place (no allocation) and re-solves. With
-//! [`DPhaseOptions::warm_start`] enabled the flow backend additionally
-//! reuses its dual state (SSP node potentials / simplex spanning tree)
-//! between iterations; warm solves return certified optima but may pick
-//! a different optimal vertex of a degenerate LP than a cold solve, so
-//! warm-starting is opt-in. Cold persistent solves are bit-identical to
-//! the one-shot [`solve_dphase`] / [`solve_dphase_with`] wrappers.
+//! [`DPhaseOptions::warm_start`] enabled the network simplex
+//! additionally reuses its spanning tree between iterations; warm solves
+//! return certified optima but may pick a different optimal vertex of a
+//! degenerate LP than a cold solve, so warm-starting is opt-in. Cold
+//! persistent solves are bit-identical to the one-shot [`solve_dphase`]
+//! wrapper.
 
 use crate::error::MftError;
 use mft_circuit::SizingDag;
@@ -58,12 +58,15 @@ pub struct DPhaseResult {
 /// Construction-time options of a [`DPhaseSolver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DPhaseOptions {
-    /// Which min-cost-flow backend solves the LP dual.
+    /// The min-cost-flow backend that solves the LP dual. It has the one
+    /// value [`FlowAlgorithm::NetworkSimplex`] and selects nothing; the
+    /// field is kept for callers that name it.
     pub algorithm: FlowAlgorithm,
     /// Significant decimal digits kept when integerizing constants.
     pub digits: u32,
-    /// Whether the flow backend may warm-start from the previous
-    /// iteration's dual state (see the module docs for the trade-off).
+    /// Whether the network simplex may warm-start from the previous
+    /// iteration's spanning tree (see the module docs for the
+    /// trade-off).
     pub warm_start: bool,
 }
 
@@ -96,11 +99,11 @@ pub struct DPhaseInputs<'a> {
 /// Cumulative statistics of a [`DPhaseSolver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DPhaseStats {
-    /// Flow-solver backend name ("ssp", "network-simplex",
-    /// "network-simplex-first", "network-simplex-block", "dual-simplex"
-    /// or "reference").
+    /// Flow-solver backend name: "network-simplex" once the solver has
+    /// been built, "none" in a default value.
     pub backend: &'static str,
-    /// The flow backend's cold/warm/fallback/repair counters, verbatim.
+    /// The network simplex's cold/warm/fallback/repair counters,
+    /// verbatim.
     pub flow: SolverStats,
     /// Total wall-clock time spent in [`DPhaseSolver::solve`].
     pub total_time: Duration,
@@ -158,6 +161,10 @@ impl DPhaseStats {
         }
     }
 }
+
+/// Sensitivities are quantized to this many steps of the largest one,
+/// so supplies are integers (see [`DPhaseSolver::solve`]).
+const SENS_QUANTUM: f64 = 4294967296.0; // 2^32
 
 /// A persistent D-phase solver bound to one sizing DAG.
 ///
@@ -220,14 +227,7 @@ impl DPhaseSolver {
             lp.add_constraint(var_of_dmy(v.index()), ground, 0)
                 .map_err(MftError::Flow)?;
         }
-        // `Auto` resolves here, where the workload shape is known: the
-        // constraint count sizes the network, and `warm_start` tells
-        // whether the D-phase iteration pattern (the dual simplex's
-        // home turf) will be exercised.
-        let algorithm = options
-            .algorithm
-            .resolve(lp.num_constraints(), options.warm_start);
-        let mut dual = lp.into_solver(ground, algorithm).map_err(MftError::Flow)?;
+        let mut dual = lp.into_solver(ground).map_err(MftError::Flow)?;
         dual.set_warm_start(options.warm_start);
         let stats = DPhaseStats {
             backend: dual.backend_name(),
@@ -298,7 +298,6 @@ impl DPhaseSolver {
         // and the strong-duality certificate holds to machine precision —
         // the same integerization idea the paper applies to the
         // constraint constants.
-        const SENS_QUANTUM: f64 = 4294967296.0; // 2^32
         let max_sens = inputs
             .sensitivities
             .iter()
@@ -374,13 +373,13 @@ impl DPhaseSolver {
         })
     }
 
-    /// The flow backend's raw cold/warm counters.
+    /// The network simplex's raw cold/warm counters.
     pub fn flow_stats(&self) -> SolverStats {
         self.dual.stats()
     }
 
-    /// Drops the flow backend's retained warm state (potentials, flow,
-    /// spanning tree); the next solve runs cold. Used by the sweep
+    /// Drops the network simplex's retained spanning tree; the next
+    /// solve runs cold. Used by the sweep
     /// engine to keep each sweep point a pure function of its inputs
     /// when one solver is shared across the whole curve.
     pub fn invalidate_warm_state(&mut self) {
@@ -388,7 +387,7 @@ impl DPhaseSolver {
     }
 
     /// Installs (or clears) a cooperative cancellation probe on the
-    /// flow backend; a positive poll mid-solve surfaces as
+    /// network simplex; a positive poll mid-solve surfaces as
     /// [`mft_flow::FlowError::Cancelled`] out of
     /// [`DPhaseSolver::solve`].
     pub fn set_cancel_probe(&mut self, probe: Option<mft_flow::ProbeHandle>) {
@@ -420,38 +419,11 @@ pub fn solve_dphase(
     trust_region: f64,
     digits: u32,
 ) -> Result<DPhaseResult, MftError> {
-    solve_dphase_with(
-        dag,
-        sensitivities,
-        excess,
-        config,
-        trust_region,
-        digits,
-        FlowAlgorithm::SuccessiveShortestPaths,
-    )
-}
-
-/// [`solve_dphase`] with an explicit min-cost-flow backend.
-///
-/// # Errors
-///
-/// As [`solve_dphase`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_dphase_with(
-    dag: &SizingDag,
-    sensitivities: &[f64],
-    excess: &[f64],
-    config: &BalancedConfig,
-    trust_region: f64,
-    digits: u32,
-    algorithm: FlowAlgorithm,
-) -> Result<DPhaseResult, MftError> {
     let mut solver = DPhaseSolver::new(
         dag,
         DPhaseOptions {
-            algorithm,
             digits,
-            warm_start: false,
+            ..Default::default()
         },
     )?;
     solver.solve(&DPhaseInputs {
@@ -570,108 +542,96 @@ mod tests {
         }
     }
 
+    /// The reference solver's optimum of `solver`'s current LP, in the
+    /// units of [`DPhaseResult::predicted_gain`].
+    fn reference_gain(solver: &DPhaseSolver, sensitivities: &[f64], scale: f64) -> f64 {
+        let flow = solver.dual.to_network().solve_reference().unwrap();
+        let max_sens = sensitivities.iter().cloned().fold(0.0f64, f64::max);
+        flow.total_cost * max_sens / (SENS_QUANTUM * scale)
+    }
+
     /// A persistent solver re-solving with changed inputs matches the
-    /// one-shot wrapper on every iteration, for both fast backends.
+    /// one-shot wrapper bit for bit on every iteration, and its optimum
+    /// is the reference solver's.
     #[test]
     fn persistent_solver_matches_one_shot_across_iterations() {
-        for algorithm in [
-            FlowAlgorithm::SuccessiveShortestPaths,
-            FlowAlgorithm::NetworkSimplex,
-            FlowAlgorithm::SimplexBlockSearch,
-            FlowAlgorithm::DualSimplex,
-        ] {
-            let dag = diamond();
-            let delays = vec![1.0, 1.0, 1.0];
-            let mut solver = DPhaseSolver::new(
-                &dag,
-                DPhaseOptions {
-                    algorithm,
-                    digits: 6,
-                    warm_start: false,
-                },
-            )
-            .unwrap();
-            for (round, gamma) in [0.5, 0.3, 0.45, 0.2].into_iter().enumerate() {
-                let target = 3.0 + 0.3 * round as f64;
-                let cfg =
-                    BalancedConfig::balance(&dag, &delays, target, BalanceStyle::Asap).unwrap();
-                let c = vec![1.0 + round as f64, 10.0, 1.0];
-                let excess = vec![0.8, 0.8, 0.8];
-                let one_shot =
-                    solve_dphase_with(&dag, &c, &excess, &cfg, gamma, 6, algorithm).unwrap();
-                let persistent = solver
-                    .solve(&DPhaseInputs {
-                        sensitivities: &c,
-                        excess: &excess,
-                        config: &cfg,
-                        trust_region: gamma,
-                    })
-                    .unwrap();
-                assert_eq!(
-                    persistent.delta, one_shot.delta,
-                    "{algorithm:?} round {round}"
-                );
-                assert_eq!(
-                    persistent.predicted_gain, one_shot.predicted_gain,
-                    "{algorithm:?} round {round}"
-                );
-            }
-            assert_eq!(solver.stats().solves(), 4);
-            assert_eq!(solver.stats().flow.warm_solves, 0);
+        let dag = diamond();
+        let delays = vec![1.0, 1.0, 1.0];
+        let mut solver = DPhaseSolver::new(&dag, DPhaseOptions::default()).unwrap();
+        for (round, gamma) in [0.5, 0.3, 0.45, 0.2].into_iter().enumerate() {
+            let target = 3.0 + 0.3 * round as f64;
+            let cfg = BalancedConfig::balance(&dag, &delays, target, BalanceStyle::Asap).unwrap();
+            let c = vec![1.0 + round as f64, 10.0, 1.0];
+            let excess = vec![0.8, 0.8, 0.8];
+            let one_shot = solve_dphase(&dag, &c, &excess, &cfg, gamma, 6).unwrap();
+            let persistent = solver
+                .solve(&DPhaseInputs {
+                    sensitivities: &c,
+                    excess: &excess,
+                    config: &cfg,
+                    trust_region: gamma,
+                })
+                .unwrap();
+            assert_eq!(persistent.delta, one_shot.delta, "round {round}");
+            assert_eq!(
+                persistent.predicted_gain, one_shot.predicted_gain,
+                "round {round}"
+            );
+            let reference = reference_gain(&solver, &c, persistent.scale);
+            assert!(
+                (persistent.predicted_gain - reference).abs() < 1e-9 * (1.0 + reference.abs()),
+                "round {round}: simplex {} vs reference {reference}",
+                persistent.predicted_gain
+            );
         }
+        assert_eq!(solver.stats().solves(), 4);
+        assert_eq!(solver.stats().flow.warm_solves, 0);
+        assert_eq!(solver.stats().backend, "network-simplex");
     }
 
     /// Warm-started persistent solves stay certified and reach the same
-    /// objective as cold solves (the delta vector may differ at
-    /// degenerate optima; the predicted gain may not).
+    /// objective as cold solves and the reference solver (the delta
+    /// vector may differ at degenerate optima; the predicted gain may
+    /// not).
     #[test]
     fn warm_start_reaches_the_same_gain() {
-        for algorithm in [
-            FlowAlgorithm::SuccessiveShortestPaths,
-            FlowAlgorithm::NetworkSimplex,
-            FlowAlgorithm::SimplexFirstEligible,
-            FlowAlgorithm::SimplexBlockSearch,
-            FlowAlgorithm::DualSimplex,
-            FlowAlgorithm::Auto,
-        ] {
-            let dag = diamond();
-            let delays = vec![1.0, 1.0, 1.0];
-            let mut warm = DPhaseSolver::new(
-                &dag,
-                DPhaseOptions {
-                    algorithm,
-                    digits: 6,
-                    warm_start: true,
-                },
-            )
-            .unwrap();
-            for (round, gamma) in [0.5, 0.3, 0.45].into_iter().enumerate() {
-                let cfg = BalancedConfig::balance(&dag, &delays, 3.2, BalanceStyle::Asap).unwrap();
-                let c = vec![1.0, 10.0 - round as f64, 1.0 + round as f64];
-                let excess = vec![0.8, 0.8, 0.8];
-                let cold = solve_dphase_with(&dag, &c, &excess, &cfg, gamma, 6, algorithm).unwrap();
-                let got = warm
-                    .solve(&DPhaseInputs {
-                        sensitivities: &c,
-                        excess: &excess,
-                        config: &cfg,
-                        trust_region: gamma,
-                    })
-                    .unwrap();
+        let dag = diamond();
+        let delays = vec![1.0, 1.0, 1.0];
+        let mut warm = DPhaseSolver::new(
+            &dag,
+            DPhaseOptions {
+                warm_start: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for (round, gamma) in [0.5, 0.3, 0.45].into_iter().enumerate() {
+            let cfg = BalancedConfig::balance(&dag, &delays, 3.2, BalanceStyle::Asap).unwrap();
+            let c = vec![1.0, 10.0 - round as f64, 1.0 + round as f64];
+            let excess = vec![0.8, 0.8, 0.8];
+            let cold = solve_dphase(&dag, &c, &excess, &cfg, gamma, 6).unwrap();
+            let got = warm
+                .solve(&DPhaseInputs {
+                    sensitivities: &c,
+                    excess: &excess,
+                    config: &cfg,
+                    trust_region: gamma,
+                })
+                .unwrap();
+            let reference = reference_gain(&warm, &c, got.scale);
+            for (label, want) in [("cold", cold.predicted_gain), ("reference", reference)] {
                 assert!(
-                    (got.predicted_gain - cold.predicted_gain).abs()
-                        < 1e-9 * (1.0 + cold.predicted_gain.abs()),
-                    "{algorithm:?} round {round}: warm {} vs cold {}",
-                    got.predicted_gain,
-                    cold.predicted_gain
+                    (got.predicted_gain - want).abs() < 1e-9 * (1.0 + want.abs()),
+                    "round {round}: warm {} vs {label} {want}",
+                    got.predicted_gain
                 );
             }
-            let stats = warm.stats();
-            assert_eq!(stats.solves(), 3);
-            assert!(
-                stats.flow.warm_solves + stats.flow.warm_fallbacks >= 2,
-                "{algorithm:?}: expected warm attempts, got {stats:?}"
-            );
         }
+        let stats = warm.stats();
+        assert_eq!(stats.solves(), 3);
+        assert!(
+            stats.flow.warm_solves + stats.flow.warm_fallbacks >= 2,
+            "expected warm attempts, got {stats:?}"
+        );
     }
 }

@@ -112,17 +112,6 @@ impl From<CircuitError> for MftError {
     }
 }
 
-#[allow(deprecated)]
-impl From<crate::pipeline::PipelineError> for MftError {
-    fn from(e: crate::pipeline::PipelineError) -> Self {
-        use crate::pipeline::PipelineError;
-        match e {
-            PipelineError::Circuit(c) => MftError::Circuit(c),
-            PipelineError::Delay(d) => MftError::Delay(d),
-        }
-    }
-}
-
 impl From<TilosError> for MftError {
     fn from(e: TilosError) -> Self {
         MftError::InitialSizing(e)
@@ -189,13 +178,5 @@ mod tests {
         let e = MftError::Protocol("missing field".into());
         assert!(e.to_string().contains("bad request"));
         assert!(Error::source(&e).is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn pipeline_error_folds_into_mft_error() {
-        use crate::pipeline::PipelineError;
-        let e = MftError::from(PipelineError::Circuit(CircuitError::EmptyNetlist));
-        assert!(matches!(e, MftError::Circuit(_)));
     }
 }

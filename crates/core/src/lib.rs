@@ -103,13 +103,12 @@
 //! | `area_delay_curve(&problem, &specs, &config)` | `SessionConfig::cold_with(config)` + `session.sweep(&specs)` |
 //! | `problem.delay_of(&sizes)` / `problem.area_of(&sizes)` | `session.what_if(&sizes, target)` |
 //! | `MinflotransitConfig` + `SweepOptions` + `TilosConfig` juggling | one [`SessionConfig`] builder |
-//! | `PipelineError` / `TilosError` / `MftError` juggling | every session/problem method returns [`MftError`] |
+//! | `TilosError` / `MftError` juggling | every session/problem method returns [`MftError`] |
 //!
 //! Semantics: results are bit-identical between the two columns under
 //! the same optimizer configuration; only the wall-clock changes (the
 //! session amortizes trajectory replay and solver construction across
-//! requests). `SizingProblem::prepare` now returns [`MftError`]
-//! (`PipelineError` is a deprecated re-export), and
+//! requests). `SizingProblem::prepare` returns [`MftError`], and
 //! `SizingProblem::tilos` returns [`MftError`] with the TILOS failure
 //! wrapped in [`MftError::InitialSizing`].
 
@@ -131,15 +130,12 @@ mod sweep;
 pub use cancel::CancelToken;
 pub use curve::{area_delay_curve, curve_to_csv, format_curve, CurvePoint, SweepOutcome};
 pub use dphase::{
-    solve_dphase, solve_dphase_with, DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver,
-    DPhaseStats,
+    solve_dphase, DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, DPhaseStats,
 };
 pub use error::MftError;
 pub use optimizer::{
     IterationStats, Minflotransit, MinflotransitConfig, SizingSolution, SolverContext, WPhaseStats,
 };
-#[allow(deprecated)]
-pub use pipeline::PipelineError;
 pub use pipeline::SizingProblem;
 pub use protocol::{
     extract_error_code, extract_id, CircuitSummary, ErrorCode, LoadRequest, ReplicaStatsReport,

@@ -40,15 +40,15 @@ pub struct MinflotransitConfig {
     pub cost_digits: u32,
     /// Which balanced configuration seeds each D-phase.
     pub balance_style: BalanceStyle,
-    /// Which min-cost-flow backend solves the D-phase dual.
+    /// The min-cost-flow backend that solves the D-phase dual. It has
+    /// the one value [`mft_flow::FlowAlgorithm::NetworkSimplex`] and
+    /// selects nothing; the field is kept for callers that name it.
     pub flow_algorithm: mft_flow::FlowAlgorithm,
     /// Whether the persistent D-phase solver may warm-start each
-    /// iteration's flow solve from the previous iteration's dual state
-    /// (SSP: retained flow + potentials, delta-shipping only changed
-    /// supplies; simplex: the spanning tree). Warm starts are faster on
-    /// large circuits but may select a different optimal vertex of a
-    /// degenerate D-phase LP, so the deterministic cold path stays the
-    /// default.
+    /// iteration's network simplex from the previous iteration's
+    /// spanning tree. Warm starts are faster on large circuits but may
+    /// select a different optimal vertex of a degenerate D-phase LP, so
+    /// the deterministic cold path stays the default.
     pub dphase_warm_start: bool,
     /// Whether each W-phase may seed its SMP fixpoint from the current
     /// accepted sizes instead of restarting from the lower bounds

@@ -16,8 +16,8 @@ use crate::error::MftError;
 use crate::optimizer::{MinflotransitConfig, SizingSolution};
 use crate::session::PowerSolution;
 use crate::session::{self, SessionConfig, SessionCounters, SizingSession};
-use mft_circuit::{CircuitError, Netlist, SizingDag, SizingMode};
-use mft_delay::{apply_default_loads, DelayError, DelayModel, LinearDelayModel, Technology};
+use mft_circuit::{Netlist, SizingDag, SizingMode};
+use mft_delay::{apply_default_loads, DelayModel, LinearDelayModel, Technology};
 use mft_sta::critical_path;
 use mft_tech::{Corner, PowerBreakdown, PowerModel};
 use mft_tilos::{minimum_sized_delay, TilosResult};
@@ -32,48 +32,6 @@ pub struct SizingProblem {
     dmin: f64,
     corner: Corner,
     power: PowerModel,
-}
-
-/// Errors from [`SizingProblem`] construction.
-#[deprecated(
-    since = "0.1.0",
-    note = "folded into `MftError` (`Circuit`/`Delay` variants); \
-            `SizingProblem::prepare` now returns `MftError` directly"
-)]
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum PipelineError {
-    /// Netlist/DAG construction failed.
-    Circuit(CircuitError),
-    /// Delay-model construction failed.
-    Delay(DelayError),
-}
-
-#[allow(deprecated)]
-impl core::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PipelineError::Circuit(e) => write!(f, "circuit error: {e}"),
-            PipelineError::Delay(e) => write!(f, "delay model error: {e}"),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl std::error::Error for PipelineError {}
-
-#[allow(deprecated)]
-impl From<CircuitError> for PipelineError {
-    fn from(e: CircuitError) -> Self {
-        PipelineError::Circuit(e)
-    }
-}
-
-#[allow(deprecated)]
-impl From<DelayError> for PipelineError {
-    fn from(e: DelayError) -> Self {
-        PipelineError::Delay(e)
-    }
 }
 
 impl SizingProblem {

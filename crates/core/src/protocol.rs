@@ -85,9 +85,8 @@ pub struct LoadRequest {
     /// Session preset: `warm` | `shared_exact` | `cold` (default: the
     /// server's configured preset).
     pub preset: Option<String>,
-    /// D-phase flow backend: `ssp` | `simplex` | `simplex-first` |
-    /// `simplex-block` | `dual-simplex` | `reference` | `auto`
-    /// (default: the preset's algorithm).
+    /// D-phase flow backend: only `simplex`, which every preset runs;
+    /// the server answers the names of removed backends with an error.
     pub flow: Option<String>,
     /// Atomically replace an already-loaded circuit of the same name
     /// (hot reload): the old worker drains its in-flight requests on
@@ -877,6 +876,8 @@ impl Response {
             }
             Response::Stats { stats, replicas } => {
                 let timing = stats.timing();
+                // `flow_reuses` is always 0; it stays so `stats` lines
+                // keep their keys.
                 let _ = write!(
                     s,
                     "{{\"type\":\"stats\",\"requests\":{},\"size_requests\":{},\
@@ -889,7 +890,7 @@ impl Response {
                      \"sens_hits\":{},\"sens_misses\":{},\"sens_invalidations\":{},\
                      \"dphase_backend\":\"{}\",\"dphase_cold_solves\":{},\
                      \"dphase_warm_solves\":{},\"dphase_pivots\":{},\
-                     \"dphase_scanned_arcs\":{},\"flow_reuses\":{},\
+                     \"dphase_scanned_arcs\":{},\"flow_reuses\":0,\
                      \"flow_seconds\":{},\"smp_solves\":{},\"smp_seeded_solves\":{},\
                      \"smp_updates\":{}",
                     stats.requests,
@@ -914,7 +915,6 @@ impl Response {
                     stats.dphase.flow.warm_solves,
                     stats.dphase.flow.pivots,
                     stats.dphase.flow.arcs_scanned,
-                    stats.dphase.flow.flow_reuses,
                     json_f64(stats.dphase.total_time.as_secs_f64()),
                     stats.wphase.solves,
                     stats.wphase.seeded_solves,
@@ -1485,7 +1485,7 @@ mod tests {
                 bench: Some("INPUT(a)\nOUTPUT(y)\ny = NAND(a, a)\n".into()),
                 tech: Some("130nm".into()),
                 preset: Some("warm".into()),
-                flow: Some("dual-simplex".into()),
+                flow: Some("simplex".into()),
                 ..Default::default()
             }),
             Request::Load(LoadRequest {

@@ -167,11 +167,10 @@ impl SizingReport {
         if let Some(solver) = &self.solver {
             let _ = writeln!(
                 s,
-                "d-phase [{}]: {} cold + {} warm solves ({} flow reuses, {} repairs, {} fallbacks), {} pivots over {} scanned arcs, flow time {:?}",
+                "d-phase [{}]: {} cold + {} warm solves ({} repairs, {} fallbacks), {} pivots over {} scanned arcs, flow time {:?}",
                 solver.backend,
                 solver.flow.cold_solves,
                 solver.flow.warm_solves,
-                solver.flow.flow_reuses,
                 solver.flow.warm_repairs,
                 solver.flow.warm_fallbacks,
                 solver.flow.pivots,
@@ -212,13 +211,13 @@ mod tests {
         assert_eq!(total, problem.dag().num_vertices());
         // The optimizer ran at least one D-phase, all cold by default.
         let solver = report.solver.expect("solver stats captured");
-        assert_eq!(solver.backend, "ssp");
+        assert_eq!(solver.backend, "network-simplex");
         assert!(solver.flow.cold_solves >= 1);
         assert_eq!(solver.flow.warm_solves, 0);
         let text = report.to_text();
         assert!(text.contains("area"));
         assert!(text.contains("NAND2"));
-        assert!(text.contains("d-phase [ssp]"));
+        assert!(text.contains("d-phase [network-simplex]"));
         // The incremental timing engine's counters are surfaced: the
         // TILOS seed plus every convergence check ran through it.
         let timing = report.timing.expect("timing stats captured");

@@ -566,18 +566,11 @@ impl CircuitServer {
                 ))
             }
         };
-        let session = match load.flow.as_deref() {
-            None => session,
-            Some(name) => match FlowAlgorithm::parse(name) {
-                Some(algorithm) => session.with_flow_algorithm(algorithm),
-                None => {
-                    return Response::error(format!(
-                        "unknown flow backend `{name}` (ssp | simplex | simplex-first | \
-                             simplex-block | dual-simplex | reference | auto)"
-                    ))
-                }
-            },
-        };
+        // `simplex` is the only backend, and every preset runs it: the
+        // field is checked, not applied.
+        if let Some(Err(e)) = load.flow.as_deref().map(FlowAlgorithm::parse) {
+            return Response::error(e);
+        }
         let text = match (&load.path, &load.bench) {
             (Some(path), None) => match std::fs::read_to_string(path) {
                 Ok(text) => text,
@@ -1746,23 +1739,28 @@ mod tests {
         server.join_workers();
     }
 
-    /// The `load` request's `flow` field picks the D-phase backend; an
-    /// unknown value answers an error without installing the circuit.
+    /// The `load` request's `flow` field accepts only `simplex`; an
+    /// unknown or removed name answers an error without installing the
+    /// circuit.
     #[test]
-    fn load_flow_field_selects_the_dphase_backend() {
+    fn load_flow_field_accepts_only_simplex() {
         let server = CircuitServer::new(ServerConfig::default());
         let lines = drive(
             &server,
-            "{\"type\":\"load\",\"circuit\":\"bad\",\"bench\":\"i\",\"flow\":\"nope\",\"id\":1}\n",
+            concat!(
+                "{\"type\":\"load\",\"circuit\":\"bad\",\"bench\":\"i\",\"flow\":\"nope\",\"id\":1}\n",
+                "{\"type\":\"load\",\"circuit\":\"bad\",\"bench\":\"i\",\"flow\":\"ssp\",\"id\":2}\n",
+            ),
         );
         assert!(lines[0].contains("unknown flow backend"), "{}", lines[0]);
+        assert!(lines[1].contains("`ssp` was removed"), "{}", lines[1]);
         assert!(server.circuit_names().is_empty());
-        // A valid backend loads, serves a size request, and reports
-        // itself (plus its pivot counters) in the stats.
+        // `simplex` loads, serves a size request, and reports itself
+        // (plus its pivot counters) in the stats.
         let frame = RequestFrame::new(Request::Load(LoadRequest {
             bench: Some(C17_BENCH.to_owned()),
-            preset: Some("warm".into()),
-            flow: Some("dual-simplex".into()),
+            preset: Some("cold".into()),
+            flow: Some("simplex".into()),
             ..Default::default()
         }))
         .for_circuit("c17");
@@ -1781,7 +1779,7 @@ mod tests {
             .find(|l| l.contains("\"type\":\"stats\""))
             .expect("stats answered");
         assert!(
-            stats.contains("\"dphase_backend\":\"dual-simplex\""),
+            stats.contains("\"dphase_backend\":\"network-simplex\""),
             "{stats}"
         );
         assert!(stats.contains("\"dphase_pivots\":"), "{stats}");

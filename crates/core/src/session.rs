@@ -109,13 +109,11 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// The standard warm preset: shared trajectory + persistent
-    /// solvers across requests, inner D/W warm starts on, and the
-    /// network-simplex flow backend (its spanning-tree warm start is
-    /// what amortizes the iteration pattern — see
-    /// [`crate::SweepOptions::warm`]).
+    /// solvers across requests and inner D/W warm starts on (the
+    /// network simplex's spanning-tree warm start is what amortizes the
+    /// iteration pattern — see [`crate::SweepOptions::warm`]).
     pub fn warm() -> Self {
         let optimizer = MinflotransitConfig {
-            flow_algorithm: mft_flow::FlowAlgorithm::NetworkSimplex,
             dphase_warm_start: true,
             wphase_warm_start: true,
             ..Default::default()
@@ -184,12 +182,6 @@ impl SessionConfig {
     /// Replaces the TILOS seed configuration.
     pub fn with_tilos(mut self, tilos: TilosConfig) -> Self {
         self.optimizer.tilos = tilos;
-        self
-    }
-
-    /// Selects the D-phase flow backend.
-    pub fn with_flow_algorithm(mut self, algorithm: mft_flow::FlowAlgorithm) -> Self {
-        self.optimizer.flow_algorithm = algorithm;
         self
     }
 

@@ -20,8 +20,8 @@
 //!    bounds/costs/supplies in place. Cold persistent solves are
 //!    bit-identical to per-point construction.
 //! 3. **Warm-started inner solves** — the optimizer-level levers
-//!    [`MinflotransitConfig::dphase_warm_start`] (SSP flow reuse /
-//!    simplex tree reuse across D-phase iterations) and
+//!    [`MinflotransitConfig::dphase_warm_start`] (simplex tree reuse
+//!    across D-phase iterations) and
 //!    [`MinflotransitConfig::wphase_warm_start`] (SMP fixpoint seeded
 //!    from the accepted sizes). These reach the same optima but may
 //!    differ from the cold path in the last float bits (degenerate LP
@@ -143,25 +143,16 @@ impl SweepOptions {
 
     /// A fully warm single-threaded sweep: all three reuse levers on
     /// ([`SweepWarmStart::full`] plus the optimizer's D-phase and
-    /// W-phase warm starts), solving the D-phase on the **network
-    /// simplex** backend — its spanning-tree warm start is what
-    /// amortizes the "tens of nearly identical solves" iteration
-    /// pattern (SSP warm starts are at best break-even there; on an
-    /// ISCAS-scale 8-point sweep the warm simplex engine measures
-    /// ~3.5× faster than the cold SSP default, see
+    /// W-phase warm starts). The network simplex's spanning-tree warm
+    /// start is what amortizes the "tens of nearly identical solves"
+    /// iteration pattern (see
     /// `crates/bench/benches/area_delay_sweep.rs`).
     pub fn warm() -> Self {
-        let config = MinflotransitConfig {
-            flow_algorithm: mft_flow::FlowAlgorithm::NetworkSimplex,
-            ..Default::default()
-        };
-        Self::warm_with(config)
+        Self::warm_with(MinflotransitConfig::default())
     }
 
     /// [`SweepOptions::warm`] on top of a custom configuration (its
-    /// `dphase_warm_start`/`wphase_warm_start` are forced on; the flow
-    /// backend is taken as given — prefer
-    /// [`mft_flow::FlowAlgorithm::NetworkSimplex`] for warm sweeps).
+    /// `dphase_warm_start`/`wphase_warm_start` are forced on).
     pub fn warm_with(mut config: MinflotransitConfig) -> Self {
         config.dphase_warm_start = true;
         config.wphase_warm_start = true;

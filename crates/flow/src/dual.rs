@@ -21,131 +21,61 @@
 //! every iteration), convert the LP into a persistent [`DualSolver`]
 //! with [`DualLp::into_solver`]: bounds and objective coefficients can
 //! then be overwritten in place and [`DualSolver::maximize`] re-solves
-//! without rebuilding the network — optionally warm-starting the flow
-//! backend from the previous solve's dual state.
+//! without rebuilding the network — optionally warm-starting the
+//! network simplex from the previous solve's spanning tree.
 
-use crate::dual_simplex::DualSimplexSolver;
 use crate::error::FlowError;
 use crate::network::FlowNetwork;
-use crate::pivot::PivotRule;
 use crate::simplex::SimplexSolver;
-use crate::solver::{McfSolver, ProbeHandle, ReferenceSolver, SolverStats, SspSolver};
+use crate::solver::{McfSolver, ProbeHandle, SolverStats};
 
-/// Which min-cost-flow backend (and, for the simplex family, which
-/// pricing rule) solves the LP dual.
+/// The min-cost-flow backend that solves the LP dual: the primal
+/// network simplex with block-cached Dantzig pricing (the paper's
+/// reference-\[9\] family), the only one.
 ///
-/// Wire/CLI names (see [`FlowAlgorithm::parse`] /
-/// [`FlowAlgorithm::wire_name`]): `ssp`, `simplex`, `simplex-first`,
-/// `simplex-block`, `dual-simplex` (alias `dual`), `reference`, `auto`.
+/// The type has a single value and selects nothing. It stays so that
+/// the configuration fields naming it keep their shape, and so that
+/// [`FlowAlgorithm::parse`] has one place to read the CLI/wire name
+/// `simplex` and to reject the names of removed backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FlowAlgorithm {
-    /// Successive shortest-path forests with integer potentials (default).
+    /// Primal network simplex with block-cached Dantzig pricing.
     #[default]
-    SuccessiveShortestPaths,
-    /// Primal network simplex with Dantzig pricing (the paper's
-    /// reference-\[9\] family).
     NetworkSimplex,
-    /// Primal network simplex with round-robin first-eligible pricing.
-    SimplexFirstEligible,
-    /// Primal network simplex with candidate-list block-search pricing
-    /// (the large-network choice: near-Dantzig pivot counts at a
-    /// fraction of the scan cost).
-    SimplexBlockSearch,
-    /// Dual network simplex: warm starts stay dual-feasible across the
-    /// D-phase bound-rewrite pattern, with no primal basis repair.
-    DualSimplex,
-    /// The slow label-correcting reference solver (cross-checks only).
-    Reference,
-    /// Picks per workload: [`FlowAlgorithm::DualSimplex`] when warm
-    /// starts will be used (the D-phase iteration pattern),
-    /// [`FlowAlgorithm::SimplexBlockSearch`] for large cold solves,
-    /// [`FlowAlgorithm::SuccessiveShortestPaths`] otherwise. Resolved
-    /// via [`FlowAlgorithm::resolve`] wherever the workload shape is
-    /// known; treated as a large cold solve elsewhere.
-    Auto,
 }
 
-/// Arc count from which `Auto` considers a cold instance "large" and
-/// prefers block-search pricing over the SSP default.
-const AUTO_BLOCK_THRESHOLD: usize = 512;
+/// CLI/wire names of removed backends: each parses to an error that
+/// says it was removed.
+const REMOVED_BACKENDS: [&str; 7] = [
+    "ssp",
+    "simplex-first",
+    "simplex-block",
+    "dual-simplex",
+    "dual",
+    "reference",
+    "auto",
+];
 
 impl FlowAlgorithm {
-    /// Every concrete (non-[`Auto`](FlowAlgorithm::Auto)) backend, for
-    /// race tests and benches.
-    pub const ALL_CONCRETE: [FlowAlgorithm; 6] = [
-        FlowAlgorithm::SuccessiveShortestPaths,
-        FlowAlgorithm::NetworkSimplex,
-        FlowAlgorithm::SimplexFirstEligible,
-        FlowAlgorithm::SimplexBlockSearch,
-        FlowAlgorithm::DualSimplex,
-        FlowAlgorithm::Reference,
-    ];
-
-    /// Resolves [`Auto`](FlowAlgorithm::Auto) against the workload
-    /// shape: `warm` selects the dual simplex (the iteration pattern),
-    /// large instances select block-search pricing, everything else the
-    /// SSP default. Concrete variants return themselves.
-    #[must_use]
-    pub fn resolve(self, num_arcs: usize, warm: bool) -> FlowAlgorithm {
-        match self {
-            FlowAlgorithm::Auto => {
-                if warm {
-                    FlowAlgorithm::DualSimplex
-                } else if num_arcs >= AUTO_BLOCK_THRESHOLD {
-                    FlowAlgorithm::SimplexBlockSearch
-                } else {
-                    FlowAlgorithm::SuccessiveShortestPaths
-                }
-            }
-            other => other,
-        }
-    }
-
-    /// Parses a wire/CLI backend name (see the type docs for the list).
-    pub fn parse(name: &str) -> Option<FlowAlgorithm> {
-        match name {
-            "ssp" => Some(FlowAlgorithm::SuccessiveShortestPaths),
-            "simplex" => Some(FlowAlgorithm::NetworkSimplex),
-            "simplex-first" => Some(FlowAlgorithm::SimplexFirstEligible),
-            "simplex-block" => Some(FlowAlgorithm::SimplexBlockSearch),
-            "dual-simplex" | "dual" => Some(FlowAlgorithm::DualSimplex),
-            "reference" => Some(FlowAlgorithm::Reference),
-            "auto" => Some(FlowAlgorithm::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical wire/CLI name ([`FlowAlgorithm::parse`] inverts it).
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            FlowAlgorithm::SuccessiveShortestPaths => "ssp",
-            FlowAlgorithm::NetworkSimplex => "simplex",
-            FlowAlgorithm::SimplexFirstEligible => "simplex-first",
-            FlowAlgorithm::SimplexBlockSearch => "simplex-block",
-            FlowAlgorithm::DualSimplex => "dual-simplex",
-            FlowAlgorithm::Reference => "reference",
-            FlowAlgorithm::Auto => "auto",
-        }
-    }
-
-    /// Builds the persistent solver backend for this algorithm.
+    /// Parses a CLI/wire backend name; `simplex` is the only one.
     ///
-    /// [`Auto`](FlowAlgorithm::Auto) is resolved for a *cold* workload
-    /// of the network's size here; callers that know warm starts will
-    /// follow should [`FlowAlgorithm::resolve`] first.
-    pub fn build_solver(self, net: &FlowNetwork) -> Box<dyn McfSolver> {
-        match self {
-            FlowAlgorithm::SuccessiveShortestPaths => Box::new(SspSolver::new(net)),
-            FlowAlgorithm::NetworkSimplex => Box::new(SimplexSolver::new(net)),
-            FlowAlgorithm::SimplexFirstEligible => {
-                Box::new(SimplexSolver::new(net).with_pivot_rule(PivotRule::first_eligible()))
-            }
-            FlowAlgorithm::SimplexBlockSearch => {
-                Box::new(SimplexSolver::new(net).with_pivot_rule(PivotRule::block_search()))
-            }
-            FlowAlgorithm::DualSimplex => Box::new(DualSimplexSolver::new(net)),
-            FlowAlgorithm::Reference => Box::new(ReferenceSolver::new(net)),
-            FlowAlgorithm::Auto => self.resolve(net.num_arcs(), false).build_solver(net),
+    /// # Errors
+    ///
+    /// A message naming `name` as a removed backend (for the former
+    /// names `ssp`, `simplex-first`, `simplex-block`, `dual-simplex`,
+    /// `dual`, `reference` and `auto`) or as unknown, and saying that
+    /// `simplex` is the only backend.
+    pub fn parse(name: &str) -> Result<FlowAlgorithm, String> {
+        if name == "simplex" {
+            Ok(FlowAlgorithm::NetworkSimplex)
+        } else if REMOVED_BACKENDS.contains(&name) {
+            Err(format!(
+                "flow backend `{name}` was removed; `simplex` (network simplex) is the only backend"
+            ))
+        } else {
+            Err(format!(
+                "unknown flow backend `{name}`; `simplex` (network simplex) is the only backend"
+            ))
         }
     }
 }
@@ -245,33 +175,13 @@ impl DualLp {
     /// * [`FlowError::Infeasible`] if the LP is unbounded (the flow dual
     ///   cannot route its supplies).
     pub fn maximize(&self, ground: usize) -> Result<DualSolution, FlowError> {
-        self.maximize_with(ground, FlowAlgorithm::SuccessiveShortestPaths)
-    }
-
-    /// Maximizes the objective with an explicit flow backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`DualLp::maximize`].
-    pub fn maximize_with(
-        &self,
-        ground: usize,
-        algorithm: FlowAlgorithm,
-    ) -> Result<DualSolution, FlowError> {
         if ground >= self.num_vars {
             return Err(FlowError::BadInput {
                 message: format!("ground variable {ground} out of range"),
             });
         }
         let net = self.build_network(ground)?;
-        let sol = match algorithm.resolve(net.num_arcs(), false) {
-            FlowAlgorithm::SuccessiveShortestPaths => net.solve()?,
-            FlowAlgorithm::NetworkSimplex => net.solve_simplex()?,
-            FlowAlgorithm::Reference => net.solve_reference()?,
-            // One-shot solves have no warm state; the remaining backends
-            // build their persistent form and solve once.
-            other => other.build_solver(&net).solve()?,
-        };
+        let sol = net.solve()?;
         #[cfg(debug_assertions)]
         if let Err(e) = sol.verify(&net) {
             panic!("flow certificate inside dual solve: {e}");
@@ -287,18 +197,14 @@ impl DualLp {
     ///
     /// Returns [`FlowError::BadInput`] for an out-of-range ground
     /// variable.
-    pub fn into_solver(
-        self,
-        ground: usize,
-        algorithm: FlowAlgorithm,
-    ) -> Result<DualSolver, FlowError> {
+    pub fn into_solver(self, ground: usize) -> Result<DualSolver, FlowError> {
         if ground >= self.num_vars {
             return Err(FlowError::BadInput {
                 message: format!("ground variable {ground} out of range"),
             });
         }
         let net = self.build_network(ground)?;
-        let backend = algorithm.build_solver(&net);
+        let backend = SimplexSolver::new(&net);
         Ok(DualSolver {
             objective: self.objective,
             ground,
@@ -406,7 +312,7 @@ fn extract_solution(
 /// pairs of variables are related, and the designated ground) is fixed;
 /// constraint bounds and objective coefficients may be rewritten
 /// between calls to [`DualSolver::maximize`], which maps them onto the
-/// held flow backend's cost layer without reallocation.
+/// held network simplex's cost layer without reallocation.
 #[derive(Debug)]
 pub struct DualSolver {
     objective: Vec<f64>,
@@ -414,7 +320,7 @@ pub struct DualSolver {
     /// Constraint `k` is arc `k` of the backend: endpoints live in its
     /// frozen topology, bounds in its cost layer — one authoritative
     /// store each for `r_u − r_v ≤ bound`.
-    backend: Box<dyn McfSolver>,
+    backend: SimplexSolver,
 }
 
 impl DualSolver {
@@ -458,19 +364,19 @@ impl DualSolver {
         self.objective[v] = b;
     }
 
-    /// Enables or disables warm starts on the flow backend.
+    /// Enables or disables the network simplex's warm starts.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.backend.set_warm_start(enabled);
     }
 
-    /// Drops the flow backend's retained warm state (potentials, flow,
-    /// spanning tree); the next [`DualSolver::maximize`] runs cold.
+    /// Drops the network simplex's retained spanning tree; the next
+    /// [`DualSolver::maximize`] runs cold.
     pub fn invalidate(&mut self) {
         self.backend.invalidate();
     }
 
-    /// Installs (or clears) a cooperative cancellation probe on the flow
-    /// backend (see [`McfSolver::set_cancel_probe`]); a positive poll
+    /// Installs (or clears) a cooperative cancellation probe on the
+    /// network simplex (see [`McfSolver::set_cancel_probe`]); a positive poll
     /// aborts [`DualSolver::maximize`] with [`FlowError::Cancelled`].
     pub fn set_cancel_probe(&mut self, probe: Option<ProbeHandle>) {
         self.backend.set_cancel_probe(probe);
@@ -509,11 +415,8 @@ impl DualSolver {
         layer.set_supply(self.ground, ground_supply);
         let sol = self.backend.solve()?;
         #[cfg(debug_assertions)]
-        {
-            let instance: &dyn crate::McfInstance = self.backend.as_ref();
-            if let Err(e) = sol.verify(instance) {
-                panic!("flow certificate inside dual solve: {e}");
-            }
+        if let Err(e) = sol.verify(&self.backend) {
+            panic!("flow certificate inside dual solve: {e}");
         }
         Ok(extract_solution(&self.objective, self.ground, &sol))
     }
@@ -525,17 +428,31 @@ impl DualSolver {
     ///
     /// As [`DualLp::verify`].
     pub fn verify(&self, sol: &DualSolution) -> Result<(), FlowError> {
+        verify_solution(self.ground, self.constraints(), &self.objective, sol)
+    }
+
+    /// The current LP's dual flow network as a one-shot [`FlowNetwork`]
+    /// (one arc per constraint at its current bound, supplies from the
+    /// current objective), so tests can solve the same instance with
+    /// [`FlowNetwork::solve_reference`].
+    pub fn to_network(&self) -> FlowNetwork {
+        let lp = DualLp {
+            num_vars: self.num_vars(),
+            constraints: self.constraints().collect(),
+            objective: self.objective.clone(),
+        };
+        lp.build_network(self.ground)
+            .expect("the frozen constraints were validated when added")
+    }
+
+    /// Every constraint `(u, v, bound)` with its current bound.
+    fn constraints(&self) -> impl Iterator<Item = (u32, u32, i64)> + '_ {
         let topo = self.backend.topology();
         let layer = self.backend.layer();
-        verify_solution(
-            self.ground,
-            (0..topo.num_arcs()).map(|k| {
-                let (u, v) = topo.arc_endpoints(k);
-                (u as u32, v as u32, layer.cost(k))
-            }),
-            &self.objective,
-            sol,
-        )
+        (0..topo.num_arcs()).map(|k| {
+            let (u, v) = topo.arc_endpoints(k);
+            (u as u32, v as u32, layer.cost(k))
+        })
     }
 }
 
@@ -593,10 +510,11 @@ mod tests {
         assert_eq!(sol.objective, 0.0);
     }
 
-    /// All backends agree on the optimum of random LPs (the `r` vectors
-    /// may differ at degenerate optima; the objective may not).
+    /// The simplex and the reference solver agree on the optimum of
+    /// random LPs (the `r` vectors may differ at degenerate optima; the
+    /// objective may not).
     #[test]
-    fn backends_agree_on_random_lps() {
+    fn simplex_matches_reference_on_random_lps() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
@@ -615,93 +533,88 @@ mod tests {
                     lp.add_constraint(u, v, rng.gen_range(0..6)).unwrap();
                 }
             }
-            let a = lp
-                .maximize_with(0, FlowAlgorithm::SuccessiveShortestPaths)
-                .unwrap();
+            let a = lp.maximize(0).unwrap();
             lp.verify(&a, 0).unwrap();
-            for algorithm in FlowAlgorithm::ALL_CONCRETE {
-                let b = lp.maximize_with(0, algorithm).unwrap();
-                lp.verify(&b, 0).unwrap();
-                assert!(
-                    (a.objective - b.objective).abs() < 1e-6 * (1.0 + a.objective.abs()),
-                    "case {case} {algorithm:?}: {} vs {}",
-                    a.objective,
-                    b.objective
-                );
-            }
+            let flow = lp.build_network(0).unwrap().solve_reference().unwrap();
+            let b = extract_solution(&lp.objective, 0, &flow);
+            lp.verify(&b, 0).unwrap();
+            assert!(
+                (a.objective - b.objective).abs() < 1e-6 * (1.0 + a.objective.abs()),
+                "case {case}: simplex {} vs reference {}",
+                a.objective,
+                b.objective
+            );
         }
     }
 
     /// The persistent solver reproduces one-shot results across a
-    /// sequence of bound/objective rewrites, for every backend.
+    /// sequence of bound/objective rewrites, warm-starting each re-solve,
+    /// and its `to_network` mirror is the one-shot LP's network.
     #[test]
     fn persistent_solver_matches_one_shot() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for algorithm in FlowAlgorithm::ALL_CONCRETE {
-            let mut rng = StdRng::seed_from_u64(77);
-            let n = 6usize;
-            let mut lp = DualLp::new(n);
-            let mut arcs = Vec::new();
-            for v in 1..n {
-                lp.add_constraint(v, 0, 5).unwrap();
-                arcs.push((v, 0));
-                lp.add_constraint(0, v, 5).unwrap();
-                arcs.push((0, v));
-            }
-            let mut solver = lp.clone().into_solver(0, algorithm).unwrap();
-            solver.set_warm_start(true);
-            for _round in 0..6 {
-                let mut fresh = DualLp::new(n);
-                for (k, &(u, v)) in arcs.iter().enumerate() {
-                    let bound = rng.gen_range(0..8);
-                    fresh.add_constraint(u, v, bound).unwrap();
-                    solver.set_bound(k, bound).unwrap();
-                }
-                for v in 1..n {
-                    let b = rng.gen_range(-3.0..3.0);
-                    fresh.add_objective(v, b);
-                    solver.set_objective(v, b);
-                }
-                let expect = fresh.maximize_with(0, algorithm).unwrap();
-                let got = solver.maximize().unwrap();
-                solver.verify(&got).unwrap();
-                assert!(
-                    (got.objective - expect.objective).abs()
-                        < 1e-6 * (1.0 + expect.objective.abs()),
-                    "{algorithm:?}: persistent {} vs one-shot {}",
-                    got.objective,
-                    expect.objective
-                );
-            }
-            assert_eq!(solver.stats().total(), 6);
+        let mut rng = StdRng::seed_from_u64(77);
+        let n = 6usize;
+        let mut lp = DualLp::new(n);
+        let mut arcs = Vec::new();
+        for v in 1..n {
+            lp.add_constraint(v, 0, 5).unwrap();
+            arcs.push((v, 0));
+            lp.add_constraint(0, v, 5).unwrap();
+            arcs.push((0, v));
         }
+        let mut solver = lp.clone().into_solver(0).unwrap();
+        solver.set_warm_start(true);
+        for _round in 0..6 {
+            let mut fresh = DualLp::new(n);
+            for (k, &(u, v)) in arcs.iter().enumerate() {
+                let bound = rng.gen_range(0..8);
+                fresh.add_constraint(u, v, bound).unwrap();
+                solver.set_bound(k, bound).unwrap();
+            }
+            for v in 1..n {
+                let b = rng.gen_range(-3.0..3.0);
+                fresh.add_objective(v, b);
+                solver.set_objective(v, b);
+            }
+            let expect = fresh.maximize(0).unwrap();
+            let got = solver.maximize().unwrap();
+            solver.verify(&got).unwrap();
+            assert!(
+                (got.objective - expect.objective).abs() < 1e-6 * (1.0 + expect.objective.abs()),
+                "persistent {} vs one-shot {}",
+                got.objective,
+                expect.objective
+            );
+            let mirror = solver.to_network();
+            let want = fresh.build_network(0).unwrap();
+            assert_eq!(mirror.num_arcs(), want.num_arcs());
+            for k in 0..want.num_arcs() {
+                assert_eq!(mirror.arc_info(k), want.arc_info(k));
+            }
+            for v in 0..n {
+                assert_eq!(mirror.supply(v), want.supply(v));
+            }
+        }
+        let stats = solver.stats();
+        assert_eq!(stats.total(), 6);
+        assert!(stats.warm_solves + stats.warm_fallbacks >= 5, "{stats:?}");
     }
 
     #[test]
-    fn wire_names_round_trip_and_auto_resolves() {
-        for algorithm in FlowAlgorithm::ALL_CONCRETE {
-            assert_eq!(FlowAlgorithm::parse(algorithm.wire_name()), Some(algorithm));
-            assert_eq!(algorithm.resolve(10_000, true), algorithm);
+    fn parse_accepts_only_simplex_and_names_removed_backends() {
+        assert_eq!(
+            FlowAlgorithm::parse("simplex"),
+            Ok(FlowAlgorithm::NetworkSimplex)
+        );
+        for name in REMOVED_BACKENDS {
+            let err = FlowAlgorithm::parse(name).unwrap_err();
+            assert!(err.contains(&format!("`{name}` was removed")), "{err}");
+            assert!(err.contains("`simplex`"), "{err}");
         }
-        assert_eq!(FlowAlgorithm::parse("auto"), Some(FlowAlgorithm::Auto));
-        assert_eq!(
-            FlowAlgorithm::parse("dual"),
-            Some(FlowAlgorithm::DualSimplex)
-        );
-        assert_eq!(FlowAlgorithm::parse("nope"), None);
-        assert_eq!(
-            FlowAlgorithm::Auto.resolve(8, true),
-            FlowAlgorithm::DualSimplex
-        );
-        assert_eq!(
-            FlowAlgorithm::Auto.resolve(10_000, false),
-            FlowAlgorithm::SimplexBlockSearch
-        );
-        assert_eq!(
-            FlowAlgorithm::Auto.resolve(8, false),
-            FlowAlgorithm::SuccessiveShortestPaths
-        );
+        let err = FlowAlgorithm::parse("nope").unwrap_err();
+        assert!(err.contains("unknown flow backend `nope`"), "{err}");
     }
 
     /// Randomized strong-duality check: generate random feasible LPs,

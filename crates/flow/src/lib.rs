@@ -6,13 +6,12 @@
 //!
 //! # One-shot solves
 //!
-//! * [`FlowNetwork`] — build a network, then solve it with successive
-//!   shortest paths ([`FlowNetwork::solve`]), a primal network simplex
-//!   ([`FlowNetwork::solve_simplex`], the algorithm family of the
-//!   paper's reference \[9\]), or a slow label-correcting reference
-//!   solver ([`FlowNetwork::solve_reference`]); an
-//!   optimality-certificate checker ([`FlowSolution::verify`])
-//!   cross-validates all three;
+//! * [`FlowNetwork`] — build a network, then solve it with the primal
+//!   network simplex ([`FlowNetwork::solve`], the algorithm family of
+//!   the paper's reference \[9\]), or with a slow label-correcting
+//!   reference solver ([`FlowNetwork::solve_reference`]) that tests
+//!   check the simplex against; an optimality-certificate checker
+//!   ([`FlowSolution::verify`]) cross-validates both;
 //! * [`DualLp`] — difference-constraint LPs
 //!   `max b·r  s.t.  r_u − r_v ≤ c_uv` solved through the flow dual, with
 //!   **integer** optimal `r` recovered from the node potentials (the
@@ -30,26 +29,20 @@
 //! * [`CostLayer`] — the mutable per-arc costs/capacities and per-node
 //!   supplies.
 //!
-//! The [`McfSolver`] trait ties them together: [`SspSolver`],
-//! [`SimplexSolver`], [`DualSimplexSolver`] and [`ReferenceSolver`] own
-//! a topology + layer, keep their scratch buffers alive across solves,
-//! and optionally **warm-start** each re-solve from the previous
-//! solve's dual state (SSP reuses node potentials via a repair sweep;
-//! the primal simplex reuses the spanning-tree basis, repairing it back
-//! to primal feasibility; the dual simplex keeps the basis dual
-//! feasible and pivots the primal violations away directly). Warm
-//! solves return certified optima but may pick a different optimal
-//! vertex than a cold solve when the optimum is degenerate; cold solves
-//! are bit-identical to the one-shot entry points. [`DualSolver`] lifts
-//! the same pattern to difference-constraint LPs
-//! ([`DualLp::into_solver`]).
+//! [`SimplexSolver`] owns a topology + layer, keeps its scratch buffers
+//! alive across solves, and optionally **warm-starts** each re-solve
+//! from the previous solve's spanning tree, repairing it back to primal
+//! feasibility. Warm solves return certified optima but may pick a
+//! different optimal vertex than a cold solve when the optimum is
+//! degenerate; cold solves are bit-identical to the one-shot entry
+//! points. [`DualSolver`] lifts the same pattern to difference-constraint
+//! LPs ([`DualLp::into_solver`]). The [`McfSolver`] trait is the
+//! persistent-solver interface, so tests can substitute the
+//! [`ReferenceSolver`] for the simplex.
 //!
-//! The simplex solvers' entering-arc *pricing* is chosen via the closed
-//! [`PivotRule`] enum (see [`pivot`]): block-cached
-//! [`PivotRule::Dantzig`] by default, with first-eligible and
-//! candidate-list block-search pricing as cheaper-scan alternatives
-//! for large networks. [`FlowAlgorithm`]
-//! names every backend × rule combination for configuration surfaces.
+//! The simplex selects entering arcs by Dantzig's rule (the most
+//! negative reduced cost), with a per-block cache that re-prices only
+//! the arcs a pivot can have changed.
 //!
 //! # Examples
 //!
@@ -72,7 +65,7 @@
 //! Persistent re-solving with cost updates and warm starts:
 //!
 //! ```
-//! use mft_flow::{FlowNetwork, McfSolver, SspSolver};
+//! use mft_flow::{FlowNetwork, McfSolver, SimplexSolver};
 //!
 //! # fn main() -> Result<(), mft_flow::FlowError> {
 //! let mut net = FlowNetwork::new(3);
@@ -81,7 +74,7 @@
 //! let top = net.add_arc(0, 1, f64::INFINITY, 1)?;
 //! net.add_arc(1, 2, f64::INFINITY, 1)?;
 //! net.add_arc(0, 2, f64::INFINITY, 3)?;
-//! let mut solver = SspSolver::new(&net);
+//! let mut solver = SimplexSolver::new(&net);
 //! solver.set_warm_start(true);
 //! assert_eq!(solver.solve()?.total_cost, 2.0); // via the middle node
 //! solver.layer_mut().set_cost(top, 9)?;        // re-price, re-solve
@@ -95,22 +88,17 @@
 #![warn(missing_docs)]
 
 mod dual;
-mod dual_simplex;
 mod error;
 mod network;
-pub mod pivot;
+mod pivot;
 mod potentials;
 mod simplex;
 mod solver;
 mod topology;
 
 pub use dual::{DualLp, DualSolution, DualSolver, FlowAlgorithm};
-pub use dual_simplex::DualSimplexSolver;
 pub use error::FlowError;
 pub use network::{ArcId, FlowNetwork, FlowSolution};
-pub use pivot::{BlockSearch, DantzigBlocks, PivotRule, PricingContext};
 pub use simplex::SimplexSolver;
-pub use solver::{
-    CancelProbe, McfInstance, McfSolver, ProbeHandle, ReferenceSolver, SolverStats, SspSolver,
-};
+pub use solver::{CancelProbe, McfInstance, McfSolver, ProbeHandle, ReferenceSolver, SolverStats};
 pub use topology::{CostLayer, NetworkTopology};

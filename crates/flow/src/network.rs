@@ -7,15 +7,15 @@
 //!
 //! [`FlowNetwork`] is the *builder*: grow a network with
 //! [`FlowNetwork::add_arc`] / [`FlowNetwork::set_supply`], then either
-//! call the one-shot entry points ([`FlowNetwork::solve`],
-//! [`FlowNetwork::solve_simplex`], [`FlowNetwork::solve_reference`]) or
-//! freeze it into an immutable [`NetworkTopology`](crate::NetworkTopology)
-//! plus a mutable [`CostLayer`](crate::CostLayer) and hand those to a
-//! persistent [`McfSolver`](crate::McfSolver) backend for repeated
-//! incremental re-solves.
+//! call the one-shot entry points ([`FlowNetwork::solve`], and
+//! [`FlowNetwork::solve_reference`] for cross-checks) or freeze it into
+//! an immutable [`NetworkTopology`](crate::NetworkTopology) plus a
+//! mutable [`CostLayer`](crate::CostLayer) and hand those to a
+//! persistent [`SimplexSolver`] for repeated incremental re-solves.
 
 use crate::error::FlowError;
-use crate::solver::{McfInstance, McfSolver, ReferenceSolver, SspSolver};
+use crate::simplex::SimplexSolver;
+use crate::solver::{McfInstance, McfSolver, ReferenceSolver};
 use crate::topology::{CostLayer, NetworkTopology};
 
 /// Identifier of an arc returned by [`FlowNetwork::add_arc`].
@@ -165,32 +165,32 @@ impl FlowNetwork {
     }
 
     /// Freezes the network into its immutable topology and mutable
-    /// cost/bound layer — the inputs of the persistent
-    /// [`McfSolver`](crate::McfSolver) backends.
+    /// cost/bound layer — the inputs of the persistent solvers.
     pub fn freeze(&self) -> (NetworkTopology, CostLayer) {
         (NetworkTopology::build(self), CostLayer::build(self))
     }
 
-    /// Solves the min-cost flow problem by successive shortest paths with
-    /// integer node potentials (Dijkstra on reduced costs).
+    /// Solves the min-cost flow problem with the primal network simplex.
     ///
-    /// One-shot convenience over [`SspSolver`](crate::SspSolver); for
-    /// repeated solves with changing costs, construct the solver once
-    /// and reuse it.
+    /// One-shot convenience over a cold [`SimplexSolver`]; for repeated
+    /// solves with changing costs, construct the solver once and reuse
+    /// it.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::BadInput`] if supplies do not balance to zero.
-    /// * [`FlowError::NegativeCycle`] if a negative-cost cycle of positive
-    ///   capacity exists.
+    /// * [`FlowError::BadInput`] if supplies do not balance to zero, or
+    ///   the costs are too large for the simplex's big-`M` arcs.
+    /// * [`FlowError::NegativeCycle`] if a negative-cost cycle of
+    ///   unbounded capacity makes the cost unbounded below.
     /// * [`FlowError::Infeasible`] if some supply cannot reach a demand.
+    /// * [`FlowError::IterationLimit`] past the simplex's safety pivot cap.
     pub fn solve(&self) -> Result<FlowSolution, FlowError> {
-        SspSolver::new(self).solve()
+        SimplexSolver::new(self).solve()
     }
 
     /// Reference solver: successive shortest paths recomputed with plain
     /// Bellman–Ford every augmentation. Slow (`O(V·E)` per augmentation)
-    /// but independent of the potential machinery — used to cross-check
+    /// but independent of the simplex machinery — used to cross-check
     /// [`FlowNetwork::solve`] in tests.
     ///
     /// # Errors
@@ -219,7 +219,7 @@ impl McfInstance for FlowNetwork {
 impl FlowSolution {
     /// Verifies flow conservation and the reduced-cost optimality
     /// certificate against the originating instance (a [`FlowNetwork`]
-    /// or any persistent [`McfSolver`](crate::McfSolver) backend).
+    /// or any persistent [`McfSolver`] backend).
     ///
     /// # Errors
     ///

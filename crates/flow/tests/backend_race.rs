@@ -1,7 +1,7 @@
-//! Property tests racing every min-cost-flow backend (× pivot rule) on
-//! random feasible networks.
+//! Property tests racing the network simplex against the reference
+//! solver on random feasible networks.
 //!
-//! Degenerate optima may differ by vertex between backends, so flows
+//! Degenerate optima may differ by vertex between the two, so flows
 //! are *not* compared directly. What must agree:
 //!
 //! * the optimal **cost** (unique even when the argmin is not);
@@ -9,10 +9,10 @@
 //!   bounds, conservation, reduced-cost optimality);
 //! * **complementary slackness against the reference solver's certified
 //!   potentials** — any optimal flow must pair with any optimal
-//!   potentials, so a backend whose flow fails the cross-check found a
+//!   potentials, so a simplex flow that fails the cross-check is a
 //!   non-optimal vertex even if its cost looks right.
 
-use mft_flow::{FlowAlgorithm, FlowNetwork, FlowSolution, McfInstance};
+use mft_flow::{FlowNetwork, FlowSolution, McfInstance, McfSolver, ReferenceSolver, SimplexSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,39 +79,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn all_backends_find_the_same_optimum(seed in 0u64..1_000_000, n in 4usize..14) {
+    fn simplex_finds_the_reference_optimum(seed in 0u64..1_000_000, n in 4usize..14) {
         let net = random_feasible_net(seed, n, 3 * n);
         let want = net.solve_reference().unwrap();
         want.verify(&net).unwrap();
-        for algorithm in FlowAlgorithm::ALL_CONCRETE {
-            let mut solver = algorithm.build_solver(&net);
-            let got = solver.solve().unwrap();
-            got.verify(&net).unwrap();
-            prop_assert!(
-                (got.total_cost - want.total_cost).abs()
-                    < 1e-6 * (1.0 + want.total_cost.abs()),
-                "{}: cost {} vs reference {}",
-                solver.name(),
-                got.total_cost,
-                want.total_cost
-            );
-            check_slackness(&net, &got, &want.potentials, solver.name())?;
-        }
+        let got = net.solve().unwrap();
+        got.verify(&net).unwrap();
+        prop_assert!(
+            (got.total_cost - want.total_cost).abs() < 1e-6 * (1.0 + want.total_cost.abs()),
+            "simplex cost {} vs reference {}",
+            got.total_cost,
+            want.total_cost
+        );
+        check_slackness(&net, &got, &want.potentials, "simplex")?;
     }
 
     #[test]
-    fn warm_backends_track_rewrites(seed in 0u64..1_000_000, n in 4usize..12) {
+    fn warm_simplex_tracks_rewrites(seed in 0u64..1_000_000, n in 4usize..12) {
         let net = random_feasible_net(seed, n, 2 * n);
         let mut drift = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
-        let mut solvers: Vec<_> = FlowAlgorithm::ALL_CONCRETE
-            .iter()
-            .map(|a| {
-                let mut s = a.build_solver(&net);
-                s.set_warm_start(true);
-                s.solve().unwrap();
-                s
-            })
-            .collect();
+        // The reference (always cold) first, then the warm simplex.
+        let mut solvers: Vec<Box<dyn McfSolver>> = vec![
+            Box::new(ReferenceSolver::new(&net)),
+            Box::new(SimplexSolver::new(&net)),
+        ];
+        for s in &mut solvers {
+            s.set_warm_start(true);
+            s.solve().unwrap();
+        }
         for _round in 0..4 {
             // The D-phase rewrite pattern: bounds (costs) drift, and the
             // objective (supplies) rescales while staying balanced.
@@ -154,5 +149,7 @@ proptest! {
                 );
             }
         }
+        let stats = solvers[1].stats();
+        prop_assert!(stats.warm_solves + stats.warm_fallbacks == 4, "{:?}", stats);
     }
 }

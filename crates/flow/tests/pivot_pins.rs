@@ -1,16 +1,16 @@
-//! Pins the exact pivot sequence of the simplex backends.
+//! Pins the exact pivot sequence of the network simplex.
 //!
 //! The network simplex keeps its spanning tree incrementally between
 //! pivots; the tree it keeps must be the one a from-scratch rebuild
 //! would produce, so the entering/leaving sequence never depends on how
 //! the tree is maintained. These pins record `SolverStats::{pivots,
-//! arcs_scanned}` for every pricing rule over a cold solve plus warm
+//! arcs_scanned}` over a cold solve plus warm
 //! re-solves (cost rewrites, supply drift, finite capacities that force
 //! warm repairs through artificial arcs) on seeded random networks. Any
 //! change to tie-breaking, pricing order or the tree update shows up as
 //! a count mismatch here before it reaches a golden.
 
-use mft_flow::{FlowAlgorithm, FlowNetwork};
+use mft_flow::{FlowNetwork, McfInstance, McfSolver, SimplexSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,13 +45,12 @@ fn random_network(rng: &mut StdRng, n: usize) -> FlowNetwork {
     net
 }
 
-/// One cold solve and five warm re-solves of a seeded network under
-/// `algorithm`; returns the solver's cumulative
-/// `(pivots, arcs_scanned, warm_repairs)`.
-fn pivot_counts(algorithm: FlowAlgorithm, seed: u64) -> (usize, usize, usize) {
+/// One cold solve and five warm re-solves of a seeded network; returns
+/// the solver's cumulative `(pivots, arcs_scanned, warm_repairs)`.
+fn pivot_counts(seed: u64) -> (usize, usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = random_network(&mut rng, 48);
-    let mut solver = algorithm.build_solver(&net);
+    let mut solver = SimplexSolver::new(&net);
     solver.set_warm_start(true);
     solver.solve().unwrap();
     for round in 0..5 {
@@ -78,38 +77,26 @@ fn pivot_counts(algorithm: FlowAlgorithm, seed: u64) -> (usize, usize, usize) {
         solver.solve().unwrap();
     }
     let stats = solver.stats();
-    assert_eq!(stats.total(), 6, "{algorithm:?} seed {seed}: {stats:?}");
+    assert_eq!(stats.total(), 6, "seed {seed}: {stats:?}");
     (stats.pivots, stats.arcs_scanned, stats.warm_repairs)
 }
 
-/// `(backend, seed, (pivots, arcs_scanned, warm_repairs))`, recorded
-/// with the tree rebuilt from scratch after every basis change.
-const RECORDED: [(FlowAlgorithm, u64, (usize, usize, usize)); 16] = [
-    (FlowAlgorithm::NetworkSimplex, 1, (180, 43896, 2)),
-    (FlowAlgorithm::NetworkSimplex, 2, (157, 38631, 2)),
-    (FlowAlgorithm::NetworkSimplex, 3, (167, 40828, 2)),
-    (FlowAlgorithm::NetworkSimplex, 4, (180, 44454, 2)),
-    (FlowAlgorithm::SimplexFirstEligible, 1, (407, 6974, 2)),
-    (FlowAlgorithm::SimplexFirstEligible, 2, (333, 6006, 2)),
-    (FlowAlgorithm::SimplexFirstEligible, 3, (383, 5822, 2)),
-    (FlowAlgorithm::SimplexFirstEligible, 4, (396, 6492, 2)),
-    (FlowAlgorithm::SimplexBlockSearch, 1, (306, 7559, 2)),
-    (FlowAlgorithm::SimplexBlockSearch, 2, (278, 6759, 2)),
-    (FlowAlgorithm::SimplexBlockSearch, 3, (288, 6765, 2)),
-    (FlowAlgorithm::SimplexBlockSearch, 4, (346, 8047, 2)),
-    (FlowAlgorithm::DualSimplex, 1, (196, 47672, 0)),
-    (FlowAlgorithm::DualSimplex, 2, (177, 43371, 0)),
-    (FlowAlgorithm::DualSimplex, 3, (172, 42008, 0)),
-    (FlowAlgorithm::DualSimplex, 4, (193, 47561, 0)),
+/// `(seed, (pivots, arcs_scanned, warm_repairs))`, recorded with the
+/// tree rebuilt from scratch after every basis change.
+const RECORDED: [(u64, (usize, usize, usize)); 4] = [
+    (1, (180, 43896, 2)),
+    (2, (157, 38631, 2)),
+    (3, (167, 40828, 2)),
+    (4, (180, 44454, 2)),
 ];
 
 #[test]
 fn pivot_counts_match_the_recorded_sequence() {
-    for (algorithm, seed, want) in RECORDED {
+    for (seed, want) in RECORDED {
         assert_eq!(
-            pivot_counts(algorithm, seed),
+            pivot_counts(seed),
             want,
-            "{algorithm:?} seed {seed}: (pivots, arcs_scanned, warm_repairs)"
+            "seed {seed}: (pivots, arcs_scanned, warm_repairs)"
         );
     }
 }

@@ -1,9 +1,9 @@
-//! Property tests for the persistent solvers' warm-start paths: after
-//! any sequence of random cost/supply perturbations, a warm re-solve
-//! must reproduce the cold-solve optimal flow value and still pass the
-//! optimality certificate.
+//! Property tests for the network simplex's warm-start path: after any
+//! sequence of random cost/supply perturbations, a warm re-solve must
+//! reproduce the reference solver's optimal flow value and still pass
+//! the optimality certificate.
 
-use mft_flow::{FlowNetwork, McfSolver, ReferenceSolver, SimplexSolver, SolverStats, SspSolver};
+use mft_flow::{FlowNetwork, McfSolver, ReferenceSolver, SimplexSolver, SolverStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,9 +95,9 @@ where
         for round in 0..6 {
             perturb(&mut rng, &mut net, solver.as_mut());
             let warm = solver.solve().unwrap();
-            // The cold reference: a fresh one-shot solve of the mirrored
-            // network.
-            let cold = net.solve().unwrap();
+            // The cold reference: a fresh reference solve of the
+            // mirrored network.
+            let cold = net.solve_reference().unwrap();
             cold.verify(&net).unwrap();
             warm.verify(&net).unwrap();
             assert!(
@@ -119,11 +119,6 @@ where
 }
 
 #[test]
-fn ssp_warm_restarts_reproduce_cold_optimum() {
-    check_backend(|net| Box::new(SspSolver::new(net)), true, 1001);
-}
-
-#[test]
 fn simplex_warm_restarts_reproduce_cold_optimum() {
     check_backend(|net| Box::new(SimplexSolver::new(net)), true, 2002);
 }
@@ -142,37 +137,28 @@ fn reference_backend_stays_interchangeable() {
 fn invalidate_forces_a_cold_resolve() {
     let mut rng = StdRng::seed_from_u64(55);
     let net = random_network(&mut rng, 8);
-    let solvers: Vec<Box<dyn McfSolver>> = vec![
-        Box::new(SspSolver::new(&net)),
-        Box::new(SimplexSolver::new(&net)),
-    ];
-    for mut solver in solvers {
-        assert!(!solver.warm_start(), "warm starts must be opt-in");
-        assert_eq!(solver.topology().num_nodes(), net.num_nodes());
-        assert_eq!(solver.topology().num_arcs(), net.num_arcs());
-        solver.set_warm_start(true);
-        assert!(solver.warm_start());
-        let first = solver.solve().unwrap();
-        solver.layer_mut().set_cost(0, 17).unwrap();
-        solver.invalidate();
-        let second = solver.solve().unwrap();
-        second.verify(&*solver).unwrap();
-        let stats = solver.stats();
-        assert_eq!(
-            (stats.cold_solves, stats.warm_solves),
-            (2, 0),
-            "{}: invalidate() must drop the warm state",
-            solver.name()
-        );
-        // And without invalidation the third solve runs warm.
-        let third = solver.solve().unwrap();
-        third.verify(&*solver).unwrap();
-        assert_eq!(solver.stats().warm_solves, 1, "{}", solver.name());
-        assert!(
-            (third.total_cost - second.total_cost).abs() < 1e-9 * (1.0 + second.total_cost.abs())
-        );
-        let _ = first;
-    }
+    let mut solver = SimplexSolver::new(&net);
+    assert!(!solver.warm_start(), "warm starts must be opt-in");
+    assert_eq!(solver.topology().num_nodes(), net.num_nodes());
+    assert_eq!(solver.topology().num_arcs(), net.num_arcs());
+    solver.set_warm_start(true);
+    assert!(solver.warm_start());
+    solver.solve().unwrap();
+    solver.layer_mut().set_cost(0, 17).unwrap();
+    solver.invalidate();
+    let second = solver.solve().unwrap();
+    second.verify(&solver).unwrap();
+    let stats = solver.stats();
+    assert_eq!(
+        (stats.cold_solves, stats.warm_solves),
+        (2, 0),
+        "invalidate() must drop the warm state"
+    );
+    // And without invalidation the third solve runs warm.
+    let third = solver.solve().unwrap();
+    third.verify(&solver).unwrap();
+    assert_eq!(solver.stats().warm_solves, 1);
+    assert!((third.total_cost - second.total_cost).abs() < 1e-9 * (1.0 + second.total_cost.abs()));
 }
 
 /// Certificate checking works directly against the solver instance view
@@ -181,7 +167,7 @@ fn invalidate_forces_a_cold_resolve() {
 fn certificates_verify_against_the_solver_view() {
     let mut rng = StdRng::seed_from_u64(4);
     let net = random_network(&mut rng, 8);
-    let mut solver = SspSolver::new(&net);
+    let mut solver = SimplexSolver::new(&net);
     solver.set_warm_start(true);
     for _ in 0..3 {
         let sol = solver.solve().unwrap();
@@ -192,77 +178,4 @@ fn certificates_verify_against_the_solver_view() {
             .set_cost(k, rng.gen_range(0..30))
             .unwrap();
     }
-}
-
-/// SSP flow reuse: with warm starts on, supply-only changes are served
-/// by delta-shipping against the retained optimal flow (counted in
-/// `flow_reuses`), and the result still matches a cold solve. Cost
-/// changes that invalidate the retained flow fall back gracefully.
-#[test]
-fn ssp_flow_reuse_delta_ships_supply_changes() {
-    let mut rng = StdRng::seed_from_u64(909);
-    for case in 0..10 {
-        let n = rng.gen_range(5..14);
-        let mut net = random_network(&mut rng, n);
-        let mut solver = SspSolver::new(&net);
-        solver.set_warm_start(true);
-        solver.solve().unwrap().verify(&net).unwrap();
-        for round in 0..8 {
-            // Move supply between two nodes, keeping the balance; leave
-            // all costs untouched so the retained flow stays optimal.
-            let a = rng.gen_range(0..n);
-            let b = (a + rng.gen_range(1..n)) % n;
-            let delta = rng.gen_range(0.1..2.0);
-            let sa = net.supply(a) + delta;
-            let sb = net.supply(b) - delta;
-            let mut rebuilt = FlowNetwork::new(n);
-            for v in 0..n {
-                rebuilt.set_supply(v, net.supply(v));
-            }
-            rebuilt.set_supply(a, sa);
-            rebuilt.set_supply(b, sb);
-            for k in 0..net.num_arcs() {
-                let (from, to, cap, cost) = net.arc_info(k);
-                rebuilt.add_arc(from, to, cap, cost).unwrap();
-            }
-            net = rebuilt;
-            solver.layer_mut().set_supply(a, sa);
-            solver.layer_mut().set_supply(b, sb);
-            let warm = solver.solve().unwrap();
-            warm.verify(&net).unwrap();
-            let cold = net.solve().unwrap();
-            assert!(
-                (warm.total_cost - cold.total_cost).abs() < 1e-6 * (1.0 + cold.total_cost.abs()),
-                "case {case} round {round}: warm {} vs cold {}",
-                warm.total_cost,
-                cold.total_cost
-            );
-        }
-        let stats = solver.stats();
-        // With unchanged costs there is no negative residual cycle, and
-        // on networks this small the full (uncapped) repair runs, so
-        // every warm solve delta-ships.
-        assert_eq!(
-            stats.flow_reuses, 8,
-            "case {case}: every warm solve should delta-ship: {stats:?}"
-        );
-        assert_eq!(stats.warm_fallbacks, 0, "case {case}: {stats:?}");
-    }
-}
-
-/// An identical re-solve (no cost or supply change) ships zero delta.
-#[test]
-fn ssp_flow_reuse_identical_resolve_is_free() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let net = random_network(&mut rng, 10);
-    let mut solver = SspSolver::new(&net);
-    solver.set_warm_start(true);
-    let first = solver.solve().unwrap();
-    let again = solver.solve().unwrap();
-    again.verify(&net).unwrap();
-    assert_eq!(first.total_cost, again.total_cost);
-    for (a, b) in first.flows.iter().zip(again.flows.iter()) {
-        assert_eq!(a, b, "flows must be retained verbatim");
-    }
-    assert_eq!(solver.stats().flow_reuses, 1);
 }

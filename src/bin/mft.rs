@@ -44,11 +44,9 @@ OPTIONS:
   --objective O   size: area | power                  (default area)
                   `power` minimizes leakage + activity-weighted
                   switching power under the same delay target
-  --flow B        D-phase flow backend: ssp | simplex | simplex-first |
-                  simplex-block | dual-simplex | reference | auto
-                  (default: ssp for size, simplex for warm sweep/serve;
-                  auto picks block-search pricing for large cold solves
-                  and dual-simplex warm starts for iterative resolves)
+  --flow B        D-phase flow backend: simplex (network simplex, the
+                  only backend and the default; the names of removed
+                  backends are rejected)
   --specs LIST    comma-separated spec fractions for `sweep`
   --jobs N        sweep worker threads (default 1; 0 means 1); results
                   are identical for every N
@@ -169,15 +167,12 @@ fn parse_corner(args: &[String]) -> Result<Corner, String> {
         .map_err(|e| e.to_string())
 }
 
-fn parse_flow(args: &[String]) -> Result<Option<FlowAlgorithm>, String> {
+/// Checks `--flow`: `simplex` is the only backend, so the flag selects
+/// nothing, but a removed or unknown backend name is an error.
+fn check_flow(args: &[String]) -> Result<(), String> {
     match flag_value(args, "--flow") {
-        None => Ok(None),
-        Some(name) => FlowAlgorithm::parse(name).map(Some).ok_or_else(|| {
-            format!(
-                "unknown flow backend `{name}` (ssp | simplex | simplex-first | simplex-block | \
-                 dual-simplex | reference | auto)"
-            )
-        }),
+        None => Ok(()),
+        Some(name) => FlowAlgorithm::parse(name).map(drop),
     }
 }
 
@@ -210,9 +205,9 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn cmd_size(args: &[String]) -> Result<(), String> {
     let path = args.get(1).ok_or("missing <file.bench>")?;
-    // Validate the backend choice before any sizing work so a typo
+    // Validate the backend name before any sizing work so a typo
     // fails fast instead of after the TILOS seed.
-    let flow = parse_flow(args)?;
+    check_flow(args)?;
     let problem = load_problem(path, args)?;
     let target = match flag_value(args, "--target") {
         Some(t) => t.parse::<f64>().map_err(|e| e.to_string())?,
@@ -244,10 +239,7 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     let solution = if args.iter().any(|a| a == "--tilos-only") {
         None
     } else {
-        let mut config = MinflotransitConfig::default();
-        if let Some(algorithm) = flow {
-            config.flow_algorithm = algorithm;
-        }
+        let config = MinflotransitConfig::default();
         match objective {
             "area" => {
                 let sol = problem
@@ -338,21 +330,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .unwrap_or("1")
         .parse()
         .map_err(|e: std::num::ParseIntError| e.to_string())?;
-    let flow = parse_flow(args)?;
+    check_flow(args)?;
     let options = if args.iter().any(|a| a == "--cold") {
-        let mut config = MinflotransitConfig::default();
-        if let Some(algorithm) = flow {
-            config.flow_algorithm = algorithm;
-        }
-        SweepOptions::cold_with(config)
+        SweepOptions::cold_with(MinflotransitConfig::default())
     } else {
-        match flow {
-            Some(algorithm) => SweepOptions::warm_with(MinflotransitConfig {
-                flow_algorithm: algorithm,
-                ..Default::default()
-            }),
-            None => SweepOptions::warm(),
-        }
+        SweepOptions::warm()
     }
     .with_jobs(jobs);
     let outcomes = SweepEngine::new(&problem, options)
@@ -401,15 +383,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e: std::num::ParseIntError| e.to_string())?,
         None => default_config.max_line_bytes,
     };
-    let mut session = if args.iter().any(|a| a == "--cold") {
+    let session = if args.iter().any(|a| a == "--cold") {
         SessionConfig::cold()
     } else {
         SessionConfig::warm()
     }
     .with_jobs(jobs);
-    if let Some(algorithm) = parse_flow(args)? {
-        session = session.with_flow_algorithm(algorithm);
-    }
+    check_flow(args)?;
     let max_queue_depth: usize = match flag_value(args, "--max-queue-depth") {
         Some(v) => v
             .parse()

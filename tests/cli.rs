@@ -38,6 +38,44 @@ fn size_prints_the_timing_engine_line_once() {
     }
 }
 
+/// `--flow` accepts only `simplex`; each removed backend name fails
+/// with an error naming it, before any sizing output.
+#[test]
+fn size_rejects_removed_flow_backends() {
+    let bench = c17_file();
+    let run = |flow: &str| {
+        Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg("size")
+            .arg(&bench)
+            .args(["--spec", "0.7", "--flow", flow])
+            .output()
+            .unwrap()
+    };
+    assert!(run("simplex").status.success());
+    for name in [
+        "ssp",
+        "simplex-first",
+        "simplex-block",
+        "dual-simplex",
+        "dual",
+        "reference",
+        "auto",
+    ] {
+        let out = run(name);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{name}");
+        assert!(
+            out.stdout.is_empty(),
+            "{name}: sizing output before the error"
+        );
+        assert!(
+            stderr.contains(&format!("flow backend `{name}` was removed"))
+                && stderr.contains("`simplex` (network simplex) is the only backend"),
+            "{name}: {stderr}"
+        );
+    }
+}
+
 /// The README quickstart's `console` block is real output: each `$ mft`
 /// command, re-run in a scratch directory, prints the block's lines
 /// under it as its first lines.

@@ -1,11 +1,11 @@
 //! Regression pin for the persistent D-phase solver refactor: with the
 //! default (cold, deterministic) configuration, `Minflotransit` must
 //! produce **bit-identical** sizes to the pre-refactor implementation on
-//! a fixed generated circuit, for both fast flow backends.
+//! a fixed generated circuit.
 //!
-//! The golden bits below were captured from the free-function
-//! (`solve_dphase_with`, one network build per iteration) implementation
-//! immediately before the `DPhaseSolver` refactor landed. The warm-start
+//! The golden bits below were captured from the free-function (one
+//! network build per iteration) implementation immediately before the
+//! `DPhaseSolver` refactor landed. The warm-start
 //! mode is intentionally *not* pinned bit-for-bit — at degenerate LP
 //! optima it may legally select a different optimal vertex — but must
 //! reach the same final area and stay timing-feasible.
@@ -13,7 +13,6 @@
 use minflotransit::circuit::SizingMode;
 use minflotransit::core::{Minflotransit, MinflotransitConfig, SizingProblem};
 use minflotransit::delay::Technology;
-use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 
 /// The fixed circuit: 60 gates, seeded via `mft-gen` (deterministic).
@@ -56,33 +55,21 @@ fn default_run_is_bit_identical_to_pre_refactor() {
     let problem = problem();
     let target = 0.75 * problem.dmin();
     let golden = golden_sizes();
-    for algorithm in [
-        FlowAlgorithm::SuccessiveShortestPaths,
-        FlowAlgorithm::NetworkSimplex,
-    ] {
-        let config = MinflotransitConfig {
-            flow_algorithm: algorithm,
-            ..Default::default()
-        };
-        let sol = Minflotransit::new(config)
-            .optimize(problem.dag(), problem.model(), target)
-            .unwrap();
-        assert_eq!(sol.iterations, GOLDEN_ITERATIONS, "{algorithm:?}");
-        assert_eq!(sol.sizes.len(), golden.len(), "{algorithm:?}");
-        for (i, (&got, &want)) in sol.sizes.iter().zip(golden.iter()).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{algorithm:?}: size[{i}] {got} != golden {want}"
-            );
-        }
-        // The default path never warm-starts.
-        assert_eq!(sol.dphase_stats.flow.warm_solves, 0, "{algorithm:?}");
+    let sol = Minflotransit::new(MinflotransitConfig::default())
+        .optimize(problem.dag(), problem.model(), target)
+        .unwrap();
+    assert_eq!(sol.iterations, GOLDEN_ITERATIONS);
+    assert_eq!(sol.sizes.len(), golden.len());
+    for (i, (&got, &want)) in sol.sizes.iter().zip(golden.iter()).enumerate() {
         assert_eq!(
-            sol.dphase_stats.flow.cold_solves, GOLDEN_ITERATIONS,
-            "{algorithm:?}"
+            got.to_bits(),
+            want.to_bits(),
+            "size[{i}] {got} != golden {want}"
         );
     }
+    // The default path never warm-starts.
+    assert_eq!(sol.dphase_stats.flow.warm_solves, 0);
+    assert_eq!(sol.dphase_stats.flow.cold_solves, GOLDEN_ITERATIONS);
 }
 
 #[test]
@@ -93,35 +80,29 @@ fn warm_start_mode_matches_final_quality() {
         let sizes = golden_sizes();
         problem.area_of(&sizes)
     };
-    for algorithm in [
-        FlowAlgorithm::SuccessiveShortestPaths,
-        FlowAlgorithm::NetworkSimplex,
-    ] {
-        let config = MinflotransitConfig {
-            flow_algorithm: algorithm,
-            dphase_warm_start: true,
-            ..Default::default()
-        };
-        let sol = Minflotransit::new(config)
-            .optimize(problem.dag(), problem.model(), target)
-            .unwrap();
-        // Timing stays feasible and quality matches the cold run
-        // closely (identical LP optima, possibly different vertices).
-        assert!(
-            sol.achieved_delay <= target * (1.0 + 1e-6),
-            "{algorithm:?}: delay {} vs target {target}",
-            sol.achieved_delay
-        );
-        assert!(
-            (sol.area - golden_area).abs() <= 0.01 * golden_area,
-            "{algorithm:?}: warm area {} vs golden {golden_area}",
-            sol.area
-        );
-        // Warm starts actually engaged.
-        assert!(
-            sol.dphase_stats.flow.warm_solves >= 1,
-            "{algorithm:?}: {:?}",
-            sol.dphase_stats
-        );
-    }
+    let config = MinflotransitConfig {
+        dphase_warm_start: true,
+        ..Default::default()
+    };
+    let sol = Minflotransit::new(config)
+        .optimize(problem.dag(), problem.model(), target)
+        .unwrap();
+    // Timing stays feasible and quality matches the cold run closely
+    // (identical LP optima, possibly different vertices).
+    assert!(
+        sol.achieved_delay <= target * (1.0 + 1e-6),
+        "delay {} vs target {target}",
+        sol.achieved_delay
+    );
+    assert!(
+        (sol.area - golden_area).abs() <= 0.01 * golden_area,
+        "warm area {} vs golden {golden_area}",
+        sol.area
+    );
+    // Warm starts actually engaged.
+    assert!(
+        sol.dphase_stats.flow.warm_solves >= 1,
+        "{:?}",
+        sol.dphase_stats
+    );
 }

@@ -89,6 +89,32 @@ fn error_paths_never_drop_the_connection() {
     let line = client.recv().unwrap().unwrap();
     assert!(line.contains("\"type\":\"error\""), "{line}");
 
+    // Removed flow backends: each name answers an error naming it, and
+    // nothing is registered (the healthy `c17` load below still fits).
+    for name in [
+        "ssp",
+        "simplex-first",
+        "simplex-block",
+        "dual-simplex",
+        "dual",
+        "reference",
+        "auto",
+    ] {
+        let frame = RequestFrame::new(Request::Load(LoadRequest {
+            bench: Some(C17_BENCH.to_owned()),
+            flow: Some(name.to_owned()),
+            ..Default::default()
+        }))
+        .for_circuit("c17");
+        let line = client.call(&frame).unwrap();
+        assert!(
+            line.contains("\"type\":\"error\"")
+                && line.contains(&format!("`{name}` was removed"))
+                && line.contains("`simplex` (network simplex) is the only backend"),
+            "{line}"
+        );
+    }
+
     // A healthy load on the very same connection.
     let line = client.call(&load_c17("c17").with_id("ok")).unwrap();
     assert!(line.contains("\"type\":\"loaded\""), "{line}");

@@ -6,7 +6,7 @@
 //!
 //! * TILOS trajectory reuse is **bit-exact**, so `tilos_area_ratio` is
 //!   pinned bitwise everywhere, as are `Unreachable` outcomes.
-//! * The warm inner solves (SSP flow reuse, seeded SMP fixpoints) reach
+//! * The warm inner solves (simplex tree reuse, seeded SMP fixpoints) reach
 //!   the same optima but may differ in the last float bits; on c17 the
 //!   warm curve happens to be fully bit-identical and is pinned so, on
 //!   the datapath circuit `mft_area_ratio` is pinned to 1e-9 relative
@@ -113,9 +113,9 @@ fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
 /// outcomes are pinned bitwise, iteration counts match, and the warm
 /// MFT areas agree with cold to 1e-9 relative (the documented
 /// warm-solve tolerance); jobs=4 reproduces jobs=1 bitwise. A second,
-/// looser pin (1e-4 relative) covers the cross-backend comparison
-/// against the historical SSP-backed cold curve, whose degenerate
-/// D-phase optima may legally resolve to different vertices.
+/// looser pin (1e-4 relative) covers the comparison against the legacy
+/// `area_delay_curve` cold curve, whose degenerate D-phase optima may
+/// legally resolve to different vertices than the warm solves'.
 #[test]
 fn golden_datapath_warm_sweep_matches_cold() {
     let problem = datapath_problem();
