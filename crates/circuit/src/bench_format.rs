@@ -73,7 +73,9 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
                 message: format!("missing `(` in `{rhs}`"),
             });
         };
-        let Some(close) = rhs.rfind(')') else {
+        // The last `)` after the `(`: one before it would leave the
+        // argument list a reversed range.
+        let Some(close) = rhs[open..].rfind(')').map(|at| open + at) else {
             return Err(CircuitError::Parse {
                 line,
                 message: format!("missing `)` in `{rhs}`"),
@@ -385,6 +387,20 @@ m = NAND(a, a)
         let text = "INPUT(a)\nthis is not a gate\n";
         match parse_bench("bad", text) {
             Err(CircuitError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    /// A `)` only before the `(` is a missing `)`, not a reversed
+    /// argument range.
+    #[test]
+    fn close_paren_before_open_is_a_parse_error() {
+        let text = "INPUT(a)\ny = NAND) a, a(\n";
+        match parse_bench("bad", text) {
+            Err(CircuitError::Parse { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("missing `)`"), "{message}");
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }

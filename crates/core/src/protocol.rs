@@ -1161,10 +1161,18 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting the JSON reader accepts. Requests
+/// nest two levels (the request object and its arrays) and responses
+/// three, so this only refuses hostile lines: the reader recurses once
+/// per level, and an unbounded depth would let one line of `[`
+/// overflow the connection thread's stack. A constant, not a knob.
+const MAX_JSON_DEPTH: usize = 64;
+
 fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = JsonParser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -1178,6 +1186,8 @@ fn parse_json(text: &str) -> Result<Json, String> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -1214,8 +1224,22 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -1897,6 +1921,39 @@ mod tests {
             let err = Request::from_json_line(bad).unwrap_err();
             assert!(matches!(err, MftError::Protocol(_)), "{bad}: {err}");
         }
+    }
+
+    /// A line of a million `[` (or `{"a":` pairs) is refused with a
+    /// protocol error at the depth bound instead of overflowing the
+    /// stack, on a thread with a small stack; nesting up to the bound
+    /// still parses.
+    #[test]
+    fn deep_nesting_is_refused_at_the_depth_bound() {
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+                    let err = Request::from_json_line(&deep).unwrap_err();
+                    assert!(
+                        matches!(&err, MftError::Protocol(m) if m.contains("nesting deeper")),
+                        "{err}"
+                    );
+                    assert!(RequestFrame::from_json_line(&deep).is_err());
+                    assert_eq!(extract_id(&deep), None);
+                }
+                let inner = format!(
+                    "{}{}",
+                    "[".repeat(MAX_JSON_DEPTH - 1),
+                    "]".repeat(MAX_JSON_DEPTH - 1)
+                );
+                let at_bound = format!("{{\"type\":\"stats\",\"x\":{inner}}}");
+                assert!(parse_json(&at_bound).is_ok());
+                let past = format!("{{\"type\":\"stats\",\"x\":[{inner}]}}");
+                assert!(parse_json(&past).is_err());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -83,7 +83,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -131,6 +131,11 @@ pub struct ServerConfig {
     /// whose `spec` equals this value panics inside the worker instead
     /// of sizing. Never set outside tests.
     pub panic_on_spec: Option<f64>,
+    /// Fault injection for the admission tests: until this gate is
+    /// released, every circuit writer waits on it before serving a
+    /// request, so a test decides how long a request stays in flight.
+    /// Never set outside tests.
+    pub hold_writer: Option<WriterHold>,
     /// Default read replicas per circuit: `what_if`/`stats` requests
     /// are fanned across this many reader threads over a shared read
     /// queue while mutations stay on the single writer. `0` (the
@@ -150,7 +155,36 @@ impl Default for ServerConfig {
             max_queue_depth: 256,
             default_deadline_ms: None,
             panic_on_spec: None,
+            hold_writer: None,
             replicas: 0,
+        }
+    }
+}
+
+/// The one-shot gate of [`ServerConfig::hold_writer`]: closed when
+/// made, open for good once [`released`](WriterHold::release).
+#[derive(Debug, Clone, Default)]
+pub struct WriterHold(Arc<(Mutex<bool>, Condvar)>);
+
+impl WriterHold {
+    /// A closed gate.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens the gate: held writers resume, and later ones pass.
+    pub fn release(&self) {
+        let (open, opened) = &*self.0;
+        *open.lock().expect("hold lock") = true;
+        opened.notify_all();
+    }
+
+    /// Blocks until the gate is open.
+    fn wait(&self) {
+        let (open, opened) = &*self.0;
+        let mut guard = open.lock().expect("hold lock");
+        while !*guard {
+            guard = opened.wait(guard).expect("hold lock");
         }
     }
 }
@@ -385,6 +419,7 @@ impl CircuitServer {
         let worker_depth = Arc::clone(&depth);
         let worker_poisoned = Arc::clone(&poisoned);
         let panic_on_spec = self.config.panic_on_spec;
+        let hold = self.config.hold_writer.clone();
         // The replicas share the (immutable) problem; the session
         // consumes its own copy.
         let shared = (replicas > 0).then(|| Arc::new(problem.clone()));
@@ -441,6 +476,7 @@ impl CircuitServer {
                     worker_depth,
                     worker_poisoned,
                     panic_on_spec,
+                    hold,
                     publish,
                 )
             }) {
@@ -1139,6 +1175,7 @@ fn invalid_name(name: &str) -> Option<Response> {
 /// job's connection writer. Expired jobs are shed at dequeue without
 /// touching the session; a panicking request poisons the circuit but
 /// the loop keeps draining, so every queued client gets an answer.
+#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     mut session: SizingSession,
     rx: mpsc::Receiver<Job>,
@@ -1146,6 +1183,7 @@ fn worker_loop(
     depth: Arc<AtomicUsize>,
     poisoned: Arc<AtomicBool>,
     panic_on_spec: Option<f64>,
+    hold: Option<WriterHold>,
     publish: Option<WriterPublish>,
 ) {
     while let Ok(job) = rx.recv() {
@@ -1157,6 +1195,9 @@ fn worker_loop(
                 deadline,
                 weight,
             } => {
+                if let Some(hold) = &hold {
+                    hold.wait();
+                }
                 let response =
                     serve_one(&mut session, &request, deadline, &poisoned, panic_on_spec);
                 // Single-writer republish: fresh counters for

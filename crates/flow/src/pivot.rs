@@ -4,11 +4,15 @@
 //! Each simplex pivot must pick a non-basic arc violating the
 //! reduced-cost optimality conditions. Dantzig's rule takes the most
 //! negative violation over every arc, which gives the fewest pivots.
-//! [`DantzigBlocks`] caches the best arc of each fixed block of 64 arcs
-//! and re-prices only the blocks the solver
-//! [`touch`](DantzigBlocks::touch)ed since the last selection, so a
-//! pivot pays for the blocks its moved subtree reaches, not for every
-//! arc. It selects exactly the arc a full ascending scan would.
+//! [`DantzigBlocks`] caches the best arc of each fixed block of 64 arcs.
+//! Between selections the solver [`touch`](DantzigBlocks::touch)es the
+//! arcs whose eligibility a pivot may have changed; a selection prices
+//! each touched arc alone and merges it into its block's cached best,
+//! and re-prices a whole block only when the touched arc *was* that
+//! best (its violation may have shrunk below an untouched arc's). A
+//! pivot thus pays for the arcs its moved subtree reaches plus about one
+//! block, not for every arc, and it selects exactly the arc a full
+//! ascending scan would.
 //!
 //! [`DantzigBlocks::select`] is generic over the [`PricingContext`], so
 //! the solver's per-arc reduced-cost test inlines into the scan loop
@@ -51,14 +55,19 @@ fn best_in<P: PricingContext>(pricing: &P, lo: usize, hi: usize) -> Option<(i128
 /// Block-cached Dantzig pricing state.
 ///
 /// The most negative violation over all arcs wins, the lowest arc index
-/// among equals. The arcs are cut into fixed blocks of 64 (the last one
-/// may be shorter). Each block caches its best `(violation, arc)` under
-/// the pricing it last saw; [`DantzigBlocks::touch`] marks an arc's
-/// block dirty, and a selection re-prices only the dirty blocks before
-/// taking the minimum over all block bests. A block's best is its
-/// lowest-indexed most negative arc and blocks are compared in
-/// ascending order with the same strict test, so the winner is the arc
-/// a full ascending scan would pick.
+/// among equals: candidates are ordered strictly by `(violation, arc)`.
+/// The arcs are cut into fixed blocks of 64 (the last one may be
+/// shorter), and each block caches its least `(violation, arc)`.
+///
+/// A selection first merges every touched arc into its block: the arc
+/// is priced alone and replaces the cached best when it orders before
+/// it. Untouched arcs kept their eligibility, and each of them ordered
+/// after the cached best when it was taken, so the merged best is the
+/// block's true one, unless the cached best arc was itself touched:
+/// its own violation may have grown, so its block is re-priced in full
+/// instead. Blocks are then compared in ascending order with the same
+/// strict test, so the winner is the arc a full ascending scan would
+/// pick.
 ///
 /// The state is reset at the start of every solve, so the pivot
 /// sequence of an instance does not depend on earlier solves' pricing.
@@ -67,18 +76,20 @@ pub(crate) struct DantzigBlocks {
     /// Arc count the blocks cover.
     num_arcs: usize,
     /// Cached best `(violation, arc, forward)` per block; `None` when no
-    /// arc of the block was eligible at its last re-price.
+    /// arc of the block is known eligible.
     best: Vec<Option<(i128, usize, bool)>>,
-    /// Whether each block awaits a re-price.
+    /// Whether each block awaits a full re-price.
     dirty: Vec<bool>,
     /// The dirty blocks, each once.
     dirty_list: Vec<usize>,
+    /// Arcs touched since the last selection, in touch order.
+    touched: Vec<u32>,
 }
 
 impl DantzigBlocks {
     /// Clears per-solve state; called once before each solve's pivot
-    /// loop with the instance's internal arc count. Every block counts
-    /// as touched afterwards.
+    /// loop with the instance's internal arc count. Every block awaits a
+    /// full re-price afterwards.
     pub(crate) fn reset(&mut self, num_arcs: usize) {
         let blocks = num_arcs.div_ceil(DANTZIG_BLOCK);
         self.num_arcs = num_arcs;
@@ -88,6 +99,7 @@ impl DantzigBlocks {
         self.dirty.resize(blocks, true);
         self.dirty_list.clear();
         self.dirty_list.extend(0..blocks);
+        self.touched.clear();
     }
 
     /// Records that arc `k`'s eligibility may have changed since the
@@ -96,11 +108,7 @@ impl DantzigBlocks {
     /// every such arc, or [`reset`](DantzigBlocks::reset) the state.
     #[inline]
     pub(crate) fn touch(&mut self, k: usize) {
-        let b = k / DANTZIG_BLOCK;
-        if !self.dirty[b] {
-            self.dirty[b] = true;
-            self.dirty_list.push(b);
-        }
+        self.touched.push(k as u32);
     }
 
     /// Selects the entering arc, or `None` when no arc is eligible (the
@@ -114,6 +122,27 @@ impl DantzigBlocks {
         let n = pricing.num_arcs();
         assert_eq!(n, self.num_arcs, "reset before the first select");
         *scanned += n;
+        for &k in &self.touched {
+            let k = k as usize;
+            let b = k / DANTZIG_BLOCK;
+            if self.dirty[b] {
+                continue;
+            }
+            match self.best[b] {
+                Some((_, best, _)) if best == k => {
+                    self.dirty[b] = true;
+                    self.dirty_list.push(b);
+                }
+                cached => {
+                    if let Some((violation, forward)) = pricing.violation(k) {
+                        if cached.is_none_or(|(v, a, _)| (violation, k) < (v, a)) {
+                            self.best[b] = Some((violation, k, forward));
+                        }
+                    }
+                }
+            }
+        }
+        self.touched.clear();
         for &b in &self.dirty_list {
             let lo = b * DANTZIG_BLOCK;
             self.best[b] = best_in(pricing, lo, (lo + DANTZIG_BLOCK).min(n));
@@ -201,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn dantzig_reprices_only_touched_blocks() {
+    fn dantzig_prices_touched_arcs_and_reprices_only_stale_bests() {
         // 200 arcs: blocks of 64, 64, 64 and a last one of 8.
         let mut table = Counted::new(200);
         table.cells[10] = Some((-3, true));
@@ -209,30 +238,78 @@ mod tests {
         let mut scanned = 0;
         dantzig.reset(table.num_arcs());
         assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
-        assert_eq!(table.take_priced(), 200, "reset dirties every block");
-        // No touch: nothing is re-priced, the cached answer stands.
+        assert_eq!(table.take_priced(), 200, "reset re-prices every block");
+        // No touch: nothing is priced, the cached answer stands.
         assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
         assert_eq!(table.take_priced(), 0);
-        // Two touches in one block re-price that block once.
+        // Touching arcs that are not their block's best prices those
+        // arcs alone.
         table.cells[100] = Some((-9, false));
         dantzig.touch(100);
         dantzig.touch(127);
         assert_eq!(dantzig.select(&table, &mut scanned), Some((100, false)));
-        assert_eq!(table.take_priced(), 64);
-        // A touch in the short last block re-prices its 8 arcs.
+        assert_eq!(table.take_priced(), 2);
+        // Touching a block's cached best re-prices the whole block once;
+        // later touches in that block ride along.
         table.cells[100] = None;
-        table.cells[199] = Some((-4, true));
+        table.cells[90] = Some((-2, true));
         dantzig.touch(100);
+        dantzig.touch(90);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(table.take_priced(), 64);
+        // The same two rules in the short last block.
+        table.cells[199] = Some((-4, true));
         dantzig.touch(199);
         assert_eq!(dantzig.select(&table, &mut scanned), Some((199, true)));
-        assert_eq!(table.take_priced(), 64 + 8);
-        // `arcs_scanned` counts every arc each selection covers.
-        assert_eq!(scanned, 4 * 200);
-        // An untouched change stays invisible until a reset.
+        assert_eq!(table.take_priced(), 1);
         table.cells[199] = None;
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((199, true)));
-        dantzig.reset(table.num_arcs());
+        dantzig.touch(199);
         assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(table.take_priced(), 8);
+        // A touched arc that orders after its block's cached best leaves
+        // that best in place.
+        table.cells[80] = Some((-1, false));
+        dantzig.touch(80);
+        table.cells[10] = None;
+        dantzig.touch(10);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((90, true)));
+        assert_eq!(table.take_priced(), 1 + 64);
+        // `arcs_scanned` counts every arc each selection covers.
+        assert_eq!(scanned, 7 * 200);
+        // An untouched change stays invisible until a reset.
+        table.cells[150] = Some((-8, true));
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((90, true)));
+        dantzig.reset(table.num_arcs());
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((150, true)));
+    }
+
+    #[test]
+    fn dantzig_merge_ties_go_to_the_lowest_arc() {
+        let mut table = Counted::new(128);
+        table.cells[40] = Some((-5, true));
+        let mut dantzig = DantzigBlocks::default();
+        let mut scanned = 0;
+        dantzig.reset(table.num_arcs());
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((40, true)));
+        // An equal violation at a higher index does not displace 40 ...
+        table.cells[50] = Some((-5, false));
+        dantzig.touch(50);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((40, true)));
+        // ... one at a lower index does, in either touch order.
+        table.cells[20] = Some((-5, false));
+        table.cells[30] = Some((-5, true));
+        dantzig.touch(30);
+        dantzig.touch(20);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((20, false)));
+        // A tie across blocks keeps the lower block's arc.
+        table.cells[64] = Some((-5, true));
+        dantzig.touch(64);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((20, false)));
+        assert_eq!(table.take_priced(), 128 + 1 + 2 + 1);
+        // Once 20 drops out, its block's re-price finds 30 next.
+        table.cells[20] = None;
+        dantzig.touch(20);
+        assert_eq!(dantzig.select(&table, &mut scanned), Some((30, true)));
     }
 
     #[test]

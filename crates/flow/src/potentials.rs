@@ -5,30 +5,44 @@
 //! gaps. The solvers therefore return potentials derived from the
 //! optimal flow alone: shortest-walk distances over the residual graph
 //! of the *real* arcs, from a virtual source joined to every node at
-//! zero cost (all labels start at 0; the optimal residual graph has no
-//! negative cycle). Shortest-path distances are unique, so any correct
-//! label-correcting order yields the same `i64` labels;
-//! [`CertificatePotentials`] uses a FIFO queue (Bellman–Ford–Moore,
-//! "SPFA"), which re-scans only the nodes whose label just dropped.
+//! zero cost (all labels start at 0). Shortest-path distances are
+//! unique, so any correct shortest-path method yields the same `i64`
+//! labels.
+//!
+//! [`CertificatePotentials`] runs one Dijkstra pass, made valid for
+//! negative costs by Johnson's reweighting with the optimal tree
+//! potentials `π`: every open residual arc has reduced cost
+//! `c + π(u) − π(v) ≥ 0` at optimality, so keys `label − π` never drop
+//! once settled. Tree arcs have reduced cost zero, so a settled node's
+//! zero-reduced-cost neighbours share its key and are settled at once,
+//! without a heap operation. The starting keys are sorted once, so only
+//! keys improved through a positive-reduced-cost arc go through a
+//! binary heap. Every open arc is scanned once, from its settled tail, which
+//! also checks the potentials: a negative reduced cost means `π` is not
+//! optimal for the flow.
 
 use crate::error::FlowError;
 use crate::topology::{CostLayer, NetworkTopology};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Label-correcting scratch kept across solves.
+/// Dijkstra scratch kept across solves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CertificatePotentials {
-    /// FIFO of nodes whose label dropped since their last scan.
-    queue: VecDeque<u32>,
-    /// Whether each node is in `queue`.
-    queued: Vec<bool>,
-    /// Times each node entered `queue`.
-    pushes: Vec<u32>,
+    /// Every node by its starting key `0 − π`, ascending.
+    starts: Vec<u32>,
+    /// Improved `(label − π, node)` keys, lazily deleted.
+    heap: BinaryHeap<Reverse<(i128, u32)>>,
+    /// Whether each node's label is final.
+    settled: Vec<bool>,
+    /// Settled nodes awaiting their scan, all at the current key.
+    level: Vec<u32>,
 }
 
 impl CertificatePotentials {
     /// Shortest-walk labels over the residual graph of `flow`, from
-    /// all-zero starts.
+    /// all-zero starts, with `pi` (one entry per public node at least)
+    /// as the Johnson reweighting.
     ///
     /// Residual traversability is dust-tolerant on *both* bounds: an arc
     /// within `dust` of its capacity has no forward residual arc and an
@@ -37,57 +51,92 @@ impl CertificatePotentials {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::BadInput`] when the residual graph has a
-    /// negative cycle (the flow is not optimal). FIFO order scans every
-    /// node at most once per Bellman–Ford pass and `nodes − 1` passes
-    /// settle every label, so a node queued more than `nodes` times
-    /// proves the cycle.
+    /// Returns [`FlowError::BadInput`] when an open residual arc has a
+    /// negative reduced cost under `pi` (the potentials do not certify
+    /// the flow as optimal).
     pub(crate) fn compute(
         &mut self,
         topo: &NetworkTopology,
         layer: &CostLayer,
         flow: &[f64],
+        pi: &[i128],
         dust: f64,
     ) -> Result<Vec<i64>, FlowError> {
-        let n = topo.num_nodes();
-        let m = topo.num_arcs();
+        let n = layer.supply.len();
         let mut dist = vec![0i64; n];
-        self.queue.clear();
-        self.queue.extend(0..n as u32);
-        self.queued.clear();
-        self.queued.resize(n, true);
-        self.pushes.clear();
-        self.pushes.resize(n, 1);
-        while let Some(u) = self.queue.pop_front() {
-            let u = u as usize;
-            self.queued[u] = false;
-            for &i in topo.adjacent(u) {
-                let i = i as usize;
-                if i >= 2 * m {
-                    continue; // super-source/sink arcs are not real arcs
+        self.settled.clear();
+        self.settled.resize(n, false);
+        self.level.clear();
+        self.heap.clear();
+        // Starting keys come sorted, so only improved keys pay for the
+        // heap; a start whose node was settled since is skipped.
+        self.starts.clear();
+        self.starts.extend(0..n as u32);
+        self.starts
+            .sort_unstable_by_key(|&v| Reverse(pi[v as usize]));
+        let mut next = 0;
+        loop {
+            while next < n && self.settled[self.starts[next] as usize] {
+                next += 1;
+            }
+            let start = self.starts.get(next).map(|&v| (-pi[v as usize], v));
+            let u = match (start, self.heap.peek()) {
+                (None, None) => break,
+                (Some((key, v)), top)
+                    if top.is_none_or(|&Reverse((improved, _))| improved >= key) =>
+                {
+                    next += 1;
+                    v
                 }
-                // Internal arc 2k runs along public arc k, 2k + 1 against it.
-                let k = i >> 1;
-                let (open, cost) = if i & 1 == 0 {
-                    (layer.caps[k] - flow[k] > dust, layer.costs[k])
-                } else {
-                    (flow[k] > dust, -layer.costs[k])
-                };
-                let v = topo.arc_to[i] as usize;
-                if !open || dist[u] + cost >= dist[v] {
-                    continue;
+                _ => {
+                    let Some(Reverse((_, u))) = self.heap.pop() else {
+                        unreachable!("the heap top was peeked")
+                    };
+                    if self.settled[u as usize] {
+                        continue; // a stale key
+                    }
+                    u
                 }
-                dist[v] = dist[u] + cost;
-                if !self.queued[v] {
-                    self.pushes[v] += 1;
-                    if self.pushes[v] as usize > n {
+            };
+            self.settled[u as usize] = true;
+            self.level.push(u);
+            // Scan the nodes settled at this key, settling the heads of
+            // zero-reduced-cost arcs on the spot.
+            while let Some(u) = self.level.pop() {
+                let u = u as usize;
+                for &i in topo.public_adjacent(u) {
+                    let (i, v) = (i as usize, topo.arc_to[i as usize] as usize);
+                    // Internal arc 2k runs along public arc k, 2k + 1
+                    // against it.
+                    let k = i >> 1;
+                    let (open, cost) = if i & 1 == 0 {
+                        (layer.caps[k] - flow[k] > dust, layer.costs[k])
+                    } else {
+                        (flow[k] > dust, -layer.costs[k])
+                    };
+                    if !open {
+                        continue;
+                    }
+                    let reduced = cost as i128 + pi[u] - pi[v];
+                    if reduced < 0 {
                         return Err(FlowError::BadInput {
-                            message: "residual graph of the optimal flow has a negative cycle"
+                            message: "an open residual arc of the optimal flow has a negative \
+                                      reduced cost"
                                 .to_owned(),
                         });
                     }
-                    self.queued[v] = true;
-                    self.queue.push_back(v as u32);
+                    let label = dist[u] + cost;
+                    if label >= dist[v] {
+                        continue;
+                    }
+                    // Settled labels are final, so `v` is unsettled here.
+                    dist[v] = label;
+                    if reduced == 0 {
+                        self.settled[v] = true;
+                        self.level.push(v as u32);
+                    } else {
+                        self.heap.push(Reverse((label as i128 - pi[v], v as u32)));
+                    }
                 }
             }
         }
@@ -103,8 +152,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The round-robin Bellman–Ford pass the queue replaced: relax every
-    /// residual arc in arc order until a round changes nothing.
+    /// The round-robin Bellman–Ford oracle: relax every residual arc in
+    /// arc order until a round changes nothing.
     fn round_robin(
         topo: &NetworkTopology,
         layer: &CostLayer,
@@ -167,11 +216,21 @@ mod tests {
         net
     }
 
+    fn widen(labels: &[i64]) -> Vec<i128> {
+        labels.iter().map(|&d| d as i128).collect()
+    }
+
+    fn is_bad_input<T: std::fmt::Debug>(result: &Result<T, FlowError>) -> bool {
+        matches!(result, Err(FlowError::BadInput { .. }))
+    }
+
     /// On seeded optimal flows, with bound-hugging arcs nudged to within
-    /// dust of their bounds, the queue reproduces the round-robin labels
-    /// exactly and certifies every residual arc.
+    /// dust of their bounds, Dijkstra under the optimal tree potentials
+    /// (and under any other feasible potentials) reproduces the
+    /// round-robin labels exactly and certifies every residual arc;
+    /// potentials that break one open arc are refused.
     #[test]
-    fn queue_matches_round_robin_on_optimal_flows() {
+    fn dijkstra_matches_round_robin_on_optimal_flows() {
         let mut rng = StdRng::seed_from_u64(17);
         let mut scratch = CertificatePotentials::default();
         let mut checked = 0;
@@ -184,9 +243,12 @@ mod tests {
             };
             let topo = solver.topology();
             let layer = solver.layer();
+            let tree_pi = solver.tree_potentials();
             let scale = layer.check_balance().unwrap().1;
             let dust = 1e-12 * scale;
-            let labels = scratch.compute(topo, layer, &sol.flows, dust).unwrap();
+            let labels = scratch
+                .compute(topo, layer, &sol.flows, tree_pi, dust)
+                .unwrap();
             assert_eq!(labels, sol.potentials, "the solver returns these labels");
             let mut flow = sol.flows.clone();
             for (k, f) in flow.iter_mut().enumerate() {
@@ -200,8 +262,12 @@ mod tests {
                 }
             }
             let want = round_robin(topo, layer, &flow, dust).unwrap();
-            let got = scratch.compute(topo, layer, &flow, dust).unwrap();
+            let got = scratch.compute(topo, layer, &flow, tree_pi, dust).unwrap();
             assert_eq!(got, want);
+            let again = scratch
+                .compute(topo, layer, &flow, &widen(&want), dust)
+                .unwrap();
+            assert_eq!(again, want, "the labels themselves are feasible potentials");
             for (k, &f) in flow.iter().enumerate() {
                 let (u, v) = topo.arc_endpoints(k);
                 let rc = layer.costs[k] + got[u] - got[v];
@@ -212,6 +278,13 @@ mod tests {
                     assert!(rc <= 0, "backward residual arc {k} has rc {rc}");
                 }
             }
+            // Node 0's ring arc 0 → 1 is uncapacitated, so it is always
+            // open; sinking π(0) gives it a negative reduced cost.
+            let mut broken = tree_pi.to_vec();
+            broken[0] -= 1 << 40;
+            assert!(is_bad_input(
+                &scratch.compute(topo, layer, &flow, &broken, dust)
+            ));
             checked += 1;
         }
         assert!(
@@ -223,7 +296,8 @@ mod tests {
     #[test]
     fn negative_residual_cycle_is_bad_input() {
         // Zero flow on a two-arc cycle of cost −1 each: both forward
-        // residual arcs are open and the cycle costs −2.
+        // residual arcs are open and the cycle costs −2, so every choice
+        // of potentials leaves one of them a negative reduced cost.
         let mut net = FlowNetwork::new(3);
         net.add_arc(0, 1, f64::INFINITY, -1).unwrap();
         net.add_arc(1, 0, 5.0, -1).unwrap();
@@ -231,21 +305,25 @@ mod tests {
         let (topo, layer) = net.freeze();
         let flow = vec![0.0; 3];
         let mut scratch = CertificatePotentials::default();
-        let err = scratch.compute(&topo, &layer, &flow, 1e-12).unwrap_err();
-        assert!(
-            matches!(&err, FlowError::BadInput { message } if message.contains("negative cycle")),
-            "{err:?}"
-        );
-        assert!(matches!(
-            round_robin(&topo, &layer, &flow, 1e-12),
-            Err(FlowError::BadInput { .. })
-        ));
+        for pi in [[0, 0, 0], [0, -1, 3], [-1, 0, 0]] {
+            let err = scratch
+                .compute(&topo, &layer, &flow, &pi, 1e-12)
+                .unwrap_err();
+            assert!(
+                matches!(&err, FlowError::BadInput { message } if message.contains("negative reduced cost")),
+                "{err:?}"
+            );
+        }
+        assert!(is_bad_input(&round_robin(&topo, &layer, &flow, 1e-12)));
         // Saturating the capacitated arc (to within dust) closes the
         // cycle's forward half; its backward residual arc costs +1.
         let flow = vec![0.0, 5.0 - 1e-13, 0.0];
+        let want = round_robin(&topo, &layer, &flow, 1e-12).unwrap();
         assert_eq!(
-            scratch.compute(&topo, &layer, &flow, 1e-12).unwrap(),
-            round_robin(&topo, &layer, &flow, 1e-12).unwrap()
+            scratch
+                .compute(&topo, &layer, &flow, &widen(&want), 1e-12)
+                .unwrap(),
+            want
         );
     }
 }

@@ -16,21 +16,27 @@
 //!   uncapacitated negative cycle signals unboundedness.
 //!
 //! **Per-pivot cost.** A pivot costs its pricing, the walk around the
-//! tree cycle, and one top-down walk of the moved subtree that
-//! re-derives its parents, depths and exact `i128` potentials (Király &
-//! Kovács, "Efficient implementations of minimum-cost flow algorithms",
-//! 2012). Only the moved subtree's potentials change, so only arcs
-//! incident to it (plus the entering and leaving arcs) can change
-//! eligibility: the subtree walk touches them, and Dantzig pricing
-//! re-prices just the dirty blocks of its block cache before taking the
-//! minimum over the block bests. A pivot thus costs dirty blocks +
-//! moved subtree + cycle instead of an O(arcs) scan (the pricing's
-//! `select` is generic over the pricing view, so the reduced-cost test
-//! inlines). The tree adjacency is patched in place: the leaving arc is
-//! removed from its endpoints' lists and the entering arc pushed. The
-//! O(arcs) `rebuild_tree` BFS runs only when a basis is installed (cold
-//! start, warm repair), and `bfs_order` is valid only right after such
-//! a rebuild. A rooted spanning tree determines its parents, depths and
+//! tree cycle, and the basis exchange (Király & Kovács, "Efficient
+//! implementations of minimum-cost flow algorithms", 2012). The tree is
+//! kept as child lists (`first_child`/`next_sib`/`prev_sib`). The
+//! exchange re-parents only the *stem*, the tree path from the entering
+//! arc's inner endpoint up to the node below the leaving arc; the rest
+//! of the moved subtree keeps its parents. Its potentials all shift by
+//! one exact `i128` amount σ (tree arcs inside it keep zero reduced
+//! cost), so one walk of the subtree adds σ and re-derives depths,
+//! without any per-node arc lookups. Only arcs with exactly one endpoint
+//! in the moved subtree change reduced cost, so the exchange touches
+//! just those boundary arcs (read from the topology's adjacency minus
+//! its `S`/`T` super arcs), the moved nodes' artificial arcs, and the
+//! entering arc; Dantzig pricing prices each touched arc alone and
+//! re-prices a whole 64-arc block only when the touched arc was that
+//! block's cached best. A pivot thus costs its boundary arcs, the few
+//! blocks whose best it touched, the moved subtree and the cycle
+//! instead of an O(arcs) scan (the pricing's `select` is generic over
+//! the pricing view, so the reduced-cost test inlines). The O(arcs)
+//! `rebuild_tree` BFS runs only when a basis is installed (cold start,
+//! warm repair), and `bfs_order` is valid only right after such a
+//! rebuild. A rooted spanning tree determines its parents, depths and
 //! potentials, so the incremental tree equals a rebuilt one and the
 //! pivot sequence is the one a rebuild after every pivot would give.
 //!
@@ -44,8 +50,8 @@
 //!
 //! Potentials are maintained in `i128` (one big-`M` artificial arc can
 //! appear on a tree path); the *returned* certificate potentials are
-//! recomputed cleanly from the optimal flow by a label-correcting queue
-//! ([`crate::potentials`]).
+//! recomputed cleanly from the optimal flow by one Dijkstra pass
+//! reweighted with the optimal tree potentials ([`crate::potentials`]).
 
 use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
@@ -54,8 +60,10 @@ use crate::potentials::CertificatePotentials;
 use crate::solver::{impl_instance_for_solver, McfInstance, McfSolver, SolverStats};
 use crate::topology::{CostLayer, NetworkTopology};
 use crate::ArcId;
-use std::collections::VecDeque;
 use std::sync::Arc as Shared;
+
+/// The empty link of the tree's child and sibling lists.
+const NONE: u32 = u32::MAX;
 
 /// Persistent primal network simplex backend.
 #[derive(Debug, Clone)]
@@ -77,14 +85,18 @@ pub struct SimplexSolver {
     parent_arc: Vec<usize>,
     depth: Vec<u32>,
     pi: Vec<i128>,
+    /// Each node's children, as a doubly linked sibling list (order
+    /// unspecified; `NONE` ends a list).
+    first_child: Vec<u32>,
+    next_sib: Vec<u32>,
+    prev_sib: Vec<u32>,
     /// Root-first BFS order of the tree. Valid only right after
     /// `rebuild_tree`: pivots re-hang subtrees without touching it.
     bfs_order: Vec<u32>,
-    /// Tree arcs incident to each node (order unspecified).
-    tree_adj: Vec<Vec<u32>>,
     visited: Vec<bool>,
-    /// BFS queue of the rebuild; stack of the subtree walk on pivots.
-    bfs_queue: VecDeque<usize>,
+    /// The subtree the last exchange moved, top-down, and its members.
+    subtree: Vec<u32>,
+    in_subtree: Vec<bool>,
     /// Cycle walks of the current pivot (taken/restored around borrows).
     cycle_va: Vec<usize>,
     cycle_vb: Vec<usize>,
@@ -198,10 +210,13 @@ impl SimplexSolver {
             parent_arc: vec![usize::MAX; num_nodes],
             depth: vec![0; num_nodes],
             pi: vec![0; num_nodes],
+            first_child: vec![NONE; num_nodes],
+            next_sib: vec![NONE; num_nodes],
+            prev_sib: vec![NONE; num_nodes],
             bfs_order: Vec::with_capacity(num_nodes),
-            tree_adj: vec![Vec::new(); num_nodes],
             visited: vec![false; num_nodes],
-            bfs_queue: VecDeque::with_capacity(num_nodes),
+            subtree: Vec::new(),
+            in_subtree: vec![false; num_nodes],
             cycle_va: Vec::new(),
             cycle_vb: Vec::new(),
             need: vec![0.0; num_nodes],
@@ -251,127 +266,170 @@ impl SimplexSolver {
             })
     }
 
-    /// Hangs node `w` from `u` through tree arc `k`: sets its parent,
-    /// depth and exact potential (tree arcs have zero reduced cost:
-    /// c + π(from) − π(to) = 0).
-    fn hang(&mut self, w: usize, u: usize, k: usize, big_m: i64) {
-        self.parent[w] = u;
-        self.parent_arc[w] = k;
-        self.depth[w] = self.depth[u] + 1;
+    /// The potential a node hung from `u` through tree arc `k` takes
+    /// (tree arcs have zero reduced cost: c + π(from) − π(to) = 0).
+    fn hung_potential(&self, u: usize, k: usize, big_m: i64) -> i128 {
         let c = self.arc_cost(k, big_m) as i128;
         let (from, _) = self.endpoints(k);
-        self.pi[w] = if from == u {
+        if from == u {
             self.pi[u] + c
         } else {
             self.pi[u] - c
-        };
+        }
     }
 
-    /// Rebuilds the tree adjacency and the parent/depth/potential arrays
+    /// Pushes `w` onto its parent's child list.
+    fn link(&mut self, w: usize) {
+        let p = self.parent[w];
+        let head = self.first_child[p];
+        self.next_sib[w] = head;
+        self.prev_sib[w] = NONE;
+        if head != NONE {
+            self.prev_sib[head as usize] = w as u32;
+        }
+        self.first_child[p] = w as u32;
+    }
+
+    /// Removes `w` from its parent's child list.
+    fn unlink(&mut self, w: usize) {
+        let (prev, next) = (self.prev_sib[w], self.next_sib[w]);
+        if prev == NONE {
+            self.first_child[self.parent[w]] = next;
+        } else {
+            self.next_sib[prev as usize] = next;
+        }
+        if next != NONE {
+            self.prev_sib[next as usize] = prev;
+        }
+    }
+
+    /// Rebuilds the child lists and the parent/depth/potential arrays
     /// from the current tree-arc set by BFS from the root, reusing
-    /// scratch buffers. O(arcs): for basis installs (cold, warm repair)
-    /// only; pivots use `exchange`.
+    /// scratch buffers. Each node's tree arcs are visited in ascending
+    /// arc index, which fixes `bfs_order` (the warm repair sums follow
+    /// it): a node's public arcs come in ascending order from
+    /// `public_adjacent`, its artificial arc (index above them all) only
+    /// leads back to the root, and the root's tree arcs are artificial
+    /// arcs, taken in node order. O(arcs): for basis installs (cold,
+    /// warm repair) only; pivots use `exchange`.
     fn rebuild_tree(&mut self, big_m: i64) {
-        let root = self.topo.num_nodes();
-        for adj in &mut self.tree_adj {
-            adj.clear();
-        }
-        for k in 0..self.flow.len() {
-            if self.in_tree[k] {
-                let (from, to) = self.endpoints(k);
-                self.tree_adj[from].push(k as u32);
-                self.tree_adj[to].push(k as u32);
-            }
-        }
-        self.parent.iter_mut().for_each(|p| *p = usize::MAX);
-        self.parent_arc.iter_mut().for_each(|p| *p = usize::MAX);
+        // A handle of its own, so the adjacency stays borrowed while
+        // `visit` mutates the solver.
+        let topo = Shared::clone(&self.topo);
+        let root = topo.num_nodes();
+        let m = topo.num_arcs();
+        self.parent.fill(usize::MAX);
+        self.parent_arc.fill(usize::MAX);
+        self.first_child.fill(NONE);
+        self.visited.fill(false);
         self.bfs_order.clear();
-        self.visited.iter_mut().for_each(|v| *v = false);
-        self.bfs_queue.clear();
         self.visited[root] = true;
         self.depth[root] = 0;
         self.pi[root] = 0;
-        self.bfs_queue.push_back(root);
-        while let Some(u) = self.bfs_queue.pop_front() {
-            self.bfs_order.push(u as u32);
-            for i in 0..self.tree_adj[u].len() {
-                let k = self.tree_adj[u][i] as usize;
-                let (from, to) = self.endpoints(k);
-                let w = if from == u { to } else { from };
-                if self.visited[w] {
-                    continue;
+        self.bfs_order.push(root as u32);
+        let mut head = 0;
+        while head < self.bfs_order.len() {
+            let u = self.bfs_order[head] as usize;
+            head += 1;
+            if u == root {
+                for v in 0..root {
+                    if self.in_tree[m + v] {
+                        self.visit(v, u, m + v, big_m);
+                    }
                 }
-                self.visited[w] = true;
-                self.hang(w, u, k, big_m);
-                self.bfs_queue.push_back(w);
+                continue;
+            }
+            for &i in topo.public_adjacent(u) {
+                let k = i as usize >> 1;
+                if self.in_tree[k] {
+                    self.visit(topo.arc_to[i as usize] as usize, u, k, big_m);
+                }
             }
         }
     }
 
-    /// Basis exchange of one pivot: tree arc `leaving` leaves and
-    /// `entering` joins. Removing `leaving` cuts off the subtree holding
-    /// `inner`; `entering` re-attaches it below `outer`. Only that
-    /// subtree is walked (once, top-down), re-deriving parents, depths
-    /// and potentials, so the cost is O(moved subtree) instead of a full
-    /// `rebuild_tree`. The result is the tree a rebuild would produce (a
-    /// rooted spanning tree determines its parents, depths and
-    /// potentials), so the pivot sequence does not depend on which of the
-    /// two maintained it. The walk touches, for the
-    /// pricing, every arc whose reduced cost the new potentials can move.
-    fn exchange(
-        &mut self,
-        entering: usize,
-        leaving: usize,
-        inner: usize,
-        outer: usize,
-        big_m: i64,
-    ) {
-        self.in_tree[leaving] = false;
+    /// One BFS step of `rebuild_tree`: unless `w` was reached already,
+    /// hangs it from `u` through tree arc `k` (parent, depth, exact
+    /// potential, child link) and queues it.
+    fn visit(&mut self, w: usize, u: usize, k: usize, big_m: i64) {
+        if self.visited[w] {
+            return;
+        }
+        self.visited[w] = true;
+        self.parent[w] = u;
+        self.parent_arc[w] = k;
+        self.depth[w] = self.depth[u] + 1;
+        self.pi[w] = self.hung_potential(u, k, big_m);
+        self.link(w);
+        self.bfs_order.push(w as u32);
+    }
+
+    /// Basis exchange of one pivot: the parent arc of `top` leaves the
+    /// tree and `entering` joins. Removing the leaving arc cuts off the
+    /// subtree under `top`, which holds `inner`; `entering` re-attaches
+    /// it below `outer`, rooted at `inner`.
+    ///
+    /// Only the stem `inner → … → top` changes parents: each stem node's
+    /// old parent becomes its child through the same arc. Every
+    /// potential of the moved subtree shifts by the same σ, so one
+    /// top-down walk adds σ and re-derives depths. The result is the
+    /// tree a rebuild would produce (a rooted spanning tree determines
+    /// its parents, depths and potentials), so the pivot sequence does
+    /// not depend on which of the two maintained it.
+    ///
+    /// Then the exchange touches, for the pricing, every non-tree arc
+    /// with exactly one endpoint in the moved subtree, which includes
+    /// the leaving arc: arcs inside it keep their reduced costs, and
+    /// arcs outside it keep their potentials.
+    fn exchange(&mut self, entering: usize, top: usize, inner: usize, outer: usize, big_m: i64) {
+        self.in_tree[self.parent_arc[top]] = false;
         self.in_tree[entering] = true;
-        let (lfrom, lto) = self.endpoints(leaving);
-        for end in [lfrom, lto] {
-            let adj = &mut self.tree_adj[end];
-            let at = adj
-                .iter()
-                .position(|&k| k as usize == leaving)
-                .expect("the leaving arc is a tree arc");
-            adj.swap_remove(at);
+        let sigma = self.hung_potential(outer, entering, big_m) - self.pi[inner];
+        // Reverse the stem: `w` hangs from `p` through `arc`.
+        let (mut w, mut p, mut arc) = (inner, outer, entering);
+        loop {
+            let (old_parent, old_arc) = (self.parent[w], self.parent_arc[w]);
+            self.unlink(w);
+            self.parent[w] = p;
+            self.parent_arc[w] = arc;
+            self.link(w);
+            if w == top {
+                break;
+            }
+            (w, p, arc) = (old_parent, w, old_arc);
         }
-        let (efrom, eto) = self.endpoints(entering);
-        self.tree_adj[efrom].push(entering as u32);
-        self.tree_adj[eto].push(entering as u32);
-        self.hang(inner, outer, entering, big_m);
-        self.bfs_queue.clear();
-        self.bfs_queue.push_back(inner);
-        while let Some(u) = self.bfs_queue.pop_back() {
-            self.touch_node(u);
-            for i in 0..self.tree_adj[u].len() {
-                let k = self.tree_adj[u][i] as usize;
-                if k == self.parent_arc[u] {
-                    continue;
-                }
-                let (from, to) = self.endpoints(k);
-                let w = if from == u { to } else { from };
-                self.hang(w, u, k, big_m);
-                self.bfs_queue.push_back(w);
+        // Walk the moved subtree top-down (the list is its own queue).
+        self.subtree.clear();
+        self.subtree.push(inner as u32);
+        let mut head = 0;
+        while head < self.subtree.len() {
+            let w = self.subtree[head] as usize;
+            head += 1;
+            self.depth[w] = self.depth[self.parent[w]] + 1;
+            self.pi[w] += sigma;
+            self.in_subtree[w] = true;
+            let mut child = self.first_child[w];
+            while child != NONE {
+                self.subtree.push(child);
+                child = self.next_sib[child as usize];
             }
         }
-    }
-
-    /// Touches the non-tree arcs incident to re-hung node `w`: its public
-    /// arcs (internal arc `i < 2m` of the topology is public arc
-    /// `i >> 1`) and its artificial arc `m + w`. Tree arcs are never
-    /// eligible, so they need no re-price.
-    fn touch_node(&mut self, w: usize) {
         let m = self.topo.num_arcs();
-        for &i in self.topo.adjacent(w) {
-            let i = i as usize;
-            if i < 2 * m && !self.in_tree[i >> 1] {
-                self.dantzig.touch(i >> 1);
+        for &w in &self.subtree {
+            let w = w as usize;
+            for &i in self.topo.public_adjacent(w) {
+                let (k, other) = (i as usize >> 1, self.topo.arc_to[i as usize]);
+                if !self.in_subtree[other as usize] && !self.in_tree[k] {
+                    self.dantzig.touch(k);
+                }
+            }
+            // The artificial arc's other end is the root, never moved.
+            if !self.in_tree[m + w] {
+                self.dantzig.touch(m + w);
             }
         }
-        if !self.in_tree[m + w] {
-            self.dantzig.touch(m + w);
+        for &w in &self.subtree {
+            self.in_subtree[w as usize] = false;
         }
     }
 
@@ -578,8 +636,9 @@ impl SimplexSolver {
                 self.flow[entering]
             };
             let mut delta = entering_residual;
-            // The leaving arc, and the entering endpoint on its subtree
-            // side: `v` when it lies on the v-side walk, `u` otherwise.
+            // The node below the leaving arc, and the entering endpoint
+            // on its side: `v` when it lies on the v-side walk, `u`
+            // otherwise.
             let mut leaving: Option<(usize, usize)> = None;
             let (mut a_node, mut b_node) = (v, u);
             // Walk both endpoints to the LCA, measuring residuals.
@@ -609,7 +668,7 @@ impl SimplexSolver {
                 };
                 if residual < delta {
                     delta = residual;
-                    leaving = Some((k, v));
+                    leaving = Some((w, v));
                 }
             }
             for &w in &vb {
@@ -623,7 +682,7 @@ impl SimplexSolver {
                 };
                 if residual < delta {
                     delta = residual;
-                    leaving = Some((k, u));
+                    leaving = Some((w, u));
                 }
             }
             if delta.is_infinite() {
@@ -660,12 +719,12 @@ impl SimplexSolver {
             // Replace the leaving arc with the entering one (when the
             // entering arc itself saturated, the tree is unchanged and
             // the entering arc's flow is the only eligibility input that
-            // moved, so it is the only touch).
+            // moved, so it is the only touch; otherwise the exchange
+            // touches the leaving arc among the boundary arcs).
             self.dantzig.touch(entering);
-            if let Some((k, inner)) = leaving {
+            if let Some((top, inner)) = leaving {
                 let outer = if inner == v { u } else { v };
-                self.exchange(entering, k, inner, outer, big_m);
-                self.dantzig.touch(k);
+                self.exchange(entering, top, inner, outer, big_m);
                 #[cfg(test)]
                 self.assert_tree_matches_rebuild(big_m);
             }
@@ -706,9 +765,13 @@ impl SimplexSolver {
         // The tree potentials contain big-M offsets from artificial arcs,
         // which amplify floating-point supply dust into visible duality
         // gaps; return clean ones recomputed from the optimal flow.
-        let clean =
-            self.certificate
-                .compute(&self.topo, &self.layer, &self.flow[..m], 1e-12 * scale)?;
+        let clean = self.certificate.compute(
+            &self.topo,
+            &self.layer,
+            &self.flow[..m],
+            &self.pi,
+            1e-12 * scale,
+        )?;
         self.has_state = true;
         self.stats.pivots += pivots;
         self.stats.arcs_scanned += scanned;
@@ -790,6 +853,8 @@ mod tests {
         static TREE_CHECKS: Cell<usize> = const { Cell::new(0) };
         /// Dantzig selections cross-checked on this test thread.
         static PRICING_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Nodes moved by the exchanges cross-checked on this thread.
+        static MOVED_NODES: Cell<usize> = const { Cell::new(0) };
     }
 
     impl SimplexSolver {
@@ -803,12 +868,33 @@ mod tests {
             assert_eq!(self.parent_arc, fresh.parent_arc, "parent_arc");
             assert_eq!(self.depth, fresh.depth, "depth");
             assert_eq!(self.pi, fresh.pi, "pi");
-            for (kept, rebuilt) in self.tree_adj.iter().zip(&fresh.tree_adj) {
-                let mut kept = kept.clone();
-                kept.sort_unstable();
-                assert_eq!(&kept, rebuilt, "tree_adj");
+            for u in 0..self.parent.len() {
+                assert_eq!(self.children(u), fresh.children(u), "children of {u}");
             }
+            assert!(self.in_subtree.iter().all(|&b| !b), "membership cleared");
             TREE_CHECKS.with(|c| c.set(c.get() + 1));
+            MOVED_NODES.with(|c| c.set(c.get() + self.subtree.len()));
+        }
+
+        /// The children of `u`, sorted, after checking that the sibling
+        /// links agree both ways.
+        fn children(&self, u: usize) -> Vec<u32> {
+            let mut out = Vec::new();
+            let (mut prev, mut child) = (NONE, self.first_child[u]);
+            while child != NONE {
+                assert_eq!(self.prev_sib[child as usize], prev, "prev_sib of {child}");
+                assert_eq!(self.parent[child as usize], u, "parent of {child}");
+                out.push(child);
+                (prev, child) = (child, self.next_sib[child as usize]);
+            }
+            out.sort_unstable();
+            out
+        }
+
+        /// The tree potentials of the last solve (big-`M` offsets and
+        /// all), for the certificate tests.
+        pub(crate) fn tree_potentials(&self) -> &[i128] {
+            &self.pi
         }
 
         /// Compares a block-cached Dantzig selection with a fresh
@@ -895,6 +981,65 @@ mod tests {
         assert!(repairs > 0, "no warm repair brought artificial arcs back");
         assert!(TREE_CHECKS.with(Cell::get) > checks_before + 100);
         assert!(PRICING_CHECKS.with(Cell::get) > pricing_before + 50);
+
+        // A deep case: a grid 4 wide and 100 levels long, fed at the
+        // first level and drained at the last, so optimal trees run the
+        // grid's length and warm re-solves after cost changes re-hang
+        // deep subtrees, where the σ shift and the boundary touches
+        // cover many nodes per exchange.
+        let (width, levels) = (4, 100);
+        let node = |l: usize, i: usize| l * width + i;
+        let mut net = FlowNetwork::new(width * levels);
+        let mut total = 0.0;
+        for v in 1..width * levels {
+            let s = rng.gen_range(-1.0..1.0);
+            net.set_supply(v, s);
+            total += s;
+        }
+        net.set_supply(0, -total);
+        for l in 0..levels - 1 {
+            for i in 0..width {
+                for j in i.saturating_sub(1)..(i + 2).min(width) {
+                    net.add_arc(
+                        node(l, i),
+                        node(l + 1, j),
+                        f64::INFINITY,
+                        rng.gen_range(1..20),
+                    )
+                    .unwrap();
+                    net.add_arc(
+                        node(l + 1, j),
+                        node(l, i),
+                        f64::INFINITY,
+                        rng.gen_range(1..20),
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        let mut solver = SimplexSolver::new(&net);
+        solver.set_warm_start(true);
+        solver.solve().unwrap();
+        let (checks_cold, moved_cold) = (TREE_CHECKS.with(Cell::get), MOVED_NODES.with(Cell::get));
+        for _ in 0..6 {
+            let m = solver.num_arcs();
+            for k in 0..m {
+                if rng.gen_bool(0.5) {
+                    solver
+                        .layer_mut()
+                        .set_cost(k, rng.gen_range(1..20))
+                        .unwrap();
+                }
+            }
+            solver.solve().unwrap();
+        }
+        let exchanges = TREE_CHECKS.with(Cell::get) - checks_cold;
+        let moved = MOVED_NODES.with(Cell::get) - moved_cold;
+        assert!(exchanges >= 20, "{exchanges} warm exchanges");
+        assert!(
+            moved >= 50 * exchanges,
+            "{moved} nodes over {exchanges} exchanges"
+        );
     }
 
     #[test]

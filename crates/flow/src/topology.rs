@@ -133,6 +133,13 @@ impl NetworkTopology {
         &self.adj_list[self.adj_start[u] as usize..self.adj_start[u + 1] as usize]
     }
 
+    /// The public residual arcs at public node `u`, in ascending
+    /// public-arc index: its adjacency without the two super arcs
+    /// (`S→u` backward, `u→T` forward) that `build` appends last.
+    pub(crate) fn public_adjacent(&self, u: usize) -> &[u32] {
+        &self.adj_list[self.adj_start[u] as usize..self.adj_start[u + 1] as usize - 2]
+    }
+
     /// Tail node of internal arc `i`.
     pub(crate) fn arc_from(&self, i: usize) -> usize {
         self.arc_to[i ^ 1] as usize
@@ -285,6 +292,8 @@ mod tests {
         // super arcs (S→1 backward, 1→T forward).
         let adj: Vec<usize> = topo.adjacent(1).iter().map(|&a| a as usize).collect();
         assert_eq!(adj, vec![1, 2, topo.source_arc(1) + 1, topo.sink_arc(1)]);
+        assert_eq!(topo.public_adjacent(1), &[1, 2]);
+        assert_eq!(topo.public_adjacent(2), &[3]);
         // Every node's paired arc is its xor-1 neighbour.
         for i in 0..topo.internal_arcs() {
             assert_eq!(topo.arc_from(i), topo.arc_to[i ^ 1] as usize);

@@ -1,8 +1,9 @@
 //! Command-line output checks for the `mft` binary.
 
 use minflotransit::circuit::C17_BENCH;
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn c17_file() -> PathBuf {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_c17.bench");
@@ -36,6 +37,44 @@ fn size_prints_the_timing_engine_line_once() {
             "{extra:?}:\n{stdout}"
         );
     }
+}
+
+/// `mft serve` on stdin answers a line nested far past the JSON
+/// reader's depth bound (200 KB of `[`) with an error, serves the next
+/// request, and exits 0 at EOF.
+#[test]
+fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
+    let bench = c17_file();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mft"))
+        .arg("serve")
+        .arg(&bench)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let input = format!("{}\n{{\"type\":\"stats\"}}\n", "[".repeat(200_000));
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with("{\"type\":\"error\"") && lines[0].contains("nesting deeper"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].starts_with("{\"type\":\"stats\""), "{}", lines[1]);
 }
 
 /// `--flow` accepts only `simplex`; each removed backend name fails

@@ -7,7 +7,7 @@
 use minflotransit::circuit::C17_BENCH;
 use minflotransit::core::{
     extract_error_code, extract_id, CircuitServer, LineClient, LoadRequest, Request, RequestFrame,
-    Response, ServerConfig, ServerListener, SessionConfig,
+    Response, ServerConfig, ServerListener, SessionConfig, WriterHold,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -321,9 +321,13 @@ fn line_for<'a>(responses: &'a [(String, String)], id: &str) -> &'a str {
 /// the reader or dropping the connection — and drains back to healthy.
 #[test]
 fn full_queue_answers_busy_and_recovers() {
+    // The test holds the writer, so the admitted sweep stays in flight
+    // until the reader has answered the line behind it.
+    let hold = WriterHold::new();
     let (server, addr, runner) = start_tcp(ServerConfig {
         max_queue_depth: 1,
         session: SessionConfig::warm(),
+        hold_writer: Some(hold.clone()),
         ..Default::default()
     });
     let mut client = LineClient::connect(addr).unwrap();
@@ -337,10 +341,8 @@ fn full_queue_answers_busy_and_recovers() {
     })
     .for_circuit("c17")
     .with_id("admitted");
-    // …and everything behind it is rejected, not queued. Both lines go
-    // out in one write, so the server reads the second from its buffer
-    // while the sweep is still in flight instead of waiting on the
-    // socket (a c17 sweep can finish within one read wake-up).
+    // …and everything behind it is rejected, not queued, while the
+    // held sweep occupies the writer.
     let size = RequestFrame::new(Request::Size {
         spec: Some(0.8),
         target: None,
@@ -356,16 +358,41 @@ fn full_queue_answers_busy_and_recovers() {
         ))
         .unwrap();
 
-    let responses = recv_by_id(&mut client, 2);
+    let responses = recv_by_id(&mut client, 1);
     let busy = line_for(&responses, "rejected");
     assert_eq!(extract_error_code(busy).as_deref(), Some("busy"), "{busy}");
     assert!(busy.contains("queue_depth"), "{busy}");
+    hold.release();
+    let responses = recv_by_id(&mut client, 1);
     let swept = line_for(&responses, "admitted");
     assert!(swept.contains("\"type\":\"sweep\""), "{swept}");
 
     // The queue drained: the same request is now admitted and served.
     let line = client.call(&size.with_id("retry")).unwrap();
     assert!(line.contains("\"type\":\"size\""), "{line}");
+    shut_down(addr, &server, runner);
+}
+
+/// A line nested far past the JSON reader's depth bound (200 KB of `[`,
+/// well under `max_line_bytes`) answers an error instead of overflowing
+/// the connection thread's stack, and the same connection goes on
+/// serving the loaded circuit.
+#[test]
+fn deeply_nested_line_answers_an_error_and_the_connection_survives() {
+    let (server, addr, runner) = start_tcp(ServerConfig::default());
+    let mut client = LineClient::connect(addr).unwrap();
+    let line = client.call(&load_c17("c17")).unwrap();
+    assert!(line.contains("\"type\":\"loaded\""), "{line}");
+    client.send_raw(&"[".repeat(200_000)).unwrap();
+    let line = client.recv().unwrap().expect("connection must stay open");
+    assert!(
+        line.starts_with("{\"type\":\"error\"") && line.contains("nesting deeper"),
+        "{line}"
+    );
+    let line = client
+        .call(&RequestFrame::new(Request::Stats).for_circuit("c17"))
+        .unwrap();
+    assert!(line.contains("\"type\":\"stats\""), "{line}");
     shut_down(addr, &server, runner);
 }
 
