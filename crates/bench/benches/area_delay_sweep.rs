@@ -1,7 +1,7 @@
-//! Criterion bench of the persistent sweep engine: an ISCAS-scale
-//! 8-point area–delay sweep, cold per-point path vs the warm engine
-//! (TILOS trajectory + shared solvers + simplex tree reuse) vs the warm
-//! engine with worker threads.
+//! Criterion bench of session sweeps: an ISCAS-scale 8-point area–delay
+//! sweep on a fresh session per run, cold per-point path vs the warm
+//! preset (TILOS trajectory + shared solvers + simplex tree reuse) vs
+//! the warm preset with worker threads.
 //!
 //! Set `MFT_BENCH_SMOKE=1` to run at the vendored harness's minimum
 //! sample count (two samples plus one calibration iteration per
@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mft_circuit::SizingMode;
-use mft_core::{MinflotransitConfig, SizingProblem, SweepEngine, SweepOptions, SweepOutcome};
+use mft_core::{SessionConfig, SizingProblem, SweepOutcome};
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use std::hint::black_box;
@@ -36,19 +36,17 @@ fn bench_sweep(c: &mut Criterion) {
         .expect("prepares");
     let mut group = c.benchmark_group("area_delay_sweep");
     group.sample_size(if smoke() { 1 } else { 10 });
-    let configs: Vec<(&str, SweepOptions)> = vec![
-        (
-            "cold_per_point",
-            SweepOptions::cold_with(MinflotransitConfig::default()),
-        ),
-        ("warm", SweepOptions::warm()),
-        ("warm_jobs4", SweepOptions::warm().with_jobs(4)),
+    let configs = [
+        ("cold_per_point", SessionConfig::cold()),
+        ("warm", SessionConfig::warm()),
+        ("warm_jobs4", SessionConfig::warm().with_jobs(4)),
     ];
-    for (tag, options) in configs {
-        group.bench_with_input(BenchmarkId::new(tag, SPECS.len()), &options, |b, opts| {
+    for (tag, config) in configs {
+        group.bench_with_input(BenchmarkId::new(tag, SPECS.len()), &config, |b, config| {
             b.iter(|| {
-                let outcomes = SweepEngine::new(&problem, opts.clone())
-                    .run(&SPECS)
+                let outcomes = problem
+                    .session(config.clone())
+                    .sweep(&SPECS)
                     .expect("sweep succeeds");
                 black_box(total_area(&outcomes))
             })

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mft_circuit::SizingMode;
-use mft_core::{area_delay_curve, MinflotransitConfig, SizingProblem};
+use mft_core::{SessionConfig, SizingProblem};
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use std::hint::black_box;
@@ -16,12 +16,13 @@ fn bench_fig7_points(c: &mut Criterion) {
     let tech = Technology::cmos_130nm();
     let problem =
         SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds");
-    let config = MinflotransitConfig::default();
     for spec in [0.8, 0.6, 0.45] {
         group.bench_function(format!("c432_point_{spec}"), |b| {
             b.iter(|| {
-                let outcomes =
-                    area_delay_curve(&problem, black_box(&[spec]), &config).expect("sweep runs");
+                let outcomes = problem
+                    .session(SessionConfig::cold())
+                    .sweep(black_box(&[spec]))
+                    .expect("sweep runs");
                 black_box(outcomes.len())
             })
         });

@@ -9,7 +9,7 @@
 //! Usage: `ablation [--circuit NAME]` (default c880-like)
 
 use mft_circuit::SizingMode;
-use mft_core::{MinflotransitConfig, SizingProblem};
+use mft_core::{MinflotransitConfig, SessionConfig, SizingProblem};
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use mft_sta::BalanceStyle;
@@ -92,7 +92,14 @@ fn main() {
 
     println!("\n## TILOS bump factor (seed quality; paper uses 1.1)");
     for bump in [1.05, 1.1, 1.3, 1.5] {
-        match problem.tilos_with(target, bump) {
+        let tilos = TilosConfig {
+            bump_factor: bump,
+            ..Default::default()
+        };
+        match problem
+            .session(SessionConfig::cold().with_tilos(tilos))
+            .tilos_to(target)
+        {
             Ok(seed) => {
                 let t0 = Instant::now();
                 match mft_core::Minflotransit::default().optimize_from(
@@ -114,5 +121,4 @@ fn main() {
             Err(e) => println!("bump = {bump}: TILOS failed: {e}"),
         }
     }
-    let _ = TilosConfig::default();
 }

@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use mft_circuit::SizingMode;
-use mft_core::{area_delay_curve, MinflotransitConfig, SizingProblem, SweepOutcome};
+use mft_core::{MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome};
 use mft_delay::{DelayModel, Technology};
 use mft_gen::{random_circuit, Benchmark, RandomCircuitConfig};
 use mft_sta::{BalanceStyle, BalancedConfig};
@@ -274,7 +274,10 @@ pub fn run_fig7(quick: bool) -> Result<Fig7Report, String> {
         let netlist = bench.generate().map_err(|e| e.to_string())?;
         let problem =
             SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).map_err(|e| e.to_string())?;
-        let outcomes = area_delay_curve(&problem, &specs, &config).map_err(|e| e.to_string())?;
+        let outcomes = problem
+            .into_session(SessionConfig::cold_with(config.clone()))
+            .sweep(&specs)
+            .map_err(|e| e.to_string())?;
         curves.push((bench.name().to_owned(), outcomes));
     }
     Ok(Fig7Report { curves })

@@ -26,21 +26,47 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// Returns [`CircuitError::Parse`] on malformed lines,
+/// Returns [`CircuitError::Parse`] on malformed lines and on a signal
+/// defined twice (by two gates, two `INPUT`s, or one of each),
 /// [`CircuitError::UnsupportedCell`] on sequential cells, and
 /// [`CircuitError::UnknownSignal`] when a referenced signal is never
-/// defined.
+/// defined or only defined through a cycle.
+///
+/// Gate definitions may appear in any order; time and memory are
+/// linear in the text (plus a sort of the definitions). Gates are
+/// created in the order of the historical "resolve every definable
+/// gate, pass after pass, until quiescent" reader, so gate ids do not
+/// depend on the algorithm: definition `d` would resolve in pass
+/// `p(d) = max(1, max over its arguments a of p(a) + [a is defined
+/// after d])` (primary inputs have `p = 0`), and gates are created by
+/// `(p(d), line)`. An in-order file therefore gets its gates in file
+/// order.
 pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
-    // First pass: collect inputs, outputs, and gate definitions.
-    struct GateDef {
+    // First pass: collect inputs, outputs, and gate definitions, and
+    // number every defined signal.
+    struct GateDef<'a> {
         line: usize,
-        out: String,
+        out: &'a str,
         cell: String,
-        args: Vec<String>,
+        args: Vec<&'a str>,
     }
     let mut inputs = Vec::new();
     let mut outputs = Vec::new();
     let mut defs: Vec<GateDef> = Vec::new();
+    // `slot[name]` numbers a defined signal; `producer[slot]` is the
+    // index of its gate definition, `None` for a primary input.
+    let mut slot: HashMap<&str, usize> = HashMap::new();
+    let mut producer: Vec<Option<usize>> = Vec::new();
+    let mut define = |signal, by, line| {
+        if slot.insert(signal, producer.len()).is_some() {
+            return Err(CircuitError::Parse {
+                line,
+                message: format!("signal `{signal}` is defined twice"),
+            });
+        }
+        producer.push(by);
+        Ok(())
+    };
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
         let stripped = match raw.find('#') {
@@ -52,11 +78,12 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
             continue;
         }
         if let Some(arg) = parse_directive(stripped, "INPUT") {
-            inputs.push(arg.to_owned());
+            define(arg, None, line)?;
+            inputs.push(arg);
             continue;
         }
         if let Some(arg) = parse_directive(stripped, "OUTPUT") {
-            outputs.push(arg.to_owned());
+            outputs.push(arg);
             continue;
         }
         let Some(eq) = stripped.find('=') else {
@@ -65,7 +92,7 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
                 message: format!("expected `name = CELL(args)`, found `{stripped}`"),
             });
         };
-        let out = stripped[..eq].trim().to_owned();
+        let out = stripped[..eq].trim();
         let rhs = stripped[eq + 1..].trim();
         let Some(open) = rhs.find('(') else {
             return Err(CircuitError::Parse {
@@ -82,9 +109,9 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
             });
         };
         let cell = rhs[..open].trim().to_ascii_uppercase();
-        let args: Vec<String> = rhs[open + 1..close]
+        let args: Vec<&str> = rhs[open + 1..close]
             .split(',')
-            .map(|a| a.trim().to_owned())
+            .map(str::trim)
             .filter(|a| !a.is_empty())
             .collect();
         if args.is_empty() {
@@ -93,6 +120,7 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
                 message: format!("cell `{cell}` has no arguments"),
             });
         }
+        define(out, Some(defs.len()), line)?;
         defs.push(GateDef {
             line,
             out,
@@ -101,67 +129,105 @@ pub fn parse_bench(name: &str, text: &str) -> Result<Netlist, CircuitError> {
         });
     }
 
-    let mut b = NetlistBuilder::new(name);
-    let mut signal: HashMap<String, NetId> = HashMap::new();
-    for input in &inputs {
-        let id = b.input(input.clone());
-        signal.insert(input.clone(), id);
-    }
-    // Gate definitions may be out of order; iterate until quiescent.
-    let mut remaining: Vec<&GateDef> = defs.iter().collect();
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        let mut next = Vec::new();
-        for def in remaining {
-            let resolved: Option<Vec<NetId>> =
-                def.args.iter().map(|a| signal.get(a).copied()).collect();
-            match resolved {
-                Some(args) => {
-                    let kind = cell_kind(&def.cell, args.len(), def.line)?;
-                    let out = match kind {
-                        // 1-input pass-throughs that some files use.
-                        None => args[0],
-                        Some(kind) => b.named_gate(kind, &args, Some(def.out.clone())).map_err(
-                            |e| match e {
-                                CircuitError::BadArity {
-                                    expected, found, ..
-                                } => CircuitError::Parse {
-                                    line: def.line,
-                                    message: format!(
-                                        "cell `{}` expects {expected} args, found {found}",
-                                        def.cell
-                                    ),
-                                },
-                                other => other,
-                            },
-                        )?,
-                    };
-                    signal.insert(def.out.clone(), out);
+    // Resolve by a worklist: each definition waits on its arguments
+    // that are gate outputs (forever on undefined ones), and becomes
+    // ready once all of them are ready. `pass[d]` is the historical
+    // pass number (see above).
+    let arg_slots: Vec<Vec<Option<usize>>> = defs
+        .iter()
+        .map(|def| def.args.iter().map(|a| slot.get(a).copied()).collect())
+        .collect();
+    let mut pass = vec![0usize; defs.len()];
+    let mut waiting = vec![0usize; defs.len()];
+    let mut waiters: Vec<Vec<usize>> = vec![Vec::new(); defs.len()];
+    let mut ready = Vec::new();
+    for (d, slots) in arg_slots.iter().enumerate() {
+        for s in slots {
+            match s.map(|s| producer[s]) {
+                Some(None) => {}
+                Some(Some(e)) => {
+                    waiting[d] += 1;
+                    waiters[e].push(d);
                 }
-                None => next.push(def),
+                None => waiting[d] += 1,
             }
         }
-        if next.len() == before {
-            // No progress: some signal is genuinely undefined.
-            let def = next[0];
-            let missing = def
-                .args
-                .iter()
-                .find(|a| !signal.contains_key(*a))
-                .expect("unresolved definition has a missing argument");
-            return Err(CircuitError::UnknownSignal {
-                name: missing.clone(),
-            });
+        if waiting[d] == 0 {
+            ready.push(d);
         }
-        remaining = next;
     }
-    for output in &outputs {
-        let Some(&net) = signal.get(output) else {
+    let mut resolved = Vec::with_capacity(defs.len());
+    while let Some(d) = ready.pop() {
+        pass[d] = arg_slots[d]
+            .iter()
+            .filter_map(|&s| producer[s.expect("a ready gate's arguments are defined")])
+            .map(|e| pass[e] + usize::from(e > d))
+            .fold(1, usize::max);
+        resolved.push(d);
+        for &w in &waiters[d] {
+            waiting[w] -= 1;
+            if waiting[w] == 0 {
+                ready.push(w);
+            }
+        }
+    }
+    resolved.sort_unstable_by_key(|&d| (pass[d], d));
+
+    let mut b = NetlistBuilder::new(name);
+    // The net of each signal slot, once created.
+    let mut net: Vec<Option<NetId>> = vec![None; producer.len()];
+    for &input in &inputs {
+        net[slot[input]] = Some(b.input(input));
+    }
+    for &d in &resolved {
+        let def = &defs[d];
+        let args: Vec<NetId> = arg_slots[d]
+            .iter()
+            .map(|s| {
+                s.and_then(|s| net[s])
+                    .expect("a ready gate's arguments are built")
+            })
+            .collect();
+        let out = match cell_kind(&def.cell, args.len(), def.line)? {
+            // 1-input pass-throughs that some files use.
+            None => args[0],
+            Some(kind) => b
+                .named_gate(kind, &args, Some(def.out.to_owned()))
+                .map_err(|e| match e {
+                    CircuitError::BadArity {
+                        expected, found, ..
+                    } => CircuitError::Parse {
+                        line: def.line,
+                        message: format!(
+                            "cell `{}` expects {expected} args, found {found}",
+                            def.cell
+                        ),
+                    },
+                    other => other,
+                })?,
+        };
+        net[slot[def.out]] = Some(out);
+    }
+    let net_of = |signal: &str| slot.get(signal).and_then(|&s| net[s]);
+    // A definition left over waits on an undefined signal or sits on a
+    // cycle: report the first one's first missing argument.
+    if let Some(def) = defs.iter().find(|def| net_of(def.out).is_none()) {
+        let missing = def
+            .args
+            .iter()
+            .find(|a| net_of(a).is_none())
+            .expect("unresolved definition has a missing argument");
+        return Err(CircuitError::UnknownSignal {
+            name: (*missing).to_owned(),
+        });
+    }
+    for output in outputs {
+        let Some(net) = net_of(output) else {
             return Err(CircuitError::UnknownSignal {
-                name: output.clone(),
+                name: output.to_owned(),
             });
         };
-        b.output(net, output.clone());
+        b.output(net, output);
     }
     b.finish()
 }
@@ -432,5 +498,30 @@ y = NAND(a, b, c, d, e)
         let n = parse_bench("wide", text).unwrap();
         let p = n.expand_to_primitives().unwrap();
         assert!(p.is_primitive());
+    }
+
+    /// Leftover definitions report the first one's first missing argument,
+    /// and a signal defined twice is a line-numbered parse error.
+    #[test]
+    fn unresolved_and_duplicate_definitions_are_reported() {
+        let cycle = "INPUT(a)\nOUTPUT(y)\ny = NAND(a, x)\nx = NOT(y)\nz = NOT(ghost)\n";
+        assert!(matches!(
+            parse_bench("cycle", cycle),
+            Err(CircuitError::UnknownSignal { name }) if name == "x"
+        ));
+        for (text, line) in [
+            ("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(a)\n", 4),
+            ("INPUT(a)\nOUTPUT(a)\na = NOT(a)\n", 3),
+            ("y = NOT(a)\nINPUT(a)\nINPUT(y)\n", 3),
+            ("INPUT(a)\nINPUT(a)\n", 2),
+        ] {
+            match parse_bench("dup", text) {
+                Err(CircuitError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{text:?}");
+                    assert!(message.contains("defined twice"), "{message}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! deadline. The token is cloned into whatever thread runs the sizing
 //! and polled at iteration boundaries — the D/W loop between phases,
 //! the TILOS bump loop every few hundred bumps, the flow solvers
-//! between pivots, and the sweep engine between spec points. A positive
+//! between pivots, and a session sweep between spec points. A positive
 //! poll surfaces as `MftError::Cancelled` (or the per-crate equivalent)
 //! carrying whatever partial progress the loop had made.
 //!

@@ -1,14 +1,14 @@
-//! Area–delay trade-off sweeps (the paper's Figure 7).
+//! Area–delay trade-off curves (the paper's Figure 7).
 //!
-//! For a sequence of delay specifications `T/D_min`, size the circuit with
-//! both TILOS and MINFLOTRANSIT and record area ratios normalized to the
-//! minimum-sized circuit — the exact quantities plotted in Figure 7.
+//! For a sequence of delay specifications `T/D_min`, a
+//! [`SizingSession::sweep`](crate::SizingSession::sweep) sizes the
+//! circuit with both TILOS and MINFLOTRANSIT and records area ratios
+//! normalized to the minimum-sized circuit — the exact quantities
+//! plotted in Figure 7. This module holds the point type and its text
+//! and CSV renderings.
 
 use crate::dphase::DPhaseStats;
-use crate::error::MftError;
-use crate::optimizer::{MinflotransitConfig, WPhaseStats};
-use crate::pipeline::SizingProblem;
-use crate::sweep::{SweepEngine, SweepOptions};
+use crate::optimizer::WPhaseStats;
 use mft_sta::TimingStats;
 use mft_tilos::SensitivityStats;
 
@@ -76,26 +76,6 @@ pub enum SweepOutcome {
         /// Best achieved delay / `D_min`.
         best_ratio: f64,
     },
-}
-
-/// Sweeps the area–delay curve of a prepared problem over the given
-/// `T/D_min` specifications, one cold per-point pipeline run each —
-/// the historical deterministic path, now a thin wrapper over a cold
-/// [`SweepEngine`]. Use the engine directly (or
-/// [`SizingProblem::sweep`]) for warm-started and multi-threaded
-/// sweeps.
-///
-/// # Errors
-///
-/// Returns the first *unexpected* error (anything but a TILOS
-/// infeasibility, which is reported per-point as
-/// [`SweepOutcome::Unreachable`]).
-pub fn area_delay_curve(
-    problem: &SizingProblem,
-    specs: &[f64],
-    config: &MinflotransitConfig,
-) -> Result<Vec<SweepOutcome>, MftError> {
-    SweepEngine::new(problem, SweepOptions::cold_with(config.clone())).run(specs)
 }
 
 /// Renders sweep outcomes as an aligned text table (one row per spec),
@@ -224,16 +204,22 @@ pub fn curve_to_csv(outcomes: &[SweepOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SessionConfig, SizingProblem};
     use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
     use mft_delay::Technology;
 
+    fn cold_c17_sweep(specs: &[f64]) -> Vec<SweepOutcome> {
+        let netlist = parse_bench("c17", C17_BENCH).unwrap();
+        SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate)
+            .unwrap()
+            .into_session(SessionConfig::cold())
+            .sweep(specs)
+            .unwrap()
+    }
+
     #[test]
     fn c17_curve_shapes() {
-        let netlist = parse_bench("c17", C17_BENCH).unwrap();
-        let problem =
-            SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
-        let outcomes =
-            area_delay_curve(&problem, &[0.9, 0.8, 0.7], &MinflotransitConfig::default()).unwrap();
+        let outcomes = cold_c17_sweep(&[0.9, 0.8, 0.7]);
         assert_eq!(outcomes.len(), 3);
         let mut last_tilos = 0.0;
         for o in &outcomes {
@@ -268,11 +254,7 @@ mod tests {
 
     #[test]
     fn unreachable_specs_are_reported() {
-        let netlist = parse_bench("c17", C17_BENCH).unwrap();
-        let problem =
-            SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
-        let outcomes =
-            area_delay_curve(&problem, &[0.05], &MinflotransitConfig::default()).unwrap();
+        let outcomes = cold_c17_sweep(&[0.05]);
         assert!(matches!(outcomes[0], SweepOutcome::Unreachable { .. }));
         let table = format_curve("c17", &outcomes);
         assert!(table.contains("unreachable"));
@@ -282,11 +264,7 @@ mod tests {
     /// with a status column instead of silently dropping them.
     #[test]
     fn csv_emits_unreachable_rows() {
-        let netlist = parse_bench("c17", C17_BENCH).unwrap();
-        let problem =
-            SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
-        let outcomes =
-            area_delay_curve(&problem, &[0.8, 0.05], &MinflotransitConfig::default()).unwrap();
+        let outcomes = cold_c17_sweep(&[0.8, 0.05]);
         let csv = curve_to_csv(&outcomes);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3, "header + one row per spec:\n{csv}");

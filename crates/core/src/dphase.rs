@@ -130,7 +130,7 @@ impl DPhaseStats {
 
     /// The increments since `baseline` (an earlier snapshot of the same
     /// solver) — per-run attribution when one persistent solver is
-    /// shared across optimizer runs, e.g. by a sweep engine.
+    /// shared across optimizer runs, e.g. by a session sweep.
     pub fn since(&self, baseline: &DPhaseStats) -> DPhaseStats {
         DPhaseStats {
             backend: self.backend,

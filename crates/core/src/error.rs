@@ -1,8 +1,7 @@
 //! The unified error type of the MINFLOTRANSIT service layer.
 //!
 //! Every `mft-core` entry point — [`crate::SizingSession`] requests,
-//! [`crate::SizingProblem`] methods, [`crate::SweepEngine`] runs, the
-//! line protocol — returns [`MftError`]; lower-layer errors
+//! [`crate::SizingProblem`] methods, the line protocol — returns [`MftError`]; lower-layer errors
 //! ([`TilosError`], [`StaError`], [`FlowError`], [`SmpError`],
 //! [`DelayError`], [`CircuitError`]) are wrapped as variants with
 //! `source()` chaining, so callers juggle one error type and can still
@@ -18,7 +17,7 @@ use mft_tilos::TilosError;
 use std::error::Error;
 
 /// Errors produced by the `mft-core` service layer ([`crate::SizingSession`],
-/// [`crate::SizingProblem`], [`crate::Minflotransit`], [`crate::SweepEngine`]).
+/// [`crate::SizingProblem`], [`crate::Minflotransit`]).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MftError {

@@ -40,8 +40,9 @@
 //! legacy call (see the [`session`-module exactness
 //! notes](SizingSession) and `tests/session_golden.rs`). Configuration
 //! is one builder, [`SessionConfig`], with [`SessionConfig::warm`] /
-//! [`SessionConfig::cold`] presets subsuming the historical
-//! [`MinflotransitConfig`] + [`SweepOptions`] + TILOS-knob sprawl.
+//! [`SessionConfig::cold`] presets over the optimizer
+//! ([`MinflotransitConfig`]) and TILOS knobs, the reuse levers and the
+//! sweep worker count.
 //!
 //! ```
 //! use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
@@ -83,12 +84,14 @@
 //! # One-shot convenience API
 //!
 //! [`SizingProblem`] keeps the historical "just size my circuit" calls
-//! ([`SizingProblem::minflotransit`], [`SizingProblem::tilos`],
-//! [`SizingProblem::sweep`], [`area_delay_curve`]); each is a thin
-//! wrapper that runs one request through the session runner with fresh
-//! warm state, so the two APIs cannot drift apart. [`SweepEngine`]
-//! remains the parallel sweep front end (one hermetic worker per spec
-//! chunk) and is likewise implemented on the session runner.
+//! ([`SizingProblem::minflotransit`] / [`SizingProblem::minflotransit_with`],
+//! [`SizingProblem::minflotransit_power`], [`SizingProblem::tilos`]);
+//! each is a thin wrapper that runs one request through the session
+//! runners with fresh warm state, so the two APIs cannot drift apart.
+//! Sweeps — serial or across worker threads — go through
+//! [`SizingSession::sweep`]. [`Minflotransit`] alone is the D/W
+//! relaxation from a caller-provided start
+//! ([`Minflotransit::optimize_from`]).
 //!
 //! # Migration
 //!
@@ -99,10 +102,8 @@
 //! | `SizingProblem::prepare(..)?` + repeated `problem.minflotransit(t)` | `SizingSession::prepare(.., SessionConfig::warm())?` + `session.size_to(t)` |
 //! | `problem.minflotransit_with(t, config)` | `SizingSession::new(problem, SessionConfig::warm_with(config))` + `size_to(t)` |
 //! | `problem.tilos(t)` | `session.tilos_to(t)` |
-//! | `SweepEngine::new(&problem, SweepOptions::warm()).run(&specs)` | `session.sweep(&specs)` |
-//! | `area_delay_curve(&problem, &specs, &config)` | `SessionConfig::cold_with(config)` + `session.sweep(&specs)` |
 //! | `problem.delay_of(&sizes)` / `problem.area_of(&sizes)` | `session.what_if(&sizes, target)` |
-//! | `MinflotransitConfig` + `SweepOptions` + `TilosConfig` juggling | one [`SessionConfig`] builder |
+//! | `MinflotransitConfig` + `TilosConfig` juggling | one [`SessionConfig`] builder |
 //! | `TilosError` / `MftError` juggling | every session/problem method returns [`MftError`] |
 //!
 //! Semantics: results are bit-identical between the two columns under
@@ -125,10 +126,9 @@ mod protocol;
 mod report;
 mod server;
 mod session;
-mod sweep;
 
 pub use cancel::CancelToken;
-pub use curve::{area_delay_curve, curve_to_csv, format_curve, CurvePoint, SweepOutcome};
+pub use curve::{curve_to_csv, format_curve, CurvePoint, SweepOutcome};
 pub use dphase::{
     solve_dphase, DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, DPhaseStats,
 };
@@ -144,6 +144,6 @@ pub use protocol::{
 pub use report::SizingReport;
 pub use server::{CircuitServer, LineClient, ServerConfig, ServerListener, WriterHold};
 pub use session::{
-    PowerSolution, ReadView, SessionConfig, SessionStats, SizingSession, WhatIfReport,
+    PowerSolution, ReadView, SessionConfig, SessionStats, SizingSession, SweepWarmStart,
+    WhatIfReport,
 };
-pub use sweep::{SweepEngine, SweepOptions, SweepWarmStart};

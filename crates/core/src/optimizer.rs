@@ -7,10 +7,8 @@ use crate::error::MftError;
 use mft_circuit::{SizingDag, VertexId};
 use mft_delay::{DelayModel, DiffScratch};
 use mft_smp::SmpSolver;
-use mft_sta::{
-    critical_path, BalanceStyle, BalancedConfig, IncrementalConfig, IncrementalTiming, TimingStats,
-};
-use mft_tilos::{SensitivityStats, TilosConfig, TilosTrajectory};
+use mft_sta::{BalanceStyle, BalancedConfig, IncrementalConfig, IncrementalTiming, TimingStats};
+use mft_tilos::{SensitivityStats, TilosConfig};
 use std::time::Duration;
 
 /// Configuration of the MINFLOTRANSIT loop.
@@ -170,7 +168,7 @@ pub struct SizingSolution {
     pub initial_area: f64,
     /// Number of D/W iterations performed.
     pub iterations: usize,
-    /// Bumps used by the internal TILOS seed (0 when a start was given).
+    /// Bumps used by the TILOS seed (0 when a start was given).
     pub tilos_bumps: usize,
     /// Per-iteration statistics.
     pub history: Vec<IterationStats>,
@@ -182,10 +180,10 @@ pub struct SizingSolution {
     /// Cumulative W-phase (SMP) statistics of this run.
     pub wphase_stats: WPhaseStats,
     /// Cumulative timing-engine work of this run (full passes,
-    /// incremental waves, arrival evaluations), including the internal
-    /// TILOS seed's engine when [`Minflotransit::optimize`] ran it.
+    /// incremental waves, arrival evaluations), including the TILOS
+    /// seed's engine when the full pipeline ran it.
     pub timing_stats: TimingStats,
-    /// Sensitivity-cache counters of the internal TILOS seed (all
+    /// Sensitivity-cache counters of the TILOS seed (all
     /// zeros when a start was given or the cache is off).
     pub sensitivity_stats: SensitivityStats,
 }
@@ -210,10 +208,11 @@ impl SizingSolution {
 /// All three are target-independent — only costs, bounds, supplies and
 /// delays change between iterations *and between delay targets* — so an
 /// area–delay sweep can run every point through one context instead of
-/// rebuilding the solvers per point ([`crate::SweepEngine`] does exactly
-/// that, one context per worker). The timing engine runs at tolerance
-/// `0.0`, so carrying its state across points never changes a result
-/// (every critical-path value is bit-identical to a cold recomputation).
+/// rebuilding the solvers per point (a [`crate::SizingSession`] sweep
+/// does exactly that, one context per worker). The timing engine runs
+/// at tolerance `0.0`, so carrying its state across points never
+/// changes a result (every critical-path value is bit-identical to a
+/// cold recomputation).
 #[derive(Debug)]
 pub struct SolverContext {
     dphase: DPhaseSolver,
@@ -317,12 +316,14 @@ impl SolverContext {
     }
 }
 
-/// The MINFLOTRANSIT optimizer (§2.4):
+/// The MINFLOTRANSIT D/W relaxation (§2.4): from a sizing that meets
+/// the target, alternate the D-phase (min-cost-flow budget
+/// redistribution) and the W-phase (SMP minimum-area resize) until the
+/// area improvement after a W-phase is negligible.
 ///
-/// 1. size the circuit to meet the delay target with TILOS;
-/// 2. alternate the D-phase (min-cost-flow budget redistribution) and the
-///    W-phase (SMP minimum-area resize);
-/// 3. stop when the area improvement after a W-phase is negligible.
+/// The full pipeline — TILOS seed first, then this loop — is
+/// [`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit)
+/// or a [`SizingSession`](crate::SizingSession).
 #[derive(Debug, Clone, Default)]
 pub struct Minflotransit {
     config: MinflotransitConfig,
@@ -337,126 +338,6 @@ impl Minflotransit {
     /// The configuration in use.
     pub fn config(&self) -> &MinflotransitConfig {
         &self.config
-    }
-
-    /// Runs the full pipeline: TILOS seed, then iterative relaxation.
-    ///
-    /// # Errors
-    ///
-    /// * [`MftError::InitialSizing`] if TILOS cannot meet `target`;
-    /// * solver errors from the D- or W-phase (not expected on well-formed
-    ///   inputs).
-    pub fn optimize<M: DelayModel>(
-        &self,
-        dag: &SizingDag,
-        model: &M,
-        target: f64,
-    ) -> Result<SizingSolution, MftError> {
-        let (min_size, _) = model.size_bounds();
-        let min_sizes = vec![min_size; dag.num_vertices()];
-        let dmin = critical_path(dag, &model.delays(&min_sizes))?;
-        if dmin <= target {
-            // The minimum-sized circuit already meets timing — it is the
-            // global optimum of problem (1).
-            let area = model.area(&min_sizes);
-            return Ok(SizingSolution {
-                sizes: min_sizes,
-                area,
-                achieved_delay: dmin,
-                initial_area: area,
-                iterations: 0,
-                tilos_bumps: 0,
-                history: Vec::new(),
-                dphase_stats: DPhaseStats::default(),
-                wphase_stats: WPhaseStats::default(),
-                timing_stats: TimingStats::default(),
-                sensitivity_stats: SensitivityStats::default(),
-            });
-        }
-        // Run the TILOS seed as a one-point trajectory so its
-        // incremental-timing counters fold into the solution's.
-        let mut seed_traj = TilosTrajectory::new(dag, model, self.config.tilos.clone())?;
-        let seed = seed_traj.advance_to(target)?;
-        let seed_timing = seed_traj.timing_stats();
-        let bumps = seed.bumps;
-        let mut solution = self.optimize_from(dag, model, target, seed.sizes)?;
-        solution.tilos_bumps = bumps;
-        solution.timing_stats = solution.timing_stats.merged(&seed_timing);
-        solution.sensitivity_stats = seed_traj.sensitivity_stats();
-        Ok(solution)
-    }
-
-    /// Like [`Minflotransit::optimize`], but polling `token` at every
-    /// TILOS bump batch, every D/W iteration boundary, and between flow
-    /// pivots inside the D-phase. A fired token surfaces as
-    /// [`MftError::Cancelled`] carrying the progress made so far.
-    ///
-    /// # Errors
-    ///
-    /// As [`Minflotransit::optimize`], plus [`MftError::Cancelled`].
-    pub fn optimize_with_cancel<M: DelayModel>(
-        &self,
-        dag: &SizingDag,
-        model: &M,
-        target: f64,
-        token: &CancelToken,
-    ) -> Result<SizingSolution, MftError> {
-        let (min_size, _) = model.size_bounds();
-        let min_sizes = vec![min_size; dag.num_vertices()];
-        let dmin = critical_path(dag, &model.delays(&min_sizes))?;
-        if dmin <= target {
-            let area = model.area(&min_sizes);
-            return Ok(SizingSolution {
-                sizes: min_sizes,
-                area,
-                achieved_delay: dmin,
-                initial_area: area,
-                iterations: 0,
-                tilos_bumps: 0,
-                history: Vec::new(),
-                dphase_stats: DPhaseStats::default(),
-                wphase_stats: WPhaseStats::default(),
-                timing_stats: TimingStats::default(),
-                sensitivity_stats: SensitivityStats::default(),
-            });
-        }
-        let mut seed_traj = TilosTrajectory::new(dag, model, self.config.tilos.clone())?;
-        let seed = match seed_traj.advance_to_with(target, Some(token)) {
-            Ok(seed) => seed,
-            // The seed's cancel must not masquerade as "target
-            // unreachable" via the `From<TilosError>` wrapper.
-            Err(mft_tilos::TilosError::Cancelled { bumps, .. }) => {
-                return Err(MftError::Cancelled {
-                    iterations: 0,
-                    tilos_bumps: bumps,
-                })
-            }
-            Err(e) => return Err(MftError::InitialSizing(e)),
-        };
-        let seed_timing = seed_traj.timing_stats();
-        let bumps = seed.bumps;
-        let mut context = SolverContext::new(&self.config, dag, model)?;
-        let mut solution = match self.optimize_from_with_cancel(
-            &mut context,
-            dag,
-            model,
-            target,
-            seed.sizes,
-            token,
-        ) {
-            Ok(solution) => solution,
-            Err(MftError::Cancelled { iterations, .. }) => {
-                return Err(MftError::Cancelled {
-                    iterations,
-                    tilos_bumps: bumps,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        solution.tilos_bumps = bumps;
-        solution.timing_stats = solution.timing_stats.merged(&seed_timing);
-        solution.sensitivity_stats = seed_traj.sensitivity_stats();
-        Ok(solution)
     }
 
     /// Runs the iterative relaxation from a caller-provided sizing that
@@ -475,14 +356,20 @@ impl Minflotransit {
         initial_sizes: Vec<f64>,
     ) -> Result<SizingSolution, MftError> {
         let mut context = SolverContext::new(&self.config, dag, model)?;
-        self.optimize_from_with(&mut context, dag, model, target, initial_sizes)
+        self.optimize_from_with(&mut context, dag, model, target, initial_sizes, None)
     }
 
     /// Like [`Minflotransit::optimize_from`], but running through a
     /// caller-held [`SolverContext`] so the persistent D-phase and SMP
-    /// solvers survive across runs (the sweep engine's per-worker
-    /// amortization). The context must have been built for the same
-    /// `dag`/`model` and an equivalent configuration.
+    /// solvers survive across runs. The context must have been built
+    /// for the same `dag`/`model` and an equivalent configuration.
+    ///
+    /// With a `token`, the run polls it at the top of every D/W
+    /// iteration and between flow pivots inside each D-phase solve (a
+    /// probe is installed on the context's flow backend for the
+    /// duration of the call and removed afterwards). A fired token
+    /// surfaces as [`MftError::Cancelled`] carrying the number of
+    /// completed iterations; the context stays usable.
     ///
     /// The returned [`SizingSolution::dphase_stats`] covers only this
     /// run's increments.
@@ -491,7 +378,7 @@ impl Minflotransit {
     ///
     /// As [`Minflotransit::optimize_from`]; additionally
     /// [`MftError::ShapeMismatch`] when the context was built for a
-    /// different DAG size.
+    /// different DAG size, and [`MftError::Cancelled`].
     pub fn optimize_from_with<M: DelayModel>(
         &self,
         context: &mut SolverContext,
@@ -499,31 +386,11 @@ impl Minflotransit {
         model: &M,
         target: f64,
         initial_sizes: Vec<f64>,
+        token: Option<&CancelToken>,
     ) -> Result<SizingSolution, MftError> {
-        self.optimize_loop(context, dag, model, target, initial_sizes, None)
-    }
-
-    /// Like [`Minflotransit::optimize_from_with`], but polling `token`
-    /// at the top of every D/W iteration and between flow pivots inside
-    /// each D-phase solve (a probe is installed on the context's flow
-    /// backend for the duration of the call and removed afterwards). A
-    /// fired token surfaces as [`MftError::Cancelled`] carrying the
-    /// number of completed iterations; the context stays usable — its
-    /// warm state is invalidated, so the next solve runs cold.
-    ///
-    /// # Errors
-    ///
-    /// As [`Minflotransit::optimize_from_with`], plus
-    /// [`MftError::Cancelled`].
-    pub fn optimize_from_with_cancel<M: DelayModel>(
-        &self,
-        context: &mut SolverContext,
-        dag: &SizingDag,
-        model: &M,
-        target: f64,
-        initial_sizes: Vec<f64>,
-        token: &CancelToken,
-    ) -> Result<SizingSolution, MftError> {
+        let Some(token) = token else {
+            return self.optimize_loop(context, dag, model, target, initial_sizes, None);
+        };
         context.dphase.set_cancel_probe(Some(token.flow_probe()));
         let result = self.optimize_loop(context, dag, model, target, initial_sizes, Some(token));
         // Always unhook the probe — the token outlives this call only
@@ -753,16 +620,12 @@ impl Minflotransit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mft_circuit::{GateKind, Netlist, NetlistBuilder};
-    use mft_delay::{apply_default_loads, LinearDelayModel, Technology};
-    use mft_tilos::minimum_sized_delay;
+    use crate::pipeline::SizingProblem;
+    use mft_circuit::{GateKind, Netlist, NetlistBuilder, SizingMode};
+    use mft_delay::Technology;
 
-    fn setup(netlist: &mut Netlist) -> (SizingDag, LinearDelayModel) {
-        let tech = Technology::cmos_130nm();
-        apply_default_loads(netlist, &tech);
-        let dag = SizingDag::gate_mode(netlist).unwrap();
-        let model = LinearDelayModel::elmore(netlist, &dag, &tech).unwrap();
-        (dag, model)
+    fn setup(netlist: &Netlist) -> SizingProblem {
+        SizingProblem::prepare(netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap()
     }
 
     /// The paper's Figure 6 motif: driver A feeds parallel gates B and C.
@@ -783,26 +646,18 @@ mod tests {
 
     #[test]
     fn loose_target_returns_minimum_sizes() {
-        let mut n = fig6();
-        let (dag, model) = setup(&mut n);
-        let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let sol = Minflotransit::default()
-            .optimize(&dag, &model, dmin * 2.0)
-            .unwrap();
+        let problem = setup(&fig6());
+        let sol = problem.minflotransit(problem.dmin() * 2.0).unwrap();
         assert_eq!(sol.iterations, 0);
-        assert_eq!(sol.sizes, vec![1.0; dag.num_vertices()]);
+        assert_eq!(sol.sizes, vec![1.0; problem.dag().num_vertices()]);
         assert_eq!(sol.area_saving_percent(), 0.0);
     }
 
     #[test]
-    fn improves_on_tilos_without_breaking_timing() {
-        let mut n = fig6();
-        let (dag, model) = setup(&mut n);
-        let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let target = 0.6 * dmin;
-        let sol = Minflotransit::default()
-            .optimize(&dag, &model, target)
-            .unwrap();
+    fn improves_on_the_tilos_seed_and_keeps_timing() {
+        let problem = setup(&fig6());
+        let target = 0.6 * problem.dmin();
+        let sol = problem.minflotransit(target).unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
         assert!(
             sol.area <= sol.initial_area + 1e-9,
@@ -815,21 +670,24 @@ mod tests {
 
     #[test]
     fn infeasible_start_is_rejected() {
-        let mut n = fig6();
-        let (dag, model) = setup(&mut n);
-        let dmin = minimum_sized_delay(&dag, &model).unwrap();
+        let problem = setup(&fig6());
+        let (dag, model) = (problem.dag(), problem.model());
         let err = Minflotransit::default()
-            .optimize_from(&dag, &model, 0.5 * dmin, vec![1.0; dag.num_vertices()])
+            .optimize_from(
+                dag,
+                model,
+                0.5 * problem.dmin(),
+                vec![1.0; dag.num_vertices()],
+            )
             .unwrap_err();
         assert!(matches!(err, MftError::InfeasibleStart { .. }));
     }
 
     #[test]
     fn shape_mismatch_is_rejected() {
-        let mut n = fig6();
-        let (dag, model) = setup(&mut n);
+        let problem = setup(&fig6());
         let err = Minflotransit::default()
-            .optimize_from(&dag, &model, 100.0, vec![1.0])
+            .optimize_from(problem.dag(), problem.model(), 100.0, vec![1.0])
             .unwrap_err();
         assert!(matches!(err, MftError::ShapeMismatch { .. }));
     }
@@ -855,13 +713,9 @@ mod tests {
             layer = next;
         }
         b.output(layer[0], "root");
-        let mut n = b.finish().unwrap();
-        let (dag, model) = setup(&mut n);
-        let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let target = 0.72 * dmin;
-        let sol = Minflotransit::default()
-            .optimize(&dag, &model, target)
-            .unwrap();
+        let problem = setup(&b.finish().unwrap());
+        let target = 0.72 * problem.dmin();
+        let sol = problem.minflotransit(target).unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
         let mut last = sol.initial_area;
         for step in &sol.history {

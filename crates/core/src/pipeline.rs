@@ -3,7 +3,7 @@
 //! by the examples and experiment harnesses.
 //!
 //! Every sizing method here is a thin wrapper over the session request
-//! runner ([`crate::SizingSession`] uses the same functions), run with
+//! runners ([`crate::SizingSession`] uses the same functions), run with
 //! fresh one-shot warm state — so the legacy one-call API and the
 //! session-served API cannot drift apart, and the historical results
 //! stay bit-identical. Callers answering more than one query over the
@@ -160,23 +160,9 @@ impl SizingProblem {
     ///
     /// [`MftError::InitialSizing`] when the target is unreachable.
     pub fn tilos(&self, target: f64) -> Result<TilosResult, MftError> {
-        self.tilos_with(target, mft_tilos::TilosConfig::default().bump_factor)
-    }
-
-    /// Sizes with TILOS using a custom bump factor (the paper uses 1.1).
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingProblem::tilos`].
-    pub fn tilos_with(&self, target: f64, bump_factor: f64) -> Result<TilosResult, MftError> {
-        let tilos = mft_tilos::TilosConfig {
-            bump_factor,
-            ..Default::default()
-        };
-        let config = SessionConfig::cold().with_tilos(tilos);
         let (seed, _, _) = session::tilos_point(
             self,
-            &config,
+            &SessionConfig::cold(),
             &mut None,
             &mut SessionCounters::default(),
             target,
@@ -257,21 +243,6 @@ impl SizingProblem {
     /// statistics (cold/warm solve counts, flow time).
     pub fn report(&self, solution: &crate::SizingSolution, target: f64) -> crate::SizingReport {
         crate::SizingReport::for_solution(self, solution, target)
-    }
-
-    /// Sweeps the area–delay curve over `T/D_min` specifications
-    /// through a [`SweepEngine`](crate::SweepEngine) with the given
-    /// options (warm starts, worker count).
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::SweepEngine::run`].
-    pub fn sweep(
-        &self,
-        specs: &[f64],
-        options: crate::SweepOptions,
-    ) -> Result<Vec<crate::SweepOutcome>, MftError> {
-        crate::SweepEngine::new(self, options).run(specs)
     }
 
     /// Critical-path delay of an arbitrary sizing of this problem.

@@ -828,26 +828,10 @@ impl CircuitServer {
             }
         }
         let weight = request_weight(&request);
-        let prev = target.depth.fetch_add(weight, Ordering::Relaxed);
-        // Admit whenever the queue was empty — a single request
-        // heavier than the whole bound must still be servable — but
-        // once anything is queued, the bound is a hard ceiling.
-        if prev > 0 && prev + weight > self.config.max_queue_depth {
-            target.depth.fetch_sub(weight, Ordering::Relaxed);
-            return Some(Response::coded_error(
-                ErrorCode::Busy { queue_depth: prev },
-                format!(
-                    "circuit queue is full ({prev} of {} weighted units); retry with backoff",
-                    self.config.max_queue_depth
-                ),
-            ));
-        }
-        // Clamp before converting: a hostile-but-valid `deadline_ms`
-        // like 1e300 must not overflow the Duration/Instant arithmetic
-        // (≈ 31 years is "unbounded" for any practical purpose).
-        let deadline = deadline_ms
-            .or(self.config.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0));
+        let deadline = match self.reserve(&target.depth, weight, "circuit queue", deadline_ms) {
+            Ok(deadline) => deadline,
+            Err(busy) => return Some(busy),
+        };
         let job = Job::Serve {
             id,
             request,
@@ -879,20 +863,10 @@ impl CircuitServer {
         reply: &mpsc::Sender<String>,
     ) -> Option<Response> {
         let weight = read_request_weight(&request);
-        let prev = pool.depth.fetch_add(weight, Ordering::Relaxed);
-        if prev > 0 && prev + weight > self.config.max_queue_depth {
-            pool.depth.fetch_sub(weight, Ordering::Relaxed);
-            return Some(Response::coded_error(
-                ErrorCode::Busy { queue_depth: prev },
-                format!(
-                    "circuit read queue is full ({prev} of {} weighted units); retry with backoff",
-                    self.config.max_queue_depth
-                ),
-            ));
-        }
-        let deadline = deadline_ms
-            .or(self.config.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0));
+        let deadline = match self.reserve(&pool.depth, weight, "circuit read queue", deadline_ms) {
+            Ok(deadline) => deadline,
+            Err(busy) => return Some(busy),
+        };
         let job = ReadJob {
             id,
             request,
@@ -908,6 +882,38 @@ impl CircuitServer {
                 ))
             }
         }
+    }
+
+    /// Charges `weight` against a queue's `depth` gauge and resolves the
+    /// request's deadline, or answers a coded `busy` naming the `queue`
+    /// (the gauge is left as it was). A request is admitted whenever
+    /// the queue was empty — a single request heavier than the whole
+    /// bound must still be servable — but once anything is queued,
+    /// `max_queue_depth` is a hard ceiling.
+    fn reserve(
+        &self,
+        depth: &AtomicUsize,
+        weight: usize,
+        queue: &str,
+        deadline_ms: Option<f64>,
+    ) -> Result<Option<Instant>, Response> {
+        let prev = depth.fetch_add(weight, Ordering::Relaxed);
+        if prev > 0 && prev + weight > self.config.max_queue_depth {
+            depth.fetch_sub(weight, Ordering::Relaxed);
+            return Err(Response::coded_error(
+                ErrorCode::Busy { queue_depth: prev },
+                format!(
+                    "{queue} is full ({prev} of {} weighted units); retry with backoff",
+                    self.config.max_queue_depth
+                ),
+            ));
+        }
+        // Clamp before converting: a hostile-but-valid `deadline_ms`
+        // like 1e300 must not overflow the Duration/Instant arithmetic
+        // (≈ 31 years is "unbounded" for any practical purpose).
+        Ok(deadline_ms
+            .or(self.config.default_deadline_ms)
+            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0)))
     }
 
     /// Drives one connection in **strict request order**: each line's
@@ -1144,11 +1150,6 @@ impl CircuitServer {
     }
 }
 
-/// Validates a client-controlled circuit name. Names end up in thread
-/// names, the registry map and `list` lines; anything that could
-/// panic the thread spawn (interior NUL bytes) or garble line-oriented
-/// output (control characters) is rejected — crucially *before* any
-/// registry lock is taken, so a hostile name can never poison it.
 /// Maps the legacy `tech` short forms onto registry corner names so
 /// historical `{"tech":"130"}` loads keep resolving.
 fn canonical_tech(name: &str) -> &str {
@@ -1160,6 +1161,11 @@ fn canonical_tech(name: &str) -> &str {
     }
 }
 
+/// Validates a client-controlled circuit name. Names end up in thread
+/// names, the registry map and `list` lines; anything that could
+/// panic the thread spawn (interior NUL bytes) or garble line-oriented
+/// output (control characters) is rejected — crucially *before* any
+/// registry lock is taken, so a hostile name can never poison it.
 fn invalid_name(name: &str) -> Option<Response> {
     if name.is_empty() || name.len() > 128 || name.chars().any(char::is_control) {
         Some(Response::error(
@@ -1278,9 +1284,8 @@ fn replica_loop(
     }
 }
 
-/// Serves one dequeued read on a replica, with the same fault fences
-/// (and identical wire bytes for them) as the writer's
-/// [`serve_one`].
+/// Serves one dequeued read on a replica inside the same [`fenced`]
+/// fault fences as the writer's [`serve_one`].
 #[allow(clippy::too_many_arguments)]
 fn serve_read(
     view: &mut ReadView,
@@ -1292,75 +1297,48 @@ fn serve_read(
     published: &Mutex<SessionStats>,
     counters: &ReplicaCounters,
 ) -> Response {
-    if poisoned.load(Ordering::Relaxed) {
-        return Response::coded_error(
-            ErrorCode::Poisoned,
-            "circuit is poisoned by an earlier panic; unload and reload it",
-        );
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Response::coded_error(
-            ErrorCode::Expired,
-            "deadline passed while the request waited in the queue",
-        );
-    }
-    // Epoch fence: a writer republish drops the previous-candidate
-    // diff base. A what-if answer is a pure function of the candidate,
-    // so this pins the republish contract rather than correctness.
-    let current = epoch.load(Ordering::Acquire);
-    if current != *seen_epoch {
-        *seen_epoch = current;
-        view.invalidate();
-        counters.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| match request {
-        Request::WhatIf {
-            sizes,
-            spec,
-            target,
-        } => {
-            let target = target.or_else(|| spec.map(|s| s * view.dmin()));
-            match view.what_if(sizes, target) {
-                Ok((report, used_diff)) => {
-                    if used_diff {
-                        counters.diff_hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        counters.full_timings.fetch_add(1, Ordering::Relaxed);
+    fenced(deadline, poisoned, || {
+        // Epoch fence: a writer republish drops the previous-candidate
+        // diff base. A what-if answer is a pure function of the
+        // candidate, so this pins the republish contract rather than
+        // correctness.
+        let current = epoch.load(Ordering::Acquire);
+        if current != *seen_epoch {
+            *seen_epoch = current;
+            view.invalidate();
+            counters.invalidations.fetch_add(1, Ordering::Relaxed);
+        }
+        match request {
+            Request::WhatIf {
+                sizes,
+                spec,
+                target,
+            } => {
+                let target = target.or_else(|| spec.map(|s| s * view.dmin()));
+                match view.what_if(sizes, target) {
+                    Ok((report, used_diff)) => {
+                        if used_diff {
+                            counters.diff_hits.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            counters.full_timings.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Response::WhatIf(report)
                     }
-                    Response::WhatIf(report)
+                    Err(e) => error_response(&e),
                 }
-                Err(e) => error_response(&e),
             }
+            Request::Stats => Response::Stats {
+                stats: Box::new(*published.lock().expect("publish lock")),
+                replicas: Some(counters.report(current)),
+            },
+            // Unreachable: admission routes only reads here.
+            _ => Response::error("replica received a non-read request"),
         }
-        Request::Stats => Response::Stats {
-            stats: Box::new(*published.lock().expect("publish lock")),
-            replicas: Some(counters.report(current)),
-        },
-        // Unreachable: admission routes only reads here.
-        _ => Response::error("replica received a non-read request"),
-    }));
-    match outcome {
-        Ok(response) => response,
-        Err(payload) => {
-            poisoned.store(true, Ordering::Relaxed);
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Response::coded_error(
-                ErrorCode::Internal,
-                format!(
-                    "request panicked: {detail}; the circuit is poisoned — unload and reload it"
-                ),
-            )
-        }
-    }
+    })
 }
 
-/// Serves one dequeued request with the worker's fault fences: the
-/// poisoned short-circuit, the expired-at-dequeue shed, the deadline
-/// token, and the panic catch.
+/// Serves one dequeued request on the writer: the [`fenced`] fault
+/// fences around a deadline-token `serve`.
 fn serve_one(
     session: &mut SizingSession,
     request: &Request,
@@ -1368,9 +1346,35 @@ fn serve_one(
     poisoned: &AtomicBool,
     panic_on_spec: Option<f64>,
 ) -> Response {
+    fenced(deadline, poisoned, || {
+        if let (Some(bad), Request::Size { spec: Some(s), .. }) = (panic_on_spec, request) {
+            assert!(
+                *s != bad,
+                "injected fault: size spec {s} panics by configuration"
+            );
+        }
+        let token = match deadline {
+            Some(d) => CancelToken::with_deadline(d),
+            None => CancelToken::new(),
+        };
+        session.serve_with(request, &token)
+    })
+}
+
+/// The fault fences every dequeued job runs inside, on the writer and
+/// the replicas alike (same wire bytes): a poisoned circuit answers
+/// `poisoned` (jobs queued when the poisoning request panicked still
+/// get a clean, coded answer), a job whose deadline passed in the queue
+/// is shed as `expired`, and `catch_unwind` fences a panicking `serve`
+/// off from the jobs behind it — the thread survives, answers
+/// `internal`, and marks the circuit poisoned (its warm state cannot be
+/// trusted after an unwind tore through it).
+fn fenced(
+    deadline: Option<Instant>,
+    poisoned: &AtomicBool,
+    serve: impl FnOnce() -> Response,
+) -> Response {
     if poisoned.load(Ordering::Relaxed) {
-        // Jobs already queued when the poisoning request panicked
-        // still get a clean, coded answer.
         return Response::coded_error(
             ErrorCode::Poisoned,
             "circuit is poisoned by an earlier panic; unload and reload it",
@@ -1382,40 +1386,18 @@ fn serve_one(
             "deadline passed while the request waited in the queue",
         );
     }
-    let token = match deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::new(),
-    };
-    // `catch_unwind` fences a panicking request off from the queued
-    // ones behind it: the worker thread survives, answers `internal`,
-    // and marks the circuit poisoned (the session's warm state cannot
-    // be trusted after an unwind tore through it).
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let (Some(bad), Request::Size { spec: Some(s), .. }) = (panic_on_spec, request) {
-            assert!(
-                *s != bad,
-                "injected fault: size spec {s} panics by configuration"
-            );
-        }
-        session.serve_with(request, &token)
-    }));
-    match outcome {
-        Ok(response) => response,
-        Err(payload) => {
-            poisoned.store(true, Ordering::Relaxed);
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Response::coded_error(
-                ErrorCode::Internal,
-                format!(
-                    "request panicked: {detail}; the circuit is poisoned — unload and reload it"
-                ),
-            )
-        }
-    }
+    catch_unwind(AssertUnwindSafe(serve)).unwrap_or_else(|payload| {
+        poisoned.store(true, Ordering::Relaxed);
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Response::coded_error(
+            ErrorCode::Internal,
+            format!("request panicked: {detail}; the circuit is poisoned — unload and reload it"),
+        )
+    })
 }
 
 /// A bound listening socket for [`CircuitServer::run`].

@@ -1,18 +1,16 @@
 //! The session-oriented service API: one re-entrant [`SizingSession`]
 //! handle over all of the stack's warm state.
 //!
-//! The optimizer grew three expensive persistent structures — the TILOS
-//! bump trajectory ([`mft_tilos::TilosState`]), the [`SolverContext`]
+//! The optimizer has two expensive persistent structures — the TILOS
+//! bump trajectory ([`mft_tilos::TilosState`]) and the [`SolverContext`]
 //! (D-phase flow network, W-phase SMP solver and incremental timing
-//! engine), and the sweep engine's cross-target warm starts
-//! — but the historical entry points
-//! ([`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit),
-//! [`crate::SweepEngine::run`]) rebuild or drop them per call. A
-//! [`SizingSession`] owns the prepared problem *and* all of that warm
-//! state, and serves a typed request stream against it: "size to target
-//! A, then B, then sweep 8 points, then what-if" runs over **one**
-//! trajectory, one flow network, one SMP solver and one timing engine
-//! end to end.
+//! engine) — which the one-shot
+//! [`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit)
+//! rebuilds per call. A [`SizingSession`] owns the prepared problem
+//! *and* all of that warm state, and serves a typed request stream
+//! against it: "size to target A, then B, then sweep 8 points, then
+//! what-if" runs over **one** trajectory, one flow network, one SMP
+//! solver and one timing engine end to end.
 //!
 //! # Exactness
 //!
@@ -26,8 +24,8 @@
 //!   bump log by [`mft_tilos::TilosState::snapshot_at`] (bit-exact,
 //!   zero timing work). Requests may therefore arrive in **any
 //!   order**.
-//! * Solver reuse is the sweep engine's hermetic-point discipline: the
-//!   retained D-phase warm state is invalidated between requests
+//! * Solver reuse is hermetic per request: the retained D-phase warm
+//!   state is invalidated between requests and between sweep points
 //!   (unless [`SweepWarmStart::cross_target_state`] is opted in), and
 //!   the persistent timing engine runs at tolerance `0.0`.
 //! * The optional *inner* warm starts
@@ -40,9 +38,23 @@
 //!   default optimizer config) the session is bit-identical to the
 //!   legacy cold path, which `tests/session_golden.rs` pins.
 //!
-//! The legacy entry points are thin wrappers over the same internal
-//! request runner this module exports to the rest of the crate, so
-//! they cannot drift from the session.
+//! The one-shot [`SizingProblem`] methods are thin wrappers over the
+//! same internal request runners this module exports to the rest of
+//! the crate, so they cannot drift from the session.
+//!
+//! # Sweeps
+//!
+//! A sweep (the paper's Figure 7 area–delay curve) sizes every spec
+//! loosest-first, so the TILOS trajectory pays the bump cost of its
+//! *tightest* spec once. Because point boundaries are hermetic, the
+//! sizing *results* (area ratios, savings, iteration counts,
+//! reachability) are identical for any [`SessionConfig::jobs`] count
+//! and any spec order; with more than one job the sorted specs are
+//! split into contiguous chunks, one `std::thread::scope` worker with
+//! private warm state each. The *diagnostic* fields of a
+//! [`CurvePoint`] — wall-clock seconds and the solver/timing work
+//! counters — describe the work this run performed and legitimately
+//! depend on that partitioning.
 //!
 //! # Examples
 //!
@@ -81,7 +93,6 @@ use crate::optimizer::{
 };
 use crate::pipeline::SizingProblem;
 use crate::protocol::{ErrorCode, Request, Response};
-use crate::sweep::SweepWarmStart;
 use mft_circuit::{Netlist, SizingMode, VertexId};
 use mft_delay::{DelayModel, DiffScratch, Technology};
 use mft_sta::{critical_path, IncrementalTiming, TimingStats};
@@ -90,9 +101,54 @@ use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosResult, TilosSta
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The one configuration of a [`SizingSession`] — subsumes the
-/// historical [`MinflotransitConfig`] + [`crate::SweepOptions`] +
-/// [`TilosConfig`] sprawl behind a single builder.
+/// Which cross-request reuse levers a session runs with — across
+/// requests and across the points of one sweep alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepWarmStart {
+    /// Reuse the TILOS bump trajectory across targets. Bit-exact: the
+    /// greedy bump choice never reads the target, so every target's
+    /// seed is a snapshot of one trajectory
+    /// ([`mft_tilos::TilosTrajectory`]).
+    pub resume_tilos: bool,
+    /// Hold one [`SolverContext`] (per sweep worker) across targets
+    /// instead of rebuilding the D-phase network and SMP solver per
+    /// target (bit-exact for cold inner solves).
+    pub reuse_solvers: bool,
+    /// Let D-phase/W-phase warm state survive *across* targets (the
+    /// previous target's dual potentials, retained flow and spanning
+    /// tree seed the next target's first solves). Off by default: the
+    /// first D-phase of a target is one solve out of typically tens,
+    /// so the saving is marginal, while dropping the state keeps every
+    /// target independent of request order and worker partitioning.
+    /// Requires [`SweepWarmStart::reuse_solvers`].
+    pub cross_target_state: bool,
+}
+
+impl SweepWarmStart {
+    /// Every lever off: each target replays the one-shot cold path
+    /// exactly.
+    pub fn cold() -> Self {
+        SweepWarmStart {
+            resume_tilos: false,
+            reuse_solvers: false,
+            cross_target_state: false,
+        }
+    }
+
+    /// The standard warm configuration: trajectory + solver reuse,
+    /// hermetic target boundaries.
+    pub fn full() -> Self {
+        SweepWarmStart {
+            resume_tilos: true,
+            reuse_solvers: true,
+            cross_target_state: false,
+        }
+    }
+}
+
+/// The one configuration of a [`SizingSession`]: the optimizer and
+/// TILOS knobs ([`MinflotransitConfig`], [`TilosConfig`]), the reuse
+/// levers and the sweep worker count behind a single builder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// The per-request optimizer configuration (trust region, flow
@@ -111,7 +167,8 @@ impl SessionConfig {
     /// The standard warm preset: shared trajectory + persistent
     /// solvers across requests and inner D/W warm starts on (the
     /// network simplex's spanning-tree warm start is what amortizes the
-    /// iteration pattern — see [`crate::SweepOptions::warm`]).
+    /// "tens of nearly identical solves" iteration pattern — see
+    /// `crates/bench/benches/area_delay_sweep.rs`).
     pub fn warm() -> Self {
         let optimizer = MinflotransitConfig {
             dphase_warm_start: true,
@@ -450,8 +507,8 @@ fn optimize_with_state<M: DelayModel>(
     token: Option<&CancelToken>,
 ) -> Result<SizingSolution, MftError> {
     let dag = problem.dag();
-    let optimizer = Minflotransit::new(config.optimizer.clone());
-    let solution = if config.warm.reuse_solvers {
+    let mut throwaway;
+    let ctx = if config.warm.reuse_solvers {
         if context.is_none() {
             *context = Some(SolverContext::new(&config.optimizer, dag, model)?);
         }
@@ -462,20 +519,13 @@ fn optimize_with_state<M: DelayModel>(
             // function of its own (target, seed).
             ctx.invalidate_warm_state();
         }
-        match token {
-            Some(t) => {
-                optimizer.optimize_from_with_cancel(ctx, dag, model, target, seed_sizes, t)?
-            }
-            None => optimizer.optimize_from_with(ctx, dag, model, target, seed_sizes)?,
-        }
-    } else if let Some(t) = token {
-        // The cold path still honors the deadline: a throwaway context
-        // carries the probe for this one request.
-        let mut ctx = SolverContext::new(&config.optimizer, dag, model)?;
-        optimizer.optimize_from_with_cancel(&mut ctx, dag, model, target, seed_sizes, t)?
+        ctx
     } else {
-        optimizer.optimize_from(dag, model, target, seed_sizes)?
+        throwaway = SolverContext::new(&config.optimizer, dag, model)?;
+        &mut throwaway
     };
+    let solution = Minflotransit::new(config.optimizer.clone())
+        .optimize_from_with(ctx, dag, model, target, seed_sizes, token)?;
     counters.optimizer_timing = counters.optimizer_timing.merged(&solution.timing_stats);
     counters.dphase = Some(match counters.dphase {
         Some(d) => d.merged(&solution.dphase_stats),
@@ -485,9 +535,9 @@ fn optimize_with_state<M: DelayModel>(
     Ok(solution)
 }
 
-/// Runs one full size request — the session-side equivalent of
-/// [`Minflotransit::optimize`], including its minimum-sized early
-/// return — against the given warm state.
+/// Runs one full size request — TILOS seed, then the D/W relaxation,
+/// with the minimum-sized early return — against the given warm state,
+/// and counts it as a size request.
 pub(crate) fn run_point(
     problem: &SizingProblem,
     config: &SessionConfig,
@@ -497,6 +547,8 @@ pub(crate) fn run_point(
     target: f64,
     token: Option<&CancelToken>,
 ) -> Result<SizingSolution, MftError> {
+    counters.requests += 1;
+    counters.size_requests += 1;
     run_point_with_model(
         problem,
         problem.model(),
@@ -528,7 +580,7 @@ pub(crate) fn run_point_with_model<M: DelayModel>(
     let dag = problem.dag();
     if problem.dmin() <= target {
         // The minimum-sized circuit already meets timing — it is the
-        // global optimum, exactly as `Minflotransit::optimize` reports.
+        // global optimum of problem (1).
         let (min_size, _) = model.size_bounds();
         let min_sizes = vec![min_size; dag.num_vertices()];
         let area = model.area(&min_sizes);
@@ -609,7 +661,7 @@ pub struct PowerSolution {
 /// resizing, TILOS seeding and the trust region all minimize total
 /// power instead of area. The caller supplies *separate* warm state —
 /// power trajectories and area trajectories must not mix, their bump
-/// sequences differ.
+/// sequences differ. Counts the request as a power size request.
 pub(crate) fn run_power_point(
     problem: &SizingProblem,
     config: &SessionConfig,
@@ -619,6 +671,8 @@ pub(crate) fn run_power_point(
     target: f64,
     token: Option<&CancelToken>,
 ) -> Result<PowerSolution, MftError> {
+    counters.requests += 1;
+    counters.size_power_requests += 1;
     let wrapper = PowerWeightedModel::new(problem.model(), problem.power());
     let solution = run_point_with_model(
         problem, &wrapper, config, trajectory, counters, context, target, token,
@@ -632,11 +686,9 @@ pub(crate) fn run_power_point(
     })
 }
 
-/// Runs one sweep point — the session-side equivalent of the sweep
-/// engine's per-spec body (no minimum-sized early return: the
-/// optimizer loop runs even for `spec ≥ 1`, exactly as the historical
-/// sweep did).
-pub(crate) fn sweep_point(
+/// Runs one sweep point (no minimum-sized early return: the optimizer
+/// loop runs even for `spec ≥ 1`, exactly as the historical sweep did).
+fn sweep_point(
     problem: &SizingProblem,
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
@@ -702,10 +754,28 @@ pub(crate) fn sweep_point(
     }))
 }
 
-/// Loosest-first processing order over specs (descending spec ⇒
-/// descending absolute target, since `D_min > 0`); ties keep input
-/// order.
-pub(crate) fn loosest_first_order(specs: &[f64]) -> Vec<usize> {
+/// Runs one sweep request over `T/D_min` specifications against the
+/// given warm state and counts it, returning one outcome per spec in
+/// the input order (see the module docs on sweeps). Specs run
+/// loosest-first (descending spec ⇒ descending absolute target, since
+/// `D_min > 0`; ties keep input order). With `jobs` ≤ 1 they run
+/// through the caller's warm state (leaving the trajectory advanced
+/// for later requests); with more, the sorted order is split into
+/// contiguous chunks swept by `std::thread::scope` workers, each with a
+/// fresh trajectory and solver context (`jobs` is clamped so workers
+/// never outnumber specs).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_sweep(
+    problem: &SizingProblem,
+    config: &SessionConfig,
+    trajectory: &mut Option<TilosState>,
+    context: &mut Option<SolverContext>,
+    counters: &mut SessionCounters,
+    specs: &[f64],
+    token: Option<&CancelToken>,
+) -> Result<Vec<SweepOutcome>, MftError> {
+    counters.requests += 1;
+    counters.sweep_requests += 1;
     let mut order: Vec<usize> = (0..specs.len()).collect();
     order.sort_by(|&a, &b| {
         specs[b]
@@ -713,77 +783,63 @@ pub(crate) fn loosest_first_order(specs: &[f64]) -> Vec<usize> {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    order
-}
-
-/// Unwraps a fully-populated by-input-index outcome table.
-pub(crate) fn collect_in_input_order(outcomes: Vec<Option<SweepOutcome>>) -> Vec<SweepOutcome> {
-    outcomes
+    let mut outcomes: Vec<Option<SweepOutcome>> = vec![None; specs.len()];
+    let jobs = config.jobs.max(1).min(specs.len().max(1));
+    if jobs == 1 {
+        for &idx in &order {
+            outcomes[idx] = Some(sweep_point(
+                problem, config, trajectory, context, counters, specs[idx], token,
+            )?);
+        }
+    } else {
+        let chunk_len = order.len().div_ceil(jobs);
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = order
+                .chunks(chunk_len)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let mut trajectory = None;
+                        let mut context = None;
+                        let mut counters = SessionCounters::default();
+                        let mut out = Vec::with_capacity(chunk.len());
+                        for &idx in chunk {
+                            out.push((
+                                idx,
+                                sweep_point(
+                                    problem,
+                                    config,
+                                    &mut trajectory,
+                                    &mut context,
+                                    &mut counters,
+                                    specs[idx],
+                                    token,
+                                )?,
+                            ));
+                        }
+                        Ok::<_, MftError>((out, counters))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep worker must not panic"))
+                .collect::<Vec<_>>()
+        });
+        // A failed sweep leaves the session's counters untouched.
+        let mut merged = SessionCounters::default();
+        for result in results {
+            let (chunk_outcomes, worker) = result?;
+            merged.merge_worker(&worker);
+            for (idx, outcome) in chunk_outcomes {
+                outcomes[idx] = Some(outcome);
+            }
+        }
+        counters.merge_worker(&merged);
+    }
+    Ok(outcomes
         .into_iter()
         .map(|o| o.expect("every spec produces an outcome"))
-        .collect()
-}
-
-/// Partitions a loosest-first order into contiguous chunks and sweeps
-/// them across `std::thread::scope` workers, each owning private,
-/// hermetic warm state (fresh trajectory + solver context per worker —
-/// point boundaries keep every outcome partition-independent). Returns
-/// the outcome table indexed by the caller's original spec positions,
-/// plus the merged worker counters. Shared by
-/// [`SizingSession::sweep`] and [`crate::SweepEngine::run`], so there
-/// is exactly one multi-threaded sweep scaffold.
-pub(crate) fn run_partitioned_sweep(
-    problem: &SizingProblem,
-    config: &SessionConfig,
-    specs: &[f64],
-    order: &[usize],
-    jobs: usize,
-    token: Option<&CancelToken>,
-) -> Result<(Vec<Option<SweepOutcome>>, SessionCounters), MftError> {
-    let chunk_len = order.len().div_ceil(jobs.max(1));
-    let chunks: Vec<&[usize]> = order.chunks(chunk_len).collect();
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut trajectory = None;
-                    let mut context = None;
-                    let mut counters = SessionCounters::default();
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for &idx in *chunk {
-                        out.push((
-                            idx,
-                            sweep_point(
-                                problem,
-                                config,
-                                &mut trajectory,
-                                &mut context,
-                                &mut counters,
-                                specs[idx],
-                                token,
-                            )?,
-                        ));
-                    }
-                    Ok::<_, MftError>((out, counters))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker must not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut outcomes: Vec<Option<SweepOutcome>> = vec![None; specs.len()];
-    let mut merged = SessionCounters::default();
-    for result in results {
-        let (chunk_outcomes, counters) = result?;
-        merged.merge_worker(&counters);
-        for (idx, outcome) in chunk_outcomes {
-            outcomes[idx] = Some(outcome);
-        }
-    }
-    Ok((outcomes, merged))
+        .collect())
 }
 
 /// A long-lived, re-entrant sizing service handle (see the module
@@ -881,33 +937,6 @@ impl SizingSession {
     ///
     /// As [`SizingProblem::minflotransit`].
     pub fn size_to(&mut self, target: f64) -> Result<SizingSolution, MftError> {
-        self.size_to_cancellable(target, None)
-    }
-
-    /// Like [`SizingSession::size_to`], but polling `token` at every
-    /// TILOS bump batch, D/W iteration boundary, and between flow
-    /// pivots; a fired token surfaces as [`MftError::Cancelled`] with
-    /// the partial progress. Warm state stays valid — a later request
-    /// resumes the trajectory exactly where the cancelled one stopped.
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingSession::size_to`], plus [`MftError::Cancelled`].
-    pub fn size_to_cancel(
-        &mut self,
-        target: f64,
-        token: &CancelToken,
-    ) -> Result<SizingSolution, MftError> {
-        self.size_to_cancellable(target, Some(token))
-    }
-
-    fn size_to_cancellable(
-        &mut self,
-        target: f64,
-        token: Option<&CancelToken>,
-    ) -> Result<SizingSolution, MftError> {
-        self.counters.requests += 1;
-        self.counters.size_requests += 1;
         run_point(
             &self.problem,
             &self.config,
@@ -915,7 +944,7 @@ impl SizingSession {
             &mut self.context,
             &mut self.counters,
             target,
-            token,
+            None,
         )
     }
 
@@ -932,31 +961,6 @@ impl SizingSession {
     ///
     /// As [`SizingSession::size_to`].
     pub fn size_to_power(&mut self, target: f64) -> Result<PowerSolution, MftError> {
-        self.size_to_power_cancellable(target, None)
-    }
-
-    /// Like [`SizingSession::size_to_power`], with the cancellation
-    /// semantics of [`SizingSession::size_to_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingSession::size_to_power`], plus
-    /// [`MftError::Cancelled`].
-    pub fn size_to_power_cancel(
-        &mut self,
-        target: f64,
-        token: &CancelToken,
-    ) -> Result<PowerSolution, MftError> {
-        self.size_to_power_cancellable(target, Some(token))
-    }
-
-    fn size_to_power_cancellable(
-        &mut self,
-        target: f64,
-        token: Option<&CancelToken>,
-    ) -> Result<PowerSolution, MftError> {
-        self.counters.requests += 1;
-        self.counters.size_power_requests += 1;
         run_power_point(
             &self.problem,
             &self.config,
@@ -964,7 +968,7 @@ impl SizingSession {
             &mut self.power_context,
             &mut self.counters,
             target,
-            token,
+            None,
         )
     }
 
@@ -999,72 +1003,30 @@ impl SizingSession {
         seed.map_err(MftError::InitialSizing)
     }
 
-    /// Sweeps the area–delay curve over `T/D_min` specifications — the
-    /// session-served equivalent of [`crate::SweepEngine::run`],
-    /// bit-identical to it under the same configuration. With
-    /// [`SessionConfig::jobs`] ≤ 1 the sweep runs through the
-    /// session's own warm state (and leaves the trajectory advanced
+    /// Sweeps the area–delay curve (the paper's Figure 7) over
+    /// `T/D_min` specifications, one outcome per spec in the input
+    /// order. With [`SessionConfig::jobs`] ≤ 1 the sweep runs through
+    /// the session's own warm state (and leaves the trajectory advanced
     /// for later requests); with more jobs the (sorted) spec list is
     /// partitioned across `std::thread::scope` workers with private,
-    /// hermetic warm state — results are identical either way.
+    /// hermetic warm state — results are identical either way (see the
+    /// module docs).
     ///
     /// # Errors
     ///
-    /// As [`crate::SweepEngine::run`].
+    /// Returns the first *unexpected* error (anything but a TILOS
+    /// infeasibility, which is reported per point as
+    /// [`SweepOutcome::Unreachable`]).
     pub fn sweep(&mut self, specs: &[f64]) -> Result<Vec<SweepOutcome>, MftError> {
-        self.sweep_cancellable(specs, None)
-    }
-
-    /// Like [`SizingSession::sweep`], but polling `token` between and
-    /// inside sweep points; a fired token aborts the remaining points
-    /// and surfaces as [`MftError::Cancelled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingSession::sweep`], plus [`MftError::Cancelled`].
-    pub fn sweep_cancel(
-        &mut self,
-        specs: &[f64],
-        token: &CancelToken,
-    ) -> Result<Vec<SweepOutcome>, MftError> {
-        self.sweep_cancellable(specs, Some(token))
-    }
-
-    fn sweep_cancellable(
-        &mut self,
-        specs: &[f64],
-        token: Option<&CancelToken>,
-    ) -> Result<Vec<SweepOutcome>, MftError> {
-        self.counters.requests += 1;
-        self.counters.sweep_requests += 1;
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let order = loosest_first_order(specs);
-        let jobs = self.config.jobs.max(1).min(specs.len());
-        if jobs == 1 {
-            // Single-threaded sweeps run through the session's own warm
-            // state (and leave the trajectory advanced for later
-            // requests).
-            let mut outcomes: Vec<Option<SweepOutcome>> = vec![None; specs.len()];
-            for &idx in &order {
-                outcomes[idx] = Some(sweep_point(
-                    &self.problem,
-                    &self.config,
-                    &mut self.trajectory,
-                    &mut self.context,
-                    &mut self.counters,
-                    specs[idx],
-                    token,
-                )?);
-            }
-            Ok(collect_in_input_order(outcomes))
-        } else {
-            let (outcomes, worker_counters) =
-                run_partitioned_sweep(&self.problem, &self.config, specs, &order, jobs, token)?;
-            self.counters.merge_worker(&worker_counters);
-            Ok(collect_in_input_order(outcomes))
-        }
+        run_sweep(
+            &self.problem,
+            &self.config,
+            &mut self.trajectory,
+            &mut self.context,
+            &mut self.counters,
+            specs,
+            None,
+        )
     }
 
     /// Re-times a candidate size vector — area, critical path and
@@ -1174,7 +1136,15 @@ impl SizingSession {
                     }
                 };
                 let min_area = self.problem.min_area();
-                match self.size_to_cancellable(target, token) {
+                match run_point(
+                    &self.problem,
+                    &self.config,
+                    &mut self.trajectory,
+                    &mut self.context,
+                    &mut self.counters,
+                    target,
+                    token,
+                ) {
                     Ok(sol) => {
                         let power = self.problem.power_breakdown_of(&sol.sizes);
                         Response::Size {
@@ -1208,7 +1178,15 @@ impl SizingSession {
                     }
                 };
                 let min_area = self.problem.min_area();
-                match self.size_to_power_cancellable(target, token) {
+                match run_power_point(
+                    &self.problem,
+                    &self.config,
+                    &mut self.power_trajectory,
+                    &mut self.power_context,
+                    &mut self.counters,
+                    target,
+                    token,
+                ) {
                     Ok(ps) => Response::Size {
                         spec: target / self.problem.dmin(),
                         target,
@@ -1229,7 +1207,15 @@ impl SizingSession {
                     Err(e) => error_response(&e),
                 }
             }
-            Request::Sweep { specs } => match self.sweep_cancellable(specs, token) {
+            Request::Sweep { specs } => match run_sweep(
+                &self.problem,
+                &self.config,
+                &mut self.trajectory,
+                &mut self.context,
+                &mut self.counters,
+                specs,
+                token,
+            ) {
                 Ok(outcomes) => Response::Sweep { outcomes },
                 Err(e) => error_response(&e),
             },
@@ -1521,11 +1507,13 @@ mod tests {
         assert!(matches!(bad, MftError::ShapeMismatch { .. }));
     }
 
+    /// `jobs: 0` is a documented clamp to single-threaded operation —
+    /// same results, no panic, no hang, also on an empty spec list.
     #[test]
     fn session_sweep_jobs_zero_is_clamped_to_one() {
         let mut serial = c17_session(SessionConfig::warm());
         let mut zero = c17_session(SessionConfig::warm().with_jobs(0));
-        let specs = [0.9, 0.7];
+        let specs = [0.9, 0.7, 0.5];
         let a = serial.sweep(&specs).unwrap();
         let b = zero.sweep(&specs).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
@@ -1535,6 +1523,118 @@ mod tests {
             assert_eq!(x.spec, y.spec);
             assert_eq!(x.mft_area_ratio.to_bits(), y.mft_area_ratio.to_bits());
             assert_eq!(x.iterations, y.iterations);
+        }
+        assert!(zero.sweep(&[]).unwrap().is_empty());
+    }
+
+    /// A cold sweep reproduces the per-point one-shot path bit for bit:
+    /// `tilos` for the seed, `minflotransit_with` for the refinement.
+    #[test]
+    fn cold_sweep_matches_manual_per_point_loop() {
+        let problem = c17_session(SessionConfig::cold()).into_problem();
+        let config = MinflotransitConfig::default();
+        let specs = [0.9, 0.7, 0.5];
+        let got = problem
+            .session(SessionConfig::cold_with(config.clone()))
+            .sweep(&specs)
+            .unwrap();
+        for (&spec, outcome) in specs.iter().zip(got.iter()) {
+            let target = spec * problem.dmin();
+            let tilos = problem.tilos(target).unwrap();
+            let mft = problem.minflotransit_with(target, config.clone()).unwrap();
+            let SweepOutcome::Point(p) = outcome else {
+                panic!("c17 specs are reachable");
+            };
+            assert_eq!(p.spec, spec);
+            assert_eq!(
+                p.tilos_area_ratio.to_bits(),
+                (tilos.area / problem.min_area()).to_bits()
+            );
+            assert_eq!(
+                p.mft_area_ratio.to_bits(),
+                (mft.area / problem.min_area()).to_bits()
+            );
+            assert_eq!(p.iterations, mft.iterations);
+        }
+    }
+
+    /// Specs arrive back in input order whatever the processing order.
+    #[test]
+    fn sweep_outcomes_preserve_input_order() {
+        let shuffled = [0.6, 0.9, 0.5, 0.8];
+        let got = c17_session(SessionConfig::warm()).sweep(&shuffled).unwrap();
+        for (&spec, outcome) in shuffled.iter().zip(got.iter()) {
+            let SweepOutcome::Point(p) = outcome else {
+                panic!("reachable");
+            };
+            assert_eq!(p.spec, spec);
+        }
+    }
+
+    /// Warm results match the cold curve on every reported ratio, and
+    /// the TILOS side is bit-identical (trajectory exactness).
+    #[test]
+    fn warm_sweep_matches_cold_sweep() {
+        let specs = [0.95, 0.85, 0.75, 0.65, 0.55];
+        let cold = c17_session(SessionConfig::cold()).sweep(&specs).unwrap();
+        let warm = c17_session(SessionConfig::warm()).sweep(&specs).unwrap();
+        for (c, w) in cold.iter().zip(warm.iter()) {
+            let (SweepOutcome::Point(c), SweepOutcome::Point(w)) = (c, w) else {
+                panic!("reachable specs");
+            };
+            assert_eq!(c.tilos_area_ratio.to_bits(), w.tilos_area_ratio.to_bits());
+            assert!(
+                (c.mft_area_ratio - w.mft_area_ratio).abs() <= 1e-9 * c.mft_area_ratio,
+                "spec {}: cold {} vs warm {}",
+                c.spec,
+                c.mft_area_ratio,
+                w.mft_area_ratio
+            );
+            // The warm run actually exercised the levers.
+            assert!(w.wphase.seeded_solves > 0 || w.iterations <= 1);
+        }
+    }
+
+    /// jobs=N returns bit-identical outcomes to jobs=1 (hermetic point
+    /// boundaries make each point partition-independent).
+    #[test]
+    fn sweep_jobs_do_not_change_results() {
+        let specs = [0.9, 0.8, 0.7, 0.6, 0.5, 0.45];
+        let single = c17_session(SessionConfig::warm()).sweep(&specs).unwrap();
+        for jobs in [2, 4] {
+            let multi = c17_session(SessionConfig::warm().with_jobs(jobs))
+                .sweep(&specs)
+                .unwrap();
+            for (a, b) in single.iter().zip(multi.iter()) {
+                match (a, b) {
+                    (SweepOutcome::Point(a), SweepOutcome::Point(b)) => {
+                        assert_eq!(a.spec, b.spec);
+                        assert_eq!(a.tilos_area_ratio.to_bits(), b.tilos_area_ratio.to_bits());
+                        assert_eq!(a.mft_area_ratio.to_bits(), b.mft_area_ratio.to_bits());
+                        assert_eq!(a.iterations, b.iterations);
+                    }
+                    (a, b) => assert_eq!(a, b),
+                }
+            }
+        }
+    }
+
+    /// Unreachable specs latch correctly through the shared trajectory.
+    #[test]
+    fn unreachable_specs_survive_trajectory_reuse() {
+        let specs = [0.9, 0.05, 0.04];
+        let got = c17_session(SessionConfig::warm()).sweep(&specs).unwrap();
+        assert!(matches!(got[0], SweepOutcome::Point(_)));
+        let cold = c17_session(SessionConfig::cold()).sweep(&specs).unwrap();
+        for i in [1, 2] {
+            let (
+                SweepOutcome::Unreachable { best_ratio: w, .. },
+                SweepOutcome::Unreachable { best_ratio: c, .. },
+            ) = (&got[i], &cold[i])
+            else {
+                panic!("specs {i} must be unreachable in both sweeps");
+            };
+            assert_eq!(w.to_bits(), c.to_bits());
         }
     }
 

@@ -1059,7 +1059,7 @@ mod tests {
     }
 
     /// Loosest-first trajectory snapshots are bit-identical to cold
-    /// per-target runs — the exactness guarantee the sweep engine's
+    /// per-target runs — the exactness guarantee a session sweep's
     /// cross-target TILOS reuse rests on.
     #[test]
     fn trajectory_snapshots_match_cold_runs_bitwise() {

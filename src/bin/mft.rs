@@ -12,7 +12,7 @@
 use minflotransit::circuit::{parse_bench, write_bench, SizingMode};
 use minflotransit::core::{
     curve_to_csv, format_curve, CircuitServer, MinflotransitConfig, Response, ServerConfig,
-    ServerListener, SessionConfig, SizingProblem, SizingReport, SweepEngine, SweepOptions,
+    ServerListener, SessionConfig, SizingProblem, SizingReport,
 };
 use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::Benchmark;
@@ -85,7 +85,7 @@ OPTIONS:
                   JSON line per circuit on stderr) on exit
   --out FILE      output path for `generate` (default stdout)
 
-`mft sweep` runs warm by default: one persistent engine per worker
+`mft sweep` runs warm by default: one warm session (or one per worker)
 resumes the TILOS bump trajectory across targets and reuses the
 D-phase flow network and W-phase SMP solver for every point, so a
 sweep costs little more than its tightest spec alone.
@@ -331,14 +331,15 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|e: std::num::ParseIntError| e.to_string())?;
     check_flow(args)?;
-    let options = if args.iter().any(|a| a == "--cold") {
-        SweepOptions::cold_with(MinflotransitConfig::default())
+    let config = if args.iter().any(|a| a == "--cold") {
+        SessionConfig::cold()
     } else {
-        SweepOptions::warm()
+        SessionConfig::warm()
     }
     .with_jobs(jobs);
-    let outcomes = SweepEngine::new(&problem, options)
-        .run(&specs)
+    let outcomes = problem
+        .into_session(config)
+        .sweep(&specs)
         .map_err(|e| e.to_string())?;
     println!("{}", format_curve(path, &outcomes));
     if let Some(out) = flag_value(args, "--csv") {

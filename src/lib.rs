@@ -25,7 +25,7 @@
 //! | [`smp`] | `mft-smp` | Simple Monotonic Program solver |
 //! | [`tech`] | `mft-tech` | multi-corner technology library, leakage/switching power models |
 //! | [`tilos`] | `mft-tilos` | the TILOS baseline sizer |
-//! | [`core`] | `mft-core` | the MINFLOTRANSIT optimizer and the persistent parallel sweep engine |
+//! | [`core`] | `mft-core` | the MINFLOTRANSIT optimizer and the warm `SizingSession` service layer (sizing, parallel sweeps, server) |
 //! | [`gen`] | `mft-gen` | benchmark circuit generators (ISCAS-85-like suite, adders, multipliers) |
 //!
 //! # Quickstart

@@ -115,6 +115,63 @@ fn size_rejects_removed_flow_backends() {
     }
 }
 
+/// `mft sweep` gives the same curve under the warm default, `--cold`
+/// and `--jobs 2`: per row, the spec, both area ratios, the saving and
+/// the iteration count agree (the other columns are timings and work
+/// counters), unreachable rows included. Bad input exits 1 before any
+/// output.
+#[test]
+fn sweep_outputs_agree_across_presets_and_jobs() {
+    let bench = c17_file();
+    let sweep = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg("sweep")
+            .arg(&bench)
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let curve = |extra: &[&str]| -> Vec<String> {
+        let out = sweep(&[&["--specs", "0.9,0.7,0.5,0.05"][..], extra].concat());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{extra:?}: {stdout}");
+        let rows: Vec<String> = stdout
+            .lines()
+            .skip(2)
+            .filter(|l| !l.is_empty())
+            .map(|row| {
+                if row.contains("unreachable") {
+                    return row.to_owned();
+                }
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                [0, 1, 2, 4, 7].map(|i| cols[i]).join(" ")
+            })
+            .collect();
+        assert_eq!(rows.len(), 4, "{extra:?}:\n{stdout}");
+        assert!(rows[3].contains("unreachable by TILOS"), "{extra:?}");
+        rows
+    };
+    let warm = curve(&[]);
+    assert_eq!(curve(&["--cold"]), warm);
+    assert_eq!(curve(&["--jobs", "2"]), warm);
+    for bad in [
+        &["--specs", "0.9,fast"][..],
+        &["--jobs", "many"][..],
+        &["--flow", "ssp"][..],
+        &["--mode", "analog"][..],
+    ] {
+        let out = sweep(bad);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}");
+        assert!(out.stdout.is_empty(), "{bad:?}: output before the error");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+        .args(["sweep", "no-such-file.bench"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+}
+
 /// The README quickstart's `console` block is real output: each `$ mft`
 /// command, re-run in a scratch directory, prints the block's lines
 /// under it as its first lines.

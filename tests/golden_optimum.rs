@@ -3,7 +3,7 @@
 //! optimum found by exhaustive grid search over the size space.
 
 use minflotransit::circuit::{GateKind, Netlist, NetlistBuilder, SizingDag, SizingMode};
-use minflotransit::core::{Minflotransit, MinflotransitConfig, SizingProblem};
+use minflotransit::core::{MinflotransitConfig, SizingProblem};
 use minflotransit::delay::{DelayModel, LinearDelayModel, Technology};
 use minflotransit::sta::critical_path;
 
@@ -63,8 +63,8 @@ fn check_matches_golden(netlist: &Netlist, spec: f64) {
         patience: 8,
         ..Default::default()
     };
-    let sol = Minflotransit::new(config)
-        .optimize(dag, model, target)
+    let sol = problem
+        .minflotransit_with(target, config)
         .expect("optimizer runs");
     assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
     // The continuous optimum can only undercut the lattice optimum; allow

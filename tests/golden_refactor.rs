@@ -1,5 +1,5 @@
 //! Regression pin for the persistent D-phase solver refactor: with the
-//! default (cold, deterministic) configuration, `Minflotransit` must
+//! default (cold, deterministic) configuration, the full pipeline must
 //! produce **bit-identical** sizes to the pre-refactor implementation on
 //! a fixed generated circuit.
 //!
@@ -11,7 +11,7 @@
 //! reach the same final area and stay timing-feasible.
 
 use minflotransit::circuit::SizingMode;
-use minflotransit::core::{Minflotransit, MinflotransitConfig, SizingProblem};
+use minflotransit::core::{MinflotransitConfig, SizingProblem};
 use minflotransit::delay::Technology;
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 
@@ -55,8 +55,8 @@ fn default_run_is_bit_identical_to_pre_refactor() {
     let problem = problem();
     let target = 0.75 * problem.dmin();
     let golden = golden_sizes();
-    let sol = Minflotransit::new(MinflotransitConfig::default())
-        .optimize(problem.dag(), problem.model(), target)
+    let sol = problem
+        .minflotransit_with(target, MinflotransitConfig::default())
         .unwrap();
     assert_eq!(sol.iterations, GOLDEN_ITERATIONS);
     assert_eq!(sol.sizes.len(), golden.len());
@@ -84,9 +84,7 @@ fn warm_start_mode_matches_final_quality() {
         dphase_warm_start: true,
         ..Default::default()
     };
-    let sol = Minflotransit::new(config)
-        .optimize(problem.dag(), problem.model(), target)
-        .unwrap();
+    let sol = problem.minflotransit_with(target, config).unwrap();
     // Timing stays feasible and quality matches the cold run closely
     // (identical LP optima, possibly different vertices).
     assert!(

@@ -158,7 +158,7 @@ proptest! {
         }
     }
 
-    /// Resumed trajectories (the sweep engine's reuse) stay bit-identical
+    /// Resumed trajectories (a session sweep's reuse) stay bit-identical
     /// to cold per-target runs under the incremental engine.
     #[test]
     fn trajectory_snapshots_match_cold_runs(

@@ -101,16 +101,14 @@ fn figure6_global_view_beats_greedy() {
 #[test]
 fn figure7_dominance_on_c17() {
     use minflotransit::circuit::{parse_bench, C17_BENCH};
-    use minflotransit::core::{area_delay_curve, MinflotransitConfig, SweepOutcome};
+    use minflotransit::core::{SessionConfig, SweepOutcome};
     let netlist = parse_bench("c17", C17_BENCH).unwrap();
     let problem =
         SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
-    let outcomes = area_delay_curve(
-        &problem,
-        &[0.9, 0.8, 0.7, 0.6, 0.5],
-        &MinflotransitConfig::default(),
-    )
-    .unwrap();
+    let outcomes = problem
+        .into_session(SessionConfig::cold())
+        .sweep(&[0.9, 0.8, 0.7, 0.6, 0.5])
+        .unwrap();
     for o in &outcomes {
         if let SweepOutcome::Point(p) = o {
             assert!(p.mft_area_ratio <= p.tilos_area_ratio + 1e-9);

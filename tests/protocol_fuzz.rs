@@ -8,13 +8,21 @@
 //! built from seeded `rand` draws: random bytes, truncations and byte
 //! mutations of every JSON example line in `docs/PROTOCOL.md`, array and
 //! object nesting up to the server's default `max_line_bytes`, and
-//! mutated `.bench` text.
+//! mutated `.bench` text. Two more `.bench` checks ride along: a
+//! reversed 40k-gate chain must parse in bounded time, and shuffled
+//! definitions must get the gate ids of the historical pass-by-pass
+//! reader (kept here as the oracle).
 
-use minflotransit::circuit::{parse_bench, C17_BENCH};
+use minflotransit::circuit::{
+    parse_bench, write_bench, GateKind, NetId, Netlist, NetlistBuilder, C17_BENCH,
+};
 use minflotransit::core::{extract_error_code, extract_id, RequestFrame, ServerConfig};
+use minflotransit::gen::Benchmark;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// Feeds one line to every JSON reader; fails with a preview of the
 /// input if any of them panics.
@@ -254,5 +262,126 @@ fn mutated_bench_text_never_panics_the_bench_reader() {
             text.extend_from_slice(BENCH_TOKENS[rng.gen_range(0..BENCH_TOKENS.len())].as_bytes());
         }
         read_bench(&text);
+    }
+}
+
+/// A chain of `gates` inverters written outputs-first, so every
+/// definition names a signal defined on a later line.
+fn reversed_chain(gates: usize) -> String {
+    let mut text = format!("INPUT(n0)\nOUTPUT(n{gates})\n");
+    for k in (1..=gates).rev() {
+        text.push_str(&format!("n{k} = NOT(n{})\n", k - 1));
+    }
+    text
+}
+
+/// The `.bench` reader is linear in out-of-order definitions: a
+/// reversed 40k-gate chain (one 1 MiB `load` line's worth) parses in
+/// bounded time, with its gates in chain order.
+#[test]
+fn reversed_40k_chain_parses_in_bounded_time() {
+    let text = reversed_chain(40_000);
+    let start = Instant::now();
+    let netlist = parse_bench("chain", &text).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(netlist.num_gates(), 40_000);
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "reversed 40k chain took {elapsed:?}"
+    );
+    // The last line defines n1, the first gate of the chain.
+    let first = netlist.gates().next().unwrap();
+    assert_eq!(netlist.net(first.output()).name(), Some("n1"));
+}
+
+/// The historical reader, kept as the oracle of gate creation order:
+/// resolve every definition whose arguments are known, in file order,
+/// pass after pass until quiescent. Knows the cells `write_bench`
+/// emits.
+fn quiescent_parse(text: &str) -> Netlist {
+    let mut b = NetlistBuilder::new("oracle");
+    let mut signal: HashMap<String, NetId> = HashMap::new();
+    let mut outputs = Vec::new();
+    let mut remaining = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if let Some(name) = line.strip_prefix("INPUT(") {
+            let name = name.trim_end_matches(')');
+            signal.insert(name.to_owned(), b.input(name));
+        } else if let Some(name) = line.strip_prefix("OUTPUT(") {
+            outputs.push(name.trim_end_matches(')').to_owned());
+        } else if let Some((out, rhs)) = line.split_once(" = ") {
+            let (cell, args) = rhs.trim_end_matches(')').split_once('(').unwrap();
+            let args: Vec<String> = args.split(", ").map(str::to_owned).collect();
+            remaining.push((out.to_owned(), cell.to_owned(), args));
+        }
+    }
+    while !remaining.is_empty() {
+        let before = remaining.len();
+        let mut next = Vec::new();
+        for (out, cell, args) in remaining {
+            let Some(nets) = args
+                .iter()
+                .map(|a| signal.get(a).copied())
+                .collect::<Option<Vec<NetId>>>()
+            else {
+                next.push((out, cell, args));
+                continue;
+            };
+            let kind = match cell.as_str() {
+                "NOT" => GateKind::Inv,
+                "BUFF" => GateKind::Buf,
+                "NAND" => GateKind::nand(nets.len()).unwrap(),
+                "NOR" => GateKind::nor(nets.len()).unwrap(),
+                "AND" => GateKind::and(nets.len()).unwrap(),
+                "OR" => GateKind::or(nets.len()).unwrap(),
+                "XOR" => GateKind::Xor2,
+                "XNOR" => GateKind::Xnor2,
+                other => panic!("oracle: unexpected cell {other}"),
+            };
+            let net = b.named_gate(kind, &nets, Some(out.clone())).unwrap();
+            signal.insert(out, net);
+        }
+        assert!(next.len() < before, "oracle: unresolvable text");
+        remaining = next;
+    }
+    for output in outputs {
+        b.output(signal[&output], output);
+    }
+    b.finish().unwrap()
+}
+
+/// Shuffled definitions of a c432-like netlist get exactly the gate
+/// ids of the historical pass-by-pass reader: same gate per id, same
+/// `write_bench` bytes.
+#[test]
+fn shuffled_definitions_match_the_quiescent_reader() {
+    let text = write_bench(&Benchmark::C432.generate().unwrap()).unwrap();
+    let (header, defs): (Vec<&str>, Vec<&str>) = text
+        .lines()
+        .partition(|l| l.starts_with("INPUT(") || l.starts_with("OUTPUT("));
+    let mut rng = StdRng::seed_from_u64(0x5eed_0005);
+    for round in 0..6 {
+        let mut defs = defs.clone();
+        // Round 0 keeps the written (topological) order.
+        for i in (1..defs.len()).rev().filter(|_| round > 0) {
+            defs.swap(i, rng.gen_range(0..=i));
+        }
+        let shuffled = format!("{}\n{}\n", header.join("\n"), defs.join("\n"));
+        let got = parse_bench("oracle", &shuffled).unwrap();
+        let want = quiescent_parse(&shuffled);
+        assert_eq!(got.num_gates(), want.num_gates(), "round {round}");
+        for (g, w) in got.gates().zip(want.gates()) {
+            assert_eq!(g.kind(), w.kind(), "round {round}");
+            assert_eq!(
+                got.net(g.output()).name(),
+                want.net(w.output()).name(),
+                "round {round}"
+            );
+        }
+        assert_eq!(
+            write_bench(&got).unwrap(),
+            write_bench(&want).unwrap(),
+            "round {round}"
+        );
     }
 }

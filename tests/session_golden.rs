@@ -1,7 +1,7 @@
 //! Golden pins for the session-oriented service API: everything a
 //! [`SizingSession`] serves must be **bit-identical** to the legacy
-//! one-shot entry points (`SizingProblem::{minflotransit,tilos}`,
-//! `SweepEngine::run`, `delay_of`/`area_of`) under the same optimizer
+//! one-shot entry points (`SizingProblem::{minflotransit,tilos}`, a
+//! per-point sweep of them, `delay_of`/`area_of`) under the same optimizer
 //! configuration — including mixed request sequences where cross-request
 //! warm state (the shared TILOS trajectory, the persistent D-phase
 //! network, the SMP solver, the incremental timing engine) carries over
@@ -14,10 +14,11 @@
 //! incrementally), and a repeated target does zero timing work at all
 //! (bump-log replay).
 
+mod common;
+
+use common::per_point_curve;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
-use minflotransit::core::{
-    SessionConfig, SizingProblem, SizingSolution, SweepEngine, SweepOptions, SweepOutcome,
-};
+use minflotransit::core::{SessionConfig, SizingProblem, SizingSolution, SweepOutcome};
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
 
@@ -120,12 +121,10 @@ fn mixed_sequence_matches_legacy(
         assert_solutions_bit_identical(&served, &legacy(spec), &format!("{what}: size#{k} {spec}"));
     }
 
-    // A sweep mid-stream, against the legacy engine under the same
-    // options.
+    // A sweep mid-stream, against the one-shot calls point by point
+    // under the same optimizer configuration.
     let served_sweep = session.sweep(sweep_specs).unwrap();
-    let legacy_sweep = SweepEngine::new(problem, SweepOptions::from(config.clone()))
-        .run(sweep_specs)
-        .unwrap();
+    let legacy_sweep = per_point_curve(problem, &config.optimizer, sweep_specs);
     assert_outcomes_bit_identical(&served_sweep, &legacy_sweep, &format!("{what}: sweep"));
 
     // Size again after the sweep (the sweep advanced the shared
@@ -189,7 +188,7 @@ fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
 
 /// c17, fully warm config (inner warm starts on): the session must
 /// match the legacy *warm* stack (same optimizer config through
-/// `minflotransit_with` / a warm `SweepEngine`) bit for bit.
+/// `minflotransit_with`, point by point for the sweep) bit for bit.
 #[test]
 fn c17_mixed_sequence_warm_matches_legacy_warm_stack() {
     let problem = c17_problem();

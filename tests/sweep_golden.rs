@@ -1,8 +1,8 @@
-//! Golden pins for the persistent sweep engine: the warm-started sweep
-//! (all three reuse levers on) must reproduce the cold per-point curve,
-//! and worker partitioning must never change results.
+//! Golden pins for session sweeps: the warm-started sweep (all three
+//! reuse levers on) must reproduce the cold per-point curve, and worker
+//! partitioning must never change results.
 //!
-//! Equality contract (matching the engine's documentation):
+//! Equality contract (matching the session's documentation):
 //!
 //! * TILOS trajectory reuse is **bit-exact**, so `tilos_area_ratio` is
 //!   pinned bitwise everywhere, as are `Unreachable` outcomes.
@@ -14,10 +14,11 @@
 //! * `jobs = N` is pinned bit-identical to `jobs = 1` — hermetic point
 //!   boundaries make every point independent of the partitioning.
 
+mod common;
+
+use common::per_point_curve;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
-use minflotransit::core::{
-    area_delay_curve, MinflotransitConfig, SizingProblem, SweepEngine, SweepOptions, SweepOutcome,
-};
+use minflotransit::core::{MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome};
 use minflotransit::delay::Technology;
 use minflotransit::gen::alu;
 use proptest::prelude::*;
@@ -84,10 +85,11 @@ fn assert_bit_identical(a: &[SweepOutcome], b: &[SweepOutcome], what: &str) {
 fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
     let problem = c17_problem();
     let specs = [0.95, 0.85, 0.75, 0.65, 0.55, 0.5];
-    let cold = area_delay_curve(&problem, &specs, &MinflotransitConfig::default()).unwrap();
+    let cold = per_point_curve(&problem, &MinflotransitConfig::default(), &specs);
     for jobs in [1usize, 4] {
-        let warm = SweepEngine::new(&problem, SweepOptions::warm().with_jobs(jobs))
-            .run(&specs)
+        let warm = problem
+            .session(SessionConfig::warm().with_jobs(jobs))
+            .sweep(&specs)
             .unwrap();
         assert_bit_identical(&cold, &warm, &format!("c17 jobs={jobs}"));
         // The levers actually engaged: warm D-phase solves dominate and
@@ -107,24 +109,22 @@ fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
     }
 }
 
-/// On a generated datapath circuit (4-bit ALU): the warm engine is
-/// compared against a cold sweep of the *same* configuration (the warm
-/// default, network-simplex backed). TILOS ratios and unreachable
+/// On a generated datapath circuit (4-bit ALU): the warm session sweep
+/// is compared against the per-point cold curve of the *same* optimizer
+/// configuration (the warm preset's, network-simplex backed). TILOS ratios and unreachable
 /// outcomes are pinned bitwise, iteration counts match, and the warm
 /// MFT areas agree with cold to 1e-9 relative (the documented
 /// warm-solve tolerance); jobs=4 reproduces jobs=1 bitwise. A second,
-/// looser pin (1e-4 relative) covers the comparison against the legacy
-/// `area_delay_curve` cold curve, whose degenerate D-phase optima may
-/// legally resolve to different vertices than the warm solves'.
+/// looser pin (1e-4 relative) covers the comparison against the default
+/// (cold inner solves) per-point curve, whose degenerate D-phase optima
+/// may legally resolve to different vertices than the warm solves'.
 #[test]
 fn golden_datapath_warm_sweep_matches_cold() {
     let problem = datapath_problem();
     let specs = [0.9, 0.8, 0.7, 0.6, 0.05];
-    let warm_opts = SweepOptions::warm();
-    let cold = SweepEngine::new(&problem, SweepOptions::cold_with(warm_opts.config.clone()))
-        .run(&specs)
-        .unwrap();
-    let warm = SweepEngine::new(&problem, warm_opts).run(&specs).unwrap();
+    let warm_config = SessionConfig::warm();
+    let cold = per_point_curve(&problem, &warm_config.optimizer, &specs);
+    let warm = problem.session(warm_config).sweep(&specs).unwrap();
     for (i, (c, w)) in cold.iter().zip(warm.iter()).enumerate() {
         match (c, w) {
             (SweepOutcome::Point(c), SweepOutcome::Point(w)) => {
@@ -150,7 +150,7 @@ fn golden_datapath_warm_sweep_matches_cold() {
             _ => panic!("[{i}]: outcome kinds differ"),
         }
     }
-    let legacy = area_delay_curve(&problem, &specs, &MinflotransitConfig::default()).unwrap();
+    let legacy = per_point_curve(&problem, &MinflotransitConfig::default(), &specs);
     for (i, (l, w)) in legacy.iter().zip(warm.iter()).enumerate() {
         if let (SweepOutcome::Point(l), SweepOutcome::Point(w)) = (l, w) {
             assert_eq!(
@@ -166,8 +166,9 @@ fn golden_datapath_warm_sweep_matches_cold() {
             );
         }
     }
-    let multi = SweepEngine::new(&problem, SweepOptions::warm().with_jobs(4))
-        .run(&specs)
+    let multi = problem
+        .session(SessionConfig::warm().with_jobs(4))
+        .sweep(&specs)
         .unwrap();
     assert_bit_identical(&warm, &multi, "datapath jobs=4");
 }
@@ -175,17 +176,15 @@ fn golden_datapath_warm_sweep_matches_cold() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Permuting the spec order never changes any outcome: the engine
+    /// Permuting the spec order never changes any outcome: the session
     /// sorts internally and hermetic point boundaries make each point a
     /// pure function of its own target.
     #[test]
     fn spec_order_never_changes_outcomes(seed in 0u64..64, jobs in 1usize..4) {
         let problem = c17_problem();
         let base = [0.9, 0.8, 0.7, 0.6, 0.5];
-        let engine_opts = SweepOptions::warm().with_jobs(jobs);
-        let reference = SweepEngine::new(&problem, engine_opts.clone())
-            .run(&base)
-            .unwrap();
+        let config = SessionConfig::warm().with_jobs(jobs);
+        let reference = problem.session(config.clone()).sweep(&base).unwrap();
         // Fisher–Yates with the vendored rng.
         let mut perm: Vec<usize> = (0..base.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -194,9 +193,7 @@ proptest! {
             perm.swap(i, j);
         }
         let shuffled: Vec<f64> = perm.iter().map(|&i| base[i]).collect();
-        let got = SweepEngine::new(&problem, engine_opts)
-            .run(&shuffled)
-            .unwrap();
+        let got = problem.session(config).sweep(&shuffled).unwrap();
         for (k, &i) in perm.iter().enumerate() {
             let (SweepOutcome::Point(p), SweepOutcome::Point(q)) = (&got[k], &reference[i]) else {
                 panic!("reachable specs");
