@@ -292,10 +292,10 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
                     })
                     .for_circuit("dut")
                 };
-                let line = frame.with_id(&i.to_string()).to_json_line();
+                let mut line = frame.with_id(&i.to_string()).to_json_line();
+                line.push('\n');
                 sent_at.lock().unwrap().insert(i, Instant::now());
                 write_half.write_all(line.as_bytes()).expect("send");
-                write_half.write_all(b"\n").expect("send");
                 let next = interval * (i as u32 + 1);
                 if let Some(sleep) = next.checked_sub(t0.elapsed()) {
                     std::thread::sleep(sleep);

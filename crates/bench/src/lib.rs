@@ -12,9 +12,15 @@
 //!
 //! Binaries `table1`, `fig7` and `scaling` print aligned text tables and
 //! write CSVs under `target/experiments/`.
+//!
+//! [`legacy_json`] keeps the line protocol's pre-codec JSON reader and
+//! `format!` number writer, the oracle of the reader fuzz test and the
+//! baseline of the `wire_codec` bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod legacy_json;
 
 use mft_circuit::SizingMode;
 use mft_core::{MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome};

@@ -49,6 +49,14 @@ pub enum MftError {
         /// Found number of sizes.
         found: usize,
     },
+    /// A candidate size vector holds a size that is not a finite
+    /// positive number (`what_if`).
+    InvalidSize {
+        /// Index of the first bad size.
+        index: usize,
+        /// The bad size.
+        value: f64,
+    },
     /// The request was stopped by its deadline or an explicit cancel
     /// (see [`crate::CancelToken`]) before converging. Carries the
     /// partial progress made, for `timeout` responses with stats.
@@ -80,6 +88,10 @@ impl fmt::Display for MftError {
             MftError::ShapeMismatch { expected, found } => {
                 write!(f, "expected {expected} sizes, found {found}")
             }
+            MftError::InvalidSize { index, value } => write!(
+                f,
+                "size at index {index} is {value}; candidate sizes must be finite and positive"
+            ),
             MftError::Cancelled {
                 iterations,
                 tilos_bumps,

@@ -117,6 +117,7 @@
 #![warn(missing_docs)]
 
 mod cancel;
+mod codec;
 mod curve;
 mod dphase;
 mod error;

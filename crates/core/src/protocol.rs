@@ -59,6 +59,7 @@
 //! `{"type":"error","message":"…"}` lines, so a bad request never
 //! tears down the stream.
 
+use crate::codec::{parse_json, push_json_string, push_num, push_nums, Json};
 use crate::curve::SweepOutcome;
 use crate::error::MftError;
 use crate::session::{SessionStats, WhatIfReport};
@@ -194,24 +195,21 @@ impl Request {
     /// [`MftError::Protocol`] on malformed JSON, an unknown `type`, or
     /// missing/ill-typed fields.
     pub fn from_json_line(line: &str) -> Result<Request, MftError> {
-        let value = parse_json(line).map_err(MftError::Protocol)?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| MftError::Protocol("request must be a JSON object".into()))?;
-        Request::from_object(obj)
+        let mut value = parse_json(line).map_err(MftError::Protocol)?;
+        Request::from_fields(&mut Fields::of_request(&mut value)?)
     }
 
-    /// Parses the request payload out of an already-parsed JSON object.
-    fn from_object(obj: &[(String, Json)]) -> Result<Request, MftError> {
-        let fields = Fields(obj);
+    /// Parses the request payload out of an already-parsed JSON object
+    /// (number arrays are moved out of it).
+    fn from_fields(fields: &mut Fields) -> Result<Request, MftError> {
         let kind = fields
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| MftError::Protocol("missing string field `type`".into()))?;
         match kind {
             "size" => {
-                let spec = fields.num_opt("spec")?;
-                let target = fields.num_opt("target")?;
+                let spec = fields.finite_opt("spec")?;
+                let target = fields.finite_opt("target")?;
                 if spec.is_none() && target.is_none() {
                     return Err(MftError::Protocol(
                         "size request needs `spec` or `target`".into(),
@@ -225,8 +223,8 @@ impl Request {
                 })
             }
             "size_power" => {
-                let spec = fields.num_opt("spec")?;
-                let target = fields.num_opt("target")?;
+                let spec = fields.finite_opt("spec")?;
+                let target = fields.finite_opt("target")?;
                 if spec.is_none() && target.is_none() {
                     return Err(MftError::Protocol(
                         "size_power request needs `spec` or `target`".into(),
@@ -239,13 +237,19 @@ impl Request {
                     return_sizes,
                 })
             }
-            "sweep" => Ok(Request::Sweep {
-                specs: fields.num_array("specs")?,
-            }),
+            "sweep" => {
+                let specs = fields.num_array("specs")?;
+                if specs.iter().any(|x| !x.is_finite()) {
+                    return Err(MftError::Protocol(
+                        "field `specs` must contain only finite numbers".into(),
+                    ));
+                }
+                Ok(Request::Sweep { specs })
+            }
             "what_if" => Ok(Request::WhatIf {
                 sizes: fields.num_array("sizes")?,
-                spec: fields.num_opt("spec")?,
-                target: fields.num_opt("target")?,
+                spec: fields.finite_opt("spec")?,
+                target: fields.finite_opt("target")?,
             }),
             "stats" => Ok(Request::Stats),
             "load" => {
@@ -290,65 +294,48 @@ impl Request {
     /// Emits the request as one protocol line (the client side of the
     /// wire; round-trips through [`Request::from_json_line`]).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::from("{");
+        self.push_fields(&mut s);
+        s
+    }
+
+    /// Appends the request's fields and the closing brace: the line
+    /// after its opening `{`, so an envelope can go in front.
+    fn push_fields(&self, s: &mut String) {
         match self {
             Request::Size {
                 spec,
                 target,
                 return_sizes,
-            } => {
-                s.push_str("{\"type\":\"size\"");
-                if let Some(spec) = spec {
-                    let _ = write!(s, ",\"spec\":{}", json_f64(*spec));
-                }
-                if let Some(target) = target {
-                    let _ = write!(s, ",\"target\":{}", json_f64(*target));
-                }
-                if *return_sizes {
-                    s.push_str(",\"return_sizes\":true");
-                }
-                s.push('}');
             }
-            Request::SizePower {
+            | Request::SizePower {
                 spec,
                 target,
                 return_sizes,
             } => {
-                s.push_str("{\"type\":\"size_power\"");
-                if let Some(spec) = spec {
-                    let _ = write!(s, ",\"spec\":{}", json_f64(*spec));
-                }
-                if let Some(target) = target {
-                    let _ = write!(s, ",\"target\":{}", json_f64(*target));
-                }
+                let _ = write!(s, "\"type\":\"{}\"", self.wire_type());
+                push_opt_field(s, "spec", *spec);
+                push_opt_field(s, "target", *target);
                 if *return_sizes {
                     s.push_str(",\"return_sizes\":true");
                 }
-                s.push('}');
             }
             Request::Sweep { specs } => {
-                s.push_str("{\"type\":\"sweep\",\"specs\":");
-                push_f64_array(&mut s, specs);
-                s.push('}');
+                s.push_str("\"type\":\"sweep\",\"specs\":");
+                push_nums(s, specs);
             }
             Request::WhatIf {
                 sizes,
                 spec,
                 target,
             } => {
-                s.push_str("{\"type\":\"what_if\",\"sizes\":");
-                push_f64_array(&mut s, sizes);
-                if let Some(spec) = spec {
-                    let _ = write!(s, ",\"spec\":{}", json_f64(*spec));
-                }
-                if let Some(target) = target {
-                    let _ = write!(s, ",\"target\":{}", json_f64(*target));
-                }
-                s.push('}');
+                s.push_str("\"type\":\"what_if\",\"sizes\":");
+                push_nums(s, sizes);
+                push_opt_field(s, "spec", *spec);
+                push_opt_field(s, "target", *target);
             }
-            Request::Stats => s.push_str("{\"type\":\"stats\"}"),
             Request::Load(load) => {
-                s.push_str("{\"type\":\"load\"");
+                s.push_str("\"type\":\"load\"");
                 for (key, value) in [
                     ("path", &load.path),
                     ("bench", &load.bench),
@@ -361,7 +348,7 @@ impl Request {
                 ] {
                     if let Some(value) = value {
                         let _ = write!(s, ",\"{key}\":");
-                        push_json_string(&mut s, value);
+                        push_json_string(s, value);
                     }
                 }
                 if load.replace {
@@ -370,13 +357,12 @@ impl Request {
                 if let Some(replicas) = load.replicas {
                     let _ = write!(s, ",\"replicas\":{replicas}");
                 }
-                s.push('}');
             }
-            Request::Unload => s.push_str("{\"type\":\"unload\"}"),
-            Request::List => s.push_str("{\"type\":\"list\"}"),
-            Request::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
+            Request::Stats | Request::Unload | Request::List | Request::Shutdown => {
+                let _ = write!(s, "\"type\":\"{}\"", self.wire_type());
+            }
         }
-        s
+        s.push('}');
     }
 }
 
@@ -447,11 +433,8 @@ impl RequestFrame {
     /// `id`, a non-string `circuit`, an unknown `type`, or
     /// missing/ill-typed payload fields.
     pub fn from_json_line(line: &str) -> Result<RequestFrame, MftError> {
-        let value = parse_json(line).map_err(MftError::Protocol)?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| MftError::Protocol("request must be a JSON object".into()))?;
-        let fields = Fields(obj);
+        let mut value = parse_json(line).map_err(MftError::Protocol)?;
+        let mut fields = Fields::of_request(&mut value)?;
         let id = match fields.get("id") {
             None => None,
             Some(v) => id_fragment(v)?,
@@ -469,7 +452,7 @@ impl RequestFrame {
             id,
             circuit,
             deadline_ms,
-            request: Request::from_object(obj)?,
+            request: Request::from_fields(&mut fields)?,
         })
     }
 
@@ -477,7 +460,6 @@ impl RequestFrame {
     /// first, then the payload; round-trips through
     /// [`RequestFrame::from_json_line`]).
     pub fn to_json_line(&self) -> String {
-        let payload = self.request.to_json_line();
         let mut s = String::from("{");
         if let Some(id) = &self.id {
             let _ = write!(s, "\"id\":{id},");
@@ -488,12 +470,11 @@ impl RequestFrame {
             s.push(',');
         }
         if let Some(deadline_ms) = self.deadline_ms {
-            let _ = write!(s, "\"deadline_ms\":{},", json_f64(deadline_ms));
+            s.push_str("\"deadline_ms\":");
+            push_num(&mut s, deadline_ms);
+            s.push(',');
         }
-        if s.len() == 1 {
-            return payload;
-        }
-        s.push_str(&payload[1..]);
+        self.request.push_fields(&mut s);
         s
     }
 }
@@ -503,10 +484,9 @@ impl RequestFrame {
 /// for lines whose payload failed to parse; returns `None` when the
 /// line is not valid JSON or carries no usable id.
 pub fn extract_id(line: &str) -> Option<String> {
-    let value = parse_json(line).ok()?;
-    let obj = value.as_object()?;
-    let v = Fields(obj).get("id")?;
-    id_fragment(v).ok().flatten()
+    let mut value = parse_json(line).ok()?;
+    let fields = Fields(value.as_object_mut()?);
+    id_fragment(fields.get("id")?).ok().flatten()
 }
 
 /// Best-effort extraction of the error `code` from a response line
@@ -514,9 +494,8 @@ pub fn extract_id(line: &str) -> Option<String> {
 /// Returns `None` for non-error lines, uncoded errors, or non-JSON —
 /// the retry predicate `LineClient::send_with_retry` builds on.
 pub fn extract_error_code(line: &str) -> Option<String> {
-    let value = parse_json(line).ok()?;
-    let obj = value.as_object()?;
-    let fields = Fields(obj);
+    let mut value = parse_json(line).ok()?;
+    let fields = Fields(value.as_object_mut()?);
     if fields.get("type").and_then(Json::as_str) != Some("error") {
         return None;
     }
@@ -532,7 +511,11 @@ fn id_fragment(v: &Json) -> Result<Option<String>, MftError> {
             push_json_string(&mut raw, s);
             Ok(Some(raw))
         }
-        Json::Num(x) if x.is_finite() => Ok(Some(json_f64(*x))),
+        Json::Num(x) if x.is_finite() => {
+            let mut raw = String::new();
+            push_num(&mut raw, *x);
+            Ok(Some(raw))
+        }
         Json::Null => Ok(None),
         _ => Err(MftError::Protocol(
             "field `id` must be a string or finite number".into(),
@@ -772,16 +755,23 @@ impl Response {
     /// as the first field; identical to [`Response::to_json_line`]
     /// when `id` is `None`.
     pub fn to_json_line_with_id(&self, id: Option<&str>) -> String {
-        let payload = self.to_json_line();
-        match id {
-            None => payload,
-            Some(raw) => format!("{{\"id\":{raw},{}", &payload[1..]),
+        let mut s = String::from("{");
+        if let Some(raw) = id {
+            let _ = write!(s, "\"id\":{raw},");
         }
+        self.push_fields(&mut s);
+        s
     }
 
     /// Emits the response as one protocol line.
     pub fn to_json_line(&self) -> String {
-        let mut s = String::new();
+        self.to_json_line_with_id(None)
+    }
+
+    /// Appends the response's fields and the closing brace: the line
+    /// after its opening `{`, so an `id` can go in front.
+    fn push_fields(&self, s: &mut String) {
+        let _ = write!(s, "\"type\":\"{}\"", self.wire_type());
         match self {
             Response::Size {
                 spec,
@@ -797,82 +787,61 @@ impl Response {
                 switching,
                 sizes,
             } => {
+                push_field(s, "spec", *spec);
+                push_field(s, "target", *target);
+                push_field(s, "area", *area);
+                push_field(s, "area_ratio", *area_ratio);
+                push_field(s, "achieved_delay", *achieved_delay);
                 let _ = write!(
                     s,
-                    "{{\"type\":\"size\",\"spec\":{},\"target\":{},\"area\":{},\
-                     \"area_ratio\":{},\"achieved_delay\":{},\"iterations\":{iterations},\
-                     \"tilos_bumps\":{tilos_bumps},\"saving_percent\":{},\
-                     \"power\":{},\"leakage\":{},\"switching\":{}",
-                    json_f64(*spec),
-                    json_f64(*target),
-                    json_f64(*area),
-                    json_f64(*area_ratio),
-                    json_f64(*achieved_delay),
-                    json_f64(*saving_percent),
-                    json_f64(*power),
-                    json_f64(*leakage),
-                    json_f64(*switching),
+                    ",\"iterations\":{iterations},\"tilos_bumps\":{tilos_bumps}"
                 );
+                push_field(s, "saving_percent", *saving_percent);
+                push_field(s, "power", *power);
+                push_field(s, "leakage", *leakage);
+                push_field(s, "switching", *switching);
                 if let Some(sizes) = sizes {
                     s.push_str(",\"sizes\":");
-                    push_f64_array(&mut s, sizes);
+                    push_nums(s, sizes);
                 }
-                s.push('}');
             }
             Response::Sweep { outcomes } => {
-                s.push_str("{\"type\":\"sweep\",\"points\":[");
+                s.push_str(",\"points\":[");
                 for (i, o) in outcomes.iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
+                    s.push_str("{\"spec\":");
                     match o {
                         SweepOutcome::Point(p) => {
-                            let _ = write!(
-                                s,
-                                "{{\"spec\":{},\"status\":\"ok\",\"target\":{},\
-                                 \"tilos_area_ratio\":{},\"mft_area_ratio\":{},\
-                                 \"saving_percent\":{},\"iterations\":{}}}",
-                                json_f64(p.spec),
-                                json_f64(p.target),
-                                json_f64(p.tilos_area_ratio),
-                                json_f64(p.mft_area_ratio),
-                                json_f64(p.saving_percent),
-                                p.iterations,
-                            );
+                            push_num(s, p.spec);
+                            s.push_str(",\"status\":\"ok\"");
+                            push_field(s, "target", p.target);
+                            push_field(s, "tilos_area_ratio", p.tilos_area_ratio);
+                            push_field(s, "mft_area_ratio", p.mft_area_ratio);
+                            push_field(s, "saving_percent", p.saving_percent);
+                            let _ = write!(s, ",\"iterations\":{}}}", p.iterations);
                         }
                         SweepOutcome::Unreachable { spec, best_ratio } => {
-                            let _ = write!(
-                                s,
-                                "{{\"spec\":{},\"status\":\"unreachable\",\
-                                 \"best_delay_ratio\":{}}}",
-                                json_f64(*spec),
-                                json_f64(*best_ratio),
-                            );
+                            push_num(s, *spec);
+                            s.push_str(",\"status\":\"unreachable\"");
+                            push_field(s, "best_delay_ratio", *best_ratio);
+                            s.push('}');
                         }
                     }
                 }
-                s.push_str("]}");
+                s.push(']');
             }
             Response::WhatIf(r) => {
-                let _ = write!(
-                    s,
-                    "{{\"type\":\"what_if\",\"area\":{},\"area_ratio\":{},\
-                     \"power\":{},\"critical_path\":{}",
-                    json_f64(r.area),
-                    json_f64(r.area_ratio),
-                    json_f64(r.power),
-                    json_f64(r.critical_path),
-                );
-                if let Some(target) = r.target {
-                    let _ = write!(s, ",\"target\":{}", json_f64(target));
-                }
-                if let Some(slack) = r.slack {
-                    let _ = write!(s, ",\"slack\":{}", json_f64(slack));
-                }
+                push_field(s, "area", r.area);
+                push_field(s, "area_ratio", r.area_ratio);
+                push_field(s, "power", r.power);
+                push_field(s, "critical_path", r.critical_path);
+                push_opt_field(s, "target", r.target);
+                push_opt_field(s, "slack", r.slack);
                 if let Some(meets) = r.meets_target {
                     let _ = write!(s, ",\"meets_target\":{meets}");
                 }
-                s.push('}');
             }
             Response::Stats { stats, replicas } => {
                 let timing = stats.timing();
@@ -880,7 +849,7 @@ impl Response {
                 // keep their keys.
                 let _ = write!(
                     s,
-                    "{{\"type\":\"stats\",\"requests\":{},\"size_requests\":{},\
+                    ",\"requests\":{},\"size_requests\":{},\
                      \"size_power_requests\":{},\
                      \"sweep_requests\":{},\"sweep_points\":{},\"what_if_requests\":{},\
                      \"trajectory_bumps\":{},\"trajectory_reused_bumps\":{},\
@@ -890,9 +859,7 @@ impl Response {
                      \"sens_hits\":{},\"sens_misses\":{},\"sens_invalidations\":{},\
                      \"dphase_backend\":\"{}\",\"dphase_cold_solves\":{},\
                      \"dphase_warm_solves\":{},\"dphase_pivots\":{},\
-                     \"dphase_scanned_arcs\":{},\"flow_reuses\":0,\
-                     \"flow_seconds\":{},\"smp_solves\":{},\"smp_seeded_solves\":{},\
-                     \"smp_updates\":{}",
+                     \"dphase_scanned_arcs\":{},\"flow_reuses\":0",
                     stats.requests,
                     stats.size_requests,
                     stats.size_power_requests,
@@ -915,10 +882,12 @@ impl Response {
                     stats.dphase.flow.warm_solves,
                     stats.dphase.flow.pivots,
                     stats.dphase.flow.arcs_scanned,
-                    json_f64(stats.dphase.total_time.as_secs_f64()),
-                    stats.wphase.solves,
-                    stats.wphase.seeded_solves,
-                    stats.wphase.updates,
+                );
+                push_field(s, "flow_seconds", stats.dphase.total_time.as_secs_f64());
+                let _ = write!(
+                    s,
+                    ",\"smp_solves\":{},\"smp_seeded_solves\":{},\"smp_updates\":{}",
+                    stats.wphase.solves, stats.wphase.seeded_solves, stats.wphase.updates,
                 );
                 if let Some(r) = replicas {
                     let _ = write!(
@@ -939,7 +908,6 @@ impl Response {
                         r.diff_hits, r.full_timings, r.invalidations,
                     );
                 }
-                s.push('}');
             }
             Response::Loaded {
                 circuit,
@@ -948,48 +916,37 @@ impl Response {
                 dmin,
                 min_area,
             } => {
-                s.push_str("{\"type\":\"loaded\",\"circuit\":");
-                push_json_string(&mut s, circuit);
-                let _ = write!(
-                    s,
-                    ",\"gates\":{gates},\"vertices\":{vertices},\"dmin\":{},\"min_area\":{}}}",
-                    json_f64(*dmin),
-                    json_f64(*min_area),
-                );
+                s.push_str(",\"circuit\":");
+                push_json_string(s, circuit);
+                let _ = write!(s, ",\"gates\":{gates},\"vertices\":{vertices}");
+                push_field(s, "dmin", *dmin);
+                push_field(s, "min_area", *min_area);
             }
             Response::Unloaded { circuit } => {
-                s.push_str("{\"type\":\"unloaded\",\"circuit\":");
-                push_json_string(&mut s, circuit);
-                s.push('}');
+                s.push_str(",\"circuit\":");
+                push_json_string(s, circuit);
             }
             Response::CircuitList { circuits } => {
-                s.push_str("{\"type\":\"list\",\"circuits\":[");
+                s.push_str(",\"circuits\":[");
                 for (i, c) in circuits.iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
                     s.push_str("{\"circuit\":");
-                    push_json_string(&mut s, &c.name);
+                    push_json_string(s, &c.name);
+                    let _ = write!(s, ",\"gates\":{},\"vertices\":{}", c.gates, c.vertices);
+                    push_field(s, "dmin", c.dmin);
                     let _ = write!(
                         s,
-                        ",\"gates\":{},\"vertices\":{},\"dmin\":{},\"requests\":{},\
-                         \"write_queue_depth\":{},\"read_queue_depth\":{},\
+                        ",\"requests\":{},\"write_queue_depth\":{},\"read_queue_depth\":{},\
                          \"replicas\":{},\"state\":\"{}\"}}",
-                        c.gates,
-                        c.vertices,
-                        json_f64(c.dmin),
-                        c.requests,
-                        c.write_queue_depth,
-                        c.read_queue_depth,
-                        c.replicas,
-                        c.state,
+                        c.requests, c.write_queue_depth, c.read_queue_depth, c.replicas, c.state,
                     );
                 }
-                s.push_str("]}");
+                s.push(']');
             }
-            Response::ShuttingDown => s.push_str("{\"type\":\"shutdown\"}"),
+            Response::ShuttingDown => {}
             Response::Error { code, message } => {
-                s.push_str("{\"type\":\"error\"");
                 if let Some(code) = code {
                     let _ = write!(s, ",\"code\":\"{}\"", code.wire_name());
                     match code {
@@ -1009,20 +966,40 @@ impl Response {
                     }
                 }
                 s.push_str(",\"message\":");
-                push_json_string(&mut s, message);
-                s.push('}');
+                push_json_string(s, message);
             }
         }
-        s
+        s.push('}');
+    }
+}
+
+/// Appends `,"key":x` (`x` as a JSON number).
+fn push_field(s: &mut String, key: &str, x: f64) {
+    let _ = write!(s, ",\"{key}\":");
+    push_num(s, x);
+}
+
+/// [`push_field`] when `x` is set; nothing otherwise.
+fn push_opt_field(s: &mut String, key: &str, x: Option<f64>) {
+    if let Some(x) = x {
+        push_field(s, key, x);
     }
 }
 
 /// Field lookup over a parsed JSON object, with typed accessors that
 /// produce [`MftError::Protocol`] diagnostics.
-struct Fields<'a>(&'a [(String, Json)]);
+struct Fields<'a>(&'a mut [(String, Json)]);
 
 impl<'a> Fields<'a> {
-    fn get(&self, name: &str) -> Option<&'a Json> {
+    /// The fields of a parsed request line, which must be an object.
+    fn of_request(value: &'a mut Json) -> Result<Self, MftError> {
+        value
+            .as_object_mut()
+            .map(Fields)
+            .ok_or_else(|| MftError::Protocol("request must be a JSON object".into()))
+    }
+
+    fn get(&self, name: &str) -> Option<&Json> {
         self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
@@ -1033,6 +1010,16 @@ impl<'a> Fields<'a> {
                 .as_f64()
                 .map(Some)
                 .ok_or_else(|| MftError::Protocol(format!("field `{name}` must be a number"))),
+        }
+    }
+
+    /// [`Fields::num_opt`] that also refuses ±∞ (`1e400` reads as ∞).
+    fn finite_opt(&self, name: &str) -> Result<Option<f64>, MftError> {
+        match self.num_opt(name)? {
+            Some(x) if !x.is_finite() => Err(MftError::Protocol(format!(
+                "field `{name}` must be a finite number"
+            ))),
+            x => Ok(x),
         }
     }
 
@@ -1056,351 +1043,31 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn num_array(&self, name: &str) -> Result<Vec<f64>, MftError> {
+    /// Moves a number array out of the object (the reader collected it
+    /// into one vector already).
+    fn num_array(&mut self, name: &str) -> Result<Vec<f64>, MftError> {
         let v = self
-            .get(name)
+            .0
+            .iter_mut()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
             .ok_or_else(|| MftError::Protocol(format!("missing array field `{name}`")))?;
-        let arr = v
-            .as_array()
-            .ok_or_else(|| MftError::Protocol(format!("field `{name}` must be an array")))?;
-        arr.iter()
-            .map(|x| {
-                x.as_f64().ok_or_else(|| {
-                    MftError::Protocol(format!("field `{name}` must contain only numbers"))
-                })
-            })
-            .collect()
-    }
-}
-
-/// Emits an f64 as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn push_f64_array(s: &mut String, xs: &[f64]) {
-    s.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+        match v {
+            Json::Nums(xs) => Ok(std::mem::take(xs)),
+            Json::Arr(_) => Err(MftError::Protocol(format!(
+                "field `{name}` must contain only numbers"
+            ))),
+            _ => Err(MftError::Protocol(format!(
+                "field `{name}` must be an array"
+            ))),
         }
-        s.push_str(&json_f64(*x));
-    }
-    s.push(']');
-}
-
-fn push_json_string(s: &mut String, raw: &str) {
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// A parsed JSON value (the minimal reader behind
-/// [`Request::from_json_line`]).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-/// The deepest array/object nesting the JSON reader accepts. Requests
-/// nest two levels (the request object and its arrays) and responses
-/// three, so this only refuses hostile lines: the reader recurses once
-/// per level, and an unbounded depth would let one line of `[`
-/// overflow the connection thread's stack. A constant, not a knob.
-const MAX_JSON_DEPTH: usize = 64;
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects open around `pos`.
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r')
-        ) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_JSON_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// Reads four hex digits at `at` as a code unit.
-    fn hex4(&self, at: usize) -> Result<u32, String> {
-        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape".to_owned())?;
-        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex4(self.pos + 1)?;
-                            if (0xDC00..=0xDFFF).contains(&code) {
-                                return Err("unpaired low surrogate in \\u escape".into());
-                            }
-                            if (0xD800..=0xDBFF).contains(&code) {
-                                // A high surrogate must be followed by
-                                // an escaped low surrogate; the pair
-                                // decodes to one supplementary scalar.
-                                if self.bytes.get(self.pos + 5) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 6) != Some(&b'u')
-                                {
-                                    return Err("high surrogate not followed by \\u escape".into());
-                                }
-                                let low = self.hex4(self.pos + 7)?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err("invalid low surrogate in \\u pair".into());
-                                }
-                                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                out.push(
-                                    char::from_u32(scalar)
-                                        .expect("surrogate pairs decode to valid scalars"),
-                                );
-                                self.pos += 10;
-                            } else {
-                                out.push(
-                                    char::from_u32(code)
-                                        .expect("non-surrogate BMP values are valid scalars"),
-                                );
-                                self.pos += 4;
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or
-                    // backslash at once. Both are ASCII, so the run ends
-                    // on a char boundary of the input (a &str, valid
-                    // UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(std::str::from_utf8(&rest[..len]).expect("input was a &str"));
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_JSON_DEPTH;
 
     #[test]
     fn parses_every_request_kind() {
@@ -1923,6 +1590,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn non_finite_targets_are_refused_by_field_name() {
+        for (line, field) in [
+            (r#"{"type":"size","spec":1e400}"#, "spec"),
+            (r#"{"type":"size","spec":0.7,"target":-1e400}"#, "target"),
+            (r#"{"type":"size_power","target":1e999}"#, "target"),
+            (r#"{"type":"what_if","sizes":[1],"spec":1e400}"#, "spec"),
+        ] {
+            let err = Request::from_json_line(line).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("bad request: field `{field}` must be a finite number"),
+                "{line}"
+            );
+        }
+        let err = Request::from_json_line(r#"{"type":"sweep","specs":[0.9,1e400]}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad request: field `specs` must contain only finite numbers"
+        );
+        // Underflow to zero is finite; sizes are the session's to check.
+        assert!(Request::from_json_line(r#"{"type":"size","spec":1e-400}"#).is_ok());
+        assert!(Request::from_json_line(r#"{"type":"what_if","sizes":[1e400]}"#).is_ok());
+    }
+
     /// A line of a million `[` (or `{"a":` pairs) is refused with a
     /// protocol error at the depth bound instead of overflowing the
     /// stack, on a thread with a small stack; nesting up to the bound
@@ -1954,91 +1646,5 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
-    }
-
-    #[test]
-    fn string_escapes_survive_both_directions() {
-        let message = "a \"quoted\"\\ line\nwith\tcontrol \u{1} bytes";
-        let line = Response::error(message).to_json_line();
-        let value = parse_json(&line).unwrap();
-        let obj = value.as_object().unwrap();
-        let roundtripped = obj
-            .iter()
-            .find(|(k, _)| k == "message")
-            .and_then(|(_, v)| v.as_str())
-            .unwrap();
-        assert_eq!(roundtripped, message);
-    }
-
-    #[test]
-    fn non_finite_floats_emit_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
-    fn unicode_escapes_decode() {
-        // Literal multibyte characters pass through…
-        let v = parse_json("\"Aé\"").unwrap();
-        assert_eq!(v, Json::Str("Aé".to_owned()));
-        // …and \u escapes decode to the same scalar.
-        let v = parse_json("\"A\\u00e9\"").unwrap();
-        assert_eq!(v, Json::Str("Aé".to_owned()));
-        // Surrogate pairs decode to one supplementary scalar (what
-        // ensure_ascii serializers emit for non-BMP characters).
-        let v = parse_json("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(v, Json::Str("😀".to_owned()));
-        // Broken pairs are rejected, not mis-decoded.
-        for bad in [
-            "\"\\ud83d\"",
-            "\"\\ud83dx\"",
-            "\"\\ude00\"",
-            "\"\\ud83d\\u0041\"",
-        ] {
-            assert!(parse_json(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn multibyte_runs_around_escapes_decode_exactly() {
-        // Multi-byte runs directly before and after escapes.
-        let v = parse_json(r#""héllo\"wörld\\ñ\n日本\t語""#).unwrap();
-        assert_eq!(v, Json::Str("héllo\"wörld\\ñ\n日本\t語".to_owned()));
-        // A surrogate pair in the middle of literal runs.
-        let v = parse_json(r#""αβ😀γδ😀ε""#).unwrap();
-        assert_eq!(v, Json::Str("αβ😀γδ😀ε".to_owned()));
-        // A run that is the whole string, and an empty one.
-        assert_eq!(parse_json("\"ünï\"").unwrap(), Json::Str("ünï".into()));
-        assert_eq!(parse_json("\"\"").unwrap(), Json::Str(String::new()));
-    }
-
-    #[test]
-    fn unterminated_strings_are_rejected() {
-        for bad in ["\"abc", "\"日本", "\"abc\\\"", "\"a\\", "{\"type\":\"siz"] {
-            assert!(parse_json(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn long_strings_decode_in_linear_time() {
-        // ~2 MB of mixed ASCII and multi-byte text with an escape every
-        // few KB. The old per-character decode re-validated the rest of
-        // the line for every character: quadratic, minutes at this size.
-        let chunk = "abcdefghij→ünï".repeat(200);
-        let mut text = String::from("\"");
-        let mut want = String::new();
-        while text.len() < 2_000_000 {
-            text.push_str(&chunk);
-            text.push_str("\\n");
-            want.push_str(&chunk);
-            want.push('\n');
-        }
-        text.push('"');
-        let started = std::time::Instant::now();
-        let v = parse_json(&text).unwrap();
-        let took = started.elapsed();
-        assert_eq!(v, Json::Str(want));
-        assert!(took.as_secs_f64() < 5.0, "2 MB string took {took:?}");
     }
 }

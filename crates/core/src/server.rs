@@ -967,9 +967,7 @@ impl CircuitServer {
                         }
                     }
                 };
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            write_line(&mut writer, response)?;
             if self.is_shutting_down() {
                 return Ok(());
             }
@@ -998,9 +996,7 @@ impl CircuitServer {
             let writer_handle = scope.spawn(move || -> io::Result<()> {
                 let mut writer = writer;
                 while let Ok(line) = rx.recv() {
-                    writer.write_all(line.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
+                    write_line(&mut writer, line)?;
                 }
                 Ok(())
             });
@@ -1509,7 +1505,7 @@ fn read_bounded_line<R: BufRead>(
             } else if buf.is_empty() {
                 LineRead::Eof
             } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                LineRead::Line(into_text(buf))
             });
         }
         match chunk.iter().position(|&b| b == b'\n') {
@@ -1523,7 +1519,7 @@ fn read_bounded_line<R: BufRead>(
                 return Ok(if overflow {
                     LineRead::TooLong
                 } else {
-                    LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
+                    LineRead::Line(into_text(buf))
                 });
             }
             None => {
@@ -1538,6 +1534,20 @@ fn read_bounded_line<R: BufRead>(
             }
         }
     }
+}
+
+/// Writes `line` and its newline with one `write_all` — one syscall,
+/// not two, per line on an unbuffered socket — then flushes.
+fn write_line<W: io::Write>(writer: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
+/// The line as text: its own bytes when they are valid UTF-8, else a
+/// copy with U+FFFD in place of each invalid sequence.
+fn into_text(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// A minimal blocking protocol client — one framed request out, one
@@ -1603,14 +1613,14 @@ impl<S: io::Read + io::Write> LineClient<S> {
     /// Sends one framed request line (no response is read — pipelined
     /// callers [`LineClient::recv`] later and match on the `id`).
     pub fn send(&mut self, frame: &RequestFrame) -> io::Result<()> {
-        self.send_raw(&frame.to_json_line())
+        write_line(&mut self.writer, frame.to_json_line())
     }
 
     /// Sends one raw protocol line.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        let mut buf = String::with_capacity(line.len() + 1);
+        buf.push_str(line);
+        write_line(&mut self.writer, buf)
     }
 
     /// Receives one response line (without its newline); `None` on a
@@ -1997,5 +2007,58 @@ mod tests {
             read_bounded_line(&mut reader, 16, &shutdown),
             Ok(LineRead::Eof)
         ));
+    }
+
+    /// Counts the `write` calls that reach the transport.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        let server = CircuitServer::new(ServerConfig::default());
+        let input = "{\"type\":\"list\",\"id\":1}\nnot json\n{\"type\":\"list\"}\n";
+        for pipelined in [false, true] {
+            let mut out = CountingWriter {
+                bytes: Vec::new(),
+                writes: 0,
+            };
+            if pipelined {
+                server.serve_connection(input.as_bytes(), &mut out).unwrap();
+            } else {
+                server
+                    .serve_connection_ordered(input.as_bytes(), &mut out)
+                    .unwrap();
+            }
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert_eq!(text.lines().count(), 3, "{text}");
+            assert_eq!(out.writes, 3, "{text}");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_lines_read_as_replacement_characters() {
+        let shutdown = AtomicBool::new(false);
+        let data: &[u8] = b"ok\xe9\n\xff\xfe";
+        let mut reader = io::BufReader::with_capacity(4, data);
+        for want in ["ok\u{fffd}", "\u{fffd}\u{fffd}"] {
+            let Ok(LineRead::Line(line)) = read_bounded_line(&mut reader, 16, &shutdown) else {
+                panic!("line {want:?}");
+            };
+            assert_eq!(line, want);
+        }
     }
 }

@@ -1037,7 +1037,8 @@ impl SizingSession {
     ///
     /// # Errors
     ///
-    /// [`MftError::ShapeMismatch`] when `sizes` has the wrong length.
+    /// [`MftError::ShapeMismatch`] when `sizes` has the wrong length,
+    /// [`MftError::InvalidSize`] when one is not finite and positive.
     pub fn what_if(
         &mut self,
         sizes: &[f64],
@@ -1048,12 +1049,7 @@ impl SizingSession {
         let dag = self.problem.dag();
         let model = self.problem.model();
         let n = dag.num_vertices();
-        if sizes.len() != n {
-            return Err(MftError::ShapeMismatch {
-                expected: n,
-                found: sizes.len(),
-            });
-        }
+        check_candidate(sizes, n)?;
         let delays = model.delays(sizes);
         let cp = if self.config.warm.reuse_solvers {
             if self.context.is_none() {
@@ -1316,7 +1312,8 @@ impl ReadView {
     ///
     /// # Errors
     ///
-    /// [`MftError::ShapeMismatch`] when `sizes` has the wrong length.
+    /// [`MftError::ShapeMismatch`] when `sizes` has the wrong length,
+    /// [`MftError::InvalidSize`] when one is not finite and positive.
     pub fn what_if(
         &mut self,
         sizes: &[f64],
@@ -1325,12 +1322,7 @@ impl ReadView {
         let dag = self.problem.dag();
         let model = self.problem.model();
         let n = dag.num_vertices();
-        if sizes.len() != n {
-            return Err(MftError::ShapeMismatch {
-                expected: n,
-                found: sizes.len(),
-            });
-        }
+        check_candidate(sizes, n)?;
         let mut used_diff = false;
         if self.prev_sizes.len() == n {
             if let Some(engine) = self.engine.as_mut() {
@@ -1386,6 +1378,25 @@ impl ReadView {
             },
             used_diff,
         ))
+    }
+}
+
+/// The check [`SizingSession::what_if`] and [`ReadView::what_if`]
+/// share: `n` sizes, each finite and positive — the only sizes the
+/// delay model and the area sum are defined for.
+fn check_candidate(sizes: &[f64], n: usize) -> Result<(), MftError> {
+    if sizes.len() != n {
+        return Err(MftError::ShapeMismatch {
+            expected: n,
+            found: sizes.len(),
+        });
+    }
+    match sizes.iter().position(|x| !(x.is_finite() && *x > 0.0)) {
+        Some(index) => Err(MftError::InvalidSize {
+            index,
+            value: sizes[index],
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1505,6 +1516,30 @@ mod tests {
         );
         let bad = view.what_if(&[1.0], None).unwrap_err();
         assert!(matches!(bad, MftError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    fn what_if_rejects_sizes_that_are_not_finite_and_positive() {
+        let mut session = c17_session(SessionConfig::warm());
+        let problem = Arc::new(session.problem().clone());
+        let n = problem.dag().num_vertices();
+        let mut view = ReadView::new(Arc::clone(&problem));
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, -0.0] {
+            let mut sizes = vec![1.0; n];
+            sizes[2] = bad;
+            sizes[3] = bad;
+            let want = MftError::InvalidSize {
+                index: 2,
+                value: bad,
+            }
+            .to_string();
+            assert_eq!(session.what_if(&sizes, None).unwrap_err().to_string(), want);
+            assert_eq!(view.what_if(&sizes, None).unwrap_err().to_string(), want);
+        }
+        // A refused candidate leaves both able to answer.
+        let good = vec![1.5; n];
+        let (got, _) = view.what_if(&good, None).unwrap();
+        assert_eq!(got, session.what_if(&good, None).unwrap());
     }
 
     /// `jobs: 0` is a documented clamp to single-threaded operation —

@@ -7,37 +7,251 @@
 //! The vendored proptest samples only integer ranges, so the inputs are
 //! built from seeded `rand` draws: random bytes, truncations and byte
 //! mutations of every JSON example line in `docs/PROTOCOL.md`, array and
-//! object nesting up to the server's default `max_line_bytes`, and
-//! mutated `.bench` text. Two more `.bench` checks ride along: a
-//! reversed 40k-gate chain must parse in bounded time, and shuffled
-//! definitions must get the gate ids of the historical pass-by-pass
-//! reader (kept here as the oracle).
+//! object nesting up to the server's default `max_line_bytes`, number
+//! arrays with lax, non-finite and misplaced elements, and mutated
+//! `.bench` text. Every JSON line is also decoded by the tree reader the
+//! codec replaced (`mft_bench::legacy_json`, the oracle) under the
+//! protocol's field rules; both must give the same frame bit for bit or
+//! the same error text. The number writer is compared with
+//! `format!("{x}")` on ten million values. Two more `.bench` checks
+//! ride along: a reversed 40k-gate chain must parse in bounded time,
+//! and shuffled definitions must get the gate ids of the historical
+//! pass-by-pass reader (kept here as the oracle).
 
+use mft_bench::legacy_json::{self, Json};
 use minflotransit::circuit::{
     parse_bench, write_bench, GateKind, NetId, Netlist, NetlistBuilder, C17_BENCH,
 };
-use minflotransit::core::{extract_error_code, extract_id, RequestFrame, ServerConfig};
+use minflotransit::core::{
+    extract_error_code, extract_id, LoadRequest, MftError, Request, RequestFrame, ServerConfig,
+};
 use minflotransit::gen::Benchmark;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Feeds one line to every JSON reader; fails with a preview of the
-/// input if any of them panics.
+/// input if any of them panics or disagrees with the tree oracle.
 fn read_line(line: &[u8]) {
     let text = String::from_utf8_lossy(line);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let _ = RequestFrame::from_json_line(&text);
-        let _ = extract_id(&text);
-        let _ = extract_error_code(&text);
+        (
+            format!("{:?}", RequestFrame::from_json_line(&text)),
+            extract_id(&text),
+            extract_error_code(&text),
+        )
     }));
-    assert!(
-        outcome.is_ok(),
-        "a JSON reader panicked on {}",
+    let Ok(got) = outcome else {
+        panic!("a JSON reader panicked on {}", preview(&text));
+    };
+    // `{:?}` tells every f64 bit pattern the reader can produce apart
+    // (-0 from 0 included), so equal text is a bit-exact match.
+    let want = (
+        format!("{:?}", oracle::frame(&text)),
+        oracle::extract_id(&text),
+        oracle::extract_error_code(&text),
+    );
+    assert_eq!(
+        got,
+        want,
+        "the reader and the tree oracle disagree on {}",
         preview(&text)
     );
+}
+
+/// Request decoding over the tree reader the codec replaced: the field
+/// rules of `docs/PROTOCOL.md` (the first occurrence of a key wins),
+/// written against `legacy_json::Json` one element per node.
+mod oracle {
+    use super::*;
+
+    fn bad(message: impl Into<String>) -> MftError {
+        MftError::Protocol(message.into())
+    }
+
+    struct Fields<'a>(&'a [(String, Json)]);
+
+    impl<'a> Fields<'a> {
+        fn get(&self, name: &str) -> Option<&'a Json> {
+            self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+        }
+
+        fn num_opt(&self, name: &str) -> Result<Option<f64>, MftError> {
+            match self.get(name) {
+                None => Ok(None),
+                Some(v) => v
+                    .as_f64()
+                    .map(Some)
+                    .ok_or_else(|| bad(format!("field `{name}` must be a number"))),
+            }
+        }
+
+        fn finite_opt(&self, name: &str) -> Result<Option<f64>, MftError> {
+            match self.num_opt(name)? {
+                Some(x) if !x.is_finite() => {
+                    Err(bad(format!("field `{name}` must be a finite number")))
+                }
+                x => Ok(x),
+            }
+        }
+
+        fn bool_opt(&self, name: &str) -> Result<Option<bool>, MftError> {
+            match self.get(name) {
+                None => Ok(None),
+                Some(v) => v
+                    .as_bool()
+                    .map(Some)
+                    .ok_or_else(|| bad(format!("field `{name}` must be a boolean"))),
+            }
+        }
+
+        fn str_opt(&self, name: &str) -> Result<Option<String>, MftError> {
+            match self.get(name) {
+                None | Some(Json::Null) => Ok(None),
+                Some(Json::Str(s)) => Ok(Some(s.clone())),
+                Some(_) => Err(bad(format!("field `{name}` must be a string"))),
+            }
+        }
+
+        fn num_array(&self, name: &str) -> Result<Vec<f64>, MftError> {
+            let v = self
+                .get(name)
+                .ok_or_else(|| bad(format!("missing array field `{name}`")))?;
+            let arr = v
+                .as_array()
+                .ok_or_else(|| bad(format!("field `{name}` must be an array")))?;
+            arr.iter()
+                .map(|x| {
+                    x.as_f64()
+                        .ok_or_else(|| bad(format!("field `{name}` must contain only numbers")))
+                })
+                .collect()
+        }
+    }
+
+    fn id_fragment(v: &Json) -> Result<Option<String>, MftError> {
+        match v {
+            // The string escaper is unchanged; reach it through `with_id`.
+            Json::Str(s) => Ok(RequestFrame::new(Request::Stats).with_id(s).id),
+            Json::Num(x) if x.is_finite() => Ok(Some(legacy_json::json_f64(*x))),
+            Json::Null => Ok(None),
+            _ => Err(bad("field `id` must be a string or finite number")),
+        }
+    }
+
+    fn request(f: &Fields) -> Result<Request, MftError> {
+        let kind = f
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| bad("missing string field `type`"))?;
+        Ok(match kind {
+            "size" | "size_power" => {
+                let spec = f.finite_opt("spec")?;
+                let target = f.finite_opt("target")?;
+                if spec.is_none() && target.is_none() {
+                    return Err(bad(format!("{kind} request needs `spec` or `target`")));
+                }
+                let return_sizes = f.bool_opt("return_sizes")?.unwrap_or(false);
+                if kind == "size" {
+                    Request::Size {
+                        spec,
+                        target,
+                        return_sizes,
+                    }
+                } else {
+                    Request::SizePower {
+                        spec,
+                        target,
+                        return_sizes,
+                    }
+                }
+            }
+            "sweep" => {
+                let specs = f.num_array("specs")?;
+                if specs.iter().any(|x| !x.is_finite()) {
+                    return Err(bad("field `specs` must contain only finite numbers"));
+                }
+                Request::Sweep { specs }
+            }
+            "what_if" => Request::WhatIf {
+                sizes: f.num_array("sizes")?,
+                spec: f.finite_opt("spec")?,
+                target: f.finite_opt("target")?,
+            },
+            "stats" => Request::Stats,
+            "load" => {
+                let load = LoadRequest {
+                    path: f.str_opt("path")?,
+                    bench: f.str_opt("bench")?,
+                    mode: f.str_opt("mode")?,
+                    tech: f.str_opt("tech")?,
+                    corner: f.str_opt("corner")?,
+                    vt: f.str_opt("vt")?,
+                    preset: f.str_opt("preset")?,
+                    flow: f.str_opt("flow")?,
+                    replace: f.bool_opt("replace")?.unwrap_or(false),
+                    replicas: match f.num_opt("replicas")? {
+                        None => None,
+                        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 64.0 => {
+                            Some(n as usize)
+                        }
+                        Some(_) => {
+                            return Err(bad("load field `replicas` must be an integer in 0..=64"))
+                        }
+                    },
+                };
+                if load.path.is_some() == load.bench.is_some() {
+                    return Err(bad("load request takes exactly one of `path` or `bench`"));
+                }
+                Request::Load(load)
+            }
+            "unload" => Request::Unload,
+            "list" => Request::List,
+            "shutdown" => Request::Shutdown,
+            other => return Err(bad(format!("unknown request type `{other}`"))),
+        })
+    }
+
+    pub fn frame(line: &str) -> Result<RequestFrame, MftError> {
+        let value = legacy_json::parse_json(line).map_err(MftError::Protocol)?;
+        let obj = value
+            .as_object()
+            .ok_or_else(|| bad("request must be a JSON object"))?;
+        let f = Fields(obj);
+        let id = match f.get("id") {
+            None => None,
+            Some(v) => id_fragment(v)?,
+        };
+        let circuit = f.str_opt("circuit")?;
+        let deadline_ms = f.num_opt("deadline_ms")?;
+        if deadline_ms.is_some_and(|d| !d.is_finite() || d < 0.0) {
+            return Err(bad("field `deadline_ms` must be a finite number ≥ 0"));
+        }
+        Ok(RequestFrame {
+            id,
+            circuit,
+            deadline_ms,
+            request: request(&f)?,
+        })
+    }
+
+    pub fn extract_id(line: &str) -> Option<String> {
+        let value = legacy_json::parse_json(line).ok()?;
+        id_fragment(Fields(value.as_object()?).get("id")?)
+            .ok()
+            .flatten()
+    }
+
+    pub fn extract_error_code(line: &str) -> Option<String> {
+        let value = legacy_json::parse_json(line).ok()?;
+        let f = Fields(value.as_object()?);
+        if f.get("type").and_then(Json::as_str) != Some("error") {
+            return None;
+        }
+        f.get("code").and_then(Json::as_str).map(str::to_owned)
+    }
 }
 
 /// Feeds one text to the `.bench` reader; fails with a preview of the
@@ -208,6 +422,200 @@ fn nesting_up_to_max_line_bytes_never_panics_the_json_readers() {
         .unwrap()
         .join()
         .unwrap();
+}
+
+/// Number spellings, well-formed, lax (`01`, `1.`, `-.5`), non-finite
+/// (`1e400`), underflowing, malformed, and non-numbers in number slots.
+const NUMBER_TOKENS: &[&str] = &[
+    "0",
+    "-0",
+    "1",
+    "01",
+    "1.",
+    "-.5",
+    ".5",
+    "00.0",
+    "2.5e-3",
+    "1E+5",
+    "1e400",
+    "-1e400",
+    "1e-400",
+    "4.9e-324",
+    "1.7976931348623157e308",
+    "123456789012345678901234567890",
+    "1e",
+    "--1",
+    "1-2",
+    "+1",
+    "-",
+    "1.2.3",
+    "null",
+    "true",
+    "\"a\"",
+    "[]",
+    "[1,2]",
+    "{}",
+    "",
+];
+
+/// One array of numbers: mostly printed doubles, some tokens, random
+/// spacing, sometimes nested (`depth` more levels at most), mixed or
+/// with a trailing comma.
+fn number_array(rng: &mut StdRng, depth: usize) -> String {
+    let mut line = String::from("[");
+    for i in 0..rng.gen_range(0..40) {
+        if i > 0 {
+            line.push_str([",", ", ", " ,", ",\n"][rng.gen_range(0..4usize)]);
+        }
+        match rng.gen_range(0..10) {
+            0..=5 => line.push_str(&format!("{}", rng.gen_range(-2.0..20.0))),
+            6 => line.push_str(&format!("{:e}", rng.gen_range(0.0..1e6))),
+            7 if depth > 0 => line.push_str(&number_array(rng, depth - 1)),
+            _ => line.push_str(NUMBER_TOKENS[rng.gen_range(0..NUMBER_TOKENS.len())]),
+        }
+    }
+    if rng.gen_range(0..8) == 0 {
+        line.push(',');
+    }
+    line.push(']');
+    line
+}
+
+#[test]
+fn number_array_lines_decode_like_the_tree_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0006);
+    let token = |rng: &mut StdRng| NUMBER_TOKENS[rng.gen_range(0..NUMBER_TOKENS.len())];
+    for _ in 0..4000 {
+        let line = match rng.gen_range(0..6) {
+            0 => format!(
+                "{{\"type\":\"what_if\",\"sizes\":{},\"spec\":{}}}",
+                number_array(&mut rng, 2),
+                token(&mut rng)
+            ),
+            1 => format!(
+                "{{\"type\":\"sweep\",\"specs\":{}}}",
+                number_array(&mut rng, 2)
+            ),
+            2 => format!(
+                "{{\"type\":\"size\",\"spec\":{},\"target\":{}}}",
+                token(&mut rng),
+                token(&mut rng)
+            ),
+            3 => format!(
+                "{{\"type\":\"size_power\",\"target\":{},\"return_sizes\":true}}",
+                token(&mut rng)
+            ),
+            4 => format!(
+                "{{\"id\":{},\"type\":\"stats\",\"deadline_ms\":{}}}",
+                token(&mut rng),
+                token(&mut rng)
+            ),
+            _ => format!(
+                "{{\"type\":\"load\",\"bench\":\"x\",\"replicas\":{},\"x\":{}}}",
+                token(&mut rng),
+                number_array(&mut rng, 2)
+            ),
+        };
+        read_line(line.as_bytes());
+        let mut mutated = line.into_bytes();
+        for _ in 0..rng.gen_range(1..4) {
+            mutate(&mut rng, &mut mutated, NUMBER_TOKENS);
+        }
+        read_line(&mutated);
+    }
+}
+
+/// The codec's number writer (reached through `Request::to_json_line`)
+/// gives `format!("{x}")`'s bytes, `null` for non-finite values, on ten
+/// million doubles: random bit patterns, doubles in [1, 16), short
+/// decimals, ±2 ulps around every power of two and around 10^k for
+/// |k| ≤ 30, integers near 2^53, subnormals, ±0, `MIN_POSITIVE` and
+/// `MAX`, each also negated.
+#[test]
+fn number_writer_matches_display_on_ten_million_values() {
+    const CHUNK: usize = 1 << 14;
+    let mut rng = StdRng::seed_from_u64(0x5eed_0007);
+    let mut values: Vec<f64> = Vec::with_capacity(CHUNK);
+    let mut checked = 0usize;
+    let mut check = |values: &mut Vec<f64>| {
+        let line = Request::Sweep {
+            specs: values.clone(),
+        }
+        .to_json_line();
+        let mut want = String::from("{\"type\":\"sweep\",\"specs\":[");
+        for (i, x) in values.iter().enumerate() {
+            if i > 0 {
+                want.push(',');
+            }
+            want.push_str(&legacy_json::json_f64(*x));
+        }
+        want.push_str("]}");
+        if line != want {
+            // Split at commas, field 0 holds the type and field i + 1
+            // element i.
+            let (got, want): (Vec<&str>, Vec<&str>) =
+                (line.split(',').collect(), want.split(',').collect());
+            let first = (0..values.len())
+                .find(|&i| got[i + 1] != want[i + 1])
+                .expect("lines differ");
+            panic!(
+                "writer differs from format! on {:?} (bits {:#x}): {} vs {}",
+                values[first],
+                values[first].to_bits(),
+                got[first + 1],
+                want[first + 1]
+            );
+        }
+        checked += values.len();
+        values.clear();
+    };
+    let mut push = |x: f64, values: &mut Vec<f64>| {
+        values.push(x);
+        values.push(-x);
+        if values.len() >= CHUNK {
+            check(values);
+        }
+    };
+    for x in [0.0, f64::MIN_POSITIVE, f64::MAX, f64::NAN, f64::INFINITY] {
+        push(x, &mut values);
+    }
+    let nudge = |x: f64, d: i64| f64::from_bits((x.to_bits() as i64 + d) as u64);
+    for k in -1074..=1023 {
+        let p = 2.0f64.powi(k);
+        for d in -2..=2 {
+            push(nudge(p, d), &mut values);
+        }
+    }
+    for k in -30..=30 {
+        let p: f64 = format!("1e{k}").parse().unwrap();
+        for d in -2..=2 {
+            push(nudge(p, d), &mut values);
+        }
+    }
+    let two53 = 2.0f64.powi(53);
+    for i in 0..5000 {
+        push(two53 - i as f64, &mut values);
+        push(two53 + 2.0 * i as f64, &mut values);
+    }
+    for _ in 0..1_300_000 {
+        // Random bits (NaN and ∞ patterns included), a double drawn
+        // from [1, 16) bit-uniformly within each binade, a short
+        // decimal, and either a subnormal or a double whose binary
+        // exponent lies near −120, where the fast path ends.
+        push(f64::from_bits(rng.next_u64()), &mut values);
+        let binade = (1023 + rng.gen_range(0..4u64)) << 52;
+        push(f64::from_bits(binade | (rng.next_u64() >> 12)), &mut values);
+        let digits = rng.gen_range(0..10_000_000u64) as f64;
+        push(digits / 10f64.powi(rng.gen_range(0..12i32)), &mut values);
+        let biased = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(945..965u64) << 52
+        };
+        push(f64::from_bits(biased | (rng.next_u64() >> 12)), &mut values);
+    }
+    check(&mut values);
+    assert!(checked >= 10_000_000, "only {checked} values checked");
 }
 
 const BENCH_TOKENS: &[&str] = &[
