@@ -11,6 +11,7 @@ use crate::dphase::DPhaseStats;
 use crate::optimizer::WPhaseStats;
 use mft_sta::TimingStats;
 use mft_tilos::SensitivityStats;
+use std::fmt::Write;
 
 /// One point of an area–delay trade-off curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +36,8 @@ pub struct CurvePoint {
     pub mft_extra_seconds: f64,
     /// D/W iterations used by MINFLOTRANSIT.
     pub iterations: usize,
-    /// This point's D-phase solver statistics (cold/warm/flow-reuse
-    /// solve counts, flow time) — speedups are attributable without a
+    /// This point's D-phase solver statistics (cold/warm solve counts,
+    /// pivots, flow time) — speedups are attributable without a
     /// profiler.
     pub dphase: DPhaseStats,
     /// This point's W-phase SMP statistics (seeded/cold solve counts
@@ -78,70 +79,64 @@ pub enum SweepOutcome {
     },
 }
 
+/// The integer columns of both sweep sinks, in order: table header,
+/// table width, CSV key, and the value read from a point.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const COUNTER_COLUMNS: [(&str, usize, &str, fn(&CurvePoint) -> usize); 14] = [
+    ("iters",    6, "iterations",             |p| p.iterations),
+    ("d-cold",   7, "dphase_cold_solves",     |p| p.dphase.flow.cold_solves),
+    ("d-warm",   7, "dphase_warm_solves",     |p| p.dphase.flow.warm_solves),
+    ("d-piv",    8, "dphase_pivots",          |p| p.dphase.flow.pivots),
+    ("d-scan",   9, "dphase_scanned_arcs",    |p| p.dphase.flow.arcs_scanned),
+    ("smp-upd",  9, "smp_updates",            |p| p.wphase.updates),
+    ("sta-full", 8, "sta_full_passes",        |p| p.timing.full_passes),
+    ("sta-inc",  8, "sta_incremental_passes", |p| p.timing.incremental_passes),
+    ("sta-vtx",  9, "sta_vertices_touched",   |p| p.timing.vertices_touched),
+    ("sens-hit", 8, "sens_hits",              |p| p.sensitivity.hits),
+    ("sens-mis", 8, "sens_misses",            |p| p.sensitivity.misses),
+    ("sens-inv", 8, "sens_invalidations",     |p| p.sensitivity.invalidations),
+    ("reb-sp",   7, "sta_rebase_sparse",      |p| p.timing.rebase_sparse),
+    ("reb-fl",   7, "sta_rebase_full",        |p| p.timing.rebase_full),
+];
+
 /// Renders sweep outcomes as an aligned text table (one row per spec),
 /// including the per-point solver-reuse statistics (cold/warm D-phase
 /// solves and SMP updates).
 pub fn format_curve(name: &str, outcomes: &[SweepOutcome]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "# {name}: area ratios vs delay spec (normalized to minimum-sized circuit)\n"
-    ));
-    s.push_str(&format!(
-        "{:>8} {:>12} {:>12} {:>10} {:>9} {:>10} {:>10} {:>6} {:>7} {:>7} {:>8} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8} {:>7} {:>7}\n",
-        "T/Dmin",
-        "TILOS A/A0",
-        "MFT A/A0",
-        "MFT P",
-        "save %",
-        "TILOS s",
-        "MFT+ s",
-        "iters",
-        "d-cold",
-        "d-warm",
-        "d-piv",
-        "d-scan",
-        "smp-upd",
-        "sta-full",
-        "sta-inc",
-        "sta-vtx",
-        "sens-hit",
-        "sens-mis",
-        "sens-inv",
-        "reb-sp",
-        "reb-fl"
-    ));
+    let mut s = format!(
+        "# {name}: area ratios vs delay spec (normalized to minimum-sized circuit)\n\
+         {:>8} {:>12} {:>12} {:>10} {:>9} {:>10} {:>10}",
+        "T/Dmin", "TILOS A/A0", "MFT A/A0", "MFT P", "save %", "TILOS s", "MFT+ s"
+    );
+    for (header, width, _, _) in COUNTER_COLUMNS {
+        let _ = write!(s, " {header:>width$}");
+    }
+    s.push('\n');
     for o in outcomes {
         match o {
             SweepOutcome::Point(p) => {
-                s.push_str(&format!(
-                    "{:>8.3} {:>12.4} {:>12.4} {:>10.3} {:>9.2} {:>10.3} {:>10.3} {:>6} {:>7} {:>7} {:>8} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8} {:>7} {:>7}\n",
+                let _ = write!(
+                    s,
+                    "{:>8.3} {:>12.4} {:>12.4} {:>10.3} {:>9.2} {:>10.3} {:>10.3}",
                     p.spec,
                     p.tilos_area_ratio,
                     p.mft_area_ratio,
                     p.mft_power,
                     p.saving_percent,
                     p.tilos_seconds,
-                    p.mft_extra_seconds,
-                    p.iterations,
-                    p.dphase.flow.cold_solves,
-                    p.dphase.flow.warm_solves,
-                    p.dphase.flow.pivots,
-                    p.dphase.flow.arcs_scanned,
-                    p.wphase.updates,
-                    p.timing.full_passes,
-                    p.timing.incremental_passes,
-                    p.timing.vertices_touched,
-                    p.sensitivity.hits,
-                    p.sensitivity.misses,
-                    p.sensitivity.invalidations,
-                    p.timing.rebase_sparse,
-                    p.timing.rebase_full
-                ));
+                    p.mft_extra_seconds
+                );
+                for (_, width, _, value) in COUNTER_COLUMNS {
+                    let _ = write!(s, " {:>width$}", value(p));
+                }
+                s.push('\n');
             }
             SweepOutcome::Unreachable { spec, best_ratio } => {
-                s.push_str(&format!(
-                    "{spec:>8.3}    unreachable by TILOS (best {best_ratio:.3}·Dmin)\n"
-                ));
+                let _ = writeln!(
+                    s,
+                    "{spec:>8.3}    unreachable by TILOS (best {best_ratio:.3}·Dmin)"
+                );
             }
         }
     }
@@ -157,44 +152,36 @@ pub fn format_curve(name: &str, outcomes: &[SweepOutcome]) -> String {
 pub fn curve_to_csv(outcomes: &[SweepOutcome]) -> String {
     let mut s = String::from(
         "spec,status,tilos_area_ratio,mft_area_ratio,mft_power,saving_percent,tilos_seconds,\
-         mft_extra_seconds,iterations,dphase_cold_solves,dphase_warm_solves,dphase_pivots,\
-         dphase_scanned_arcs,smp_updates,\
-         sta_full_passes,sta_incremental_passes,sta_vertices_touched,\
-         sens_hits,sens_misses,sens_invalidations,sta_rebase_sparse,sta_rebase_full,\
-         best_delay_ratio\n",
+         mft_extra_seconds",
     );
+    for (_, _, key, _) in COUNTER_COLUMNS {
+        let _ = write!(s, ",{key}");
+    }
+    s.push_str(",best_delay_ratio\n");
     for o in outcomes {
         match o {
             SweepOutcome::Point(p) => {
-                s.push_str(&format!(
-                    "{},ok,{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},\n",
+                let _ = write!(
+                    s,
+                    "{},ok,{},{},{},{},{},{}",
                     p.spec,
                     p.tilos_area_ratio,
                     p.mft_area_ratio,
                     p.mft_power,
                     p.saving_percent,
                     p.tilos_seconds,
-                    p.mft_extra_seconds,
-                    p.iterations,
-                    p.dphase.flow.cold_solves,
-                    p.dphase.flow.warm_solves,
-                    p.dphase.flow.pivots,
-                    p.dphase.flow.arcs_scanned,
-                    p.wphase.updates,
-                    p.timing.full_passes,
-                    p.timing.incremental_passes,
-                    p.timing.vertices_touched,
-                    p.sensitivity.hits,
-                    p.sensitivity.misses,
-                    p.sensitivity.invalidations,
-                    p.timing.rebase_sparse,
-                    p.timing.rebase_full
-                ));
+                    p.mft_extra_seconds
+                );
+                for (_, _, _, value) in COUNTER_COLUMNS {
+                    let _ = write!(s, ",{}", value(p));
+                }
+                s.push_str(",\n");
             }
             SweepOutcome::Unreachable { spec, best_ratio } => {
-                s.push_str(&format!(
-                    "{spec},unreachable,,,,,,,,,,,,,,,,,,,,,{best_ratio}\n"
-                ));
+                // Empty fields for the six float columns and every
+                // counter column.
+                let empty = ",".repeat(6 + COUNTER_COLUMNS.len());
+                let _ = writeln!(s, "{spec},unreachable,{empty}{best_ratio}");
             }
         }
     }

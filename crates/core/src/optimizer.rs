@@ -118,40 +118,18 @@ pub struct IterationStats {
     pub timing: TimingStats,
 }
 
-/// Cumulative W-phase (SMP) statistics of one optimizer run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WPhaseStats {
-    /// W-phase solves performed (one per D/W iteration).
-    pub solves: usize,
-    /// Solves served by the seeded bidirectional fast path.
-    pub seeded_solves: usize,
-    /// Seeded attempts that fell back to a cold fixpoint restart.
-    pub fallbacks: usize,
-    /// Total single-variable SMP updates ("sweeps") across all solves —
-    /// the work metric the warm start is meant to cut.
-    pub updates: usize,
-}
-
-impl WPhaseStats {
-    /// The increments since `baseline` (an earlier snapshot).
-    pub fn since(&self, baseline: &WPhaseStats) -> WPhaseStats {
-        WPhaseStats {
-            solves: self.solves - baseline.solves,
-            seeded_solves: self.seeded_solves - baseline.seeded_solves,
-            fallbacks: self.fallbacks - baseline.fallbacks,
-            updates: self.updates - baseline.updates,
-        }
-    }
-
-    /// The element-wise sum of two counter sets, for accumulating
-    /// per-run increments into a service-lifetime total.
-    pub fn merged(&self, other: &WPhaseStats) -> WPhaseStats {
-        WPhaseStats {
-            solves: self.solves + other.solves,
-            seeded_solves: self.seeded_solves + other.seeded_solves,
-            fallbacks: self.fallbacks + other.fallbacks,
-            updates: self.updates + other.updates,
-        }
+mft_sta::counter_group! {
+    /// Cumulative W-phase (SMP) statistics of one optimizer run.
+    pub struct WPhaseStats {
+        /// W-phase solves performed (one per D/W iteration).
+        pub solves: usize,
+        /// Solves served by the seeded bidirectional fast path.
+        pub seeded_solves: usize,
+        /// Seeded attempts that fell back to a cold fixpoint restart.
+        pub fallbacks: usize,
+        /// Total single-variable SMP updates ("sweeps") across all solves —
+        /// the work metric the warm start is meant to cut.
+        pub updates: usize,
     }
 }
 
@@ -558,7 +536,6 @@ impl Minflotransit {
             timing.rebase_scoped(dag, &cand_delays, &affected)?;
             let cand_cp = timing.critical_path();
             let cand_area = model.area(&cand_sizes);
-            let improved = cand_area < area - self.config.area_tolerance * area * 0.01;
             let feasible = cand_cp <= target + timing_tol;
             let accepted = feasible && cand_area < area;
             history.push(IterationStats {
@@ -584,7 +561,6 @@ impl Minflotransit {
                 } else {
                     stagnant = 0;
                 }
-                let _ = improved;
             } else {
                 // Restore the engine to the accepted delays so the next
                 // iteration's scoped rebase may diff against them; the

@@ -15,7 +15,7 @@
 use crate::error::MftError;
 use crate::optimizer::{MinflotransitConfig, SizingSolution};
 use crate::session::PowerSolution;
-use crate::session::{self, SessionConfig, SessionCounters, SizingSession};
+use crate::session::{self, SessionConfig, SessionStats, SizingSession};
 use mft_circuit::{Netlist, SizingDag, SizingMode};
 use mft_delay::{apply_default_loads, DelayModel, LinearDelayModel, Technology};
 use mft_sta::critical_path;
@@ -160,15 +160,16 @@ impl SizingProblem {
     ///
     /// [`MftError::InitialSizing`] when the target is unreachable.
     pub fn tilos(&self, target: f64) -> Result<TilosResult, MftError> {
-        let (seed, _, _) = session::tilos_point(
+        session::tilos_point(
             self,
+            self.model(),
             &SessionConfig::cold(),
             &mut None,
-            &mut SessionCounters::default(),
+            &mut SessionStats::default(),
             target,
             None,
-        );
-        seed.map_err(MftError::InitialSizing)
+        )
+        .map_err(MftError::InitialSizing)
     }
 
     /// Runs the full MINFLOTRANSIT pipeline at an absolute delay target.
@@ -194,10 +195,11 @@ impl SizingProblem {
     ) -> Result<SizingSolution, MftError> {
         session::run_point(
             self,
+            self.model(),
             &SessionConfig::cold_with(config),
             &mut None,
             &mut None,
-            &mut SessionCounters::default(),
+            &mut SessionStats::default(),
             target,
             None,
         )
@@ -232,7 +234,7 @@ impl SizingProblem {
             &SessionConfig::cold_with(config),
             &mut None,
             &mut None,
-            &mut SessionCounters::default(),
+            &mut SessionStats::default(),
             target,
             None,
         )

@@ -292,8 +292,9 @@ pub struct SessionStats {
     /// Timing-engine work of the optimizer side (convergence checks
     /// and what-if re-times through the persistent engine).
     pub optimizer_timing: TimingStats,
-    /// Cumulative D-phase solver statistics (cold/warm solves, flow
-    /// reuses, flow time).
+    /// Cumulative D-phase solver statistics (cold/warm solves, pivots,
+    /// flow time); the backend reads `none` until the first optimizer
+    /// run completes.
     pub dphase: DPhaseStats,
     /// Cumulative W-phase SMP statistics (seeded solves, updates).
     pub wphase: WPhaseStats,
@@ -353,141 +354,69 @@ pub struct WhatIfReport {
     pub meets_target: Option<bool>,
 }
 
-/// Internal mutable counters (the working half of [`SessionStats`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SessionCounters {
-    pub(crate) requests: usize,
-    pub(crate) size_requests: usize,
-    pub(crate) size_power_requests: usize,
-    pub(crate) sweep_requests: usize,
-    pub(crate) sweep_points: usize,
-    pub(crate) what_if_requests: usize,
-    pub(crate) bumps_executed: usize,
-    pub(crate) bumps_reused: usize,
-    pub(crate) snapshot_hits: usize,
-    pub(crate) tilos_timing: TimingStats,
-    pub(crate) sensitivity: SensitivityStats,
-    pub(crate) optimizer_timing: TimingStats,
-    pub(crate) dphase: Option<DPhaseStats>,
-    pub(crate) wphase: WPhaseStats,
-}
-
-impl SessionCounters {
-    fn merge_worker(&mut self, other: &SessionCounters) {
-        self.sweep_points += other.sweep_points;
-        self.bumps_executed += other.bumps_executed;
-        self.bumps_reused += other.bumps_reused;
-        self.snapshot_hits += other.snapshot_hits;
-        self.tilos_timing = self.tilos_timing.merged(&other.tilos_timing);
-        self.sensitivity = self.sensitivity.merged(&other.sensitivity);
-        self.optimizer_timing = self.optimizer_timing.merged(&other.optimizer_timing);
-        self.dphase = match (self.dphase, other.dphase) {
-            (Some(a), Some(b)) => Some(a.merged(&b)),
-            (a, b) => a.or(b),
-        };
-        self.wphase = self.wphase.merged(&other.wphase);
-    }
-}
-
 /// Runs the TILOS-seed part of a request: from the shared trajectory
 /// when [`SweepWarmStart::resume_tilos`] is on (snapshot replay for
 /// already-passed targets, trajectory advance otherwise), else a fresh
 /// one-shot trajectory — exactly the legacy
-/// [`mft_tilos::Tilos::size`]. Returns the seed result plus the
-/// timing-work and sensitivity-cache deltas attributable to this
-/// request.
-pub(crate) fn tilos_point(
-    problem: &SizingProblem,
-    config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    counters: &mut SessionCounters,
-    target: f64,
-    token: Option<&CancelToken>,
-) -> (
-    Result<TilosResult, TilosError>,
-    TimingStats,
-    SensitivityStats,
-) {
-    tilos_point_with_model(
-        problem,
-        problem.model(),
-        config,
-        trajectory,
-        counters,
-        target,
-        token,
-    )
-}
-
-/// [`tilos_point`] over an explicit delay model — the power objective
-/// runs the same seed machinery through a [`PowerWeightedModel`]
-/// wrapper (identical delays, power-derived objective weights).
-pub(crate) fn tilos_point_with_model<M: DelayModel>(
+/// [`mft_tilos::Tilos::size`]. The power objective runs the same seed
+/// machinery through a [`PowerWeightedModel`] wrapper (identical
+/// delays, power-derived objective weights). The seed's timing and
+/// sensitivity work is added to `stats`; a caller that needs it per
+/// request reads it as the difference to a snapshot taken before.
+pub(crate) fn tilos_point<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
-    counters: &mut SessionCounters,
+    stats: &mut SessionStats,
     target: f64,
     token: Option<&CancelToken>,
-) -> (
-    Result<TilosResult, TilosError>,
-    TimingStats,
-    SensitivityStats,
-) {
+) -> Result<TilosResult, TilosError> {
     let dag = problem.dag();
     let probe = token.map(|t| t as &dyn mft_tilos::CancelProbe);
-    if config.warm.resume_tilos {
-        // When the shared trajectory is built lazily by this request,
-        // its construction full pass belongs to this request's delta
-        // (the legacy one-shot path reports it too).
-        let built_now = trajectory.is_none();
-        if built_now {
-            match TilosState::new(dag, model, config.optimizer.tilos.clone()) {
-                Ok(state) => *trajectory = Some(state),
-                Err(e) => return (Err(e), TimingStats::default(), SensitivityStats::default()),
-            }
-        }
-        let state = trajectory.as_mut().expect("just ensured");
-        let stats_before = if built_now {
-            TimingStats::default()
-        } else {
-            state.timing_stats()
-        };
-        let sens_before = if built_now {
-            SensitivityStats::default()
-        } else {
-            state.sensitivity_stats()
-        };
-        if let Some(snapshot) = state.snapshot_at(model, target) {
-            let delta = state.timing_stats().since(&stats_before);
-            counters.tilos_timing = counters.tilos_timing.merged(&delta);
-            counters.snapshot_hits += 1;
-            counters.bumps_reused += snapshot.bumps;
-            return (Ok(snapshot), delta, SensitivityStats::default());
-        }
-        let bumps_before = state.bumps();
-        let result = state.advance_to_with(dag, model, target, probe);
-        let delta = state.timing_stats().since(&stats_before);
-        let sens_delta = state.sensitivity_stats().since(&sens_before);
-        counters.tilos_timing = counters.tilos_timing.merged(&delta);
-        counters.sensitivity = counters.sensitivity.merged(&sens_delta);
-        counters.bumps_reused += bumps_before;
-        counters.bumps_executed += state.bumps() - bumps_before;
-        (result, delta, sens_delta)
+    let mut fresh = None;
+    let slot = if config.warm.resume_tilos {
+        trajectory
     } else {
-        let mut state = match TilosState::new(dag, model, config.optimizer.tilos.clone()) {
-            Ok(state) => state,
-            Err(e) => return (Err(e), TimingStats::default(), SensitivityStats::default()),
-        };
-        let result = state.advance_to_with(dag, model, target, probe);
-        let delta = state.timing_stats();
-        let sens_delta = state.sensitivity_stats();
-        counters.tilos_timing = counters.tilos_timing.merged(&delta);
-        counters.sensitivity = counters.sensitivity.merged(&sens_delta);
-        counters.bumps_executed += state.bumps();
-        (result, delta, sens_delta)
+        &mut fresh
+    };
+    // A state built by this request charges its construction full pass
+    // to this request (the legacy one-shot path reports it too).
+    let (timing_before, sens_before, bumps_before) = slot
+        .as_ref()
+        .map(|s| (s.timing_stats(), s.sensitivity_stats(), s.bumps()))
+        .unwrap_or_default();
+    if slot.is_none() {
+        *slot = Some(TilosState::new(dag, model, config.optimizer.tilos.clone())?);
     }
+    let state = slot.as_mut().expect("just ensured");
+    // Only a shared trajectory replays from its bump log; the one-shot
+    // path always advances, exactly as the legacy sizer did.
+    let snapshot = if config.warm.resume_tilos {
+        state.snapshot_at(model, target)
+    } else {
+        None
+    };
+    let result = match snapshot {
+        Some(snapshot) => {
+            stats.snapshot_hits += 1;
+            stats.trajectory_reused_bumps += snapshot.bumps;
+            Ok(snapshot)
+        }
+        None => {
+            let result = state.advance_to_with(dag, model, target, probe);
+            stats.trajectory_reused_bumps += bumps_before;
+            stats.trajectory_bumps += state.bumps() - bumps_before;
+            result
+        }
+    };
+    stats.tilos_timing = stats
+        .tilos_timing
+        .merged(&state.timing_stats().since(&timing_before));
+    stats.sensitivity = stats
+        .sensitivity
+        .merged(&state.sensitivity_stats().since(&sens_before));
+    result
 }
 
 /// Runs the optimizer phase of a request over the given warm state:
@@ -501,7 +430,7 @@ fn optimize_with_state<M: DelayModel>(
     model: &M,
     config: &SessionConfig,
     context: &mut Option<SolverContext>,
-    counters: &mut SessionCounters,
+    stats: &mut SessionStats,
     target: f64,
     seed_sizes: Vec<f64>,
     token: Option<&CancelToken>,
@@ -526,54 +455,27 @@ fn optimize_with_state<M: DelayModel>(
     };
     let solution = Minflotransit::new(config.optimizer.clone())
         .optimize_from_with(ctx, dag, model, target, seed_sizes, token)?;
-    counters.optimizer_timing = counters.optimizer_timing.merged(&solution.timing_stats);
-    counters.dphase = Some(match counters.dphase {
-        Some(d) => d.merged(&solution.dphase_stats),
-        None => solution.dphase_stats,
-    });
-    counters.wphase = counters.wphase.merged(&solution.wphase_stats);
+    stats.optimizer_timing = stats.optimizer_timing.merged(&solution.timing_stats);
+    stats.dphase = stats.dphase.merged(&solution.dphase_stats);
+    stats.wphase = stats.wphase.merged(&solution.wphase_stats);
     Ok(solution)
 }
 
 /// Runs one full size request — TILOS seed, then the D/W relaxation,
-/// with the minimum-sized early return — against the given warm state,
-/// and counts it as a size request.
-pub(crate) fn run_point(
-    problem: &SizingProblem,
-    config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    context: &mut Option<SolverContext>,
-    counters: &mut SessionCounters,
-    target: f64,
-    token: Option<&CancelToken>,
-) -> Result<SizingSolution, MftError> {
-    counters.requests += 1;
-    counters.size_requests += 1;
-    run_point_with_model(
-        problem,
-        problem.model(),
-        config,
-        trajectory,
-        counters,
-        context,
-        target,
-        token,
-    )
-}
-
-/// [`run_point`] over an explicit delay model. The minimum-sized early
-/// return and the seed/optimize phases all read the objective through
-/// the model's `area*` hooks, so substituting a [`PowerWeightedModel`]
-/// turns the whole request into a power minimization without touching
-/// the optimizer.
+/// with the minimum-sized early return — against the given warm state.
+/// The caller counts the request. The early return and the
+/// seed/optimize phases all read the objective through the model's
+/// `area*` hooks, so substituting a [`PowerWeightedModel`] turns the
+/// whole request into a power minimization without touching the
+/// optimizer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_point_with_model<M: DelayModel>(
+pub(crate) fn run_point<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
-    counters: &mut SessionCounters,
     context: &mut Option<SolverContext>,
+    stats: &mut SessionStats,
     target: f64,
     token: Option<&CancelToken>,
 ) -> Result<SizingSolution, MftError> {
@@ -598,9 +500,8 @@ pub(crate) fn run_point_with_model<M: DelayModel>(
             sensitivity_stats: SensitivityStats::default(),
         });
     }
-    let (seed, seed_timing, seed_sens) =
-        tilos_point_with_model(problem, model, config, trajectory, counters, target, token);
-    let seed = match seed {
+    let before = *stats;
+    let seed = match tilos_point(problem, model, config, trajectory, stats, target, token) {
         Ok(seed) => seed,
         // A cancelled seed must not masquerade as "target unreachable"
         // through the `From<TilosError>` wrapper.
@@ -614,7 +515,7 @@ pub(crate) fn run_point_with_model<M: DelayModel>(
     };
     let seed_bumps = seed.bumps;
     let mut solution = match optimize_with_state(
-        problem, model, config, context, counters, target, seed.sizes, token,
+        problem, model, config, context, stats, target, seed.sizes, token,
     ) {
         Ok(solution) => solution,
         Err(MftError::Cancelled { iterations, .. }) => {
@@ -626,8 +527,10 @@ pub(crate) fn run_point_with_model<M: DelayModel>(
         Err(e) => return Err(e),
     };
     solution.tilos_bumps = seed_bumps;
-    solution.timing_stats = solution.timing_stats.merged(&seed_timing);
-    solution.sensitivity_stats = solution.sensitivity_stats.merged(&seed_sens);
+    solution.timing_stats = solution
+        .timing_stats
+        .merged(&stats.tilos_timing.since(&before.tilos_timing));
+    solution.sensitivity_stats = stats.sensitivity.since(&before.sensitivity);
     Ok(solution)
 }
 
@@ -667,15 +570,15 @@ pub(crate) fn run_power_point(
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
     context: &mut Option<SolverContext>,
-    counters: &mut SessionCounters,
+    stats: &mut SessionStats,
     target: f64,
     token: Option<&CancelToken>,
 ) -> Result<PowerSolution, MftError> {
-    counters.requests += 1;
-    counters.size_power_requests += 1;
+    stats.requests += 1;
+    stats.size_power_requests += 1;
     let wrapper = PowerWeightedModel::new(problem.model(), problem.power());
-    let solution = run_point_with_model(
-        problem, &wrapper, config, trajectory, counters, context, target, token,
+    let solution = run_point(
+        problem, &wrapper, config, trajectory, context, stats, target, token,
     )?;
     let power = problem.power().breakdown(&solution.sizes);
     let area = problem.model().area(&solution.sizes);
@@ -693,18 +596,25 @@ fn sweep_point(
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
     context: &mut Option<SolverContext>,
-    counters: &mut SessionCounters,
+    stats: &mut SessionStats,
     spec: f64,
     token: Option<&CancelToken>,
 ) -> Result<SweepOutcome, MftError> {
     let dmin = problem.dmin();
     let min_area = problem.min_area();
     let target = spec * dmin;
-    counters.sweep_points += 1;
+    stats.sweep_points += 1;
     let t0 = Instant::now();
-    let (seed, tilos_timing, tilos_sens) =
-        tilos_point(problem, config, trajectory, counters, target, token);
-    let tilos = match seed {
+    let before = *stats;
+    let tilos = match tilos_point(
+        problem,
+        problem.model(),
+        config,
+        trajectory,
+        stats,
+        target,
+        token,
+    ) {
         Ok(r) => r,
         Err(TilosError::Infeasible { best_delay, .. })
         | Err(TilosError::BumpBudgetExhausted { best_delay, .. }) => {
@@ -730,7 +640,7 @@ fn sweep_point(
         problem.model(),
         config,
         context,
-        counters,
+        stats,
         target,
         tilos.sizes.clone(),
         token,
@@ -749,8 +659,11 @@ fn sweep_point(
         iterations: mft.iterations,
         dphase: mft.dphase_stats,
         wphase: mft.wphase_stats,
-        timing: tilos_timing.merged(&mft.timing_stats),
-        sensitivity: tilos_sens,
+        timing: stats
+            .tilos_timing
+            .since(&before.tilos_timing)
+            .merged(&mft.timing_stats),
+        sensitivity: stats.sensitivity.since(&before.sensitivity),
     }))
 }
 
@@ -763,19 +676,20 @@ fn sweep_point(
 /// for later requests); with more, the sorted order is split into
 /// contiguous chunks swept by `std::thread::scope` workers, each with a
 /// fresh trajectory and solver context (`jobs` is clamped so workers
-/// never outnumber specs).
+/// never outnumber specs). Every worker's work is counted, also when
+/// the sweep fails.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweep(
     problem: &SizingProblem,
     config: &SessionConfig,
     trajectory: &mut Option<TilosState>,
     context: &mut Option<SolverContext>,
-    counters: &mut SessionCounters,
+    stats: &mut SessionStats,
     specs: &[f64],
     token: Option<&CancelToken>,
 ) -> Result<Vec<SweepOutcome>, MftError> {
-    counters.requests += 1;
-    counters.sweep_requests += 1;
+    stats.requests += 1;
+    stats.sweep_requests += 1;
     let mut order: Vec<usize> = (0..specs.len()).collect();
     order.sort_by(|&a, &b| {
         specs[b]
@@ -788,7 +702,7 @@ pub(crate) fn run_sweep(
     if jobs == 1 {
         for &idx in &order {
             outcomes[idx] = Some(sweep_point(
-                problem, config, trajectory, context, counters, specs[idx], token,
+                problem, config, trajectory, context, stats, specs[idx], token,
             )?);
         }
     } else {
@@ -800,23 +714,23 @@ pub(crate) fn run_sweep(
                     scope.spawn(move || {
                         let mut trajectory = None;
                         let mut context = None;
-                        let mut counters = SessionCounters::default();
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for &idx in chunk {
-                            out.push((
-                                idx,
-                                sweep_point(
+                        let mut worker = SessionStats::default();
+                        let result = chunk
+                            .iter()
+                            .map(|&idx| {
+                                let outcome = sweep_point(
                                     problem,
                                     config,
                                     &mut trajectory,
                                     &mut context,
-                                    &mut counters,
+                                    &mut worker,
                                     specs[idx],
                                     token,
-                                )?,
-                            ));
-                        }
-                        Ok::<_, MftError>((out, counters))
+                                )?;
+                                Ok((idx, outcome))
+                            })
+                            .collect::<Result<Vec<_>, MftError>>();
+                        (result, worker)
                     })
                 })
                 .collect();
@@ -825,16 +739,16 @@ pub(crate) fn run_sweep(
                 .map(|h| h.join().expect("sweep worker must not panic"))
                 .collect::<Vec<_>>()
         });
-        // A failed sweep leaves the session's counters untouched.
-        let mut merged = SessionCounters::default();
-        for result in results {
-            let (chunk_outcomes, worker) = result?;
-            merged.merge_worker(&worker);
-            for (idx, outcome) in chunk_outcomes {
+        // Worker stats carry no request counts, so merging them adds
+        // only the work they did — also the work of a failed sweep.
+        for (_, worker) in &results {
+            *stats = stats.merged(worker);
+        }
+        for (result, _) in results {
+            for (idx, outcome) in result? {
                 outcomes[idx] = Some(outcome);
             }
         }
-        counters.merge_worker(&merged);
     }
     Ok(outcomes
         .into_iter()
@@ -858,7 +772,7 @@ pub struct SizingSession {
     // `cross_target_state`).
     power_trajectory: Option<TilosState>,
     power_context: Option<SolverContext>,
-    counters: SessionCounters,
+    stats: SessionStats,
 }
 
 impl SizingSession {
@@ -871,7 +785,7 @@ impl SizingSession {
             context: None,
             power_trajectory: None,
             power_context: None,
-            counters: SessionCounters::default(),
+            stats: SessionStats::default(),
         }
     }
 
@@ -937,12 +851,15 @@ impl SizingSession {
     ///
     /// As [`SizingProblem::minflotransit`].
     pub fn size_to(&mut self, target: f64) -> Result<SizingSolution, MftError> {
+        self.stats.requests += 1;
+        self.stats.size_requests += 1;
         run_point(
             &self.problem,
+            self.problem.model(),
             &self.config,
             &mut self.trajectory,
             &mut self.context,
-            &mut self.counters,
+            &mut self.stats,
             target,
             None,
         )
@@ -966,7 +883,7 @@ impl SizingSession {
             &self.config,
             &mut self.power_trajectory,
             &mut self.power_context,
-            &mut self.counters,
+            &mut self.stats,
             target,
             None,
         )
@@ -990,17 +907,18 @@ impl SizingSession {
     ///
     /// [`MftError::InitialSizing`] when the target is unreachable.
     pub fn tilos_to(&mut self, target: f64) -> Result<TilosResult, MftError> {
-        self.counters.requests += 1;
-        self.counters.size_requests += 1;
-        let (seed, _, _) = tilos_point(
+        self.stats.requests += 1;
+        self.stats.size_requests += 1;
+        tilos_point(
             &self.problem,
+            self.problem.model(),
             &self.config,
             &mut self.trajectory,
-            &mut self.counters,
+            &mut self.stats,
             target,
             None,
-        );
-        seed.map_err(MftError::InitialSizing)
+        )
+        .map_err(MftError::InitialSizing)
     }
 
     /// Sweeps the area–delay curve (the paper's Figure 7) over
@@ -1023,7 +941,7 @@ impl SizingSession {
             &self.config,
             &mut self.trajectory,
             &mut self.context,
-            &mut self.counters,
+            &mut self.stats,
             specs,
             None,
         )
@@ -1044,8 +962,8 @@ impl SizingSession {
         sizes: &[f64],
         target: Option<f64>,
     ) -> Result<WhatIfReport, MftError> {
-        self.counters.requests += 1;
-        self.counters.what_if_requests += 1;
+        self.stats.requests += 1;
+        self.stats.what_if_requests += 1;
         let dag = self.problem.dag();
         let model = self.problem.model();
         let n = dag.num_vertices();
@@ -1059,11 +977,11 @@ impl SizingSession {
             let before = ctx.timing_stats();
             let cp = ctx.retime(dag, &delays)?;
             let delta = ctx.timing_stats().since(&before);
-            self.counters.optimizer_timing = self.counters.optimizer_timing.merged(&delta);
+            self.stats.optimizer_timing = self.stats.optimizer_timing.merged(&delta);
             cp
         } else {
-            self.counters.optimizer_timing.full_passes += 1;
-            self.counters.optimizer_timing.vertices_touched += n;
+            self.stats.optimizer_timing.full_passes += 1;
+            self.stats.optimizer_timing.vertices_touched += n;
             critical_path(dag, &delays)?
         };
         let area = model.area(sizes);
@@ -1080,22 +998,7 @@ impl SizingSession {
 
     /// A snapshot of the session's cumulative service counters.
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            requests: self.counters.requests,
-            size_requests: self.counters.size_requests,
-            size_power_requests: self.counters.size_power_requests,
-            sweep_requests: self.counters.sweep_requests,
-            sweep_points: self.counters.sweep_points,
-            what_if_requests: self.counters.what_if_requests,
-            trajectory_bumps: self.counters.bumps_executed,
-            trajectory_reused_bumps: self.counters.bumps_reused,
-            snapshot_hits: self.counters.snapshot_hits,
-            tilos_timing: self.counters.tilos_timing,
-            sensitivity: self.counters.sensitivity,
-            optimizer_timing: self.counters.optimizer_timing,
-            dphase: self.counters.dphase.unwrap_or_default(),
-            wphase: self.counters.wphase,
-        }
+        self.stats
     }
 
     /// Serves one typed request — the dispatch behind the
@@ -1132,12 +1035,15 @@ impl SizingSession {
                     }
                 };
                 let min_area = self.problem.min_area();
+                self.stats.requests += 1;
+                self.stats.size_requests += 1;
                 match run_point(
                     &self.problem,
+                    self.problem.model(),
                     &self.config,
                     &mut self.trajectory,
                     &mut self.context,
-                    &mut self.counters,
+                    &mut self.stats,
                     target,
                     token,
                 ) {
@@ -1179,7 +1085,7 @@ impl SizingSession {
                     &self.config,
                     &mut self.power_trajectory,
                     &mut self.power_context,
-                    &mut self.counters,
+                    &mut self.stats,
                     target,
                     token,
                 ) {
@@ -1208,7 +1114,7 @@ impl SizingSession {
                 &self.config,
                 &mut self.trajectory,
                 &mut self.context,
-                &mut self.counters,
+                &mut self.stats,
                 specs,
                 token,
             ) {
@@ -1227,7 +1133,7 @@ impl SizingSession {
                 }
             }
             Request::Stats => {
-                self.counters.requests += 1;
+                self.stats.requests += 1;
                 Response::stats(self.stats())
             }
             // Registry requests address the multi-circuit server

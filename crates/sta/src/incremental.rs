@@ -97,51 +97,27 @@ impl Default for IncrementalConfig {
     }
 }
 
-/// Work counters of an [`IncrementalTiming`] engine (or of the cold
-/// reference path, when a caller mirrors them by hand).
-///
-/// `vertices_touched` counts arrival-time evaluations: a full pass
-/// touches every vertex once, an incremental wave touches only the
-/// affected cone — the ratio of the two is the engine's whole point.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimingStats {
-    /// Full forward passes (construction, rebase fallbacks, cold calls).
-    pub full_passes: usize,
-    /// Incremental propagation waves (each covering one batch of delay
-    /// changes).
-    pub incremental_passes: usize,
-    /// Total arrival-time evaluations across all passes and waves.
-    pub vertices_touched: usize,
-    /// Rebase calls resolved through the sparse per-vertex queue (churn
-    /// at or below [`IncrementalConfig::full_pass_churn`]).
-    pub rebase_sparse: usize,
-    /// Rebase calls that fell back to one full pass (churn above the
-    /// policy threshold). No-op rebases count as neither.
-    pub rebase_full: usize,
-}
-
-impl TimingStats {
-    /// The increments since `baseline` (an earlier snapshot).
-    pub fn since(&self, baseline: &TimingStats) -> TimingStats {
-        TimingStats {
-            full_passes: self.full_passes - baseline.full_passes,
-            incremental_passes: self.incremental_passes - baseline.incremental_passes,
-            vertices_touched: self.vertices_touched - baseline.vertices_touched,
-            rebase_sparse: self.rebase_sparse - baseline.rebase_sparse,
-            rebase_full: self.rebase_full - baseline.rebase_full,
-        }
-    }
-
-    /// The element-wise sum of two counter sets (e.g. the TILOS seed's
-    /// engine plus the optimizer's engine).
-    pub fn merged(&self, other: &TimingStats) -> TimingStats {
-        TimingStats {
-            full_passes: self.full_passes + other.full_passes,
-            incremental_passes: self.incremental_passes + other.incremental_passes,
-            vertices_touched: self.vertices_touched + other.vertices_touched,
-            rebase_sparse: self.rebase_sparse + other.rebase_sparse,
-            rebase_full: self.rebase_full + other.rebase_full,
-        }
+crate::counter_group! {
+    /// Work counters of an [`IncrementalTiming`] engine (or of the cold
+    /// reference path, when a caller mirrors them by hand).
+    ///
+    /// `vertices_touched` counts arrival-time evaluations: a full pass
+    /// touches every vertex once, an incremental wave touches only the
+    /// affected cone — the ratio of the two is the engine's whole point.
+    pub struct TimingStats {
+        /// Full forward passes (construction, rebase fallbacks, cold calls).
+        pub full_passes: usize,
+        /// Incremental propagation waves (each covering one batch of delay
+        /// changes).
+        pub incremental_passes: usize,
+        /// Total arrival-time evaluations across all passes and waves.
+        pub vertices_touched: usize,
+        /// Rebase calls resolved through the sparse per-vertex queue (churn
+        /// at or below [`IncrementalConfig::full_pass_churn`]).
+        pub rebase_sparse: usize,
+        /// Rebase calls that fell back to one full pass (churn above the
+        /// policy threshold). No-op rebases count as neither.
+        pub rebase_full: usize,
     }
 }
 

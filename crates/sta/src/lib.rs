@@ -16,7 +16,9 @@
 //!   Fictitious Specific Delay Units (FSDUs) capturing all circuit slack,
 //!   plus FSDU-*displacement* (Eq. (9)) and helpers validating the paper's
 //!   Theorems 1 and 2;
-//! * critical-path extraction used by the TILOS baseline.
+//! * critical-path extraction used by the TILOS baseline;
+//! * [`counter_group!`] — the one declaration of a plain work-counter
+//!   group (`TimingStats` here, and the TILOS and W-phase groups).
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@
 
 mod balance;
 pub mod bitset;
+mod counters;
 mod error;
 pub mod incremental;
 mod paths;

@@ -117,42 +117,23 @@ impl Default for TilosConfig {
     }
 }
 
-/// Work counters of the incremental sensitivity cache
-/// ([`TilosConfig::sensitivity_cache`]).
-///
-/// A hit means a candidate's `(d_path, d_area)` pair was served from the
-/// cache (skipping its delay-model evaluations); a miss means it was
-/// (re)computed and stored; an invalidation means a previously cached
-/// pair was discarded because a bump's affected cone or a critical-path
-/// membership flip touched the candidate's coupling cone. All zero when
-/// the cache is disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SensitivityStats {
-    /// Candidate evaluations served from the cache.
-    pub hits: usize,
-    /// Candidate evaluations computed and stored.
-    pub misses: usize,
-    /// Cached pairs discarded by cone intersection.
-    pub invalidations: usize,
-}
-
-impl SensitivityStats {
-    /// The increments since `baseline` (an earlier snapshot).
-    pub fn since(&self, baseline: &SensitivityStats) -> SensitivityStats {
-        SensitivityStats {
-            hits: self.hits - baseline.hits,
-            misses: self.misses - baseline.misses,
-            invalidations: self.invalidations - baseline.invalidations,
-        }
-    }
-
-    /// The element-wise sum of two counter sets.
-    pub fn merged(&self, other: &SensitivityStats) -> SensitivityStats {
-        SensitivityStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            invalidations: self.invalidations + other.invalidations,
-        }
+mft_sta::counter_group! {
+    /// Work counters of the incremental sensitivity cache
+    /// ([`TilosConfig::sensitivity_cache`]).
+    ///
+    /// A hit means a candidate's `(d_path, d_area)` pair was served from the
+    /// cache (skipping its delay-model evaluations); a miss means it was
+    /// (re)computed and stored; an invalidation means a previously cached
+    /// pair was discarded because a bump's affected cone or a critical-path
+    /// membership flip touched the candidate's coupling cone. All zero when
+    /// the cache is disabled.
+    pub struct SensitivityStats {
+        /// Candidate evaluations served from the cache.
+        pub hits: usize,
+        /// Candidate evaluations computed and stored.
+        pub misses: usize,
+        /// Cached pairs discarded by cone intersection.
+        pub invalidations: usize,
     }
 }
 
