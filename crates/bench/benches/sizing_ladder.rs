@@ -35,7 +35,7 @@ use mft_core::SizingProblem;
 use mft_delay::{DelayModel, DiffScratch, Technology};
 use mft_gen::{Benchmark, LadderRung, SIZING_LADDER};
 use mft_sta::{IncrementalConfig, IncrementalTiming};
-use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosTrajectory};
+use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosState};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -78,15 +78,15 @@ fn run_bump_loop(problem: &SizingProblem, budget: usize, cache: bool) -> BumpLoo
         profile_timing: true,
         ..Default::default()
     };
-    let mut traj =
-        TilosTrajectory::new(problem.dag(), problem.model(), config).expect("trajectory builds");
+    let (dag, model) = (problem.dag(), problem.model());
+    let mut traj = TilosState::new(dag, model, config).expect("trajectory builds");
     let t0 = Instant::now();
-    match traj.advance_to(0.0) {
+    match traj.advance_to(dag, model, 0.0) {
         Err(TilosError::Infeasible { .. }) | Err(TilosError::BumpBudgetExhausted { .. }) => {}
         other => panic!("target 0 must be unreachable, got {other:?}"),
     }
     let seconds = t0.elapsed().as_secs_f64();
-    let (sens_s, timing_s) = traj.state().profile_seconds();
+    let (sens_s, timing_s) = traj.profile_seconds();
     let split = sens_s + timing_s;
     BumpLoopRun {
         seconds,

@@ -14,7 +14,7 @@ use mft_circuit::SizingMode;
 use mft_core::SizingProblem;
 use mft_delay::Technology;
 use mft_gen::{random_circuit, Benchmark, RandomCircuitConfig};
-use mft_tilos::{Tilos, TilosConfig, TilosError, TilosTrajectory};
+use mft_tilos::{TilosConfig, TilosError, TilosResult, TilosState};
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -26,12 +26,20 @@ fn smoke() -> bool {
 /// the reachable region. Nearly every bump of the trajectory is needed
 /// to get there — the bump-heaviest workload the circuit supports.
 fn bump_heavy_target(problem: &SizingProblem) -> f64 {
-    let mut probe =
-        TilosTrajectory::new(problem.dag(), problem.model(), TilosConfig::default()).unwrap();
-    match probe.advance_to(0.0) {
+    match tilos_run(problem, TilosConfig::default(), 0.0) {
         Err(TilosError::Infeasible { best_delay, .. }) => best_delay * 1.02,
         other => panic!("expected a finite TILOS floor, got {other:?}"),
     }
+}
+
+/// One full TILOS run: a fresh trajectory advanced once to `target`.
+fn tilos_run(
+    problem: &SizingProblem,
+    config: TilosConfig,
+    target: f64,
+) -> Result<TilosResult, TilosError> {
+    let (dag, model) = (problem.dag(), problem.model());
+    TilosState::new(dag, model, config)?.advance_to(dag, model, target)
 }
 
 fn bench_bump_loop(c: &mut Criterion) {
@@ -83,12 +91,8 @@ fn bench_bump_loop(c: &mut Criterion) {
             ..Default::default()
         };
         // Equivalence gate: the two timing paths must agree bitwise.
-        let warm = Tilos::default()
-            .size(problem.dag(), problem.model(), target)
-            .unwrap();
-        let cold = Tilos::new(cold_cfg.clone())
-            .size(problem.dag(), problem.model(), target)
-            .unwrap();
+        let warm = tilos_run(problem, TilosConfig::default(), target).unwrap();
+        let cold = tilos_run(problem, cold_cfg.clone(), target).unwrap();
         assert_eq!(warm.bumps, cold.bumps, "{name}");
         for (a, b) in warm.sizes.iter().zip(cold.sizes.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "{name}: sizes must match bitwise");
@@ -100,9 +104,7 @@ fn bench_bump_loop(c: &mut Criterion) {
                 &config,
                 |b, cfg| {
                     b.iter(|| {
-                        let r = Tilos::new(cfg.clone())
-                            .size(problem.dag(), problem.model(), target)
-                            .expect("target reachable");
+                        let r = tilos_run(problem, cfg.clone(), target).expect("target reachable");
                         black_box(r.area)
                     })
                 },

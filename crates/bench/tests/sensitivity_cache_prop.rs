@@ -17,7 +17,7 @@ use mft_circuit::SizingMode;
 use mft_core::SizingProblem;
 use mft_delay::Technology;
 use mft_gen::{ladder_rung, Benchmark};
-use mft_tilos::{TilosConfig, TilosError, TilosTrajectory};
+use mft_tilos::{TilosConfig, TilosError, TilosState};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -59,15 +59,15 @@ fn drive(
         sensitivity_cache: cache,
         ..Default::default()
     };
-    let mut traj =
-        TilosTrajectory::new(problem.dag(), problem.model(), config).expect("trajectory builds");
-    let cp0 = match traj.advance_to(f64::INFINITY) {
+    let (dag, model) = (problem.dag(), problem.model());
+    let mut traj = TilosState::new(dag, model, config).expect("trajectory builds");
+    let cp0 = match traj.advance_to(dag, model, f64::INFINITY) {
         Ok(r) => r.achieved_delay,
         Err(e) => panic!("infinite target must be reachable: {e:?}"),
     };
     let mut out = Vec::new();
     for &f in target_fractions {
-        let best = match traj.advance_to(cp0 * f) {
+        let best = match traj.advance_to(dag, model, cp0 * f) {
             Ok(r) => r.achieved_delay,
             Err(
                 TilosError::Infeasible { best_delay, .. }

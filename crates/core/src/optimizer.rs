@@ -264,33 +264,12 @@ impl SolverContext {
         self.dphase.stats()
     }
 
-    /// Cumulative timing-engine statistics since construction (across
-    /// every run that used this context).
-    pub fn timing_stats(&self) -> TimingStats {
-        self.timing.stats()
-    }
-
     /// Drops the D-phase flow backend's retained warm state; the next
     /// solve runs cold. Called between sweep points to keep each point
     /// a pure function of its own inputs (independent of sweep order
     /// and worker partitioning).
     pub fn invalidate_warm_state(&mut self) {
         self.dphase.invalidate_warm_state();
-    }
-
-    /// Re-times an arbitrary delay vector through the persistent
-    /// incremental engine and returns the critical-path delay —
-    /// bit-identical to a cold [`mft_sta::critical_path`] (the engine
-    /// runs at tolerance `0.0`), at the cost of only the delay churn
-    /// since the engine's last query. This is the what-if fast path: a
-    /// candidate sizing is evaluated without running any optimization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MftError::Sta`] on a shape mismatch.
-    pub fn retime(&mut self, dag: &SizingDag, delays: &[f64]) -> Result<f64, MftError> {
-        self.timing.rebase(dag, delays)?;
-        Ok(self.timing.critical_path())
     }
 }
 

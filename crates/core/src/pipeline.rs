@@ -276,7 +276,7 @@ impl SizingProblem {
 mod tests {
     use super::*;
     use mft_circuit::{parse_bench, C17_BENCH};
-    use mft_tilos::Tilos;
+    use mft_tilos::{TilosConfig, TilosState};
 
     #[test]
     fn c17_end_to_end() {
@@ -294,7 +294,7 @@ mod tests {
         assert!((problem.area_of(&mft.sizes) - mft.area).abs() < 1e-9);
     }
 
-    /// The wrapper reproduces the direct `Tilos::size` call bitwise.
+    /// The wrapper reproduces a fresh `TilosState` advanced once, bitwise.
     #[test]
     fn tilos_wrapper_matches_direct_sizer() {
         let netlist = parse_bench("c17", C17_BENCH).unwrap();
@@ -302,8 +302,9 @@ mod tests {
         let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
         let wrapped = problem.tilos(target).unwrap();
-        let direct = Tilos::default()
-            .size(problem.dag(), problem.model(), target)
+        let direct = TilosState::new(problem.dag(), problem.model(), TilosConfig::default())
+            .unwrap()
+            .advance_to(problem.dag(), problem.model(), target)
             .unwrap();
         assert_eq!(wrapped.bumps, direct.bumps);
         assert_eq!(wrapped.area.to_bits(), direct.area.to_bits());

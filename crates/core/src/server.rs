@@ -75,7 +75,7 @@ use crate::protocol::{
 use crate::session::{error_response, ReadView, SessionConfig, SessionStats, SizingSession};
 use mft_circuit::{parse_bench, SizingMode};
 use mft_flow::FlowAlgorithm;
-use mft_tech::TechLibrary;
+use mft_tech::{canonical_tech, TechLibrary};
 use std::collections::HashMap;
 use std::io::{self, BufRead};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -420,9 +420,9 @@ impl CircuitServer {
         let worker_poisoned = Arc::clone(&poisoned);
         let panic_on_spec = self.config.panic_on_spec;
         let hold = self.config.hold_writer.clone();
-        // The replicas share the (immutable) problem; the session
-        // consumes its own copy.
-        let shared = (replicas > 0).then(|| Arc::new(problem.clone()));
+        // The replicas and the session share one (immutable) problem.
+        let problem = Arc::new(problem);
+        let shared = (replicas > 0).then(|| Arc::clone(&problem));
         let session = SizingSession::new(problem, session);
         // Build the read pool before spawning the writer so the writer
         // holds its publish handles from the first request on.
@@ -1143,17 +1143,6 @@ impl CircuitServer {
         for handle in handles {
             let _ = handle.join();
         }
-    }
-}
-
-/// Maps the legacy `tech` short forms onto registry corner names so
-/// historical `{"tech":"130"}` loads keep resolving.
-fn canonical_tech(name: &str) -> &str {
-    match name {
-        "130" => "130nm",
-        "180" => "180nm",
-        "65" => "65nm",
-        other => other,
     }
 }
 

@@ -8,9 +8,14 @@
 //! [`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit)
 //! rebuilds per call. A [`SizingSession`] owns the prepared problem
 //! *and* all of that warm state, and serves a typed request stream
-//! against it: "size to target A, then B, then sweep 8 points, then
-//! what-if" runs over **one** trajectory, one flow network, one SMP
-//! solver and one timing engine end to end.
+//! against it: "size to target A, then B, then sweep 8 points" runs
+//! over **one** trajectory, one flow network, one SMP solver and one
+//! timing engine end to end.
+//!
+//! What-if requests never touch that optimizer state: the session
+//! answers them through one lazily built [`ReadView`] over its shared
+//! problem — the same engine a server read replica runs — so a what-if
+//! cannot change the work (or the counters) of a later size or sweep.
 //!
 //! # Exactness
 //!
@@ -95,7 +100,7 @@ use crate::pipeline::SizingProblem;
 use crate::protocol::{ErrorCode, Request, Response};
 use mft_circuit::{Netlist, SizingMode, VertexId};
 use mft_delay::{DelayModel, DiffScratch, Technology};
-use mft_sta::{critical_path, IncrementalTiming, TimingStats};
+use mft_sta::{IncrementalTiming, TimingStats};
 use mft_tech::{Corner, PowerBreakdown, PowerWeightedModel};
 use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosResult, TilosState};
 use std::sync::Arc;
@@ -108,7 +113,7 @@ pub struct SweepWarmStart {
     /// Reuse the TILOS bump trajectory across targets. Bit-exact: the
     /// greedy bump choice never reads the target, so every target's
     /// seed is a snapshot of one trajectory
-    /// ([`mft_tilos::TilosTrajectory`]).
+    /// ([`mft_tilos::TilosState`]).
     pub resume_tilos: bool,
     /// Hold one [`SolverContext`] (per sweep worker) across targets
     /// instead of rebuilding the D-phase network and SMP solver per
@@ -289,8 +294,10 @@ pub struct SessionStats {
     /// Sensitivity-cache counters of the TILOS side (hits, misses and
     /// invalidations across every trajectory advance).
     pub sensitivity: SensitivityStats,
-    /// Timing-engine work of the optimizer side (convergence checks
-    /// and what-if re-times through the persistent engine).
+    /// Timing-engine work of the optimizer side: the D/W convergence
+    /// checks, plus the what-if re-times of the session's [`ReadView`]
+    /// (its first candidate is a full pass, near-identical followers
+    /// scoped diffs).
     pub optimizer_timing: TimingStats,
     /// Cumulative D-phase solver statistics (cold/warm solves, pivots,
     /// flow time); the backend reads `none` until the first optimizer
@@ -331,8 +338,11 @@ impl SessionStats {
 }
 
 /// The result of a what-if request: a candidate size vector re-timed
-/// through the session's persistent incremental engine (or a cold pass
-/// in cold sessions) without running any optimization.
+/// through a [`ReadView`] (the session's own, or a server read
+/// replica's) without running any optimization. Every field is
+/// bit-identical to a cold evaluation through
+/// [`SizingProblem::delay_of`], [`SizingProblem::area_of`] and
+/// [`SizingProblem::power_of`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfReport {
     /// Weighted area of the candidate sizing.
@@ -357,8 +367,7 @@ pub struct WhatIfReport {
 /// Runs the TILOS-seed part of a request: from the shared trajectory
 /// when [`SweepWarmStart::resume_tilos`] is on (snapshot replay for
 /// already-passed targets, trajectory advance otherwise), else a fresh
-/// one-shot trajectory — exactly the legacy
-/// [`mft_tilos::Tilos::size`]. The power objective runs the same seed
+/// [`TilosState`] advanced once. The power objective runs the same seed
 /// machinery through a [`PowerWeightedModel`] wrapper (identical
 /// delays, power-derived objective weights). The seed's timing and
 /// sensitivity work is added to `stats`; a caller that needs it per
@@ -757,11 +766,13 @@ pub(crate) fn run_sweep(
 }
 
 /// A long-lived, re-entrant sizing service handle (see the module
-/// docs): owns the prepared [`SizingProblem`] plus all warm state, and
+/// docs): holds the prepared [`SizingProblem`] plus all warm state, and
 /// serves size / sweep / what-if / stats requests against it.
 #[derive(Debug)]
 pub struct SizingSession {
-    problem: SizingProblem,
+    /// Shared so the what-if view (and a server's read replicas) time
+    /// against the same problem instead of a copy.
+    problem: Arc<SizingProblem>,
     config: SessionConfig,
     trajectory: Option<TilosState>,
     context: Option<SolverContext>,
@@ -772,19 +783,22 @@ pub struct SizingSession {
     // `cross_target_state`).
     power_trajectory: Option<TilosState>,
     power_context: Option<SolverContext>,
+    /// Answers what-if requests; built on the first one.
+    view: Option<ReadView>,
     stats: SessionStats,
 }
 
 impl SizingSession {
-    /// Wraps an already-prepared problem.
-    pub fn new(problem: SizingProblem, config: SessionConfig) -> Self {
+    /// Wraps an already-prepared problem, owned or already shared.
+    pub fn new(problem: impl Into<Arc<SizingProblem>>, config: SessionConfig) -> Self {
         SizingSession {
-            problem,
+            problem: problem.into(),
             config,
             trajectory: None,
             context: None,
             power_trajectory: None,
             power_context: None,
+            view: None,
             stats: SessionStats::default(),
         }
     }
@@ -834,12 +848,6 @@ impl SizingSession {
     /// The configuration in use.
     pub fn config(&self) -> &SessionConfig {
         &self.config
-    }
-
-    /// Dissolves the session, returning the prepared problem (all warm
-    /// state is dropped).
-    pub fn into_problem(self) -> SizingProblem {
-        self.problem
     }
 
     /// Sizes to an absolute delay target through the full
@@ -948,10 +956,12 @@ impl SizingSession {
     }
 
     /// Re-times a candidate size vector — area, critical path and
-    /// (optionally) slack against a target — through the persistent
-    /// incremental engine, without running any optimization. The
-    /// reported values are bit-identical to
-    /// [`SizingProblem::delay_of`] / [`SizingProblem::area_of`].
+    /// (optionally) slack against a target — through the session's
+    /// [`ReadView`], without running any optimization. The view diffs
+    /// each candidate against the previous one, and its timing work is
+    /// added to [`SessionStats::optimizer_timing`]. The reported values
+    /// are bit-identical to [`SizingProblem::delay_of`] /
+    /// [`SizingProblem::area_of`].
     ///
     /// # Errors
     ///
@@ -964,36 +974,17 @@ impl SizingSession {
     ) -> Result<WhatIfReport, MftError> {
         self.stats.requests += 1;
         self.stats.what_if_requests += 1;
-        let dag = self.problem.dag();
-        let model = self.problem.model();
-        let n = dag.num_vertices();
-        check_candidate(sizes, n)?;
-        let delays = model.delays(sizes);
-        let cp = if self.config.warm.reuse_solvers {
-            if self.context.is_none() {
-                self.context = Some(SolverContext::new(&self.config.optimizer, dag, model)?);
-            }
-            let ctx = self.context.as_mut().expect("just ensured");
-            let before = ctx.timing_stats();
-            let cp = ctx.retime(dag, &delays)?;
-            let delta = ctx.timing_stats().since(&before);
-            self.stats.optimizer_timing = self.stats.optimizer_timing.merged(&delta);
-            cp
-        } else {
-            self.stats.optimizer_timing.full_passes += 1;
-            self.stats.optimizer_timing.vertices_touched += n;
-            critical_path(dag, &delays)?
-        };
-        let area = model.area(sizes);
-        Ok(WhatIfReport {
-            area,
-            area_ratio: area / self.problem.min_area(),
-            power: self.problem.power_of(sizes),
-            critical_path: cp,
-            target,
-            slack: target.map(|t| t - cp),
-            meets_target: target.map(|t| cp <= t),
-        })
+        let problem = &self.problem;
+        let view = self
+            .view
+            .get_or_insert_with(|| ReadView::new(Arc::clone(problem)));
+        let before = view.timing_stats();
+        let result = view.what_if(sizes, target);
+        self.stats.optimizer_timing = self
+            .stats
+            .optimizer_timing
+            .merged(&view.timing_stats().since(&before));
+        result.map(|(report, _)| report)
     }
 
     /// A snapshot of the session's cumulative service counters.
@@ -1151,13 +1142,14 @@ impl SizingSession {
     }
 }
 
-/// A read-only what-if view over a shared [`SizingProblem`]: the state
-/// one server read replica owns. It answers [`ReadView::what_if`]
-/// bit-identically to [`SizingSession::what_if`] but caches the
-/// *previous candidate* it saw, so a stream of near-identical
-/// candidates (a UI parameter sweep, a KATO-style variant scan) costs
-/// O(changed gates) per request via [`DelayModel::delays_diff`] plus a
-/// scoped timing rebase instead of a full re-time.
+/// A read-only what-if view over a shared [`SizingProblem`]: the one
+/// what-if engine, owned by each server read replica and by every
+/// [`SizingSession`] (which answers [`SizingSession::what_if`] through
+/// it). It caches the *previous candidate* it saw, so a stream of
+/// near-identical candidates (a UI parameter sweep, a KATO-style
+/// variant scan) costs O(changed gates) per request via
+/// [`DelayModel::delays_diff`] plus a scoped timing rebase instead of a
+/// full re-time; every answer is bit-identical to a cold evaluation.
 ///
 /// The view never mutates the problem; any number of views can share
 /// one `Arc<SizingProblem>` across threads. The diff base is dropped
@@ -1202,6 +1194,15 @@ impl ReadView {
         self.problem.dmin()
     }
 
+    /// Work counters of the view's timing engine (zero before the first
+    /// what-if).
+    fn timing_stats(&self) -> TimingStats {
+        self.engine
+            .as_ref()
+            .map(IncrementalTiming::stats)
+            .unwrap_or_default()
+    }
+
     /// Drops the previous-candidate diff base: the next what-if
     /// re-times from scratch. A what-if answer is a pure function of
     /// the candidate, so this is a performance fence, not a
@@ -1211,9 +1212,10 @@ impl ReadView {
         self.prev_sizes.clear();
     }
 
-    /// Re-times a candidate exactly like [`SizingSession::what_if`]
-    /// (bit-identical report) and returns whether the answer came from
-    /// the previous-candidate diff path (`true`) or a full re-time
+    /// Re-times a candidate (the report is bit-identical to
+    /// [`SizingProblem::delay_of`] / [`SizingProblem::area_of`] /
+    /// [`SizingProblem::power_of`]) and returns whether the answer came
+    /// from the previous-candidate diff path (`true`) or a full re-time
     /// (`false`).
     ///
     /// # Errors
@@ -1287,9 +1289,9 @@ impl ReadView {
     }
 }
 
-/// The check [`SizingSession::what_if`] and [`ReadView::what_if`]
-/// share: `n` sizes, each finite and positive — the only sizes the
-/// delay model and the area sum are defined for.
+/// The candidate check of [`ReadView::what_if`]: `n` sizes, each
+/// finite and positive — the only sizes the delay model and the area
+/// sum are defined for.
 fn check_candidate(sizes: &[f64], n: usize) -> Result<(), MftError> {
     if sizes.len() != n {
         return Err(MftError::ShapeMismatch {
@@ -1383,10 +1385,25 @@ mod tests {
         assert!(matches!(bad, MftError::ShapeMismatch { .. }));
     }
 
+    /// The what-if report of a cold evaluation: the oracle of every
+    /// view answer.
+    fn cold_report(problem: &SizingProblem, sizes: &[f64], target: Option<f64>) -> WhatIfReport {
+        let area = problem.area_of(sizes);
+        let cp = problem.delay_of(sizes);
+        WhatIfReport {
+            area,
+            area_ratio: area / problem.min_area(),
+            power: problem.power_of(sizes),
+            critical_path: cp,
+            target,
+            slack: target.map(|t| t - cp),
+            meets_target: target.map(|t| cp <= t),
+        }
+    }
+
     #[test]
-    fn read_view_what_if_is_bit_identical_to_the_session() {
-        let mut session = c17_session(SessionConfig::warm());
-        let problem = Arc::new(session.problem().clone());
+    fn read_view_what_if_is_bit_identical_to_a_cold_evaluation() {
+        let problem = Arc::new(c17_session(SessionConfig::warm()).problem().clone());
         let n = problem.dag().num_vertices();
         let mut view = ReadView::new(Arc::clone(&problem));
         let candidates = [
@@ -1402,7 +1419,7 @@ mod tests {
         ];
         for (i, sizes) in candidates.iter().enumerate() {
             let target = Some(0.8 * problem.dmin());
-            let expect = session.what_if(sizes, target).unwrap();
+            let expect = cold_report(&problem, sizes, target);
             let (got, used_diff) = view.what_if(sizes, target).unwrap();
             assert_eq!(
                 Response::WhatIf(got).to_json_line(),
@@ -1413,7 +1430,7 @@ mod tests {
         }
         // Invalidation drops the diff base but not the answer.
         view.invalidate();
-        let expect = session.what_if(&candidates[2], None).unwrap();
+        let expect = cold_report(&problem, &candidates[2], None);
         let (got, used_diff) = view.what_if(&candidates[2], None).unwrap();
         assert!(!used_diff);
         assert_eq!(
@@ -1472,7 +1489,7 @@ mod tests {
     /// `tilos` for the seed, `minflotransit_with` for the refinement.
     #[test]
     fn cold_sweep_matches_manual_per_point_loop() {
-        let problem = c17_session(SessionConfig::cold()).into_problem();
+        let problem = c17_session(SessionConfig::cold()).problem().clone();
         let config = MinflotransitConfig::default();
         let specs = [0.9, 0.7, 0.5];
         let got = problem

@@ -103,47 +103,16 @@ pub trait DelayModel {
             .collect()
     }
 
-    /// Scoped update after a single size change at `v`: recomputes into
-    /// `delays` exactly the vertex delays that can depend on `x_v` — `v`
-    /// itself plus its [`DelayModel::dependents`] — and records those
-    /// vertices (deduplicated) in `affected`, the initial worklist for
-    /// an incremental timing engine
-    /// ([`mft_sta::IncrementalTiming`](https://docs.rs/mft-sta)).
-    ///
-    /// The default implementation walks the transposed coupling CSR via
-    /// [`DelayModel::dependents`]; models whose delay functionals have
-    /// wider coupling must override it to match. `delays` entries
-    /// outside the affected set are left untouched, so after the call
-    /// `delays` equals a full [`DelayModel::delays`] recomputation under
-    /// the new sizes whenever it did under the old ones.
-    ///
-    /// `affected` is cleared first (it is a reusable scratch buffer —
-    /// hot loops pass the same one every bump to stay allocation-free)
-    /// and comes back **sorted ascending and deduplicated**; both
-    /// timing backends rely on that ordering contract.
-    fn delays_dirty(
-        &self,
-        v: VertexId,
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-    ) {
-        affected.clear();
-        affected.push(v);
-        affected.extend(self.dependents(v).iter().copied().filter(|&u| u != v));
-        affected.sort_unstable_by_key(|u| u.index());
-        affected.dedup();
-        for &u in affected.iter() {
-            delays[u.index()] = self.delay(u, sizes);
-        }
-        debug_assert_sorted_dedup(affected);
-    }
-
-    /// Batch form of [`DelayModel::delays_dirty`]: recomputes into
-    /// `delays` exactly the vertex delays that can depend on any size in
-    /// `changed` — the changed vertices plus their
-    /// [`DelayModel::dependents`] — and records that union, sorted
-    /// ascending and deduplicated, in `affected`.
+    /// Scoped update after the sizes in `changed` moved: recomputes into
+    /// `delays` exactly the vertex delays that can depend on any of them
+    /// — the changed vertices plus their [`DelayModel::dependents`] —
+    /// and records that union in `affected` (cleared first), the
+    /// initial worklist for an incremental timing engine
+    /// ([`mft_sta::IncrementalTiming`](https://docs.rs/mft-sta)), which
+    /// relies on it coming back sorted ascending and deduplicated. A
+    /// TILOS bump is the one-vertex case. Models whose delay functionals
+    /// have wider coupling than [`DelayModel::dependents`] must override
+    /// this to match.
     ///
     /// Each affected delay is recomputed with the *same expression* as
     /// [`DelayModel::delay`], so the result is bitwise identical to a
@@ -667,26 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn delays_dirty_matches_full_recomputation() {
-        let m = chain_model();
-        let mut sizes = vec![2.0, 3.0];
-        let mut delays = m.delays(&sizes);
-        let mut affected = Vec::new();
-        // Bump vertex 1: its own delay and its dependent (vertex 0) move.
-        sizes[1] = 4.5;
-        m.delays_dirty(VertexId::new(1), &sizes, &mut delays, &mut affected);
-        assert_eq!(delays, m.delays(&sizes));
-        let mut got: Vec<usize> = affected.iter().map(|v| v.index()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
-        // Bump vertex 0: nothing depends on it, so only itself.
-        sizes[0] = 3.0;
-        m.delays_dirty(VertexId::new(0), &sizes, &mut delays, &mut affected);
-        assert_eq!(delays, m.delays(&sizes));
-        assert_eq!(affected, vec![VertexId::new(0)]);
-    }
-
-    #[test]
     fn delays_diff_matches_full_recomputation() {
         let m = chain_model();
         let mut sizes = vec![2.0, 3.0];
@@ -712,17 +661,10 @@ mod tests {
         // Empty change set: nothing touched.
         m.delays_diff(&[], &sizes, &mut delays, &mut affected, &mut scratch);
         assert!(affected.is_empty());
-        // Single change routes through the same native path as
-        // delays_dirty and agrees with it bitwise.
+        // One-vertex changes (a TILOS bump): vertex 1 moves its own
+        // delay and its dependent's (vertex 0); nothing depends on
+        // vertex 0, so it moves only itself.
         sizes[1] = 5.25;
-        let mut delays_dirty = delays.clone();
-        let mut affected_dirty = Vec::new();
-        m.delays_dirty(
-            VertexId::new(1),
-            &sizes,
-            &mut delays_dirty,
-            &mut affected_dirty,
-        );
         m.delays_diff(
             &[VertexId::new(1)],
             &sizes,
@@ -730,8 +672,19 @@ mod tests {
             &mut affected,
             &mut scratch,
         );
-        assert_eq!(affected, affected_dirty);
-        for (a, b) in delays.iter().zip(delays_dirty.iter()) {
+        assert_eq!(affected, vec![VertexId::new(0), VertexId::new(1)]);
+        assert_eq!(delays, m.delays(&sizes));
+        sizes[0] = 4.0;
+        m.delays_diff(
+            &[VertexId::new(0)],
+            &sizes,
+            &mut delays,
+            &mut affected,
+            &mut scratch,
+        );
+        assert_eq!(affected, vec![VertexId::new(0)]);
+        let full = m.delays(&sizes);
+        for (a, b) in delays.iter().zip(full.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

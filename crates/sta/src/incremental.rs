@@ -296,12 +296,6 @@ impl IncrementalTiming {
         self.full_pass_churn
     }
 
-    /// Replaces the rebase churn policy on a live engine. Purely a cost
-    /// knob: any value yields bit-identical timing state.
-    pub fn set_full_pass_churn(&mut self, churn: f64) {
-        self.full_pass_churn = churn;
-    }
-
     /// Work counters since construction.
     pub fn stats(&self) -> TimingStats {
         self.stats

@@ -268,16 +268,6 @@ impl DelayModel for PowerWeightedModel<'_> {
         self.linear.delays(sizes)
     }
 
-    fn delays_dirty(
-        &self,
-        v: VertexId,
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-    ) {
-        self.linear.delays_dirty(v, sizes, delays, affected);
-    }
-
     fn delays_diff(
         &self,
         changed: &[VertexId],

@@ -16,12 +16,17 @@
 //! trade-off globally; this crate provides the baseline those comparisons
 //! (Table 1, Figure 7) are made against.
 //!
+//! [`TilosState`] is the sizer: it holds one bump trajectory, which
+//! [`TilosState::advance_to`] walks toward tighter targets and
+//! [`TilosState::snapshot_at`] replays for targets already passed. A
+//! one-shot run is a fresh state advanced once.
+//!
 //! Per-bump timing runs through [`mft_sta::IncrementalTiming`]: a bump's
-//! delay churn (computed once via
-//! [`mft_delay::DelayModel::delays_dirty`]) seeds a levelized worklist
-//! that re-evaluates arrival times only in the affected cone, and the
-//! critical path is read off a bucketed max tracker — O(affected cone)
-//! per bump instead of the historical two full O(V+E) passes, with
+//! delay churn (computed once via [`mft_delay::DelayModel::delays_diff`]
+//! over the bumped vertex) seeds a levelized worklist that re-evaluates
+//! arrival times only in the affected cone, and the critical path is
+//! read off a bucketed max tracker — O(affected cone) per bump instead
+//! of the historical two full O(V+E) passes, with
 //! **bit-identical** results (the engine runs at tolerance `0.0`;
 //! [`TilosConfig::cold_timing`] retains the full-recompute reference
 //! path for differential tests and the `tilos_bump_loop` bench).
@@ -32,7 +37,7 @@
 //! use mft_circuit::{NetlistBuilder, SizingDag};
 //! use mft_delay::{apply_default_loads, DelayModel, LinearDelayModel, Technology};
 //! use mft_sta::critical_path;
-//! use mft_tilos::{Tilos, TilosConfig};
+//! use mft_tilos::{TilosConfig, TilosState};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = NetlistBuilder::new("chain");
@@ -47,7 +52,8 @@
 //! let model = LinearDelayModel::elmore(&netlist, &dag, &tech)?;
 //!
 //! let dmin = critical_path(&dag, &model.delays(&vec![1.0; 2]))?;
-//! let result = Tilos::new(TilosConfig::default()).size(&dag, &model, 0.7 * dmin)?;
+//! let mut state = TilosState::new(&dag, &model, TilosConfig::default())?;
+//! let result = state.advance_to(&dag, &model, 0.7 * dmin)?;
 //! assert!(result.achieved_delay <= 0.7 * dmin + 1e-9);
 //! # Ok(())
 //! # }
@@ -58,7 +64,7 @@
 
 use core::fmt;
 use mft_circuit::{SizingDag, VertexId};
-use mft_delay::DelayModel;
+use mft_delay::{DelayModel, DiffScratch};
 use mft_sta::{
     arrival_times, critical_path, extract_critical_path, DenseBitSet, IncrementalTiming, StaError,
     TimingStats,
@@ -82,7 +88,7 @@ pub struct TilosConfig {
     /// Results are **bit-identical** either way (the engine runs at
     /// tolerance `0.0`); this switch exists for differential tests and
     /// the `tilos_bump_loop` benchmark, and must be chosen at
-    /// [`TilosTrajectory::new`] time.
+    /// [`TilosState::new`] time.
     pub cold_timing: bool,
     /// Cache per-candidate sensitivities across bumps: a candidate's
     /// `(d_path, d_area)` pair is remembered and invalidated only when
@@ -239,42 +245,7 @@ pub trait CancelProbe: Send + Sync {
 /// latency well under a millisecond on any realistic circuit.
 const CANCEL_POLL_BUMPS: usize = 256;
 
-/// The TILOS sizer.
-#[derive(Debug, Clone, Default)]
-pub struct Tilos {
-    config: TilosConfig,
-}
-
-impl Tilos {
-    /// Creates a sizer with the given configuration.
-    pub fn new(config: TilosConfig) -> Self {
-        Tilos { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TilosConfig {
-        &self.config
-    }
-
-    /// Sizes the circuit to meet `target`, starting from minimum sizes.
-    ///
-    /// # Errors
-    ///
-    /// * [`TilosError::Infeasible`] when no bump improves the critical
-    ///   path any more (elements saturated at `max_size` or self-loading
-    ///   dominating).
-    /// * [`TilosError::BumpBudgetExhausted`] when `max_bumps` is reached.
-    pub fn size<M: DelayModel>(
-        &self,
-        dag: &SizingDag,
-        model: &M,
-        target: f64,
-    ) -> Result<TilosResult, TilosError> {
-        TilosTrajectory::new(dag, model, self.config.clone())?.advance_to(target)
-    }
-}
-
-/// The owned, lifetime-free state of a resumable TILOS run — the bump
+/// The TILOS sizer: the owned state of a resumable run — the bump
 /// *trajectory* shared by every delay target.
 ///
 /// TILOS's greedy choice — which element to bump next — depends only on
@@ -283,24 +254,55 @@ impl Tilos {
 /// **target-independent**, and sizing to a sequence of successively
 /// tighter targets amounts to taking snapshots of one trajectory.
 ///
-/// `TilosState` is the part of a [`TilosTrajectory`] that survives
-/// beyond the borrow of its DAG and delay model: a long-lived service
-/// handle (`mft_core`'s `SizingSession`) stores the state alongside the
-/// problem it owns and rebinds them per request. Every structural
-/// method takes the DAG and model again; callers must always pass the
-/// pair the state was built for (checked only by vertex count, like
-/// [`mft_sta::IncrementalTiming`]).
+/// The state borrows nothing: a long-lived service handle
+/// (`mft_core`'s `SizingSession`) stores it alongside the problem it
+/// holds. Every structural method takes the DAG and model again;
+/// callers must always pass the pair the state was built for (checked
+/// only by vertex count, like [`mft_sta::IncrementalTiming`]).
 ///
 /// Two query paths cover every target order:
 ///
 /// * [`TilosState::advance_to`] walks the trajectory forward to a
-///   *tighter* target — bit-identical to a cold [`Tilos::size`] when
-///   targets are visited loosest-first.
+///   *tighter* target — bit-identical to a cold run (a fresh state
+///   advanced once) when targets are visited loosest-first.
 /// * [`TilosState::snapshot_at`] reconstructs the cold-equivalent
 ///   snapshot at any target the trajectory has **already passed**, by
 ///   replaying the recorded bump sequence (pure arithmetic: no timing
 ///   analysis at all). This is what makes a shared trajectory safe for
 ///   out-of-order request streams.
+///
+/// A whole area–delay sweep therefore pays the bump cost of its
+/// *tightest* spec once instead of re-walking the prefix for every
+/// point.
+///
+/// # Examples
+///
+/// ```
+/// # use mft_circuit::{NetlistBuilder, SizingDag};
+/// # use mft_delay::{apply_default_loads, LinearDelayModel, Technology};
+/// # use mft_tilos::{minimum_sized_delay, TilosConfig, TilosState};
+/// # let mut b = NetlistBuilder::new("t");
+/// # let a = b.input("a");
+/// # let g = b.inv(a).unwrap();
+/// # let h = b.inv(g).unwrap();
+/// # b.output(h, "o");
+/// # let mut netlist = b.finish().unwrap();
+/// # let tech = Technology::cmos_130nm();
+/// # apply_default_loads(&mut netlist, &tech);
+/// # let dag = SizingDag::gate_mode(&netlist).unwrap();
+/// # let model = LinearDelayModel::elmore(&netlist, &dag, &tech).unwrap();
+/// let dmin = minimum_sized_delay(&dag, &model).unwrap();
+/// let mut state = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
+/// let loose = state.advance_to(&dag, &model, 0.9 * dmin).unwrap();
+/// let tight = state.advance_to(&dag, &model, 0.7 * dmin).unwrap(); // resumes, no re-walk
+/// assert!(tight.bumps >= loose.bumps);
+/// // Each snapshot equals a cold run: a fresh state advanced once.
+/// let mut cold = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
+/// assert_eq!(loose.sizes, cold.advance_to(&dag, &model, 0.9 * dmin).unwrap().sizes);
+/// // The looser snapshot stays reachable from the bump log:
+/// let replayed = state.snapshot_at(&model, 0.9 * dmin).unwrap();
+/// assert_eq!(replayed.sizes, loose.sizes);
+/// ```
 #[derive(Debug, Clone)]
 pub struct TilosState {
     config: TilosConfig,
@@ -326,8 +328,9 @@ pub struct TilosState {
     /// Work counters of the cold reference path (mirrors what the
     /// engine would report, so sweeps can compare like for like).
     cold_stats: TimingStats,
-    /// Scratch buffer for [`DelayModel::delays_dirty`].
+    /// Scratch buffers for [`DelayModel::delays_diff`].
     affected: Vec<VertexId>,
+    diff_scratch: DiffScratch,
     // --- Incremental sensitivity cache (SoA; empty when disabled) ---
     /// Cached sensitivity ratios `-d_path / d_area`, valid where
     /// `sens_valid` is set. The quotient is cached rather than the
@@ -394,6 +397,7 @@ impl TilosState {
             timing,
             cold_stats,
             affected: Vec::new(),
+            diff_scratch: DiffScratch::new(),
             sens_ratio: vec![0.0; if use_cache { n } else { 0 }],
             sens_d_area: vec![0.0; if use_cache { n } else { 0 }],
             sens_valid: DenseBitSet::new(if use_cache { n } else { 0 }),
@@ -506,8 +510,8 @@ impl TilosState {
     /// tighter than the current critical path (advance further with
     /// [`TilosState::advance_to`]).
     ///
-    /// A cold [`Tilos::size`] at `target` stops after the first `k`
-    /// bumps whose critical path meets the target; the bump log records
+    /// A cold run at `target` stops after the first `k` bumps whose
+    /// critical path meets the target; the bump log records
     /// exactly those critical paths, so the snapshot is found by scan
     /// and its size vector replayed by `k` multiply-and-clamp steps —
     /// **bit-identical** to the cold run, with zero timing analysis.
@@ -541,15 +545,17 @@ impl TilosState {
 
     /// Advances the trajectory until the critical path meets `target`
     /// and snapshots the state as a [`TilosResult`] — bit-identical to a
-    /// cold [`Tilos::size`] at `target` when targets are visited
-    /// loosest-first. `dag` and `model` must be the pair the state was
-    /// built for.
+    /// cold run (a fresh state advanced once) at `target` when targets
+    /// are visited loosest-first. `dag` and `model` must be the pair the
+    /// state was built for.
     ///
     /// # Errors
     ///
-    /// As [`Tilos::size`]; once [`TilosError::Infeasible`] is returned,
-    /// every subsequent (tighter) target fails the same way without
-    /// re-searching.
+    /// * [`TilosError::Infeasible`] when no bump improves the critical
+    ///   path any more (elements saturated at `max_size` or self-loading
+    ///   dominating). Once it is returned, every subsequent (tighter)
+    ///   target fails the same way without re-searching.
+    /// * [`TilosError::BumpBudgetExhausted`] when `max_bumps` is reached.
     pub fn advance_to<M: DelayModel>(
         &mut self,
         dag: &SizingDag,
@@ -691,7 +697,13 @@ impl TilosState {
             let update_start = self.config.profile_timing.then(Instant::now);
             self.sizes[v.index()] =
                 (self.sizes[v.index()] * self.config.bump_factor).min(self.max_size);
-            model.delays_dirty(v, &self.sizes, &mut self.delays, &mut self.affected);
+            model.delays_diff(
+                &[v],
+                &self.sizes,
+                &mut self.delays,
+                &mut self.affected,
+                &mut self.diff_scratch,
+            );
             if use_cache {
                 // Invalidate every candidate whose pair reads state the
                 // bump moved: the affected vertices themselves (their
@@ -738,156 +750,6 @@ impl TilosState {
     }
 }
 
-/// A resumable TILOS run bound to its DAG and delay model — a borrowing
-/// view over [`TilosState`] (which holds all the actual trajectory
-/// state and documents the reuse guarantees).
-///
-/// [`TilosTrajectory::advance_to`] resumes the trajectory where the
-/// previous call stopped, so a whole area–delay sweep pays the bump cost
-/// of its *tightest* spec once instead of re-walking the prefix for
-/// every point — and each snapshot is **bit-identical** to a cold
-/// [`Tilos::size`] run at that target ([`Tilos::size`] is itself
-/// implemented as a fresh one-point trajectory). For a target the
-/// trajectory has already passed, [`TilosTrajectory::snapshot_at`]
-/// reconstructs the cold-equivalent snapshot from the bump log;
-/// `advance_to` alone must visit targets loosest-first (an out-of-order
-/// call returns the over-advanced current state).
-///
-/// # Examples
-///
-/// ```
-/// # use mft_circuit::{NetlistBuilder, SizingDag};
-/// # use mft_delay::{apply_default_loads, LinearDelayModel, Technology};
-/// # use mft_tilos::{minimum_sized_delay, Tilos, TilosConfig, TilosTrajectory};
-/// # let mut b = NetlistBuilder::new("t");
-/// # let a = b.input("a");
-/// # let g = b.inv(a).unwrap();
-/// # let h = b.inv(g).unwrap();
-/// # b.output(h, "o");
-/// # let mut netlist = b.finish().unwrap();
-/// # let tech = Technology::cmos_130nm();
-/// # apply_default_loads(&mut netlist, &tech);
-/// # let dag = SizingDag::gate_mode(&netlist).unwrap();
-/// # let model = LinearDelayModel::elmore(&netlist, &dag, &tech).unwrap();
-/// let dmin = minimum_sized_delay(&dag, &model).unwrap();
-/// let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
-/// let loose = traj.advance_to(0.9 * dmin).unwrap();
-/// let tight = traj.advance_to(0.7 * dmin).unwrap();   // resumes, no re-walk
-/// assert!(tight.bumps >= loose.bumps);
-/// assert_eq!(
-///     loose.sizes,
-///     Tilos::default().size(&dag, &model, 0.9 * dmin).unwrap().sizes
-/// );
-/// // The looser snapshot stays reachable from the bump log:
-/// let replayed = traj.snapshot_at(0.9 * dmin).unwrap();
-/// assert_eq!(replayed.sizes, loose.sizes);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TilosTrajectory<'a, M: DelayModel> {
-    dag: &'a SizingDag,
-    model: &'a M,
-    state: TilosState,
-}
-
-impl<'a, M: DelayModel> TilosTrajectory<'a, M> {
-    /// Starts a trajectory at the minimum-sized circuit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StaError`] from the initial timing analysis
-    /// (impossible for a DAG and model built from the same netlist).
-    pub fn new(dag: &'a SizingDag, model: &'a M, config: TilosConfig) -> Result<Self, TilosError> {
-        Ok(TilosTrajectory {
-            dag,
-            model,
-            state: TilosState::new(dag, model, config)?,
-        })
-    }
-
-    /// Rebinds a detached [`TilosState`] to the DAG/model pair it was
-    /// built for.
-    pub fn from_state(dag: &'a SizingDag, model: &'a M, state: TilosState) -> Self {
-        TilosTrajectory { dag, model, state }
-    }
-
-    /// The underlying owned state.
-    pub fn state(&self) -> &TilosState {
-        &self.state
-    }
-
-    /// Detaches the owned state (e.g. to store it beyond the DAG/model
-    /// borrow; rebind later with [`TilosTrajectory::from_state`]).
-    pub fn into_state(self) -> TilosState {
-        self.state
-    }
-
-    /// Bumps performed so far along the trajectory.
-    pub fn bumps(&self) -> usize {
-        self.state.bumps()
-    }
-
-    /// The current element sizes (after every bump so far).
-    pub fn sizes(&self) -> &[f64] {
-        self.state.sizes()
-    }
-
-    /// The current critical-path delay.
-    pub fn critical_path(&self) -> f64 {
-        self.state.critical_path()
-    }
-
-    /// Timing-engine work counters accumulated so far (full passes,
-    /// incremental waves, arrival-time evaluations). In
-    /// [`TilosConfig::cold_timing`] mode the counters mirror the cold
-    /// path's full recomputations instead.
-    pub fn timing_stats(&self) -> TimingStats {
-        self.state.timing_stats()
-    }
-
-    /// Sensitivity-cache work counters accumulated so far (see
-    /// [`TilosState::sensitivity_stats`]).
-    pub fn sensitivity_stats(&self) -> SensitivityStats {
-        self.state.sensitivity_stats()
-    }
-
-    /// The cold-equivalent snapshot at an already-passed target (see
-    /// [`TilosState::snapshot_at`]); `None` when `target` is tighter
-    /// than the current critical path.
-    pub fn snapshot_at(&self, target: f64) -> Option<TilosResult> {
-        self.state.snapshot_at(self.model, target)
-    }
-
-    /// Advances the trajectory until the critical path meets `target`
-    /// and snapshots the state as a [`TilosResult`] — bit-identical to a
-    /// cold [`Tilos::size`] at `target` when targets are visited
-    /// loosest-first (see [`TilosState::advance_to`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Tilos::size`]; once [`TilosError::Infeasible`] is returned,
-    /// every subsequent (tighter) target fails the same way without
-    /// re-searching.
-    pub fn advance_to(&mut self, target: f64) -> Result<TilosResult, TilosError> {
-        self.state.advance_to(self.dag, self.model, target)
-    }
-
-    /// [`TilosTrajectory::advance_to`] with a cooperative cancellation
-    /// probe (see [`TilosState::advance_to_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TilosTrajectory::advance_to`], plus
-    /// [`TilosError::Cancelled`].
-    pub fn advance_to_with(
-        &mut self,
-        target: f64,
-        probe: Option<&dyn CancelProbe>,
-    ) -> Result<TilosResult, TilosError> {
-        self.state
-            .advance_to_with(self.dag, self.model, target, probe)
-    }
-}
-
 /// The critical-path delay of the minimum-sized circuit (the paper's
 /// `D_min`, the normalization point of Table 1 and Figure 7).
 ///
@@ -925,6 +787,15 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A cold run: a fresh trajectory advanced once to `target`.
+    fn cold_run<M: DelayModel>(
+        dag: &SizingDag,
+        model: &M,
+        target: f64,
+    ) -> Result<TilosResult, TilosError> {
+        TilosState::new(dag, model, TilosConfig::default())?.advance_to(dag, model, target)
+    }
+
     fn setup(netlist: &mut Netlist) -> (SizingDag, LinearDelayModel) {
         let tech = Technology::cmos_130nm();
         apply_default_loads(netlist, &tech);
@@ -938,7 +809,7 @@ mod tests {
         let mut n = chain(4);
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let r = Tilos::default().size(&dag, &model, dmin * 1.01).unwrap();
+        let r = cold_run(&dag, &model, dmin * 1.01).unwrap();
         assert_eq!(r.bumps, 0);
         assert_eq!(r.sizes, vec![1.0; dag.num_vertices()]);
     }
@@ -950,8 +821,8 @@ mod tests {
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         // Note: an 8-stage chain with max_size 64 bottoms out near
         // 0.68·Dmin (the optimal taper), so 0.72 is a *tight* target.
-        let loose = Tilos::default().size(&dag, &model, 0.85 * dmin).unwrap();
-        let tight = Tilos::default().size(&dag, &model, 0.72 * dmin).unwrap();
+        let loose = cold_run(&dag, &model, 0.85 * dmin).unwrap();
+        let tight = cold_run(&dag, &model, 0.72 * dmin).unwrap();
         assert!(loose.achieved_delay <= 0.85 * dmin + 1e-9);
         assert!(tight.achieved_delay <= 0.72 * dmin + 1e-9);
         assert!(tight.area > loose.area);
@@ -964,9 +835,7 @@ mod tests {
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         // Far below the intrinsic-delay floor of the chain.
-        let err = Tilos::default()
-            .size(&dag, &model, 0.001 * dmin)
-            .unwrap_err();
+        let err = cold_run(&dag, &model, 0.001 * dmin).unwrap_err();
         match err {
             TilosError::Infeasible { best_delay, .. } => assert!(best_delay > 0.0),
             TilosError::BumpBudgetExhausted { .. } => {}
@@ -990,7 +859,7 @@ mod tests {
         let mut n = b.finish().unwrap();
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let r = Tilos::default().size(&dag, &model, 0.55 * dmin).unwrap();
+        let r = cold_run(&dag, &model, 0.55 * dmin).unwrap();
         assert!(r.achieved_delay <= 0.55 * dmin + 1e-9);
         // The driver was enlarged beyond minimum.
         assert!(r.sizes[0] > 1.0);
@@ -1003,7 +872,7 @@ mod tests {
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         let mut last_area = 0.0;
         for spec in [0.95, 0.9, 0.85, 0.8] {
-            let r = Tilos::default().size(&dag, &model, spec * dmin).unwrap();
+            let r = cold_run(&dag, &model, spec * dmin).unwrap();
             assert!(
                 r.area + 1e-9 >= last_area,
                 "tighter spec should not shrink area"
@@ -1025,7 +894,7 @@ mod tests {
         let dag = SizingDag::transistor_mode(&n).unwrap();
         let model = LinearDelayModel::elmore(&n, &dag, &tech).unwrap();
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let r = Tilos::default().size(&dag, &model, 0.7 * dmin).unwrap();
+        let r = cold_run(&dag, &model, 0.7 * dmin).unwrap();
         assert!(r.achieved_delay <= 0.7 * dmin + 1e-9);
         assert!(r.area > model.area(&vec![1.0; dag.num_vertices()]));
     }
@@ -1048,12 +917,12 @@ mod tests {
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         let specs = [0.95, 0.85, 0.7, 0.6, 0.5];
-        let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
+        let mut traj = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
         let mut last_bumps = 0;
         for &spec in &specs {
             let target = spec * dmin;
-            let warm = traj.advance_to(target).unwrap();
-            let cold = Tilos::default().size(&dag, &model, target).unwrap();
+            let warm = traj.advance_to(&dag, &model, target).unwrap();
+            let cold = cold_run(&dag, &model, target).unwrap();
             assert_eq!(warm.bumps, cold.bumps, "spec {spec}");
             assert_eq!(warm.area.to_bits(), cold.area.to_bits(), "spec {spec}");
             assert_eq!(
@@ -1083,11 +952,11 @@ mod tests {
             cold_timing: true,
             ..Default::default()
         };
-        let mut warm = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
-        let mut cold = TilosTrajectory::new(&dag, &model, cold_cfg).unwrap();
+        let mut warm = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
+        let mut cold = TilosState::new(&dag, &model, cold_cfg).unwrap();
         for spec in [0.9, 0.75, 0.7] {
-            let w = warm.advance_to(spec * dmin).unwrap();
-            let c = cold.advance_to(spec * dmin).unwrap();
+            let w = warm.advance_to(&dag, &model, spec * dmin).unwrap();
+            let c = cold.advance_to(&dag, &model, spec * dmin).unwrap();
             assert_eq!(w.bumps, c.bumps, "spec {spec}");
             assert_eq!(
                 w.achieved_delay.to_bits(),
@@ -1119,15 +988,17 @@ mod tests {
         let mut n = chain(8);
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
+        let mut traj = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
         // Tighter than the snapshot queries below, so every query hits
         // the recorded prefix.
-        traj.advance_to(0.7 * dmin).unwrap();
+        traj.advance_to(&dag, &model, 0.7 * dmin).unwrap();
         let work_before = traj.timing_stats();
         for spec in [1.1, 0.95, 0.9, 0.8, 0.75, 0.7] {
             let target = spec * dmin;
-            let snap = traj.snapshot_at(target).expect("target already passed");
-            let cold = Tilos::default().size(&dag, &model, target).unwrap();
+            let snap = traj
+                .snapshot_at(&model, target)
+                .expect("target already passed");
+            let cold = cold_run(&dag, &model, target).unwrap();
             assert_eq!(snap.bumps, cold.bumps, "spec {spec}");
             assert_eq!(snap.area.to_bits(), cold.area.to_bits(), "spec {spec}");
             assert_eq!(
@@ -1142,7 +1013,7 @@ mod tests {
         // Replays are pure arithmetic: no timing analysis happened.
         assert_eq!(traj.timing_stats(), work_before);
         // A target tighter than the frontier is not served.
-        assert!(traj.snapshot_at(0.5 * dmin).is_none());
+        assert!(traj.snapshot_at(&model, 0.5 * dmin).is_none());
     }
 
     /// The sensitivity cache changes nothing observable: trajectories
@@ -1175,11 +1046,11 @@ mod tests {
             sensitivity_cache: false,
             ..Default::default()
         };
-        let mut cached = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
-        let mut uncached = TilosTrajectory::new(&dag, &model, uncached_cfg).unwrap();
+        let mut cached = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
+        let mut uncached = TilosState::new(&dag, &model, uncached_cfg).unwrap();
         for spec in [0.9, 0.8, 0.7, 0.6] {
-            let a = cached.advance_to(spec * dmin).unwrap();
-            let b = uncached.advance_to(spec * dmin).unwrap();
+            let a = cached.advance_to(&dag, &model, spec * dmin).unwrap();
+            let b = uncached.advance_to(&dag, &model, spec * dmin).unwrap();
             assert_eq!(a.bumps, b.bumps, "spec {spec}");
             assert_eq!(
                 a.achieved_delay.to_bits(),
@@ -1194,8 +1065,8 @@ mod tests {
         assert!(stats.hits > 0, "cache never hit: {stats:?}");
         assert_eq!(uncached.sensitivity_stats(), SensitivityStats::default());
         // Infeasibility latches identically too.
-        let ce = cached.advance_to(0.01 * dmin).unwrap_err();
-        let ue = uncached.advance_to(0.01 * dmin).unwrap_err();
+        let ce = cached.advance_to(&dag, &model, 0.01 * dmin).unwrap_err();
+        let ue = uncached.advance_to(&dag, &model, 0.01 * dmin).unwrap_err();
         let (
             TilosError::Infeasible { best_delay: c, .. },
             TilosError::Infeasible { best_delay: u, .. },
@@ -1206,24 +1077,6 @@ mod tests {
         assert_eq!(c.to_bits(), u.to_bits());
     }
 
-    /// A detached `TilosState` rebinds and resumes exactly where the
-    /// borrowed view left off.
-    #[test]
-    fn state_detach_and_rebind_resumes() {
-        let mut n = chain(8);
-        let (dag, model) = setup(&mut n);
-        let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
-        let loose = traj.advance_to(0.85 * dmin).unwrap();
-        let state = traj.into_state();
-        assert_eq!(state.bumps(), loose.bumps);
-        let mut traj = TilosTrajectory::from_state(&dag, &model, state);
-        let tight = traj.advance_to(0.72 * dmin).unwrap();
-        let cold = Tilos::default().size(&dag, &model, 0.72 * dmin).unwrap();
-        assert_eq!(tight.bumps, cold.bumps);
-        assert_eq!(tight.area.to_bits(), cold.area.to_bits());
-    }
-
     /// Once the trajectory dead-ends, every tighter target reports the
     /// same infeasibility a cold run would, without re-searching.
     #[test]
@@ -1231,11 +1084,9 @@ mod tests {
         let mut n = chain(6);
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
-        let warm_err = traj.advance_to(0.05 * dmin).unwrap_err();
-        let cold_err = Tilos::default()
-            .size(&dag, &model, 0.05 * dmin)
-            .unwrap_err();
+        let mut traj = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
+        let warm_err = traj.advance_to(&dag, &model, 0.05 * dmin).unwrap_err();
+        let cold_err = cold_run(&dag, &model, 0.05 * dmin).unwrap_err();
         let (
             TilosError::Infeasible { best_delay: w, .. },
             TilosError::Infeasible { best_delay: c, .. },
@@ -1245,7 +1096,7 @@ mod tests {
         };
         assert_eq!(w.to_bits(), c.to_bits());
         // A second, tighter request fails instantly with the same state.
-        let again = traj.advance_to(0.04 * dmin).unwrap_err();
+        let again = traj.advance_to(&dag, &model, 0.04 * dmin).unwrap_err();
         assert!(matches!(again, TilosError::Infeasible { .. }));
     }
 }

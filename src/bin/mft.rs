@@ -16,7 +16,7 @@ use minflotransit::core::{
 };
 use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::Benchmark;
-use minflotransit::tech::{Corner, TechLibrary};
+use minflotransit::tech::{canonical_tech, Corner, TechLibrary};
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
@@ -133,16 +133,6 @@ fn parse_mode(args: &[String]) -> Result<SizingMode, String> {
         "wire" => Ok(SizingMode::GateWire),
         "transistor" => Ok(SizingMode::Transistor),
         other => Err(format!("unknown mode `{other}`")),
-    }
-}
-
-/// Maps the legacy `--tech` short forms onto registry corner names.
-fn canonical_tech(name: &str) -> &str {
-    match name {
-        "130" => "130nm",
-        "180" => "180nm",
-        "65" => "65nm",
-        other => other,
     }
 }
 

@@ -77,6 +77,63 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
     assert!(lines[1].starts_with("{\"type\":\"stats\""), "{}", lines[1]);
 }
 
+/// The legacy `tech` short forms resolve to the same corner as the
+/// registry names, on the command line (`--tech 65`) and over the wire
+/// (`{"type":"load","tech":"65"}`): a size request answers the same
+/// bytes as under `65nm`, and other bytes than under the default node.
+#[test]
+fn tech_short_forms_resolve_like_the_corner_names() {
+    let bench = c17_file();
+    let path = bench.display().to_string();
+    assert!(!path.contains(['"', '\\']), "{path}");
+    let size =
+        |circuit: &str| format!("{{\"type\":\"size\",\"circuit\":\"{circuit}\",\"spec\":0.7}}");
+    let load = |circuit: &str, field: &str| {
+        format!("{{\"type\":\"load\",\"circuit\":\"{circuit}\",\"path\":\"{path}\"{field}}}")
+    };
+    let input = [
+        size("cli_c17"),
+        load("short", ",\"tech\":\"65\""),
+        size("short"),
+        load("named", ",\"corner\":\"65nm\""),
+        size("named"),
+        load("default", ""),
+        size("default"),
+    ]
+    .join("\n");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mft"))
+        .arg("serve")
+        .arg(&bench)
+        .args(["--tech", "65"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(format!("{input}\n").as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 7, "{stdout}");
+    assert!(lines[0].starts_with("{\"type\":\"size\""), "{}", lines[0]);
+    for i in [1, 3, 5] {
+        assert!(lines[i].starts_with("{\"type\":\"loaded\""), "{}", lines[i]);
+    }
+    assert_eq!(lines[2], lines[0], "--tech 65 vs load tech 65");
+    assert_eq!(lines[4], lines[0], "--tech 65 vs load corner 65nm");
+    assert_ne!(lines[6], lines[0], "65nm vs the default corner");
+}
+
 /// `--flow` accepts only `simplex`; each removed backend name fails
 /// with an error naming it, before any sizing output.
 #[test]

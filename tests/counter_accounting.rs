@@ -5,6 +5,8 @@
 //!   for the cold, warm and two-worker configurations.
 //! * A sweep that fails still counts the work it did, whatever the
 //!   worker count.
+//! * A what-if served before a sweep leaves the sweep's per-point
+//!   timing counters as they are.
 //! * The sinks' shapes are fixed: the key sequence of a `stats` line,
 //!   the sweep table header and the CSV header.
 
@@ -77,6 +79,38 @@ fn cancelled_sweep_counts_its_work_for_every_worker_count() {
         assert_eq!(stats.sweep_requests, 1, "jobs {jobs}");
         assert!(stats.sweep_points >= 1, "jobs {jobs}: {stats:?}");
         assert!(stats.timing().full_passes >= 1, "jobs {jobs}: {stats:?}");
+    }
+}
+
+/// What-ifs run on the session's own read view, never on the
+/// optimizer's timing engine, so serving one before a sweep changes
+/// none of the sweep's per-point timing work. The candidate is the
+/// first point's TILOS seed: had the what-if moved the optimizer's
+/// engine, that point's first timing check would find no churn.
+#[test]
+fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
+    let problem = c432_problem();
+    let candidate = problem.tilos(SPECS[0] * problem.dmin()).unwrap().sizes;
+    for (name, config) in [
+        ("cold", SessionConfig::cold()),
+        ("warm", SessionConfig::warm()),
+        ("shared_exact", SessionConfig::shared_exact()),
+    ] {
+        let timings = |what_if: bool| {
+            let mut session = problem.session(config.clone());
+            if what_if {
+                session.what_if(&candidate, None).unwrap();
+            }
+            let outcomes = session.sweep(&SPECS).unwrap();
+            outcomes
+                .into_iter()
+                .map(|outcome| match outcome {
+                    SweepOutcome::Point(p) => p.timing,
+                    other => panic!("{name}: every c432-like spec is reachable: {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(timings(true), timings(false), "{name}");
     }
 }
 

@@ -7,7 +7,14 @@ use minflotransit::core::{Minflotransit, SizingProblem};
 use minflotransit::delay::{DelayModel, GeneralizedDelayModel, Technology};
 use minflotransit::gen::Benchmark;
 use minflotransit::sta::critical_path;
-use minflotransit::tilos::{minimum_sized_delay, Tilos};
+use minflotransit::tilos::{minimum_sized_delay, TilosConfig, TilosResult, TilosState};
+
+/// A cold TILOS run: a fresh trajectory advanced once to `target`.
+fn tilos<M: DelayModel>(dag: &SizingDag, model: &M, target: f64) -> TilosResult {
+    TilosState::new(dag, model, TilosConfig::default())
+        .and_then(|mut state| state.advance_to(dag, model, target))
+        .expect("reachable")
+}
 
 fn setup(alpha: f64) -> (SizingDag, GeneralizedDelayModel) {
     let netlist = Benchmark::C432.generate().expect("generator valid");
@@ -22,9 +29,7 @@ fn full_pipeline_with_sublinear_drive() {
     let (dag, model) = setup(0.85);
     let dmin = minimum_sized_delay(&dag, &model).expect("computes");
     let target = 0.6 * dmin;
-    let tilos = Tilos::default()
-        .size(&dag, &model, target)
-        .expect("reachable");
+    let tilos = tilos(&dag, &model, target);
     let sol = Minflotransit::default()
         .optimize_from(&dag, &model, target, tilos.sizes.clone())
         .expect("runs");
@@ -41,13 +46,9 @@ fn sublinear_drive_needs_more_area_than_linear() {
     let (_, sublinear) = setup(0.8);
     let dmin_lin = minimum_sized_delay(&dag, &linear).expect("ok");
     // Same *relative* spec for both models.
-    let tilos_lin = Tilos::default()
-        .size(&dag, &linear, 0.6 * dmin_lin)
-        .expect("reachable");
+    let tilos_lin = tilos(&dag, &linear, 0.6 * dmin_lin);
     let dmin_sub = minimum_sized_delay(&dag, &sublinear).expect("ok");
-    let tilos_sub = Tilos::default()
-        .size(&dag, &sublinear, 0.6 * dmin_sub)
-        .expect("reachable");
+    let tilos_sub = tilos(&dag, &sublinear, 0.6 * dmin_sub);
     // With weaker drive per unit width, the same speed-up costs more area.
     assert!(tilos_sub.area > tilos_lin.area);
 }

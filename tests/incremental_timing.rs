@@ -3,14 +3,15 @@
 //! the engine's arrival times, critical path and slacks are
 //! bit-identical to a cold [`TimingReport`] recomputation — for raw
 //! delay perturbations driven straight at the engine, and for real
-//! TILOS bumps driven through [`DelayModel::delays_dirty`].
+//! TILOS bumps driven through [`DelayModel::delays_diff`] over the
+//! bumped vertex.
 
 use minflotransit::circuit::{SizingDag, SizingMode, VertexId};
 use minflotransit::core::SizingProblem;
-use minflotransit::delay::{DelayModel, LinearDelayModel, Technology};
+use minflotransit::delay::{DelayModel, DiffScratch, LinearDelayModel, Technology};
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 use minflotransit::sta::{critical_path, IncrementalTiming, TimingReport};
-use minflotransit::tilos::{minimum_sized_delay, Tilos, TilosConfig, TilosTrajectory};
+use minflotransit::tilos::{minimum_sized_delay, TilosConfig, TilosError, TilosResult, TilosState};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +27,16 @@ fn build(seed: u64, gates: usize) -> (SizingDag, LinearDelayModel) {
     let problem = SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate)
         .expect("builds");
     (problem.dag().clone(), problem.model().clone())
+}
+
+/// A cold TILOS run: a fresh trajectory advanced once to `target`.
+fn cold_tilos(
+    dag: &SizingDag,
+    model: &LinearDelayModel,
+    config: TilosConfig,
+    target: f64,
+) -> Result<TilosResult, TilosError> {
+    TilosState::new(dag, model, config)?.advance_to(dag, model, target)
 }
 
 /// The engine's full state equals a cold recomputation, bit for bit.
@@ -92,7 +103,8 @@ proptest! {
         }
     }
 
-    /// Random TILOS bump sequences through `delays_dirty`: the scoped
+    /// Random TILOS bump sequences through one-vertex `delays_diff`
+    /// calls (exactly the update a TILOS bump makes): the scoped
     /// delay update plus the engine reproduce a cold recompute after
     /// every single bump.
     #[test]
@@ -109,11 +121,12 @@ proptest! {
         let mut delays = model.delays(&sizes);
         let mut engine = IncrementalTiming::new(&dag, &delays, 0.0).unwrap();
         let mut affected = Vec::new();
+        let mut scratch = DiffScratch::new();
         for step in 0..bumps {
             let v = VertexId::new(rng.gen_range(0..n));
             let factor: f64 = rng.gen_range(1.05..1.4);
             sizes[v.index()] = (sizes[v.index()] * factor).min(max_size);
-            model.delays_dirty(v, &sizes, &mut delays, &mut affected);
+            model.delays_diff(&[v], &sizes, &mut delays, &mut affected, &mut scratch);
             for &u in &affected {
                 engine.set_delay(&dag, u, delays[u.index()]);
             }
@@ -136,9 +149,9 @@ proptest! {
         let (dag, model) = build(seed, gates);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         let target = spec * dmin;
-        let warm = Tilos::default().size(&dag, &model, target);
+        let warm = cold_tilos(&dag, &model, TilosConfig::default(), target);
         let cold_cfg = TilosConfig { cold_timing: true, ..Default::default() };
-        let cold = Tilos::new(cold_cfg).size(&dag, &model, target);
+        let cold = cold_tilos(&dag, &model, cold_cfg, target);
         match (warm, cold) {
             (Ok(w), Ok(c)) => {
                 prop_assert_eq!(w.bumps, c.bumps);
@@ -167,10 +180,11 @@ proptest! {
     ) {
         let (dag, model) = build(seed, gates);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
-        let mut traj = TilosTrajectory::new(&dag, &model, TilosConfig::default()).unwrap();
+        let mut traj = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();
         for spec in [0.9, 0.75, 0.65] {
             let target = spec * dmin;
-            let (warm, cold) = (traj.advance_to(target), Tilos::default().size(&dag, &model, target));
+            let warm = traj.advance_to(&dag, &model, target);
+            let cold = cold_tilos(&dag, &model, TilosConfig::default(), target);
             match (warm, cold) {
                 (Ok(w), Ok(c)) => {
                     prop_assert_eq!(w.bumps, c.bumps, "spec {}", spec);

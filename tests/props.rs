@@ -8,6 +8,7 @@ use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 use minflotransit::sta::{
     arrival_times, critical_path, BalanceStyle, BalancedConfig, TimingReport,
 };
+use minflotransit::tilos::{TilosConfig, TilosState};
 use proptest::prelude::*;
 
 fn build(seed: u64, gates: usize) -> (SizingDag, LinearDelayModel) {
@@ -96,7 +97,9 @@ proptest! {
         let min_sizes = vec![1.0; dag.num_vertices()];
         let dmin = critical_path(&dag, &model.delays(&min_sizes)).unwrap();
         let target = spec * dmin;
-        let tilos = match minflotransit::tilos::Tilos::default().size(&dag, &model, target) {
+        let tilos = match TilosState::new(&dag, &model, TilosConfig::default())
+            .and_then(|mut state| state.advance_to(&dag, &model, target))
+        {
             Ok(t) => t,
             Err(_) => return Ok(()), // spec unreachable on this instance
         };

@@ -1,14 +1,14 @@
-//! Property tests of the replica candidate diff cache ([`ReadView`]):
-//! random near-identical what-if streams answered through
-//! `delays_diff` + scoped rebase must be **byte-identical** on the
-//! wire to the warm session's retime path, across every churn level
-//! (1–75%), across the 50% churn-cliff fallback, and across diff-base
-//! invalidations (the fence the server applies on writer republish).
+//! Property tests of the candidate diff cache ([`ReadView`], the one
+//! what-if engine of sessions and read replicas): random near-identical
+//! what-if streams answered through `delays_diff` + scoped rebase must
+//! be **byte-identical** on the wire to a cold evaluation
+//! (`SizingProblem::{delay_of, area_of, power_of}`), across every churn
+//! level (1–75%), across the 50% churn-cliff fallback, and across
+//! diff-base invalidations (the fence the server applies on writer
+//! republish).
 
 use minflotransit::circuit::SizingMode;
-use minflotransit::core::{
-    ReadView, Response, SessionConfig, SizingProblem, SizingSession, WhatIfReport,
-};
+use minflotransit::core::{ReadView, Response, SizingProblem, WhatIfReport};
 use minflotransit::delay::Technology;
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 use proptest::prelude::*;
@@ -27,10 +27,25 @@ fn problem(seed: u64, gates: usize) -> SizingProblem {
     SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).expect("builds")
 }
 
-/// The exact bytes a served what-if puts on the wire — byte equality
-/// here is the replica-vs-single-worker acceptance criterion.
+/// The exact bytes a served what-if puts on the wire.
 fn wire(report: WhatIfReport) -> String {
     Response::WhatIf(report).to_json_line()
+}
+
+/// The wire bytes of a cold evaluation: a full delay pass and a cold
+/// critical path, no incremental state at all.
+fn cold_wire(problem: &SizingProblem, sizes: &[f64], target: Option<f64>) -> String {
+    let area = problem.area_of(sizes);
+    let cp = problem.delay_of(sizes);
+    wire(WhatIfReport {
+        area,
+        area_ratio: area / problem.min_area(),
+        power: problem.power_of(sizes),
+        critical_path: cp,
+        target,
+        slack: target.map(|t| t - cp),
+        meets_target: target.map(|t| cp <= t),
+    })
 }
 
 proptest! {
@@ -38,7 +53,7 @@ proptest! {
 
     /// A random near-identical candidate stream (resampling `churn`
     /// of the gates per step) answers byte-identically through the
-    /// diff cache and the warm session, with random mid-stream
+    /// diff cache and a cold evaluation, with random mid-stream
     /// invalidations thrown in.
     #[test]
     fn diff_cache_streams_match_retime_bytes(
@@ -46,11 +61,9 @@ proptest! {
         churn in 0.01f64..0.75,
         steps in 4u64..10,
     ) {
-        let problem = problem(seed, 50);
-        let shared = Arc::new(problem.clone());
+        let shared = Arc::new(problem(seed, 50));
         let n = shared.dag().num_vertices();
         let dmin = shared.dmin();
-        let mut session = SizingSession::new(problem, SessionConfig::warm());
         let mut view = ReadView::new(Arc::clone(&shared));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut sizes: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..4.0)).collect();
@@ -69,9 +82,8 @@ proptest! {
             if invalidated {
                 view.invalidate();
             }
-            let expect = session.what_if(&sizes, target).unwrap();
             let (got, used_diff) = view.what_if(&sizes, target).unwrap();
-            prop_assert_eq!(wire(got), wire(expect), "step {}", step);
+            prop_assert_eq!(wire(got), cold_wire(&shared, &sizes, target), "step {}", step);
             if step == 0 || invalidated {
                 prop_assert!(!used_diff, "step {}: no diff base to diff against", step);
             }
@@ -79,37 +91,32 @@ proptest! {
     }
 
     /// The churn cliff is exact: changing `k` gates takes the diff
-    /// path iff `2k <= n`, and both paths stay byte-identical to the
-    /// session on either side of the cliff.
+    /// path iff `2k <= n`, and both paths stay byte-identical to a cold
+    /// evaluation on either side of the cliff.
     #[test]
     fn churn_cliff_falls_back_to_a_full_retime(
         seed in 0u64..200,
         frac in 0.05f64..0.95,
     ) {
-        let problem = problem(seed, 40);
-        let shared = Arc::new(problem.clone());
+        let shared = Arc::new(problem(seed, 40));
         let n = shared.dag().num_vertices();
-        let mut session = SizingSession::new(problem, SessionConfig::warm());
         let mut view = ReadView::new(Arc::clone(&shared));
         let base = vec![1.0; n];
-        let expect = session.what_if(&base, None).unwrap();
         let (got, used_diff) = view.what_if(&base, None).unwrap();
         prop_assert!(!used_diff, "first candidate has no base");
-        prop_assert_eq!(wire(got), wire(expect));
+        prop_assert_eq!(wire(got), cold_wire(&shared, &base, None));
         // Change exactly k distinct gates.
         let k = ((frac * n as f64) as usize).clamp(1, n);
         let mut next = base.clone();
         for v in next.iter_mut().take(k) {
             *v = 2.5;
         }
-        let expect = session.what_if(&next, None).unwrap();
         let (got, used_diff) = view.what_if(&next, None).unwrap();
-        prop_assert_eq!(wire(got), wire(expect));
+        prop_assert_eq!(wire(got), cold_wire(&shared, &next, None));
         prop_assert_eq!(used_diff, 2 * k <= n, "k = {}, n = {}", k, n);
         // Resubmitting the identical candidate is a zero-gate diff.
-        let expect = session.what_if(&next, None).unwrap();
         let (got, used_diff) = view.what_if(&next, None).unwrap();
-        prop_assert_eq!(wire(got), wire(expect));
+        prop_assert_eq!(wire(got), cold_wire(&shared, &next, None));
         prop_assert!(used_diff, "identical resubmission diffs trivially");
     }
 }

@@ -10,7 +10,7 @@ use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
 use minflotransit::core::SizingProblem;
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
-use minflotransit::tilos::{TilosConfig, TilosTrajectory};
+use minflotransit::tilos::{TilosConfig, TilosState};
 
 /// FNV-1a over the size bit patterns — pins the *entire* size vector
 /// without embedding hundreds of literals.
@@ -42,9 +42,11 @@ fn check(problem: &SizingProblem, dmin_bits: u64, goldens: &[Golden], what: &str
             cold_timing,
             ..Default::default()
         };
-        let mut traj = TilosTrajectory::new(dag, model, config).unwrap();
+        let mut traj = TilosState::new(dag, model, config).unwrap();
         for g in goldens {
-            let r = traj.advance_to(g.spec * problem.dmin()).unwrap();
+            let r = traj
+                .advance_to(dag, model, g.spec * problem.dmin())
+                .unwrap();
             let tag = format!("{what} spec {} (cold_timing={cold_timing})", g.spec);
             assert_eq!(r.bumps, g.bumps, "{tag}: bumps");
             assert_eq!(r.area.to_bits(), g.area_bits, "{tag}: area");
