@@ -14,10 +14,7 @@
 //!    bounded time while the worker is saturated, already-expired
 //!    queued work is shed with `expired`, and resident memory stays
 //!    bounded (the queue cannot absorb the flood).
-//! 3. **Panic isolation** — an injected worker panic answers
-//!    `internal`, poisons only its circuit, and `unload` + `load`
-//!    recovers — all over one surviving connection.
-//! 4. **Read-heavy fan-out** — 8 clients at 95% `what_if` / 5% `size`
+//! 3. **Read-heavy fan-out** — 8 clients at 95% `what_if` / 5% `size`
 //!    against a `replicas: 2` server and a single-worker one: reports
 //!    throughput and p50/p99 for both, the per-replica served
 //!    counters and diff-cache hits proving fan-out, and replays
@@ -423,7 +420,7 @@ fn stat_served(line: &str) -> Vec<u64> {
         .collect()
 }
 
-/// Phase 4: read-heavy fan-out — 8 closed-loop clients at 95%
+/// Phase 3: read-heavy fan-out — 8 closed-loop clients at 95%
 /// `what_if` / 5% `size`, run once with replicas and once on the
 /// single-worker path. Each client streams near-identical candidates
 /// (one gate nudged per round) so replicas answer through the diff
@@ -529,54 +526,7 @@ fn read_heavy(problem: &SizingProblem, replicas: usize) -> ReadPhase {
     }
 }
 
-/// Phase 3: panic isolation and recovery over one connection.
-fn panic_recovery(problem: &SizingProblem) -> (bool, bool, bool) {
-    let handle = start_server(
-        ServerConfig {
-            panic_on_spec: Some(0.123),
-            session: SessionConfig::warm(),
-            ..Default::default()
-        },
-        problem,
-    );
-    let mut client = LineClient::connect(handle.addr).expect("connect");
-    let line = client.call(&size_frame(0.123)).expect("poison call");
-    let internal_answered = extract_error_code(&line).as_deref() == Some("internal");
-    let line = client.call(&size_frame(0.8)).expect("post-poison call");
-    let poisoned_answered = extract_error_code(&line).as_deref() == Some("poisoned");
-    client
-        .call(&RequestFrame::new(Request::Unload).for_circuit("dut"))
-        .expect("unload");
-    let line = client
-        .call(
-            &RequestFrame::new(Request::Load(mft_core::LoadRequest {
-                bench: Some(C17_BENCH.to_owned()),
-                ..Default::default()
-            }))
-            .for_circuit("dut"),
-        )
-        .expect("reload");
-    let reloaded = line.contains("\"type\":\"loaded\"");
-    let line = client.call(&size_frame(0.8)).expect("healed call");
-    let recovered = reloaded && line.contains("\"type\":\"size\"");
-    handle.shut_down();
-    (internal_answered, poisoned_answered, recovered)
-}
-
 fn main() {
-    // The injected panic unwinds through `catch_unwind` by design;
-    // keep its backtrace out of the bench output.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-
     let problem = prepare_problem();
 
     let (kinds, closed_elapsed) = closed_loop(&problem);
@@ -666,12 +616,6 @@ fn main() {
         replicated.recorded.len()
     );
 
-    let (internal_answered, poisoned_answered, recovered) = panic_recovery(&problem);
-    assert!(internal_answered, "panic must answer `internal`");
-    assert!(poisoned_answered, "poisoned circuit must answer `poisoned`");
-    assert!(recovered, "unload + load must recover the circuit");
-    println!("panic isolation: internal={internal_answered} poisoned={poisoned_answered} recovered={recovered}");
-
     let mut json = String::from("{\n  \"bench\": \"load_harness\",\n");
     let _ = writeln!(json, "  \"smoke\": {},", smoke());
     let _ = writeln!(
@@ -724,7 +668,7 @@ fn main() {
          \"full_timings\": {}, \"invalidations\": {}}},\n    \
          \"single\": {{\"replicas\": 0, \"what_ifs\": {}, \"req_per_s\": {:.1}, \
          \"p50_us\": {}, \"p99_us\": {}}},\n    \
-         \"what_if_speedup\": {:.2},\n    \"replayed_byte_identical\": {}\n  }},",
+         \"what_if_speedup\": {:.2},\n    \"replayed_byte_identical\": {}\n  }}\n}}",
         replicated.what_ifs,
         replicated.req_per_s,
         replicated.p50_us,
@@ -739,11 +683,6 @@ fn main() {
         single.p99_us,
         speedup,
         replicated.recorded.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"panic\": {{\"internal_answered\": {internal_answered}, \
-         \"poisoned_answered\": {poisoned_answered}, \"recovered\": {recovered}}}\n}}"
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
     std::fs::write(out, &json).expect("write BENCH_server.json");

@@ -17,24 +17,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Admission weight of one request on the writer queue: the rough
+/// Admission weight of one request on a circuit queue: the rough
 /// relative cost a queued request represents, so fifty queued
 /// `what_if`s are not crowded out by a handful of sweeps. Cheap
-/// constant-time requests (`what_if`, `stats`) count 1; a full `size`
-/// counts 8; a `sweep` counts 8 per spec point.
+/// constant-time requests (`what_if`, `stats`) count 1 — so every
+/// request on a replica read queue weighs 1; a full `size` counts 8; a
+/// `sweep` counts 8 per spec point.
 pub(crate) fn request_weight(request: &Request) -> usize {
     match request {
         Request::Sweep { specs } => 8 * specs.len().max(1),
         Request::Size { .. } | Request::SizePower { .. } => 8,
         _ => 1,
     }
-}
-
-/// Admission weight of one request on a replica read queue: every
-/// read is a constant-time probe of warm state, so they weigh 1
-/// uniformly against the same `max_queue_depth` bound.
-pub(crate) fn read_request_weight(_request: &Request) -> usize {
-    1
 }
 
 /// Whether a circuit-bound request is a pure read the replica pool can
@@ -155,10 +149,7 @@ mod tests {
         assert_eq!(request_weight(&Request::Stats), 1);
         assert_eq!(request_weight(&size), 8);
         assert_eq!(request_weight(&sweep), 16);
-        // Reads weigh 1 uniformly on the replica queue; only the pure
-        // warm-state probes qualify as reads.
-        assert_eq!(read_request_weight(&what_if), 1);
-        assert_eq!(read_request_weight(&sweep), 1);
+        // Only the pure warm-state probes qualify as reads.
         assert!(is_read_request(&what_if));
         assert!(is_read_request(&Request::Stats));
         assert!(!is_read_request(&sweep));

@@ -373,11 +373,6 @@ impl DPhaseSolver {
         })
     }
 
-    /// The network simplex's raw cold/warm counters.
-    pub fn flow_stats(&self) -> SolverStats {
-        self.dual.stats()
-    }
-
     /// Drops the network simplex's retained spanning tree; the next
     /// solve runs cold. Used by the sweep
     /// engine to keep each sweep point a pure function of its inputs

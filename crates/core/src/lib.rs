@@ -143,7 +143,7 @@ pub use protocol::{
     Request, RequestFrame, Response,
 };
 pub use report::SizingReport;
-pub use server::{CircuitServer, LineClient, ServerConfig, ServerListener, WriterHold};
+pub use server::{CircuitServer, LineClient, ServerConfig, ServerListener};
 pub use session::{
     PowerSolution, ReadView, SessionConfig, SessionStats, SizingSession, SweepWarmStart,
     WhatIfReport,

@@ -258,12 +258,6 @@ impl SolverContext {
         })
     }
 
-    /// Cumulative D-phase statistics since construction (across every
-    /// run that used this context).
-    pub fn dphase_stats(&self) -> DPhaseStats {
-        self.dphase.stats()
-    }
-
     /// Drops the D-phase flow backend's retained warm state; the next
     /// solve runs cold. Called between sweep points to keep each point
     /// a pure function of its own inputs (independent of sweep order

@@ -133,13 +133,6 @@ impl SizingProblem {
         &self.power
     }
 
-    /// Total power of the minimum-sized circuit.
-    pub fn min_power(&self) -> f64 {
-        let (min_size, _) = self.model.size_bounds();
-        self.power
-            .total_power(&vec![min_size; self.dag.num_vertices()])
-    }
-
     /// Opens a [`SizingSession`] over a clone of this problem — the
     /// long-lived service handle that keeps the TILOS trajectory, flow
     /// network, SMP solver and timing engine warm across requests.

@@ -3,9 +3,9 @@
 //! ([`crate::protocol`]) for a whole fleet of circuits from one
 //! process.
 //!
-//! # Process model: shared-nothing sessions, one worker per circuit
+//! # Process model: shared-nothing circuits, one writer each
 //!
-//! Requests *within* one circuit are serial by design — a session is
+//! Mutations *within* one circuit are serial by design — a session is
 //! one warm state (trajectory, flow network, SMP solver, timing
 //! engine), and serializing its requests is what makes every served
 //! value bit-identical to a one-shot run. Requests *across* circuits
@@ -15,58 +15,75 @@
 //! ```text
 //!             ┌──────────────┐   accept    ┌─────────────────────┐
 //!  clients ──▶│ TCP / Unix   │────────────▶│ connection thread   │──┐
-//!             │ listeners    │   (1/conn)  │ read → parse →      │  │ mpsc (per
-//!             └──────────────┘             │ dispatch            │  │  circuit)
+//!             │ listeners    │   (1/conn)  │ read → parse →      │  │ admit to a
+//!             └──────────────┘             │ dispatch            │  │ circuit queue
 //!                                          └────────┬────────────┘  ▼
 //!                                                   │      ┌──────────────────┐
-//!                                    registry ops   │      │ circuit worker   │
-//!                                    (load/unload/  │      │ (SizingSession,  │
-//!                                    list) answered │      │  FIFO queue)     │
-//!                                    inline         │      └────────┬─────────┘
-//!                                                   ▼               │ response
-//!                                          ┌─────────────────────┐  │ lines
-//!                                          │ writer thread       │◀─┘
+//!                                    registry ops   │      │ writer queue     │
+//!                                    (load/unload/  │      │ (SizingSession)  │
+//!                                    list) answered │      │ + read queue     │
+//!                                    inline         │      │ (N replicas)     │
+//!                                                   ▼      └────────┬─────────┘
+//!                                          ┌─────────────────────┐  │ response
+//!                                          │ writer thread       │◀─┘ lines
 //!                                          │ (one per connection)│   mpsc
 //!                                          └─────────────────────┘
 //! ```
 //!
-//! Each loaded circuit owns a dedicated worker thread holding its
-//! [`SizingSession`]; jobs arrive over an mpsc queue and are served
-//! strictly in arrival order, so responses for one circuit are FIFO
-//! even when several connections interleave requests to it. Responses
-//! for *different* circuits complete independently and may interleave
-//! on a connection in any order — pipelined clients set the `id`
-//! envelope field ([`crate::RequestFrame`]) to correlate them.
+//! Each loaded circuit has a writer queue drained by one writer thread
+//! holding its [`SizingSession`]; jobs are served strictly in arrival
+//! order, so a circuit's writer responses are FIFO even when several
+//! connections interleave requests to it. Responses for *different*
+//! circuits complete independently and may interleave on a connection
+//! in any order — pipelined clients set the `id` envelope field
+//! ([`crate::RequestFrame`]) to correlate them.
 //!
-//! # Read replicas: single writer, many readers
+//! # Read replicas: one writer, many readers, one queue mechanism
 //!
 //! A circuit loaded with `replicas: N` (or a server started with
-//! [`ServerConfig::replicas`]) additionally runs N replica threads
-//! behind one shared read queue. Pure reads (`what_if`, `stats`) are
-//! fanned across the replicas — an idle replica steals the next job —
-//! while every mutation (`size`/`size_power`/`sweep`) stays on the
-//! single writer, which republishes its stats snapshot after each
-//! request and bumps a publish epoch per mutation *before* sending
-//! the mutation's response. Each replica answers `what_if` through a
-//! [`ReadView`]: a private diff cache over the shared problem that
-//! re-times only the gates changed since the replica's *previous*
-//! candidate (`delays_diff` + scoped rebase), so near-identical
-//! candidate streams cost O(changed gates) per request. A what-if
-//! answer is a pure function of the candidate, so replica-served
-//! responses are bit-identical to single-worker serving; replica-
-//! served reads bump the replica counters reported by `stats` rather
-//! than the session counters the writer owns.
+//! [`ServerConfig::replicas`]) also gets a read queue drained by N
+//! replica threads — an idle replica steals the next job. Pure reads
+//! (`what_if`, `stats`) go there; every mutation (`size`/`size_power`/
+//! `sweep`) stays on the writer. The two queues are one mechanism: one
+//! job type, one weighted admission gauge per queue (a `busy` answer
+//! names the queue it bounced off, so a what-if burst never crowds a
+//! mutation out, nor the other way round), and one drain loop that runs
+//! every job inside the same fault fences — the poisoned
+//! short-circuit, the expired-at-dequeue shed and the panic catch. Only
+//! what a thread does with a job differs. A replica answers `what_if`
+//! through a [`ReadView`]: a private diff cache over the problem the
+//! session shares, re-timing only the gates changed since the
+//! replica's *previous* candidate (`delays_diff` + scoped rebase). A
+//! what-if answer is a pure function of the candidate, so
+//! replica-served responses are bit-identical to single-writer
+//! serving; replica-served reads bump the replica counters of `stats`
+//! rather than the session counters the writer owns.
+//!
+//! # The published stats snapshot
+//!
+//! After every job — served, shed or poisoned — and before the job's
+//! weight is refunded and its response sent, the writer publishes its
+//! session's [`SessionStats`] into a snapshot, and bumps a publish
+//! epoch for every mutation. A replica answers `stats` from that
+//! snapshot plus its pool's counters, and drops its diff base when it
+//! sees the epoch move: a client that saw a mutation's response never
+//! meets a replica claiming the older epoch.
+//! [`CircuitServer::circuit_stats`] (the `--stats` report) reads the
+//! same snapshot, with or without replicas, without queueing behind
+//! in-flight work.
 //!
 //! # Exactness
 //!
 //! The server adds no numeric behavior of its own: every response body
-//! is produced by [`SizingSession::serve`] exactly as in single-session
-//! stdin mode, so socket-served values are bit-identical to in-process
-//! runs (pinned by `tests/session_golden.rs` over interleaved
-//! connections). The wire specification lives in `docs/PROTOCOL.md`;
-//! the layer map in `docs/ARCHITECTURE.md`.
+//! is produced by [`SizingSession::serve`] (or, for replica reads, the
+//! same [`ReadView`] the session answers `what_if` through) exactly as
+//! in single-session stdin mode, so socket-served values are
+//! bit-identical to in-process runs (pinned by
+//! `tests/session_golden.rs` over interleaved connections). The wire
+//! specification lives in `docs/PROTOCOL.md`; the layer map in
+//! `docs/ARCHITECTURE.md`.
 
-use crate::cancel::{is_read_request, read_request_weight, request_weight, CancelToken};
+use crate::cancel::{is_read_request, request_weight, CancelToken};
 use crate::pipeline::SizingProblem;
 use crate::protocol::{
     extract_error_code, extract_id, CircuitSummary, ErrorCode, LoadRequest, ReplicaStatsReport,
@@ -83,7 +100,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -127,21 +144,21 @@ pub struct ServerConfig {
     /// envelope field. `None` (the default) leaves such requests
     /// unbounded — the historical behavior.
     pub default_deadline_ms: Option<f64>,
-    /// Fault injection for the panic-isolation tests: a `size` request
-    /// whose `spec` equals this value panics inside the worker instead
-    /// of sizing. Never set outside tests.
-    pub panic_on_spec: Option<f64>,
-    /// Fault injection for the admission tests: until this gate is
-    /// released, every circuit writer waits on it before serving a
-    /// request, so a test decides how long a request stays in flight.
-    /// Never set outside tests.
-    pub hold_writer: Option<WriterHold>,
     /// Default read replicas per circuit: `what_if`/`stats` requests
     /// are fanned across this many reader threads over a shared read
     /// queue while mutations stay on the single writer. `0` (the
-    /// default) keeps the legacy single-worker path; a `load` request
+    /// default) serves every request on the writer; a `load` request
     /// can override per circuit via its `replicas` field.
     pub replicas: usize,
+    /// Fault injection: a `size` request whose `spec` equals this
+    /// value panics inside the writer instead of sizing.
+    #[cfg(test)]
+    pub(crate) panic_on_spec: Option<f64>,
+    /// Fault injection: until this gate is released, every writer
+    /// waits on it before serving a request, so a test decides how
+    /// long a request stays in flight.
+    #[cfg(test)]
+    pub(crate) hold_writer: Option<tests::WriterHold>,
 }
 
 impl Default for ServerConfig {
@@ -154,37 +171,11 @@ impl Default for ServerConfig {
             session: SessionConfig::warm(),
             max_queue_depth: 256,
             default_deadline_ms: None,
-            panic_on_spec: None,
-            hold_writer: None,
             replicas: 0,
-        }
-    }
-}
-
-/// The one-shot gate of [`ServerConfig::hold_writer`]: closed when
-/// made, open for good once [`released`](WriterHold::release).
-#[derive(Debug, Clone, Default)]
-pub struct WriterHold(Arc<(Mutex<bool>, Condvar)>);
-
-impl WriterHold {
-    /// A closed gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens the gate: held writers resume, and later ones pass.
-    pub fn release(&self) {
-        let (open, opened) = &*self.0;
-        *open.lock().expect("hold lock") = true;
-        opened.notify_all();
-    }
-
-    /// Blocks until the gate is open.
-    fn wait(&self) {
-        let (open, opened) = &*self.0;
-        let mut guard = open.lock().expect("hold lock");
-        while !*guard {
-            guard = opened.wait(guard).expect("hold lock");
+            #[cfg(test)]
+            panic_on_spec: None,
+            #[cfg(test)]
+            hold_writer: None,
         }
     }
 }
@@ -194,38 +185,59 @@ impl WriterHold {
 /// list cannot drift out of the error text.
 const SESSION_PRESETS: [&str; 3] = ["warm", "shared_exact", "cold"];
 
-/// A unit of work queued to a circuit worker.
-#[allow(clippy::large_enum_variant)]
-enum Job {
-    /// Serve one protocol request and send the finished response line
-    /// (with the id already spliced in) to the connection's writer.
-    Serve {
-        id: Option<String>,
-        request: Request,
-        reply: mpsc::Sender<String>,
-        /// Absolute deadline (from `deadline_ms` or the server
-        /// default): checked at dequeue (expired work is shed without
-        /// sizing) and polled inside the sizing loops.
-        deadline: Option<Instant>,
-        /// Admission weight charged when the job was queued; the
-        /// worker refunds it after the job finishes (or is shed).
-        weight: usize,
-    },
-    /// Read the session's cumulative stats without counting a request
-    /// (the `--stats` CLI report and [`CircuitServer::aggregate_stats`]).
-    Stats(mpsc::Sender<SessionStats>),
-}
-
-/// A unit of work queued to a circuit's shared read queue: always a
-/// pure read (`what_if`/`stats`), weight 1, served by whichever
-/// replica pulls it first.
-struct ReadJob {
+/// One admitted request, queued to a circuit's writer or read queue.
+struct Job {
     id: Option<String>,
     request: Request,
+    /// The connection writer the finished response line (with the id
+    /// spliced in) goes to.
     reply: mpsc::Sender<String>,
-    /// Checked at dequeue only — a read is constant-time work, so
-    /// there is nothing worth cancelling mid-flight.
+    /// Absolute deadline (from `deadline_ms` or the server default):
+    /// checked at dequeue (expired work is shed without serving) and
+    /// polled inside the writer's sizing loops.
     deadline: Option<Instant>,
+    /// Admission weight charged when the job was queued; refunded once
+    /// the job is answered.
+    weight: usize,
+}
+
+/// One circuit queue: the sender its jobs go in by, and the weighted
+/// gauge of the work queued *or running* on it — incremented at
+/// admission, decremented by the draining thread after each job; the
+/// admission bound and the `list` row's depth both read it.
+#[derive(Clone)]
+struct Queue {
+    tx: mpsc::Sender<Job>,
+    depth: Arc<AtomicUsize>,
+}
+
+impl Queue {
+    /// A new queue of the circuit with these counters, plus what every
+    /// thread draining it shares.
+    fn new(requests: &Arc<AtomicUsize>, poisoned: &Arc<AtomicBool>) -> (Queue, Drain) {
+        let (tx, rx) = mpsc::channel();
+        let depth = Arc::new(AtomicUsize::new(0));
+        let drain = Drain {
+            rx: Arc::new(Mutex::new(rx)),
+            depth: Arc::clone(&depth),
+            requests: Arc::clone(requests),
+            poisoned: Arc::clone(poisoned),
+        };
+        (Queue { tx, depth }, drain)
+    }
+}
+
+/// The admission handles of one loaded circuit — cloned out of the
+/// registry under its lock, used after the lock is released.
+#[derive(Clone)]
+struct Circuit {
+    write: Queue,
+    /// The replicas' shared read queue, when the circuit has any.
+    read: Option<Queue>,
+    /// Set when a request panicked inside a worker. A poisoned circuit
+    /// answers clean `poisoned` errors (never strands queued clients)
+    /// until an `unload`+`load` cycle replaces it.
+    poisoned: Arc<AtomicBool>,
 }
 
 /// Cumulative counters of one circuit's replica pool, shared by every
@@ -269,62 +281,20 @@ impl ReplicaCounters {
     }
 }
 
-/// The read side of one circuit: N replica threads pulling from one
-/// shared queue (an idle replica steals the next job — work stealing
-/// with no further machinery), plus the writer-published state the
-/// replicas serve from.
-struct ReadPool {
-    tx: mpsc::Sender<ReadJob>,
-    /// Queued read gauge — the `read_queue_depth` of `list` rows and
-    /// the read-path admission bound.
-    depth: Arc<AtomicUsize>,
-    replicas: usize,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-/// The writer-side publish handles (present only when the circuit has
-/// a replica pool): after each served request the writer republishes
-/// its stats snapshot, and after each *mutation* bumps the epoch.
-struct WriterPublish {
-    epoch: Arc<AtomicU64>,
-    published: Arc<Mutex<SessionStats>>,
-}
-
-/// A loaded circuit: its worker queue plus the static facts `list`
-/// reports without bothering the worker.
+/// A loaded circuit: its queues and threads plus the static facts
+/// `list` reports without bothering them.
 struct CircuitEntry {
-    tx: mpsc::Sender<Job>,
-    worker: Option<thread::JoinHandle<()>>,
+    circuit: Circuit,
+    /// The writer and replica threads. Dropping the entry closes the
+    /// queues; the threads drain what is already queued and exit.
+    workers: Vec<thread::JoinHandle<()>>,
+    replicas: usize,
     gates: usize,
     vertices: usize,
     dmin: f64,
     requests: Arc<AtomicUsize>,
-    /// Weighted queued-work gauge — incremented at admission,
-    /// decremented by the worker after each job; the admission bound
-    /// and the `list` row's `queue_depth` both read it.
-    depth: Arc<AtomicUsize>,
-    /// Set when a request panicked inside the worker. A poisoned
-    /// circuit answers clean `poisoned` errors (never strands queued
-    /// clients) until an `unload`+`load` cycle replaces it.
-    poisoned: Arc<AtomicBool>,
-    /// The circuit's read-replica pool, when it was loaded with
-    /// `replicas > 0`.
-    read: Option<ReadPool>,
-}
-
-/// The admission-relevant handles of one resolved circuit (cloned out
-/// of the registry under its lock, used after the lock is released).
-struct ResolvedCircuit {
-    tx: mpsc::Sender<Job>,
-    depth: Arc<AtomicUsize>,
-    poisoned: Arc<AtomicBool>,
-    read: Option<ResolvedReadPool>,
-}
-
-/// The admission-relevant handles of a resolved circuit's read pool.
-struct ResolvedReadPool {
-    tx: mpsc::Sender<ReadJob>,
-    depth: Arc<AtomicUsize>,
+    /// The writer's published stats snapshot (see the module docs).
+    stats: Arc<Mutex<SessionStats>>,
 }
 
 /// The multi-circuit registry + worker pool (see the module docs).
@@ -375,25 +345,12 @@ impl CircuitServer {
     }
 
     /// Registers an already-prepared problem under `name` and spawns
-    /// its worker — the in-process equivalent of a `load` request
+    /// its workers — the in-process equivalent of a `load` request
     /// (used by the CLI to preload circuits given on the command
     /// line). Answers [`Response::Loaded`] or [`Response::Error`]
     /// (invalid name, duplicate name, registry full).
     pub fn install(&self, name: &str, problem: SizingProblem, session: SessionConfig) -> Response {
         self.install_inner(name, problem, session, false, self.config.replicas)
-    }
-
-    /// [`CircuitServer::install`] with hot-replace semantics: an
-    /// existing circuit of the same name is atomically swapped out
-    /// (its worker drains already-queued requests against the old
-    /// session, then exits) — the `load` request's `replace:true`.
-    pub fn install_replace(
-        &self,
-        name: &str,
-        problem: SizingProblem,
-        session: SessionConfig,
-    ) -> Response {
-        self.install_inner(name, problem, session, true, self.config.replicas)
     }
 
     fn install_inner(
@@ -411,113 +368,81 @@ impl CircuitServer {
         let vertices = problem.dag().num_vertices();
         let dmin = problem.dmin();
         let min_area = problem.min_area();
-        let (tx, rx) = mpsc::channel();
         let requests = Arc::new(AtomicUsize::new(0));
-        let depth = Arc::new(AtomicUsize::new(0));
         let poisoned = Arc::new(AtomicBool::new(false));
-        let counter = Arc::clone(&requests);
-        let worker_depth = Arc::clone(&depth);
-        let worker_poisoned = Arc::clone(&poisoned);
-        let panic_on_spec = self.config.panic_on_spec;
-        let hold = self.config.hold_writer.clone();
+        let epoch = Arc::new(AtomicU64::new(0));
         // The replicas and the session share one (immutable) problem.
         let problem = Arc::new(problem);
-        let shared = (replicas > 0).then(|| Arc::clone(&problem));
+        let shared = Arc::clone(&problem);
         let session = SizingSession::new(problem, session);
-        // Build the read pool before spawning the writer so the writer
-        // holds its publish handles from the first request on.
+        let stats = Arc::new(Mutex::new(session.stats()));
+        let writer = Writer {
+            session,
+            stats: Arc::clone(&stats),
+            epoch: Arc::clone(&epoch),
+            #[cfg(test)]
+            panic_on_spec: self.config.panic_on_spec,
+            #[cfg(test)]
+            hold: self.config.hold_writer.clone(),
+        };
+        // Resource exhaustion must answer an error, not unwind
+        // (especially not while the registry lock is held). Threads
+        // already spawned exit once an early return drops their queue.
+        let (write, drain) = Queue::new(&requests, &poisoned);
+        let mut workers = match drain.spawn(format!("mft-circuit-{name}"), writer) {
+            Ok(handle) => vec![handle],
+            Err(e) => return Response::error(format!("cannot spawn circuit worker: {e}")),
+        };
         let mut read = None;
-        let mut publish = None;
-        if let Some(shared) = shared {
-            let (read_tx, read_rx) = mpsc::channel::<ReadJob>();
-            let read_rx = Arc::new(Mutex::new(read_rx));
-            let read_depth = Arc::new(AtomicUsize::new(0));
-            let epoch = Arc::new(AtomicU64::new(0));
-            let published = Arc::new(Mutex::new(session.stats()));
+        if replicas > 0 {
+            let (queue, drain) = Queue::new(&requests, &poisoned);
             let counters = Arc::new(ReplicaCounters::new(replicas));
-            let mut handles = Vec::with_capacity(replicas);
             for index in 0..replicas {
-                let view = ReadView::new(Arc::clone(&shared));
-                let rx = Arc::clone(&read_rx);
-                let counters = Arc::clone(&counters);
-                let depth = Arc::clone(&read_depth);
-                let epoch = Arc::clone(&epoch);
-                let published = Arc::clone(&published);
-                let requests = Arc::clone(&requests);
-                let poisoned = Arc::clone(&poisoned);
-                match thread::Builder::new()
-                    .name(format!("mft-replica-{name}-{index}"))
-                    .spawn(move || {
-                        replica_loop(
-                            view, rx, index, counters, depth, epoch, published, requests, poisoned,
-                        )
-                    }) {
-                    Ok(handle) => handles.push(handle),
-                    // Already-spawned replicas exit once `read_tx`
-                    // drops with this early return.
+                let replica = Replica {
+                    view: ReadView::new(Arc::clone(&shared)),
+                    index,
+                    seen_epoch: 0,
+                    epoch: Arc::clone(&epoch),
+                    stats: Arc::clone(&stats),
+                    counters: Arc::clone(&counters),
+                };
+                match drain
+                    .clone()
+                    .spawn(format!("mft-replica-{name}-{index}"), replica)
+                {
+                    Ok(handle) => workers.push(handle),
                     Err(e) => return Response::error(format!("cannot spawn read replica: {e}")),
                 }
             }
-            publish = Some(WriterPublish { epoch, published });
-            read = Some(ReadPool {
-                tx: read_tx,
-                depth: read_depth,
-                replicas,
-                handles,
-            });
+            read = Some(queue);
         }
-        let worker = match thread::Builder::new()
-            .name(format!("mft-circuit-{name}"))
-            .spawn(move || {
-                worker_loop(
-                    session,
-                    rx,
-                    counter,
-                    worker_depth,
-                    worker_poisoned,
-                    panic_on_spec,
-                    hold,
-                    publish,
-                )
-            }) {
-            Ok(worker) => worker,
-            // Resource exhaustion must answer an error, not unwind
-            // (especially not while the registry lock is held).
-            Err(e) => return Response::error(format!("cannot spawn circuit worker: {e}")),
-        };
         let mut circuits = self.circuits.lock().expect("registry lock");
-        if !replace && circuits.contains_key(name) {
-            // The worker exits on its own once `tx` drops here.
-            return Response::error(format!(
-                "circuit `{name}` is already loaded (set `replace:true` to hot-swap it)"
-            ));
-        }
-        if !circuits.contains_key(name) && circuits.len() >= self.config.max_circuits {
-            return Response::error(format!(
-                "registry is full ({} circuits; unload one or raise --max-circuits)",
-                circuits.len()
-            ));
+        if let Some(error) = self.no_room(&circuits, name, replace) {
+            return error;
         }
         let old = circuits.insert(
             name.to_owned(),
             CircuitEntry {
-                tx,
-                worker: Some(worker),
+                circuit: Circuit {
+                    write,
+                    read,
+                    poisoned,
+                },
+                workers,
+                replicas,
                 gates,
                 vertices,
                 dmin,
                 requests,
-                depth,
-                poisoned,
-                read,
+                stats,
             },
         );
         drop(circuits);
         // Replaced entry (only under `replace:true`): dropping it
-        // closes the old queue sender and detaches the old worker,
-        // which drains its already-queued requests against the old
-        // session and exits — exactly the unload semantics, with the
-        // new session answering every request admitted from now on.
+        // closes the old queues and detaches the old threads, which
+        // drain their already-queued requests against the old session
+        // and exit — exactly the unload semantics, with the new
+        // session answering every request admitted from now on.
         drop(old);
         Response::Loaded {
             circuit: name.to_owned(),
@@ -526,6 +451,30 @@ impl CircuitServer {
             dmin,
             min_area,
         }
+    }
+
+    /// The registry check of a `load`: a duplicate name without
+    /// `replace`, or a new name when the registry is full, answers an
+    /// error.
+    fn no_room(
+        &self,
+        circuits: &HashMap<String, CircuitEntry>,
+        name: &str,
+        replace: bool,
+    ) -> Option<Response> {
+        let loaded = circuits.contains_key(name);
+        if !replace && loaded {
+            return Some(Response::error(format!(
+                "circuit `{name}` is already loaded (set `replace:true` to hot-swap it)"
+            )));
+        }
+        if !loaded && circuits.len() >= self.config.max_circuits {
+            return Some(Response::error(format!(
+                "registry is full ({} circuits; unload one or raise --max-circuits)",
+                circuits.len()
+            )));
+        }
+        None
     }
 
     /// Serves a `load` request: reads/parses the netlist, prepares the
@@ -541,24 +490,15 @@ impl CircuitServer {
         if let Some(error) = invalid_name(name) {
             return error;
         }
-        // Cheap duplicate/capacity precheck before the expensive
-        // parse + problem preparation — a full registry must not let
-        // clients burn seconds of prepare CPU per rejected load. Racy
-        // by design; `install` re-checks under the lock at insert.
-        {
-            let circuits = self.circuits.lock().expect("registry lock");
-            if !load.replace && circuits.contains_key(name) {
-                return Response::error(format!(
-                    "circuit `{name}` is already loaded (set `replace:true` to hot-swap it)"
-                ));
-            }
-            if !circuits.contains_key(name) && circuits.len() >= self.config.max_circuits {
-                return Response::error(format!(
-                    "registry is full ({} circuits; unload one or raise --max-circuits)",
-                    circuits.len()
-                ));
-            }
+        // Cheap registry precheck before the expensive parse + problem
+        // preparation — a full registry must not let clients burn
+        // seconds of prepare CPU per rejected load. Racy by design;
+        // `install` re-checks under the lock at insert.
+        let circuits = self.circuits.lock().expect("registry lock");
+        if let Some(error) = self.no_room(&circuits, name, load.replace) {
+            return error;
         }
+        drop(circuits);
         let mode = match load.mode.as_deref() {
             None | Some("gate") => SizingMode::Gate,
             Some("wire") => SizingMode::GateWire,
@@ -644,11 +584,11 @@ impl CircuitServer {
         match removed {
             None => Response::error(format!("unknown circuit `{name}`")),
             Some(entry) => {
-                // Dropping the entry drops the queue sender *and*
-                // detaches the JoinHandle: the worker drains what is
-                // already queued (in-flight responses still reach
-                // their connections through the reply senders each
-                // job carries), then exits on its own — nothing
+                // Dropping the entry drops the queue senders *and*
+                // detaches the threads: each drains what is already
+                // queued (in-flight responses still reach their
+                // connections through the reply senders each job
+                // carries), then exits on its own — nothing
                 // accumulates across load/unload cycles.
                 drop(entry);
                 Response::Unloaded {
@@ -665,13 +605,16 @@ impl CircuitServer {
         let mut rows: Vec<CircuitSummary> = circuits
             .iter()
             .map(|(name, entry)| {
-                let write_queue_depth = entry.depth.load(Ordering::Relaxed);
-                let (read_queue_depth, replicas) = entry
-                    .read
+                let Circuit {
+                    write,
+                    read,
+                    poisoned,
+                } = &entry.circuit;
+                let write_queue_depth = write.depth.load(Ordering::Relaxed);
+                let read_queue_depth = read
                     .as_ref()
-                    .map(|p| (p.depth.load(Ordering::Relaxed), p.replicas))
-                    .unwrap_or((0, 0));
-                let state = if entry.poisoned.load(Ordering::Relaxed) {
+                    .map_or(0, |read| read.depth.load(Ordering::Relaxed));
+                let state = if poisoned.load(Ordering::Relaxed) {
                     "poisoned"
                 } else if write_queue_depth + read_queue_depth > 0 {
                     "busy"
@@ -686,7 +629,7 @@ impl CircuitServer {
                     requests: entry.requests.load(Ordering::Relaxed),
                     write_queue_depth,
                     read_queue_depth,
-                    replicas,
+                    replicas: entry.replicas,
                     state: state.to_owned(),
                 }
             })
@@ -708,51 +651,28 @@ impl CircuitServer {
         names
     }
 
-    /// A snapshot of one circuit's cumulative [`SessionStats`]
-    /// (queued behind in-flight requests; does not count as a request
-    /// itself). `None` when the circuit is not loaded.
+    /// One circuit's cumulative [`SessionStats`] as its writer last
+    /// published them — after every job, before the job's response
+    /// leaves — so it never queues behind in-flight work and does not
+    /// count as a request itself. `None` when the circuit is not
+    /// loaded.
     pub fn circuit_stats(&self, name: &str) -> Option<SessionStats> {
-        let tx = self
-            .circuits
-            .lock()
-            .expect("registry lock")
-            .get(name)?
-            .tx
-            .clone();
-        let (reply, rx) = mpsc::channel();
-        tx.send(Job::Stats(reply)).ok()?;
-        rx.recv().ok()
-    }
-
-    /// The fleet view: every loaded circuit's stats rolled up with
-    /// [`SessionStats::merged`].
-    pub fn aggregate_stats(&self) -> SessionStats {
-        self.circuit_names()
-            .iter()
-            .filter_map(|name| self.circuit_stats(name))
-            .fold(SessionStats::default(), |acc, s| acc.merged(&s))
+        let circuits = self.circuits.lock().expect("registry lock");
+        let stats = *circuits.get(name)?.stats.lock().expect("stats lock");
+        Some(stats)
     }
 
     /// Resolves which circuit a request addresses: the named one, or
     /// the single loaded circuit when the field is absent.
-    fn resolve(&self, name: Option<&str>) -> Result<ResolvedCircuit, String> {
+    fn resolve(&self, name: Option<&str>) -> Result<Circuit, String> {
         let circuits = self.circuits.lock().expect("registry lock");
-        let resolved = |e: &CircuitEntry| ResolvedCircuit {
-            tx: e.tx.clone(),
-            depth: Arc::clone(&e.depth),
-            poisoned: Arc::clone(&e.poisoned),
-            read: e.read.as_ref().map(|p| ResolvedReadPool {
-                tx: p.tx.clone(),
-                depth: Arc::clone(&p.depth),
-            }),
-        };
         match name {
-            Some(name) => circuits.get(name).map(resolved).ok_or_else(|| {
+            Some(name) => circuits.get(name).map(|e| e.circuit.clone()).ok_or_else(|| {
                 format!("unknown circuit `{name}` (send a `load` request first, or `list` the registry)")
             }),
             None => match circuits.len() {
                 0 => Err("no circuit loaded (send a `load` request first)".into()),
-                1 => Ok(resolved(circuits.values().next().expect("len checked"))),
+                1 => Ok(circuits.values().next().expect("len checked").circuit.clone()),
                 n => Err(format!(
                     "{n} circuits loaded; set the `circuit` field to pick one"
                 )),
@@ -762,8 +682,8 @@ impl CircuitServer {
 
     /// Routes one framed request: registry operations are answered
     /// inline on the calling (connection) thread; circuit-bound
-    /// requests are queued to the circuit's worker, which sends the
-    /// finished response line to `reply` itself. Every path produces
+    /// requests are admitted to one of the circuit's queues, whose
+    /// thread sends the finished response line to `reply` itself. Every path produces
     /// exactly one response line per request.
     pub fn dispatch(&self, frame: RequestFrame, reply: &mpsc::Sender<String>) {
         let RequestFrame {
@@ -798,112 +718,53 @@ impl CircuitServer {
         }
     }
 
-    /// Admission control for one circuit-bound request: charges the
-    /// request's weight against the circuit's queue gauge and either
-    /// enqueues the job (returning `None` — the worker answers) or
-    /// answers inline with a coded `busy`/`poisoned` error. Runs on
-    /// the connection thread and never blocks: an over-bound queue is
-    /// *rejected*, not waited on, so one slow circuit cannot stall the
-    /// reader that other circuits' requests arrive through.
+    /// Admission control for one circuit-bound request: picks the
+    /// queue (a pure read goes to the read queue when the circuit has
+    /// replicas, everything else to the writer), charges the request's
+    /// weight against that queue's gauge, and either enqueues the job
+    /// (returning `None` — the worker answers) or answers inline with a
+    /// coded `busy`/`poisoned` error. Runs on the connection thread and
+    /// never blocks: an over-bound queue is *rejected*, not waited on,
+    /// so one slow circuit cannot stall the reader that other circuits'
+    /// requests arrive through.
     fn admit(
         &self,
-        target: ResolvedCircuit,
+        circuit: Circuit,
         id: Option<String>,
         request: Request,
         deadline_ms: Option<f64>,
         reply: &mpsc::Sender<String>,
     ) -> Option<Response> {
-        if target.poisoned.load(Ordering::Relaxed) {
+        if circuit.poisoned.load(Ordering::Relaxed) {
             return Some(Response::coded_error(
                 ErrorCode::Poisoned,
                 "circuit is poisoned by an earlier panic; unload and reload it",
             ));
         }
-        // Pure reads bypass the writer entirely when the circuit has a
-        // replica pool: they are admitted against the read queue's own
-        // gauge and served by whichever replica steals them first.
-        if let Some(pool) = &target.read {
-            if is_read_request(&request) {
-                return self.admit_read(pool, id, request, deadline_ms, reply);
-            }
-        }
+        let (queue, name, gone) = match &circuit.read {
+            Some(read) if is_read_request(&request) => (
+                read,
+                "circuit read queue",
+                "circuit replicas are gone; unload and reload it",
+            ),
+            _ => (
+                &circuit.write,
+                "circuit queue",
+                "circuit worker is gone; unload and reload it",
+            ),
+        };
+        // A request is admitted whenever the queue was empty — a single
+        // request heavier than the whole bound must still be servable —
+        // but once anything is queued, `max_queue_depth` is a hard
+        // ceiling.
         let weight = request_weight(&request);
-        let deadline = match self.reserve(&target.depth, weight, "circuit queue", deadline_ms) {
-            Ok(deadline) => deadline,
-            Err(busy) => return Some(busy),
-        };
-        let job = Job::Serve {
-            id,
-            request,
-            reply: reply.clone(),
-            deadline,
-            weight,
-        };
-        match target.tx.send(job) {
-            Ok(()) => None,
-            Err(_) => {
-                target.depth.fetch_sub(weight, Ordering::Relaxed);
-                Some(Response::error(
-                    "circuit worker is gone; unload and reload it",
-                ))
-            }
-        }
-    }
-
-    /// Read-path admission: like [`CircuitServer::admit`] but against
-    /// the circuit's read-queue gauge (every read weighs 1), so a
-    /// burst of what-ifs can never crowd mutations out of the writer
-    /// queue — nor the other way around.
-    fn admit_read(
-        &self,
-        pool: &ResolvedReadPool,
-        id: Option<String>,
-        request: Request,
-        deadline_ms: Option<f64>,
-        reply: &mpsc::Sender<String>,
-    ) -> Option<Response> {
-        let weight = read_request_weight(&request);
-        let deadline = match self.reserve(&pool.depth, weight, "circuit read queue", deadline_ms) {
-            Ok(deadline) => deadline,
-            Err(busy) => return Some(busy),
-        };
-        let job = ReadJob {
-            id,
-            request,
-            reply: reply.clone(),
-            deadline,
-        };
-        match pool.tx.send(job) {
-            Ok(()) => None,
-            Err(_) => {
-                pool.depth.fetch_sub(weight, Ordering::Relaxed);
-                Some(Response::error(
-                    "circuit replicas are gone; unload and reload it",
-                ))
-            }
-        }
-    }
-
-    /// Charges `weight` against a queue's `depth` gauge and resolves the
-    /// request's deadline, or answers a coded `busy` naming the `queue`
-    /// (the gauge is left as it was). A request is admitted whenever
-    /// the queue was empty — a single request heavier than the whole
-    /// bound must still be servable — but once anything is queued,
-    /// `max_queue_depth` is a hard ceiling.
-    fn reserve(
-        &self,
-        depth: &AtomicUsize,
-        weight: usize,
-        queue: &str,
-        deadline_ms: Option<f64>,
-    ) -> Result<Option<Instant>, Response> {
-        let prev = depth.fetch_add(weight, Ordering::Relaxed);
+        let prev = queue.depth.fetch_add(weight, Ordering::Relaxed);
         if prev > 0 && prev + weight > self.config.max_queue_depth {
-            depth.fetch_sub(weight, Ordering::Relaxed);
-            return Err(Response::coded_error(
+            queue.depth.fetch_sub(weight, Ordering::Relaxed);
+            return Some(Response::coded_error(
                 ErrorCode::Busy { queue_depth: prev },
                 format!(
-                    "{queue} is full ({prev} of {} weighted units); retry with backoff",
+                    "{name} is full ({prev} of {} weighted units); retry with backoff",
                     self.config.max_queue_depth
                 ),
             ));
@@ -911,9 +772,23 @@ impl CircuitServer {
         // Clamp before converting: a hostile-but-valid `deadline_ms`
         // like 1e300 must not overflow the Duration/Instant arithmetic
         // (≈ 31 years is "unbounded" for any practical purpose).
-        Ok(deadline_ms
+        let deadline = deadline_ms
             .or(self.config.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0)))
+            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0));
+        let job = Job {
+            id,
+            request,
+            reply: reply.clone(),
+            deadline,
+            weight,
+        };
+        match queue.tx.send(job) {
+            Ok(()) => None,
+            Err(_) => {
+                queue.depth.fetch_sub(weight, Ordering::Relaxed);
+                Some(Response::error(gone))
+            }
+        }
     }
 
     /// Drives one connection in **strict request order**: each line's
@@ -1116,30 +991,20 @@ impl CircuitServer {
         }
     }
 
-    /// Drops every circuit (closing the worker queues) and joins the
-    /// loaded circuits' worker threads. (Workers of already-unloaded
-    /// circuits were detached at unload and exit on their own.) Safe
-    /// to call repeatedly.
+    /// Drops every circuit (closing its queues) and joins the loaded
+    /// circuits' writer and replica threads. (Threads of already-
+    /// unloaded circuits were detached at unload and exit on their
+    /// own.) Safe to call repeatedly.
     pub fn join_workers(&self) {
-        let mut handles: Vec<thread::JoinHandle<()>> = Vec::new();
-        {
-            let mut circuits = self.circuits.lock().expect("registry lock");
-            for (_, mut entry) in circuits.drain() {
-                if let Some(handle) = entry.worker.take() {
-                    handles.push(handle);
-                }
-                if let Some(pool) = entry.read.take() {
-                    let ReadPool {
-                        tx,
-                        handles: read_handles,
-                        ..
-                    } = pool;
-                    // The replicas exit once the queue sender is gone.
-                    drop(tx);
-                    handles.extend(read_handles);
-                }
-            }
-        }
+        // Every entry is dropped — every queue closed — before the
+        // first join, so the circuits wind down concurrently.
+        let handles: Vec<thread::JoinHandle<()>> = self
+            .circuits
+            .lock()
+            .expect("registry lock")
+            .drain()
+            .flat_map(|(_, entry)| entry.workers)
+            .collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -1161,137 +1026,131 @@ fn invalid_name(name: &str) -> Option<Response> {
     }
 }
 
-/// One circuit worker: owns the warm session, serves its queue in
-/// FIFO order, and ships finished response lines straight to each
-/// job's connection writer. Expired jobs are shed at dequeue without
-/// touching the session; a panicking request poisons the circuit but
-/// the loop keeps draining, so every queued client gets an answer.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    mut session: SizingSession,
-    rx: mpsc::Receiver<Job>,
-    requests: Arc<AtomicUsize>,
+/// What every thread draining a circuit queue shares: the queue's
+/// receiving end and gauge, plus the circuit's request counter and
+/// poison flag.
+#[derive(Clone)]
+struct Drain {
+    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     depth: Arc<AtomicUsize>,
+    requests: Arc<AtomicUsize>,
     poisoned: Arc<AtomicBool>,
-    panic_on_spec: Option<f64>,
-    hold: Option<WriterHold>,
-    publish: Option<WriterPublish>,
-) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Serve {
-                id,
-                request,
-                reply,
-                deadline,
-                weight,
-            } => {
-                if let Some(hold) = &hold {
-                    hold.wait();
+}
+
+impl Drain {
+    /// Spawns a thread named `name` that drains the queue with `worker`.
+    fn spawn(
+        self,
+        name: String,
+        worker: impl Worker + Send + 'static,
+    ) -> io::Result<thread::JoinHandle<()>> {
+        thread::Builder::new()
+            .name(name)
+            .spawn(move || self.run(worker))
+    }
+
+    /// The one drain loop of the writer and of every replica: takes the
+    /// next job in arrival order, serves it inside the [`fenced`] fault
+    /// fences, settles it, refunds its admission weight only once the
+    /// work is done (queued *and running* work counts against the
+    /// bound, which is what keeps memory bounded), counts it, and ships
+    /// the finished line straight to the job's connection writer. A
+    /// panicking job poisons the circuit but the loop keeps draining,
+    /// so every queued client gets an answer; the loop ends once the
+    /// queue's last sender is gone.
+    fn run(self, mut worker: impl Worker) {
+        loop {
+            // One thread at a time waits on `recv`; the rest of a
+            // replica pool park on the mutex. Pickup is serialized, the
+            // served work is not.
+            let job = {
+                let Ok(rx) = self.rx.lock() else { return };
+                match rx.recv() {
+                    Ok(job) => job,
+                    Err(_) => return,
                 }
-                let response =
-                    serve_one(&mut session, &request, deadline, &poisoned, panic_on_spec);
-                // Single-writer republish: fresh counters for
-                // replica-served `stats`, and an epoch bump per
-                // mutation *before* the mutation's response leaves —
-                // a client that observed the response can never see a
-                // replica still claiming the older epoch.
-                if let Some(publish) = &publish {
-                    *publish.published.lock().expect("publish lock") = session.stats();
-                    if !is_read_request(&request) {
-                        publish.epoch.fetch_add(1, Ordering::Release);
-                    }
-                }
-                // Refund the admission weight only after the work is
-                // done — queued *and running* work counts against the
-                // bound, which is what keeps memory bounded.
-                depth.fetch_sub(weight, Ordering::Relaxed);
-                requests.fetch_add(1, Ordering::Relaxed);
-                // The connection may already be gone; its responses
-                // are simply dropped.
-                let _ = reply.send(response.to_json_line_with_id(id.as_deref()));
-            }
-            Job::Stats(reply) => {
-                let _ = reply.send(session.stats());
-            }
+            };
+            let response = fenced(job.deadline, &self.poisoned, || {
+                worker.serve(&job.request, job.deadline)
+            });
+            worker.settle(&job.request);
+            self.depth.fetch_sub(job.weight, Ordering::Relaxed);
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            // The connection may already be gone; its responses are
+            // simply dropped.
+            let _ = job
+                .reply
+                .send(response.to_json_line_with_id(job.id.as_deref()));
         }
     }
 }
 
-/// One read replica: steals jobs off the circuit's shared read queue,
-/// answers `what_if` through its [`ReadView`] (previous-candidate diff
-/// cache) and `stats` from the writer's published snapshot. Shares the
-/// writer's fault fences — poisoned short-circuit, expired-at-dequeue
-/// shed, panic catch — byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-fn replica_loop(
-    mut view: ReadView,
-    rx: Arc<Mutex<mpsc::Receiver<ReadJob>>>,
-    index: usize,
-    counters: Arc<ReplicaCounters>,
-    depth: Arc<AtomicUsize>,
+/// What one thread draining a circuit queue does with each job: the
+/// writer holds the session, a replica its [`ReadView`].
+trait Worker {
+    /// Answers one request; runs inside the [`fenced`] fault fences.
+    fn serve(&mut self, request: &Request, deadline: Option<Instant>) -> Response;
+
+    /// Runs after every dequeued job — served, shed or poisoned —
+    /// before its weight is refunded and its response sent.
+    fn settle(&mut self, request: &Request);
+}
+
+/// The circuit's single writer: the warm session, which serves every
+/// mutation (and every read, when the circuit has no replicas), and
+/// the handles it publishes through.
+struct Writer {
+    session: SizingSession,
+    stats: Arc<Mutex<SessionStats>>,
     epoch: Arc<AtomicU64>,
-    published: Arc<Mutex<SessionStats>>,
-    requests: Arc<AtomicUsize>,
-    poisoned: Arc<AtomicBool>,
-) {
-    let mut seen_epoch = 0u64;
-    loop {
-        // One replica at a time waits on `recv`; the rest park on the
-        // mutex. Pickup is serialized, the served work is not.
-        let job = {
-            let Ok(guard) = rx.lock() else { return };
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
+    #[cfg(test)]
+    panic_on_spec: Option<f64>,
+    #[cfg(test)]
+    hold: Option<tests::WriterHold>,
+}
+
+impl Worker for Writer {
+    fn serve(&mut self, request: &Request, deadline: Option<Instant>) -> Response {
+        #[cfg(test)]
+        self.inject_faults(request);
+        let token = match deadline {
+            Some(d) => CancelToken::with_deadline(d),
+            None => CancelToken::new(),
         };
-        let ReadJob {
-            id,
-            request,
-            reply,
-            deadline,
-        } = job;
-        let response = serve_read(
-            &mut view,
-            &request,
-            deadline,
-            &poisoned,
-            &mut seen_epoch,
-            &epoch,
-            &published,
-            &counters,
-        );
-        depth.fetch_sub(1, Ordering::Relaxed);
-        requests.fetch_add(1, Ordering::Relaxed);
-        counters.served[index].fetch_add(1, Ordering::Relaxed);
-        let _ = reply.send(response.to_json_line_with_id(id.as_deref()));
+        self.session.serve_with(request, &token)
+    }
+
+    fn settle(&mut self, request: &Request) {
+        // Publish before the response leaves (see the module docs).
+        *self.stats.lock().expect("stats lock") = self.session.stats();
+        if !is_read_request(request) {
+            self.epoch.fetch_add(1, Ordering::Release);
+        }
     }
 }
 
-/// Serves one dequeued read on a replica inside the same [`fenced`]
-/// fault fences as the writer's [`serve_one`].
-#[allow(clippy::too_many_arguments)]
-fn serve_read(
-    view: &mut ReadView,
-    request: &Request,
-    deadline: Option<Instant>,
-    poisoned: &AtomicBool,
-    seen_epoch: &mut u64,
-    epoch: &AtomicU64,
-    published: &Mutex<SessionStats>,
-    counters: &ReplicaCounters,
-) -> Response {
-    fenced(deadline, poisoned, || {
+/// One read replica: its private [`ReadView`], its epoch fence, and
+/// the pool's counters.
+struct Replica {
+    view: ReadView,
+    index: usize,
+    seen_epoch: u64,
+    epoch: Arc<AtomicU64>,
+    stats: Arc<Mutex<SessionStats>>,
+    counters: Arc<ReplicaCounters>,
+}
+
+impl Worker for Replica {
+    fn serve(&mut self, request: &Request, _deadline: Option<Instant>) -> Response {
         // Epoch fence: a writer republish drops the previous-candidate
         // diff base. A what-if answer is a pure function of the
         // candidate, so this pins the republish contract rather than
         // correctness.
-        let current = epoch.load(Ordering::Acquire);
-        if current != *seen_epoch {
-            *seen_epoch = current;
-            view.invalidate();
-            counters.invalidations.fetch_add(1, Ordering::Relaxed);
+        let current = self.epoch.load(Ordering::Acquire);
+        if current != self.seen_epoch {
+            self.seen_epoch = current;
+            self.view.invalidate();
+            self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         }
         match request {
             Request::WhatIf {
@@ -1299,51 +1158,32 @@ fn serve_read(
                 spec,
                 target,
             } => {
-                let target = target.or_else(|| spec.map(|s| s * view.dmin()));
-                match view.what_if(sizes, target) {
+                let target = target.or_else(|| spec.map(|s| s * self.view.dmin()));
+                match self.view.what_if(sizes, target) {
                     Ok((report, used_diff)) => {
-                        if used_diff {
-                            counters.diff_hits.fetch_add(1, Ordering::Relaxed);
+                        let counter = if used_diff {
+                            &self.counters.diff_hits
                         } else {
-                            counters.full_timings.fetch_add(1, Ordering::Relaxed);
-                        }
+                            &self.counters.full_timings
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
                         Response::WhatIf(report)
                     }
                     Err(e) => error_response(&e),
                 }
             }
             Request::Stats => Response::Stats {
-                stats: Box::new(*published.lock().expect("publish lock")),
-                replicas: Some(counters.report(current)),
+                stats: Box::new(*self.stats.lock().expect("stats lock")),
+                replicas: Some(self.counters.report(current)),
             },
             // Unreachable: admission routes only reads here.
             _ => Response::error("replica received a non-read request"),
         }
-    })
-}
+    }
 
-/// Serves one dequeued request on the writer: the [`fenced`] fault
-/// fences around a deadline-token `serve`.
-fn serve_one(
-    session: &mut SizingSession,
-    request: &Request,
-    deadline: Option<Instant>,
-    poisoned: &AtomicBool,
-    panic_on_spec: Option<f64>,
-) -> Response {
-    fenced(deadline, poisoned, || {
-        if let (Some(bad), Request::Size { spec: Some(s), .. }) = (panic_on_spec, request) {
-            assert!(
-                *s != bad,
-                "injected fault: size spec {s} panics by configuration"
-            );
-        }
-        let token = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
-        session.serve_with(request, &token)
-    })
+    fn settle(&mut self, _request: &Request) {
+        self.counters.served[self.index].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The fault fences every dequeued job runs inside, on the writer and
@@ -1666,6 +1506,47 @@ mod tests {
     use super::*;
     use mft_circuit::C17_BENCH;
     use mft_delay::Technology;
+    use std::sync::Condvar;
+
+    /// The one-shot gate of [`ServerConfig::hold_writer`]: closed when
+    /// made, open for good once [`released`](WriterHold::release).
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct WriterHold(Arc<(Mutex<bool>, Condvar)>);
+
+    impl WriterHold {
+        /// Opens the gate: held writers resume, and later ones pass.
+        fn release(&self) {
+            let (open, opened) = &*self.0;
+            *open.lock().expect("hold lock") = true;
+            opened.notify_all();
+        }
+
+        /// Blocks until the gate is open.
+        fn wait(&self) {
+            let (open, opened) = &*self.0;
+            let mut guard = open.lock().expect("hold lock");
+            while !*guard {
+                guard = opened.wait(guard).expect("hold lock");
+            }
+        }
+    }
+
+    impl Writer {
+        /// The configured faults: wait on the hold, then panic on the
+        /// poisoned spec.
+        pub(super) fn inject_faults(&self, request: &Request) {
+            if let Some(hold) = &self.hold {
+                hold.wait();
+            }
+            if let (Some(bad), Request::Size { spec: Some(s), .. }) = (self.panic_on_spec, request)
+            {
+                assert!(
+                    *s != bad,
+                    "injected fault: size spec {s} panics by configuration"
+                );
+            }
+        }
+    }
 
     /// The whole service stack must be `Send` so sessions can live on
     /// worker threads (the issue's "Send-able session handles").
@@ -2049,5 +1930,236 @@ mod tests {
             };
             assert_eq!(line, want);
         }
+    }
+
+    /// `circuit_stats` reads the snapshot the writer publishes after
+    /// every job, with and without replicas: after a size/what_if/stats
+    /// script it equals the session counters of the final `stats`
+    /// response (which a replica answers from that same snapshot on
+    /// the replica'd circuit, appending its pool's roll-up).
+    #[test]
+    fn circuit_stats_match_the_final_stats_response() {
+        let netlist = parse_bench("c17", C17_BENCH).unwrap();
+        let problem =
+            SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
+        let n = problem.dag().num_vertices();
+        let ones = vec!["1"; n].join(",");
+        let wider = vec!["1.5"; n].join(",");
+        let input = [
+            r#"{"type":"size","spec":0.8}"#.to_owned(),
+            format!(r#"{{"type":"what_if","sizes":[{ones}],"spec":0.8}}"#),
+            format!(r#"{{"type":"what_if","sizes":[{wider}]}}"#),
+            r#"{"type":"stats"}"#.to_owned(),
+        ]
+        .join("\n");
+        for replicas in [0, 2] {
+            let server = CircuitServer::new(ServerConfig {
+                replicas,
+                ..Default::default()
+            });
+            let loaded = server.install("c17", problem.clone(), SessionConfig::warm());
+            assert!(matches!(loaded, Response::Loaded { .. }));
+            let mut out = Vec::new();
+            server
+                .serve_connection_ordered(input.as_bytes(), &mut out)
+                .unwrap();
+            let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+            assert_eq!(lines.len(), 4, "{lines:#?}");
+            assert!(lines[0].starts_with("{\"type\":\"size\""), "{}", lines[0]);
+            for line in &lines[1..3] {
+                assert!(line.starts_with("{\"type\":\"what_if\""), "{line}");
+            }
+            let stats = server.circuit_stats("c17").expect("loaded");
+            assert_eq!(stats.size_requests, 1);
+            let expected = Response::stats(stats).to_json_line();
+            if replicas == 0 {
+                assert_eq!(lines[3], expected);
+            } else {
+                let head = expected.strip_suffix('}').unwrap();
+                let rest = lines[3].strip_prefix(head).unwrap_or_else(|| {
+                    panic!(
+                        "replica stats must carry the published counters: {}",
+                        lines[3]
+                    )
+                });
+                assert!(rest.starts_with(",\"replicas\":2,"), "{rest}");
+            }
+            server.join_workers();
+        }
+    }
+
+    /// Starts a server on an ephemeral TCP port, returning the handle to
+    /// join after a `shutdown` request.
+    fn start_tcp(
+        config: ServerConfig,
+    ) -> (
+        Arc<CircuitServer>,
+        std::net::SocketAddr,
+        thread::JoinHandle<io::Result<()>>,
+    ) {
+        let server = CircuitServer::new(config);
+        let (listener, addr) = ServerListener::bind_tcp("127.0.0.1:0").unwrap();
+        let runner = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || server.run(vec![listener]))
+        };
+        (server, addr, runner)
+    }
+
+    fn shut_down(
+        addr: std::net::SocketAddr,
+        server: &CircuitServer,
+        runner: thread::JoinHandle<io::Result<()>>,
+    ) {
+        let mut client = LineClient::connect(addr).unwrap();
+        let ack = client.call(&RequestFrame::new(Request::Shutdown)).unwrap();
+        assert_eq!(ack, "{\"type\":\"shutdown\"}");
+        runner.join().unwrap().unwrap();
+        server.join_workers();
+    }
+
+    /// Reads `n` responses and returns them keyed by their echoed `id`.
+    fn recv_by_id(client: &mut LineClient<TcpStream>, n: usize) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let line = client.recv().unwrap().expect("connection must stay open");
+            let id = extract_id(&line)
+                .expect("pipelined responses echo ids")
+                .trim_matches('"')
+                .to_owned();
+            out.push((id, line));
+        }
+        out
+    }
+
+    fn line_for<'a>(responses: &'a [(String, String)], id: &str) -> &'a str {
+        &responses
+            .iter()
+            .find(|(got, _)| got == id)
+            .unwrap_or_else(|| panic!("no response with id `{id}`"))
+            .1
+    }
+
+    /// A full weighted queue answers `busy` immediately — without blocking
+    /// the reader or dropping the connection — and drains back to healthy.
+    #[test]
+    fn full_queue_answers_busy_and_recovers() {
+        // The test holds the writer, so the admitted sweep stays in flight
+        // until the reader has answered the line behind it.
+        let hold = WriterHold::default();
+        let (server, addr, runner) = start_tcp(ServerConfig {
+            max_queue_depth: 1,
+            session: SessionConfig::warm(),
+            hold_writer: Some(hold.clone()),
+            ..Default::default()
+        });
+        let mut client = LineClient::connect(addr).unwrap();
+        let line = client.call(&load_c17_frame("c17")).unwrap();
+        assert!(line.contains("\"type\":\"loaded\""), "{line}");
+
+        // An idle circuit admits one request of any weight (a sweep weighs
+        // 8 per spec, far over the bound of 1)…
+        let sweep = RequestFrame::new(Request::Sweep {
+            specs: vec![0.9, 0.8, 0.7],
+        })
+        .for_circuit("c17")
+        .with_id("admitted");
+        // …and everything behind it is rejected, not queued, while the
+        // held sweep occupies the writer.
+        let size = RequestFrame::new(Request::Size {
+            spec: Some(0.8),
+            target: None,
+            return_sizes: false,
+        })
+        .for_circuit("c17");
+        let rejected = size.clone().with_id("rejected");
+        client
+            .send_raw(&format!(
+                "{}\n{}",
+                sweep.to_json_line(),
+                rejected.to_json_line()
+            ))
+            .unwrap();
+
+        let responses = recv_by_id(&mut client, 1);
+        let busy = line_for(&responses, "rejected");
+        assert_eq!(extract_error_code(busy).as_deref(), Some("busy"), "{busy}");
+        assert!(busy.contains("queue_depth"), "{busy}");
+        hold.release();
+        let responses = recv_by_id(&mut client, 1);
+        let swept = line_for(&responses, "admitted");
+        assert!(swept.contains("\"type\":\"sweep\""), "{swept}");
+
+        // The queue drained: the same request is now admitted and served.
+        let line = client.call(&size.with_id("retry")).unwrap();
+        assert!(line.contains("\"type\":\"size\""), "{line}");
+        shut_down(addr, &server, runner);
+    }
+
+    /// A panicking request answers `internal`, poisons only its circuit,
+    /// answers queued clients cleanly, and `unload` + `load` recovers —
+    /// all over one surviving connection.
+    #[test]
+    fn worker_panic_poisons_circuit_and_reload_recovers() {
+        let (server, addr, runner) = start_tcp(ServerConfig {
+            panic_on_spec: Some(0.123),
+            session: SessionConfig::warm(),
+            ..Default::default()
+        });
+        let mut client = LineClient::connect(addr).unwrap();
+        let line = client.call(&load_c17_frame("c17")).unwrap();
+        assert!(line.contains("\"type\":\"loaded\""), "{line}");
+
+        // The fault and an innocent request queued right behind it.
+        let boom = RequestFrame::new(Request::Size {
+            spec: Some(0.123),
+            target: None,
+            return_sizes: false,
+        })
+        .for_circuit("c17");
+        let fine = RequestFrame::new(Request::Size {
+            spec: Some(0.8),
+            target: None,
+            return_sizes: false,
+        })
+        .for_circuit("c17");
+        client.send(&boom.clone().with_id("boom")).unwrap();
+        client.send(&fine.clone().with_id("behind")).unwrap();
+
+        let responses = recv_by_id(&mut client, 2);
+        let crashed = line_for(&responses, "boom");
+        assert_eq!(
+            extract_error_code(crashed).as_deref(),
+            Some("internal"),
+            "{crashed}"
+        );
+        assert!(crashed.contains("panicked"), "{crashed}");
+        let behind = line_for(&responses, "behind");
+        assert_eq!(
+            extract_error_code(behind).as_deref(),
+            Some("poisoned"),
+            "{behind}"
+        );
+
+        // New requests are rejected at admission, and `list` reports it.
+        let line = client.call(&fine.clone().with_id("after")).unwrap();
+        assert_eq!(
+            extract_error_code(&line).as_deref(),
+            Some("poisoned"),
+            "{line}"
+        );
+        let line = client.call(&RequestFrame::new(Request::List)).unwrap();
+        assert!(line.contains("\"state\":\"poisoned\""), "{line}");
+
+        // unload + load recovers the circuit completely.
+        let line = client
+            .call(&RequestFrame::new(Request::Unload).for_circuit("c17"))
+            .unwrap();
+        assert!(line.contains("\"type\":\"unloaded\""), "{line}");
+        let line = client.call(&load_c17_frame("c17")).unwrap();
+        assert!(line.contains("\"type\":\"loaded\""), "{line}");
+        let line = client.call(&fine.with_id("healed")).unwrap();
+        assert!(line.contains("\"type\":\"size\""), "{line}");
+        shut_down(addr, &server, runner);
     }
 }

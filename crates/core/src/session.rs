@@ -235,12 +235,6 @@ impl SessionConfig {
         }
     }
 
-    /// Replaces the optimizer configuration.
-    pub fn with_optimizer(mut self, optimizer: MinflotransitConfig) -> Self {
-        self.optimizer = optimizer;
-        self
-    }
-
     /// Replaces the TILOS seed configuration.
     pub fn with_tilos(mut self, tilos: TilosConfig) -> Self {
         self.optimizer.tilos = tilos;
@@ -314,9 +308,8 @@ impl SessionStats {
     }
 
     /// Field-wise roll-up of two stats snapshots — counters sum, the
-    /// solver/timing sub-stats merge. The multi-circuit server uses
-    /// this to aggregate per-circuit sessions into one fleet view
-    /// ([`crate::CircuitServer::aggregate_stats`]).
+    /// solver/timing sub-stats merge. A multi-worker sweep uses this
+    /// to fold each worker's counters into the session's.
     pub fn merged(&self, other: &SessionStats) -> SessionStats {
         SessionStats {
             requests: self.requests + other.requests,

@@ -15,7 +15,7 @@
 //! is monotone increasing, so Definition 1 is satisfied and the W-phase
 //! remains a Simple Monotonic Program.
 
-use crate::model::{DelayModel, DiffScratch, LinearDelayModel};
+use crate::model::{DelayModel, LinearDelayModel};
 use mft_circuit::VertexId;
 
 /// [`LinearDelayModel`] with a drive-strength exponent `α`.
@@ -78,25 +78,6 @@ impl DelayModel for GeneralizedDelayModel {
 
     fn delay(&self, v: VertexId, sizes: &[f64]) -> f64 {
         self.linear.intrinsic(v) + self.linear.load(v, sizes) / sizes[v.index()].powf(self.alpha)
-    }
-
-    fn delays_diff(
-        &self,
-        changed: &[VertexId],
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-        scratch: &mut DiffScratch,
-    ) {
-        // The affected set is the linear model's (same coupling CSR);
-        // only the per-vertex delay expression differs, so gather via
-        // the linear diff and then overwrite with the generalized
-        // expression — bitwise identical to `delay` per vertex.
-        self.linear
-            .delays_diff(changed, sizes, delays, affected, scratch);
-        for &u in affected.iter() {
-            delays[u.index()] = self.delay(u, sizes);
-        }
     }
 
     fn required_size(&self, v: VertexId, budget: f64, sizes: &[f64]) -> f64 {

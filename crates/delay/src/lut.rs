@@ -17,7 +17,7 @@
 //! sampled at the operating point reproduces Elmore delays bit-for-bit.
 
 use crate::error::DelayError;
-use crate::model::{DelayModel, DiffScratch, LinearDelayModel};
+use crate::model::{DelayModel, LinearDelayModel};
 use core::fmt::Write as _;
 use mft_circuit::VertexId;
 
@@ -386,25 +386,6 @@ impl DelayModel for LutDelayModel {
         self.eval(v, sizes[v.index()], self.linear.load(v, sizes))
     }
 
-    /// Scoped update: the load coupling of the table lookup is exactly the
-    /// linear model's CSR, so the affected set is the same; each affected
-    /// delay is recomputed with [`LutDelayModel::eval`] (the same
-    /// expression as `delay`), keeping diffs bitwise equal to full passes.
-    fn delays_diff(
-        &self,
-        changed: &[VertexId],
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-        scratch: &mut DiffScratch,
-    ) {
-        self.linear
-            .delays_diff(changed, sizes, delays, affected, scratch);
-        for &u in affected.iter() {
-            delays[u.index()] = self.delay(u, sizes);
-        }
-    }
-
     fn required_size(&self, v: VertexId, budget: f64, sizes: &[f64]) -> f64 {
         let la = &self.load_axes[v.index()];
         let table = &self.tables[v.index()];
@@ -476,7 +457,7 @@ fn interp1(axis: &[f64], values: &[f64], x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VertexCoefficients;
+    use crate::model::{DiffScratch, VertexCoefficients};
 
     /// v0 → v1 → v2 chain with distinct coefficients.
     fn chain() -> LinearDelayModel {

@@ -523,48 +523,6 @@ impl DelayModel for LinearDelayModel {
         self.intrinsic[v.index()] + self.load(v, sizes) / sizes[v.index()]
     }
 
-    fn delays_diff(
-        &self,
-        changed: &[VertexId],
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-        scratch: &mut DiffScratch,
-    ) {
-        affected.clear();
-        scratch.begin(self.num_vertices());
-        for &v in changed {
-            if scratch.mark(v.index()) {
-                affected.push(v);
-            }
-            // Transposed CSR walk: dependents of v are dep_vertex[dep_off[v]..].
-            let lo = self.dep_off[v.index()] as usize;
-            let hi = self.dep_off[v.index() + 1] as usize;
-            for &u in &self.dep_vertex[lo..hi] {
-                if scratch.mark(u.index()) {
-                    affected.push(u);
-                }
-            }
-        }
-        affected.sort_unstable_by_key(|u| u.index());
-        // Recompute with the exact `delay` expression (forward CSR in
-        // stored order) so diffs stay bitwise equal to full passes.
-        for &u in affected.iter() {
-            let i = u.index();
-            let mut load = self.fixed[i];
-            let lo = self.term_off[i] as usize;
-            let hi = self.term_off[i + 1] as usize;
-            for (j, a) in self.term_vertex[lo..hi]
-                .iter()
-                .zip(self.term_coeff[lo..hi].iter())
-            {
-                load += a * sizes[j.index()];
-            }
-            delays[i] = self.intrinsic[i] + load / sizes[i];
-        }
-        debug_assert_sorted_dedup(affected);
-    }
-
     fn required_size(&self, v: VertexId, budget: f64, sizes: &[f64]) -> f64 {
         let excess = budget - self.intrinsic[v.index()];
         if excess <= 0.0 {
@@ -635,9 +593,24 @@ mod tests {
         assert_eq!(m.required_size(v, 0.5, &sizes), f64::INFINITY);
     }
 
+    /// The trait's scoped update is the only one: every model —
+    /// linear, generalized (α ≠ 1) and table-lookup — must match its
+    /// own full pass bitwise. (The power-weighted wrapper in `mft-tech`
+    /// is checked the same way in its own tests.)
     #[test]
     fn delays_diff_matches_full_recomputation() {
-        let m = chain_model();
+        check_delays_diff(&chain_model());
+        check_delays_diff(&crate::GeneralizedDelayModel::new(chain_model(), 0.7));
+        check_delays_diff(&crate::LutDelayModel::sample_elmore(chain_model(), 9, 9));
+    }
+
+    fn check_delays_diff(m: &impl DelayModel) {
+        let bitwise_full = |delays: &[f64], sizes: &[f64]| {
+            let full = m.delays(sizes);
+            for (a, b) in delays.iter().zip(full.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        };
         let mut sizes = vec![2.0, 3.0];
         let mut delays = m.delays(&sizes);
         let mut affected = Vec::new();
@@ -653,10 +626,7 @@ mod tests {
             &mut affected,
             &mut scratch,
         );
-        let full = m.delays(&sizes);
-        for (a, b) in delays.iter().zip(full.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        bitwise_full(&delays, &sizes);
         assert_eq!(affected, vec![VertexId::new(0), VertexId::new(1)]);
         // Empty change set: nothing touched.
         m.delays_diff(&[], &sizes, &mut delays, &mut affected, &mut scratch);
@@ -673,7 +643,7 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(affected, vec![VertexId::new(0), VertexId::new(1)]);
-        assert_eq!(delays, m.delays(&sizes));
+        bitwise_full(&delays, &sizes);
         sizes[0] = 4.0;
         m.delays_diff(
             &[VertexId::new(0)],
@@ -683,10 +653,7 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(affected, vec![VertexId::new(0)]);
-        let full = m.delays(&sizes);
-        for (a, b) in delays.iter().zip(full.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        bitwise_full(&delays, &sizes);
     }
 
     #[test]

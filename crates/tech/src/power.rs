@@ -18,7 +18,7 @@
 
 use crate::corner::Corner;
 use mft_circuit::VertexId;
-use mft_delay::{DelayModel, DiffScratch, LinearDelayModel};
+use mft_delay::{DelayModel, LinearDelayModel};
 
 /// A power total split into its two components.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -264,22 +264,6 @@ impl DelayModel for PowerWeightedModel<'_> {
         self.linear.delay(v, sizes)
     }
 
-    fn delays(&self, sizes: &[f64]) -> Vec<f64> {
-        self.linear.delays(sizes)
-    }
-
-    fn delays_diff(
-        &self,
-        changed: &[VertexId],
-        sizes: &[f64],
-        delays: &mut [f64],
-        affected: &mut Vec<VertexId>,
-        scratch: &mut DiffScratch,
-    ) {
-        self.linear
-            .delays_diff(changed, sizes, delays, affected, scratch);
-    }
-
     fn required_size(&self, v: VertexId, budget: f64, sizes: &[f64]) -> f64 {
         self.linear.required_size(v, budget, sizes)
     }
@@ -396,6 +380,25 @@ mod tests {
         }
         assert_eq!(wrapped.area(&sizes), pm.total_power(&sizes));
         assert!(wrapped.area(&sizes) != model.area(&sizes));
+        // The trait's scoped update over the wrapper matches its full
+        // pass bitwise.
+        let mut sizes = sizes.to_vec();
+        let mut delays = wrapped.delays(&sizes);
+        let (mut affected, mut scratch) = (Vec::new(), mft_delay::DiffScratch::new());
+        for (v, x) in [(1, 7.5), (0, 1.25), (2, 9.0)] {
+            sizes[v] = x;
+            wrapped.delays_diff(
+                &[VertexId::new(v)],
+                &sizes,
+                &mut delays,
+                &mut affected,
+                &mut scratch,
+            );
+            let full = wrapped.delays(&sizes);
+            for (a, b) in delays.iter().zip(full.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -407,7 +407,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         default_deadline_ms,
         replicas,
         session: session.clone(),
-        ..Default::default()
     });
     let listen = flag_value(args, "--listen");
     let unix = flag_value(args, "--unix");

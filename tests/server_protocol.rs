@@ -7,7 +7,7 @@
 use minflotransit::circuit::C17_BENCH;
 use minflotransit::core::{
     extract_error_code, extract_id, CircuitServer, LineClient, LoadRequest, Request, RequestFrame,
-    Response, ServerConfig, ServerListener, SessionConfig, WriterHold,
+    Response, ServerConfig, ServerListener, SessionConfig,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -317,62 +317,6 @@ fn line_for<'a>(responses: &'a [(String, String)], id: &str) -> &'a str {
         .1
 }
 
-/// A full weighted queue answers `busy` immediately — without blocking
-/// the reader or dropping the connection — and drains back to healthy.
-#[test]
-fn full_queue_answers_busy_and_recovers() {
-    // The test holds the writer, so the admitted sweep stays in flight
-    // until the reader has answered the line behind it.
-    let hold = WriterHold::new();
-    let (server, addr, runner) = start_tcp(ServerConfig {
-        max_queue_depth: 1,
-        session: SessionConfig::warm(),
-        hold_writer: Some(hold.clone()),
-        ..Default::default()
-    });
-    let mut client = LineClient::connect(addr).unwrap();
-    let line = client.call(&load_c17("c17")).unwrap();
-    assert!(line.contains("\"type\":\"loaded\""), "{line}");
-
-    // An idle circuit admits one request of any weight (a sweep weighs
-    // 8 per spec, far over the bound of 1)…
-    let sweep = RequestFrame::new(Request::Sweep {
-        specs: vec![0.9, 0.8, 0.7],
-    })
-    .for_circuit("c17")
-    .with_id("admitted");
-    // …and everything behind it is rejected, not queued, while the
-    // held sweep occupies the writer.
-    let size = RequestFrame::new(Request::Size {
-        spec: Some(0.8),
-        target: None,
-        return_sizes: false,
-    })
-    .for_circuit("c17");
-    let rejected = size.clone().with_id("rejected");
-    client
-        .send_raw(&format!(
-            "{}\n{}",
-            sweep.to_json_line(),
-            rejected.to_json_line()
-        ))
-        .unwrap();
-
-    let responses = recv_by_id(&mut client, 1);
-    let busy = line_for(&responses, "rejected");
-    assert_eq!(extract_error_code(busy).as_deref(), Some("busy"), "{busy}");
-    assert!(busy.contains("queue_depth"), "{busy}");
-    hold.release();
-    let responses = recv_by_id(&mut client, 1);
-    let swept = line_for(&responses, "admitted");
-    assert!(swept.contains("\"type\":\"sweep\""), "{swept}");
-
-    // The queue drained: the same request is now admitted and served.
-    let line = client.call(&size.with_id("retry")).unwrap();
-    assert!(line.contains("\"type\":\"size\""), "{line}");
-    shut_down(addr, &server, runner);
-}
-
 /// A line nested far past the JSON reader's depth bound (200 KB of `[`,
 /// well under `max_line_bytes`) answers an error instead of overflowing
 /// the connection thread's stack, and the same connection goes on
@@ -452,73 +396,6 @@ fn expired_deadline_sheds_queued_work() {
             .with_deadline_ms(60_000.0),
         )
         .unwrap();
-    assert!(line.contains("\"type\":\"size\""), "{line}");
-    shut_down(addr, &server, runner);
-}
-
-/// A panicking request answers `internal`, poisons only its circuit,
-/// answers queued clients cleanly, and `unload` + `load` recovers —
-/// all over one surviving connection.
-#[test]
-fn worker_panic_poisons_circuit_and_reload_recovers() {
-    let (server, addr, runner) = start_tcp(ServerConfig {
-        panic_on_spec: Some(0.123),
-        session: SessionConfig::warm(),
-        ..Default::default()
-    });
-    let mut client = LineClient::connect(addr).unwrap();
-    let line = client.call(&load_c17("c17")).unwrap();
-    assert!(line.contains("\"type\":\"loaded\""), "{line}");
-
-    // The fault and an innocent request queued right behind it.
-    let boom = RequestFrame::new(Request::Size {
-        spec: Some(0.123),
-        target: None,
-        return_sizes: false,
-    })
-    .for_circuit("c17");
-    let fine = RequestFrame::new(Request::Size {
-        spec: Some(0.8),
-        target: None,
-        return_sizes: false,
-    })
-    .for_circuit("c17");
-    client.send(&boom.clone().with_id("boom")).unwrap();
-    client.send(&fine.clone().with_id("behind")).unwrap();
-
-    let responses = recv_by_id(&mut client, 2);
-    let crashed = line_for(&responses, "boom");
-    assert_eq!(
-        extract_error_code(crashed).as_deref(),
-        Some("internal"),
-        "{crashed}"
-    );
-    assert!(crashed.contains("panicked"), "{crashed}");
-    let behind = line_for(&responses, "behind");
-    assert_eq!(
-        extract_error_code(behind).as_deref(),
-        Some("poisoned"),
-        "{behind}"
-    );
-
-    // New requests are rejected at admission, and `list` reports it.
-    let line = client.call(&fine.clone().with_id("after")).unwrap();
-    assert_eq!(
-        extract_error_code(&line).as_deref(),
-        Some("poisoned"),
-        "{line}"
-    );
-    let line = client.call(&RequestFrame::new(Request::List)).unwrap();
-    assert!(line.contains("\"state\":\"poisoned\""), "{line}");
-
-    // unload + load recovers the circuit completely.
-    let line = client
-        .call(&RequestFrame::new(Request::Unload).for_circuit("c17"))
-        .unwrap();
-    assert!(line.contains("\"type\":\"unloaded\""), "{line}");
-    let line = client.call(&load_c17("c17")).unwrap();
-    assert!(line.contains("\"type\":\"loaded\""), "{line}");
-    let line = client.call(&fine.with_id("healed")).unwrap();
     assert!(line.contains("\"type\":\"size\""), "{line}");
     shut_down(addr, &server, runner);
 }
