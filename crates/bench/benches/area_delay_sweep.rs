@@ -8,6 +8,7 @@
 //! configuration) — the CI regression guard for the warm path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mft_bench::smoke;
 use mft_circuit::SizingMode;
 use mft_core::{SessionConfig, SizingProblem, SweepOutcome};
 use mft_delay::Technology;
@@ -15,10 +16,6 @@ use mft_gen::Benchmark;
 use std::hint::black_box;
 
 const SPECS: [f64; 8] = [0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6];
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 fn total_area(outcomes: &[SweepOutcome]) -> f64 {
     outcomes

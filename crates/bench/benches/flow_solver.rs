@@ -6,14 +6,11 @@
 //! Set `MFT_BENCH_SMOKE=1` for the single-sample CI run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mft_bench::smoke;
 use mft_flow::{DualLp, FlowNetwork, McfSolver, SimplexSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 fn random_network(nodes: usize, arcs_per_node: usize, seed: u64) -> FlowNetwork {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -23,8 +23,10 @@
 //! Results go to `BENCH_server.json` at the repository root and a human
 //! summary to stdout. Set `MFT_BENCH_SMOKE=1` for the small CI run,
 //! which still asserts the overload contract (with a relaxed latency
-//! bound for slow shared runners).
+//! bound for slow shared runners) and prints the JSON instead of
+//! writing the file.
 
+use mft_bench::smoke;
 use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
 use mft_core::{
     extract_error_code, extract_id, CircuitServer, LineClient, Request, RequestFrame, Response,
@@ -38,10 +40,6 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// Resident set size in KiB from `/proc/self/status` (0 where absent).
 fn rss_kb() -> u64 {
@@ -684,7 +682,5 @@ fn main() {
         speedup,
         replicated.recorded.len()
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    std::fs::write(out, &json).expect("write BENCH_server.json");
-    println!("wrote {out}");
+    mft_bench::write_report("BENCH_server.json", &json);
 }

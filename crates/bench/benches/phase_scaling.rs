@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mft_circuit::{SizingMode, VertexId};
-use mft_core::{solve_dphase, SizingProblem};
+use mft_core::{DPhaseInputs, DPhaseOptions, DPhaseSolver, SessionConfig, SizingProblem};
 use mft_delay::{DelayModel, Technology};
 use mft_gen::{random_circuit, RandomCircuitConfig};
 use mft_smp::SmpSolver;
@@ -32,7 +32,10 @@ fn bench_phases(c: &mut Criterion) {
         let dag = problem.dag();
         let model = problem.model();
         let target = 0.6 * problem.dmin();
-        let tilos = problem.tilos(target).expect("spec reachable");
+        let tilos = problem
+            .session(SessionConfig::cold())
+            .tilos_to(target)
+            .expect("spec reachable");
         let delays = model.delays(&tilos.sizes);
         let n = dag.num_vertices();
         let excess: Vec<f64> = (0..n)
@@ -41,17 +44,25 @@ fn bench_phases(c: &mut Criterion) {
         let sens = model.area_sensitivities(&tilos.sizes);
         let balanced =
             BalancedConfig::balance(dag, &delays, target, BalanceStyle::Asap).expect("balances");
+        // One D-phase as a fresh solver runs it: construction and solve.
+        let dphase_once = |sens: &[f64]| {
+            DPhaseSolver::new(dag, DPhaseOptions::default())?.solve(&DPhaseInputs {
+                sensitivities: sens,
+                excess: &excess,
+                config: &balanced,
+                trust_region: 0.25,
+            })
+        };
 
         group.throughput(Throughput::Elements(dag.num_edges() as u64));
         group.bench_with_input(BenchmarkId::new("dphase", gates), &gates, |b, _| {
             b.iter(|| {
-                let r = solve_dphase(dag, black_box(&sens), &excess, &balanced, 0.25, 6)
-                    .expect("dphase solves");
+                let r = dphase_once(black_box(&sens)).expect("dphase solves");
                 black_box(r.predicted_gain)
             })
         });
 
-        let dphase = solve_dphase(dag, &sens, &excess, &balanced, 0.25, 6).expect("solves");
+        let dphase = dphase_once(&sens).expect("solves");
         let budgets: Vec<f64> = (0..n).map(|i| delays[i] + dphase.delta[i]).collect();
         let dependents: Vec<Vec<usize>> = (0..n)
             .map(|i| {

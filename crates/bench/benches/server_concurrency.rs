@@ -12,6 +12,7 @@
 //! contract. Set `MFT_BENCH_SMOKE=1` for the single-sample CI run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mft_bench::smoke;
 use mft_circuit::SizingMode;
 use mft_core::{
     CircuitServer, LineClient, Request, RequestFrame, ServerConfig, SessionConfig, SizingProblem,
@@ -20,10 +21,6 @@ use mft_core::{
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use std::hint::black_box;
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// The per-circuit request stream (ids double as response labels).
 fn requests() -> Vec<RequestFrame> {

@@ -28,20 +28,17 @@
 //! human summary on stdout. Set `MFT_BENCH_SMOKE=1` for the CI run:
 //! c432-like plus the smallest rung only, single sample each, still
 //! asserting cached == uncached bitwise and the objective
-//! inequalities.
+//! inequalities; it prints the JSON instead of writing the file.
 
+use mft_bench::smoke;
 use mft_circuit::{SizingMode, VertexId};
-use mft_core::SizingProblem;
+use mft_core::{SessionConfig, SizingProblem};
 use mft_delay::{DelayModel, DiffScratch, Technology};
 use mft_gen::{Benchmark, LadderRung, SIZING_LADDER};
 use mft_sta::{IncrementalConfig, IncrementalTiming};
 use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosState};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// Resident set size in KiB from `/proc/self/status` (0 where absent).
 fn rss_kb() -> u64 {
@@ -250,14 +247,13 @@ struct PowerRun {
 /// wins on area, and both meet timing.
 fn run_power(name: &str, problem: &SizingProblem, spec: f64) -> PowerRun {
     let target = spec * problem.dmin();
+    let mut session = problem.session(SessionConfig::cold());
     let t0 = Instant::now();
-    let area_sol = problem
-        .minflotransit(target)
-        .expect("area objective solves");
+    let area_sol = session.size_to(target).expect("area objective solves");
     let area_seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let power_sol = problem
-        .minflotransit_power(target)
+    let power_sol = session
+        .size_to_power(target)
         .expect("power objective solves");
     let power_seconds = t1.elapsed().as_secs_f64();
 
@@ -498,7 +494,5 @@ fn main() {
         );
     }
     json.push_str("  }\n}\n");
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sizing.json");
-    std::fs::write(out, &json).expect("write BENCH_sizing.json");
-    println!("wrote {out}");
+    mft_bench::write_report("BENCH_sizing.json", &json);
 }

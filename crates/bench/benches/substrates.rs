@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mft_circuit::{SizingDag, SizingMode};
-use mft_core::SizingProblem;
+use mft_core::{SessionConfig, SizingProblem};
 use mft_delay::{DelayModel, LinearDelayModel, Technology};
 use mft_gen::Benchmark;
 use mft_sta::{BalanceStyle, BalancedConfig, TimingReport};
@@ -40,9 +40,12 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("area_sensitivities", |b| {
         b.iter(|| black_box(model.area_sensitivities(black_box(&sizes))))
     });
+    let mut session = problem.session(SessionConfig::cold());
     group.bench_function("tilos_c880", |b| {
         b.iter(|| {
-            let r = problem.tilos(black_box(0.5 * problem.dmin())).expect("ok");
+            let r = session
+                .tilos_to(black_box(0.5 * problem.dmin()))
+                .expect("ok");
             black_box(r.bumps)
         })
     });

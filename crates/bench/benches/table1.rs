@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mft_circuit::SizingMode;
-use mft_core::{Minflotransit, MinflotransitConfig, SizingProblem};
+use mft_core::{Minflotransit, MinflotransitConfig, SessionConfig, SizingProblem};
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use std::hint::black_box;
@@ -20,15 +20,17 @@ fn bench_table1_rows(c: &mut Criterion) {
         let problem =
             SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds");
         let target = bench.paper_spec() * problem.dmin();
+        // A cold session runs every TILOS request from a fresh state.
+        let mut session = problem.session(SessionConfig::cold());
 
         group.bench_function(format!("{}_tilos", bench.name()), |b| {
             b.iter(|| {
-                let r = problem.tilos(black_box(target)).expect("spec reachable");
+                let r = session.tilos_to(black_box(target)).expect("spec reachable");
                 black_box(r.area)
             })
         });
 
-        let seed = problem.tilos(target).expect("spec reachable");
+        let seed = session.tilos_to(target).expect("spec reachable");
         group.bench_function(format!("{}_mft_refine", bench.name()), |b| {
             b.iter(|| {
                 let sol = Minflotransit::new(MinflotransitConfig::default())

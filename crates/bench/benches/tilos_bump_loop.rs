@@ -10,16 +10,13 @@
 //! `MFT_BENCH_SMOKE=1` for the single-sample CI regression guard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mft_bench::smoke;
 use mft_circuit::SizingMode;
 use mft_core::SizingProblem;
 use mft_delay::Technology;
 use mft_gen::{random_circuit, Benchmark, RandomCircuitConfig};
 use mft_tilos::{TilosConfig, TilosError, TilosResult, TilosState};
 use std::hint::black_box;
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// The tightest reachable target: advance a scratch trajectory to an
 /// impossible spec and take the latched floor, padded 2% back inside

@@ -15,6 +15,7 @@
 //! samples).
 
 use mft_bench::legacy_json::{self, Json};
+use mft_bench::smoke;
 use mft_circuit::{Netlist, SizingMode};
 use mft_core::{
     extract_id, Request, RequestFrame, Response, SessionConfig, SizingProblem, SizingSession,
@@ -26,10 +27,6 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn smoke() -> bool {
-    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
-}
 
 /// Median wall time of one call of `f` over `samples` calls, after one
 /// warm-up call.

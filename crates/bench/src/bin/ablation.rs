@@ -33,7 +33,10 @@ fn main() {
     let problem =
         SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds");
     let target = bench.paper_spec() * problem.dmin();
-    let tilos = problem.tilos(target).expect("spec reachable");
+    let tilos = problem
+        .session(SessionConfig::cold())
+        .tilos_to(target)
+        .expect("spec reachable");
     println!(
         "# ablation on {} at {:.2}·Dmin (TILOS area {:.1})\n",
         bench.name(),

@@ -15,7 +15,8 @@
 //!
 //! [`legacy_json`] keeps the line protocol's pre-codec JSON reader and
 //! `format!` number writer, the oracle of the reader fuzz test and the
-//! baseline of the `wire_codec` bench.
+//! baseline of the `wire_codec` bench. [`smoke`] and [`write_report`]
+//! are the benches' shared run-size switch and JSON report writer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,10 @@
 pub mod legacy_json;
 
 use mft_circuit::SizingMode;
-use mft_core::{MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome};
+use mft_core::{
+    DPhaseInputs, DPhaseOptions, DPhaseSolver, MinflotransitConfig, SessionConfig, SizingProblem,
+    SweepOutcome,
+};
 use mft_delay::{DelayModel, Technology};
 use mft_gen::{random_circuit, Benchmark, RandomCircuitConfig};
 use mft_sta::{BalanceStyle, BalancedConfig};
@@ -31,6 +35,30 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Whether the benches run at their small CI size: `MFT_BENCH_SMOKE`
+/// is set to anything but `0`.
+pub fn smoke() -> bool {
+    std::env::var_os("MFT_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Writes a bench's JSON report to `file` at the repository root on a
+/// full run. A smoke run prints the JSON instead, so it never replaces
+/// the checked-in full-run numbers.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_report(file: &str, json: &str) {
+    if smoke() {
+        print!("{json}");
+        println!("smoke run: {file} not written");
+        return;
+    }
+    let out = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    println!("wrote {out}");
+}
 
 /// One row of the Table 1 reproduction.
 #[derive(Debug, Clone)]
@@ -92,10 +120,11 @@ pub fn run_benchmark(bench: Benchmark, config: &MinflotransitConfig) -> Result<T
 
     let mut spec = bench.paper_spec();
     let mut adjusted = None;
+    let mut session = problem.session(SessionConfig::cold());
     let (tilos, tilos_seconds) = loop {
         let target = spec * dmin;
         let t0 = Instant::now();
-        match problem.tilos(target) {
+        match session.tilos_to(target) {
             Ok(t) => break (t, t0.elapsed().as_secs_f64()),
             Err(_) if spec < 0.95 => {
                 spec += 0.05;
@@ -331,8 +360,9 @@ pub fn run_scaling(sizes: &[usize]) -> Result<Vec<ScalingPoint>, String> {
         let model = problem.model();
         let dmin = problem.dmin();
         let target = 0.6 * dmin;
+        let mut session = problem.session(SessionConfig::cold());
         let t0 = Instant::now();
-        let tilos = problem.tilos(target).map_err(|e| e.to_string())?;
+        let tilos = session.tilos_to(target).map_err(|e| e.to_string())?;
         let tilos_seconds = t0.elapsed().as_secs_f64();
 
         // One isolated D-phase and W-phase at the TILOS point.
@@ -344,7 +374,15 @@ pub fn run_scaling(sizes: &[usize]) -> Result<Vec<ScalingPoint>, String> {
         let balanced = BalancedConfig::balance(dag, &delays, target, BalanceStyle::Asap)
             .map_err(|e| e.to_string())?;
         let t1 = Instant::now();
-        let dphase = mft_core::solve_dphase(dag, &sens, &excess, &balanced, 0.25, 6)
+        let dphase = DPhaseSolver::new(dag, DPhaseOptions::default())
+            .and_then(|mut solver| {
+                solver.solve(&DPhaseInputs {
+                    sensitivities: &sens,
+                    excess: &excess,
+                    config: &balanced,
+                    trust_region: 0.25,
+                })
+            })
             .map_err(|e| e.to_string())?;
         let dphase_seconds = t1.elapsed().as_secs_f64();
 

@@ -13,7 +13,7 @@
 //!   per sizable element (gate, transistor, or wire) with edges along
 //!   charging/discharging paths — the structure on which timing analysis,
 //!   delay balancing and both optimization phases operate;
-//! * an ISCAS-85 `.bench` parser/writer and Graphviz export.
+//! * an ISCAS-85 `.bench` parser/writer.
 //!
 //! # Examples
 //!
@@ -42,7 +42,6 @@
 
 mod bench_format;
 mod dag;
-mod dot;
 mod error;
 mod expand;
 mod gate;
@@ -54,7 +53,6 @@ mod stats;
 
 pub use bench_format::{parse_bench, parse_bench_primitive, write_bench, C17_BENCH};
 pub use dag::{SizingDag, SizingMode, VertexOwner};
-pub use dot::{dag_to_dot, netlist_to_dot};
 pub use error::CircuitError;
 pub use gate::{Gate, GateKind, MAX_STACK};
 pub use id::{EdgeId, GateId, NetId, VertexId};

@@ -33,8 +33,7 @@
 //! additionally reuses its spanning tree between iterations; warm solves
 //! return certified optima but may pick a different optimal vertex of a
 //! degenerate LP than a cold solve, so warm-starting is opt-in. Cold
-//! persistent solves are bit-identical to the one-shot [`solve_dphase`]
-//! wrapper.
+//! persistent solves are bit-identical to a fresh solver's single solve.
 
 use crate::error::MftError;
 use mft_circuit::SizingDag;
@@ -390,45 +389,6 @@ impl DPhaseSolver {
     }
 }
 
-/// Builds and solves the D-phase LP once.
-///
-/// Thin wrapper over [`DPhaseSolver`] kept for callers that solve a
-/// single instance; the optimizer holds a persistent solver instead.
-///
-/// * `sensitivities` — the `C_i > 0` coefficients.
-/// * `excess` — `delay(i) − p_i` per vertex (the sizable part of each
-///   delay); the trust region is `±trust_region · excess_i`.
-/// * `config` — the balanced configuration capturing all slack.
-/// * `digits` — significant decimal digits to keep when integerizing.
-///
-/// # Errors
-///
-/// Propagates flow-solver failures; a well-formed balanced configuration
-/// never produces them (the LP is feasible at `r = 0` and bounded by the
-/// trust region).
-pub fn solve_dphase(
-    dag: &SizingDag,
-    sensitivities: &[f64],
-    excess: &[f64],
-    config: &BalancedConfig,
-    trust_region: f64,
-    digits: u32,
-) -> Result<DPhaseResult, MftError> {
-    let mut solver = DPhaseSolver::new(
-        dag,
-        DPhaseOptions {
-            digits,
-            ..Default::default()
-        },
-    )?;
-    solver.solve(&DPhaseInputs {
-        sensitivities,
-        excess,
-        config,
-        trust_region,
-    })
-}
-
 /// The power-of-ten scale giving `digits` significant digits to
 /// `max_const` (clamped so costs stay far from `i64` overflow).
 fn power_of_ten_scale(max_const: f64, digits: u32) -> f64 {
@@ -445,6 +405,25 @@ mod tests {
     use super::*;
     use mft_circuit::{NetlistBuilder, SizingDag};
     use mft_sta::{BalanceStyle, BalancedConfig};
+
+    /// One solve of a fresh solver with the default options.
+    fn solve_once(
+        dag: &SizingDag,
+        sensitivities: &[f64],
+        excess: &[f64],
+        config: &BalancedConfig,
+        trust_region: f64,
+    ) -> DPhaseResult {
+        DPhaseSolver::new(dag, DPhaseOptions::default())
+            .unwrap()
+            .solve(&DPhaseInputs {
+                sensitivities,
+                excess,
+                config,
+                trust_region,
+            })
+            .unwrap()
+    }
 
     /// Two-branch reconvergent DAG: slack sits on the short branch.
     fn diamond() -> SizingDag {
@@ -481,7 +460,7 @@ mod tests {
         // usable by *nobody* alone... but g1 shares paths with it.
         let c = vec![1.0, 10.0, 1.0];
         let excess = vec![0.8, 0.8, 0.8];
-        let r = solve_dphase(&dag, &c, &excess, &cfg, 0.5, 6).unwrap();
+        let r = solve_once(&dag, &c, &excess, &cfg, 0.5);
         // Giving g1 +δ requires g0 or g2 to give up δ (their C is 1 each,
         // g1's is 10) → profitable. The trust region caps δ at 0.4.
         assert!(r.predicted_gain > 0.0);
@@ -506,7 +485,7 @@ mod tests {
         // With equal sensitivities on a tight diamond, shifting budget
         // between vertices is zero-sum; gain comes only from consuming
         // slack (the loose edge) — g1 gaining means g0/g2 losing, net 0.
-        let r = solve_dphase(&dag, &c, &excess, &cfg, 0.3, 6).unwrap();
+        let r = solve_once(&dag, &c, &excess, &cfg, 0.3);
         // Every unit moved is +1 somewhere and −1 elsewhere → gain 0, and
         // the LP settles for ΔD = 0... or any zero-sum shuffle.
         assert!(r.predicted_gain.abs() < 1e-9);
@@ -520,7 +499,7 @@ mod tests {
         let cfg = BalancedConfig::balance(&dag, &delays, 4.0, BalanceStyle::Asap).unwrap();
         let c = vec![1.0, 1.0, 1.0];
         let excess = vec![1.0, 1.0, 1.0];
-        let r = solve_dphase(&dag, &c, &excess, &cfg, 0.5, 6).unwrap();
+        let r = solve_once(&dag, &c, &excess, &cfg, 0.5);
         assert!(r.predicted_gain > 0.4);
         // All deltas legal: new critical path within 4.
         let new_delays: Vec<f64> = delays
@@ -545,9 +524,9 @@ mod tests {
         flow.total_cost * max_sens / (SENS_QUANTUM * scale)
     }
 
-    /// A persistent solver re-solving with changed inputs matches the
-    /// one-shot wrapper bit for bit on every iteration, and its optimum
-    /// is the reference solver's.
+    /// A persistent solver re-solving with changed inputs matches a
+    /// fresh solver bit for bit on every iteration, and its optimum is
+    /// the reference solver's.
     #[test]
     fn persistent_solver_matches_one_shot_across_iterations() {
         let dag = diamond();
@@ -558,7 +537,7 @@ mod tests {
             let cfg = BalancedConfig::balance(&dag, &delays, target, BalanceStyle::Asap).unwrap();
             let c = vec![1.0 + round as f64, 10.0, 1.0];
             let excess = vec![0.8, 0.8, 0.8];
-            let one_shot = solve_dphase(&dag, &c, &excess, &cfg, gamma, 6).unwrap();
+            let one_shot = solve_once(&dag, &c, &excess, &cfg, gamma);
             let persistent = solver
                 .solve(&DPhaseInputs {
                     sensitivities: &c,
@@ -604,7 +583,7 @@ mod tests {
             let cfg = BalancedConfig::balance(&dag, &delays, 3.2, BalanceStyle::Asap).unwrap();
             let c = vec![1.0, 10.0 - round as f64, 1.0 + round as f64];
             let excess = vec![0.8, 0.8, 0.8];
-            let cold = solve_dphase(&dag, &c, &excess, &cfg, gamma, 6).unwrap();
+            let cold = solve_once(&dag, &c, &excess, &cfg, gamma);
             let got = warm
                 .solve(&DPhaseInputs {
                     sensitivities: &c,

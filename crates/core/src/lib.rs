@@ -16,33 +16,46 @@
 //! The phases alternate until the area improvement is negligible; every
 //! intermediate solution stays timing-feasible.
 //!
-//! # Sessions — the service API
+//! # Sessions — the one sizing API
 //!
-//! The primary entry point is [`SizingSession`]: a long-lived,
-//! re-entrant handle that owns a prepared problem plus **all** of the
-//! stack's warm state — the target-independent TILOS bump trajectory,
-//! the D-phase flow network, the W-phase SMP solver and the incremental
-//! timing engine — and serves typed requests against it:
+//! All sizing runs through [`SizingSession`]: a long-lived, re-entrant
+//! handle that owns a prepared [`SizingProblem`] plus the stack's warm
+//! state — per objective, the target-independent TILOS bump trajectory
+//! and a [`SolverContext`] (the D-phase flow network, the W-phase SMP
+//! solver and the incremental timing engine) — and serves typed
+//! requests against it:
 //!
 //! * [`SizingSession::size_to`] — full MINFLOTRANSIT sizing to a target;
+//! * [`SizingSession::size_to_power`] — the same pipeline minimizing
+//!   total power instead of area;
+//! * [`SizingSession::tilos_to`] — the TILOS seed alone;
 //! * [`SizingSession::sweep`] — a multi-point area–delay curve;
 //! * [`SizingSession::what_if`] — re-time a candidate size vector
-//!   through the incremental engine, no optimization;
+//!   through a [`ReadView`], no optimization;
 //! * [`SizingSession::stats`] — cumulative service counters;
-//! * [`SizingSession::serve`] — the same four as a typed
+//! * [`SizingSession::serve`] — the same requests as a typed
 //!   request/response protocol ([`Request`]/[`Response`]), with a
 //!   newline-delimited JSON wire format behind the `mft serve` CLI.
 //!
-//! Warm state persists *across* requests: "size to target A, then B,
-//! then sweep 8 points, then what-if" runs on one trajectory, one flow
-//! network, one SMP solver and one timing engine end to end — and every
-//! served value is **bit-identical** to the corresponding one-shot
-//! legacy call (see the [`session`-module exactness
-//! notes](SizingSession) and `tests/session_golden.rs`). Configuration
-//! is one builder, [`SessionConfig`], with [`SessionConfig::warm`] /
-//! [`SessionConfig::cold`] presets over the optimizer
-//! ([`MinflotransitConfig`]) and TILOS knobs, the reuse levers and the
-//! sweep worker count.
+//! Configuration is one builder, [`SessionConfig`], with presets over
+//! the optimizer ([`MinflotransitConfig`]) and TILOS knobs, the reuse
+//! levers and the sweep worker count:
+//!
+//! * [`SessionConfig::cold`] (or [`SessionConfig::cold_with`] for a
+//!   custom optimizer configuration) keeps no state between requests:
+//!   each one runs a fresh TILOS seed and fresh solvers, the path the
+//!   `mft size` command takes;
+//! * [`SessionConfig::shared_exact`] shares the trajectory and solvers
+//!   across requests with cold inner solves — every value stays
+//!   bit-identical to the cold preset;
+//! * [`SessionConfig::warm`] also warm-starts the inner D/W solves,
+//!   reaching the same optima up to the last float bits.
+//!
+//! Requests may arrive in any order (see the [`session`-module
+//! exactness notes](SizingSession) and `tests/session_golden.rs`).
+//! [`Minflotransit`] alone is the D/W relaxation from a caller-provided
+//! start ([`Minflotransit::optimize_from`]), for custom delay models;
+//! [`DPhaseSolver`] solves one D-phase LP.
 //!
 //! ```
 //! use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
@@ -80,38 +93,6 @@
 //! model in `docs/ARCHITECTURE.md` (repository root). Socket-served
 //! values are bit-identical to in-process sessions — the server adds
 //! routing, never arithmetic.
-//!
-//! # One-shot convenience API
-//!
-//! [`SizingProblem`] keeps the historical "just size my circuit" calls
-//! ([`SizingProblem::minflotransit`] / [`SizingProblem::minflotransit_with`],
-//! [`SizingProblem::minflotransit_power`], [`SizingProblem::tilos`]);
-//! each is a thin wrapper that runs one request through the session
-//! runners with fresh warm state, so the two APIs cannot drift apart.
-//! Sweeps — serial or across worker threads — go through
-//! [`SizingSession::sweep`]. [`Minflotransit`] alone is the D/W
-//! relaxation from a caller-provided start
-//! ([`Minflotransit::optimize_from`]).
-//!
-//! # Migration
-//!
-//! Moving from the one-shot API to sessions:
-//!
-//! | legacy | session |
-//! |---|---|
-//! | `SizingProblem::prepare(..)?` + repeated `problem.minflotransit(t)` | `SizingSession::prepare(.., SessionConfig::warm())?` + `session.size_to(t)` |
-//! | `problem.minflotransit_with(t, config)` | `SizingSession::new(problem, SessionConfig::warm_with(config))` + `size_to(t)` |
-//! | `problem.tilos(t)` | `session.tilos_to(t)` |
-//! | `problem.delay_of(&sizes)` / `problem.area_of(&sizes)` | `session.what_if(&sizes, target)` |
-//! | `MinflotransitConfig` + `TilosConfig` juggling | one [`SessionConfig`] builder |
-//! | `TilosError` / `MftError` juggling | every session/problem method returns [`MftError`] |
-//!
-//! Semantics: results are bit-identical between the two columns under
-//! the same optimizer configuration; only the wall-clock changes (the
-//! session amortizes trajectory replay and solver construction across
-//! requests). `SizingProblem::prepare` returns [`MftError`], and
-//! `SizingProblem::tilos` returns [`MftError`] with the TILOS failure
-//! wrapped in [`MftError::InitialSizing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,9 +111,7 @@ mod session;
 
 pub use cancel::CancelToken;
 pub use curve::{curve_to_csv, format_curve, CurvePoint, SweepOutcome};
-pub use dphase::{
-    solve_dphase, DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, DPhaseStats,
-};
+pub use dphase::{DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, DPhaseStats};
 pub use error::MftError;
 pub use optimizer::{
     IterationStats, Minflotransit, MinflotransitConfig, SizingSolution, SolverContext, WPhaseStats,

@@ -272,9 +272,8 @@ impl SolverContext {
 /// redistribution) and the W-phase (SMP minimum-area resize) until the
 /// area improvement after a W-phase is negligible.
 ///
-/// The full pipeline — TILOS seed first, then this loop — is
-/// [`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit)
-/// or a [`SizingSession`](crate::SizingSession).
+/// The full pipeline — TILOS seed first, then this loop — is a
+/// [`SizingSession`](crate::SizingSession).
 #[derive(Debug, Clone, Default)]
 pub struct Minflotransit {
     config: MinflotransitConfig,
@@ -570,6 +569,7 @@ impl Minflotransit {
 mod tests {
     use super::*;
     use crate::pipeline::SizingProblem;
+    use crate::session::SessionConfig;
     use mft_circuit::{GateKind, Netlist, NetlistBuilder, SizingMode};
     use mft_delay::Technology;
 
@@ -596,7 +596,10 @@ mod tests {
     #[test]
     fn loose_target_returns_minimum_sizes() {
         let problem = setup(&fig6());
-        let sol = problem.minflotransit(problem.dmin() * 2.0).unwrap();
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(problem.dmin() * 2.0)
+            .unwrap();
         assert_eq!(sol.iterations, 0);
         assert_eq!(sol.sizes, vec![1.0; problem.dag().num_vertices()]);
         assert_eq!(sol.area_saving_percent(), 0.0);
@@ -606,7 +609,10 @@ mod tests {
     fn improves_on_the_tilos_seed_and_keeps_timing() {
         let problem = setup(&fig6());
         let target = 0.6 * problem.dmin();
-        let sol = problem.minflotransit(target).unwrap();
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(target)
+            .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
         assert!(
             sol.area <= sol.initial_area + 1e-9,
@@ -664,7 +670,10 @@ mod tests {
         b.output(layer[0], "root");
         let problem = setup(&b.finish().unwrap());
         let target = 0.72 * problem.dmin();
-        let sol = problem.minflotransit(target).unwrap();
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(target)
+            .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
         let mut last = sol.initial_area;
         for step in &sol.history {

@@ -1,26 +1,17 @@
-//! A convenience bundle tying a netlist, its sizing DAG, the Elmore model
-//! and both sizers together — the "just size my circuit" front door used
-//! by the examples and experiment harnesses.
-//!
-//! Every sizing method here is a thin wrapper over the session request
-//! runners ([`crate::SizingSession`] uses the same functions), run with
-//! fresh one-shot warm state — so the legacy one-call API and the
-//! session-served API cannot drift apart, and the historical results
-//! stay bit-identical. Callers answering more than one query over the
-//! same circuit should open a [`crate::SizingSession`] instead (see the
-//! crate-level migration notes); a prepared problem is the unit the
-//! multi-circuit [`crate::CircuitServer`] registers per `load` — built
-//! once, then reused by every request the circuit's session serves.
+//! A prepared sizing problem: the netlist, its sizing DAG, the Elmore
+//! model and the corner's power model, built once. Sizing runs through a
+//! [`SizingSession`] opened over it ([`SizingProblem::session`]); a
+//! prepared problem is also the unit the multi-circuit
+//! [`crate::CircuitServer`] registers per `load`, reused by every
+//! request the circuit's session serves.
 
 use crate::error::MftError;
-use crate::optimizer::{MinflotransitConfig, SizingSolution};
-use crate::session::PowerSolution;
-use crate::session::{self, SessionConfig, SessionStats, SizingSession};
+use crate::session::{SessionConfig, SizingSession};
 use mft_circuit::{Netlist, SizingDag, SizingMode};
 use mft_delay::{apply_default_loads, DelayModel, LinearDelayModel, Technology};
 use mft_sta::critical_path;
 use mft_tech::{Corner, PowerBreakdown, PowerModel};
-use mft_tilos::{minimum_sized_delay, TilosResult};
+use mft_tilos::minimum_sized_delay;
 
 /// A ready-to-optimize sizing problem: netlist + DAG + Elmore model +
 /// the corner's power model.
@@ -146,100 +137,6 @@ impl SizingProblem {
         SizingSession::new(self, config)
     }
 
-    /// Sizes with TILOS only, at an absolute delay target — one cold
-    /// one-shot request through the session runner.
-    ///
-    /// # Errors
-    ///
-    /// [`MftError::InitialSizing`] when the target is unreachable.
-    pub fn tilos(&self, target: f64) -> Result<TilosResult, MftError> {
-        session::tilos_point(
-            self,
-            self.model(),
-            &SessionConfig::cold(),
-            &mut None,
-            &mut SessionStats::default(),
-            target,
-            None,
-        )
-        .map_err(MftError::InitialSizing)
-    }
-
-    /// Runs the full MINFLOTRANSIT pipeline at an absolute delay target.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MftError`] (initial sizing failure or solver errors).
-    pub fn minflotransit(&self, target: f64) -> Result<SizingSolution, MftError> {
-        self.minflotransit_with(target, MinflotransitConfig::default())
-    }
-
-    /// Runs MINFLOTRANSIT with a custom configuration — one cold
-    /// one-shot request through the session runner (fresh trajectory
-    /// and solvers, bit-identical to the historical per-call path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MftError`].
-    pub fn minflotransit_with(
-        &self,
-        target: f64,
-        config: MinflotransitConfig,
-    ) -> Result<SizingSolution, MftError> {
-        session::run_point(
-            self,
-            self.model(),
-            &SessionConfig::cold_with(config),
-            &mut None,
-            &mut None,
-            &mut SessionStats::default(),
-            target,
-            None,
-        )
-    }
-
-    /// Runs MINFLOTRANSIT with the **power objective**: minimum total
-    /// power subject to the delay target, through the same D/W iteration
-    /// over a power-weighted view of the delay model.
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingProblem::minflotransit`].
-    pub fn minflotransit_power(&self, target: f64) -> Result<PowerSolution, MftError> {
-        self.minflotransit_power_with(target, MinflotransitConfig::default())
-    }
-
-    /// [`SizingProblem::minflotransit_power`] with a custom optimizer
-    /// configuration — one cold one-shot request through the session
-    /// runner, bit-identical to a session-served `size_power` under the
-    /// same configuration.
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingProblem::minflotransit`].
-    pub fn minflotransit_power_with(
-        &self,
-        target: f64,
-        config: MinflotransitConfig,
-    ) -> Result<PowerSolution, MftError> {
-        session::run_power_point(
-            self,
-            &SessionConfig::cold_with(config),
-            &mut None,
-            &mut None,
-            &mut SessionStats::default(),
-            target,
-            None,
-        )
-    }
-
-    /// Builds a [`SizingReport`](crate::SizingReport) for a solution of
-    /// this problem, including the persistent D-phase solver's reuse
-    /// statistics (cold/warm solve counts, flow time).
-    pub fn report(&self, solution: &crate::SizingSolution, target: f64) -> crate::SizingReport {
-        crate::SizingReport::for_solution(self, solution, target)
-    }
-
     /// Critical-path delay of an arbitrary sizing of this problem.
     ///
     /// # Panics
@@ -278,8 +175,9 @@ mod tests {
         let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
         assert!(problem.dmin() > 0.0);
         let target = 0.7 * problem.dmin();
-        let tilos = problem.tilos(target).unwrap();
-        let mft = problem.minflotransit(target).unwrap();
+        let mut session = problem.session(SessionConfig::cold());
+        let tilos = session.tilos_to(target).unwrap();
+        let mft = session.size_to(target).unwrap();
         assert!(mft.achieved_delay <= target * (1.0 + 1e-6));
         assert!(mft.area <= tilos.area + 1e-9);
         // Sanity: delay_of/area_of agree with the solution's own numbers.
@@ -287,14 +185,18 @@ mod tests {
         assert!((problem.area_of(&mft.sizes) - mft.area).abs() < 1e-9);
     }
 
-    /// The wrapper reproduces a fresh `TilosState` advanced once, bitwise.
+    /// A cold session's TILOS seed is a fresh `TilosState` advanced
+    /// once, bitwise.
     #[test]
-    fn tilos_wrapper_matches_direct_sizer() {
+    fn cold_tilos_matches_direct_sizer() {
         let netlist = parse_bench("c17", C17_BENCH).unwrap();
         let tech = Technology::cmos_130nm();
         let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
-        let wrapped = problem.tilos(target).unwrap();
+        let wrapped = problem
+            .session(SessionConfig::cold())
+            .tilos_to(target)
+            .unwrap();
         let direct = TilosState::new(problem.dag(), problem.model(), TilosConfig::default())
             .unwrap()
             .advance_to(problem.dag(), problem.model(), target)
@@ -327,7 +229,10 @@ y = XOR(a, b)
         // 6 NAND2 gates → 24 transistors.
         assert_eq!(problem.dag().num_vertices(), 24);
         let target = 0.8 * problem.dmin();
-        let sol = problem.minflotransit(target).unwrap();
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(target)
+            .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
     }
 }

@@ -192,6 +192,7 @@ fn kind_name(problem: &SizingProblem, g: GateId) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionConfig;
     use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
     use mft_delay::Technology;
 
@@ -201,7 +202,10 @@ mod tests {
         let problem =
             SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
-        let sol = problem.minflotransit(target).unwrap();
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(target)
+            .unwrap();
         let report = SizingReport::for_solution(&problem, &sol, target);
         assert!((report.area - sol.area).abs() < 1e-9);
         assert!(report.area_ratio >= 1.0);

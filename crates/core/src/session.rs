@@ -1,16 +1,15 @@
-//! The session-oriented service API: one re-entrant [`SizingSession`]
+//! The session-oriented sizing API: one re-entrant [`SizingSession`]
 //! handle over all of the stack's warm state.
 //!
 //! The optimizer has two expensive persistent structures — the TILOS
 //! bump trajectory ([`mft_tilos::TilosState`]) and the [`SolverContext`]
 //! (D-phase flow network, W-phase SMP solver and incremental timing
-//! engine) — which the one-shot
-//! [`SizingProblem::minflotransit`](crate::SizingProblem::minflotransit)
-//! rebuilds per call. A [`SizingSession`] owns the prepared problem
-//! *and* all of that warm state, and serves a typed request stream
-//! against it: "size to target A, then B, then sweep 8 points" runs
-//! over **one** trajectory, one flow network, one SMP solver and one
-//! timing engine end to end.
+//! engine). A [`SizingSession`] owns the prepared problem *and* one such
+//! pair per objective (area and power), and serves a typed request
+//! stream against it: "size to target A, then B, then sweep 8 points"
+//! runs over **one** trajectory, one flow network, one SMP solver and
+//! one timing engine end to end. Under [`SessionConfig::cold`] no state
+//! survives a request: each one builds a fresh seed and fresh solvers.
 //!
 //! What-if requests never touch that optimizer state: the session
 //! answers them through one lazily built [`ReadView`] over its shared
@@ -20,8 +19,9 @@
 //! # Exactness
 //!
 //! Cross-request reuse never changes a result. Every value served by a
-//! session is **bit-identical** to the corresponding one-shot legacy
-//! call under the same [`MinflotransitConfig`]:
+//! session is **bit-identical** to the same request on a fresh
+//! [`SessionConfig::cold_with`] session under the same
+//! [`MinflotransitConfig`]:
 //!
 //! * TILOS seeds come from the shared trajectory — tighter-than-before
 //!   targets advance it (bit-exact, the bump sequence is
@@ -41,11 +41,12 @@
 //!   those fields. With them off ([`SessionConfig::cold`], or
 //!   `SessionConfig { warm: SweepWarmStart::full(), .. }` over a
 //!   default optimizer config) the session is bit-identical to the
-//!   legacy cold path, which `tests/session_golden.rs` pins.
+//!   cold path, which `tests/session_golden.rs` pins.
 //!
-//! The one-shot [`SizingProblem`] methods are thin wrappers over the
-//! same internal request runners this module exports to the rest of
-//! the crate, so they cannot drift from the session.
+//! Every request kind runs through one private runner per step — the
+//! TILOS seed, the optimizer phase, a full size request, a sweep point
+//! — over one warm state; the power objective is the same size runner
+//! over a [`PowerWeightedModel`] and its own warm state.
 //!
 //! # Sweeps
 //!
@@ -101,7 +102,7 @@ use crate::protocol::{ErrorCode, Request, Response};
 use mft_circuit::{Netlist, SizingMode, VertexId};
 use mft_delay::{DelayModel, DiffScratch, Technology};
 use mft_sta::{IncrementalTiming, TimingStats};
-use mft_tech::{Corner, PowerBreakdown, PowerWeightedModel};
+use mft_tech::{PowerBreakdown, PowerWeightedModel};
 use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosResult, TilosState};
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,8 +131,7 @@ pub struct SweepWarmStart {
 }
 
 impl SweepWarmStart {
-    /// Every lever off: each target replays the one-shot cold path
-    /// exactly.
+    /// Every lever off: each target runs from fresh state.
     pub fn cold() -> Self {
         SweepWarmStart {
             resume_tilos: false,
@@ -187,22 +187,9 @@ impl SessionConfig {
         }
     }
 
-    /// [`SessionConfig::warm`] on top of a custom optimizer
-    /// configuration (its inner warm-start levers are forced on).
-    pub fn warm_with(mut optimizer: MinflotransitConfig) -> Self {
-        optimizer.dphase_warm_start = true;
-        optimizer.wphase_warm_start = true;
-        SessionConfig {
-            optimizer,
-            warm: SweepWarmStart::full(),
-            jobs: 1,
-        }
-    }
-
-    /// Every reuse lever off: each request replays the historical
-    /// one-shot path exactly (fresh trajectory, fresh solvers, cold
-    /// inner solves — bit-reproducible with the legacy entry points by
-    /// construction).
+    /// Every reuse lever off: each request runs from fresh state (fresh
+    /// trajectory, fresh solvers, cold inner solves), so its result does
+    /// not depend on the requests before it.
     pub fn cold() -> Self {
         SessionConfig {
             optimizer: MinflotransitConfig::default(),
@@ -223,7 +210,7 @@ impl SessionConfig {
 
     /// Cross-request reuse (shared trajectory + persistent solvers)
     /// with the inner solves left cold: every served value is
-    /// bit-identical to the legacy cold path, while requests still
+    /// bit-identical to [`SessionConfig::cold`], while requests still
     /// amortize the trajectory and the solver construction. The
     /// exactness middle ground between [`SessionConfig::warm`] and
     /// [`SessionConfig::cold`].
@@ -343,7 +330,7 @@ pub struct WhatIfReport {
     /// Area normalized to the minimum-sized circuit.
     pub area_ratio: f64,
     /// Total power (leakage + switching) of the candidate sizing under
-    /// the problem's [`Corner`].
+    /// the problem's [`Corner`](mft_tech::Corner).
     pub power: f64,
     /// Critical-path delay of the candidate sizing — bit-identical to
     /// a cold [`mft_sta::critical_path`].
@@ -357,6 +344,17 @@ pub struct WhatIfReport {
     pub meets_target: Option<bool>,
 }
 
+/// The warm state of one objective: the TILOS bump trajectory and the
+/// [`SolverContext`], each built on first use. A session holds one per
+/// objective (their bump sequences and dual states answer different
+/// optimizations and must not mix); each sweep worker starts from an
+/// empty one.
+#[derive(Debug, Default)]
+struct WarmState {
+    trajectory: Option<TilosState>,
+    context: Option<SolverContext>,
+}
+
 /// Runs the TILOS-seed part of a request: from the shared trajectory
 /// when [`SweepWarmStart::resume_tilos`] is on (snapshot replay for
 /// already-passed targets, trajectory advance otherwise), else a fresh
@@ -365,11 +363,11 @@ pub struct WhatIfReport {
 /// delays, power-derived objective weights). The seed's timing and
 /// sensitivity work is added to `stats`; a caller that needs it per
 /// request reads it as the difference to a snapshot taken before.
-pub(crate) fn tilos_point<M: DelayModel>(
+fn tilos_point<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
     config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
+    state: &mut WarmState,
     stats: &mut SessionStats,
     target: f64,
     token: Option<&CancelToken>,
@@ -378,12 +376,12 @@ pub(crate) fn tilos_point<M: DelayModel>(
     let probe = token.map(|t| t as &dyn mft_tilos::CancelProbe);
     let mut fresh = None;
     let slot = if config.warm.resume_tilos {
-        trajectory
+        &mut state.trajectory
     } else {
         &mut fresh
     };
     // A state built by this request charges its construction full pass
-    // to this request (the legacy one-shot path reports it too).
+    // to this request.
     let (timing_before, sens_before, bumps_before) = slot
         .as_ref()
         .map(|s| (s.timing_stats(), s.sensitivity_stats(), s.bumps()))
@@ -391,11 +389,11 @@ pub(crate) fn tilos_point<M: DelayModel>(
     if slot.is_none() {
         *slot = Some(TilosState::new(dag, model, config.optimizer.tilos.clone())?);
     }
-    let state = slot.as_mut().expect("just ensured");
-    // Only a shared trajectory replays from its bump log; the one-shot
-    // path always advances, exactly as the legacy sizer did.
+    let tilos = slot.as_mut().expect("just ensured");
+    // Only a shared trajectory replays from its bump log; a fresh one
+    // always advances.
     let snapshot = if config.warm.resume_tilos {
-        state.snapshot_at(model, target)
+        tilos.snapshot_at(model, target)
     } else {
         None
     };
@@ -406,18 +404,18 @@ pub(crate) fn tilos_point<M: DelayModel>(
             Ok(snapshot)
         }
         None => {
-            let result = state.advance_to_with(dag, model, target, probe);
+            let result = tilos.advance_to_with(dag, model, target, probe);
             stats.trajectory_reused_bumps += bumps_before;
-            stats.trajectory_bumps += state.bumps() - bumps_before;
+            stats.trajectory_bumps += tilos.bumps() - bumps_before;
             result
         }
     };
     stats.tilos_timing = stats
         .tilos_timing
-        .merged(&state.timing_stats().since(&timing_before));
+        .merged(&tilos.timing_stats().since(&timing_before));
     stats.sensitivity = stats
         .sensitivity
-        .merged(&state.sensitivity_stats().since(&sens_before));
+        .merged(&tilos.sensitivity_stats().since(&sens_before));
     result
 }
 
@@ -431,7 +429,7 @@ fn optimize_with_state<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
     config: &SessionConfig,
-    context: &mut Option<SolverContext>,
+    state: &mut WarmState,
     stats: &mut SessionStats,
     target: f64,
     seed_sizes: Vec<f64>,
@@ -440,10 +438,10 @@ fn optimize_with_state<M: DelayModel>(
     let dag = problem.dag();
     let mut throwaway;
     let ctx = if config.warm.reuse_solvers {
-        if context.is_none() {
-            *context = Some(SolverContext::new(&config.optimizer, dag, model)?);
+        if state.context.is_none() {
+            state.context = Some(SolverContext::new(&config.optimizer, dag, model)?);
         }
-        let ctx = context.as_mut().expect("just ensured");
+        let ctx = state.context.as_mut().expect("just ensured");
         if !config.warm.cross_target_state {
             // Hermetic request boundary: the retained dual state must
             // not leak into this request, so every request is a pure
@@ -467,16 +465,14 @@ fn optimize_with_state<M: DelayModel>(
 /// with the minimum-sized early return — against the given warm state.
 /// The caller counts the request. The early return and the
 /// seed/optimize phases all read the objective through the model's
-/// `area*` hooks, so substituting a [`PowerWeightedModel`] turns the
-/// whole request into a power minimization without touching the
-/// optimizer.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_point<M: DelayModel>(
+/// `area*` hooks, so substituting a [`PowerWeightedModel`] (with the
+/// power objective's warm state) turns the whole request into a power
+/// minimization without touching the optimizer.
+fn run_point<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
     config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    context: &mut Option<SolverContext>,
+    state: &mut WarmState,
     stats: &mut SessionStats,
     target: f64,
     token: Option<&CancelToken>,
@@ -503,7 +499,7 @@ pub(crate) fn run_point<M: DelayModel>(
         });
     }
     let before = *stats;
-    let seed = match tilos_point(problem, model, config, trajectory, stats, target, token) {
+    let seed = match tilos_point(problem, model, config, state, stats, target, token) {
         Ok(seed) => seed,
         // A cancelled seed must not masquerade as "target unreachable"
         // through the `From<TilosError>` wrapper.
@@ -517,7 +513,7 @@ pub(crate) fn run_point<M: DelayModel>(
     };
     let seed_bumps = seed.bumps;
     let mut solution = match optimize_with_state(
-        problem, model, config, context, stats, target, seed.sizes, token,
+        problem, model, config, state, stats, target, seed.sizes, token,
     ) {
         Ok(solution) => solution,
         Err(MftError::Cancelled { iterations, .. }) => {
@@ -537,9 +533,8 @@ pub(crate) fn run_point<M: DelayModel>(
 }
 
 /// The result of a power-objective size request
-/// ([`SizingSession::size_to_power`] /
-/// [`SizingProblem::minflotransit_power`](crate::SizingProblem::minflotransit_power)):
-/// minimum total power subject to the delay target.
+/// ([`SizingSession::size_to_power`]): minimum total power subject to
+/// the delay target.
 ///
 /// The wrapped [`SizingSolution`]'s `area`/`initial_area` fields hold
 /// the *power-objective* values the optimizer minimized (the
@@ -560,44 +555,12 @@ pub struct PowerSolution {
     pub area: f64,
 }
 
-/// Runs one full power-objective size request: the exact [`run_point`]
-/// machinery over a [`PowerWeightedModel`] (identical delays,
-/// power-derived objective weights), so D-phase budgets, W-phase
-/// resizing, TILOS seeding and the trust region all minimize total
-/// power instead of area. The caller supplies *separate* warm state —
-/// power trajectories and area trajectories must not mix, their bump
-/// sequences differ. Counts the request as a power size request.
-pub(crate) fn run_power_point(
-    problem: &SizingProblem,
-    config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    context: &mut Option<SolverContext>,
-    stats: &mut SessionStats,
-    target: f64,
-    token: Option<&CancelToken>,
-) -> Result<PowerSolution, MftError> {
-    stats.requests += 1;
-    stats.size_power_requests += 1;
-    let wrapper = PowerWeightedModel::new(problem.model(), problem.power());
-    let solution = run_point(
-        problem, &wrapper, config, trajectory, context, stats, target, token,
-    )?;
-    let power = problem.power().breakdown(&solution.sizes);
-    let area = problem.model().area(&solution.sizes);
-    Ok(PowerSolution {
-        solution,
-        power,
-        area,
-    })
-}
-
 /// Runs one sweep point (no minimum-sized early return: the optimizer
 /// loop runs even for `spec ≥ 1`, exactly as the historical sweep did).
 fn sweep_point(
     problem: &SizingProblem,
     config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    context: &mut Option<SolverContext>,
+    state: &mut WarmState,
     stats: &mut SessionStats,
     spec: f64,
     token: Option<&CancelToken>,
@@ -612,7 +575,7 @@ fn sweep_point(
         problem,
         problem.model(),
         config,
-        trajectory,
+        state,
         stats,
         target,
         token,
@@ -641,7 +604,7 @@ fn sweep_point(
         problem,
         problem.model(),
         config,
-        context,
+        state,
         stats,
         target,
         tilos.sizes.clone(),
@@ -676,16 +639,14 @@ fn sweep_point(
 /// `D_min > 0`; ties keep input order). With `jobs` ≤ 1 they run
 /// through the caller's warm state (leaving the trajectory advanced
 /// for later requests); with more, the sorted order is split into
-/// contiguous chunks swept by `std::thread::scope` workers, each with a
-/// fresh trajectory and solver context (`jobs` is clamped so workers
-/// never outnumber specs). Every worker's work is counted, also when
-/// the sweep fails.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep(
+/// contiguous chunks swept by `std::thread::scope` workers, each from
+/// an empty [`WarmState`] (`jobs` is clamped so workers never
+/// outnumber specs). Every worker's work is counted, also when the
+/// sweep fails.
+fn run_sweep(
     problem: &SizingProblem,
     config: &SessionConfig,
-    trajectory: &mut Option<TilosState>,
-    context: &mut Option<SolverContext>,
+    state: &mut WarmState,
     stats: &mut SessionStats,
     specs: &[f64],
     token: Option<&CancelToken>,
@@ -704,7 +665,7 @@ pub(crate) fn run_sweep(
     if jobs == 1 {
         for &idx in &order {
             outcomes[idx] = Some(sweep_point(
-                problem, config, trajectory, context, stats, specs[idx], token,
+                problem, config, state, stats, specs[idx], token,
             )?);
         }
     } else {
@@ -714,8 +675,7 @@ pub(crate) fn run_sweep(
                 .chunks(chunk_len)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        let mut trajectory = None;
-                        let mut context = None;
+                        let mut state = WarmState::default();
                         let mut worker = SessionStats::default();
                         let result = chunk
                             .iter()
@@ -723,8 +683,7 @@ pub(crate) fn run_sweep(
                                 let outcome = sweep_point(
                                     problem,
                                     config,
-                                    &mut trajectory,
-                                    &mut context,
+                                    &mut state,
                                     &mut worker,
                                     specs[idx],
                                     token,
@@ -767,15 +726,13 @@ pub struct SizingSession {
     /// against the same problem instead of a copy.
     problem: Arc<SizingProblem>,
     config: SessionConfig,
-    trajectory: Option<TilosState>,
-    context: Option<SolverContext>,
-    // The power objective's warm state is kept apart from the area
-    // objective's: the two bump trajectories and dual states answer
-    // different optimizations, and mixing them would break the
-    // bit-exactness story of both (most visibly under
-    // `cross_target_state`).
-    power_trajectory: Option<TilosState>,
-    power_context: Option<SolverContext>,
+    /// Warm state of the area objective (size, TILOS-only and sweep
+    /// requests).
+    area: WarmState,
+    /// Warm state of the power objective, kept apart from the area
+    /// objective's: mixing the two would break the exactness of both
+    /// (most visibly under `cross_target_state`).
+    power: WarmState,
     /// Answers what-if requests; built on the first one.
     view: Option<ReadView>,
     stats: SessionStats,
@@ -787,10 +744,8 @@ impl SizingSession {
         SizingSession {
             problem: problem.into(),
             config,
-            trajectory: None,
-            context: None,
-            power_trajectory: None,
-            power_context: None,
+            area: WarmState::default(),
+            power: WarmState::default(),
             view: None,
             stats: SessionStats::default(),
         }
@@ -814,25 +769,6 @@ impl SizingSession {
         ))
     }
 
-    /// Like [`SizingSession::prepare`], but under a named technology
-    /// [`Corner`] (electricals + power parameters). The delay side is
-    /// bit-identical to preparing with `corner.tech` directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingProblem::prepare_corner`].
-    pub fn prepare_corner(
-        netlist: &Netlist,
-        corner: &Corner,
-        mode: SizingMode,
-        config: SessionConfig,
-    ) -> Result<Self, MftError> {
-        Ok(Self::new(
-            SizingProblem::prepare_corner(netlist, corner, mode)?,
-            config,
-        ))
-    }
-
     /// The prepared problem (netlist, DAG, delay model, `D_min`).
     pub fn problem(&self) -> &SizingProblem {
         &self.problem
@@ -844,50 +780,78 @@ impl SizingSession {
     }
 
     /// Sizes to an absolute delay target through the full
-    /// MINFLOTRANSIT pipeline — the session-served equivalent of
-    /// [`SizingProblem::minflotransit`], bit-identical to it under the
-    /// same optimizer configuration.
+    /// MINFLOTRANSIT pipeline: the TILOS seed, then the D/W relaxation.
+    /// Under [`SessionConfig::cold`] every call starts from fresh state;
+    /// under the other presets it resumes the session's warm state, with
+    /// the results described in the module docs.
     ///
     /// # Errors
     ///
-    /// As [`SizingProblem::minflotransit`].
+    /// [`MftError::InitialSizing`] when TILOS cannot reach the target,
+    /// or a solver failure from the relaxation.
     pub fn size_to(&mut self, target: f64) -> Result<SizingSolution, MftError> {
-        self.stats.requests += 1;
-        self.stats.size_requests += 1;
-        run_point(
-            &self.problem,
-            self.problem.model(),
-            &self.config,
-            &mut self.trajectory,
-            &mut self.context,
-            &mut self.stats,
-            target,
-            None,
-        )
+        self.size(target, None)
     }
 
     /// Sizes to an absolute delay target minimizing **total power**
     /// (leakage + activity-weighted switching, per the problem's
-    /// [`Corner`]) instead of area — the session-served equivalent of
-    /// [`SizingProblem::minflotransit_power`](crate::SizingProblem::minflotransit_power),
-    /// bit-identical to it under the same optimizer configuration.
-    /// Power requests keep their own warm trajectory/solvers, separate
-    /// from the area objective's, so mixing `size_to` and
-    /// `size_to_power` on one session never changes either answer.
+    /// [`Corner`](mft_tech::Corner)) instead of area. Power requests keep their own warm
+    /// state, separate from the area objective's, so mixing `size_to`
+    /// and `size_to_power` on one session never changes either answer.
     ///
     /// # Errors
     ///
     /// As [`SizingSession::size_to`].
     pub fn size_to_power(&mut self, target: f64) -> Result<PowerSolution, MftError> {
-        run_power_point(
-            &self.problem,
+        self.size_power(target, None)
+    }
+
+    /// Counts and runs one area-objective size request.
+    fn size(
+        &mut self,
+        target: f64,
+        token: Option<&CancelToken>,
+    ) -> Result<SizingSolution, MftError> {
+        self.stats.requests += 1;
+        self.stats.size_requests += 1;
+        let problem = &self.problem;
+        run_point(
+            problem,
+            problem.model(),
             &self.config,
-            &mut self.power_trajectory,
-            &mut self.power_context,
+            &mut self.area,
             &mut self.stats,
             target,
-            None,
+            token,
         )
+    }
+
+    /// Counts and runs one power-objective size request: [`run_point`]
+    /// over a [`PowerWeightedModel`] (identical delays, power-derived
+    /// objective weights) and the power objective's warm state.
+    fn size_power(
+        &mut self,
+        target: f64,
+        token: Option<&CancelToken>,
+    ) -> Result<PowerSolution, MftError> {
+        self.stats.requests += 1;
+        self.stats.size_power_requests += 1;
+        let problem = &self.problem;
+        let model = PowerWeightedModel::new(problem.model(), problem.power());
+        let solution = run_point(
+            problem,
+            &model,
+            &self.config,
+            &mut self.power,
+            &mut self.stats,
+            target,
+            token,
+        )?;
+        Ok(PowerSolution {
+            power: problem.power().breakdown(&solution.sizes),
+            area: problem.model().area(&solution.sizes),
+            solution,
+        })
     }
 
     /// Sizes to a `T/D_min` fraction (`spec * dmin` as the absolute
@@ -901,8 +865,8 @@ impl SizingSession {
         self.size_to(target)
     }
 
-    /// Sizes with TILOS only (no flow refinement) — the session-served
-    /// equivalent of [`SizingProblem::tilos`], bit-identical to it.
+    /// Sizes with TILOS only (no flow refinement): the seed a
+    /// [`SizingSession::size_to`] at the same target starts from.
     ///
     /// # Errors
     ///
@@ -914,7 +878,7 @@ impl SizingSession {
             &self.problem,
             self.problem.model(),
             &self.config,
-            &mut self.trajectory,
+            &mut self.area,
             &mut self.stats,
             target,
             None,
@@ -940,8 +904,7 @@ impl SizingSession {
         run_sweep(
             &self.problem,
             &self.config,
-            &mut self.trajectory,
-            &mut self.context,
+            &mut self.area,
             &mut self.stats,
             specs,
             None,
@@ -1010,85 +973,44 @@ impl SizingSession {
                 spec,
                 target,
                 return_sizes,
-            } => {
-                let target = match (target, spec) {
-                    (Some(t), _) => *t,
-                    (None, Some(s)) => s * self.problem.dmin(),
-                    (None, None) => {
-                        return Response::error("size request needs `spec` or `target`")
-                    }
-                };
-                let min_area = self.problem.min_area();
-                self.stats.requests += 1;
-                self.stats.size_requests += 1;
-                match run_point(
-                    &self.problem,
-                    self.problem.model(),
-                    &self.config,
-                    &mut self.trajectory,
-                    &mut self.context,
-                    &mut self.stats,
-                    target,
-                    token,
-                ) {
-                    Ok(sol) => {
-                        let power = self.problem.power_breakdown_of(&sol.sizes);
-                        Response::Size {
-                            spec: target / self.problem.dmin(),
-                            target,
-                            area: sol.area,
-                            area_ratio: sol.area / min_area,
-                            achieved_delay: sol.achieved_delay,
-                            iterations: sol.iterations,
-                            tilos_bumps: sol.tilos_bumps,
-                            saving_percent: sol.area_saving_percent(),
-                            power: power.total,
-                            leakage: power.leakage,
-                            switching: power.switching,
-                            sizes: return_sizes.then(|| sol.sizes),
-                        }
-                    }
-                    Err(e) => error_response(&e),
-                }
             }
-            Request::SizePower {
+            | Request::SizePower {
                 spec,
                 target,
                 return_sizes,
             } => {
-                let target = match (target, spec) {
-                    (Some(t), _) => *t,
-                    (None, Some(s)) => s * self.problem.dmin(),
-                    (None, None) => {
-                        return Response::error("size_power request needs `spec` or `target`")
-                    }
+                let Some(target) = target.or_else(|| spec.map(|s| s * self.problem.dmin())) else {
+                    return Response::error(format!(
+                        "{} request needs `spec` or `target`",
+                        request.wire_type()
+                    ));
                 };
-                let min_area = self.problem.min_area();
-                match run_power_point(
-                    &self.problem,
-                    &self.config,
-                    &mut self.power_trajectory,
-                    &mut self.power_context,
-                    &mut self.stats,
-                    target,
-                    token,
-                ) {
-                    Ok(ps) => Response::Size {
+                // A power-objective response reports the physical area
+                // of the power-optimal sizes; its saving percent is the
+                // *power* saving over the (power-weighted) TILOS seed.
+                let result = if matches!(request, Request::SizePower { .. }) {
+                    self.size_power(target, token)
+                        .map(|ps| (ps.area, ps.power, ps.solution))
+                } else {
+                    self.size(target, token).map(|sol| {
+                        let power = self.problem.power_breakdown_of(&sol.sizes);
+                        (sol.area, power, sol)
+                    })
+                };
+                match result {
+                    Ok((area, power, sol)) => Response::Size {
                         spec: target / self.problem.dmin(),
                         target,
-                        // The physical metrics of the power-optimal
-                        // sizes; the saving percent is the *power*
-                        // saving over the (power-weighted) TILOS seed.
-                        area: ps.area,
-                        area_ratio: ps.area / min_area,
-                        achieved_delay: ps.solution.achieved_delay,
-                        iterations: ps.solution.iterations,
-                        tilos_bumps: ps.solution.tilos_bumps,
-                        saving_percent: ps.solution.area_saving_percent(),
-                        power: ps.power.total,
-                        leakage: ps.power.leakage,
-                        switching: ps.power.switching,
-                        sizes: return_sizes.then(|| ps.solution.sizes),
+                        area,
+                        area_ratio: area / self.problem.min_area(),
+                        achieved_delay: sol.achieved_delay,
+                        iterations: sol.iterations,
+                        tilos_bumps: sol.tilos_bumps,
+                        saving_percent: sol.area_saving_percent(),
+                        power: power.total,
+                        leakage: power.leakage,
+                        switching: power.switching,
+                        sizes: return_sizes.then_some(sol.sizes),
                     },
                     Err(e) => error_response(&e),
                 }
@@ -1096,8 +1018,7 @@ impl SizingSession {
             Request::Sweep { specs } => match run_sweep(
                 &self.problem,
                 &self.config,
-                &mut self.trajectory,
-                &mut self.context,
+                &mut self.area,
                 &mut self.stats,
                 specs,
                 token,
@@ -1337,7 +1258,7 @@ mod tests {
     }
 
     #[test]
-    fn loose_target_returns_minimum_sizes_like_legacy() {
+    fn loose_target_returns_minimum_sizes() {
         let mut session = c17_session(SessionConfig::warm());
         let dmin = session.problem().dmin();
         let sol = session.size_to(2.0 * dmin).unwrap();
@@ -1478,21 +1399,21 @@ mod tests {
         assert!(zero.sweep(&[]).unwrap().is_empty());
     }
 
-    /// A cold sweep reproduces the per-point one-shot path bit for bit:
-    /// `tilos` for the seed, `minflotransit_with` for the refinement.
+    /// A cold sweep reproduces per-point cold requests bit for bit:
+    /// `tilos_to` for the seed, `size_to` for the refinement.
     #[test]
     fn cold_sweep_matches_manual_per_point_loop() {
         let problem = c17_session(SessionConfig::cold()).problem().clone();
-        let config = MinflotransitConfig::default();
         let specs = [0.9, 0.7, 0.5];
         let got = problem
-            .session(SessionConfig::cold_with(config.clone()))
+            .session(SessionConfig::cold())
             .sweep(&specs)
             .unwrap();
+        let mut cold = problem.session(SessionConfig::cold());
         for (&spec, outcome) in specs.iter().zip(got.iter()) {
             let target = spec * problem.dmin();
-            let tilos = problem.tilos(target).unwrap();
-            let mft = problem.minflotransit_with(target, config.clone()).unwrap();
+            let tilos = cold.tilos_to(target).unwrap();
+            let mft = cold.size_to(target).unwrap();
             let SweepOutcome::Point(p) = outcome else {
                 panic!("c17 specs are reachable");
             };

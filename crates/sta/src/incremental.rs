@@ -1,7 +1,7 @@
 //! The incremental static timing engine: re-evaluates arrival times only
-//! in the fanout cone of changed vertices, tracks the critical path with
-//! a bucketed max that invalidates instead of rescanning, and repairs
-//! required times only when a caller actually reads them.
+//! in the fanout cone of changed vertices and tracks the critical path
+//! with a bucketed max that invalidates instead of rescanning. It keeps
+//! no required times: slack comes from a cold [`crate::TimingReport`].
 //!
 //! # Why
 //!
@@ -37,14 +37,6 @@
 //!   to the smallest vertex index — exactly the vertex the full-scan
 //!   [`crate::extract_critical_path`] selects — so path extraction is
 //!   reproducible against the cold functions.
-//! * **On-demand required times** — `RT`/slack are *not* maintained
-//!   incrementally: any delay or arrival change marks them stale, and
-//!   the next read ([`IncrementalTiming::required_times`] /
-//!   [`IncrementalTiming::slack_of`]) repairs them with one backward
-//!   pass. Since `RT(v)` depends on `v`'s entire fanout cone (and
-//!   callers typically read the worst slack over all vertices), the
-//!   repair granularity is the pass, not the vertex; callers that never
-//!   read `RT` never pay for it.
 //!
 //! # Invariants
 //!
@@ -60,11 +52,6 @@
 //! can accumulate across updates — bounded by `tol` per cutoff event on
 //! any path, not globally. Use `tol > 0` only where downstream decisions
 //! are themselves tolerance-based; the sizing stack runs at `0.0`.
-//!
-//! When [`IncrementalTiming::required_times`] has not been called after
-//! the latest delay update, the internal `RT` vector is stale; all
-//! public accessors repair it first, so staleness is never observable —
-//! it only shows up as the repair cost landing on the first reader.
 
 use crate::bitset::DenseBitSet;
 use crate::error::StaError;
@@ -174,10 +161,6 @@ pub struct IncrementalTiming {
     cp_max: Vec<f64>,
     cp_arg: Vec<u32>,
     cp_stale: Vec<bool>,
-    /// Required times, valid only when `rt_valid` (repaired on demand).
-    rt: Vec<f64>,
-    rt_target: f64,
-    rt_valid: bool,
     stats: TimingStats,
 }
 
@@ -276,9 +259,6 @@ impl IncrementalTiming {
             cp_max: vec![f64::NEG_INFINITY; num_buckets],
             cp_arg: vec![0; num_buckets],
             cp_stale: vec![true; num_buckets],
-            rt: vec![f64::INFINITY; n],
-            rt_target: f64::NAN,
-            rt_valid: false,
             stats: TimingStats::default(),
         };
         engine.full_pass(dag);
@@ -313,17 +293,6 @@ impl IncrementalTiming {
         &self.at
     }
 
-    /// Arrival time of one vertex (same caveat as
-    /// [`IncrementalTiming::arrival_times`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn arrival(&self, v: VertexId) -> f64 {
-        debug_assert_eq!(self.pending, 0, "propagate() before reading arrivals");
-        self.at[v.index()]
-    }
-
     /// Records a new delay for `v` and marks its fanout dirty. No
     /// propagation happens until [`IncrementalTiming::propagate`] —
     /// batch all of a step's changes first. (`dag` is only used for the
@@ -341,7 +310,6 @@ impl IncrementalTiming {
         }
         self.delays[i] = delay;
         self.done[i] = self.at[i] + delay;
-        self.rt_valid = false;
         // v's own arrival is unaffected, but its completion and every
         // successor's arrival are.
         self.update_completion(i);
@@ -377,7 +345,6 @@ impl IncrementalTiming {
         if changed == 0 {
             return Ok(());
         }
-        self.rt_valid = false;
         if changed as f64 > self.full_pass_churn * n as f64 {
             self.stats.rebase_full += 1;
             self.delays.copy_from_slice(delays);
@@ -438,7 +405,6 @@ impl IncrementalTiming {
             if !changed {
                 return Ok(());
             }
-            self.rt_valid = false;
             self.stats.rebase_full += 1;
             self.delays.copy_from_slice(delays);
             self.clear_queue();
@@ -494,7 +460,6 @@ impl IncrementalTiming {
                 if changed {
                     self.at[i] = a;
                     self.done[i] = a + self.delays[i];
-                    self.rt_valid = false;
                     self.update_completion(i);
                     for k in self.succ_off[i]..self.succ_off[i + 1] {
                         self.enqueue(self.succ[k as usize] as usize);
@@ -552,41 +517,6 @@ impl IncrementalTiming {
         path
     }
 
-    /// Required times against `target`, repaired on demand: the backward
-    /// pass runs only if a delay or arrival changed since the last call
-    /// (or the target differs). Requires a drained worklist.
-    pub fn required_times(&mut self, dag: &SizingDag, target: f64) -> &[f64] {
-        debug_assert_eq!(self.pending, 0, "propagate() before reading required times");
-        if !self.rt_valid || self.rt_target.to_bits() != target.to_bits() {
-            crate::timing::required_times_into(dag, &self.delays, target, &mut self.rt);
-            self.rt_target = target;
-            self.rt_valid = true;
-        }
-        &self.rt
-    }
-
-    /// Slack `RT(v) − AT(v)` against `target`, repairing `RT` on demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn slack_of(&mut self, dag: &SizingDag, v: VertexId, target: f64) -> f64 {
-        let at = self.arrival(v);
-        self.required_times(dag, target)[v.index()] - at
-    }
-
-    /// The worst vertex slack against `target`, repairing `RT` on
-    /// demand.
-    pub fn worst_slack(&mut self, dag: &SizingDag, target: f64) -> f64 {
-        debug_assert_eq!(self.pending, 0, "propagate() before reading slack");
-        self.required_times(dag, target);
-        self.rt
-            .iter()
-            .zip(self.at.iter())
-            .map(|(r, a)| r - a)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     fn full_pass(&mut self, dag: &SizingDag) {
         self.stats.full_passes += 1;
         self.stats.vertices_touched += self.at.len();
@@ -599,7 +529,6 @@ impl IncrementalTiming {
             self.at[i] = a;
             self.done[i] = a + self.delays[i];
         }
-        self.rt_valid = false;
         self.cp_stale.iter_mut().for_each(|s| *s = true);
     }
 
@@ -688,7 +617,7 @@ impl IncrementalTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::{arrival_times, critical_path, extract_critical_path, TimingReport};
+    use crate::timing::{arrival_times, critical_path, extract_critical_path};
     use mft_circuit::{GateKind, Netlist, NetlistBuilder, SizingDag};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -747,17 +676,6 @@ mod tests {
         );
         let cold_path = extract_critical_path(dag, &delays).unwrap();
         assert_eq!(engine.extract_critical_path(dag), cold_path, "{what}: path");
-        let report = TimingReport::with_target(dag, &delays, cold_cp * 1.25).unwrap();
-        let rt = engine.required_times(dag, cold_cp * 1.25).to_vec();
-        for (i, (a, b)) in rt.iter().zip(report.rt.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{what}: RT[{i}]");
-        }
-        let ws = engine.worst_slack(dag, cold_cp * 1.25);
-        assert_eq!(
-            ws.to_bits(),
-            report.worst_slack().to_bits(),
-            "{what}: slack"
-        );
     }
 
     #[test]

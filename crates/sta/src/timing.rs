@@ -150,7 +150,7 @@ pub(crate) fn completion_max(at: &[f64], delays: &[f64]) -> f64 {
 /// The backward required-time pass into a caller-provided buffer.
 /// End-of-path vertices (PO leaves and sinks) must finish by `target`;
 /// interior vertices inherit the tightest fanout requirement.
-pub(crate) fn required_times_into(dag: &SizingDag, delays: &[f64], target: f64, rt: &mut [f64]) {
+fn required_times_into(dag: &SizingDag, delays: &[f64], target: f64, rt: &mut [f64]) {
     rt.fill(f64::INFINITY);
     for &v in dag.po_leaves() {
         rt[v.index()] = target - delays[v.index()];

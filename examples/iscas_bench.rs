@@ -6,7 +6,7 @@
 //! files (c432.bench, c6288.bench, …) can be dropped in directly.
 
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
-use minflotransit::core::SizingProblem;
+use minflotransit::core::{SessionConfig, SizingSession};
 use minflotransit::delay::Technology;
 use std::fs;
 
@@ -21,14 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", netlist.stats());
 
     let tech = Technology::cmos_130nm();
-    let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate)?;
-    println!("D_min = {:.1} ps", problem.dmin());
+    let mut session =
+        SizingSession::prepare(&netlist, &tech, SizingMode::Gate, SessionConfig::cold())?;
+    let dmin = session.problem().dmin();
+    println!("D_min = {dmin:.1} ps");
 
     for spec in [0.8, 0.6, 0.5] {
-        let target = spec * problem.dmin();
-        match problem.tilos(target) {
+        let target = spec * dmin;
+        match session.tilos_to(target) {
             Ok(tilos) => {
-                let mft = problem.minflotransit(target)?;
+                let mft = session.size_to(target)?;
                 println!(
                     "spec {spec:.2}·Dmin: TILOS area {:8.1} → MFT area {:8.1} ({:+.2}%), {} iters",
                     tilos.area,

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example transistor_sizing`
 
 use minflotransit::circuit::{GateKind, NetlistBuilder, SizingMode};
-use minflotransit::core::SizingProblem;
+use minflotransit::core::{SessionConfig, SizingSession};
 use minflotransit::delay::Technology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("gate sizing      ", SizingMode::Gate),
         ("transistor sizing", SizingMode::Transistor),
     ] {
-        let problem = SizingProblem::prepare(&netlist, &tech, mode)?;
-        let target = 0.65 * problem.dmin();
-        let solution = problem.minflotransit(target)?;
+        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::cold())?;
+        let target = 0.65 * session.problem().dmin();
+        let solution = session.size_to(target)?;
+        let problem = session.problem();
         println!(
             "{label}: |V| = {:3}, D_min = {:6.1} ps, area(MFT) = {:7.2}, \
              saving over TILOS seed = {:5.2}%, {} iterations",

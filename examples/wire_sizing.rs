@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example wire_sizing`
 
 use minflotransit::circuit::{NetlistBuilder, SizingMode, VertexOwner};
-use minflotransit::core::SizingProblem;
+use minflotransit::core::{SessionConfig, SizingSession};
 use minflotransit::delay::Technology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,9 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("gates only  ", SizingMode::Gate),
         ("gates + wires", SizingMode::GateWire),
     ] {
-        let problem = SizingProblem::prepare(&netlist, &tech, mode)?;
-        let target = 0.7 * problem.dmin();
-        let solution = problem.minflotransit(target)?;
+        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::cold())?;
+        let target = 0.7 * session.problem().dmin();
+        let solution = session.size_to(target)?;
+        let problem = session.problem();
         println!(
             "{label}: |V| = {:3}  D_min = {:6.1} ps  area = {:8.2}  ({} iterations)",
             problem.dag().num_vertices(),

@@ -11,8 +11,8 @@
 
 use minflotransit::circuit::{parse_bench, write_bench, SizingMode};
 use minflotransit::core::{
-    curve_to_csv, format_curve, CircuitServer, MinflotransitConfig, Response, ServerConfig,
-    ServerListener, SessionConfig, SizingProblem, SizingReport,
+    curve_to_csv, format_curve, CircuitServer, Response, ServerConfig, ServerListener,
+    SessionConfig, SizingProblem, SizingReport,
 };
 use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::Benchmark;
@@ -216,7 +216,9 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
         target,
         target / problem.dmin()
     );
-    let tilos = problem.tilos(target).map_err(|e| e.to_string())?;
+    // One cold session: every request below runs from fresh state.
+    let mut session = problem.into_session(SessionConfig::cold());
+    let tilos = session.tilos_to(target).map_err(|e| e.to_string())?;
     println!(
         "TILOS:         area {:10.1}  delay {:8.1} ps  ({} bumps)",
         tilos.area, tilos.achieved_delay, tilos.bumps
@@ -229,12 +231,9 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     let solution = if args.iter().any(|a| a == "--tilos-only") {
         None
     } else {
-        let config = MinflotransitConfig::default();
         match objective {
             "area" => {
-                let sol = problem
-                    .minflotransit_with(target, config)
-                    .map_err(|e| e.to_string())?;
+                let sol = session.size_to(target).map_err(|e| e.to_string())?;
                 println!(
                     "MINFLOTRANSIT: area {:10.1}  delay {:8.1} ps  ({} iterations, {:.2}% saved)",
                     sol.area,
@@ -248,9 +247,7 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
                 Some(sol)
             }
             "power" => {
-                let ps = problem
-                    .minflotransit_power_with(target, config)
-                    .map_err(|e| e.to_string())?;
+                let ps = session.size_to_power(target).map_err(|e| e.to_string())?;
                 println!(
                     "MINFLOTRANSIT: power {:9.2} (leakage {:.2} + switching {:.2})  \
                      area {:10.1}  delay {:8.1} ps  ({} iterations, {:.2}% power saved)",
@@ -273,9 +270,10 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     let tilos_sizes = tilos.sizes;
     let final_sizes: &[f64] = solution.as_ref().map_or(&tilos_sizes, |sol| &sol.sizes);
     if report {
+        let problem = session.problem();
         let report = match &solution {
-            Some(sol) => problem.report(sol, target),
-            None => SizingReport::build(&problem, final_sizes, target),
+            Some(sol) => SizingReport::for_solution(problem, sol, target),
+            None => SizingReport::build(problem, final_sizes, target),
         };
         print!("{}", report.to_text());
     }

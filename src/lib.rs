@@ -25,18 +25,18 @@
 //! | [`smp`] | `mft-smp` | Simple Monotonic Program solver |
 //! | [`tech`] | `mft-tech` | multi-corner technology library, leakage/switching power models |
 //! | [`tilos`] | `mft-tilos` | the TILOS baseline sizer |
-//! | [`core`] | `mft-core` | the MINFLOTRANSIT optimizer and the warm `SizingSession` service layer (sizing, parallel sweeps, server) |
+//! | [`core`] | `mft-core` | the MINFLOTRANSIT optimizer and `SizingSession`, the one sizing API (size, power, TILOS-only, parallel sweeps, what-if, server) |
 //! | [`gen`] | `mft-gen` | benchmark circuit generators (ISCAS-85-like suite, adders, multipliers) |
 //!
 //! # Quickstart
 //!
-//! The primary entry point is the session-oriented service API: a
-//! [`core::SizingSession`] owns the prepared problem plus all warm
-//! state (TILOS trajectory, flow network, SMP solver, incremental
-//! timing engine) and serves size / sweep / what-if / stats requests
-//! against it — results bit-identical to one-shot runs, work amortized
-//! across requests. The same requests travel as newline-delimited JSON
-//! through `mft serve` ([`core::Request`]/[`core::Response`]).
+//! All sizing runs through one API: a [`core::SizingSession`] owns the
+//! prepared problem plus all warm state (TILOS trajectory, flow network,
+//! SMP solver, incremental timing engine) and serves size / sweep /
+//! what-if / stats requests against it — results bit-identical to a
+//! cold session's ([`core::SessionConfig::cold`]), work amortized across
+//! requests. The same requests travel as newline-delimited JSON through
+//! `mft serve` ([`core::Request`]/[`core::Response`]).
 //!
 //! ```
 //! use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
@@ -62,9 +62,8 @@
 //! # }
 //! ```
 //!
-//! The historical one-shot calls ([`core::SizingProblem::minflotransit`]
-//! and friends) remain as thin wrappers over the session runner — see
-//! the `mft-core` crate docs for migration notes.
+//! [`core::Minflotransit::optimize_from`] runs the D/W relaxation alone
+//! from a given start, for custom delay models.
 //!
 //! See `examples/` for runnable scenarios (quickstart, the JSON line
 //! protocol, area–delay trade-off sweeps, true transistor sizing,

@@ -1,13 +1,22 @@
 //! Command-line output checks for the `mft` binary.
 
-use minflotransit::circuit::C17_BENCH;
+use minflotransit::circuit::{parse_bench, write_bench, SizingMode, C17_BENCH};
+use minflotransit::core::{SessionConfig, SizingProblem};
+use minflotransit::gen::Benchmark;
+use minflotransit::tech::TechLibrary;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 fn c17_file() -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_c17.bench");
-    std::fs::write(&path, C17_BENCH).unwrap();
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("cli_c17.bench");
+    // Write, then rename over the shared path: the tests run in parallel
+    // and read this file while others rewrite it, so no reader may see
+    // it truncated.
+    let tmp = dir.join(format!("cli_c17.{:?}.tmp", std::thread::current().id()));
+    std::fs::write(&tmp, C17_BENCH).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path
 }
 
@@ -36,6 +45,61 @@ fn size_prints_the_timing_engine_line_once() {
             1,
             "{extra:?}:\n{stdout}"
         );
+    }
+}
+
+/// `mft size --sizes` writes, bit for bit, the sizes of an in-process
+/// cold session over the same file: `size_to` for the area objective,
+/// `size_to_power` for `--objective power` and `tilos_to` for
+/// `--tilos-only`.
+#[test]
+fn size_writes_the_sizes_of_a_cold_session() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let c432 = dir.join("cli_c432.bench");
+    let c432_text = write_bench(&Benchmark::C432.generate().unwrap()).unwrap();
+    std::fs::write(&c432, c432_text).unwrap();
+    let corner = TechLibrary::standard().resolve(None, None).unwrap();
+    for bench in [c17_file(), c432] {
+        let text = std::fs::read_to_string(&bench).unwrap();
+        let netlist = parse_bench(bench.to_str().unwrap(), &text).unwrap();
+        let problem = SizingProblem::prepare_corner(&netlist, &corner, SizingMode::Gate).unwrap();
+        let target = 0.7 * problem.dmin();
+        let mut session = problem.session(SessionConfig::cold());
+        let cases: [(&[&str], Vec<f64>); 3] = [
+            (&[], session.size_to(target).unwrap().sizes),
+            (
+                &["--objective", "power"],
+                session.size_to_power(target).unwrap().solution.sizes,
+            ),
+            (&["--tilos-only"], session.tilos_to(target).unwrap().sizes),
+        ];
+        for (extra, want) in cases {
+            let sizes_file = dir.join("cli_sizes.csv");
+            let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+                .arg("size")
+                .arg(&bench)
+                .args(["--spec", "0.7", "--sizes"])
+                .arg(&sizes_file)
+                .args(extra)
+                .output()
+                .unwrap();
+            let what = format!("{} {extra:?}", bench.display());
+            assert!(
+                out.status.success(),
+                "{what}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let csv = std::fs::read_to_string(&sizes_file).unwrap();
+            let got: Vec<f64> = csv
+                .lines()
+                .skip(1)
+                .map(|line| line.split_once(',').unwrap().1.parse().unwrap())
+                .collect();
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: size[{i}]");
+            }
+        }
     }
 }
 

@@ -1,26 +1,28 @@
 //! The cold sweep oracle shared by the sweep goldens.
 
-use minflotransit::core::{CurvePoint, MftError, MinflotransitConfig, SizingProblem, SweepOutcome};
+use minflotransit::core::{
+    CurvePoint, MftError, MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome,
+};
 use minflotransit::tilos::TilosError;
 
-/// The area–delay curve sized one spec at a time through the one-shot
-/// calls — `tilos` for the seed, `minflotransit_with` for the
-/// refinement — with the wall-clock fields zeroed. Every session sweep
-/// under `config` (default TILOS knobs) must reproduce its sizing
-/// fields bit for bit. Specs must lie below 1: at or above `D_min`,
-/// `minflotransit_with` returns the minimum sizes while a sweep point
-/// still runs the D/W loop.
+/// The area–delay curve sized one spec at a time through cold
+/// requests — `tilos_to` for the seed, `size_to` for the refinement —
+/// with the wall-clock fields zeroed. Every session sweep under
+/// `config` must reproduce its sizing fields bit for bit. Specs must
+/// lie below 1: at or above `D_min`, `size_to` returns the minimum
+/// sizes while a sweep point still runs the D/W loop.
 pub fn per_point_curve(
     problem: &SizingProblem,
     config: &MinflotransitConfig,
     specs: &[f64],
 ) -> Vec<SweepOutcome> {
     let (dmin, min_area) = (problem.dmin(), problem.min_area());
+    let mut cold = problem.session(SessionConfig::cold_with(config.clone()));
     specs
         .iter()
         .map(|&spec| {
             let target = spec * dmin;
-            let tilos = match problem.tilos(target) {
+            let tilos = match cold.tilos_to(target) {
                 Ok(tilos) => tilos,
                 Err(MftError::InitialSizing(
                     TilosError::Infeasible { best_delay, .. }
@@ -33,7 +35,7 @@ pub fn per_point_curve(
                 }
                 Err(e) => panic!("spec {spec}: {e}"),
             };
-            let mft = problem.minflotransit_with(target, config.clone()).unwrap();
+            let mft = cold.size_to(target).unwrap();
             SweepOutcome::Point(CurvePoint {
                 spec,
                 target,

@@ -90,7 +90,11 @@ fn cancelled_sweep_counts_its_work_for_every_worker_count() {
 #[test]
 fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
     let problem = c432_problem();
-    let candidate = problem.tilos(SPECS[0] * problem.dmin()).unwrap().sizes;
+    let candidate = problem
+        .session(SessionConfig::cold())
+        .tilos_to(SPECS[0] * problem.dmin())
+        .unwrap()
+        .sizes;
     for (name, config) in [
         ("cold", SessionConfig::cold()),
         ("warm", SessionConfig::warm()),

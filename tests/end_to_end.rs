@@ -4,7 +4,7 @@
 //! targets.
 
 use minflotransit::circuit::SizingMode;
-use minflotransit::core::{Minflotransit, SizingProblem};
+use minflotransit::core::{Minflotransit, SessionConfig, SizingProblem};
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
 use minflotransit::sta::critical_path;
@@ -19,9 +19,10 @@ fn prepare(bench: Benchmark) -> SizingProblem {
 fn small_suite_meets_timing_and_beats_tilos() {
     for bench in [Benchmark::C432, Benchmark::C499, Benchmark::C880] {
         let problem = prepare(bench);
+        let mut session = problem.session(SessionConfig::cold());
         let target = bench.paper_spec() * problem.dmin();
-        let tilos = problem.tilos(target).expect("paper spec reachable");
-        let mft = problem.minflotransit(target).expect("optimizer runs");
+        let tilos = session.tilos_to(target).expect("paper spec reachable");
+        let mft = session.size_to(target).expect("optimizer runs");
         assert!(
             mft.achieved_delay <= target * (1.0 + 1e-6),
             "{}: timing violated",
@@ -46,8 +47,9 @@ fn small_suite_meets_timing_and_beats_tilos() {
 #[test]
 fn loose_target_is_globally_optimal() {
     let problem = prepare(Benchmark::C432);
+    let mut session = problem.session(SessionConfig::cold());
     let target = 2.0 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("optimizer runs");
+    let sol = session.size_to(target).expect("optimizer runs");
     // The minimum-sized circuit is feasible, hence optimal.
     assert_eq!(sol.area, problem.min_area());
     assert_eq!(sol.iterations, 0);
@@ -56,8 +58,9 @@ fn loose_target_is_globally_optimal() {
 #[test]
 fn final_sizes_are_within_bounds() {
     let problem = prepare(Benchmark::C880);
+    let mut session = problem.session(SessionConfig::cold());
     let target = 0.5 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("optimizer runs");
+    let sol = session.size_to(target).expect("optimizer runs");
     let (lo, hi) = {
         use minflotransit::delay::DelayModel;
         problem.model().size_bounds()
@@ -70,8 +73,9 @@ fn final_sizes_are_within_bounds() {
 #[test]
 fn solution_delay_matches_recomputation() {
     let problem = prepare(Benchmark::C499);
+    let mut session = problem.session(SessionConfig::cold());
     let target = 0.7 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("optimizer runs");
+    let sol = session.size_to(target).expect("optimizer runs");
     use minflotransit::delay::DelayModel;
     let delays = problem.model().delays(&sol.sizes);
     let cp = critical_path(problem.dag(), &delays).expect("shapes match");
@@ -81,13 +85,14 @@ fn solution_delay_matches_recomputation() {
 #[test]
 fn tighter_specs_cost_more_area_for_both_sizers() {
     let problem = prepare(Benchmark::C432);
+    let mut session = problem.session(SessionConfig::cold());
     let dmin = problem.dmin();
     let mut last_tilos = 0.0;
     let mut last_mft = 0.0;
     for spec in [0.9, 0.7, 0.5] {
         let target = spec * dmin;
-        let tilos = problem.tilos(target).expect("reachable");
-        let mft = problem.minflotransit(target).expect("runs");
+        let tilos = session.tilos_to(target).expect("reachable");
+        let mft = session.size_to(target).expect("runs");
         assert!(tilos.area + 1e-9 >= last_tilos);
         assert!(mft.area + 1e-9 >= last_mft * 0.999); // MFT is near-monotone
         last_tilos = tilos.area;
@@ -98,8 +103,9 @@ fn tighter_specs_cost_more_area_for_both_sizers() {
 #[test]
 fn history_is_consistent() {
     let problem = prepare(Benchmark::C880);
+    let mut session = problem.session(SessionConfig::cold());
     let target = 0.5 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("runs");
+    let sol = session.size_to(target).expect("runs");
     // Accepted areas are non-increasing; the final area equals the last
     // accepted candidate (or the initial area if nothing was accepted).
     let mut area = sol.initial_area;

@@ -3,7 +3,7 @@
 //! optimum found by exhaustive grid search over the size space.
 
 use minflotransit::circuit::{GateKind, Netlist, NetlistBuilder, SizingDag, SizingMode};
-use minflotransit::core::{MinflotransitConfig, SizingProblem};
+use minflotransit::core::{MinflotransitConfig, SessionConfig, SizingProblem};
 use minflotransit::delay::{DelayModel, LinearDelayModel, Technology};
 use minflotransit::sta::critical_path;
 
@@ -64,7 +64,8 @@ fn check_matches_golden(netlist: &Netlist, spec: f64) {
         ..Default::default()
     };
     let sol = problem
-        .minflotransit_with(target, config)
+        .session(SessionConfig::cold_with(config))
+        .size_to(target)
         .expect("optimizer runs");
     assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
     // The continuous optimum can only undercut the lattice optimum; allow

@@ -11,7 +11,7 @@
 //! reach the same final area and stay timing-feasible.
 
 use minflotransit::circuit::SizingMode;
-use minflotransit::core::{MinflotransitConfig, SizingProblem};
+use minflotransit::core::{MinflotransitConfig, SessionConfig, SizingProblem};
 use minflotransit::delay::Technology;
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 
@@ -56,7 +56,8 @@ fn default_run_is_bit_identical_to_pre_refactor() {
     let target = 0.75 * problem.dmin();
     let golden = golden_sizes();
     let sol = problem
-        .minflotransit_with(target, MinflotransitConfig::default())
+        .session(SessionConfig::cold())
+        .size_to(target)
         .unwrap();
     assert_eq!(sol.iterations, GOLDEN_ITERATIONS);
     assert_eq!(sol.sizes.len(), golden.len());
@@ -84,7 +85,10 @@ fn warm_start_mode_matches_final_quality() {
         dphase_warm_start: true,
         ..Default::default()
     };
-    let sol = problem.minflotransit_with(target, config).unwrap();
+    let sol = problem
+        .session(SessionConfig::cold_with(config))
+        .size_to(target)
+        .unwrap();
     // Timing stays feasible and quality matches the cold run closely
     // (identical LP optima, possibly different vertices).
     assert!(

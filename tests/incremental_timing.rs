@@ -39,7 +39,8 @@ fn cold_tilos(
     TilosState::new(dag, model, config)?.advance_to(dag, model, target)
 }
 
-/// The engine's full state equals a cold recomputation, bit for bit.
+/// The engine's arrival times and critical path equal a cold
+/// recomputation, bit for bit.
 fn assert_engine_matches_cold(
     engine: &mut IncrementalTiming,
     dag: &SizingDag,
@@ -60,17 +61,6 @@ fn assert_engine_matches_cold(
         .enumerate()
     {
         prop_assert_eq!(a.to_bits(), b.to_bits(), "step {}: AT[{}]", step, i);
-    }
-    let target = report.critical_path;
-    for i in 0..delays.len() {
-        let slack = engine.slack_of(dag, VertexId::new(i), target);
-        prop_assert_eq!(
-            slack.to_bits(),
-            report.slack[i].to_bits(),
-            "step {}: slack[{}]",
-            step,
-            i
-        );
     }
     Ok(())
 }

@@ -2,7 +2,7 @@
 //! and true transistor sizing.
 
 use minflotransit::circuit::{GateKind, Netlist, NetlistBuilder, SizingDag, SizingMode};
-use minflotransit::core::SizingProblem;
+use minflotransit::core::{SessionConfig, SizingProblem};
 use minflotransit::delay::{apply_default_loads, DelayModel, LinearDelayModel, Technology};
 use minflotransit::gen::Benchmark;
 use minflotransit::sta::critical_path;
@@ -33,7 +33,10 @@ fn all_modes_run_end_to_end() {
     ] {
         let problem = SizingProblem::prepare(&netlist, &tech, mode).expect("builds");
         let target = 0.7 * problem.dmin();
-        let sol = problem.minflotransit(target).expect("runs");
+        let sol = problem
+            .session(SessionConfig::cold())
+            .size_to(target)
+            .expect("runs");
         assert!(
             sol.achieved_delay <= target * (1.0 + 1e-6),
             "{mode:?}: timing violated"
@@ -79,7 +82,10 @@ fn transistor_mode_uses_unequal_stack_sizes() {
     let tech = Technology::cmos_130nm();
     let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Transistor).unwrap();
     let target = 0.6 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("runs");
+    let sol = problem
+        .session(SessionConfig::cold())
+        .size_to(target)
+        .expect("runs");
     // Find a gate whose devices ended up with different sizes.
     let dag = problem.dag();
     let mut unequal = false;

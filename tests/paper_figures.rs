@@ -6,7 +6,7 @@
 use minflotransit::circuit::{
     GateKind, NetlistBuilder, NetworkSide, SizingDag, SizingMode, SpNetwork,
 };
-use minflotransit::core::SizingProblem;
+use minflotransit::core::{SessionConfig, SizingProblem};
 use minflotransit::delay::{DelayModel, Technology};
 
 /// Figure 1: the DAG of a 3-input NAND has separate pull-up and
@@ -87,8 +87,9 @@ fn figure6_global_view_beats_greedy() {
     let tech = Technology::cmos_130nm();
     let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
     let target = 0.55 * problem.dmin();
-    let tilos = problem.tilos(target).unwrap();
-    let mft = problem.minflotransit(target).unwrap();
+    let mut session = problem.session(SessionConfig::cold());
+    let tilos = session.tilos_to(target).unwrap();
+    let mft = session.size_to(target).unwrap();
     assert!(mft.area <= tilos.area + 1e-9);
     assert!(mft.achieved_delay <= target * (1.0 + 1e-6));
     // The driver A (vertex 0) carries real size in the MFT solution —
@@ -101,7 +102,7 @@ fn figure6_global_view_beats_greedy() {
 #[test]
 fn figure7_dominance_on_c17() {
     use minflotransit::circuit::{parse_bench, C17_BENCH};
-    use minflotransit::core::{SessionConfig, SweepOutcome};
+    use minflotransit::core::SweepOutcome;
     let netlist = parse_bench("c17", C17_BENCH).unwrap();
     let problem =
         SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();

@@ -6,8 +6,8 @@
 //!   preparation — the corner adds power bookkeeping, never arithmetic;
 //! * a `size_power` request served through a session (cold, warm or
 //!   shared-exact preset, including warm-state reuse across targets) is
-//!   bit-identical to the one-shot
-//!   [`SizingProblem::minflotransit_power`] call;
+//!   bit-identical to the same request on a fresh cold session under
+//!   the same optimizer configuration;
 //! * at an equal delay target the power objective strictly beats the
 //!   area objective on total power, and the area objective strictly
 //!   beats the power objective on area — both delay-feasible, so the
@@ -90,8 +90,14 @@ fn default_corner_matches_plain_technology_bitwise() {
     assert_eq!(plain.dmin().to_bits(), cornered.dmin().to_bits());
     assert_eq!(plain.min_area().to_bits(), cornered.min_area().to_bits());
     let target = 0.7 * plain.dmin();
-    let a = plain.minflotransit(target).unwrap();
-    let b = cornered.minflotransit(target).unwrap();
+    let a = plain
+        .session(SessionConfig::cold())
+        .size_to(target)
+        .unwrap();
+    let b = cornered
+        .session(SessionConfig::cold())
+        .size_to(target)
+        .unwrap();
     assert_eq!(a.area.to_bits(), b.area.to_bits());
     assert_eq!(a.achieved_delay.to_bits(), b.achieved_delay.to_bits());
     for (x, y) in a.sizes.iter().zip(b.sizes.iter()) {
@@ -101,7 +107,7 @@ fn default_corner_matches_plain_technology_bitwise() {
 
 /// `size_to_power` under every session preset — including a second
 /// tighter target resuming the power-objective warm state — matches
-/// the one-shot `minflotransit_power` bitwise on c17 and c432-like.
+/// a cold session's `size_to_power` bitwise on c17 and c432-like.
 #[test]
 fn power_objective_is_preset_invariant_and_matches_one_shot() {
     for (what, problem) in [("c17", c17_problem()), ("c432", c432_problem())] {
@@ -112,15 +118,12 @@ fn power_objective_is_preset_invariant_and_matches_one_shot() {
             ("warm", SessionConfig::warm()),
             ("shared_exact", SessionConfig::shared_exact()),
         ] {
-            // One-shot twin under the same optimizer configuration —
-            // warm state may only change wall-clock, never values.
+            // Cold twin under the same optimizer configuration — warm
+            // state may only change wall-clock, never values.
+            let mut cold = problem.session(SessionConfig::cold_with(config.optimizer.clone()));
             let one_shot: Vec<PowerSolution> = specs
                 .iter()
-                .map(|s| {
-                    problem
-                        .minflotransit_power_with(s * dmin, config.optimizer.clone())
-                        .unwrap()
-                })
+                .map(|s| cold.size_to_power(s * dmin).unwrap())
                 .collect();
             let mut session = problem.session(config);
             for (k, &spec) in specs.iter().enumerate() {
@@ -138,7 +141,7 @@ fn power_objective_is_preset_invariant_and_matches_one_shot() {
 
 /// Power-objective warm state is separate from area-objective warm
 /// state: interleaving the two objectives on one session perturbs
-/// neither — every served value still matches its one-shot twin.
+/// neither — every served value still matches its cold twin.
 #[test]
 fn objectives_do_not_share_warm_state() {
     let problem = c17_problem();
@@ -148,8 +151,9 @@ fn objectives_do_not_share_warm_state() {
     let power_a = session.size_to_power(0.8 * dmin).unwrap();
     let area_b = session.size_to(0.65 * dmin).unwrap();
     let power_b = session.size_to_power(0.65 * dmin).unwrap();
+    let mut cold = problem.session(SessionConfig::cold());
     for (served, spec) in [(&area_a, 0.8), (&area_b, 0.65)] {
-        let one_shot = problem.minflotransit(spec * dmin).unwrap();
+        let one_shot = cold.size_to(spec * dmin).unwrap();
         assert_eq!(
             served.area.to_bits(),
             one_shot.area.to_bits(),
@@ -160,7 +164,7 @@ fn objectives_do_not_share_warm_state() {
         }
     }
     for (served, spec) in [(&power_a, 0.8), (&power_b, 0.65)] {
-        let one_shot = problem.minflotransit_power(spec * dmin).unwrap();
+        let one_shot = cold.size_to_power(spec * dmin).unwrap();
         assert_power_solutions_bit_identical(served, &one_shot, &format!("power {spec}"));
     }
 }
@@ -173,8 +177,9 @@ fn objectives_do_not_share_warm_state() {
 fn power_objective_trades_area_for_power_on_c432() {
     let problem = c432_problem();
     let target = 0.6 * problem.dmin();
-    let area_sol = problem.minflotransit(target).unwrap();
-    let power_sol = problem.minflotransit_power(target).unwrap();
+    let mut session = problem.session(SessionConfig::cold());
+    let area_sol = session.size_to(target).unwrap();
+    let power_sol = session.size_to_power(target).unwrap();
     let tol = target * (1.0 + 1e-6);
     assert!(area_sol.achieved_delay <= tol, "area solution meets timing");
     assert!(

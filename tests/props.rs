@@ -2,7 +2,7 @@
 //! vectors: the invariants that make the two-phase relaxation sound.
 
 use minflotransit::circuit::{SizingDag, SizingMode, VertexId};
-use minflotransit::core::{solve_dphase, SizingProblem};
+use minflotransit::core::{DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, SizingProblem};
 use minflotransit::delay::{DelayModel, LinearDelayModel, Technology};
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 use minflotransit::sta::{
@@ -10,6 +10,25 @@ use minflotransit::sta::{
 };
 use minflotransit::tilos::{TilosConfig, TilosState};
 use proptest::prelude::*;
+
+/// One D-phase solve of a fresh solver (6 significant digits).
+fn dphase_once(
+    dag: &SizingDag,
+    sensitivities: &[f64],
+    excess: &[f64],
+    config: &BalancedConfig,
+    trust_region: f64,
+) -> DPhaseResult {
+    DPhaseSolver::new(dag, DPhaseOptions::default())
+        .unwrap()
+        .solve(&DPhaseInputs {
+            sensitivities,
+            excess,
+            config,
+            trust_region,
+        })
+        .unwrap()
+}
 
 fn build(seed: u64, gates: usize) -> (SizingDag, LinearDelayModel) {
     let cfg = RandomCircuitConfig {
@@ -78,7 +97,7 @@ proptest! {
         let excess: Vec<f64> = (0..dag.num_vertices())
             .map(|i| delays[i] - model.intrinsic(VertexId::new(i)))
             .collect();
-        let r = solve_dphase(&dag, &sens, &excess, &cfg, gamma, 6).unwrap();
+        let r = dphase_once(&dag, &sens, &excess, &cfg, gamma);
         prop_assert!(r.predicted_gain >= 0.0);
         let new_delays: Vec<f64> = delays
             .iter()

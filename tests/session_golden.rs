@@ -1,7 +1,8 @@
 //! Golden pins for the session-oriented service API: everything a
-//! [`SizingSession`] serves must be **bit-identical** to the legacy
-//! one-shot entry points (`SizingProblem::{minflotransit,tilos}`, a
-//! per-point sweep of them, `delay_of`/`area_of`) under the same optimizer
+//! [`SizingSession`] serves must be **bit-identical** to the "legacy"
+//! path — each request on a fresh cold session (`size_to`/`tilos_to`
+//! under `SessionConfig::cold_with`, a per-point sweep of them,
+//! `delay_of`/`area_of`) under the same optimizer
 //! configuration — including mixed request sequences where cross-request
 //! warm state (the shared TILOS trajectory, the persistent D-phase
 //! network, the SMP solver, the incremental timing engine) carries over
@@ -98,7 +99,7 @@ fn assert_outcomes_bit_identical(a: &[SweepOutcome], b: &[SweepOutcome], what: &
 /// Runs the issue's mixed request sequence — size, tighter size, sweep,
 /// size at an earlier (looser, already-passed) target, repeat of the
 /// first target, what-if — through one session, pinning every value
-/// bitwise against fresh legacy one-shot calls.
+/// bitwise against requests on fresh cold sessions.
 fn mixed_sequence_matches_legacy(
     problem: &SizingProblem,
     config: SessionConfig,
@@ -110,7 +111,8 @@ fn mixed_sequence_matches_legacy(
     let mut session = problem.session(config.clone());
     let legacy = |spec: f64| -> SizingSolution {
         problem
-            .minflotransit_with(spec * dmin, config.optimizer.clone())
+            .session(SessionConfig::cold_with(config.optimizer.clone()))
+            .size_to(spec * dmin)
             .unwrap()
     };
 
@@ -121,7 +123,7 @@ fn mixed_sequence_matches_legacy(
         assert_solutions_bit_identical(&served, &legacy(spec), &format!("{what}: size#{k} {spec}"));
     }
 
-    // A sweep mid-stream, against the one-shot calls point by point
+    // A sweep mid-stream, against the cold requests point by point
     // under the same optimizer configuration.
     let served_sweep = session.sweep(sweep_specs).unwrap();
     let legacy_sweep = per_point_curve(problem, &config.optimizer, sweep_specs);
@@ -173,7 +175,7 @@ fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
     );
 }
 
-/// c17, fully cold session config: the one-shot replay path.
+/// c17, fully cold session config: every request from fresh state.
 #[test]
 fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
     let problem = c17_problem();
@@ -187,8 +189,8 @@ fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
 }
 
 /// c17, fully warm config (inner warm starts on): the session must
-/// match the legacy *warm* stack (same optimizer config through
-/// `minflotransit_with`, point by point for the sweep) bit for bit.
+/// match the legacy *warm* stack (same optimizer config on fresh cold
+/// sessions, point by point for the sweep) bit for bit.
 #[test]
 fn c17_mixed_sequence_warm_matches_legacy_warm_stack() {
     let problem = c17_problem();
@@ -226,7 +228,8 @@ fn c432_warm_session_matches_legacy_warm_stack() {
     for spec in [0.8, 0.7] {
         let served = session.size_to(spec * dmin).unwrap();
         let legacy = problem
-            .minflotransit_with(spec * dmin, config.optimizer.clone())
+            .session(SessionConfig::cold_with(config.optimizer.clone()))
+            .size_to(spec * dmin)
             .unwrap();
         assert_solutions_bit_identical(&served, &legacy, &format!("c432 warm {spec}"));
     }
@@ -241,7 +244,8 @@ fn unreachable_targets_match_legacy_errors() {
     let mut session = problem.session(SessionConfig::shared_exact());
     session.size_to(0.8 * dmin).unwrap();
     let served = session.size_to(0.05 * dmin).unwrap_err();
-    let legacy = problem.minflotransit(0.05 * dmin).unwrap_err();
+    let mut cold = problem.session(SessionConfig::cold());
+    let legacy = cold.size_to(0.05 * dmin).unwrap_err();
     assert_eq!(
         format!("{served}"),
         format!("{legacy}"),
@@ -251,7 +255,7 @@ fn unreachable_targets_match_legacy_errors() {
     let ok = session.size_to(0.7 * dmin).unwrap();
     assert_solutions_bit_identical(
         &ok,
-        &problem.minflotransit(0.7 * dmin).unwrap(),
+        &cold.size_to(0.7 * dmin).unwrap(),
         "post-failure request",
     );
 }

@@ -2,10 +2,31 @@
 //! D-phase optimality structure) on generated circuits.
 
 use minflotransit::circuit::{SizingDag, SizingMode};
-use minflotransit::core::{solve_dphase, SizingProblem};
+use minflotransit::core::{
+    DPhaseInputs, DPhaseOptions, DPhaseResult, DPhaseSolver, SessionConfig, SizingProblem,
+};
 use minflotransit::delay::{DelayModel, Technology};
 use minflotransit::gen::{random_circuit, Benchmark, RandomCircuitConfig};
 use minflotransit::sta::{critical_path, displacement_between, BalanceStyle, BalancedConfig};
+
+/// One D-phase solve of a fresh solver (6 significant digits).
+fn dphase_once(
+    dag: &SizingDag,
+    sensitivities: &[f64],
+    excess: &[f64],
+    config: &BalancedConfig,
+    trust_region: f64,
+) -> DPhaseResult {
+    DPhaseSolver::new(dag, DPhaseOptions::default())
+        .unwrap()
+        .solve(&DPhaseInputs {
+            sensitivities,
+            excess,
+            config,
+            trust_region,
+        })
+        .unwrap()
+}
 
 fn random_dag(seed: u64, gates: usize) -> (SizingDag, Vec<f64>) {
     let cfg = RandomCircuitConfig {
@@ -59,7 +80,7 @@ fn theorem2_dphase_preserves_critical_path() {
         let n = dag.num_vertices();
         let sens: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let excess: Vec<f64> = delays.iter().map(|d| 0.9 * d).collect();
-        let result = solve_dphase(&dag, &sens, &excess, &cfg, 0.3, 6).unwrap();
+        let result = dphase_once(&dag, &sens, &excess, &cfg, 0.3);
         let new_delays: Vec<f64> = delays
             .iter()
             .zip(result.delta.iter())
@@ -85,7 +106,7 @@ fn dphase_gain_is_nonnegative() {
     let n = dag.num_vertices();
     let sens = vec![1.0; n];
     let excess: Vec<f64> = delays.iter().map(|d| 0.5 * d).collect();
-    let r = solve_dphase(&dag, &sens, &excess, &cfg, 0.25, 6).unwrap();
+    let r = dphase_once(&dag, &sens, &excess, &cfg, 0.25);
     assert!(r.predicted_gain >= 0.0);
 }
 
@@ -99,7 +120,10 @@ fn theorem3_monotone_descent() {
     let problem = SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate)
         .expect("builds");
     let target = 0.6 * problem.dmin();
-    let sol = problem.minflotransit(target).expect("runs");
+    let sol = problem
+        .session(SessionConfig::cold())
+        .size_to(target)
+        .expect("runs");
     let mut area = sol.initial_area;
     let mut accepted = 0;
     for step in &sol.history {
@@ -126,7 +150,10 @@ fn wphase_minimality_on_benchmark() {
     let dag = problem.dag();
     let model = problem.model();
     let target = 0.6 * problem.dmin();
-    let tilos = problem.tilos(target).expect("reachable");
+    let tilos = problem
+        .session(SessionConfig::cold())
+        .tilos_to(target)
+        .expect("reachable");
     let budgets = model.delays(&tilos.sizes);
     let n = dag.num_vertices();
     let dependents: Vec<Vec<usize>> = (0..n)
