@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mft_bench::smoke;
-use mft_flow::{DualLp, FlowNetwork, McfSolver, SimplexSolver};
+use mft_flow::{DualLp, FlowNetwork, SimplexSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -56,7 +56,8 @@ fn bench_flow(c: &mut Criterion) {
         );
     }
     group.finish();
-    // The LP-dual path used by the D-phase.
+    // The LP-dual path used by the D-phase: freeze the LP into a solver
+    // and solve it once, cold.
     let mut group = c.benchmark_group("dual_lp");
     group.sample_size(if smoke() { 1 } else { 20 });
     for vars in [100usize, 400] {
@@ -77,7 +78,8 @@ fn bench_flow(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("dual_lp", vars), &vars, |b, _| {
             b.iter(|| {
-                let sol = lp.maximize(0).expect("bounded");
+                let mut solver = lp.clone().into_solver(0).expect("valid");
+                let sol = solver.maximize().expect("bounded");
                 black_box(sol.objective)
             })
         });
@@ -145,7 +147,8 @@ fn bench_iteration_pattern(c: &mut Criterion) {
                         for (v, &ob) in objective.iter().enumerate().skip(1) {
                             lp.add_objective(v, ob);
                         }
-                        acc += lp.maximize(0).expect("bounded").objective;
+                        let mut solver = lp.into_solver(0).expect("valid");
+                        acc += solver.maximize().expect("bounded").objective;
                     }
                     black_box(acc)
                 })
@@ -179,9 +182,9 @@ fn bench_iteration_pattern(c: &mut Criterion) {
     }
     group.finish();
 
-    // The raw-flow layer view of the same pattern, exercised through the
-    // McfSolver trait: persistent simplex cost updates (spanning-tree
-    // warm starts) vs full rebuild + cold solve each round.
+    // The raw-flow layer view of the same pattern: persistent simplex
+    // cost updates (spanning-tree warm starts) vs full rebuild + cold
+    // solve each round.
     let mut group = c.benchmark_group("flow_cost_update_pattern");
     group.sample_size(if smoke() { 1 } else { 10 });
     for nodes in [100usize, 400] {
@@ -222,7 +225,7 @@ fn bench_iteration_pattern(c: &mut Criterion) {
                     let mut acc = 0.0;
                     for costs in &schedules {
                         for (k, &cost) in costs.iter().enumerate() {
-                            solver.layer_mut().set_cost(k, cost).expect("valid");
+                            solver.set_cost(k, cost).expect("valid");
                         }
                         acc += solver.solve().expect("feasible").total_cost;
                     }

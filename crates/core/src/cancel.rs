@@ -3,7 +3,7 @@
 //! A [`CancelToken`] combines an explicit cancel flag with an optional
 //! deadline. The token is cloned into whatever thread runs the sizing
 //! and polled at iteration boundaries — the D/W loop between phases,
-//! the TILOS bump loop every few hundred bumps, the flow solvers
+//! the TILOS bump loop every few hundred bumps, the network simplex
 //! between pivots, and a session sweep between spec points. A positive
 //! poll surfaces as `MftError::Cancelled` (or the per-crate equivalent)
 //! carrying whatever partial progress the loop had made.
@@ -88,8 +88,8 @@ impl CancelToken {
         self.deadline
     }
 
-    /// Wraps the token for the flow solvers' probe socket
-    /// ([`mft_flow::McfSolver::set_cancel_probe`]).
+    /// Wraps the token for the network simplex's probe socket
+    /// ([`mft_flow::SimplexSolver::set_cancel_probe`]).
     pub fn flow_probe(&self) -> mft_flow::ProbeHandle {
         mft_flow::ProbeHandle::new(Arc::new(self.clone()))
     }

@@ -18,7 +18,8 @@
 //!
 //! Constants are integerized by power-of-ten scaling exactly as the paper
 //! prescribes, and the LP is solved through its min-cost-flow dual with
-//! integer potentials ([`mft_flow::DualLp`]).
+//! integer potentials ([`mft_flow::DualLp`] frozen into a
+//! [`mft_flow::DualSolver`]).
 //!
 //! # Persistent solving
 //!
@@ -161,6 +162,9 @@ impl DPhaseStats {
     }
 }
 
+/// The name [`DPhaseStats::backend`] reports for the network simplex.
+const FLOW_BACKEND: &str = "network-simplex";
+
 /// Sensitivities are quantized to this many steps of the largest one,
 /// so supplies are integers (see [`DPhaseSolver::solve`]).
 const SENS_QUANTUM: f64 = 4294967296.0; // 2^32
@@ -229,7 +233,7 @@ impl DPhaseSolver {
         let mut dual = lp.into_solver(ground).map_err(MftError::Flow)?;
         dual.set_warm_start(options.warm_start);
         let stats = DPhaseStats {
-            backend: dual.backend_name(),
+            backend: FLOW_BACKEND,
             ..Default::default()
         };
         Ok(DPhaseSolver {
@@ -247,11 +251,6 @@ impl DPhaseSolver {
     /// Number of LP variables (ground + vertex + dummy companions).
     pub fn num_vars(&self) -> usize {
         1 + 2 * self.n
-    }
-
-    /// The flow backend's name.
-    pub fn backend_name(&self) -> &'static str {
-        self.dual.backend_name()
     }
 
     /// Cumulative solve statistics.
@@ -360,7 +359,7 @@ impl DPhaseSolver {
 
         let elapsed = started.elapsed();
         self.stats = DPhaseStats {
-            backend: self.dual.backend_name(),
+            backend: FLOW_BACKEND,
             flow: self.dual.stats(),
             total_time: self.stats.total_time + elapsed,
             last_time: elapsed,

@@ -16,18 +16,20 @@
 //! potentials, so the result is integral — exactly the `r : V → Z`
 //! displacement mapping the paper requires.
 //!
-//! For a *sequence* of LPs sharing one constraint graph (the D-phase
-//! inner loop re-solves the same graph with new bounds and objectives
-//! every iteration), convert the LP into a persistent [`DualSolver`]
-//! with [`DualLp::into_solver`]: bounds and objective coefficients can
-//! then be overwritten in place and [`DualSolver::maximize`] re-solves
-//! without rebuilding the network — optionally warm-starting the
-//! network simplex from the previous solve's spanning tree.
+//! [`DualLp`] builds the constraint graph; [`DualLp::into_solver`]
+//! freezes it into a persistent [`DualSolver`], which solves it with
+//! [`DualSolver::maximize`]. For a *sequence* of LPs sharing one
+//! constraint graph (the D-phase inner loop re-solves the same graph
+//! with new bounds and objectives every iteration), bounds and
+//! objective coefficients are overwritten in place and `maximize`
+//! re-solves without rebuilding the network — optionally
+//! warm-starting the network simplex from the previous solve's
+//! spanning tree.
 
 use crate::error::FlowError;
 use crate::network::FlowNetwork;
 use crate::simplex::SimplexSolver;
-use crate::solver::{McfSolver, ProbeHandle, SolverStats};
+use crate::solver::{ProbeHandle, SolverStats};
 
 /// The min-cost-flow backend that solves the LP dual: the primal
 /// network simplex with block-cached Dantzig pricing (the paper's
@@ -162,36 +164,11 @@ impl DualLp {
         Ok(net)
     }
 
-    /// Maximizes the objective with variable `ground` pinned to zero.
-    ///
-    /// Any objective weight placed on `ground` is ignored (it contributes
-    /// a constant zero).
-    ///
-    /// # Errors
-    ///
-    /// * [`FlowError::BadInput`] for an out-of-range ground variable.
-    /// * [`FlowError::NegativeCycle`] if the constraints are inconsistent
-    ///   (no feasible `r` exists).
-    /// * [`FlowError::Infeasible`] if the LP is unbounded (the flow dual
-    ///   cannot route its supplies).
-    pub fn maximize(&self, ground: usize) -> Result<DualSolution, FlowError> {
-        if ground >= self.num_vars {
-            return Err(FlowError::BadInput {
-                message: format!("ground variable {ground} out of range"),
-            });
-        }
-        let net = self.build_network(ground)?;
-        let sol = net.solve()?;
-        #[cfg(debug_assertions)]
-        if let Err(e) = sol.verify(&net) {
-            panic!("flow certificate inside dual solve: {e}");
-        }
-        Ok(extract_solution(&self.objective, ground, &sol))
-    }
-
     /// Converts the LP into a persistent solver over its (now frozen)
-    /// constraint graph, for repeated re-solves with updated bounds and
-    /// objective coefficients.
+    /// constraint graph, with variable `ground` pinned to zero; any
+    /// objective weight placed on `ground` is ignored (it contributes a
+    /// constant zero). [`DualSolver::maximize`] solves it, and solves
+    /// it again after bounds or objective coefficients are rewritten.
     ///
     /// # Errors
     ///
@@ -211,76 +188,6 @@ impl DualLp {
             backend,
         })
     }
-
-    /// Verifies a candidate solution: feasibility of every constraint and
-    /// the strong-duality gap `|objective − flow_cost|`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::CertificateViolation`] naming the violated
-    /// constraint or the duality gap.
-    pub fn verify(&self, sol: &DualSolution, ground: usize) -> Result<(), FlowError> {
-        verify_solution(
-            ground,
-            self.constraints.iter().copied(),
-            &self.objective,
-            sol,
-        )
-    }
-}
-
-/// Shared verification core for [`DualLp::verify`] and
-/// [`DualSolver::verify`]: constraint feasibility plus the
-/// strong-duality gap.
-fn verify_solution(
-    ground: usize,
-    constraints: impl IntoIterator<Item = (u32, u32, i64)>,
-    objective: &[f64],
-    sol: &DualSolution,
-) -> Result<(), FlowError> {
-    if sol.r.len() != objective.len() {
-        return Err(FlowError::CertificateViolation {
-            message: format!(
-                "solution has {} variables, expected {}",
-                sol.r.len(),
-                objective.len()
-            ),
-        });
-    }
-    if sol.r[ground] != 0 {
-        return Err(FlowError::CertificateViolation {
-            message: format!("ground variable is {} ≠ 0", sol.r[ground]),
-        });
-    }
-    for (k, (u, v, c)) in constraints.into_iter().enumerate() {
-        let lhs = sol.r[u as usize] - sol.r[v as usize];
-        if lhs > c {
-            return Err(FlowError::CertificateViolation {
-                message: format!("constraint {k}: r{u} − r{v} = {lhs} > {c}"),
-            });
-        }
-    }
-    // The gap tolerance must cover the floating-point uncertainty of
-    // `Σ b_v·r_v` itself: near convergence the objective is a small
-    // difference of huge cancelling products, so the achievable
-    // accuracy is bounded by ε·Σ|b_v·r_v|, not by the objective's own
-    // magnitude.
-    let scale = 1.0 + sol.objective.abs().max(sol.flow_cost.abs());
-    let dot_magnitude: f64 = objective
-        .iter()
-        .enumerate()
-        .map(|(v, &b)| (b * sol.r[v] as f64).abs())
-        .sum();
-    let tol = 1e-6 * scale + 64.0 * f64::EPSILON * dot_magnitude;
-    if (sol.objective - sol.flow_cost).abs() > tol {
-        return Err(FlowError::CertificateViolation {
-            message: format!(
-                "duality gap: objective {} vs flow cost {} (tolerance {tol})",
-                sol.objective, sol.flow_cost
-            ),
-        });
-    }
-    Ok(())
 }
 
 /// Recovers `r` and the objective from a flow solution.
@@ -331,7 +238,7 @@ impl DualSolver {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.backend.topology().num_arcs()
+        self.backend.num_arcs()
     }
 
     /// The ground variable.
@@ -351,7 +258,7 @@ impl DualSolver {
                 message: format!("constraint {k} out of range"),
             });
         }
-        self.backend.layer_mut().set_cost(k, bound)
+        self.backend.set_cost(k, bound)
     }
 
     /// Overwrites variable `v`'s objective coefficient (absolute, unlike
@@ -376,8 +283,9 @@ impl DualSolver {
     }
 
     /// Installs (or clears) a cooperative cancellation probe on the
-    /// network simplex (see [`McfSolver::set_cancel_probe`]); a positive poll
-    /// aborts [`DualSolver::maximize`] with [`FlowError::Cancelled`].
+    /// network simplex (see [`SimplexSolver::set_cancel_probe`]); a
+    /// positive poll aborts [`DualSolver::maximize`] with
+    /// [`FlowError::Cancelled`].
     pub fn set_cancel_probe(&mut self, probe: Option<ProbeHandle>) {
         self.backend.set_cancel_probe(probe);
     }
@@ -387,48 +295,100 @@ impl DualSolver {
         self.backend.stats()
     }
 
-    /// The backend's name (for reports).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Re-solves the LP for the current bounds and objective.
+    /// Maximizes the objective for the current bounds and objective
+    /// coefficients.
     ///
     /// # Errors
     ///
-    /// As [`DualLp::maximize`].
+    /// * [`FlowError::NegativeCycle`] if the constraints are inconsistent
+    ///   (no feasible `r` exists).
+    /// * [`FlowError::Infeasible`] if the LP is unbounded (the flow dual
+    ///   cannot route its supplies).
+    /// * [`FlowError::Cancelled`] from an installed cancellation probe.
     pub fn maximize(&mut self) -> Result<DualSolution, FlowError> {
-        // Map the objective onto supplies, exactly as the one-shot path.
-        let layer = self.backend.layer_mut();
+        // Map the objective onto supplies, as `DualLp::build_network`.
         let mut ground_supply = 0.0;
         for (v, &b) in self.objective.iter().enumerate() {
             if v == self.ground {
                 continue;
             }
             if b == 0.0 {
-                layer.set_supply(v, 0.0);
+                self.backend.set_supply(v, 0.0);
                 continue;
             }
-            layer.set_supply(v, b);
+            self.backend.set_supply(v, b);
             ground_supply -= b;
         }
-        layer.set_supply(self.ground, ground_supply);
+        self.backend.set_supply(self.ground, ground_supply);
         let sol = self.backend.solve()?;
         #[cfg(debug_assertions)]
-        if let Err(e) = sol.verify(&self.backend) {
-            panic!("flow certificate inside dual solve: {e}");
+        {
+            let (topo, layer) = (&self.backend.topo, &self.backend.layer);
+            let arc_info = |k| {
+                let (u, v) = topo.arc_endpoints(k);
+                (u, v, layer.caps[k], layer.costs[k])
+            };
+            if let Err(e) = sol.verify_against(&layer.supply, arc_info) {
+                panic!("flow certificate inside dual solve: {e}");
+            }
         }
         Ok(extract_solution(&self.objective, self.ground, &sol))
     }
 
     /// Verifies a candidate solution against the current bounds and
-    /// objective (see [`DualLp::verify`]).
+    /// objective: feasibility of every constraint and the strong-duality
+    /// gap `|objective − flow_cost|`.
     ///
     /// # Errors
     ///
-    /// As [`DualLp::verify`].
+    /// Returns [`FlowError::CertificateViolation`] naming the violated
+    /// constraint or the duality gap.
     pub fn verify(&self, sol: &DualSolution) -> Result<(), FlowError> {
-        verify_solution(self.ground, self.constraints(), &self.objective, sol)
+        let objective = &self.objective;
+        let ground = self.ground;
+        if sol.r.len() != objective.len() {
+            return Err(FlowError::CertificateViolation {
+                message: format!(
+                    "solution has {} variables, expected {}",
+                    sol.r.len(),
+                    objective.len()
+                ),
+            });
+        }
+        if sol.r[ground] != 0 {
+            return Err(FlowError::CertificateViolation {
+                message: format!("ground variable is {} ≠ 0", sol.r[ground]),
+            });
+        }
+        for (k, (u, v, c)) in self.constraints().enumerate() {
+            let lhs = sol.r[u as usize] - sol.r[v as usize];
+            if lhs > c {
+                return Err(FlowError::CertificateViolation {
+                    message: format!("constraint {k}: r{u} − r{v} = {lhs} > {c}"),
+                });
+            }
+        }
+        // The gap tolerance must cover the floating-point uncertainty of
+        // `Σ b_v·r_v` itself: near convergence the objective is a small
+        // difference of huge cancelling products, so the achievable
+        // accuracy is bounded by ε·Σ|b_v·r_v|, not by the objective's own
+        // magnitude.
+        let scale = 1.0 + sol.objective.abs().max(sol.flow_cost.abs());
+        let dot_magnitude: f64 = objective
+            .iter()
+            .enumerate()
+            .map(|(v, &b)| (b * sol.r[v] as f64).abs())
+            .sum();
+        let tol = 1e-6 * scale + 64.0 * f64::EPSILON * dot_magnitude;
+        if (sol.objective - sol.flow_cost).abs() > tol {
+            return Err(FlowError::CertificateViolation {
+                message: format!(
+                    "duality gap: objective {} vs flow cost {} (tolerance {tol})",
+                    sol.objective, sol.flow_cost
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// The current LP's dual flow network as a one-shot [`FlowNetwork`]
@@ -447,11 +407,10 @@ impl DualSolver {
 
     /// Every constraint `(u, v, bound)` with its current bound.
     fn constraints(&self) -> impl Iterator<Item = (u32, u32, i64)> + '_ {
-        let topo = self.backend.topology();
-        let layer = self.backend.layer();
+        let (topo, layer) = (&self.backend.topo, &self.backend.layer);
         (0..topo.num_arcs()).map(|k| {
             let (u, v) = topo.arc_endpoints(k);
-            (u as u32, v as u32, layer.cost(k))
+            (u as u32, v as u32, layer.costs[k])
         })
     }
 }
@@ -459,6 +418,14 @@ impl DualSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Solves `lp` cold with ground 0 and verifies the solution.
+    fn maximize(lp: &DualLp) -> Result<DualSolution, FlowError> {
+        let mut solver = lp.clone().into_solver(0)?;
+        let sol = solver.maximize()?;
+        solver.verify(&sol)?;
+        Ok(sol)
+    }
 
     /// A hand-checkable instance: three variables, ground = 0.
     /// maximize 2·r1 − 1·r2  s.t.  r1 − r0 ≤ 4, r1 − r2 ≤ 1, r2 − r0 ≤ 5,
@@ -473,8 +440,7 @@ mod tests {
         lp.add_constraint(1, 2, 1).unwrap();
         lp.add_constraint(2, 0, 5).unwrap();
         lp.add_constraint(0, 2, 0).unwrap();
-        let sol = lp.maximize(0).unwrap();
-        lp.verify(&sol, 0).unwrap();
+        let sol = maximize(&lp).unwrap();
         assert_eq!(sol.r[0], 0);
         assert_eq!(sol.r[1], 4);
         assert_eq!(sol.r[2], 3);
@@ -487,7 +453,7 @@ mod tests {
         let mut lp = DualLp::new(2);
         lp.add_objective(1, 1.0);
         lp.add_constraint(0, 1, 0).unwrap();
-        assert!(matches!(lp.maximize(0), Err(FlowError::Infeasible { .. })));
+        assert!(matches!(maximize(&lp), Err(FlowError::Infeasible { .. })));
     }
 
     #[test]
@@ -497,7 +463,7 @@ mod tests {
         lp.add_objective(1, 1.0);
         lp.add_constraint(1, 0, -1).unwrap();
         lp.add_constraint(0, 1, -1).unwrap();
-        assert!(matches!(lp.maximize(0), Err(FlowError::NegativeCycle)));
+        assert!(matches!(maximize(&lp), Err(FlowError::NegativeCycle)));
     }
 
     #[test]
@@ -505,8 +471,7 @@ mod tests {
         let mut lp = DualLp::new(3);
         lp.add_constraint(1, 0, 2).unwrap();
         lp.add_constraint(2, 1, 2).unwrap();
-        let sol = lp.maximize(0).unwrap();
-        lp.verify(&sol, 0).unwrap();
+        let sol = maximize(&lp).unwrap();
         assert_eq!(sol.objective, 0.0);
     }
 
@@ -533,11 +498,12 @@ mod tests {
                     lp.add_constraint(u, v, rng.gen_range(0..6)).unwrap();
                 }
             }
-            let a = lp.maximize(0).unwrap();
-            lp.verify(&a, 0).unwrap();
+            let mut solver = lp.clone().into_solver(0).unwrap();
+            let a = solver.maximize().unwrap();
+            solver.verify(&a).unwrap();
             let flow = lp.build_network(0).unwrap().solve_reference().unwrap();
             let b = extract_solution(&lp.objective, 0, &flow);
-            lp.verify(&b, 0).unwrap();
+            solver.verify(&b).unwrap();
             assert!(
                 (a.objective - b.objective).abs() < 1e-6 * (1.0 + a.objective.abs()),
                 "case {case}: simplex {} vs reference {}",
@@ -547,9 +513,9 @@ mod tests {
         }
     }
 
-    /// The persistent solver reproduces one-shot results across a
+    /// The persistent solver reproduces fresh cold solves across a
     /// sequence of bound/objective rewrites, warm-starting each re-solve,
-    /// and its `to_network` mirror is the one-shot LP's network.
+    /// and its `to_network` mirror is the fresh LP's network.
     #[test]
     fn persistent_solver_matches_one_shot() {
         use rand::rngs::StdRng;
@@ -578,12 +544,12 @@ mod tests {
                 fresh.add_objective(v, b);
                 solver.set_objective(v, b);
             }
-            let expect = fresh.maximize(0).unwrap();
+            let expect = maximize(&fresh).unwrap();
             let got = solver.maximize().unwrap();
             solver.verify(&got).unwrap();
             assert!(
                 (got.objective - expect.objective).abs() < 1e-6 * (1.0 + expect.objective.abs()),
-                "persistent {} vs one-shot {}",
+                "persistent {} vs fresh {}",
                 got.objective,
                 expect.objective
             );
@@ -646,8 +612,7 @@ mod tests {
             for v in 1..n {
                 lp.add_objective(v, rng.gen_range(-3.0..3.0));
             }
-            let sol = lp.maximize(0).unwrap();
-            lp.verify(&sol, 0).unwrap();
+            let sol = maximize(&lp).unwrap();
 
             // Brute force over r ∈ {−3..3}^(n−1) (variable 0 is ground).
             let mut best = f64::NEG_INFINITY;

@@ -37,8 +37,9 @@ pub enum FlowError {
     },
     /// The solve was stopped by the caller's cooperative cancellation
     /// probe (a deadline or an explicit cancel; see
-    /// `McfSolver::set_cancel_probe`). The instance is fine — re-solving
-    /// without the probe would succeed. Any retained warm state is
+    /// [`SimplexSolver::set_cancel_probe`](crate::SimplexSolver::set_cancel_probe)).
+    /// The instance is fine — re-solving without the probe would
+    /// succeed. Any retained warm state is
     /// invalidated, so the next solve runs cold.
     Cancelled,
 }

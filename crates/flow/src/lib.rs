@@ -2,9 +2,7 @@
 //!
 //! The paper's D-phase redistributes delay budgets by solving a linear
 //! program "whose dual is a min-cost network flow problem" (§2.3.1,
-//! problem (10)). This crate provides both halves, in two usage styles.
-//!
-//! # One-shot solves
+//! problem (10)). This crate provides both halves:
 //!
 //! * [`FlowNetwork`] — build a network, then solve it with the primal
 //!   network simplex ([`FlowNetwork::solve`], the algorithm family of
@@ -13,32 +11,26 @@
 //!   check the simplex against; an optimality-certificate checker
 //!   ([`FlowSolution::verify`]) cross-validates both;
 //! * [`DualLp`] — difference-constraint LPs
-//!   `max b·r  s.t.  r_u − r_v ≤ c_uv` solved through the flow dual, with
-//!   **integer** optimal `r` recovered from the node potentials (the
-//!   paper's displacement `r : V → Z`) and a strong-duality certificate.
+//!   `max b·r  s.t.  r_u − r_v ≤ c_uv`, frozen into a [`DualSolver`]
+//!   ([`DualLp::into_solver`]) that solves them through the flow dual,
+//!   with **integer** optimal `r` recovered from the node potentials
+//!   (the paper's displacement `r : V → Z`) and a strong-duality
+//!   certificate ([`DualSolver::verify`]).
 //!
-//! # Persistent solves (topology/cost split)
+//! # Persistent solves
 //!
 //! MINFLOTRANSIT's inner loop re-solves the *same* network a few tens of
-//! times with only costs, bounds and supplies changing. For that
-//! pattern the instance is split into:
-//!
-//! * [`NetworkTopology`] — immutable CSR-style arc arrays built once
-//!   (every node gets super-source/sink arcs up front, so no supply
-//!   pattern ever changes the arc structure);
-//! * [`CostLayer`] — the mutable per-arc costs/capacities and per-node
-//!   supplies.
-//!
-//! [`SimplexSolver`] owns a topology + layer, keeps its scratch buffers
-//! alive across solves, and optionally **warm-starts** each re-solve
-//! from the previous solve's spanning tree, repairing it back to primal
+//! times with only costs, bounds and supplies changing. The
+//! [`SimplexSolver`] freezes a network's arcs once, takes cost and
+//! supply rewrites in place ([`SimplexSolver::set_cost`],
+//! [`SimplexSolver::set_supply`]), keeps its scratch buffers alive
+//! across solves, and optionally **warm-starts** each re-solve from the
+//! previous solve's spanning tree, repairing it back to primal
 //! feasibility. Warm solves return certified optima but may pick a
 //! different optimal vertex than a cold solve when the optimum is
-//! degenerate; cold solves are bit-identical to the one-shot entry
-//! points. [`DualSolver`] lifts the same pattern to difference-constraint
-//! LPs ([`DualLp::into_solver`]). The [`McfSolver`] trait is the
-//! persistent-solver interface, so tests can substitute the
-//! [`ReferenceSolver`] for the simplex.
+//! degenerate; a cold solve is bit-identical to a fresh solver's first
+//! solve. [`DualSolver`] lifts the same pattern to difference-constraint
+//! LPs.
 //!
 //! The simplex selects entering arcs by Dantzig's rule (the most
 //! negative reduced cost), with a per-block cache that re-prices only
@@ -55,9 +47,12 @@
 //! lp.add_objective(1, 1.0);
 //! lp.add_constraint(1, 0, 3)?;
 //! lp.add_constraint(0, 1, 0)?; // r1 ≥ 0 keeps the dual feasible
-//! let sol = lp.maximize(0)?;
+//! let mut solver = lp.into_solver(0)?;
+//! let sol = solver.maximize()?;
 //! assert_eq!(sol.r[1], 3);
-//! lp.verify(&sol, 0)?;
+//! solver.verify(&sol)?;
+//! solver.set_bound(0, 5)?; // loosen r1 − r0 ≤ 5, re-solve
+//! assert_eq!(solver.maximize()?.r[1], 5);
 //! # Ok(())
 //! # }
 //! ```
@@ -65,7 +60,7 @@
 //! Persistent re-solving with cost updates and warm starts:
 //!
 //! ```
-//! use mft_flow::{FlowNetwork, McfSolver, SimplexSolver};
+//! use mft_flow::{FlowNetwork, SimplexSolver};
 //!
 //! # fn main() -> Result<(), mft_flow::FlowError> {
 //! let mut net = FlowNetwork::new(3);
@@ -77,7 +72,7 @@
 //! let mut solver = SimplexSolver::new(&net);
 //! solver.set_warm_start(true);
 //! assert_eq!(solver.solve()?.total_cost, 2.0); // via the middle node
-//! solver.layer_mut().set_cost(top, 9)?;        // re-price, re-solve
+//! solver.set_cost(top, 9)?;                    // re-price, re-solve
 //! assert_eq!(solver.solve()?.total_cost, 3.0); // direct arc now wins
 //! assert_eq!(solver.stats().warm_solves, 1);
 //! # Ok(())
@@ -100,5 +95,4 @@ pub use dual::{DualLp, DualSolution, DualSolver, FlowAlgorithm};
 pub use error::FlowError;
 pub use network::{ArcId, FlowNetwork, FlowSolution};
 pub use simplex::SimplexSolver;
-pub use solver::{CancelProbe, McfInstance, McfSolver, ProbeHandle, ReferenceSolver, SolverStats};
-pub use topology::{CostLayer, NetworkTopology};
+pub use solver::{CancelProbe, ProbeHandle, SolverStats};

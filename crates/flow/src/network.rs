@@ -7,19 +7,19 @@
 //!
 //! [`FlowNetwork`] is the *builder*: grow a network with
 //! [`FlowNetwork::add_arc`] / [`FlowNetwork::set_supply`], then either
-//! call the one-shot entry points ([`FlowNetwork::solve`], and
-//! [`FlowNetwork::solve_reference`] for cross-checks) or freeze it into
-//! an immutable [`NetworkTopology`](crate::NetworkTopology) plus a
-//! mutable [`CostLayer`](crate::CostLayer) and hand those to a
+//! solve it once ([`FlowNetwork::solve`], and
+//! [`FlowNetwork::solve_reference`] for cross-checks) or hand it to a
 //! persistent [`SimplexSolver`] for repeated incremental re-solves.
 
 use crate::error::FlowError;
 use crate::simplex::SimplexSolver;
-use crate::solver::{McfInstance, McfSolver, ReferenceSolver};
-use crate::topology::{CostLayer, NetworkTopology};
+use crate::topology::check_balance;
 
 /// Identifier of an arc returned by [`FlowNetwork::add_arc`].
 pub type ArcId = usize;
+
+/// The reference solver's "unreached" distance.
+const COST_INF: i64 = i64::MAX / 4;
 
 #[derive(Debug, Clone)]
 struct Arc {
@@ -164,12 +164,6 @@ impl FlowNetwork {
         (a.from as usize, a.to as usize, a.cap, a.cost)
     }
 
-    /// Freezes the network into its immutable topology and mutable
-    /// cost/bound layer — the inputs of the persistent solvers.
-    pub fn freeze(&self) -> (NetworkTopology, CostLayer) {
-        (NetworkTopology::build(self), CostLayer::build(self))
-    }
-
     /// Solves the min-cost flow problem with the primal network simplex.
     ///
     /// One-shot convenience over a cold [`SimplexSolver`]; for repeated
@@ -189,50 +183,165 @@ impl FlowNetwork {
     }
 
     /// Reference solver: successive shortest paths recomputed with plain
-    /// Bellman–Ford every augmentation. Slow (`O(V·E)` per augmentation)
-    /// but independent of the simplex machinery — used to cross-check
+    /// Bellman–Ford every augmentation, then certified potentials from
+    /// the optimal flow. Slow (`O(V·E)` per augmentation) but
+    /// independent of the simplex machinery — used to cross-check
     /// [`FlowNetwork::solve`] in tests.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FlowNetwork::solve`].
     pub fn solve_reference(&self) -> Result<FlowSolution, FlowError> {
-        ReferenceSolver::new(self).solve()
-    }
-}
-
-impl McfInstance for FlowNetwork {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-    fn num_arcs(&self) -> usize {
-        self.arcs.len()
-    }
-    fn supply(&self, v: usize) -> f64 {
-        self.supply[v]
-    }
-    fn arc_info(&self, k: ArcId) -> (usize, usize, f64, i64) {
-        FlowNetwork::arc_info(self, k)
+        let (total_pos, scale) = check_balance(&self.supply)?;
+        let n = self.num_nodes;
+        let m = self.arcs.len();
+        // The residual graph over the nodes plus a super source `S` and
+        // a super sink `T`: public arc `k` owns residual arcs `2k`
+        // (forward) and `2k + 1` (backward), then come the pairs of
+        // `S → v` and `v → T` for every node `v`; the pair of residual
+        // arc `i` is `i ^ 1`.
+        let (s, t) = (n, n + 1);
+        let mut head: Vec<usize> = Vec::with_capacity(2 * m + 4 * n);
+        let mut cost: Vec<i64> = Vec::with_capacity(2 * m + 4 * n);
+        let mut residual: Vec<f64> = Vec::with_capacity(2 * m + 4 * n);
+        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n + 2];
+        let mut add = |from: usize, to: usize, cap: f64, c: i64| {
+            adjacency[from].push(head.len());
+            adjacency[to].push(head.len() + 1);
+            head.extend([to, from]);
+            cost.extend([c, -c]);
+            residual.extend([cap, 0.0]);
+        };
+        for a in &self.arcs {
+            add(a.from as usize, a.to as usize, a.cap, a.cost);
+        }
+        for (v, &sv) in self.supply.iter().enumerate() {
+            add(s, v, sv.max(0.0), 0);
+            add(v, t, (-sv).max(0.0), 0);
+        }
+        let eps_term = 1e-14 * scale;
+        let mut remaining = total_pos;
+        let mut shipped = 0.0;
+        while remaining > eps_term {
+            let mut dist = vec![COST_INF; n + 2];
+            let mut parent: Vec<Option<usize>> = vec![None; n + 2];
+            dist[s] = 0;
+            let mut changed = true;
+            let mut rounds = 0usize;
+            while changed {
+                changed = false;
+                rounds += 1;
+                if rounds > n + 3 {
+                    return Err(FlowError::NegativeCycle);
+                }
+                for u in 0..n + 2 {
+                    if dist[u] >= COST_INF {
+                        continue;
+                    }
+                    for &i in &adjacency[u] {
+                        if residual[i] <= 0.0 {
+                            continue;
+                        }
+                        let (v, nd) = (head[i], dist[u] + cost[i]);
+                        if nd < dist[v] {
+                            dist[v] = nd;
+                            parent[v] = Some(i);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if dist[t] >= COST_INF {
+                if remaining <= 1e-6 * scale {
+                    break;
+                }
+                return Err(FlowError::Infeasible {
+                    unshipped: remaining,
+                });
+            }
+            let mut delta = f64::INFINITY;
+            let mut v = t;
+            while let Some(i) = parent[v] {
+                delta = delta.min(residual[i]);
+                v = head[i ^ 1];
+            }
+            let mut v = t;
+            while let Some(i) = parent[v] {
+                residual[i] -= delta;
+                residual[i ^ 1] += delta;
+                v = head[i ^ 1];
+            }
+            remaining -= delta;
+            shipped += delta;
+        }
+        let flows: Vec<f64> = (0..m).map(|k| residual[2 * k + 1]).collect();
+        let total_cost =
+            (flows.iter().zip(&self.arcs)).fold(0.0, |acc, (f, a)| acc + f * a.cost as f64);
+        // Certified potentials from the optimal flow: shortest walks over
+        // the residual graph of real arcs (all-zero init; the optimal
+        // residual graph has no negative cycle).
+        let dust = 1e-12 * scale;
+        let mut pi = vec![0i64; n];
+        let mut changed = true;
+        let mut rounds = 0usize;
+        while changed {
+            changed = false;
+            rounds += 1;
+            if rounds > n + 1 {
+                return Err(FlowError::BadInput {
+                    message: "residual graph of the optimal flow has a negative cycle".to_owned(),
+                });
+            }
+            for (a, &f) in self.arcs.iter().zip(&flows) {
+                let (u, v, c) = (a.from as usize, a.to as usize, a.cost);
+                // Dust-tolerant on both bounds: an arc saturated to
+                // within an ulp of its capacity must not contribute a
+                // forward residual arc, or a spurious "negative cycle"
+                // of ~1e-16 capacity derails the relaxation.
+                if a.cap - f > dust && pi[u] + c < pi[v] {
+                    pi[v] = pi[u] + c;
+                    changed = true;
+                }
+                if f > dust && pi[v] - c < pi[u] {
+                    pi[u] = pi[v] - c;
+                    changed = true;
+                }
+            }
+        }
+        Ok(FlowSolution {
+            flows,
+            potentials: pi,
+            total_cost,
+            shipped,
+        })
     }
 }
 
 impl FlowSolution {
     /// Verifies flow conservation and the reduced-cost optimality
-    /// certificate against the originating instance (a [`FlowNetwork`]
-    /// or any persistent [`McfSolver`] backend).
+    /// certificate against the originating network.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::CertificateViolation`] describing the first
     /// violated condition.
-    pub fn verify<I: McfInstance + ?Sized>(&self, net: &I) -> Result<(), FlowError> {
-        let n = net.num_nodes();
-        let scale: f64 = (0..n).map(|v| net.supply(v).abs()).fold(1.0, f64::max);
+    pub fn verify(&self, net: &FlowNetwork) -> Result<(), FlowError> {
+        self.verify_against(&net.supply, |k| net.arc_info(k))
+    }
+
+    /// [`FlowSolution::verify`] against an instance given as its
+    /// supplies and its `(from, to, capacity, cost)` per arc.
+    pub(crate) fn verify_against(
+        &self,
+        supply: &[f64],
+        arc_info: impl Fn(ArcId) -> (usize, usize, f64, i64),
+    ) -> Result<(), FlowError> {
+        let scale: f64 = supply.iter().map(|s| s.abs()).fold(1.0, f64::max);
         let eps = 1e-6 * scale;
         // Conservation: out − in = supply.
-        let mut balance = vec![0.0f64; n];
+        let mut balance = vec![0.0f64; supply.len()];
         for (k, &f) in self.flows.iter().enumerate() {
-            let (from, to, cap, _) = net.arc_info(k);
+            let (from, to, cap, _) = arc_info(k);
             if f < -eps || f > cap + eps {
                 return Err(FlowError::CertificateViolation {
                     message: format!("flow {f} outside [0, {cap}] on arc {k}"),
@@ -241,8 +350,7 @@ impl FlowSolution {
             balance[from] += f;
             balance[to] -= f;
         }
-        for (v, &got) in balance.iter().enumerate() {
-            let want = net.supply(v);
+        for (v, (&got, &want)) in balance.iter().zip(supply).enumerate() {
             if (got - want).abs() > eps {
                 return Err(FlowError::CertificateViolation {
                     message: format!("conservation violated at node {v}: {got} vs supply {want}"),
@@ -251,7 +359,7 @@ impl FlowSolution {
         }
         // Reduced-cost optimality on the residual graph.
         for (k, &f) in self.flows.iter().enumerate() {
-            let (from, to, cap, cost) = net.arc_info(k);
+            let (from, to, cap, cost) = arc_info(k);
             let rc = cost + self.potentials[from] - self.potentials[to];
             if f < cap - eps && rc < 0 {
                 return Err(FlowError::CertificateViolation {
@@ -328,6 +436,10 @@ mod tests {
         net.add_arc(0, 1, f64::INFINITY, -1).unwrap();
         net.add_arc(1, 0, f64::INFINITY, -1).unwrap();
         assert!(matches!(net.solve(), Err(FlowError::NegativeCycle)));
+        assert!(matches!(
+            net.solve_reference(),
+            Err(FlowError::NegativeCycle)
+        ));
     }
 
     #[test]
@@ -338,6 +450,10 @@ mod tests {
         net.add_arc(0, 1, f64::INFINITY, 1).unwrap();
         net.add_arc(2, 3, f64::INFINITY, 1).unwrap();
         assert!(matches!(net.solve(), Err(FlowError::Infeasible { .. })));
+        assert!(matches!(
+            net.solve_reference(),
+            Err(FlowError::Infeasible { .. })
+        ));
     }
 
     #[test]
@@ -347,6 +463,10 @@ mod tests {
         net.set_supply(1, -1.0);
         net.add_arc(0, 1, f64::INFINITY, 0).unwrap();
         assert!(matches!(net.solve(), Err(FlowError::BadInput { .. })));
+        assert!(matches!(
+            net.solve_reference(),
+            Err(FlowError::BadInput { .. })
+        ));
     }
 
     #[test]

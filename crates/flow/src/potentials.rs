@@ -148,7 +148,8 @@ impl CertificatePotentials {
 mod tests {
     use super::*;
     use crate::network::FlowNetwork;
-    use crate::{McfSolver, SimplexSolver};
+    use crate::topology::check_balance;
+    use crate::SimplexSolver;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -241,10 +242,9 @@ mod tests {
             let Ok(sol) = solver.solve() else {
                 continue; // infeasible or unbounded draw
             };
-            let topo = solver.topology();
-            let layer = solver.layer();
+            let (topo, layer) = (&solver.topo, &solver.layer);
             let tree_pi = solver.tree_potentials();
-            let scale = layer.check_balance().unwrap().1;
+            let scale = check_balance(&layer.supply).unwrap().1;
             let dust = 1e-12 * scale;
             let labels = scratch
                 .compute(topo, layer, &sol.flows, tree_pi, dust)
@@ -302,7 +302,7 @@ mod tests {
         net.add_arc(0, 1, f64::INFINITY, -1).unwrap();
         net.add_arc(1, 0, 5.0, -1).unwrap();
         net.add_arc(1, 2, f64::INFINITY, 4).unwrap();
-        let (topo, layer) = net.freeze();
+        let (topo, layer) = (NetworkTopology::build(&net), CostLayer::build(&net));
         let flow = vec![0.0; 3];
         let mut scratch = CertificatePotentials::default();
         for pi in [[0, 0, 0], [0, -1, 3], [-1, 0, 0]] {

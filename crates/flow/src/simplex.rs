@@ -4,7 +4,7 @@
 //! The paper's D-phase complexity claim rests on network-flow machinery
 //! in the family of Goldberg–Grigoriadis–Tarjan's network simplex (its
 //! reference \[9\]). [`SimplexSolver`] implements the classic primal
-//! algorithm over a frozen [`NetworkTopology`]:
+//! algorithm over a network's arcs, frozen into CSR arrays once:
 //!
 //! * an artificial root node with big-`M` arcs gives the initial
 //!   spanning tree (all supplies routed through the root);
@@ -26,11 +26,10 @@
 //! cost), so one walk of the subtree adds σ and re-derives depths,
 //! without any per-node arc lookups. Only arcs with exactly one endpoint
 //! in the moved subtree change reduced cost, so the exchange touches
-//! just those boundary arcs (read from the topology's adjacency minus
-//! its `S`/`T` super arcs), the moved nodes' artificial arcs, and the
-//! entering arc; Dantzig pricing prices each touched arc alone and
-//! re-prices a whole 64-arc block only when the touched arc was that
-//! block's cached best. A pivot thus costs its boundary arcs, the few
+//! just those boundary arcs (read from the topology's adjacency), the
+//! moved nodes' artificial arcs, and the entering arc; Dantzig pricing
+//! prices each touched arc alone and re-prices a whole 64-arc block
+//! only when the touched arc was that block's cached best. A pivot thus costs its boundary arcs, the few
 //! blocks whose best it touched, the moved subtree and the cycle
 //! instead of an O(arcs) scan (the pricing's `select` is generic over
 //! the pricing view, so the reduced-cost test inlines). The O(arcs)
@@ -57,19 +56,23 @@ use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
 use crate::pivot::{DantzigBlocks, PricingContext};
 use crate::potentials::CertificatePotentials;
-use crate::solver::{impl_instance_for_solver, McfInstance, McfSolver, SolverStats};
-use crate::topology::{CostLayer, NetworkTopology};
+use crate::solver::{ProbeHandle, SolverStats};
+use crate::topology::{check_balance, CostLayer, NetworkTopology};
 use crate::ArcId;
-use std::sync::Arc as Shared;
 
 /// The empty link of the tree's child and sibling lists.
 const NONE: u32 = u32::MAX;
 
-/// Persistent primal network simplex backend.
+/// Persistent primal network simplex: the min-cost-flow solver.
+///
+/// Built once from a [`FlowNetwork`]; the arc structure is then fixed,
+/// while costs ([`SimplexSolver::set_cost`]) and supplies
+/// ([`SimplexSolver::set_supply`]) may be rewritten between solves
+/// without reallocation.
 #[derive(Debug, Clone)]
 pub struct SimplexSolver {
-    topo: Shared<NetworkTopology>,
-    layer: CostLayer,
+    pub(crate) topo: NetworkTopology,
+    pub(crate) layer: CostLayer,
     warm_enabled: bool,
     has_state: bool,
     /// Flow per arc: public arcs first, then one artificial per node.
@@ -108,11 +111,9 @@ pub struct SimplexSolver {
     /// Scratch of the certificate-potential pass in `finish`.
     certificate: CertificatePotentials,
     /// Cooperative cancellation probe, polled between pivots.
-    probe: Option<crate::solver::ProbeHandle>,
+    probe: Option<ProbeHandle>,
     stats: SolverStats,
 }
-
-impl_instance_for_solver!(SimplexSolver);
 
 /// The pricing view `run_pivots` offers its Dantzig pricing:
 /// reduced-cost eligibility per arc. It borrows the solver's fields one
@@ -182,20 +183,12 @@ fn arc_endpoints(topo: &NetworkTopology, art_to_root: &[bool], k: usize) -> (usi
 }
 
 impl SimplexSolver {
-    /// Builds a persistent solver from a one-shot network description.
+    /// Builds a persistent solver over `net`'s arcs, costs, capacities
+    /// and supplies. Warm starts are off until
+    /// [`SimplexSolver::set_warm_start`] turns them on.
     pub fn new(net: &FlowNetwork) -> Self {
-        let (topo, layer) = net.freeze();
-        Self::from_parts(Shared::new(topo), layer)
-    }
-
-    /// Builds a persistent solver from pre-split parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer's shape does not match the topology.
-    pub fn from_parts(topo: Shared<NetworkTopology>, layer: CostLayer) -> Self {
-        assert_eq!(layer.costs.len(), topo.num_arcs(), "one cost per arc");
-        assert_eq!(layer.supply.len(), topo.num_nodes(), "one supply per node");
+        let topo = NetworkTopology::build(net);
+        let layer = CostLayer::build(net);
         let n = topo.num_nodes();
         let m = topo.num_arcs();
         let num_nodes = n + 1; // plus artificial root
@@ -313,11 +306,8 @@ impl SimplexSolver {
     /// arcs, taken in node order. O(arcs): for basis installs (cold,
     /// warm repair) only; pivots use `exchange`.
     fn rebuild_tree(&mut self, big_m: i64) {
-        // A handle of its own, so the adjacency stays borrowed while
-        // `visit` mutates the solver.
-        let topo = Shared::clone(&self.topo);
-        let root = topo.num_nodes();
-        let m = topo.num_arcs();
+        let root = self.topo.num_nodes();
+        let m = self.topo.num_arcs();
         self.parent.fill(usize::MAX);
         self.parent_arc.fill(usize::MAX);
         self.first_child.fill(NONE);
@@ -339,10 +329,11 @@ impl SimplexSolver {
                 }
                 continue;
             }
-            for &i in topo.public_adjacent(u) {
-                let k = i as usize >> 1;
-                if self.in_tree[k] {
-                    self.visit(topo.arc_to[i as usize] as usize, u, k, big_m);
+            // By position, so `visit` may mutate the solver in between.
+            for j in 0..self.topo.public_adjacent(u).len() {
+                let i = self.topo.public_adjacent(u)[j] as usize;
+                if self.in_tree[i >> 1] {
+                    self.visit(self.topo.arc_to[i] as usize, u, i >> 1, big_m);
                 }
             }
         }
@@ -601,10 +592,7 @@ impl SimplexSolver {
             // solve runs cold. Poll every 64 attempts to keep the check
             // off the per-pivot hot path.
             if attempts.is_multiple_of(64)
-                && self
-                    .probe
-                    .as_ref()
-                    .is_some_and(crate::solver::ProbeHandle::is_cancelled)
+                && self.probe.as_ref().is_some_and(ProbeHandle::is_cancelled)
             {
                 return Err(FlowError::Cancelled);
             }
@@ -787,9 +775,77 @@ impl SimplexSolver {
             shipped: total_pos,
         })
     }
+}
 
-    fn solve_inner(&mut self) -> Result<FlowSolution, FlowError> {
-        let (total_pos, scale) = self.layer.check_balance()?;
+/// The persistent interface: instance accessors and setters, warm-start
+/// and cancellation controls, and the solve itself.
+impl SimplexSolver {
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.topo.num_nodes()
+    }
+
+    /// Number of arcs.
+    pub fn num_arcs(&self) -> usize {
+        self.topo.num_arcs()
+    }
+
+    /// The supply of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn supply(&self, v: usize) -> f64 {
+        self.layer.supply[v]
+    }
+
+    /// Sets the cost of arc `k` for the following solves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::BadInput`] for an out-of-range arc or a cost
+    /// of magnitude above `i64::MAX / 8` (same contract as
+    /// [`FlowNetwork::add_arc`]).
+    pub fn set_cost(&mut self, k: ArcId, cost: i64) -> Result<(), FlowError> {
+        self.layer.set_cost(k, cost)
+    }
+
+    /// Sets the supply of node `v` for the following solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn set_supply(&mut self, v: usize, supply: f64) {
+        self.layer.supply[v] = supply;
+    }
+
+    /// Enables or disables warm starts for subsequent solves.
+    pub fn set_warm_start(&mut self, enabled: bool) {
+        self.warm_enabled = enabled;
+    }
+
+    /// Drops the retained spanning tree; the next solve runs cold.
+    pub fn invalidate(&mut self) {
+        self.has_state = false;
+    }
+
+    /// Installs (or clears, with `None`) a cooperative cancellation
+    /// probe polled between pivots; a positive poll aborts the solve
+    /// with [`FlowError::Cancelled`].
+    pub fn set_cancel_probe(&mut self, probe: Option<ProbeHandle>) {
+        self.probe = probe;
+    }
+
+    /// Solves the current instance, warm-started from the previous
+    /// solve's spanning tree when warm starts are on.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FlowNetwork::solve`]: unbalanced supplies,
+    /// negative cycles, infeasibility, the pivot cap, plus
+    /// [`FlowError::Cancelled`] from the cancellation probe.
+    pub fn solve(&mut self) -> Result<FlowSolution, FlowError> {
+        let (total_pos, scale) = check_balance(&self.layer.supply)?;
         let eps = 1e-9 * scale;
         let big_m = self.big_m()?;
 
@@ -808,37 +864,9 @@ impl SimplexSolver {
         let (pivots, scanned) = self.run_pivots(big_m, eps)?;
         self.finish(warm, pivots, scanned, total_pos, scale, eps)
     }
-}
 
-impl McfSolver for SimplexSolver {
-    fn name(&self) -> &'static str {
-        "network-simplex"
-    }
-    fn topology(&self) -> &NetworkTopology {
-        &self.topo
-    }
-    fn layer(&self) -> &CostLayer {
-        &self.layer
-    }
-    fn layer_mut(&mut self) -> &mut CostLayer {
-        &mut self.layer
-    }
-    fn set_warm_start(&mut self, enabled: bool) {
-        self.warm_enabled = enabled;
-    }
-    fn warm_start(&self) -> bool {
-        self.warm_enabled
-    }
-    fn invalidate(&mut self) {
-        self.has_state = false;
-    }
-    fn set_cancel_probe(&mut self, probe: Option<crate::solver::ProbeHandle>) {
-        self.probe = probe;
-    }
-    fn solve(&mut self) -> Result<FlowSolution, FlowError> {
-        self.solve_inner()
-    }
-    fn stats(&self) -> SolverStats {
+    /// Cold/warm counters since construction.
+    pub fn stats(&self) -> SolverStats {
         self.stats
     }
 }
@@ -954,10 +982,7 @@ mod tests {
                 let m = solver.num_arcs();
                 for _ in 0..m / 2 {
                     let k = rng.gen_range(0..m);
-                    solver
-                        .layer_mut()
-                        .set_cost(k, rng.gen_range(0..25))
-                        .unwrap();
+                    solver.set_cost(k, rng.gen_range(0..25)).unwrap();
                 }
                 // Supply drift moves tree flows past their bounds,
                 // which the warm start repairs with artificial arcs.
@@ -965,11 +990,11 @@ mod tests {
                 for v in 0..n - 1 {
                     let d = rng.gen_range(-1.0..1.0);
                     let s = solver.supply(v);
-                    solver.layer_mut().set_supply(v, s + d);
+                    solver.set_supply(v, s + d);
                     shift += d;
                 }
                 let last = solver.supply(n - 1);
-                solver.layer_mut().set_supply(n - 1, last - shift);
+                solver.set_supply(n - 1, last - shift);
             }
             let stats = solver.stats();
             assert!(
@@ -1025,10 +1050,7 @@ mod tests {
             let m = solver.num_arcs();
             for k in 0..m {
                 if rng.gen_bool(0.5) {
-                    solver
-                        .layer_mut()
-                        .set_cost(k, rng.gen_range(1..20))
-                        .unwrap();
+                    solver.set_cost(k, rng.gen_range(1..20)).unwrap();
                 }
             }
             solver.solve().unwrap();

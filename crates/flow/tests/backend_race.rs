@@ -12,7 +12,7 @@
 //!   potentials, so a simplex flow that fails the cross-check is a
 //!   non-optimal vertex even if its cost looks right.
 
-use mft_flow::{FlowNetwork, FlowSolution, McfInstance, McfSolver, ReferenceSolver, SimplexSolver};
+use mft_flow::{FlowNetwork, FlowSolution, SimplexSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +47,20 @@ fn random_feasible_net(seed: u64, n: usize, extra_arcs: usize) -> FlowNetwork {
         net.add_arc(u, v, cap, rng.gen_range(0..25)).unwrap();
     }
     net
+}
+
+/// `net` with arc `k` costing `costs[k]` and node `v` supplying
+/// `supplies[v]`: the one-shot mirror of a rewritten persistent solver.
+fn rewritten(net: &FlowNetwork, costs: &[i64], supplies: &[f64]) -> FlowNetwork {
+    let mut mirror = FlowNetwork::new(net.num_nodes());
+    for (v, &s) in supplies.iter().enumerate() {
+        mirror.set_supply(v, s);
+    }
+    for (k, &cost) in costs.iter().enumerate() {
+        let (u, v, cap, _) = net.arc_info(k);
+        mirror.add_arc(u, v, cap, cost).unwrap();
+    }
+    mirror
 }
 
 /// Complementary slackness of `sol`'s flow against independently
@@ -98,15 +112,14 @@ proptest! {
     fn warm_simplex_tracks_rewrites(seed in 0u64..1_000_000, n in 4usize..12) {
         let net = random_feasible_net(seed, n, 2 * n);
         let mut drift = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
-        // The reference (always cold) first, then the warm simplex.
-        let mut solvers: Vec<Box<dyn McfSolver>> = vec![
-            Box::new(ReferenceSolver::new(&net)),
-            Box::new(SimplexSolver::new(&net)),
-        ];
-        for s in &mut solvers {
-            s.set_warm_start(true);
-            s.solve().unwrap();
-        }
+        // The warm simplex takes the rewrites in place; a mirror network
+        // with the same costs and supplies goes to the (always cold)
+        // reference.
+        let mut simplex = SimplexSolver::new(&net);
+        simplex.set_warm_start(true);
+        simplex.solve().unwrap();
+        let mut costs: Vec<i64> = (0..net.num_arcs()).map(|k| net.arc_info(k).3).collect();
+        let mut supplies: Vec<f64> = (0..n).map(|v| net.supply(v)).collect();
         for _round in 0..4 {
             // The D-phase rewrite pattern: bounds (costs) drift, and the
             // objective (supplies) rescales while staying balanced.
@@ -114,42 +127,32 @@ proptest! {
                 (0..net.num_arcs()).map(|_| drift.gen_range(-3i64..=3)).collect();
             let supply_deltas: Vec<f64> =
                 (0..n - 1).map(|_| drift.gen_range(-0.5..0.5)).collect();
-            for solver in &mut solvers {
-                let layer = solver.layer_mut();
-                for (k, d) in cost_deltas.iter().enumerate() {
-                    let c = layer.cost(k);
-                    layer.set_cost(k, (c + d).max(0)).unwrap();
-                }
-                let mut shift = 0.0;
-                for (v, d) in supply_deltas.iter().enumerate() {
-                    let s = layer.supply(v);
-                    layer.set_supply(v, s + d);
-                    shift += d;
-                }
-                let last = layer.supply(n - 1);
-                layer.set_supply(n - 1, last - shift);
+            for (k, d) in cost_deltas.iter().enumerate() {
+                costs[k] = (costs[k] + d).max(0);
+                simplex.set_cost(k, costs[k]).unwrap();
             }
-            let costs: Vec<f64> = solvers
-                .iter_mut()
-                .map(|s| {
-                    let sol = s.solve().unwrap();
-                    let instance: &dyn McfInstance = s.as_ref();
-                    sol.verify(instance).unwrap();
-                    sol.total_cost
-                })
-                .collect();
-            for (i, &c) in costs.iter().enumerate() {
-                prop_assert!(
-                    (c - costs[0]).abs() < 1e-6 * (1.0 + costs[0].abs()),
-                    "{}: warm cost {} vs {} ({})",
-                    solvers[i].name(),
-                    c,
-                    costs[0],
-                    solvers[0].name()
-                );
+            let mut shift = 0.0;
+            for (v, d) in supply_deltas.iter().enumerate() {
+                supplies[v] += d;
+                shift += d;
             }
+            supplies[n - 1] -= shift;
+            for (v, &s) in supplies.iter().enumerate() {
+                simplex.set_supply(v, s);
+            }
+            let mirror = rewritten(&net, &costs, &supplies);
+            let want = mirror.solve_reference().unwrap();
+            want.verify(&mirror).unwrap();
+            let got = simplex.solve().unwrap();
+            got.verify(&mirror).unwrap();
+            prop_assert!(
+                (got.total_cost - want.total_cost).abs() < 1e-6 * (1.0 + want.total_cost.abs()),
+                "warm simplex cost {} vs reference {}",
+                got.total_cost,
+                want.total_cost
+            );
         }
-        let stats = solvers[1].stats();
+        let stats = simplex.stats();
         prop_assert!(stats.warm_solves + stats.warm_fallbacks == 4, "{:?}", stats);
     }
 }

@@ -10,7 +10,7 @@
 //! change to tie-breaking, pricing order or the tree update shows up as
 //! a count mismatch here before it reaches a golden.
 
-use mft_flow::{FlowNetwork, McfInstance, McfSolver, SimplexSolver};
+use mft_flow::{FlowNetwork, SimplexSolver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,10 +57,7 @@ fn pivot_counts(seed: u64) -> (usize, usize, usize) {
         let m = solver.num_arcs();
         for _ in 0..m / 3 {
             let k = rng.gen_range(0..m);
-            solver
-                .layer_mut()
-                .set_cost(k, rng.gen_range(0..25))
-                .unwrap();
+            solver.set_cost(k, rng.gen_range(0..25)).unwrap();
         }
         if round % 2 == 1 {
             let n = solver.num_nodes();
@@ -68,11 +65,11 @@ fn pivot_counts(seed: u64) -> (usize, usize, usize) {
             for v in 0..n - 1 {
                 let d = rng.gen_range(-0.5..0.5);
                 let s = solver.supply(v);
-                solver.layer_mut().set_supply(v, s + d);
+                solver.set_supply(v, s + d);
                 shift += d;
             }
             let last = solver.supply(n - 1);
-            solver.layer_mut().set_supply(n - 1, last - shift);
+            solver.set_supply(n - 1, last - shift);
         }
         solver.solve().unwrap();
     }

@@ -3,7 +3,7 @@
 //! reproduce the reference solver's optimal flow value and still pass
 //! the optimality certificate.
 
-use mft_flow::{FlowNetwork, McfSolver, ReferenceSolver, SimplexSolver, SolverStats};
+use mft_flow::{FlowNetwork, SimplexSolver, SolverStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,11 +40,11 @@ fn random_network(rng: &mut StdRng, n: usize) -> FlowNetwork {
 }
 
 /// Applies a random cost (and occasionally supply) perturbation to both
-/// a network and a persistent solver's layer, keeping them in sync.
-/// The network mirror is rebuilt (it is the immutable builder); the
-/// solver only gets in-place layer updates — that asymmetry is the
-/// point of the test.
-fn perturb(rng: &mut StdRng, net: &mut FlowNetwork, solver: &mut dyn McfSolver) {
+/// a network and a persistent solver, keeping them in sync. The network
+/// mirror is rebuilt (it is the immutable builder); the solver only
+/// gets in-place cost and supply updates — that asymmetry is the point
+/// of the test.
+fn perturb(rng: &mut StdRng, net: &mut FlowNetwork, solver: &mut SimplexSolver) {
     let m = net.num_arcs();
     let n = net.num_nodes();
     // Rewrite a random subset of arc costs (the D-phase iteration
@@ -69,31 +69,43 @@ fn perturb(rng: &mut StdRng, net: &mut FlowNetwork, solver: &mut dyn McfSolver) 
     let mut rebuilt = FlowNetwork::new(n);
     for (v, &s) in supplies.iter().enumerate() {
         rebuilt.set_supply(v, s);
-        solver.layer_mut().set_supply(v, s);
+        solver.set_supply(v, s);
     }
     for (k, &cost) in costs.iter().enumerate() {
         let (from, to, cap, _) = net.arc_info(k);
         rebuilt.add_arc(from, to, cap, cost).unwrap();
-        solver.layer_mut().set_cost(k, cost).unwrap();
+        solver.set_cost(k, cost).unwrap();
     }
     *net = rebuilt;
 }
 
-fn check_backend<F>(make: F, expect_warm: bool, seed: u64)
-where
-    F: Fn(&FlowNetwork) -> Box<dyn McfSolver>,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
+/// `net` with arc `k` re-priced to `cost`.
+fn with_cost(net: &FlowNetwork, k: usize, cost: i64) -> FlowNetwork {
+    let mut mirror = FlowNetwork::new(net.num_nodes());
+    for v in 0..net.num_nodes() {
+        mirror.set_supply(v, net.supply(v));
+    }
+    for arc in 0..net.num_arcs() {
+        let (u, v, cap, c) = net.arc_info(arc);
+        let c = if arc == k { cost } else { c };
+        mirror.add_arc(u, v, cap, c).unwrap();
+    }
+    mirror
+}
+
+#[test]
+fn simplex_warm_restarts_reproduce_cold_optimum() {
+    let mut rng = StdRng::seed_from_u64(2002);
     for case in 0..12 {
         let n = rng.gen_range(4..12);
         let mut net = random_network(&mut rng, n);
-        let mut solver = make(&net);
+        let mut solver = SimplexSolver::new(&net);
         solver.set_warm_start(true);
         // Initial solve primes the warm state.
         let first = solver.solve().unwrap();
         first.verify(&net).unwrap();
         for round in 0..6 {
-            perturb(&mut rng, &mut net, solver.as_mut());
+            perturb(&mut rng, &mut net, &mut solver);
             let warm = solver.solve().unwrap();
             // The cold reference: a fresh reference solve of the
             // mirrored network.
@@ -109,73 +121,59 @@ where
         }
         let stats: SolverStats = solver.stats();
         assert_eq!(stats.total(), 7, "case {case}: {stats:?}");
-        if expect_warm {
-            assert!(
-                stats.warm_solves + stats.warm_fallbacks >= 6,
-                "case {case}: warm attempts missing: {stats:?}"
-            );
-        }
+        assert!(
+            stats.warm_solves + stats.warm_fallbacks >= 6,
+            "case {case}: warm attempts missing: {stats:?}"
+        );
     }
 }
 
-#[test]
-fn simplex_warm_restarts_reproduce_cold_optimum() {
-    check_backend(|net| Box::new(SimplexSolver::new(net)), true, 2002);
-}
-
-#[test]
-fn reference_backend_stays_interchangeable() {
-    // The reference solver has no warm state, but must satisfy the same
-    // McfSolver contract under the same perturbation schedule.
-    check_backend(|net| Box::new(ReferenceSolver::new(net)), false, 3003);
-}
-
-/// The trait's warm-state controls behave as documented: warm starts
-/// are off by default, `set_warm_start` flips the readable flag, and
+/// The solver's warm-state controls behave as documented: warm starts
+/// are off by default, `set_warm_start` turns them on, and
 /// `invalidate()` forces the next solve cold even with warm enabled.
 #[test]
 fn invalidate_forces_a_cold_resolve() {
     let mut rng = StdRng::seed_from_u64(55);
     let net = random_network(&mut rng, 8);
     let mut solver = SimplexSolver::new(&net);
-    assert!(!solver.warm_start(), "warm starts must be opt-in");
-    assert_eq!(solver.topology().num_nodes(), net.num_nodes());
-    assert_eq!(solver.topology().num_arcs(), net.num_arcs());
-    solver.set_warm_start(true);
-    assert!(solver.warm_start());
+    assert_eq!(solver.num_nodes(), net.num_nodes());
+    assert_eq!(solver.num_arcs(), net.num_arcs());
     solver.solve().unwrap();
-    solver.layer_mut().set_cost(0, 17).unwrap();
+    solver.solve().unwrap();
+    assert_eq!(solver.stats().cold_solves, 2, "warm starts must be opt-in");
+    solver.set_warm_start(true);
+    solver.set_cost(0, 17).unwrap();
+    let mirror = with_cost(&net, 0, 17);
     solver.invalidate();
     let second = solver.solve().unwrap();
-    second.verify(&solver).unwrap();
+    second.verify(&mirror).unwrap();
     let stats = solver.stats();
     assert_eq!(
         (stats.cold_solves, stats.warm_solves),
-        (2, 0),
+        (3, 0),
         "invalidate() must drop the warm state"
     );
     // And without invalidation the third solve runs warm.
     let third = solver.solve().unwrap();
-    third.verify(&solver).unwrap();
+    third.verify(&mirror).unwrap();
     assert_eq!(solver.stats().warm_solves, 1);
     assert!((third.total_cost - second.total_cost).abs() < 1e-9 * (1.0 + second.total_cost.abs()));
 }
 
-/// Certificate checking works directly against the solver instance view
-/// (not just the originating FlowNetwork).
+/// Warm re-solves after in-place cost rewrites certify against the
+/// rewritten network.
 #[test]
-fn certificates_verify_against_the_solver_view() {
+fn warm_certificates_verify_against_the_rewritten_network() {
     let mut rng = StdRng::seed_from_u64(4);
-    let net = random_network(&mut rng, 8);
+    let mut net = random_network(&mut rng, 8);
     let mut solver = SimplexSolver::new(&net);
     solver.set_warm_start(true);
     for _ in 0..3 {
         let sol = solver.solve().unwrap();
-        sol.verify(&solver).unwrap();
+        sol.verify(&net).unwrap();
         let k = rng.gen_range(0..net.num_arcs());
-        solver
-            .layer_mut()
-            .set_cost(k, rng.gen_range(0..30))
-            .unwrap();
+        let cost = rng.gen_range(0..30);
+        solver.set_cost(k, cost).unwrap();
+        net = with_cost(&net, k, cost);
     }
 }

@@ -127,6 +127,18 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Parses a delay target given to `flag`: a number, and finite, as
+/// the wire protocol requires of `spec`, `target` and `specs`.
+fn parse_target(flag: &str, text: &str) -> Result<f64, String> {
+    let value: f64 = text
+        .parse()
+        .map_err(|e: std::num::ParseFloatError| e.to_string())?;
+    if !value.is_finite() {
+        return Err(format!("`{flag}` must be a finite number, got `{text}`"));
+    }
+    Ok(value)
+}
+
 fn parse_mode(args: &[String]) -> Result<SizingMode, String> {
     match flag_value(args, "--mode").unwrap_or("gate") {
         "gate" => Ok(SizingMode::Gate),
@@ -200,13 +212,9 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
     check_flow(args)?;
     let problem = load_problem(path, args)?;
     let target = match flag_value(args, "--target") {
-        Some(t) => t.parse::<f64>().map_err(|e| e.to_string())?,
+        Some(t) => parse_target("--target", t)?,
         None => {
-            let spec: f64 = flag_value(args, "--spec")
-                .unwrap_or("0.6")
-                .parse()
-                .map_err(|e: std::num::ParseFloatError| e.to_string())?;
-            spec * problem.dmin()
+            parse_target("--spec", flag_value(args, "--spec").unwrap_or("0.6"))? * problem.dmin()
         }
     };
     println!(
@@ -312,7 +320,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let specs: Vec<f64> = flag_value(args, "--specs")
         .unwrap_or("0.9,0.8,0.7,0.6,0.5")
         .split(',')
-        .map(|s| s.trim().parse::<f64>().map_err(|e| e.to_string()))
+        .map(|s| parse_target("--specs", s.trim()))
         .collect::<Result<_, _>>()?;
     let jobs: usize = flag_value(args, "--jobs")
         .unwrap_or("1")

@@ -236,6 +236,39 @@ fn size_rejects_removed_flow_backends() {
     }
 }
 
+/// `--spec`, `--target` and `--specs` refuse NaN and ±inf, as the wire
+/// protocol refuses them: exit 1 with an error naming the flag, before
+/// any output.
+#[test]
+fn size_and_sweep_reject_non_finite_targets() {
+    let bench = c17_file();
+    for (command, flag, value) in [
+        ("size", "--spec", "nan"),
+        ("size", "--spec", "inf"),
+        ("size", "--target", "NaN"),
+        ("size", "--target", "-inf"),
+        ("sweep", "--specs", "0.9,nan"),
+        ("sweep", "--specs", "1e400,0.7"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg(command)
+            .arg(&bench)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} {flag} {value}");
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {flag} {value}: output before the error"
+        );
+        assert!(
+            stderr.contains(&format!("`{flag}` must be a finite number")),
+            "{command} {flag} {value}: {stderr}"
+        );
+    }
+}
+
 /// `mft sweep` gives the same curve under the warm default, `--cold`
 /// and `--jobs 2`: per row, the spec, both area ratios, the saving and
 /// the iteration count agree (the other columns are timings and work

@@ -24,12 +24,17 @@ fn grid_optimum(
     let mut index = vec![0usize; n];
     loop {
         let sizes: Vec<f64> = index.iter().map(|&k| grid[k]).collect();
-        let cp = critical_path(dag, &model.delays(&sizes)).expect("shapes match");
-        if cp <= target {
-            let area = model.area(&sizes);
-            if best.as_ref().is_none_or(|(b, _)| area < *b) {
+        let area = model.area(&sizes);
+        if best.as_ref().is_none_or(|(b, _)| area < *b) {
+            let cp = critical_path(dag, &model.delays(&sizes)).expect("shapes match");
+            if cp <= target {
                 best = Some((area, sizes));
             }
+        } else {
+            // Only a strictly smaller area replaces `best`, and area grows
+            // with every size: the rest of the fastest digit's run cannot
+            // win either.
+            index[0] = steps - 1;
         }
         // Odometer.
         let mut d = 0;
