@@ -431,16 +431,6 @@ impl SizingDag {
         &self.pred_edges[lo..hi]
     }
 
-    /// Successor vertices of `v`.
-    pub fn succs(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.out_edges(v).iter().map(|&e| self.edge(e).1)
-    }
-
-    /// Predecessor vertices of `v`.
-    pub fn preds(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.in_edges(v).iter().map(|&e| self.edge(e).0)
-    }
-
     /// Vertices in topological order (predecessors first).
     pub fn topo_order(&self) -> &[VertexId] {
         &self.topo

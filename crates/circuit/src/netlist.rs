@@ -173,19 +173,6 @@ impl Netlist {
         seen
     }
 
-    /// Gates driving gate `g`'s inputs (deduplicated, in pin order).
-    pub fn fanin_gates(&self, g: GateId) -> Vec<GateId> {
-        let mut seen = Vec::new();
-        for &net in self.gates[g.index()].inputs() {
-            if let NetDriver::Gate(d) = self.nets[net.index()].driver() {
-                if !seen.contains(&d) {
-                    seen.push(d);
-                }
-            }
-        }
-        seen
-    }
-
     /// Annotates a net with fixed wiring capacitance.
     ///
     /// # Panics
@@ -398,12 +385,6 @@ impl NetlistBuilder {
         id
     }
 
-    /// Declares an unnamed primary input.
-    pub fn anon_input(&mut self) -> NetId {
-        let n = self.inputs.len();
-        self.input(format!("in{n}"))
-    }
-
     /// Instantiates a gate, creating and returning its output net.
     ///
     /// # Errors
@@ -590,7 +571,6 @@ mod tests {
         let g0 = GateId::new(0);
         let g1 = GateId::new(1);
         assert_eq!(n.fanout_gates(g0), vec![g1]);
-        assert_eq!(n.fanin_gates(g1), vec![g0]);
         assert_eq!(n.depth().unwrap(), 2);
         assert!(n.is_primitive());
         assert_eq!(n.transistor_count(), 12);

@@ -1,7 +1,7 @@
 //! Summary statistics of a netlist, used by reports and benchmark tables.
 
 use crate::gate::GateKind;
-use crate::netlist::{NetDriver, Netlist};
+use crate::netlist::Netlist;
 use core::fmt;
 use std::collections::BTreeMap;
 
@@ -54,14 +54,6 @@ impl NetlistStats {
             max_fanout,
             by_kind,
         }
-    }
-
-    /// Number of nets driven by gates (internal + primary outputs).
-    pub fn gate_driven_nets(netlist: &Netlist) -> usize {
-        netlist
-            .net_ids()
-            .filter(|&n| matches!(netlist.net(n).driver(), NetDriver::Gate(_)))
-            .count()
     }
 
     /// Count of gates of the given kind.

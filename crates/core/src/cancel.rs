@@ -64,15 +64,6 @@ impl CancelToken {
         }
     }
 
-    /// A token firing `after` from now; `None` yields a token that
-    /// never fires on time alone.
-    pub fn with_timeout(after: Option<std::time::Duration>) -> Self {
-        match after {
-            Some(d) => CancelToken::with_deadline(Instant::now() + d),
-            None => CancelToken::new(),
-        }
-    }
-
     /// Trips the explicit cancel flag; every clone observes it.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
@@ -125,7 +116,7 @@ mod tests {
     fn deadline_fires_without_explicit_cancel() {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(token.is_cancelled());
-        let future = CancelToken::with_timeout(Some(Duration::from_secs(3600)));
+        let future = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!future.is_cancelled());
         assert!(future.deadline().is_some());
     }

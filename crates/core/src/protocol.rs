@@ -76,10 +76,8 @@ pub struct LoadRequest {
     pub bench: Option<String>,
     /// Sizing mode: `gate` (default) | `wire` | `transistor`.
     pub mode: Option<String>,
-    /// Technology: `130nm` (default) | `180nm` | `65nm`.
-    pub tech: Option<String>,
-    /// Technology-library corner name (defaults to the library's first
-    /// corner; mutually exclusive with `tech`).
+    /// Technology-library corner name: `130nm` (default, the library's
+    /// first corner) | `180nm` | `65nm`.
     pub corner: Option<String>,
     /// Threshold-voltage flavor: `svt` (default) | `lvt` | `hvt`.
     pub vt: Option<String>,
@@ -253,11 +251,16 @@ impl Request {
             }),
             "stats" => Ok(Request::Stats),
             "load" => {
+                // A stale `tech` key must not silently load the default corner.
+                if fields.get("tech").is_some() {
+                    return Err(MftError::Protocol(
+                        "load field `tech` was removed; use `corner`".into(),
+                    ));
+                }
                 let load = LoadRequest {
                     path: fields.str_opt("path")?,
                     bench: fields.str_opt("bench")?,
                     mode: fields.str_opt("mode")?,
-                    tech: fields.str_opt("tech")?,
                     corner: fields.str_opt("corner")?,
                     vt: fields.str_opt("vt")?,
                     preset: fields.str_opt("preset")?,
@@ -340,7 +343,6 @@ impl Request {
                     ("path", &load.path),
                     ("bench", &load.bench),
                     ("mode", &load.mode),
-                    ("tech", &load.tech),
                     ("corner", &load.corner),
                     ("vt", &load.vt),
                     ("preset", &load.preset),
@@ -1174,7 +1176,6 @@ mod tests {
             Request::Stats,
             Request::Load(LoadRequest {
                 bench: Some("INPUT(a)\nOUTPUT(y)\ny = NAND(a, a)\n".into()),
-                tech: Some("130nm".into()),
                 preset: Some("warm".into()),
                 flow: Some("simplex".into()),
                 ..Default::default()

@@ -92,7 +92,7 @@ use crate::protocol::{
 use crate::session::{error_response, ReadView, SessionConfig, SessionStats, SizingSession};
 use mft_circuit::{parse_bench, SizingMode};
 use mft_flow::FlowAlgorithm;
-use mft_tech::{canonical_tech, TechLibrary};
+use mft_tech::TechLibrary;
 use std::collections::HashMap;
 use std::io::{self, BufRead};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -509,23 +509,10 @@ impl CircuitServer {
                 ))
             }
         };
-        // `tech` (legacy, with short forms) and `corner` (the library
-        // field) resolve through the same registry, so the accepted
-        // names in the error message are always the registry's actual
-        // contents — never a hardcoded list that can drift.
+        // The corner resolves through the registry, so the accepted names
+        // in the error message are always its actual contents.
         let library = TechLibrary::standard();
-        let requested = match (load.corner.as_deref(), load.tech.as_deref()) {
-            (Some(corner), Some(tech)) if corner != canonical_tech(tech) => {
-                return Response::error(format!(
-                    "load request sets both `corner` (`{corner}`) and a conflicting \
-                     `tech` (`{tech}`); pick one"
-                ))
-            }
-            (Some(corner), _) => Some(corner),
-            (None, Some(tech)) => Some(canonical_tech(tech)),
-            (None, None) => None,
-        };
-        let corner = match library.resolve(requested, load.vt.as_deref()) {
+        let corner = match library.resolve(load.corner.as_deref(), load.vt.as_deref()) {
             Ok(corner) => corner,
             // The error text enumerates the library's registered names.
             Err(e) => return Response::error(format!("unknown technology: {e}")),

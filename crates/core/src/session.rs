@@ -55,7 +55,7 @@
 //! *tightest* spec once. Because point boundaries are hermetic, the
 //! sizing *results* (area ratios, savings, iteration counts,
 //! reachability) are identical for any [`SessionConfig::jobs`] count
-//! and any spec order; with more than one job the sorted specs are
+//! and any spec order; with more than one worker the sorted specs are
 //! split into contiguous chunks, one `std::thread::scope` worker with
 //! private warm state each. The *diagnostic* fields of a
 //! [`CurvePoint`] — wall-clock seconds and the solver/timing work
@@ -163,8 +163,8 @@ pub struct SessionConfig {
     /// same levers a sweep uses across points).
     pub warm: SweepWarmStart,
     /// Worker threads for multi-point sweep requests. `0` is clamped
-    /// to `1`; workers never outnumber specs; results are identical
-    /// for every count.
+    /// to `1`; workers never outnumber specs or available cores;
+    /// results are identical for every count.
     pub jobs: usize,
 }
 
@@ -632,17 +632,22 @@ fn sweep_point(
     }))
 }
 
+/// The sweep's worker threads: the configured `jobs`, at most one per
+/// spec and per available core, and at least one.
+fn sweep_workers(jobs: usize, specs: usize, cores: usize) -> usize {
+    jobs.min(specs).min(cores).max(1)
+}
+
 /// Runs one sweep request over `T/D_min` specifications against the
 /// given warm state and counts it, returning one outcome per spec in
 /// the input order (see the module docs on sweeps). Specs run
 /// loosest-first (descending spec ⇒ descending absolute target, since
-/// `D_min > 0`; ties keep input order). With `jobs` ≤ 1 they run
-/// through the caller's warm state (leaving the trajectory advanced
-/// for later requests); with more, the sorted order is split into
-/// contiguous chunks swept by `std::thread::scope` workers, each from
-/// an empty [`WarmState`] (`jobs` is clamped so workers never
-/// outnumber specs). Every worker's work is counted, also when the
-/// sweep fails.
+/// `D_min > 0`; ties keep input order). With one worker (see
+/// [`sweep_workers`]) they run through the caller's warm state
+/// (leaving the trajectory advanced for later requests); with more,
+/// the sorted order is split into contiguous chunks swept by
+/// `std::thread::scope` workers, each from an empty [`WarmState`].
+/// Every worker's work is counted, also when the sweep fails.
 fn run_sweep(
     problem: &SizingProblem,
     config: &SessionConfig,
@@ -661,7 +666,8 @@ fn run_sweep(
             .then(a.cmp(&b))
     });
     let mut outcomes: Vec<Option<SweepOutcome>> = vec![None; specs.len()];
-    let jobs = config.jobs.max(1).min(specs.len().max(1));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let jobs = sweep_workers(config.jobs, specs.len(), cores);
     if jobs == 1 {
         for &idx in &order {
             outcomes[idx] = Some(sweep_point(
@@ -854,17 +860,6 @@ impl SizingSession {
         })
     }
 
-    /// Sizes to a `T/D_min` fraction (`spec * dmin` as the absolute
-    /// target).
-    ///
-    /// # Errors
-    ///
-    /// As [`SizingSession::size_to`].
-    pub fn size_to_spec(&mut self, spec: f64) -> Result<SizingSolution, MftError> {
-        let target = spec * self.problem.dmin();
-        self.size_to(target)
-    }
-
     /// Sizes with TILOS only (no flow refinement): the seed a
     /// [`SizingSession::size_to`] at the same target starts from.
     ///
@@ -888,9 +883,10 @@ impl SizingSession {
 
     /// Sweeps the area–delay curve (the paper's Figure 7) over
     /// `T/D_min` specifications, one outcome per spec in the input
-    /// order. With [`SessionConfig::jobs`] ≤ 1 the sweep runs through
-    /// the session's own warm state (and leaves the trajectory advanced
-    /// for later requests); with more jobs the (sorted) spec list is
+    /// order. With one worker ([`SessionConfig::jobs`] ≤ 1, one spec
+    /// or one core) the sweep runs through the session's own warm
+    /// state (and leaves the trajectory advanced for later requests);
+    /// with more workers the (sorted) spec list is
     /// partitioned across `std::thread::scope` workers with private,
     /// hermetic warm state — results are identical either way (see the
     /// module docs).
@@ -1245,6 +1241,17 @@ pub(crate) fn error_response(e: &MftError) -> Response {
 mod tests {
     use super::*;
     use mft_circuit::{parse_bench, C17_BENCH};
+
+    /// `--jobs` from the command line is capped by the specs and the
+    /// cores, so no value of it can ask for more threads than those.
+    #[test]
+    fn sweep_workers_are_capped_by_specs_and_cores() {
+        assert_eq!(sweep_workers(usize::MAX, 1_000_000, 8), 8);
+        assert_eq!(sweep_workers(usize::MAX, 3, 8), 3);
+        assert_eq!(sweep_workers(2, 1_000_000, 8), 2);
+        assert_eq!(sweep_workers(0, 5, 8), 1);
+        assert_eq!(sweep_workers(4, 0, 8), 1);
+    }
 
     fn c17_session(config: SessionConfig) -> SizingSession {
         let netlist = parse_bench("c17", C17_BENCH).unwrap();

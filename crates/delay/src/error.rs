@@ -30,11 +30,6 @@ pub enum DelayError {
         /// The value found.
         value: f64,
     },
-    /// A delay table (LUT) is malformed or could not be parsed.
-    Table {
-        /// Description of the problem.
-        what: String,
-    },
 }
 
 impl fmt::Display for DelayError {
@@ -51,7 +46,6 @@ impl fmt::Display for DelayError {
             DelayError::NegativeCoefficient { what, value } => {
                 write!(f, "negative delay coefficient for {what}: {value}")
             }
-            DelayError::Table { what } => write!(f, "bad delay table: {what}"),
         }
     }
 }

@@ -48,11 +48,6 @@ impl GeneralizedDelayModel {
     pub fn linear(&self) -> &LinearDelayModel {
         &self.linear
     }
-
-    /// Consumes the wrapper, returning the linear model.
-    pub fn into_linear(self) -> LinearDelayModel {
-        self.linear
-    }
 }
 
 impl DelayModel for GeneralizedDelayModel {

@@ -47,13 +47,11 @@
 mod elmore;
 mod error;
 mod general;
-mod lut;
 mod model;
 mod tech;
 
 pub use elmore::apply_default_loads;
 pub use error::DelayError;
 pub use general::GeneralizedDelayModel;
-pub use lut::LutDelayModel;
 pub use model::{DelayModel, DiffScratch, LinearDelayModel, VertexCoefficients};
 pub use tech::{Technology, TechnologyError};

@@ -594,14 +594,13 @@ mod tests {
     }
 
     /// The trait's scoped update is the only one: every model —
-    /// linear, generalized (α ≠ 1) and table-lookup — must match its
+    /// linear and generalized (α ≠ 1) — must match its
     /// own full pass bitwise. (The power-weighted wrapper in `mft-tech`
     /// is checked the same way in its own tests.)
     #[test]
     fn delays_diff_matches_full_recomputation() {
         check_delays_diff(&chain_model());
         check_delays_diff(&crate::GeneralizedDelayModel::new(chain_model(), 0.7));
-        check_delays_diff(&crate::LutDelayModel::sample_elmore(chain_model(), 9, 9));
     }
 
     fn check_delays_diff(m: &impl DelayModel) {

@@ -112,16 +112,6 @@ impl DualLp {
         }
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Adds the constraint `r_u − r_v ≤ bound`.
     ///
     /// # Errors
@@ -232,18 +222,13 @@ pub struct DualSolver {
 
 impl DualSolver {
     /// Number of variables.
-    pub fn num_vars(&self) -> usize {
+    fn num_vars(&self) -> usize {
         self.objective.len()
     }
 
     /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
+    fn num_constraints(&self) -> usize {
         self.backend.num_arcs()
-    }
-
-    /// The ground variable.
-    pub fn ground(&self) -> usize {
-        self.ground
     }
 
     /// Rewrites the bound of constraint `k` (`r_u − r_v ≤ bound`).

@@ -81,13 +81,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.num_nodes += 1;
-        self.supply.push(0.0);
-        self.num_nodes - 1
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

@@ -99,9 +99,12 @@ pub struct SmpSolver {
     lower: Vec<f64>,
     upper: Vec<f64>,
     dependents: Vec<Vec<usize>>,
-    rel_tol: f64,
-    max_updates_factor: usize,
 }
+
+/// Relative convergence tolerance of a fixpoint update.
+const REL_TOL: f64 = 1e-12;
+/// A solve gives up after `MAX_UPDATES_FACTOR · n + 1000` updates.
+const MAX_UPDATES_FACTOR: usize = 10_000;
 
 impl SmpSolver {
     /// Creates a solver for `lower.len()` variables.
@@ -155,15 +158,7 @@ impl SmpSolver {
             lower,
             upper,
             dependents,
-            rel_tol: 1e-12,
-            max_updates_factor: 10_000,
         })
-    }
-
-    /// Sets the relative convergence tolerance (default `1e-12`).
-    pub fn with_tolerance(mut self, rel_tol: f64) -> Self {
-        self.rel_tol = rel_tol;
-        self
     }
 
     /// Number of variables.
@@ -218,7 +213,7 @@ impl SmpSolver {
         let mut in_queue = vec![true; n];
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut updates = 0usize;
-        let max_updates = self.max_updates_factor * n.max(1) + 1_000;
+        let max_updates = MAX_UPDATES_FACTOR * n.max(1) + 1_000;
         while let Some(i) = queue.pop_front() {
             in_queue[i] = false;
             updates += 1;
@@ -226,7 +221,7 @@ impl SmpSolver {
                 return Err(SmpError::Diverged { updates });
             }
             let b = bound(i, &x);
-            let tol = self.rel_tol * x[i].abs().max(1.0);
+            let tol = REL_TOL * x[i].abs().max(1.0);
             if b > x[i] + tol {
                 if b > self.upper[i] {
                     clamped[i] = true;
@@ -309,7 +304,7 @@ impl SmpSolver {
         let mut in_queue = vec![true; n];
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut updates = 0usize;
-        let max_updates = self.max_updates_factor * n.max(1) + 1_000;
+        let max_updates = MAX_UPDATES_FACTOR * n.max(1) + 1_000;
         while let Some(i) = queue.pop_front() {
             in_queue[i] = false;
             updates += 1;
@@ -333,7 +328,7 @@ impl SmpSolver {
             } else {
                 b.clamp(self.lower[i], self.upper[i])
             };
-            let tol = self.rel_tol * x[i].abs().max(1.0);
+            let tol = REL_TOL * x[i].abs().max(1.0);
             if (target - x[i]).abs() > tol {
                 x[i] = target;
                 for &d in &self.dependents[i] {

@@ -8,7 +8,7 @@
 //! vertex and edge slacks are non-negative.
 
 use crate::error::StaError;
-use mft_circuit::{EdgeId, SizingDag, VertexId};
+use mft_circuit::{SizingDag, VertexId};
 
 /// The result of a full forward/backward timing propagation.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,24 +102,6 @@ impl TimingReport {
     /// The smallest vertex slack.
     pub fn worst_slack(&self) -> f64 {
         self.slack.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Slack of a vertex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn slack_of(&self, v: VertexId) -> f64 {
-        self.slack[v.index()]
-    }
-
-    /// Edge slack of an edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn edge_slack_of(&self, e: EdgeId) -> f64 {
-        self.edge_slack[e.index()]
     }
 }
 
@@ -292,7 +274,7 @@ mod tests {
             .edge_ids()
             .find(|&e| dag.edge(e) == (VertexId::new(2), VertexId::new(3)))
             .unwrap();
-        assert_eq!(r.edge_slack_of(e), 2.0);
+        assert_eq!(r.edge_slack[e.index()], 2.0);
         assert!(r.is_safe(0.0));
         assert_eq!(r.worst_slack(), 0.0);
     }

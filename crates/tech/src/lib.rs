@@ -11,8 +11,7 @@
 //!   flavor, and operating conditions;
 //! - [`TechLibrary`] — the corner registry ([`TechLibrary::standard`]
 //!   re-registers the three `Technology` presets), resolving
-//!   `(corner, vt)` pairs from the CLI and the `load` wire request,
-//!   whose legacy `tech` short forms go through [`canonical_tech`];
+//!   `(corner, vt)` pairs from the CLI and the `load` wire request;
 //! - [`PowerModel`] — per-vertex linear leakage + activity-weighted
 //!   switching coefficients of a prepared circuit at a corner, with
 //!   totals and per-gate breakdowns;
@@ -28,5 +27,5 @@ mod library;
 mod power;
 
 pub use corner::{Corner, PowerParams, TechError, Vt};
-pub use library::{canonical_tech, TechLibrary};
+pub use library::TechLibrary;
 pub use power::{PowerBreakdown, PowerModel, PowerWeightedModel};

@@ -132,18 +132,6 @@ impl TechLibrary {
     }
 }
 
-/// Maps the legacy `tech` short forms (`130`, `180`, `65`) onto the
-/// standard corner names, so historical `--tech 130` flags and
-/// `{"tech":"130"}` loads keep resolving; any other name passes through.
-pub fn canonical_tech(name: &str) -> &str {
-    match name {
-        "130" => "130nm",
-        "180" => "180nm",
-        "65" => "65nm",
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

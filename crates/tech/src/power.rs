@@ -232,11 +232,6 @@ impl<'a> PowerWeightedModel<'a> {
     pub fn linear(&self) -> &'a LinearDelayModel {
         self.linear
     }
-
-    /// The substituted objective weights (power per unit size).
-    pub fn objective_weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl DelayModel for PowerWeightedModel<'_> {

@@ -66,8 +66,7 @@ use core::fmt;
 use mft_circuit::{SizingDag, VertexId};
 use mft_delay::{DelayModel, DiffScratch};
 use mft_sta::{
-    arrival_times, critical_path, extract_critical_path, DenseBitSet, IncrementalTiming, StaError,
-    TimingStats,
+    critical_path, extract_critical_path, DenseBitSet, IncrementalTiming, StaError, TimingStats,
 };
 use std::error::Error;
 use std::time::Instant;
@@ -473,12 +472,6 @@ impl TilosState {
         self.cp
     }
 
-    /// Whether the trajectory has dead-ended (no bump improves the
-    /// critical path any more): every tighter target is unreachable.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
     /// Timing-engine work counters accumulated so far (full passes,
     /// incremental waves, arrival-time evaluations). In
     /// [`TilosConfig::cold_timing`] mode the counters mirror the cold
@@ -761,14 +754,6 @@ pub fn minimum_sized_delay<M: DelayModel>(dag: &SizingDag, model: &M) -> Result<
     let (min_size, _) = model.size_bounds();
     let sizes = vec![min_size; dag.num_vertices()];
     critical_path(dag, &model.delays(&sizes))
-}
-
-/// The arrival-time profile of the minimum-sized circuit — handy for
-/// diagnostics and tests.
-pub fn minimum_sized_arrivals<M: DelayModel>(dag: &SizingDag, model: &M) -> Vec<f64> {
-    let (min_size, _) = model.size_bounds();
-    let sizes = vec![min_size; dag.num_vertices()];
-    arrival_times(dag, &model.delays(&sizes))
 }
 
 #[cfg(test)]

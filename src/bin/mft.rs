@@ -1,13 +1,17 @@
 //! `mft` — the MINFLOTRANSIT command-line tool.
 //!
 //! ```text
-//! mft size <file.bench> [--spec F] [--target PS] [--mode M] [--tech T] [--corner C] [--vt V] [--objective O] [--flow B] [--tilos-only] [--sizes OUT]
-//! mft report <file.bench> [--mode M] [--tech T] [--corner C] [--vt V]
-//! mft sweep <file.bench> --specs 0.9,0.7,0.5 [--mode M] [--tech T] [--flow B]
+//! mft size <file.bench> [--spec F] [--target PS] [--mode M] [--corner C] [--vt V] [--objective O] [--flow B] [--tilos-only] [--report] [--sizes OUT]
+//! mft report <file.bench> [--mode M] [--corner C] [--vt V]
+//! mft sweep <file.bench> --specs 0.9,0.7,0.5 [--mode M] [--corner C] [--vt V] [--flow B] [--jobs N] [--cold] [--csv OUT]
 //! mft serve <file.bench>... [--listen ADDR] [--unix PATH] [--flow B] [--max-circuits N] [--cold] [--stats]
 //! mft generate <benchmark> [--out FILE]
 //! mft list
 //! ```
+//!
+//! Each command rejects a `--flag` it does not read. All output goes
+//! through one locked stdout; when the reader closes it early
+//! (`mft ... | head`), the command stops quietly.
 
 use minflotransit::circuit::{parse_bench, write_bench, SizingMode};
 use minflotransit::core::{
@@ -16,8 +20,10 @@ use minflotransit::core::{
 };
 use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::Benchmark;
-use minflotransit::tech::{canonical_tech, Corner, TechLibrary};
+use minflotransit::tech::{Corner, TechLibrary};
+use std::error::Error;
 use std::fs;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -36,10 +42,7 @@ OPTIONS:
   --spec F        delay target as a fraction of D_min (default 0.6)
   --target PS     absolute delay target in picoseconds (overrides --spec)
   --mode M        gate | wire | transistor            (default gate)
-  --tech T        130nm | 180nm | 65nm                (default 130nm)
-  --corner C      technology-library corner name (the registry ships
-                  the same three nodes as --tech; conflicts with a
-                  differing --tech)
+  --corner C      technology corner: 130nm | 180nm | 65nm (default 130nm)
   --vt V          threshold flavor: svt | lvt | hvt   (default svt)
   --objective O   size: area | power                  (default area)
                   `power` minimizes leakage + activity-weighted
@@ -48,8 +51,9 @@ OPTIONS:
                   only backend and the default; the names of removed
                   backends are rejected)
   --specs LIST    comma-separated spec fractions for `sweep`
-  --jobs N        sweep worker threads (default 1; 0 means 1); results
-                  are identical for every N
+  --jobs N        sweep worker threads (default 1; 0 means 1; capped at
+                  the specs and the cores); results are identical for
+                  every N
   --cold          disable warm starts (per-request cold runs: slower,
                   bit-reproducible with old output; sweep and serve)
   --csv FILE      also write the sweep as CSV (one row per spec,
@@ -110,8 +114,16 @@ server gracefully.
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed stdout (`mft ... | head`): stop quietly.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("\n{USAGE}");
@@ -120,11 +132,74 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// A command's outcome: a message for the user, or the `io::Error` of
+/// a failed write to stdout.
+type Outcome = Result<(), Box<dyn Error>>;
+
+/// The process's locked stdout.
+type Out<'a> = &'a mut dyn Write;
+
+/// One command's arguments: its positionals in order and the flags it
+/// reads (`value_flags` take the next argument, `switches` none). Any
+/// other `--flag` is an error that names it.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(args: &'a [String], value_flags: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut rest = args.iter().skip(1).map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if value_flags.contains(&arg) {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| format!("`{arg}` needs a value"))?;
+                parsed.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                parsed.switches.push(arg);
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag `{arg}` for `mft {}`", args[0]));
+            } else {
+                parsed.positionals.push(arg);
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The value of the first `name` flag.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .map(|&(_, value)| value)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The first positional (the command's file or benchmark name).
+    fn first(&self, what: &str) -> Result<&'a str, String> {
+        self.positionals
+            .first()
+            .copied()
+            .ok_or_else(|| format!("missing {what}"))
+    }
+
+    /// Parses a `usize` flag, `default` when absent.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        self.value(name).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|e: std::num::ParseIntError| e.to_string())
+        })
+    }
 }
 
 /// Parses a delay target given to `flag`: a number, and finite, as
@@ -139,8 +214,8 @@ fn parse_target(flag: &str, text: &str) -> Result<f64, String> {
     Ok(value)
 }
 
-fn parse_mode(args: &[String]) -> Result<SizingMode, String> {
-    match flag_value(args, "--mode").unwrap_or("gate") {
+fn parse_mode(args: &Args) -> Result<SizingMode, String> {
+    match args.value("--mode").unwrap_or("gate") {
         "gate" => Ok(SizingMode::Gate),
         "wire" => Ok(SizingMode::GateWire),
         "transistor" => Ok(SizingMode::Transistor),
@@ -148,37 +223,25 @@ fn parse_mode(args: &[String]) -> Result<SizingMode, String> {
     }
 }
 
-/// Resolves `--tech`/`--corner`/`--vt` against the standard
-/// [`TechLibrary`] — the same path the server's `load` request takes,
-/// so the accepted names (and the error text) come from the registry.
-fn parse_corner(args: &[String]) -> Result<Corner, String> {
-    let library = TechLibrary::standard();
-    let tech = flag_value(args, "--tech").map(canonical_tech);
-    let requested = match (flag_value(args, "--corner"), tech) {
-        (Some(corner), Some(tech)) if corner != tech => {
-            return Err(format!(
-                "--corner `{corner}` conflicts with --tech `{tech}`; pick one"
-            ))
-        }
-        (Some(corner), _) => Some(corner),
-        (None, tech) => tech,
-    };
-    // The error text enumerates the library's registered names.
-    library
-        .resolve(requested, flag_value(args, "--vt"))
+/// Resolves `--corner`/`--vt` against the standard [`TechLibrary`] —
+/// the same path the server's `load` request takes, so the accepted
+/// names (and the error text) come from the registry.
+fn parse_corner(args: &Args) -> Result<Corner, String> {
+    TechLibrary::standard()
+        .resolve(args.value("--corner"), args.value("--vt"))
         .map_err(|e| e.to_string())
 }
 
 /// Checks `--flow`: `simplex` is the only backend, so the flag selects
 /// nothing, but a removed or unknown backend name is an error.
-fn check_flow(args: &[String]) -> Result<(), String> {
-    match flag_value(args, "--flow") {
+fn check_flow(args: &Args) -> Result<(), String> {
+    match args.value("--flow") {
         None => Ok(()),
         Some(name) => FlowAlgorithm::parse(name).map(drop),
     }
 }
 
-fn load_problem(path: &str, args: &[String]) -> Result<SizingProblem, String> {
+fn load_problem(path: &str, args: &Args) -> Result<SizingProblem, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let netlist = parse_bench(path, &text).map_err(|e| e.to_string())?;
     let corner = parse_corner(args)?;
@@ -186,77 +249,122 @@ fn load_problem(path: &str, args: &[String]) -> Result<SizingProblem, String> {
     SizingProblem::prepare_corner(&netlist, &corner, mode).map_err(|e| e.to_string())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: Out) -> Outcome {
     let Some(command) = args.first() else {
         return Err("missing command".into());
     };
+    let parse = |value_flags: &[&str], switches: &[&str]| Args::parse(args, value_flags, switches);
     match command.as_str() {
-        "size" => cmd_size(args),
-        "report" => cmd_report(args),
-        "sweep" => cmd_sweep(args),
-        "serve" => cmd_serve(args),
-        "generate" => cmd_generate(args),
-        "list" => cmd_list(),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
+        "size" => cmd_size(
+            &parse(
+                &[
+                    "--spec",
+                    "--target",
+                    "--mode",
+                    "--corner",
+                    "--vt",
+                    "--objective",
+                    "--flow",
+                    "--sizes",
+                ],
+                &["--tilos-only", "--report"],
+            )?,
+            out,
+        ),
+        "report" => cmd_report(&parse(&["--mode", "--corner", "--vt"], &[])?, out),
+        "sweep" => cmd_sweep(
+            &parse(
+                &[
+                    "--specs", "--jobs", "--csv", "--flow", "--mode", "--corner", "--vt",
+                ],
+                &["--cold"],
+            )?,
+            out,
+        ),
+        "serve" => cmd_serve(
+            &parse(
+                &[
+                    "--mode",
+                    "--corner",
+                    "--vt",
+                    "--flow",
+                    "--jobs",
+                    "--listen",
+                    "--unix",
+                    "--max-circuits",
+                    "--max-line-bytes",
+                    "--max-queue-depth",
+                    "--deadline-ms",
+                    "--replicas",
+                ],
+                &["--cold", "--stats"],
+            )?,
+            out,
+        ),
+        "generate" => cmd_generate(&parse(&["--out"], &[])?, out),
+        "list" => {
+            parse(&[], &[])?;
+            cmd_list(out)
         }
-        other => Err(format!("unknown command `{other}`")),
+        "--help" | "-h" | "help" => Ok(writeln!(out, "{USAGE}")?),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
-fn cmd_size(args: &[String]) -> Result<(), String> {
-    let path = args.get(1).ok_or("missing <file.bench>")?;
+fn cmd_size(args: &Args, out: Out) -> Outcome {
+    let path = args.first("<file.bench>")?;
     // Validate the backend name before any sizing work so a typo
     // fails fast instead of after the TILOS seed.
     check_flow(args)?;
     let problem = load_problem(path, args)?;
-    let target = match flag_value(args, "--target") {
+    let target = match args.value("--target") {
         Some(t) => parse_target("--target", t)?,
-        None => {
-            parse_target("--spec", flag_value(args, "--spec").unwrap_or("0.6"))? * problem.dmin()
-        }
+        None => parse_target("--spec", args.value("--spec").unwrap_or("0.6"))? * problem.dmin(),
     };
-    println!(
+    writeln!(
+        out,
         "{} | D_min {:.1} ps | target {:.1} ps ({:.2}·D_min)",
         problem.netlist().stats(),
         problem.dmin(),
         target,
         target / problem.dmin()
-    );
+    )?;
     // One cold session: every request below runs from fresh state.
     let mut session = problem.into_session(SessionConfig::cold());
     let tilos = session.tilos_to(target).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "TILOS:         area {:10.1}  delay {:8.1} ps  ({} bumps)",
         tilos.area, tilos.achieved_delay, tilos.bumps
-    );
+    )?;
     // A full solution carries the persistent D-phase solver's reuse
     // statistics; a TILOS-only run reports sizes alone.
-    let objective = flag_value(args, "--objective").unwrap_or("area");
+    let objective = args.value("--objective").unwrap_or("area");
     // `--report` prints the timing-engine line itself.
-    let report = args.iter().any(|a| a == "--report");
-    let solution = if args.iter().any(|a| a == "--tilos-only") {
+    let report = args.has("--report");
+    let solution = if args.has("--tilos-only") {
         None
     } else {
         match objective {
             "area" => {
                 let sol = session.size_to(target).map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "MINFLOTRANSIT: area {:10.1}  delay {:8.1} ps  ({} iterations, {:.2}% saved)",
                     sol.area,
                     sol.achieved_delay,
                     sol.iterations,
                     100.0 * (tilos.area - sol.area) / tilos.area
-                );
+                )?;
                 if !report {
-                    println!("timing engine: {}", sol.timing_stats);
+                    writeln!(out, "timing engine: {}", sol.timing_stats)?;
                 }
                 Some(sol)
             }
             "power" => {
                 let ps = session.size_to_power(target).map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "MINFLOTRANSIT: power {:9.2} (leakage {:.2} + switching {:.2})  \
                      area {:10.1}  delay {:8.1} ps  ({} iterations, {:.2}% power saved)",
                     ps.power.total,
@@ -266,13 +374,13 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
                     ps.solution.achieved_delay,
                     ps.solution.iterations,
                     ps.solution.area_saving_percent()
-                );
+                )?;
                 if !report {
-                    println!("timing engine: {}", ps.solution.timing_stats);
+                    writeln!(out, "timing engine: {}", ps.solution.timing_stats)?;
                 }
                 Some(ps.solution)
             }
-            other => return Err(format!("unknown objective `{other}` (area | power)")),
+            other => return Err(format!("unknown objective `{other}` (area | power)").into()),
         }
     };
     let tilos_sizes = tilos.sizes;
@@ -283,51 +391,50 @@ fn cmd_size(args: &[String]) -> Result<(), String> {
             Some(sol) => SizingReport::for_solution(problem, sol, target),
             None => SizingReport::build(problem, final_sizes, target),
         };
-        print!("{}", report.to_text());
+        write!(out, "{}", report.to_text())?;
     }
-    if let Some(out) = flag_value(args, "--sizes") {
+    if let Some(path) = args.value("--sizes") {
         let mut csv = String::from("vertex,size\n");
         for (i, x) in final_sizes.iter().enumerate() {
             csv.push_str(&format!("{i},{x}\n"));
         }
-        fs::write(out, csv).map_err(|e| e.to_string())?;
-        println!("wrote sizes to {out}");
+        fs::write(path, csv).map_err(|e| e.to_string())?;
+        writeln!(out, "wrote sizes to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let path = args.get(1).ok_or("missing <file.bench>")?;
-    let problem = load_problem(path, args)?;
-    println!("{}", problem.netlist().stats());
-    println!(
+fn cmd_report(args: &Args, out: Out) -> Outcome {
+    let problem = load_problem(args.first("<file.bench>")?, args)?;
+    writeln!(out, "{}", problem.netlist().stats())?;
+    writeln!(
+        out,
         "sizing DAG: {} vertices, {} edges ({:?} mode)",
         problem.dag().num_vertices(),
         problem.dag().num_edges(),
         problem.dag().mode()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "D_min = {:.1} ps, minimum-size area = {:.1}",
         problem.dmin(),
         problem.min_area()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let path = args.get(1).ok_or("missing <file.bench>")?;
+fn cmd_sweep(args: &Args, out: Out) -> Outcome {
+    let path = args.first("<file.bench>")?;
     let problem = load_problem(path, args)?;
-    let specs: Vec<f64> = flag_value(args, "--specs")
+    let specs: Vec<f64> = args
+        .value("--specs")
         .unwrap_or("0.9,0.8,0.7,0.6,0.5")
         .split(',')
         .map(|s| parse_target("--specs", s.trim()))
         .collect::<Result<_, _>>()?;
-    let jobs: usize = flag_value(args, "--jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+    let jobs = args.count("--jobs", 1)?;
     check_flow(args)?;
-    let config = if args.iter().any(|a| a == "--cold") {
+    let config = if args.has("--cold") {
         SessionConfig::cold()
     } else {
         SessionConfig::warm()
@@ -337,109 +444,47 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .into_session(config)
         .sweep(&specs)
         .map_err(|e| e.to_string())?;
-    println!("{}", format_curve(path, &outcomes));
-    if let Some(out) = flag_value(args, "--csv") {
-        fs::write(out, curve_to_csv(&outcomes)).map_err(|e| e.to_string())?;
-        println!("wrote sweep CSV to {out}");
+    writeln!(out, "{}", format_curve(path, &outcomes))?;
+    if let Some(csv) = args.value("--csv") {
+        fs::write(csv, curve_to_csv(&outcomes)).map_err(|e| e.to_string())?;
+        writeln!(out, "wrote sweep CSV to {csv}")?;
     }
     Ok(())
 }
 
-/// The positional (non-flag) arguments after the command word.
-/// `value_flags` names the flags that consume the following argument.
-fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if value_flags.contains(&arg) {
-            i += 2;
-            continue;
-        }
-        if !arg.starts_with("--") {
-            out.push(arg);
-        }
-        i += 1;
-    }
-    out
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let jobs: usize = flag_value(args, "--jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e: std::num::ParseIntError| e.to_string())?;
-    let max_circuits: usize = flag_value(args, "--max-circuits")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+fn cmd_serve(args: &Args, out: Out) -> Outcome {
+    let jobs = args.count("--jobs", 1)?;
     let default_config = ServerConfig::default();
-    let max_line_bytes: usize = match flag_value(args, "--max-line-bytes") {
-        Some(v) => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-        None => default_config.max_line_bytes,
-    };
-    let session = if args.iter().any(|a| a == "--cold") {
-        SessionConfig::cold()
-    } else {
-        SessionConfig::warm()
-    }
-    .with_jobs(jobs);
-    check_flow(args)?;
-    let max_queue_depth: usize = match flag_value(args, "--max-queue-depth") {
-        Some(v) => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-        None => default_config.max_queue_depth,
-    };
-    let default_deadline_ms: Option<f64> = match flag_value(args, "--deadline-ms") {
+    let default_deadline_ms: Option<f64> = match args.value("--deadline-ms") {
         Some(v) => Some(
             v.parse::<f64>()
                 .map_err(|e: std::num::ParseFloatError| e.to_string())?,
         ),
         None => None,
     };
-    let replicas: usize = match flag_value(args, "--replicas") {
-        Some(v) => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())?,
-        None => default_config.replicas,
-    };
+    let session = if args.has("--cold") {
+        SessionConfig::cold()
+    } else {
+        SessionConfig::warm()
+    }
+    .with_jobs(jobs);
+    check_flow(args)?;
     let server = CircuitServer::new(ServerConfig {
-        max_circuits,
-        max_line_bytes,
-        max_queue_depth,
+        max_circuits: args.count("--max-circuits", 16)?,
+        max_line_bytes: args.count("--max-line-bytes", default_config.max_line_bytes)?,
+        max_queue_depth: args.count("--max-queue-depth", default_config.max_queue_depth)?,
         default_deadline_ms,
-        replicas,
+        replicas: args.count("--replicas", default_config.replicas)?,
         session: session.clone(),
     });
-    let listen = flag_value(args, "--listen");
-    let unix = flag_value(args, "--unix");
+    let listen = args.value("--listen");
+    let unix = args.value("--unix");
     let listening = listen.is_some() || unix.is_some();
 
     // Preload the circuits given on the command line; each registers
     // under its file stem (`bench/c432.bench` → `c432`).
-    let paths = positionals(
-        args,
-        &[
-            "--mode",
-            "--tech",
-            "--corner",
-            "--vt",
-            "--flow",
-            "--jobs",
-            "--listen",
-            "--unix",
-            "--max-circuits",
-            "--max-line-bytes",
-            "--max-queue-depth",
-            "--deadline-ms",
-            "--replicas",
-        ],
-    );
     let mut names: Vec<String> = Vec::new();
-    for path in &paths {
+    for &path in &args.positionals {
         let name = Path::new(path)
             .file_stem()
             .and_then(|s| s.to_str())
@@ -455,8 +500,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 }
                 names.push(name);
             }
-            Response::Error { message, .. } => return Err(message),
-            other => return Err(format!("unexpected load response: {other:?}")),
+            Response::Error { message, .. } => return Err(message.into()),
+            other => return Err(format!("unexpected load response: {other:?}").into()),
         }
     }
 
@@ -469,28 +514,27 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 "stdin mode serves exactly one circuit ({} given); pass --listen for the \
                  multi-circuit registry",
                 names.len()
-            ));
+            )
+            .into());
         }
-        server
-            .serve_connection_ordered(std::io::stdin().lock(), std::io::stdout().lock())
-            .map_err(|e| e.to_string())?;
+        server.serve_connection_ordered(io::stdin().lock(), &mut *out)?;
     } else {
         let mut listeners = Vec::new();
         if let Some(addr) = listen {
             let (listener, local) = ServerListener::bind_tcp(addr).map_err(|e| e.to_string())?;
-            println!("listening on {local}");
+            writeln!(out, "listening on {local}")?;
             listeners.push(listener);
         }
         if let Some(path) = unix {
             listeners.push(bind_unix(path)?);
-            println!("listening on unix:{path}");
+            writeln!(out, "listening on unix:{path}")?;
         }
         server.run(listeners).map_err(|e| e.to_string())?;
         if let Some(path) = unix {
             let _ = fs::remove_file(path);
         }
     }
-    if args.iter().any(|a| a == "--stats") {
+    if args.has("--stats") {
         for name in server.circuit_names() {
             if let Some(stats) = server.circuit_stats(&name) {
                 eprintln!("{}", Response::stats(stats).to_json_line_with_id(None));
@@ -511,42 +555,45 @@ fn bind_unix(_path: &str) -> Result<ServerListener, String> {
     Err("--unix is only supported on Unix platforms".into())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let name = args.get(1).ok_or("missing <benchmark> (try `mft list`)")?;
+fn cmd_generate(args: &Args, out: Out) -> Outcome {
+    let name = args.first("<benchmark> (try `mft list`)")?;
     let bench = Benchmark::all()
         .into_iter()
         .find(|b| b.name() == name || b.name().trim_end_matches("-like") == name)
         .ok_or_else(|| format!("unknown benchmark `{name}` (try `mft list`)"))?;
     let netlist = bench.generate().map_err(|e| e.to_string())?;
     let text = write_bench(&netlist).map_err(|e| e.to_string())?;
-    match flag_value(args, "--out") {
-        Some(out) => {
-            fs::write(out, text).map_err(|e| e.to_string())?;
-            println!(
-                "wrote {} ({} gates) to {out}",
+    match args.value("--out") {
+        Some(path) => {
+            fs::write(path, text).map_err(|e| e.to_string())?;
+            writeln!(
+                out,
+                "wrote {} ({} gates) to {path}",
                 bench.name(),
                 netlist.num_gates()
-            );
+            )?;
         }
-        None => print!("{text}"),
+        None => write!(out, "{text}")?,
     }
     Ok(())
 }
 
-fn cmd_list() -> Result<(), String> {
-    println!(
+fn cmd_list(out: Out) -> Outcome {
+    writeln!(
+        out,
         "{:<12} {:>7} {:>6} {:>8}",
         "benchmark", "gates", "spec", "paper %"
-    );
+    )?;
     for bench in Benchmark::all() {
         let gates = bench.generate().map(|n| n.num_gates()).unwrap_or(0);
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>7} {:>6} {:>8.1}",
             bench.name(),
             gates,
             bench.paper_spec(),
             bench.paper_saving_percent()
-        );
+        )?;
     }
     Ok(())
 }

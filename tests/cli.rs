@@ -141,12 +141,13 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
     assert!(lines[1].starts_with("{\"type\":\"stats\""), "{}", lines[1]);
 }
 
-/// The legacy `tech` short forms resolve to the same corner as the
-/// registry names, on the command line (`--tech 65`) and over the wire
-/// (`{"type":"load","tech":"65"}`): a size request answers the same
-/// bytes as under `65nm`, and other bytes than under the default node.
+/// `--corner 65nm` on the command line and `"corner":"65nm"` on a
+/// `load` answer a size request with the same bytes, and the default
+/// corner with other bytes. The removed `tech` alias is refused: a
+/// `load` that still carries it answers an error naming `corner`
+/// instead of loading the default corner.
 #[test]
-fn tech_short_forms_resolve_like_the_corner_names() {
+fn corner_flag_matches_the_load_corner_and_tech_is_refused() {
     let bench = c17_file();
     let path = bench.display().to_string();
     assert!(!path.contains(['"', '\\']), "{path}");
@@ -157,18 +158,17 @@ fn tech_short_forms_resolve_like_the_corner_names() {
     };
     let input = [
         size("cli_c17"),
-        load("short", ",\"tech\":\"65\""),
-        size("short"),
         load("named", ",\"corner\":\"65nm\""),
         size("named"),
         load("default", ""),
         size("default"),
+        load("stale", ",\"tech\":\"65nm\""),
     ]
     .join("\n");
     let mut child = Command::new(env!("CARGO_BIN_EXE_mft"))
         .arg("serve")
         .arg(&bench)
-        .args(["--tech", "65"])
+        .args(["--corner", "65nm"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -188,14 +188,69 @@ fn tech_short_forms_resolve_like_the_corner_names() {
         String::from_utf8_lossy(&out.stderr)
     );
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 7, "{stdout}");
+    assert_eq!(lines.len(), 6, "{stdout}");
     assert!(lines[0].starts_with("{\"type\":\"size\""), "{}", lines[0]);
-    for i in [1, 3, 5] {
+    for i in [1, 3] {
         assert!(lines[i].starts_with("{\"type\":\"loaded\""), "{}", lines[i]);
     }
-    assert_eq!(lines[2], lines[0], "--tech 65 vs load tech 65");
-    assert_eq!(lines[4], lines[0], "--tech 65 vs load corner 65nm");
-    assert_ne!(lines[6], lines[0], "65nm vs the default corner");
+    assert_eq!(lines[2], lines[0], "--corner 65nm vs load corner 65nm");
+    assert_ne!(lines[4], lines[0], "65nm vs the default corner");
+    assert!(
+        lines[5].starts_with("{\"type\":\"error\"") && lines[5].contains("`corner`"),
+        "{}",
+        lines[5]
+    );
+}
+
+/// Each command rejects a flag it does not read, naming it, before any
+/// output: neither a typo (`spce` for `spec`) nor the removed `tech`
+/// alias of `corner` may size at the defaults.
+#[test]
+fn unknown_flags_are_rejected() {
+    let bench = c17_file();
+    for (command, name, rest) in [
+        ("size", "spce", &["0.4", "--tilos-only"][..]),
+        ("size", "tech", &["65"][..]),
+        ("sweep", "tech", &["65"][..]),
+        ("serve", "tech", &["65"][..]),
+    ] {
+        let flag = format!("--{name}");
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg(command)
+            .arg(&bench)
+            .arg(&flag)
+            .args(rest)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} {flag}");
+        assert!(out.stdout.is_empty(), "{command} {flag}: output");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{command} {flag}: {stderr}"
+        );
+    }
+}
+
+/// A reader that closes stdout early (`mft size ... | head -1`) stops
+/// the command quietly: no panic, no exit code 101.
+#[test]
+fn size_stops_quietly_when_stdout_closes() {
+    let bench = c17_file();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mft"))
+        .arg("size")
+        .arg(&bench)
+        .args(["--spec", "0.7", "--report"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 /// `--flow` accepts only `simplex`; each removed backend name fails

@@ -147,7 +147,8 @@ fn stats_line_keys_are_pinned() {
     assert_eq!(keys(&fresh), expected, "{fresh}");
     assert!(fresh.contains("\"dphase_backend\":\"none\""), "{fresh}");
 
-    let sizes = session.size_to_spec(0.7).unwrap().sizes;
+    let dmin = session.problem().dmin();
+    let sizes = session.size_to(0.7 * dmin).unwrap().sizes;
     session
         .sweep(&[0.9, 0.8])
         .expect("c17 sweep at loose specs");

@@ -182,11 +182,13 @@ mod oracle {
             },
             "stats" => Request::Stats,
             "load" => {
+                if f.get("tech").is_some() {
+                    return Err(bad("load field `tech` was removed; use `corner`"));
+                }
                 let load = LoadRequest {
                     path: f.str_opt("path")?,
                     bench: f.str_opt("bench")?,
                     mode: f.str_opt("mode")?,
-                    tech: f.str_opt("tech")?,
                     corner: f.str_opt("corner")?,
                     vt: f.str_opt("vt")?,
                     preset: f.str_opt("preset")?,
