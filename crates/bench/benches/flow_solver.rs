@@ -164,7 +164,6 @@ fn bench_iteration_pattern(c: &mut Criterion) {
                         lp.add_constraint(u, v, 0).expect("valid");
                     }
                     let mut solver = lp.into_solver(0).expect("valid");
-                    solver.set_warm_start(true);
                     let mut acc = 0.0;
                     for (bounds, objective) in &schedules {
                         for (k, &bound) in bounds.iter().enumerate() {
@@ -221,7 +220,6 @@ fn bench_iteration_pattern(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let mut solver = SimplexSolver::new(&net);
-                    solver.set_warm_start(true);
                     let mut acc = 0.0;
                     for costs in &schedules {
                         for (k, &cost) in costs.iter().enumerate() {

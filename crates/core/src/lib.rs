@@ -46,10 +46,14 @@
 //!   each one runs a fresh TILOS seed and fresh solvers, the path the
 //!   `mft size` command takes;
 //! * [`SessionConfig::shared_exact`] shares the trajectory and solvers
-//!   across requests with cold inner solves — every value stays
-//!   bit-identical to the cold preset;
-//! * [`SessionConfig::warm`] also warm-starts the inner D/W solves,
-//!   reaching the same optima up to the last float bits.
+//!   across requests — every value stays bit-identical to the cold
+//!   preset;
+//! * [`SessionConfig::warm`] also seeds each W-phase from the accepted
+//!   sizes, reaching the same fixed point up to the last float bits.
+//!
+//! Under every preset the D-phase warm-starts each flow solve from the
+//! basis the last one left; its answer does not depend on that basis
+//! (see [`DPhaseSolver`]).
 //!
 //! Requests may arrive in any order (see the [`session`-module
 //! exactness notes](SizingSession) and `tests/session_golden.rs`).

@@ -42,11 +42,13 @@ pub struct MinflotransitConfig {
     /// the one value [`mft_flow::FlowAlgorithm::NetworkSimplex`] and
     /// selects nothing; the field is kept for callers that name it.
     pub flow_algorithm: mft_flow::FlowAlgorithm,
-    /// Whether the persistent D-phase solver may warm-start each
-    /// iteration's network simplex from the previous iteration's
-    /// spanning tree. Warm starts are faster on large circuits but may
-    /// select a different optimal vertex of a degenerate D-phase LP, so
-    /// the deterministic cold path stays the default.
+    /// Read by nothing: the persistent D-phase solver warm-starts every
+    /// solve after its first from the previous solve's spanning tree,
+    /// and its answer does not depend on that basis (the flow
+    /// certificate's potentials are a function of the LP alone; see
+    /// [`DPhaseSolver`]). The field stays only because the end-to-end
+    /// benchmark's replay (`e2ebench/`) still reads it; the next change
+    /// to that benchmark (the ROADMAP's replay-mirror item) deletes it.
     pub dphase_warm_start: bool,
     /// Whether each W-phase may seed its SMP fixpoint from the current
     /// accepted sizes instead of restarting from the lower bounds
@@ -187,10 +189,11 @@ impl SizingSolution {
 /// delays change between iterations *and between delay targets* — so an
 /// area–delay sweep can run every point through one context instead of
 /// rebuilding the solvers per point (a [`crate::SizingSession`] sweep
-/// does exactly that, one context per worker). The timing engine runs
-/// at tolerance `0.0`, so carrying its state across points never
-/// changes a result (every critical-path value is bit-identical to a
-/// cold recomputation).
+/// does exactly that, one context per worker). Carrying the state
+/// across points never changes a result: the timing engine runs at
+/// tolerance `0.0` (every critical-path value is bit-identical to a
+/// cold recomputation), and the D-phase solver's answer does not depend
+/// on the basis its warm start begins from (see [`DPhaseSolver`]).
 #[derive(Debug)]
 pub struct SolverContext {
     dphase: DPhaseSolver,
@@ -235,7 +238,7 @@ impl SolverContext {
             DPhaseOptions {
                 algorithm: config.flow_algorithm,
                 digits: config.cost_digits,
-                warm_start: config.dphase_warm_start,
+                ..DPhaseOptions::default()
             },
         )?;
         // Seed the persistent timing engine with zero delays (no model
@@ -256,14 +259,6 @@ impl SolverContext {
             timing,
             n,
         })
-    }
-
-    /// Drops the D-phase flow backend's retained warm state; the next
-    /// solve runs cold. Called between sweep points to keep each point
-    /// a pure function of its own inputs (independent of sweep order
-    /// and worker partitioning).
-    pub fn invalidate_warm_state(&mut self) {
-        self.dphase.invalidate_warm_state();
     }
 }
 

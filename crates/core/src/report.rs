@@ -213,11 +213,13 @@ mod tests {
         assert!(report.near_critical_paths >= 1);
         let total: usize = report.size_histogram.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, problem.dag().num_vertices());
-        // The optimizer ran at least one D-phase, all cold by default.
+        // The optimizer ran one D-phase per iteration: the first cold,
+        // every later one warm-started from the basis before it.
         let solver = report.solver.expect("solver stats captured");
         assert_eq!(solver.backend, "network-simplex");
-        assert!(solver.flow.cold_solves >= 1);
-        assert_eq!(solver.flow.warm_solves, 0);
+        assert!(sol.iterations >= 1);
+        assert_eq!(solver.flow.cold_solves, 1);
+        assert_eq!(solver.flow.warm_solves, sol.iterations - 1);
         let text = report.to_text();
         assert!(text.contains("area"));
         assert!(text.contains("NAND2"));

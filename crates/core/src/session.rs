@@ -29,19 +29,21 @@
 //!   bump log by [`mft_tilos::TilosState::snapshot_at`] (bit-exact,
 //!   zero timing work). Requests may therefore arrive in **any
 //!   order**.
-//! * Solver reuse is hermetic per request: the retained D-phase warm
-//!   state is invalidated between requests and between sweep points
-//!   (unless [`SweepWarmStart::cross_target_state`] is opted in), and
-//!   the persistent timing engine runs at tolerance `0.0`.
-//! * The optional *inner* warm starts
-//!   ([`MinflotransitConfig::dphase_warm_start`] /
-//!   [`MinflotransitConfig::wphase_warm_start`], both on under
-//!   [`SessionConfig::warm`]) reach the same optima but may differ from
-//!   the cold path in the last float bits — exactly as documented on
-//!   those fields. With them off ([`SessionConfig::cold`], or
-//!   `SessionConfig { warm: SweepWarmStart::full(), .. }` over a
-//!   default optimizer config) the session is bit-identical to the
-//!   cold path, which `tests/session_golden.rs` pins.
+//! * Solver reuse is basis-independent. The D-phase warm-starts every
+//!   flow solve from the spanning tree the previous one left, across
+//!   iterations, requests and sweep points alike, yet its answer is the
+//!   flow certificate's potentials: the greatest optimal dual that is
+//!   `≤ 0`, a function of the LP alone, read exactly on the integral
+//!   D-phase LP (see [`crate::DPhaseSolver`]). The persistent timing
+//!   engine runs at tolerance `0.0`.
+//! * The one optional *inner* warm start,
+//!   [`MinflotransitConfig::wphase_warm_start`] (on under
+//!   [`SessionConfig::warm`]), seeds each W-phase from the accepted
+//!   sizes; it reaches the same fixed point but may differ from the
+//!   cold path in the last float bits, exactly as documented on that
+//!   field. With it off ([`SessionConfig::cold`] or
+//!   [`SessionConfig::shared_exact`]) the session is bit-identical to
+//!   the cold path, which `tests/session_golden.rs` pins.
 //!
 //! Every request kind runs through one private runner per step — the
 //! TILOS seed, the optimizer phase, a full size request, a sweep point
@@ -52,8 +54,8 @@
 //!
 //! A sweep (the paper's Figure 7 area–delay curve) sizes every spec
 //! loosest-first, so the TILOS trajectory pays the bump cost of its
-//! *tightest* spec once. Because point boundaries are hermetic, the
-//! sizing *results* (area ratios, savings, iteration counts,
+//! *tightest* spec once. Because no carried state changes a point's
+//! result, the sizing *results* (area ratios, savings, iteration counts,
 //! reachability) are identical for any [`SessionConfig::jobs`] count
 //! and any spec order; with more than one worker the sorted specs are
 //! split into contiguous chunks, one `std::thread::scope` worker with
@@ -118,15 +120,17 @@ pub struct SweepWarmStart {
     pub resume_tilos: bool,
     /// Hold one [`SolverContext`] (per sweep worker) across targets
     /// instead of rebuilding the D-phase network and SMP solver per
-    /// target (bit-exact for cold inner solves).
+    /// target. Bit-exact: the held D-phase solver warm-starts the next
+    /// target's first solve from the last target's basis, and its
+    /// answer does not depend on that basis.
     pub reuse_solvers: bool,
-    /// Let D-phase/W-phase warm state survive *across* targets (the
-    /// previous target's dual potentials, retained flow and spanning
-    /// tree seed the next target's first solves). Off by default: the
-    /// first D-phase of a target is one solve out of typically tens,
-    /// so the saving is marginal, while dropping the state keeps every
-    /// target independent of request order and worker partitioning.
-    /// Requires [`SweepWarmStart::reuse_solvers`].
+    /// Read by nothing: a held [`SolverContext`] always carries its
+    /// D-phase basis across targets (see
+    /// [`SweepWarmStart::reuse_solvers`]). The field stays only because
+    /// the end-to-end benchmark's replay (`e2ebench/`) still branches
+    /// on it; [`SweepWarmStart::full`] sets it, so the replay takes the
+    /// session's path. The next change to that benchmark (the ROADMAP's
+    /// replay-mirror item) deletes it.
     pub cross_target_state: bool,
 }
 
@@ -140,13 +144,12 @@ impl SweepWarmStart {
         }
     }
 
-    /// The standard warm configuration: trajectory + solver reuse,
-    /// hermetic target boundaries.
+    /// The standard warm configuration: trajectory + solver reuse.
     pub fn full() -> Self {
         SweepWarmStart {
             resume_tilos: true,
             reuse_solvers: true,
-            cross_target_state: false,
+            cross_target_state: true,
         }
     }
 }
@@ -157,7 +160,7 @@ impl SweepWarmStart {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// The per-request optimizer configuration (trust region, flow
-    /// backend, inner warm-start levers, TILOS knobs).
+    /// backend, W-phase seeding, TILOS knobs).
     pub optimizer: MinflotransitConfig,
     /// Which cross-request reuse levers the session runs with (the
     /// same levers a sweep uses across points).
@@ -170,13 +173,10 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// The standard warm preset: shared trajectory + persistent
-    /// solvers across requests and inner D/W warm starts on (the
-    /// network simplex's spanning-tree warm start is what amortizes the
-    /// "tens of nearly identical solves" iteration pattern — see
-    /// `crates/bench/benches/area_delay_sweep.rs`).
+    /// solvers across requests, and each W-phase seeded from the
+    /// accepted sizes. (The D-phase warm-starts under every preset.)
     pub fn warm() -> Self {
         let optimizer = MinflotransitConfig {
-            dphase_warm_start: true,
             wphase_warm_start: true,
             ..Default::default()
         };
@@ -188,8 +188,8 @@ impl SessionConfig {
     }
 
     /// Every reuse lever off: each request runs from fresh state (fresh
-    /// trajectory, fresh solvers, cold inner solves), so its result does
-    /// not depend on the requests before it.
+    /// trajectory, fresh solvers, unseeded W-phases), so it does no
+    /// work that depends on the requests before it.
     pub fn cold() -> Self {
         SessionConfig {
             optimizer: MinflotransitConfig::default(),
@@ -209,11 +209,11 @@ impl SessionConfig {
     }
 
     /// Cross-request reuse (shared trajectory + persistent solvers)
-    /// with the inner solves left cold: every served value is
+    /// with the W-phase left unseeded: every served value is
     /// bit-identical to [`SessionConfig::cold`], while requests still
-    /// amortize the trajectory and the solver construction. The
-    /// exactness middle ground between [`SessionConfig::warm`] and
-    /// [`SessionConfig::cold`].
+    /// amortize the trajectory, the solver construction and the
+    /// D-phase basis. The exactness middle ground between
+    /// [`SessionConfig::warm`] and [`SessionConfig::cold`].
     pub fn shared_exact() -> Self {
         SessionConfig {
             optimizer: MinflotransitConfig::default(),
@@ -420,10 +420,9 @@ fn tilos_point<M: DelayModel>(
 }
 
 /// Runs the optimizer phase of a request over the given warm state:
-/// lazy [`SolverContext`] construction, the hermetic request boundary
-/// (unless cross-target state is opted in), the cold fallback, and the
-/// counter accounting — shared by size requests and sweep points so
-/// the two cannot drift.
+/// lazy [`SolverContext`] construction (or a throwaway context without
+/// solver reuse) and the counter accounting — shared by size requests
+/// and sweep points so the two cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn optimize_with_state<M: DelayModel>(
     problem: &SizingProblem,
@@ -441,14 +440,7 @@ fn optimize_with_state<M: DelayModel>(
         if state.context.is_none() {
             state.context = Some(SolverContext::new(&config.optimizer, dag, model)?);
         }
-        let ctx = state.context.as_mut().expect("just ensured");
-        if !config.warm.cross_target_state {
-            // Hermetic request boundary: the retained dual state must
-            // not leak into this request, so every request is a pure
-            // function of its own (target, seed).
-            ctx.invalidate_warm_state();
-        }
-        ctx
+        state.context.as_mut().expect("just ensured")
     } else {
         throwaway = SolverContext::new(&config.optimizer, dag, model)?;
         &mut throwaway
@@ -736,8 +728,8 @@ pub struct SizingSession {
     /// requests).
     area: WarmState,
     /// Warm state of the power objective, kept apart from the area
-    /// objective's: mixing the two would break the exactness of both
-    /// (most visibly under `cross_target_state`).
+    /// objective's: the two objectives advance different TILOS
+    /// trajectories.
     power: WarmState,
     /// Answers what-if requests; built on the first one.
     view: Option<ReadView>,
@@ -887,8 +879,8 @@ impl SizingSession {
     /// or one core) the sweep runs through the session's own warm
     /// state (and leaves the trajectory advanced for later requests);
     /// with more workers the (sorted) spec list is
-    /// partitioned across `std::thread::scope` workers with private,
-    /// hermetic warm state — results are identical either way (see the
+    /// partitioned across `std::thread::scope` workers, each with
+    /// private warm state — results are identical either way (see the
     /// module docs).
     ///
     /// # Errors
@@ -1474,8 +1466,9 @@ mod tests {
         }
     }
 
-    /// jobs=N returns bit-identical outcomes to jobs=1 (hermetic point
-    /// boundaries make each point partition-independent).
+    /// jobs=N returns bit-identical outcomes to jobs=1 (no carried
+    /// state changes a point's result, so each point is
+    /// partition-independent).
     #[test]
     fn sweep_jobs_do_not_change_results() {
         let specs = [0.9, 0.8, 0.7, 0.6, 0.5, 0.45];

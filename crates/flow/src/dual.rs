@@ -22,9 +22,14 @@
 //! constraint graph (the D-phase inner loop re-solves the same graph
 //! with new bounds and objectives every iteration), bounds and
 //! objective coefficients are overwritten in place and `maximize`
-//! re-solves without rebuilding the network — optionally
-//! warm-starting the network simplex from the previous solve's
-//! spanning tree.
+//! re-solves without rebuilding the network, warm-starting the network
+//! simplex from the previous solve's spanning tree.
+//!
+//! The returned `r` does not depend on that warm start. It is read from
+//! the certificate potentials, one fixed optimal dual of the flow
+//! problem (the greatest that is `≤ 0`, see [`SimplexSolver`]), so it
+//! is a function of the LP alone, whichever optimal basis a solve ends
+//! in.
 
 use crate::error::FlowError;
 use crate::network::FlowNetwork;
@@ -254,11 +259,6 @@ impl DualSolver {
     /// Panics if `v` is out of range.
     pub fn set_objective(&mut self, v: usize, b: f64) {
         self.objective[v] = b;
-    }
-
-    /// Enables or disables the network simplex's warm starts.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.backend.set_warm_start(enabled);
     }
 
     /// Drops the network simplex's retained spanning tree; the next
@@ -516,7 +516,6 @@ mod tests {
             arcs.push((0, v));
         }
         let mut solver = lp.clone().into_solver(0).unwrap();
-        solver.set_warm_start(true);
         for _round in 0..6 {
             let mut fresh = DualLp::new(n);
             for (k, &(u, v)) in arcs.iter().enumerate() {

@@ -24,13 +24,19 @@
 //! [`SimplexSolver`] freezes a network's arcs once, takes cost and
 //! supply rewrites in place ([`SimplexSolver::set_cost`],
 //! [`SimplexSolver::set_supply`]), keeps its scratch buffers alive
-//! across solves, and optionally **warm-starts** each re-solve from the
-//! previous solve's spanning tree, repairing it back to primal
-//! feasibility. Warm solves return certified optima but may pick a
-//! different optimal vertex than a cold solve when the optimum is
-//! degenerate; a cold solve is bit-identical to a fresh solver's first
-//! solve. [`DualSolver`] lifts the same pattern to difference-constraint
-//! LPs.
+//! across solves, and **warm-starts** each re-solve from the previous
+//! solve's spanning tree, repairing it back to primal feasibility.
+//! [`DualSolver`] lifts the same pattern to difference-constraint LPs.
+//!
+//! A warm solve may end in a different optimal basis, and with a
+//! different optimal flow, than a cold one when the optimum is
+//! degenerate. The returned potentials cannot tell: they are recomputed
+//! from the optimal flow as the greatest optimal dual that is `≤ 0`,
+//! and every optimal flow certifies the same set of optimal duals. So
+//! the potentials (and a [`DualSolver`]'s `r`) are a function of the
+//! instance alone, whichever basis a solve started from. On integral
+//! instances the flows are exact integers and the certificate reads the
+//! residual graph exactly.
 //!
 //! The simplex selects entering arcs by Dantzig's rule (the most
 //! negative reduced cost), with a per-block cache that re-prices only
@@ -57,7 +63,8 @@
 //! # }
 //! ```
 //!
-//! Persistent re-solving with cost updates and warm starts:
+//! Persistent re-solving with cost updates (every solve after the
+//! first warm-starts):
 //!
 //! ```
 //! use mft_flow::{FlowNetwork, SimplexSolver};
@@ -70,7 +77,6 @@
 //! net.add_arc(1, 2, f64::INFINITY, 1)?;
 //! net.add_arc(0, 2, f64::INFINITY, 3)?;
 //! let mut solver = SimplexSolver::new(&net);
-//! solver.set_warm_start(true);
 //! assert_eq!(solver.solve()?.total_cost, 2.0); // via the middle node
 //! solver.set_cost(top, 9)?;                    // re-price, re-solve
 //! assert_eq!(solver.solve()?.total_cost, 3.0); // direct arc now wins

@@ -13,7 +13,7 @@
 
 use crate::error::FlowError;
 use crate::simplex::SimplexSolver;
-use crate::topology::check_balance;
+use crate::topology::{check_balance, CostLayer};
 
 /// Identifier of an arc returned by [`FlowNetwork::add_arc`].
 pub type ArcId = usize;
@@ -272,8 +272,13 @@ impl FlowNetwork {
             (flows.iter().zip(&self.arcs)).fold(0.0, |acc, (f, a)| acc + f * a.cost as f64);
         // Certified potentials from the optimal flow: shortest walks over
         // the residual graph of real arcs (all-zero init; the optimal
-        // residual graph has no negative cycle).
-        let dust = 1e-12 * scale;
+        // residual graph has no negative cycle). Integral instances have
+        // exact integer flows and read it exactly, as the simplex does.
+        let dust = if CostLayer::build(self).is_integral(scale) {
+            0.0
+        } else {
+            1e-12 * scale
+        };
         let mut pi = vec![0i64; n];
         let mut changed = true;
         let mut rounds = 0usize;

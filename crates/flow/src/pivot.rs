@@ -5,14 +5,17 @@
 //! reduced-cost optimality conditions. Dantzig's rule takes the most
 //! negative violation over every arc, which gives the fewest pivots.
 //! [`DantzigBlocks`] caches the best arc of each fixed block of 64 arcs.
-//! Between selections the solver [`touch`](DantzigBlocks::touch)es the
-//! arcs whose eligibility a pivot may have changed; a selection prices
-//! each touched arc alone and merges it into its block's cached best,
-//! and re-prices a whole block only when the touched arc *was* that
-//! best (its violation may have shrunk below an untouched arc's). A
-//! pivot thus pays for the arcs its moved subtree reaches plus about one
-//! block, not for every arc, and it selects exactly the arc a full
-//! ascending scan would.
+//! Between selections every arc whose eligibility a pivot may have
+//! changed is merged into its block once its change is final: priced
+//! alone and compared with the block's cached best, or, when it *was*
+//! that best (its violation may have shrunk below an untouched arc's),
+//! its block is marked for a full re-price. The solver merges the
+//! boundary arcs of a basis exchange on the spot
+//! ([`merge`](DantzigBlocks::merge)) and defers the rest to the next
+//! selection ([`touch`](DantzigBlocks::touch)). A pivot thus pays for
+//! the arcs its moved subtree reaches plus about one block, not for
+//! every arc, and it selects exactly the arc a full ascending scan
+//! would.
 //!
 //! [`DantzigBlocks::select`] is generic over the [`PricingContext`], so
 //! the solver's per-arc reduced-cost test inlines into the scan loop
@@ -59,15 +62,16 @@ fn best_in<P: PricingContext>(pricing: &P, lo: usize, hi: usize) -> Option<(i128
 /// The arcs are cut into fixed blocks of 64 (the last one may be
 /// shorter), and each block caches its least `(violation, arc)`.
 ///
-/// A selection first merges every touched arc into its block: the arc
-/// is priced alone and replaces the cached best when it orders before
-/// it. Untouched arcs kept their eligibility, and each of them ordered
-/// after the cached best when it was taken, so the merged best is the
-/// block's true one, unless the cached best arc was itself touched:
-/// its own violation may have grown, so its block is re-priced in full
-/// instead. Blocks are then compared in ascending order with the same
-/// strict test, so the winner is the arc a full ascending scan would
-/// pick.
+/// Every changed arc is merged into its block: the arc is priced alone
+/// and replaces the cached best when it orders before it. Unchanged
+/// arcs kept their eligibility, and each of them ordered after the
+/// cached best when it was taken, so the merged best is the block's
+/// true one, unless the cached best arc was itself changed: its own
+/// violation may have grown, so its block is re-priced in full instead.
+/// The rule holds in any merge order. A selection merges the touched
+/// arcs, re-prices the marked blocks, and compares the blocks in
+/// ascending order with the same strict test, so the winner is the arc
+/// a full ascending scan would pick.
 ///
 /// The state is reset at the start of every solve, so the pivot
 /// sequence of an instance does not depend on earlier solves' pricing.
@@ -104,11 +108,37 @@ impl DantzigBlocks {
 
     /// Records that arc `k`'s eligibility may have changed since the
     /// last selection (its flow, tree membership or an endpoint's
-    /// potential moved). Between two selections the solver must touch
+    /// potential moved), for the next selection to merge. Between two
+    /// selections the solver must touch or [`merge`](DantzigBlocks::merge)
     /// every such arc, or [`reset`](DantzigBlocks::reset) the state.
     #[inline]
     pub(crate) fn touch(&mut self, k: usize) {
         self.touched.push(k as u32);
+    }
+
+    /// Merges arc `k`, whose eligibility changed and will not change
+    /// again before the next selection, into its block under `pricing`
+    /// (see the type docs): the cached best when `k` orders before it,
+    /// a full re-price of the block when `k` was that best.
+    #[inline]
+    pub(crate) fn merge<P: PricingContext>(&mut self, pricing: &P, k: usize) {
+        let b = k / DANTZIG_BLOCK;
+        if self.dirty[b] {
+            return;
+        }
+        match self.best[b] {
+            Some((_, best, _)) if best == k => {
+                self.dirty[b] = true;
+                self.dirty_list.push(b);
+            }
+            cached => {
+                if let Some((violation, forward)) = pricing.violation(k) {
+                    if cached.is_none_or(|(v, a, _)| (violation, k) < (v, a)) {
+                        self.best[b] = Some((violation, k, forward));
+                    }
+                }
+            }
+        }
     }
 
     /// Selects the entering arc, or `None` when no arc is eligible (the
@@ -122,27 +152,12 @@ impl DantzigBlocks {
         let n = pricing.num_arcs();
         assert_eq!(n, self.num_arcs, "reset before the first select");
         *scanned += n;
-        for &k in &self.touched {
-            let k = k as usize;
-            let b = k / DANTZIG_BLOCK;
-            if self.dirty[b] {
-                continue;
-            }
-            match self.best[b] {
-                Some((_, best, _)) if best == k => {
-                    self.dirty[b] = true;
-                    self.dirty_list.push(b);
-                }
-                cached => {
-                    if let Some((violation, forward)) = pricing.violation(k) {
-                        if cached.is_none_or(|(v, a, _)| (violation, k) < (v, a)) {
-                            self.best[b] = Some((violation, k, forward));
-                        }
-                    }
-                }
-            }
+        let mut touched = std::mem::take(&mut self.touched);
+        for &k in &touched {
+            self.merge(pricing, k as usize);
         }
-        self.touched.clear();
+        touched.clear();
+        self.touched = touched;
         for &b in &self.dirty_list {
             let lo = b * DANTZIG_BLOCK;
             self.best[b] = best_in(pricing, lo, (lo + DANTZIG_BLOCK).min(n));
@@ -281,6 +296,44 @@ mod tests {
         assert_eq!(dantzig.select(&table, &mut scanned), Some((90, true)));
         dantzig.reset(table.num_arcs());
         assert_eq!(dantzig.select(&table, &mut scanned), Some((150, true)));
+    }
+
+    #[test]
+    fn merging_on_the_spot_selects_what_a_deferred_touch_would() {
+        // Two pricing states fed the same changes, one merging each
+        // changed arc as it changes, one touching it for the selection.
+        let mut table = Counted::new(200);
+        table.cells[10] = Some((-3, true));
+        table.cells[70] = Some((-5, false));
+        let (mut now, mut later) = (DantzigBlocks::default(), DantzigBlocks::default());
+        let mut scanned = 0;
+        now.reset(table.num_arcs());
+        later.reset(table.num_arcs());
+        assert_eq!(now.select(&table, &mut scanned), Some((70, false)));
+        assert_eq!(later.select(&table, &mut scanned), Some((70, false)));
+        // Arc 70, the cached best, drops out; 90 improves in its block;
+        // 150 appears in another: in either order of merges.
+        for changes in [[70, 90, 150], [150, 90, 70]] {
+            for k in changes {
+                table.cells[k] = match k {
+                    70 => None,
+                    90 => Some((-4, true)),
+                    _ => Some((-2, false)),
+                };
+                now.merge(&table, k);
+                later.touch(k);
+            }
+            let got = now.select(&table, &mut scanned);
+            assert_eq!(got, later.select(&table, &mut scanned), "{changes:?}");
+            assert_eq!(got, dantzig_full_scan(&table), "{changes:?}");
+            table.cells[70] = Some((-5, false));
+            table.cells[90] = None;
+            table.cells[150] = None;
+            now.reset(table.num_arcs());
+            later.reset(table.num_arcs());
+            now.select(&table, &mut scanned);
+            later.select(&table, &mut scanned);
+        }
     }
 
     #[test]

@@ -25,32 +25,44 @@
 //! one exact `i128` amount σ (tree arcs inside it keep zero reduced
 //! cost), so one walk of the subtree adds σ and re-derives depths,
 //! without any per-node arc lookups. Only arcs with exactly one endpoint
-//! in the moved subtree change reduced cost, so the exchange touches
-//! just those boundary arcs (read from the topology's adjacency), the
-//! moved nodes' artificial arcs, and the entering arc; Dantzig pricing
-//! prices each touched arc alone and re-prices a whole 64-arc block
-//! only when the touched arc was that block's cached best. A pivot thus costs its boundary arcs, the few
-//! blocks whose best it touched, the moved subtree and the cycle
-//! instead of an O(arcs) scan (the pricing's `select` is generic over
-//! the pricing view, so the reduced-cost test inlines). The O(arcs)
-//! `rebuild_tree` BFS runs only when a basis is installed (cold start,
-//! warm repair), and `bfs_order` is valid only right after such a
-//! rebuild. A rooted spanning tree determines its parents, depths and
+//! in the moved subtree change reduced cost, so the exchange prices
+//! just those boundary arcs (read from the topology's adjacency) and
+//! the moved nodes' artificial arcs as its walk finds them, and touches
+//! the entering arc for the next selection; Dantzig pricing merges each
+//! such arc alone into its 64-arc block and re-prices a whole block
+//! only when the arc was that block's cached best. A pivot thus costs
+//! its boundary arcs, the few blocks whose best it changed, the moved
+//! subtree and the cycle instead of an O(arcs) scan (the pricing's
+//! `select` and `merge` are generic over the pricing view, so the
+//! reduced-cost test inlines). The O(arcs) `rebuild_tree` BFS runs only
+//! when a basis is installed (cold start, warm repair), and `bfs_order`
+//! is valid only right after such a rebuild. A rooted spanning tree determines its parents, depths and
 //! potentials, so the incremental tree equals a rebuilt one and the
 //! pivot sequence is the one a rebuild after every pivot would give.
 //!
-//! **Warm starts** reuse the previous solve's spanning tree: non-basic
-//! arc flows are kept, the basic (tree) arc flows are recomputed
-//! leaf-to-root for the new supplies, and artificial arcs flip direction
-//! freely (they are symmetric big-`M` arcs). If any real tree arc would
-//! need a flow outside `[0, cap]`, the basis is primal-infeasible for
-//! the new instance and the solver falls back to a cold start (counted
-//! in [`SolverStats::warm_fallbacks`]).
+//! **Warm starts.** Every solve after the first starts from the
+//! previous solve's spanning tree: non-basic arc flows are kept, the
+//! basic (tree) arc flows are recomputed leaf-to-root for the new
+//! supplies, and artificial arcs flip direction freely (they are
+//! symmetric big-`M` arcs). A real tree arc that would need a flow
+//! outside `[0, cap]` is repaired in place (counted in
+//! [`SolverStats::warm_repairs`]); a retained state that cannot be
+//! repaired falls back to a cold start (counted in
+//! [`SolverStats::warm_fallbacks`]). [`SimplexSolver::invalidate`]
+//! drops the tree, and so does a failed or cancelled solve; the next
+//! solve then runs cold.
 //!
 //! Potentials are maintained in `i128` (one big-`M` artificial arc can
 //! appear on a tree path); the *returned* certificate potentials are
 //! recomputed cleanly from the optimal flow by one Dijkstra pass
 //! reweighted with the optimal tree potentials ([`crate::potentials`]).
+//! They are the greatest optimal dual that is `≤ 0`, a function of the
+//! instance alone: every optimal flow certifies the same set of optimal
+//! duals, so which basis a solve started from, and which optimal flow
+//! it reached, cannot change them. On an integral instance (integer
+//! supplies and finite capacities, total supply at most 2⁵³) every flow
+//! is an exact integer, so the residual graph is read exactly; other
+//! instances read it with a `1e-12 · scale` dust tolerance.
 
 use crate::error::FlowError;
 use crate::network::{FlowNetwork, FlowSolution};
@@ -73,7 +85,7 @@ const NONE: u32 = u32::MAX;
 pub struct SimplexSolver {
     pub(crate) topo: NetworkTopology,
     pub(crate) layer: CostLayer,
-    warm_enabled: bool,
+    /// Whether the arrays below hold the last solve's optimal basis.
     has_state: bool,
     /// Flow per arc: public arcs first, then one artificial per node.
     flow: Vec<f64>,
@@ -163,6 +175,23 @@ impl PricingContext for TreePricing<'_> {
     }
 }
 
+/// The solver's [`TreePricing`] view for big-`M` cost `$big_m` and
+/// balance tolerance `$eps`, borrowing field by field.
+macro_rules! tree_pricing {
+    ($solver:expr, $big_m:expr, $eps:expr) => {
+        TreePricing {
+            topo: &$solver.topo,
+            layer: &$solver.layer,
+            art_to_root: &$solver.art_to_root,
+            flow: &$solver.flow,
+            in_tree: &$solver.in_tree,
+            pi: &$solver.pi,
+            big_m: $big_m,
+            backward_eps: $eps.min(1e-12),
+        }
+    };
+}
+
 /// Endpoints of internal arc `k`: public arcs first, then one
 /// artificial arc per node `v` between `v` and the root, in its current
 /// orientation.
@@ -184,8 +213,8 @@ fn arc_endpoints(topo: &NetworkTopology, art_to_root: &[bool], k: usize) -> (usi
 
 impl SimplexSolver {
     /// Builds a persistent solver over `net`'s arcs, costs, capacities
-    /// and supplies. Warm starts are off until
-    /// [`SimplexSolver::set_warm_start`] turns them on.
+    /// and supplies. Its first solve runs cold; each later one
+    /// warm-starts from the basis the previous solve left.
     pub fn new(net: &FlowNetwork) -> Self {
         let topo = NetworkTopology::build(net);
         let layer = CostLayer::build(net);
@@ -194,7 +223,6 @@ impl SimplexSolver {
         let num_nodes = n + 1; // plus artificial root
         SimplexSolver {
             layer,
-            warm_enabled: false,
             has_state: false,
             flow: vec![0.0; m + n],
             in_tree: vec![false; m + n],
@@ -368,11 +396,20 @@ impl SimplexSolver {
     /// its parents, depths and potentials), so the pivot sequence does
     /// not depend on which of the two maintained it.
     ///
-    /// Then the exchange touches, for the pricing, every non-tree arc
+    /// Then the exchange merges into the pricing every non-tree arc
     /// with exactly one endpoint in the moved subtree, which includes
     /// the leaving arc: arcs inside it keep their reduced costs, and
-    /// arcs outside it keep their potentials.
-    fn exchange(&mut self, entering: usize, top: usize, inner: usize, outer: usize, big_m: i64) {
+    /// arcs outside it keep their potentials. Their eligibility is final
+    /// here, so each is priced as the walk finds it.
+    fn exchange(
+        &mut self,
+        entering: usize,
+        top: usize,
+        inner: usize,
+        outer: usize,
+        big_m: i64,
+        eps: f64,
+    ) {
         self.in_tree[self.parent_arc[top]] = false;
         self.in_tree[entering] = true;
         let sigma = self.hung_potential(outer, entering, big_m) - self.pi[inner];
@@ -406,17 +443,18 @@ impl SimplexSolver {
             }
         }
         let m = self.topo.num_arcs();
+        let pricing = tree_pricing!(self, big_m, eps);
         for &w in &self.subtree {
             let w = w as usize;
             for &i in self.topo.public_adjacent(w) {
                 let (k, other) = (i as usize >> 1, self.topo.arc_to[i as usize]);
                 if !self.in_subtree[other as usize] && !self.in_tree[k] {
-                    self.dantzig.touch(k);
+                    self.dantzig.merge(&pricing, k);
                 }
             }
             // The artificial arc's other end is the root, never moved.
             if !self.in_tree[m + w] {
-                self.dantzig.touch(m + w);
+                self.dantzig.merge(&pricing, m + w);
             }
         }
         for &w in &self.subtree {
@@ -566,7 +604,7 @@ impl SimplexSolver {
     /// block-cached Dantzig pricing. Returns `(pivots, arcs_scanned)`
     /// for stats attribution. Each pivot costs its pricing, the tree
     /// cycle, and the walk of the subtree it re-hangs; every arc whose
-    /// eligibility a pivot can change is touched for the pricing.
+    /// eligibility a pivot can change is merged into the pricing.
     ///
     /// # Errors
     ///
@@ -596,16 +634,7 @@ impl SimplexSolver {
             {
                 return Err(FlowError::Cancelled);
             }
-            let pricing = TreePricing {
-                topo: &self.topo,
-                layer: &self.layer,
-                art_to_root: &self.art_to_root,
-                flow: &self.flow,
-                in_tree: &self.in_tree,
-                pi: &self.pi,
-                big_m,
-                backward_eps: eps.min(1e-12),
-            };
+            let pricing = tree_pricing!(self, big_m, eps);
             let selected = self.dantzig.select(&pricing, &mut scanned);
             #[cfg(test)]
             self.assert_selection_matches_full_scan(&pricing, selected);
@@ -708,11 +737,11 @@ impl SimplexSolver {
             // entering arc itself saturated, the tree is unchanged and
             // the entering arc's flow is the only eligibility input that
             // moved, so it is the only touch; otherwise the exchange
-            // touches the leaving arc among the boundary arcs).
+            // merges the leaving arc among the boundary arcs).
             self.dantzig.touch(entering);
             if let Some((top, inner)) = leaving {
                 let outer = if inner == v { u } else { v };
-                self.exchange(entering, top, inner, outer, big_m);
+                self.exchange(entering, top, inner, outer, big_m, eps);
                 #[cfg(test)]
                 self.assert_tree_matches_rebuild(big_m);
             }
@@ -752,14 +781,18 @@ impl SimplexSolver {
         }
         // The tree potentials contain big-M offsets from artificial arcs,
         // which amplify floating-point supply dust into visible duality
-        // gaps; return clean ones recomputed from the optimal flow.
-        let clean = self.certificate.compute(
-            &self.topo,
-            &self.layer,
-            &self.flow[..m],
-            &self.pi,
-            1e-12 * scale,
-        )?;
+        // gaps; return clean ones recomputed from the optimal flow. An
+        // integral instance has exact integer flows, so its residual
+        // graph needs no dust tolerance: a tolerance would close the
+        // backward arc of any flow below it and lift the labels.
+        let dust = if self.layer.is_integral(scale) {
+            0.0
+        } else {
+            1e-12 * scale
+        };
+        let clean =
+            self.certificate
+                .compute(&self.topo, &self.layer, &self.flow[..m], &self.pi, dust)?;
         self.has_state = true;
         self.stats.pivots += pivots;
         self.stats.arcs_scanned += scanned;
@@ -777,8 +810,8 @@ impl SimplexSolver {
     }
 }
 
-/// The persistent interface: instance accessors and setters, warm-start
-/// and cancellation controls, and the solve itself.
+/// The persistent interface: instance accessors and setters, the
+/// warm-state and cancellation controls, and the solve itself.
 impl SimplexSolver {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
@@ -819,11 +852,6 @@ impl SimplexSolver {
         self.layer.supply[v] = supply;
     }
 
-    /// Enables or disables warm starts for subsequent solves.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.warm_enabled = enabled;
-    }
-
     /// Drops the retained spanning tree; the next solve runs cold.
     pub fn invalidate(&mut self) {
         self.has_state = false;
@@ -837,7 +865,7 @@ impl SimplexSolver {
     }
 
     /// Solves the current instance, warm-started from the previous
-    /// solve's spanning tree when warm starts are on.
+    /// solve's spanning tree when the solver holds one.
     ///
     /// # Errors
     ///
@@ -849,9 +877,9 @@ impl SimplexSolver {
         let eps = 1e-9 * scale;
         let big_m = self.big_m()?;
 
-        let warm = self.warm_enabled && self.has_state && self.try_warm_basis(big_m);
+        let warm = self.has_state && self.try_warm_basis(big_m);
         if !warm {
-            if self.warm_enabled && self.has_state {
+            if self.has_state {
                 // Fallbacks (like repairs) are counted as events at
                 // occurrence; cold/warm counters track completed solves.
                 self.stats.warm_fallbacks += 1;
@@ -976,7 +1004,6 @@ mod tests {
                 }
             }
             let mut solver = SimplexSolver::new(&net);
-            solver.set_warm_start(true);
             for _ in 0..4 {
                 solver.solve().unwrap();
                 let m = solver.num_arcs();
@@ -1043,7 +1070,6 @@ mod tests {
             }
         }
         let mut solver = SimplexSolver::new(&net);
-        solver.set_warm_start(true);
         solver.solve().unwrap();
         let (checks_cold, moved_cold) = (TREE_CHECKS.with(Cell::get), MOVED_NODES.with(Cell::get));
         for _ in 0..6 {

@@ -99,6 +99,15 @@ pub(crate) struct CostLayer {
     pub(crate) caps: Vec<f64>,
     /// Supply of each public node (positive = source, negative = demand).
     pub(crate) supply: Vec<f64>,
+    /// Whether every finite capacity is an exact integer (capacities
+    /// are fixed at build).
+    caps_integral: bool,
+}
+
+/// Whether `x` is an integer that `f64` represents exactly, along with
+/// every integer of smaller magnitude (|x| ≤ 2⁵³).
+fn exact_integer(x: f64) -> bool {
+    x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64
 }
 
 impl CostLayer {
@@ -113,11 +122,22 @@ impl CostLayer {
             caps.push(cap);
         }
         let supply = (0..net.num_nodes()).map(|v| net.supply(v)).collect();
+        let caps_integral = caps.iter().all(|&c| c.is_infinite() || exact_integer(c));
         CostLayer {
             costs,
             caps,
             supply,
+            caps_integral,
         }
+    }
+
+    /// Whether the instance is integral: every supply and every finite
+    /// capacity an exact integer, and the balance `scale` (see
+    /// [`check_balance`]) at most 2⁵³. The network simplex then keeps
+    /// every flow an exact integer: each augmentation is a residual,
+    /// a difference of integers, and each warm-basis flow a sum of them.
+    pub(crate) fn is_integral(&self, scale: f64) -> bool {
+        self.caps_integral && exact_integer(scale) && self.supply.iter().all(|&s| exact_integer(s))
     }
 
     /// Sets the cost of public arc `k`.

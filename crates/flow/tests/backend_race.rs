@@ -116,7 +116,6 @@ proptest! {
         // with the same costs and supplies goes to the (always cold)
         // reference.
         let mut simplex = SimplexSolver::new(&net);
-        simplex.set_warm_start(true);
         simplex.solve().unwrap();
         let mut costs: Vec<i64> = (0..net.num_arcs()).map(|k| net.arc_info(k).3).collect();
         let mut supplies: Vec<f64> = (0..n).map(|v| net.supply(v)).collect();

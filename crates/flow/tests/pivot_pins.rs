@@ -51,7 +51,6 @@ fn pivot_counts(seed: u64) -> (usize, usize, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = random_network(&mut rng, 48);
     let mut solver = SimplexSolver::new(&net);
-    solver.set_warm_start(true);
     solver.solve().unwrap();
     for round in 0..5 {
         let m = solver.num_arcs();

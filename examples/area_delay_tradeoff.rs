@@ -5,7 +5,7 @@
 //! The sweep is one request to a warm [`SizingSession`]: one TILOS bump
 //! trajectory shared by every target (each point is a bit-exact snapshot
 //! of it), one D-phase flow network and one SMP solver reused across the
-//! whole curve, and warm-started inner solves — so the curve costs
+//! whole curve, and warm-started D- and W-phase solves — so the curve costs
 //! little more than its tightest point alone. Worker threads
 //! (`SessionConfig::with_jobs`) give a further near-linear speedup; the
 //! results are identical for every job count.

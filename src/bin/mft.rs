@@ -54,8 +54,9 @@ OPTIONS:
   --jobs N        sweep worker threads (default 1; 0 means 1; capped at
                   the specs and the cores); results are identical for
                   every N
-  --cold          disable warm starts (per-request cold runs: slower,
-                  bit-reproducible with old output; sweep and serve)
+  --cold          disable cross-request reuse and W-phase seeding (each
+                  request runs from fresh state; the D-phase always
+                  warm-starts its flow solves; sweep and serve)
   --csv FILE      also write the sweep as CSV (one row per spec,
                   unreachable specs flagged in a status column)
   --tilos-only    stop after the TILOS seed (no flow refinement)
@@ -143,6 +144,7 @@ type Out<'a> = &'a mut dyn Write;
 /// reads (`value_flags` take the next argument, `switches` none). Any
 /// other `--flag` is an error that names it.
 struct Args<'a> {
+    command: &'a str,
     positionals: Vec<&'a str>,
     values: Vec<(&'a str, &'a str)>,
     switches: Vec<&'a str>,
@@ -151,6 +153,7 @@ struct Args<'a> {
 impl<'a> Args<'a> {
     fn parse(args: &'a [String], value_flags: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut parsed = Args {
+            command: &args[0],
             positionals: Vec::new(),
             values: Vec::new(),
             switches: Vec::new(),
@@ -165,7 +168,7 @@ impl<'a> Args<'a> {
             } else if switches.contains(&arg) {
                 parsed.switches.push(arg);
             } else if arg.starts_with("--") {
-                return Err(format!("unknown flag `{arg}` for `mft {}`", args[0]));
+                return Err(format!("unknown flag `{arg}` for `mft {}`", parsed.command));
             } else {
                 parsed.positionals.push(arg);
             }
@@ -185,12 +188,25 @@ impl<'a> Args<'a> {
         self.switches.contains(&switch)
     }
 
-    /// The first positional (the command's file or benchmark name).
-    fn first(&self, what: &str) -> Result<&'a str, String> {
+    /// The one positional (the command's file or benchmark name); a
+    /// missing one, or any after it, is an error.
+    fn only(&self, what: &str) -> Result<&'a str, String> {
+        self.at_most(1)?;
         self.positionals
             .first()
             .copied()
             .ok_or_else(|| format!("missing {what}"))
+    }
+
+    /// Refuses positionals past the first `max`, naming the first extra.
+    fn at_most(&self, max: usize) -> Result<(), String> {
+        match self.positionals.get(max) {
+            Some(extra) => Err(format!(
+                "unexpected argument `{extra}` for `mft {}`",
+                self.command
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Parses a `usize` flag, `default` when absent.
@@ -303,7 +319,7 @@ fn run(args: &[String], out: Out) -> Outcome {
         ),
         "generate" => cmd_generate(&parse(&["--out"], &[])?, out),
         "list" => {
-            parse(&[], &[])?;
+            parse(&[], &[])?.at_most(0)?;
             cmd_list(out)
         }
         "--help" | "-h" | "help" => Ok(writeln!(out, "{USAGE}")?),
@@ -312,7 +328,7 @@ fn run(args: &[String], out: Out) -> Outcome {
 }
 
 fn cmd_size(args: &Args, out: Out) -> Outcome {
-    let path = args.first("<file.bench>")?;
+    let path = args.only("<file.bench>")?;
     // Validate the backend name before any sizing work so a typo
     // fails fast instead of after the TILOS seed.
     check_flow(args)?;
@@ -405,7 +421,7 @@ fn cmd_size(args: &Args, out: Out) -> Outcome {
 }
 
 fn cmd_report(args: &Args, out: Out) -> Outcome {
-    let problem = load_problem(args.first("<file.bench>")?, args)?;
+    let problem = load_problem(args.only("<file.bench>")?, args)?;
     writeln!(out, "{}", problem.netlist().stats())?;
     writeln!(
         out,
@@ -424,7 +440,7 @@ fn cmd_report(args: &Args, out: Out) -> Outcome {
 }
 
 fn cmd_sweep(args: &Args, out: Out) -> Outcome {
-    let path = args.first("<file.bench>")?;
+    let path = args.only("<file.bench>")?;
     let problem = load_problem(path, args)?;
     let specs: Vec<f64> = args
         .value("--specs")
@@ -556,7 +572,7 @@ fn bind_unix(_path: &str) -> Result<ServerListener, String> {
 }
 
 fn cmd_generate(args: &Args, out: Out) -> Outcome {
-    let name = args.first("<benchmark> (try `mft list`)")?;
+    let name = args.only("<benchmark> (try `mft list`)")?;
     let bench = Benchmark::all()
         .into_iter()
         .find(|b| b.name() == name || b.name().trim_end_matches("-like") == name)

@@ -233,6 +233,37 @@ fn unknown_flags_are_rejected() {
     }
 }
 
+/// Every command but `serve` takes at most one positional: a second
+/// one fails with exit 1 before any output, and the error names it.
+#[test]
+fn extra_positionals_are_rejected() {
+    let bench = c17_file();
+    let bench = bench.to_str().unwrap();
+    for args in [
+        &["size", bench, "extra.bench", "--spec", "0.7"][..],
+        &["report", bench, "extra.bench"][..],
+        &["sweep", bench, "--specs", "0.9", "extra.bench"][..],
+        &["generate", "c17", "extra.bench"][..],
+        &["list", "extra.bench"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: output");
+        assert!(
+            stderr.contains(&format!(
+                "unexpected argument `extra.bench` for `mft {}`",
+                args[0]
+            )),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// A reader that closes stdout early (`mft size ... | head -1`) stops
 /// the command quietly: no panic, no exit code 101.
 #[test]

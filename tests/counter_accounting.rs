@@ -7,6 +7,8 @@
 //!   worker count.
 //! * A what-if served before a sweep leaves the sweep's per-point
 //!   timing counters as they are.
+//! * Two `size` requests on a warm session solve their D-phase cold
+//!   only once: the solver carries its basis across requests.
 //! * The sinks' shapes are fixed: the key sequence of a `stats` line,
 //!   the sweep table header and the CSV header.
 
@@ -116,6 +118,30 @@ fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
         };
         assert_eq!(timings(true), timings(false), "{name}");
     }
+}
+
+/// The D-phase solver of a warm session carries its basis from one
+/// request to the next, so two `size` requests solve cold only once:
+/// the served `stats` line reports `dphase_cold_solves` 1, and every
+/// other solve as warm.
+#[test]
+fn two_warm_size_requests_solve_cold_once() {
+    let problem = c432_problem();
+    let mut session = problem.session(SessionConfig::warm());
+    for spec in [0.7, 0.6] {
+        let request = Request::Size {
+            spec: Some(spec),
+            target: None,
+            return_sizes: false,
+        };
+        let line = session.serve(&request).to_json_line();
+        assert!(line.starts_with("{\"type\":\"size\""), "{line}");
+    }
+    let stats = session.serve(&Request::Stats).to_json_line();
+    assert!(stats.contains("\"dphase_cold_solves\":1,"), "{stats}");
+    let flow = session.stats().dphase.flow;
+    assert_eq!(flow.cold_solves, 1, "{flow:?}");
+    assert!(flow.warm_solves >= 2, "{flow:?}");
 }
 
 /// The keys of a flat JSON object line, in order.

@@ -1,17 +1,21 @@
-//! Regression pin for the persistent D-phase solver refactor: with the
-//! default (cold, deterministic) configuration, the full pipeline must
-//! produce **bit-identical** sizes to the pre-refactor implementation on
-//! a fixed generated circuit.
+//! Regression pin for the persistent D-phase solver refactor: a cold
+//! session must produce **bit-identical** sizes to the pre-refactor
+//! implementation on a fixed generated circuit.
 //!
 //! The golden bits below were captured from the free-function (one
-//! network build per iteration) implementation immediately before the
-//! `DPhaseSolver` refactor landed. The warm-start
-//! mode is intentionally *not* pinned bit-for-bit — at degenerate LP
-//! optima it may legally select a different optimal vertex — but must
-//! reach the same final area and stay timing-feasible.
+//! network build per iteration, every solve cold) implementation
+//! immediately before the `DPhaseSolver` refactor landed. Today every
+//! D-phase solve after the first warm-starts from the basis the last
+//! one left, within a request and across requests of one session. The
+//! pins hold anyway, because the D-phase answer is the flow
+//! certificate's potentials: the greatest optimal dual that is `≤ 0`,
+//! a function of the LP alone, whichever optimal basis a solve starts
+//! from or ends in. So the golden target sized after two other targets
+//! on one session, its D-phase warm from their bases, must reproduce
+//! the golden bits too.
 
 use minflotransit::circuit::SizingMode;
-use minflotransit::core::{MinflotransitConfig, SessionConfig, SizingProblem};
+use minflotransit::core::{SessionConfig, SizingProblem};
 use minflotransit::delay::Technology;
 use minflotransit::gen::{random_circuit, RandomCircuitConfig};
 
@@ -68,9 +72,32 @@ fn default_run_is_bit_identical_to_pre_refactor() {
             "size[{i}] {got} != golden {want}"
         );
     }
-    // The default path never warm-starts.
-    assert_eq!(sol.dphase_stats.flow.warm_solves, 0);
-    assert_eq!(sol.dphase_stats.flow.cold_solves, GOLDEN_ITERATIONS);
+    // One D-phase solve per iteration: the request's fresh solver
+    // solves cold once, then warm-starts every later solve.
+    assert_eq!(sol.dphase_stats.flow.cold_solves, 1);
+    assert_eq!(sol.dphase_stats.flow.warm_solves, GOLDEN_ITERATIONS - 1);
+}
+
+#[test]
+fn golden_target_after_other_targets_is_bit_identical() {
+    let problem = problem();
+    let golden = golden_sizes();
+    let mut session = problem.session(SessionConfig::shared_exact());
+    for spec in [0.85, 0.7] {
+        session.size_to(spec * problem.dmin()).unwrap();
+    }
+    let sol = session.size_to(0.75 * problem.dmin()).unwrap();
+    assert_eq!(sol.iterations, GOLDEN_ITERATIONS);
+    for (i, (&got, &want)) in sol.sizes.iter().zip(golden.iter()).enumerate() {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "size[{i}] {got} != golden {want}"
+        );
+    }
+    // Every D-phase solve of the golden request started warm.
+    assert_eq!(sol.dphase_stats.flow.cold_solves, 0);
+    assert_eq!(sol.dphase_stats.flow.warm_solves, GOLDEN_ITERATIONS);
 }
 
 #[test]
@@ -81,16 +108,14 @@ fn warm_start_mode_matches_final_quality() {
         let sizes = golden_sizes();
         problem.area_of(&sizes)
     };
-    let config = MinflotransitConfig {
-        dphase_warm_start: true,
-        ..Default::default()
-    };
-    let sol = problem
-        .session(SessionConfig::cold_with(config))
-        .size_to(target)
-        .unwrap();
-    // Timing stays feasible and quality matches the cold run closely
-    // (identical LP optima, possibly different vertices).
+    // The warm preset also seeds each W-phase from the accepted sizes,
+    // which may move the last float bits; after two other targets on
+    // one session it still meets timing and matches the golden quality.
+    let mut session = problem.session(SessionConfig::warm());
+    for spec in [0.85, 0.7] {
+        session.size_to(spec * problem.dmin()).unwrap();
+    }
+    let sol = session.size_to(target).unwrap();
     assert!(
         sol.achieved_delay <= target * (1.0 + 1e-6),
         "delay {} vs target {target}",
@@ -101,9 +126,14 @@ fn warm_start_mode_matches_final_quality() {
         "warm area {} vs golden {golden_area}",
         sol.area
     );
-    // Warm starts actually engaged.
+    // The seeded W-phase and the warm D-phase actually engaged.
     assert!(
-        sol.dphase_stats.flow.warm_solves >= 1,
+        sol.wphase_stats.seeded_solves >= 1,
+        "{:?}",
+        sol.wphase_stats
+    );
+    assert_eq!(
+        sol.dphase_stats.flow.cold_solves, 0,
         "{:?}",
         sol.dphase_stats
     );

@@ -2,8 +2,11 @@
 //! sessions.
 //!
 //! Two `size` requests at nearby targets run the persistent D-phase
-//! solver: under the warm preset the second request warm-starts, under
-//! the cold preset every D-phase iteration solves cold. For each preset
+//! solver, which warm-starts every solve from the basis the last one
+//! left: under the warm preset the second request's first solve starts
+//! from the first request's last basis, under the cold preset each
+//! request builds a fresh solver whose first solve runs cold. For each
+//! preset
 //! the summed `SolverStats::{pivots, arcs_scanned}` must equal the
 //! recorded counts: the simplex keeps its spanning tree incrementally,
 //! and the tree it keeps must steer exactly the pivots a from-scratch
@@ -21,10 +24,11 @@ fn c432_dphase_pivot_counts_are_pinned() {
         SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
     let dmin = problem.dmin();
     // (preset, pivots, arcs_scanned), recorded with the tree rebuilt
-    // from scratch after every basis change.
+    // from scratch after every basis change, and with every solve after
+    // a solver's first warm-started.
     let recorded = [
-        ("warm", SessionConfig::warm(), 1913, 2720140),
-        ("cold", SessionConfig::cold(), 24449, 33932500),
+        ("warm", SessionConfig::warm(), 1478, 2117665),
+        ("cold", SessionConfig::cold(), 1913, 2720140),
     ];
     for (preset, config, want_pivots, want_scanned) in recorded {
         let mut session = SizingSession::new(problem.clone(), config);

@@ -159,7 +159,7 @@ fn mixed_sequence_matches_legacy(
 }
 
 /// c17, shared-exact config (cross-request trajectory + solver reuse,
-/// cold inner solves): every served value is bit-identical to the
+/// unseeded W-phase): every served value is bit-identical to the
 /// legacy cold path, across a deliberately out-of-order sequence.
 #[test]
 fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {

@@ -6,13 +6,16 @@
 //!
 //! * TILOS trajectory reuse is **bit-exact**, so `tilos_area_ratio` is
 //!   pinned bitwise everywhere, as are `Unreachable` outcomes.
-//! * The warm inner solves (simplex tree reuse, seeded SMP fixpoints) reach
-//!   the same optima but may differ in the last float bits; on c17 the
+//! * The D-phase's simplex tree reuse never changes a bit. The seeded
+//!   SMP fixpoints (the warm preset's W-phase seed) reach the same
+//!   fixed point but may differ in the last float bits; on c17 the
 //!   warm curve happens to be fully bit-identical and is pinned so, on
 //!   the datapath circuit `mft_area_ratio` is pinned to 1e-9 relative
 //!   with equal iteration counts.
-//! * `jobs = N` is pinned bit-identical to `jobs = 1` — hermetic point
-//!   boundaries make every point independent of the partitioning.
+//! * `jobs = N` is pinned bit-identical to `jobs = 1` — no state a
+//!   worker carries from point to point (the TILOS trajectory, the
+//!   D-phase basis) changes a point's result, so every point is
+//!   independent of the partitioning.
 
 mod common;
 
@@ -114,10 +117,10 @@ fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
 /// configuration (the warm preset's, network-simplex backed). TILOS ratios and unreachable
 /// outcomes are pinned bitwise, iteration counts match, and the warm
 /// MFT areas agree with cold to 1e-9 relative (the documented
-/// warm-solve tolerance); jobs=4 reproduces jobs=1 bitwise. A second,
+/// W-phase seed tolerance); jobs=4 reproduces jobs=1 bitwise. A second,
 /// looser pin (1e-4 relative) covers the comparison against the default
-/// (cold inner solves) per-point curve, whose degenerate D-phase optima
-/// may legally resolve to different vertices than the warm solves'.
+/// (unseeded W-phase) per-point curve, from which the seeded fixpoints'
+/// last-bit differences can carry through later iterations.
 #[test]
 fn golden_datapath_warm_sweep_matches_cold() {
     let problem = datapath_problem();
@@ -177,8 +180,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Permuting the spec order never changes any outcome: the session
-    /// sorts internally and hermetic point boundaries make each point a
-    /// pure function of its own target.
+    /// sorts internally and no carried state changes a point's result,
+    /// so each point is a pure function of its own target.
     #[test]
     fn spec_order_never_changes_outcomes(seed in 0u64..64, jobs in 1usize..4) {
         let problem = c17_problem();
