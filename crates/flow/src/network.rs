@@ -13,7 +13,7 @@
 
 use crate::error::FlowError;
 use crate::simplex::SimplexSolver;
-use crate::topology::{check_balance, CostLayer};
+use crate::topology::{caps_integral, check_balance, residual_dust, supply_totals};
 
 /// Identifier of an arc returned by [`FlowNetwork::add_arc`].
 pub type ArcId = usize;
@@ -274,11 +274,11 @@ impl FlowNetwork {
         // the residual graph of real arcs (all-zero init; the optimal
         // residual graph has no negative cycle). Integral instances have
         // exact integer flows and read it exactly, as the simplex does.
-        let dust = if CostLayer::build(self).is_integral(scale) {
-            0.0
-        } else {
-            1e-12 * scale
-        };
+        let dust = residual_dust(
+            scale,
+            &self.supply,
+            caps_integral(self.arcs.iter().map(|a| a.cap)),
+        );
         let mut pi = vec![0i64; n];
         let mut changed = true;
         let mut rounds = 0usize;
@@ -319,6 +319,13 @@ impl FlowSolution {
     /// Verifies flow conservation and the reduced-cost optimality
     /// certificate against the originating network.
     ///
+    /// Bounds and conservation hold to `1e-6 · max|supply|`. The
+    /// reduced costs are checked on the residual graph the solvers
+    /// certify: an arc's residual capacity counts when it exceeds the
+    /// certificate's dust, 0 on an integral instance and `1e-12 ·
+    /// scale` otherwise, so a wrong certificate cannot hide behind a
+    /// small flow.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::CertificateViolation`] describing the first
@@ -356,15 +363,20 @@ impl FlowSolution {
             }
         }
         // Reduced-cost optimality on the residual graph.
+        let dust = residual_dust(
+            supply_totals(supply).2,
+            supply,
+            caps_integral((0..self.flows.len()).map(|k| arc_info(k).2)),
+        );
         for (k, &f) in self.flows.iter().enumerate() {
             let (from, to, cap, cost) = arc_info(k);
             let rc = cost + self.potentials[from] - self.potentials[to];
-            if f < cap - eps && rc < 0 {
+            if cap - f > dust && rc < 0 {
                 return Err(FlowError::CertificateViolation {
                     message: format!("forward residual arc {k} has reduced cost {rc}"),
                 });
             }
-            if f > eps && rc > 0 {
+            if f > dust && rc > 0 {
                 return Err(FlowError::CertificateViolation {
                     message: format!("backward residual arc {k} has reduced cost {}", -rc),
                 });
@@ -478,6 +490,34 @@ mod tests {
         let sol = net.solve().unwrap();
         assert!((sol.total_cost - (0.75 * 2.0 + 1.5 * 3.0)).abs() < 1e-9);
         sol.verify(&net).unwrap();
+    }
+
+    #[test]
+    fn verify_reads_the_residual_graph_the_certificate_reads() {
+        // Supply 1e13 and a 2-unit arc: far below `1e-6 · max|supply|`,
+        // which bounds and conservation still allow, but an open
+        // residual arc of an integral instance all the same.
+        let big = 1e13;
+        let mut net = FlowNetwork::new(3);
+        net.set_supply(0, big);
+        net.set_supply(1, -(big - 2.0));
+        net.set_supply(2, -2.0);
+        net.add_arc(0, 1, f64::INFINITY, 1).unwrap();
+        let small = net.add_arc(0, 2, f64::INFINITY, 5).unwrap();
+        net.add_arc(1, 2, f64::INFINITY, 10).unwrap();
+        let mut sol = net.solve().unwrap();
+        sol.verify(&net).unwrap();
+        assert_eq!(sol.flows[small], 2.0);
+        // Potentials that leave the 2-unit arc at reduced cost 4 (and
+        // every other arc certified) are refused.
+        sol.potentials = vec![0, 1, 1];
+        let (u, v, _, cost) = net.arc_info(small);
+        assert_eq!(cost + sol.potentials[u] - sol.potentials[v], 4);
+        let err = sol.verify(&net).unwrap_err();
+        assert!(
+            matches!(&err, FlowError::CertificateViolation { message } if message.contains(&format!("backward residual arc {small}"))),
+            "{err:?}"
+        );
     }
 
     #[test]

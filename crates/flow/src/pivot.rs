@@ -37,14 +37,14 @@ pub(crate) trait PricingContext {
     /// flow through `k` (forward) or backing it off (backward) would
     /// improve the objective, `None` when the arc is basic or satisfies
     /// the optimality conditions.
-    fn violation(&self, k: usize) -> Option<(i128, bool)>;
+    fn violation(&self, k: usize) -> Option<(i64, bool)>;
 }
 
 /// The most negative violation of `lo..hi`, the lowest index among
 /// equals: only a strictly smaller violation replaces the incumbent.
 #[inline]
-fn best_in<P: PricingContext>(pricing: &P, lo: usize, hi: usize) -> Option<(i128, usize, bool)> {
-    let mut best: Option<(i128, usize, bool)> = None;
+fn best_in<P: PricingContext>(pricing: &P, lo: usize, hi: usize) -> Option<(i64, usize, bool)> {
+    let mut best: Option<(i64, usize, bool)> = None;
     for k in lo..hi {
         if let Some((violation, forward)) = pricing.violation(k) {
             if best.is_none_or(|(b, _, _)| violation < b) {
@@ -81,7 +81,7 @@ pub(crate) struct DantzigBlocks {
     num_arcs: usize,
     /// Cached best `(violation, arc, forward)` per block; `None` when no
     /// arc of the block is known eligible.
-    best: Vec<Option<(i128, usize, bool)>>,
+    best: Vec<Option<(i64, usize, bool)>>,
     /// Whether each block awaits a full re-price.
     dirty: Vec<bool>,
     /// The dirty blocks, each once.
@@ -164,7 +164,7 @@ impl DantzigBlocks {
             self.dirty[b] = false;
         }
         self.dirty_list.clear();
-        let mut best: Option<(i128, usize, bool)> = None;
+        let mut best: Option<(i64, usize, bool)> = None;
         for cand in self.best.iter().flatten() {
             if best.is_none_or(|(b, _, _)| cand.0 < b) {
                 best = Some(*cand);
@@ -187,13 +187,13 @@ mod tests {
 
     /// A fixed pricing table: `Some((violation, forward))` per arc.
     #[derive(Debug)]
-    struct Table(Vec<Option<(i128, bool)>>);
+    struct Table(Vec<Option<(i64, bool)>>);
 
     impl PricingContext for Table {
         fn num_arcs(&self) -> usize {
             self.0.len()
         }
-        fn violation(&self, k: usize) -> Option<(i128, bool)> {
+        fn violation(&self, k: usize) -> Option<(i64, bool)> {
             self.0[k]
         }
     }
@@ -216,7 +216,7 @@ mod tests {
     /// A pricing table that counts the arcs it prices.
     #[derive(Debug)]
     struct Counted {
-        cells: Vec<Option<(i128, bool)>>,
+        cells: Vec<Option<(i64, bool)>>,
         priced: std::cell::Cell<usize>,
     }
 
@@ -238,7 +238,7 @@ mod tests {
         fn num_arcs(&self) -> usize {
             self.cells.len()
         }
-        fn violation(&self, k: usize) -> Option<(i128, bool)> {
+        fn violation(&self, k: usize) -> Option<(i64, bool)> {
             self.priced.set(self.priced.get() + 1);
             self.cells[k]
         }

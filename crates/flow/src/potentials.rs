@@ -32,7 +32,7 @@ pub(crate) struct CertificatePotentials {
     /// Every node by its starting key `0 − π`, ascending.
     starts: Vec<u32>,
     /// Improved `(label − π, node)` keys, lazily deleted.
-    heap: BinaryHeap<Reverse<(i128, u32)>>,
+    heap: BinaryHeap<Reverse<(i64, u32)>>,
     /// Whether each node's label is final.
     settled: Vec<bool>,
     /// Settled nodes awaiting their scan, all at the current key.
@@ -43,6 +43,10 @@ impl CertificatePotentials {
     /// Shortest-walk labels over the residual graph of `flow`, from
     /// all-zero starts, with `pi` (one entry per public node at least)
     /// as the Johnson reweighting.
+    ///
+    /// Keys and reduced costs are `i64`: the simplex bounds its tree
+    /// potentials by twice its big-`M` cost, at most `i64::MAX / 4`, and
+    /// a label by `nodes · max|cost|`, which big-`M` also bounds.
     ///
     /// Residual traversability is dust-tolerant on *both* bounds: an arc
     /// within `dust` of its capacity has no forward residual arc and an
@@ -59,7 +63,7 @@ impl CertificatePotentials {
         topo: &NetworkTopology,
         layer: &CostLayer,
         flow: &[f64],
-        pi: &[i128],
+        pi: &[i64],
         dust: f64,
     ) -> Result<Vec<i64>, FlowError> {
         let n = layer.supply.len();
@@ -104,8 +108,8 @@ impl CertificatePotentials {
             // zero-reduced-cost arcs on the spot.
             while let Some(u) = self.level.pop() {
                 let u = u as usize;
-                for &i in topo.public_adjacent(u) {
-                    let (i, v) = (i as usize, topo.arc_to[i as usize] as usize);
+                for &(i, v) in topo.public_adjacent(u) {
+                    let (i, v) = (i as usize, v as usize);
                     // Internal arc 2k runs along public arc k, 2k + 1
                     // against it.
                     let k = i >> 1;
@@ -117,7 +121,7 @@ impl CertificatePotentials {
                     if !open {
                         continue;
                     }
-                    let reduced = cost as i128 + pi[u] - pi[v];
+                    let reduced = cost + pi[u] - pi[v];
                     if reduced < 0 {
                         return Err(FlowError::BadInput {
                             message: "an open residual arc of the optimal flow has a negative \
@@ -135,7 +139,7 @@ impl CertificatePotentials {
                         self.settled[v] = true;
                         self.level.push(v as u32);
                     } else {
-                        self.heap.push(Reverse((label as i128 - pi[v], v as u32)));
+                        self.heap.push(Reverse((label - pi[v], v as u32)));
                     }
                 }
             }
@@ -217,10 +221,6 @@ mod tests {
         net
     }
 
-    fn widen(labels: &[i64]) -> Vec<i128> {
-        labels.iter().map(|&d| d as i128).collect()
-    }
-
     fn is_bad_input<T: std::fmt::Debug>(result: &Result<T, FlowError>) -> bool {
         matches!(result, Err(FlowError::BadInput { .. }))
     }
@@ -264,9 +264,7 @@ mod tests {
             let want = round_robin(topo, layer, &flow, dust).unwrap();
             let got = scratch.compute(topo, layer, &flow, tree_pi, dust).unwrap();
             assert_eq!(got, want);
-            let again = scratch
-                .compute(topo, layer, &flow, &widen(&want), dust)
-                .unwrap();
+            let again = scratch.compute(topo, layer, &flow, &want, dust).unwrap();
             assert_eq!(again, want, "the labels themselves are feasible potentials");
             for (k, &f) in flow.iter().enumerate() {
                 let (u, v) = topo.arc_endpoints(k);
@@ -320,9 +318,7 @@ mod tests {
         let flow = vec![0.0, 5.0 - 1e-13, 0.0];
         let want = round_robin(&topo, &layer, &flow, 1e-12).unwrap();
         assert_eq!(
-            scratch
-                .compute(&topo, &layer, &flow, &widen(&want), 1e-12)
-                .unwrap(),
+            scratch.compute(&topo, &layer, &flow, &want, 1e-12).unwrap(),
             want
         );
     }

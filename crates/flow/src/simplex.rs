@@ -22,23 +22,32 @@
 //! exchange re-parents only the *stem*, the tree path from the entering
 //! arc's inner endpoint up to the node below the leaving arc; the rest
 //! of the moved subtree keeps its parents. Its potentials all shift by
-//! one exact `i128` amount σ (tree arcs inside it keep zero reduced
+//! one exact `i64` amount σ (tree arcs inside it keep zero reduced
 //! cost), so one walk of the subtree adds σ and re-derives depths,
 //! without any per-node arc lookups. Only arcs with exactly one endpoint
 //! in the moved subtree change reduced cost, so the exchange prices
-//! just those boundary arcs (read from the topology's adjacency) and
-//! the moved nodes' artificial arcs as its walk finds them, and touches
-//! the entering arc for the next selection; Dantzig pricing merges each
-//! such arc alone into its 64-arc block and re-prices a whole block
-//! only when the arc was that block's cached best. A pivot thus costs
+//! just those boundary arcs (read, with their heads, from the
+//! topology's adjacency) and the moved nodes' artificial arcs as its
+//! walk finds them, and touches the entering arc for the next
+//! selection; Dantzig pricing merges each such arc alone into its
+//! 64-arc block and re-prices a whole block only when the arc was that
+//! block's cached best. A pivot thus costs
 //! its boundary arcs, the few blocks whose best it changed, the moved
 //! subtree and the cycle instead of an O(arcs) scan (the pricing's
 //! `select` and `merge` are generic over the pricing view, so the
-//! reduced-cost test inlines). The O(arcs) `rebuild_tree` BFS runs only
-//! when a basis is installed (cold start, warm repair), and `bfs_order`
-//! is valid only right after such a rebuild. A rooted spanning tree determines its parents, depths and
-//! potentials, so the incremental tree equals a rebuilt one and the
-//! pivot sequence is the one a rebuild after every pivot would give.
+//! reduced-cost test inlines). A rooted spanning tree determines its
+//! parents, depths and potentials, so the incremental tree equals one
+//! rebuilt from the tree arcs alone, and the pivot sequence is the one a
+//! rebuild after every pivot would give (the unit tests check both after
+//! every exchange and every basis install).
+//!
+//! **Basis installs cost O(nodes) plus one scan of the arc flows.** A
+//! cold start installs the star of artificial arcs directly. A warm
+//! start keeps the tree the last solve's pivots left: one walk of its
+//! child lists gives the leaf-to-root order of the flow recomputation,
+//! a repaired node is relinked under the root with its subtree, and one
+//! top-down pass over the same walk re-derives depths and potentials for
+//! the new costs.
 //!
 //! **Warm starts.** Every solve after the first starts from the
 //! previous solve's spanning tree: non-basic arc flows are kept, the
@@ -52,10 +61,13 @@
 //! drops the tree, and so does a failed or cancelled solve; the next
 //! solve then runs cold.
 //!
-//! Potentials are maintained in `i128` (one big-`M` artificial arc can
-//! appear on a tree path); the *returned* certificate potentials are
-//! recomputed cleanly from the optimal flow by one Dijkstra pass
-//! reweighted with the optimal tree potentials ([`crate::potentials`]).
+//! Potentials are maintained in `i64`: an artificial arc touches the
+//! root, so a root path crosses exactly one, and |π| ≤ big-`M` +
+//! nodes · max|cost| < 2 · big-`M`, with big-`M` capped at `i64::MAX / 8`
+//! so that reduced costs cannot overflow either. The *returned*
+//! certificate potentials are recomputed cleanly from the optimal flow
+//! by one Dijkstra pass reweighted with the optimal tree potentials
+//! ([`crate::potentials`]).
 //! They are the greatest optimal dual that is `≤ 0`, a function of the
 //! instance alone: every optimal flow certifies the same set of optimal
 //! duals, so which basis a solve started from, and which optimal flow
@@ -93,22 +105,20 @@ pub struct SimplexSolver {
     in_tree: Vec<bool>,
     /// Direction of each node's artificial arc (`true` = node → root).
     art_to_root: Vec<bool>,
-    // The spanning tree rooted at the artificial root: rebuilt by
-    // `rebuild_tree` on basis installs, kept up to date by `exchange` on
-    // every pivot.
+    // The spanning tree rooted at the artificial root: set by the basis
+    // installs, kept up to date by `exchange` on every pivot.
     parent: Vec<usize>,
     parent_arc: Vec<usize>,
     depth: Vec<u32>,
-    pi: Vec<i128>,
+    pi: Vec<i64>,
     /// Each node's children, as a doubly linked sibling list (order
     /// unspecified; `NONE` ends a list).
     first_child: Vec<u32>,
     next_sib: Vec<u32>,
     prev_sib: Vec<u32>,
-    /// Root-first BFS order of the tree. Valid only right after
-    /// `rebuild_tree`: pivots re-hang subtrees without touching it.
-    bfs_order: Vec<u32>,
-    visited: Vec<bool>,
+    /// Root-first walk of the tree's child lists, taken by each warm
+    /// install: every node comes after its parent.
+    order: Vec<u32>,
     /// The subtree the last exchange moved, top-down, and its members.
     subtree: Vec<u32>,
     in_subtree: Vec<bool>,
@@ -137,7 +147,7 @@ struct TreePricing<'a> {
     art_to_root: &'a [bool],
     flow: &'a [f64],
     in_tree: &'a [bool],
-    pi: &'a [i128],
+    pi: &'a [i64],
     big_m: i64,
     /// Minimum residual flow for backward eligibility.
     backward_eps: f64,
@@ -151,7 +161,7 @@ impl PricingContext for TreePricing<'_> {
     // Forced: without it the pricing's scan loop keeps an out-of-line
     // call per arc, a third of the pricing time on a c6288-like D-phase.
     #[inline(always)]
-    fn violation(&self, k: usize) -> Option<(i128, bool)> {
+    fn violation(&self, k: usize) -> Option<(i64, bool)> {
         if self.in_tree[k] {
             return None;
         }
@@ -161,7 +171,7 @@ impl PricingContext for TreePricing<'_> {
         } else {
             (self.big_m, f64::INFINITY)
         };
-        let rc = cost as i128 + self.pi[from] - self.pi[to];
+        let rc = cost + self.pi[from] - self.pi[to];
         // Forward and backward eligibility are mutually exclusive
         // (rc < 0 vs rc > 0), so checking forward first preserves the
         // historical inline loop's outcome exactly.
@@ -234,8 +244,7 @@ impl SimplexSolver {
             first_child: vec![NONE; num_nodes],
             next_sib: vec![NONE; num_nodes],
             prev_sib: vec![NONE; num_nodes],
-            bfs_order: Vec::with_capacity(num_nodes),
-            visited: vec![false; num_nodes],
+            order: Vec::with_capacity(num_nodes),
             subtree: Vec::new(),
             in_subtree: vec![false; num_nodes],
             cycle_va: Vec::new(),
@@ -276,12 +285,14 @@ impl SimplexSolver {
     /// # Errors
     ///
     /// Returns [`FlowError::BadInput`] when `(max|cost| + 1) · nodes`
-    /// overflows `i64`.
+    /// exceeds `i64::MAX / 8`, the bound that keeps every tree potential
+    /// and reduced cost inside `i64`.
     fn big_m(&self) -> Result<i64, FlowError> {
         let num_nodes = self.topo.num_nodes() + 1;
         let max_cost = self.layer.costs.iter().map(|c| c.abs()).max().unwrap_or(0);
         (max_cost + 1)
             .checked_mul(num_nodes as i64)
+            .filter(|&big_m| big_m <= i64::MAX / 8)
             .ok_or_else(|| FlowError::BadInput {
                 message: "costs too large for network simplex big-M".to_owned(),
             })
@@ -289,8 +300,8 @@ impl SimplexSolver {
 
     /// The potential a node hung from `u` through tree arc `k` takes
     /// (tree arcs have zero reduced cost: c + π(from) − π(to) = 0).
-    fn hung_potential(&self, u: usize, k: usize, big_m: i64) -> i128 {
-        let c = self.arc_cost(k, big_m) as i128;
+    fn hung_potential(&self, u: usize, k: usize, big_m: i64) -> i64 {
+        let c = self.arc_cost(k, big_m);
         let (from, _) = self.endpoints(k);
         if from == u {
             self.pi[u] + c
@@ -322,65 +333,6 @@ impl SimplexSolver {
         if next != NONE {
             self.prev_sib[next as usize] = prev;
         }
-    }
-
-    /// Rebuilds the child lists and the parent/depth/potential arrays
-    /// from the current tree-arc set by BFS from the root, reusing
-    /// scratch buffers. Each node's tree arcs are visited in ascending
-    /// arc index, which fixes `bfs_order` (the warm repair sums follow
-    /// it): a node's public arcs come in ascending order from
-    /// `public_adjacent`, its artificial arc (index above them all) only
-    /// leads back to the root, and the root's tree arcs are artificial
-    /// arcs, taken in node order. O(arcs): for basis installs (cold,
-    /// warm repair) only; pivots use `exchange`.
-    fn rebuild_tree(&mut self, big_m: i64) {
-        let root = self.topo.num_nodes();
-        let m = self.topo.num_arcs();
-        self.parent.fill(usize::MAX);
-        self.parent_arc.fill(usize::MAX);
-        self.first_child.fill(NONE);
-        self.visited.fill(false);
-        self.bfs_order.clear();
-        self.visited[root] = true;
-        self.depth[root] = 0;
-        self.pi[root] = 0;
-        self.bfs_order.push(root as u32);
-        let mut head = 0;
-        while head < self.bfs_order.len() {
-            let u = self.bfs_order[head] as usize;
-            head += 1;
-            if u == root {
-                for v in 0..root {
-                    if self.in_tree[m + v] {
-                        self.visit(v, u, m + v, big_m);
-                    }
-                }
-                continue;
-            }
-            // By position, so `visit` may mutate the solver in between.
-            for j in 0..self.topo.public_adjacent(u).len() {
-                let i = self.topo.public_adjacent(u)[j] as usize;
-                if self.in_tree[i >> 1] {
-                    self.visit(self.topo.arc_to[i] as usize, u, i >> 1, big_m);
-                }
-            }
-        }
-    }
-
-    /// One BFS step of `rebuild_tree`: unless `w` was reached already,
-    /// hangs it from `u` through tree arc `k` (parent, depth, exact
-    /// potential, child link) and queues it.
-    fn visit(&mut self, w: usize, u: usize, k: usize, big_m: i64) {
-        if self.visited[w] {
-            return;
-        }
-        self.visited[w] = true;
-        self.parent[w] = u;
-        self.parent_arc[w] = k;
-        self.depth[w] = self.depth[u] + 1;
-        self.pi[w] = self.hung_potential(u, k, big_m);
-        self.link(w);
-        self.bfs_order.push(w as u32);
     }
 
     /// Basis exchange of one pivot: the parent arc of `top` leaves the
@@ -446,8 +398,8 @@ impl SimplexSolver {
         let pricing = tree_pricing!(self, big_m, eps);
         for &w in &self.subtree {
             let w = w as usize;
-            for &i in self.topo.public_adjacent(w) {
-                let (k, other) = (i as usize >> 1, self.topo.arc_to[i as usize]);
+            for &(i, other) in self.topo.public_adjacent(w) {
+                let k = i as usize >> 1;
                 if !self.in_subtree[other as usize] && !self.in_tree[k] {
                     self.dantzig.merge(&pricing, k);
                 }
@@ -462,28 +414,39 @@ impl SimplexSolver {
         }
     }
 
-    /// Installs the cold basis: all supplies routed through the root.
-    fn cold_basis(&mut self) {
+    /// Installs the cold basis: all supplies routed through the root,
+    /// the star of artificial arcs.
+    fn cold_basis(&mut self, big_m: i64) {
         let n = self.topo.num_nodes();
         let m = self.topo.num_arcs();
-        for f in &mut self.flow[..m] {
-            *f = 0.0;
-        }
+        let root = n;
+        self.flow[..m].fill(0.0);
+        self.in_tree[..m].fill(false);
+        self.in_tree[m..].fill(true);
+        self.first_child.fill(NONE);
         for v in 0..n {
             let s = self.layer.supply[v];
             self.art_to_root[v] = s >= 0.0;
             self.flow[m + v] = s.abs();
+            self.parent[v] = root;
+            self.parent_arc[v] = m + v;
+            self.depth[v] = 1;
+            self.pi[v] = self.hung_potential(root, m + v, big_m);
+            self.link(v);
         }
-        self.in_tree[..m].fill(false);
-        self.in_tree[m..].fill(true);
+        #[cfg(test)]
+        self.assert_tree_matches_rebuild(big_m, tests::TreeEvent::ColdInstall);
     }
 
     /// Reuses the previous spanning tree as the starting basis for the
     /// current costs/supplies, repairing it where it went
     /// primal-infeasible. Returns `false` only when the retained state
-    /// is unusable (non-basic flow above a shrunk capacity, or a
-    /// disconnected tree), in which case the caller cold-starts.
+    /// is unusable (non-basic flow above a shrunk capacity, or child
+    /// lists that do not span the nodes), in which case the caller
+    /// cold-starts.
     ///
+    /// The pivots left the tree's child lists, parents and parent arcs
+    /// valid, so the install walks them instead of rebuilding them.
     /// Repair strategy: tree-arc flows are recomputed leaf-to-root for
     /// the new supplies. A real tree arc whose required flow leaves
     /// `[0, cap]` is pinned at the violated bound and swapped out of the
@@ -492,16 +455,31 @@ impl SimplexSolver {
     /// reconnects it), which absorbs the residual imbalance at big-`M`
     /// cost; the subsequent pivots drain it. Artificial tree arcs are
     /// symmetric and simply flip direction when their flow would be
-    /// negative.
+    /// negative. Depths and potentials are then re-derived top-down.
     fn try_warm_basis(&mut self, big_m: i64) -> bool {
         let n = self.topo.num_nodes();
         let m = self.topo.num_arcs();
-        // Non-basic arcs keep their flows; they must still respect the
-        // (possibly updated) capacities.
+        let root = n;
+        // Need: what the tree must carry at each node after non-basic
+        // arcs are accounted for (non-basic artificial arcs carry
+        // nothing). Non-basic arcs keep their flows; they must still
+        // respect the (possibly updated) capacities. `need`/`new_flow`
+        // are struct scratch.
+        let mut need = std::mem::take(&mut self.need);
+        need[..n].copy_from_slice(&self.layer.supply);
+        need[root] = 0.0;
         for k in 0..m {
-            if !self.in_tree[k] && self.flow[k] > self.layer.caps[k] {
+            let f = self.flow[k];
+            if self.in_tree[k] || f == 0.0 {
+                continue;
+            }
+            if f > self.layer.caps[k] {
+                self.need = need;
                 return false;
             }
+            let (from, to) = self.topo.arc_endpoints(k);
+            need[from] -= f;
+            need[to] += f;
         }
         for v in 0..n {
             if !self.in_tree[m + v] {
@@ -509,40 +487,35 @@ impl SimplexSolver {
                 self.art_to_root[v] = self.layer.supply[v] >= 0.0;
             }
         }
-        // Need: what the tree must carry at each node after non-basic
-        // arcs are accounted for. `need`/`new_flow` are struct scratch.
-        self.rebuild_tree(big_m);
-        let root = n;
-        if self.bfs_order.len() != n + 1 {
-            // The retained arc set does not span all nodes (a broken
-            // invariant, not an expected state): fall back cold rather
-            // than warm-solving with unvisited nodes' flows stale.
-            return false;
-        }
-        let mut need = std::mem::take(&mut self.need);
-        need[..n].copy_from_slice(&self.layer.supply);
-        need[root] = 0.0;
-        for k in 0..self.flow.len() {
-            if !self.in_tree[k] && self.flow[k] != 0.0 {
-                let (from, to) = self.endpoints(k);
-                need[from] -= self.flow[k];
-                need[to] += self.flow[k];
+        // Walk the child lists root first (the list is its own queue).
+        self.order.clear();
+        self.order.push(root as u32);
+        let mut head = 0;
+        while head < self.order.len() && self.order.len() <= n + 1 {
+            let mut child = self.first_child[self.order[head] as usize];
+            head += 1;
+            while child != NONE {
+                self.order.push(child);
+                child = self.next_sib[child as usize];
             }
         }
-        // Leaf-to-root elimination (reverse BFS order visits children
+        if self.order.len() != n + 1 {
+            // The child lists do not span the nodes (a broken invariant,
+            // not an expected state): fall back cold rather than
+            // warm-solving with unvisited nodes' flows stale.
+            self.need = need;
+            return false;
+        }
+        // Leaf-to-root elimination (the reversed walk visits children
         // before parents).
         let mut new_flow = std::mem::take(&mut self.new_flow);
         new_flow.clear();
         // (node, imbalance routed via its artificial arc) repairs.
         let mut swaps: Vec<(usize, f64)> = Vec::new();
         let mut flips: Vec<usize> = Vec::new();
-        for idx in (0..self.bfs_order.len()).rev() {
-            let v = self.bfs_order[idx] as usize;
-            if v == root {
-                continue;
-            }
+        for idx in (1..self.order.len()).rev() {
+            let v = self.order[idx] as usize;
             let k = self.parent_arc[v];
-            debug_assert_ne!(k, usize::MAX, "spanning check above guarantees a parent");
             let (from, _) = self.endpoints(k);
             // Flow the arc must carry, measured in its own direction;
             // `need[v] > 0` means the subtree under `v` has surplus to
@@ -586,17 +559,31 @@ impl SimplexSolver {
         }
         let repaired = !swaps.is_empty();
         for (v, leftover) in swaps {
-            let k = self.parent_arc[v];
-            self.in_tree[k] = false;
+            self.in_tree[self.parent_arc[v]] = false;
             self.in_tree[m + v] = true;
             self.art_to_root[v] = leftover >= 0.0;
             self.flow[m + v] = leftover.abs();
+            // The subtree under `v` keeps its shape and hangs from the
+            // root through the artificial arc.
+            self.unlink(v);
+            self.parent[v] = root;
+            self.parent_arc[v] = m + v;
+            self.link(v);
         }
-        // Orientation or basis changes invalidate parents/potentials.
-        self.rebuild_tree(big_m);
+        // The walk still puts every parent first (a swapped node's new
+        // parent is the root), so one pass re-derives depths and the
+        // potentials of the new costs and orientations.
+        for idx in 1..self.order.len() {
+            let w = self.order[idx] as usize;
+            let u = self.parent[w];
+            self.depth[w] = self.depth[u] + 1;
+            self.pi[w] = self.hung_potential(u, self.parent_arc[w], big_m);
+        }
         if repaired {
             self.stats.warm_repairs += 1;
         }
+        #[cfg(test)]
+        self.assert_tree_matches_rebuild(big_m, tests::TreeEvent::WarmInstall { repaired });
         true
     }
 
@@ -743,7 +730,7 @@ impl SimplexSolver {
                 let outer = if inner == v { u } else { v };
                 self.exchange(entering, top, inner, outer, big_m, eps);
                 #[cfg(test)]
-                self.assert_tree_matches_rebuild(big_m);
+                self.assert_tree_matches_rebuild(big_m, tests::TreeEvent::Exchange);
             }
             // Return the cycle walks' capacity to the scratch slots.
             self.cycle_va = va;
@@ -781,15 +768,8 @@ impl SimplexSolver {
         }
         // The tree potentials contain big-M offsets from artificial arcs,
         // which amplify floating-point supply dust into visible duality
-        // gaps; return clean ones recomputed from the optimal flow. An
-        // integral instance has exact integer flows, so its residual
-        // graph needs no dust tolerance: a tolerance would close the
-        // backward arc of any flow below it and lift the labels.
-        let dust = if self.layer.is_integral(scale) {
-            0.0
-        } else {
-            1e-12 * scale
-        };
+        // gaps; return clean ones recomputed from the optimal flow.
+        let dust = self.layer.residual_dust(scale);
         let clean =
             self.certificate
                 .compute(&self.topo, &self.layer, &self.flow[..m], &self.pi, dust)?;
@@ -884,8 +864,7 @@ impl SimplexSolver {
                 // occurrence; cold/warm counters track completed solves.
                 self.stats.warm_fallbacks += 1;
             }
-            self.cold_basis();
-            self.rebuild_tree(big_m);
+            self.cold_basis(big_m);
         }
         self.has_state = false;
 
@@ -907,29 +886,102 @@ mod tests {
     thread_local! {
         /// Basis exchanges cross-checked on this test thread.
         static TREE_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Basis installs cross-checked on this test thread: cold,
+        /// warm without a repair, warm with one.
+        static INSTALL_CHECKS: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
         /// Dantzig selections cross-checked on this test thread.
         static PRICING_CHECKS: Cell<usize> = const { Cell::new(0) };
         /// Nodes moved by the exchanges cross-checked on this thread.
         static MOVED_NODES: Cell<usize> = const { Cell::new(0) };
     }
 
+    /// What last changed the spanning tree, for the cross-check tallies.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) enum TreeEvent {
+        Exchange,
+        ColdInstall,
+        WarmInstall { repaired: bool },
+    }
+
     impl SimplexSolver {
+        /// The tree oracle: rebuilds the child lists and the
+        /// parent/depth/potential arrays from the tree-arc set alone, by
+        /// BFS from the root.
+        fn rebuild_tree(&mut self, big_m: i64) {
+            let root = self.topo.num_nodes();
+            let m = self.topo.num_arcs();
+            self.parent.fill(usize::MAX);
+            self.parent_arc.fill(usize::MAX);
+            self.first_child.fill(NONE);
+            let mut visited = vec![false; root + 1];
+            let mut queue = vec![root];
+            visited[root] = true;
+            self.depth[root] = 0;
+            self.pi[root] = 0;
+            let mut head = 0;
+            while head < queue.len() {
+                let u = queue[head];
+                head += 1;
+                // (node, tree arc) pairs hanging from `u`: the root's are
+                // artificial, every other node's public.
+                let arcs: Vec<(usize, usize)> = if u == root {
+                    (0..root)
+                        .filter(|&v| self.in_tree[m + v])
+                        .map(|v| (v, m + v))
+                        .collect()
+                } else {
+                    self.topo
+                        .public_adjacent(u)
+                        .iter()
+                        .filter(|&&(i, _)| self.in_tree[i as usize >> 1])
+                        .map(|&(i, w)| (w as usize, i as usize >> 1))
+                        .collect()
+                };
+                for (w, k) in arcs {
+                    if !visited[w] {
+                        visited[w] = true;
+                        self.parent[w] = u;
+                        self.parent_arc[w] = k;
+                        self.depth[w] = self.depth[u] + 1;
+                        self.pi[w] = self.hung_potential(u, k, big_m);
+                        self.link(w);
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+
         /// Compares the incrementally kept tree with a from-scratch
-        /// rebuild on a clone; runs after every basis exchange in
-        /// this crate's unit tests.
-        pub(super) fn assert_tree_matches_rebuild(&self, big_m: i64) {
+        /// rebuild on a clone; runs after every basis exchange and
+        /// every basis install in this crate's unit tests.
+        pub(super) fn assert_tree_matches_rebuild(&self, big_m: i64, event: TreeEvent) {
             let mut fresh = self.clone();
             fresh.rebuild_tree(big_m);
-            assert_eq!(self.parent, fresh.parent, "parent");
-            assert_eq!(self.parent_arc, fresh.parent_arc, "parent_arc");
-            assert_eq!(self.depth, fresh.depth, "depth");
-            assert_eq!(self.pi, fresh.pi, "pi");
+            assert_eq!(self.parent, fresh.parent, "parent after {event:?}");
+            assert_eq!(
+                self.parent_arc, fresh.parent_arc,
+                "parent_arc after {event:?}"
+            );
+            assert_eq!(self.depth, fresh.depth, "depth after {event:?}");
+            assert_eq!(self.pi, fresh.pi, "pi after {event:?}");
             for u in 0..self.parent.len() {
                 assert_eq!(self.children(u), fresh.children(u), "children of {u}");
             }
             assert!(self.in_subtree.iter().all(|&b| !b), "membership cleared");
-            TREE_CHECKS.with(|c| c.set(c.get() + 1));
-            MOVED_NODES.with(|c| c.set(c.get() + self.subtree.len()));
+            let slot = match event {
+                TreeEvent::Exchange => {
+                    TREE_CHECKS.with(|c| c.set(c.get() + 1));
+                    MOVED_NODES.with(|c| c.set(c.get() + self.subtree.len()));
+                    return;
+                }
+                TreeEvent::ColdInstall => 0,
+                TreeEvent::WarmInstall { repaired } => 1 + usize::from(repaired),
+            };
+            INSTALL_CHECKS.with(|c| {
+                let mut counts = c.get();
+                counts[slot] += 1;
+                c.set(counts);
+            });
         }
 
         /// The children of `u`, sorted, after checking that the sibling
@@ -949,7 +1001,7 @@ mod tests {
 
         /// The tree potentials of the last solve (big-`M` offsets and
         /// all), for the certificate tests.
-        pub(crate) fn tree_potentials(&self) -> &[i128] {
+        pub(crate) fn tree_potentials(&self) -> &[i64] {
             &self.pi
         }
 
@@ -966,16 +1018,18 @@ mod tests {
         }
     }
 
-    /// Every basis exchange of cold solves, warm re-solves (with
-    /// repairs that swap artificial arcs in) and finite capacities
-    /// leaves the tree a rebuild would produce, and every block-cached
-    /// Dantzig selection is the full scan's.
+    /// Every basis exchange and every basis install (cold stars, warm
+    /// re-solves with and without repairs that swap artificial arcs in)
+    /// of solves with finite capacities leaves the tree a rebuild would
+    /// produce, and every block-cached Dantzig selection is the full
+    /// scan's.
     #[test]
     fn incremental_tree_matches_rebuild_after_every_pivot() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let checks_before = TREE_CHECKS.with(Cell::get);
+        let installs_before = INSTALL_CHECKS.with(Cell::get);
         let pricing_before = PRICING_CHECKS.with(Cell::get);
         let mut repairs = 0;
         for _ in 0..12 {
@@ -1088,6 +1142,53 @@ mod tests {
             moved >= 50 * exchanges,
             "{moved} nodes over {exchanges} exchanges"
         );
+        // 13 cold installs, and 42 warm ones: the cost-only grid
+        // re-solves keep their flows feasible, while supply drift needs
+        // repairs.
+        let installs = INSTALL_CHECKS.with(Cell::get);
+        let [cold, plain, repaired] = [0, 1, 2].map(|i| installs[i] - installs_before[i]);
+        assert_eq!((cold, plain + repaired), (13, 42));
+        assert!(
+            plain >= 6 && repaired >= 10,
+            "{plain} plain, {repaired} repaired"
+        );
+    }
+
+    /// Big-`M` may reach `i64::MAX / 8`, where the `i64` potentials and
+    /// reduced costs still cannot overflow, and no further.
+    #[test]
+    fn big_m_is_capped_at_an_eighth_of_i64() {
+        // Three nodes plus the root: big-M = (max|cost| + 1) · 4.
+        let limit = i64::MAX / 8;
+        let largest = limit / 4 - 1;
+        let network = |back: i64| {
+            let mut net = FlowNetwork::new(3);
+            net.set_supply(0, 2.0);
+            net.set_supply(2, -2.0);
+            net.add_arc(0, 1, 1.0, largest).unwrap();
+            net.add_arc(1, 2, f64::INFINITY, -largest).unwrap();
+            net.add_arc(0, 2, f64::INFINITY, 3).unwrap();
+            net.add_arc(2, 1, f64::INFINITY, back).unwrap();
+            net
+        };
+        let net = network(largest);
+        let mut solver = SimplexSolver::new(&net);
+        assert!(solver.big_m().unwrap() == (largest + 1) * 4 && (largest + 2) * 4 > limit);
+        let got = solver.solve().unwrap();
+        let want = net.solve_reference().unwrap();
+        assert_eq!(got.flows, [1.0, 1.0, 1.0, 0.0]);
+        assert_eq!(
+            (&got.flows, &got.potentials, got.total_cost),
+            (&want.flows, &want.potentials, want.total_cost)
+        );
+        got.verify(&net).unwrap();
+        // One more unit of cost pushes big-M past the cap.
+        solver.set_cost(3, largest + 1).unwrap();
+        assert!(matches!(solver.solve(), Err(FlowError::BadInput { .. })));
+        assert!(matches!(
+            network(-largest - 1).solve(),
+            Err(FlowError::BadInput { .. })
+        ));
     }
 
     #[test]

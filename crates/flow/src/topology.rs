@@ -4,9 +4,11 @@
 //!
 //! [`NetworkTopology`] freezes a [`FlowNetwork`]'s arcs into CSR-style
 //! arrays built **once**: a forward/backward residual pair for every
-//! arc, grouped per tail node. Supplies live in the [`CostLayer`], so
-//! changing supplies or costs never changes the topology — which is
-//! what lets the simplex keep warm state across solves.
+//! arc, grouped per tail node, each entry carrying its head node so a
+//! scan of a node's arcs reads one array. Supplies live in the
+//! [`CostLayer`], so changing supplies or costs never changes the
+//! topology — which is what lets the simplex keep warm state across
+//! solves.
 //!
 //! [`CostLayer`] holds everything that *may* change between solves:
 //! per-arc integer costs, per-arc capacities and per-node supplies.
@@ -26,12 +28,12 @@ pub(crate) struct NetworkTopology {
     /// Number of public arcs.
     num_arcs: usize,
     /// Head node of each residual arc.
-    pub(crate) arc_to: Vec<u32>,
+    arc_to: Vec<u32>,
     /// CSR offsets into `adj_list`, one slot per node plus a sentinel.
     adj_start: Vec<u32>,
-    /// CSR residual arc indices, grouped per tail node in insertion
-    /// order.
-    adj_list: Vec<u32>,
+    /// CSR `(residual arc, head node)` entries, grouped per tail node
+    /// in insertion order.
+    adj_list: Vec<(u32, u32)>,
 }
 
 impl NetworkTopology {
@@ -40,13 +42,13 @@ impl NetworkTopology {
         let n = net.num_nodes();
         let m = net.num_arcs();
         let mut arc_to = vec![0u32; 2 * m];
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut adjacency: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         for k in 0..m {
             let (from, to, _, _) = net.arc_info(k);
             arc_to[2 * k] = to as u32;
             arc_to[2 * k + 1] = from as u32;
-            adjacency[from].push(2 * k as u32);
-            adjacency[to].push(2 * k as u32 + 1);
+            adjacency[from].push((2 * k as u32, to as u32));
+            adjacency[to].push((2 * k as u32 + 1, from as u32));
         }
         let mut adj_start = Vec::with_capacity(n + 1);
         let mut adj_list = Vec::with_capacity(2 * m);
@@ -74,9 +76,9 @@ impl NetworkTopology {
         self.num_arcs
     }
 
-    /// The residual arcs leaving node `u`, in ascending public-arc
-    /// index.
-    pub(crate) fn public_adjacent(&self, u: usize) -> &[u32] {
+    /// The residual arcs leaving node `u` with their heads, as
+    /// `(residual arc, head)` in ascending public-arc index.
+    pub(crate) fn public_adjacent(&self, u: usize) -> &[(u32, u32)] {
         &self.adj_list[self.adj_start[u] as usize..self.adj_start[u + 1] as usize]
     }
 
@@ -122,7 +124,7 @@ impl CostLayer {
             caps.push(cap);
         }
         let supply = (0..net.num_nodes()).map(|v| net.supply(v)).collect();
-        let caps_integral = caps.iter().all(|&c| c.is_infinite() || exact_integer(c));
+        let caps_integral = caps_integral(caps.iter().copied());
         CostLayer {
             costs,
             caps,
@@ -131,13 +133,9 @@ impl CostLayer {
         }
     }
 
-    /// Whether the instance is integral: every supply and every finite
-    /// capacity an exact integer, and the balance `scale` (see
-    /// [`check_balance`]) at most 2⁵³. The network simplex then keeps
-    /// every flow an exact integer: each augmentation is a residual,
-    /// a difference of integers, and each warm-basis flow a sum of them.
-    pub(crate) fn is_integral(&self, scale: f64) -> bool {
-        self.caps_integral && exact_integer(scale) && self.supply.iter().all(|&s| exact_integer(s))
+    /// The [`residual_dust`] of this instance at balance `scale`.
+    pub(crate) fn residual_dust(&self, scale: f64) -> f64 {
+        residual_dust(scale, &self.supply, self.caps_integral)
     }
 
     /// Sets the cost of public arc `k`.
@@ -163,12 +161,42 @@ impl CostLayer {
     }
 }
 
+/// Whether every finite capacity of `caps` is an exact integer.
+pub(crate) fn caps_integral(mut caps: impl Iterator<Item = f64>) -> bool {
+    caps.all(|c| c.is_infinite() || exact_integer(c))
+}
+
+/// The residual capacity at or below which the flow certificate treats
+/// a residual arc as closed, for an instance with balance `scale` (see
+/// [`check_balance`]), supplies `supply` and, when `caps_integral`,
+/// integral finite capacities.
+///
+/// An integral instance (every supply and finite capacity an exact
+/// integer, `scale` at most 2⁵³) gets 0: the network simplex keeps every
+/// flow an exact integer there (each augmentation is a residual, a
+/// difference of integers, and each warm-basis flow a sum of them), and
+/// any tolerance would close the backward arc of a flow below it. Other
+/// instances get `1e-12 · scale`.
+pub(crate) fn residual_dust(scale: f64, supply: &[f64], caps_integral: bool) -> f64 {
+    if caps_integral && exact_integer(scale) && supply.iter().all(|&s| exact_integer(s)) {
+        0.0
+    } else {
+        1e-12 * scale
+    }
+}
+
+/// The total positive supply of `supply`, its total demand and its
+/// balance scale, the largest of the two and 1.
+pub(crate) fn supply_totals(supply: &[f64]) -> (f64, f64, f64) {
+    let total_pos: f64 = supply.iter().filter(|&&s| s > 0.0).sum();
+    let total_neg: f64 = -supply.iter().filter(|&&s| s < 0.0).sum::<f64>();
+    (total_pos, total_neg, total_pos.max(total_neg).max(1.0))
+}
+
 /// Validates that `supply` balances to zero within tolerance; returns
 /// the total positive supply and the balance scale.
 pub(crate) fn check_balance(supply: &[f64]) -> Result<(f64, f64), FlowError> {
-    let total_pos: f64 = supply.iter().filter(|&&s| s > 0.0).sum();
-    let total_neg: f64 = -supply.iter().filter(|&&s| s < 0.0).sum::<f64>();
-    let scale = total_pos.max(total_neg).max(1.0);
+    let (total_pos, total_neg, scale) = supply_totals(supply);
     if (total_pos - total_neg).abs() > 1e-9 * scale {
         return Err(FlowError::BadInput {
             message: format!("supplies must balance: +{total_pos} vs -{total_neg}"),
@@ -195,12 +223,15 @@ mod tests {
         assert_eq!(topo.arc_endpoints(1), (1, 2));
         // Node 1 sees the backward arc of arc 0, then the forward arc
         // of arc 1; every residual arc's pair is its xor-1 neighbour.
-        assert_eq!(topo.public_adjacent(1), &[1, 2]);
-        assert_eq!(topo.public_adjacent(2), &[3]);
-        for i in 0..2 * topo.num_arcs() {
-            let (from, to) = topo.arc_endpoints(i >> 1);
-            let head = if i & 1 == 0 { to } else { from };
-            assert_eq!(topo.arc_to[i] as usize, head);
+        assert_eq!(topo.public_adjacent(1), &[(1, 0), (2, 2)]);
+        assert_eq!(topo.public_adjacent(2), &[(3, 1)]);
+        for u in 0..topo.num_nodes() {
+            for &(i, head) in topo.public_adjacent(u) {
+                let (from, to) = topo.arc_endpoints(i as usize >> 1);
+                let (tail, want) = if i & 1 == 0 { (from, to) } else { (to, from) };
+                assert_eq!((tail, head as usize), (u, want));
+                assert_eq!(topo.arc_to[i as usize], head);
+            }
         }
     }
 
