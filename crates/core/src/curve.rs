@@ -40,8 +40,8 @@ pub struct CurvePoint {
     /// pivots, flow time) — speedups are attributable without a
     /// profiler.
     pub dphase: DPhaseStats,
-    /// This point's W-phase SMP statistics (seeded/cold solve counts
-    /// and total fixpoint updates).
+    /// This point's W-phase SMP statistics (solve count and total
+    /// fixpoint updates).
     pub wphase: WPhaseStats,
     /// This point's timing-engine work (TILOS seed + optimizer
     /// convergence checks): full passes, incremental waves, and

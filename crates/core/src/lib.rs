@@ -45,15 +45,13 @@
 //!   custom optimizer configuration) keeps no state between requests:
 //!   each one runs a fresh TILOS seed and fresh solvers, the path the
 //!   `mft size` command takes;
-//! * [`SessionConfig::shared_exact`] shares the trajectory and solvers
-//!   across requests — every value stays bit-identical to the cold
-//!   preset;
-//! * [`SessionConfig::warm`] also seeds each W-phase from the accepted
-//!   sizes, reaching the same fixed point up to the last float bits.
+//! * [`SessionConfig::warm`] shares the trajectory and solvers across
+//!   requests, and serves the same bytes as the cold preset.
 //!
-//! Under every preset the D-phase warm-starts each flow solve from the
+//! Under both presets the D-phase warm-starts each flow solve from the
 //! basis the last one left; its answer does not depend on that basis
-//! (see [`DPhaseSolver`]).
+//! (see [`DPhaseSolver`]). Each W-phase solves its SMP from the lower
+//! bounds in one pass, so it carries no state either.
 //!
 //! Requests may arrive in any order (see the [`session`-module
 //! exactness notes](SizingSession) and `tests/session_golden.rs`).

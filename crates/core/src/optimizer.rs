@@ -50,18 +50,12 @@ pub struct MinflotransitConfig {
     /// benchmark's replay (`e2ebench/`) still reads it; the next change
     /// to that benchmark (the ROADMAP's replay-mirror item) deletes it.
     pub dphase_warm_start: bool,
-    /// Whether each W-phase may seed its SMP fixpoint from the current
-    /// accepted sizes instead of restarting from the lower bounds
-    /// ([`mft_smp::SmpSolver::solve_seeded`]). The seeded path reaches
-    /// the same least fixed point (the Elmore models' constraint of `v`
-    /// reads only `v`'s fanouts, so the fixed point is unique and the
-    /// bidirectional repair converges to it; non-converging systems
-    /// fall back to a cold solve automatically) but the converged
-    /// floats may differ from the cold path's within the SMP relative
-    /// tolerance (`1e-12`), so the bit-reproducible cold path stays the
-    /// default. Custom [`DelayModel`]s must guarantee a unique W-phase
-    /// fixed point before enabling this (see
-    /// [`mft_smp::SmpSolver::solve_seeded`]).
+    /// Read by nothing: every W-phase solves its SMP from the lower
+    /// bounds in one pass over the dependency blocks, and its answer
+    /// depends on the budgets alone (see [`mft_smp::SmpSolver::solve`]).
+    /// The field stays only because the end-to-end benchmark's replay
+    /// (`e2ebench/`) still reads it, like
+    /// [`MinflotransitConfig::dphase_warm_start`].
     pub wphase_warm_start: bool,
     /// Configuration of the initial TILOS sizing.
     pub tilos: TilosConfig,
@@ -125,12 +119,13 @@ mft_sta::counter_group! {
     pub struct WPhaseStats {
         /// W-phase solves performed (one per D/W iteration).
         pub solves: usize,
-        /// Solves served by the seeded bidirectional fast path.
+        /// Always 0: no W-phase is seeded. Kept for the wire's
+        /// `smp_seeded_solves` key and the end-to-end benchmark's replay.
         pub seeded_solves: usize,
-        /// Seeded attempts that fell back to a cold fixpoint restart.
+        /// Always 0, kept for the end-to-end benchmark's replay.
         pub fallbacks: usize,
-        /// Total single-variable SMP updates ("sweeps") across all solves —
-        /// the work metric the warm start is meant to cut.
+        /// Total single-variable SMP updates across all solves (one per
+        /// vertex per solve on an acyclic delay model).
         pub updates: usize,
     }
 }
@@ -454,29 +449,13 @@ impl Minflotransit {
                 });
                 break;
             }
-            // W-phase: minimum-area sizes meeting the new budgets. With
-            // the warm start on, the fixpoint is repaired from the
-            // current accepted sizes — an exact fixpoint for the
-            // *previous* budgets, hence a near-perfect seed for budgets
-            // shifted by a trust-region-bounded delta — instead of
-            // restarting from the lower bounds.
+            // W-phase: minimum-area sizes meeting the new budgets.
             let budgets: Vec<f64> = (0..n).map(|i| delays[i] + dphase.delta[i]).collect();
-            let wphase = if self.config.wphase_warm_start {
-                smp.solve_seeded(&sizes, |i, x| {
-                    model.required_size(VertexId::new(i), budgets[i], x)
-                })
-                .map_err(MftError::Smp)?
-            } else {
-                smp.solve(|i, x| model.required_size(VertexId::new(i), budgets[i], x))
-                    .map_err(MftError::Smp)?
-            };
+            let wphase = smp
+                .solve(|i, x| model.required_size(VertexId::new(i), budgets[i], x))
+                .map_err(MftError::Smp)?;
             wphase_stats.solves += 1;
             wphase_stats.updates += wphase.updates;
-            if wphase.seeded {
-                wphase_stats.seeded_solves += 1;
-            } else if self.config.wphase_warm_start {
-                wphase_stats.fallbacks += 1;
-            }
             let cand_sizes = wphase.x;
             // Sparse candidate evaluation: only vertices whose size the
             // W-phase actually moved (bitwise) can change a delay. The

@@ -81,8 +81,8 @@ pub struct LoadRequest {
     pub corner: Option<String>,
     /// Threshold-voltage flavor: `svt` (default) | `lvt` | `hvt`.
     pub vt: Option<String>,
-    /// Session preset: `warm` | `shared_exact` | `cold` (default: the
-    /// server's configured preset).
+    /// Session preset: `warm` | `cold` (default: the server's
+    /// configured preset). Both serve the same bytes.
     pub preset: Option<String>,
     /// D-phase flow backend: only `simplex`, which every preset runs;
     /// the server answers the names of removed backends with an error.

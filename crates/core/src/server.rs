@@ -183,7 +183,7 @@ impl Default for ServerConfig {
 /// The session-configuration preset names a `load` request accepts —
 /// the single source for both the match and its error message, so the
 /// list cannot drift out of the error text.
-const SESSION_PRESETS: [&str; 3] = ["warm", "shared_exact", "cold"];
+const SESSION_PRESETS: [&str; 2] = ["warm", "cold"];
 
 /// One admitted request, queued to a circuit's writer or read queue.
 struct Job {
@@ -520,7 +520,6 @@ impl CircuitServer {
         let session = match load.preset.as_deref() {
             None => self.config.session.clone(),
             Some("warm") => SessionConfig::warm(),
-            Some("shared_exact") => SessionConfig::shared_exact(),
             Some("cold") => SessionConfig::cold(),
             Some(other) => {
                 return Response::error(format!(
@@ -1674,6 +1673,28 @@ mod tests {
         );
         assert!(stats.contains("\"dphase_pivots\":"), "{stats}");
         assert!(stats.contains("\"dphase_scanned_arcs\":"), "{stats}");
+        server.join_workers();
+    }
+
+    /// A `load` accepts the presets `warm` and `cold`; any other name,
+    /// the removed `shared_exact` included, answers an error listing
+    /// them and installs nothing.
+    #[test]
+    fn load_preset_accepts_only_warm_and_cold() {
+        let server = CircuitServer::new(ServerConfig::default());
+        let lines = drive(
+            &server,
+            concat!(
+                "{\"type\":\"load\",\"circuit\":\"c17\",\"bench\":\"i\",\"preset\":\"shared_exact\",\"id\":1}\n",
+                "{\"type\":\"list\",\"id\":2}\n",
+            ),
+        );
+        assert_eq!(
+            lines[0],
+            "{\"id\":1,\"type\":\"error\",\"message\":\"unknown preset `shared_exact` (warm | cold)\"}"
+        );
+        assert_eq!(lines[1], "{\"id\":2,\"type\":\"list\",\"circuits\":[]}");
+        assert!(server.circuit_names().is_empty());
         server.join_workers();
     }
 

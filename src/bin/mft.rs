@@ -54,9 +54,9 @@ OPTIONS:
   --jobs N        sweep worker threads (default 1; 0 means 1; capped at
                   the specs and the cores); results are identical for
                   every N
-  --cold          disable cross-request reuse and W-phase seeding (each
-                  request runs from fresh state; the D-phase always
-                  warm-starts its flow solves; sweep and serve)
+  --cold          disable cross-request reuse (each request runs from
+                  fresh state and answers the same bytes, at a higher
+                  cost; sweep and serve)
   --csv FILE      also write the sweep as CSV (one row per spec,
                   unreachable specs flagged in a status column)
   --tilos-only    stop after the TILOS seed (no flow refinement)

@@ -3,6 +3,7 @@
 //! * Per-point attribution adds up: summing each counter group over the
 //!   points of a sweep gives exactly the session's cumulative totals,
 //!   for the cold, warm and two-worker configurations.
+//! * A gate-mode W-phase costs one SMP update per vertex per solve.
 //! * A sweep that fails still counts the work it did, whatever the
 //!   worker count.
 //! * A what-if served before a sweep leaves the sweep's per-point
@@ -59,6 +60,14 @@ fn per_point_counters_sum_to_the_session_totals() {
         assert!(flow.pivots > 0, "{name}: the flow solver ran");
         assert_eq!(flow, stats.dphase.flow, "{name}: dphase.flow");
         assert_eq!(wphase, stats.wphase, "{name}: wphase");
+        // Gate mode is acyclic: each solve evaluates every vertex once.
+        assert!(wphase.solves > 0, "{name}: the W-phase ran");
+        assert_eq!(
+            wphase.updates,
+            problem.dag().num_vertices() * wphase.solves,
+            "{name}: smp_updates"
+        );
+        assert_eq!(wphase.seeded_solves, 0, "{name}: smp_seeded_solves");
         assert_eq!(timing, stats.timing(), "{name}: timing");
         assert_eq!(sensitivity, stats.sensitivity, "{name}: sensitivity");
     }
@@ -100,7 +109,6 @@ fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
     for (name, config) in [
         ("cold", SessionConfig::cold()),
         ("warm", SessionConfig::warm()),
-        ("shared_exact", SessionConfig::shared_exact()),
     ] {
         let timings = |what_if: bool| {
             let mut session = problem.session(config.clone());

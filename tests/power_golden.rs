@@ -4,8 +4,8 @@
 //! * preparing at the library's default corner is **bit-identical** on
 //!   the default area path to the historical plain-`Technology`
 //!   preparation — the corner adds power bookkeeping, never arithmetic;
-//! * a `size_power` request served through a session (cold, warm or
-//!   shared-exact preset, including warm-state reuse across targets) is
+//! * a `size_power` request served through a session (cold or warm
+//!   preset, including warm-state reuse across targets) is
 //!   bit-identical to the same request on a fresh cold session under
 //!   the same optimizer configuration;
 //! * at an equal delay target the power objective strictly beats the
@@ -116,7 +116,6 @@ fn power_objective_is_preset_invariant_and_matches_one_shot() {
         for (preset, config) in [
             ("cold", SessionConfig::cold()),
             ("warm", SessionConfig::warm()),
-            ("shared_exact", SessionConfig::shared_exact()),
         ] {
             // Cold twin under the same optimizer configuration — warm
             // state may only change wall-clock, never values.

@@ -129,8 +129,9 @@ proptest! {
         prop_assert!(sol.area <= tilos.area + 1e-9);
     }
 
-    /// Area sensitivities are positive and match finite differences of
-    /// the *solved* resize, to first order, on random instances.
+    /// Area sensitivities are positive on random instances at interior
+    /// sizes (no vertex at a size bound). Only the sign is checked: a
+    /// finite-difference check of the solved resize is not made here.
     #[test]
     fn sensitivities_are_positive(seed in 0u64..300) {
         let (dag, model) = build(seed, 30);

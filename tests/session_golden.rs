@@ -9,6 +9,9 @@
 //! from one request to the next, and out-of-order targets are replayed
 //! from the trajectory's bump log.
 //!
+//! The same scripts served as wire lines through a session of the given
+//! preset and through a cold one answer the same bytes.
+//!
 //! Also pinned: the cross-request *reuse* itself, via the PR 3 timing
 //! counters — a second size request at a nearby tighter target performs
 //! zero cold STA full passes on the TILOS side (the trajectory advances
@@ -19,7 +22,7 @@ mod common;
 
 use common::per_point_curve;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
-use minflotransit::core::{SessionConfig, SizingProblem, SizingSolution, SweepOutcome};
+use minflotransit::core::{Request, SessionConfig, SizingProblem, SizingSolution, SweepOutcome};
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
 
@@ -96,10 +99,36 @@ fn assert_outcomes_bit_identical(a: &[SweepOutcome], b: &[SweepOutcome], what: &
     }
 }
 
+/// The response lines of the mixed sequence's size and sweep requests,
+/// served as wire lines through one session under `config`.
+fn served_lines(
+    problem: &SizingProblem,
+    config: SessionConfig,
+    specs_sized: &[f64],
+    sweep_specs: &[f64],
+) -> Vec<String> {
+    let mut session = problem.session(config);
+    let size = |spec: &f64| format!("{{\"type\":\"size\",\"spec\":{spec},\"return_sizes\":true}}");
+    let specs: Vec<String> = sweep_specs.iter().map(f64::to_string).collect();
+    let sweep = format!("{{\"type\":\"sweep\",\"specs\":[{}]}}", specs.join(","));
+    let script = specs_sized
+        .iter()
+        .map(size)
+        .chain([sweep])
+        .chain(specs_sized.iter().map(size));
+    script
+        .map(|line| {
+            let request = Request::from_json_line(&line).unwrap();
+            session.serve(&request).to_json_line()
+        })
+        .collect()
+}
+
 /// Runs the issue's mixed request sequence — size, tighter size, sweep,
 /// size at an earlier (looser, already-passed) target, repeat of the
 /// first target, what-if — through one session, pinning every value
-/// bitwise against requests on fresh cold sessions.
+/// bitwise against requests on fresh cold sessions, and the same
+/// script's response lines byte for byte against a cold session's.
 fn mixed_sequence_matches_legacy(
     problem: &SizingProblem,
     config: SessionConfig,
@@ -156,23 +185,18 @@ fn mixed_sequence_matches_legacy(
         "{what}: what_if area"
     );
     assert_eq!(report.meets_target, Some(true), "{what}: what_if feasible");
-}
 
-/// c17, shared-exact config (cross-request trajectory + solver reuse,
-/// unseeded W-phase): every served value is bit-identical to the
-/// legacy cold path, across a deliberately out-of-order sequence.
-#[test]
-fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
-    let problem = c17_problem();
-    mixed_sequence_matches_legacy(
-        &problem,
-        SessionConfig::shared_exact(),
-        // 0.8 → 0.6 (tighter) → 0.75 (looser: bump-log replay) → 0.6
-        // (repeat) — the "size at an earlier target" case.
-        &[0.8, 0.6, 0.75, 0.6],
-        &[0.9, 0.7, 0.5],
-        "c17 shared-exact",
-    );
+    let cold = SessionConfig::cold_with(config.optimizer.clone());
+    let served = served_lines(problem, config, specs_sized, sweep_specs);
+    let legacy = served_lines(problem, cold, specs_sized, sweep_specs);
+    assert_eq!(served.len(), specs_sized.len() * 2 + 1, "{what}");
+    for (k, (a, b)) in served.iter().zip(&legacy).enumerate() {
+        assert!(
+            a.contains("\"sizes\":[") || a.contains("\"points\":["),
+            "{a}"
+        );
+        assert_eq!(a, b, "{what}: response line {k}");
+    }
 }
 
 /// c17, fully cold session config: every request from fresh state.
@@ -188,15 +212,18 @@ fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
     );
 }
 
-/// c17, fully warm config (inner warm starts on): the session must
-/// match the legacy *warm* stack (same optimizer config on fresh cold
-/// sessions, point by point for the sweep) bit for bit.
+/// c17, warm config (cross-request trajectory + solver reuse): the
+/// session must match the legacy stack (the same optimizer config on
+/// fresh cold sessions, point by point for the sweep) bit for bit,
+/// across a deliberately out-of-order sequence.
 #[test]
 fn c17_mixed_sequence_warm_matches_legacy_warm_stack() {
     let problem = c17_problem();
     mixed_sequence_matches_legacy(
         &problem,
         SessionConfig::warm(),
+        // 0.8 → 0.6 (tighter) → 0.75 (looser: bump-log replay) → 0.6
+        // (repeat) — the "size at an earlier target" case.
         &[0.8, 0.6, 0.75, 0.6],
         &[0.9, 0.7, 0.5],
         "c17 warm",
@@ -204,21 +231,21 @@ fn c17_mixed_sequence_warm_matches_legacy_warm_stack() {
 }
 
 /// The c432-like generated circuit (254 gates): the mixed sequence
-/// stays bit-identical at scale, shared-exact config.
+/// stays bit-identical at scale, warm config.
 #[test]
-fn c432_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
+fn c432_mixed_sequence_warm_is_bit_identical_to_legacy() {
     let problem = c432_problem();
     mixed_sequence_matches_legacy(
         &problem,
-        SessionConfig::shared_exact(),
+        SessionConfig::warm(),
         // 0.85 → 0.7 (tighter) → 0.85 (earlier target, replayed).
         &[0.85, 0.7, 0.85],
         &[0.9, 0.8],
-        "c432 shared-exact",
+        "c432 warm",
     );
 }
 
-/// The c432-like circuit under the fully warm preset.
+/// The c432-like circuit under the warm preset, sized 0.8 then 0.7.
 #[test]
 fn c432_warm_session_matches_legacy_warm_stack() {
     let problem = c432_problem();
@@ -241,7 +268,7 @@ fn c432_warm_session_matches_legacy_warm_stack() {
 fn unreachable_targets_match_legacy_errors() {
     let problem = c17_problem();
     let dmin = problem.dmin();
-    let mut session = problem.session(SessionConfig::shared_exact());
+    let mut session = problem.session(SessionConfig::warm());
     session.size_to(0.8 * dmin).unwrap();
     let served = session.size_to(0.05 * dmin).unwrap_err();
     let mut cold = problem.session(SessionConfig::cold());
