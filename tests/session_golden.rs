@@ -199,6 +199,30 @@ fn mixed_sequence_matches_legacy(
     }
 }
 
+/// c17, shared-exact W-phase (cross-request trajectory + solver reuse):
+/// every served value is bit-identical to the legacy cold path across
+/// an out-of-order sequence even with `wphase_warm_start` set, which
+/// the exact W-phase ignores — the script's response lines equal a
+/// default cold session's byte for byte.
+#[test]
+fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
+    let problem = c17_problem();
+    let mut config = SessionConfig::warm();
+    config.optimizer.wphase_warm_start = true;
+    let specs_sized = [0.8, 0.6, 0.75, 0.6];
+    let sweep_specs = [0.9, 0.7, 0.5];
+    mixed_sequence_matches_legacy(
+        &problem,
+        config.clone(),
+        &specs_sized,
+        &sweep_specs,
+        "c17 shared-exact",
+    );
+    let served = served_lines(&problem, config, &specs_sized, &sweep_specs);
+    let cold = served_lines(&problem, SessionConfig::cold(), &specs_sized, &sweep_specs);
+    assert_eq!(served, cold, "c17 shared-exact vs default cold");
+}
+
 /// c17, fully cold session config: every request from fresh state.
 #[test]
 fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
