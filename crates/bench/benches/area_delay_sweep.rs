@@ -1,7 +1,7 @@
 //! Criterion bench of session sweeps: an ISCAS-scale 8-point area–delay
-//! sweep on a fresh session per run, cold per-point path vs the warm
-//! preset (TILOS trajectory + shared solvers + simplex tree reuse) vs
-//! the warm preset with worker threads.
+//! sweep, one new session per spec (nothing carried between points) vs
+//! one session per run (TILOS trajectory + shared solvers + simplex
+//! tree reuse) vs one session with worker threads.
 //!
 //! Set `MFT_BENCH_SMOKE=1` to run at the vendored harness's minimum
 //! sample count (two samples plus one calibration iteration per
@@ -33,16 +33,26 @@ fn bench_sweep(c: &mut Criterion) {
         .expect("prepares");
     let mut group = c.benchmark_group("area_delay_sweep");
     group.sample_size(if smoke() { 1 } else { 10 });
-    let configs = [
-        ("cold_per_point", SessionConfig::cold()),
-        ("warm", SessionConfig::warm()),
-        ("warm_jobs4", SessionConfig::warm().with_jobs(4)),
-    ];
-    for (tag, config) in configs {
-        group.bench_with_input(BenchmarkId::new(tag, SPECS.len()), &config, |b, config| {
+    group.bench_function(BenchmarkId::new("fresh_per_point", SPECS.len()), |b| {
+        b.iter(|| {
+            let area: f64 = SPECS
+                .iter()
+                .map(|&spec| {
+                    let outcomes = problem
+                        .session(SessionConfig::warm())
+                        .sweep(&[spec])
+                        .expect("sweep succeeds");
+                    total_area(&outcomes)
+                })
+                .sum();
+            black_box(area)
+        })
+    });
+    for (tag, jobs) in [("warm", 1), ("warm_jobs4", 4)] {
+        group.bench_with_input(BenchmarkId::new(tag, SPECS.len()), &jobs, |b, &jobs| {
             b.iter(|| {
                 let outcomes = problem
-                    .session(config.clone())
+                    .session(SessionConfig::warm().with_jobs(jobs))
                     .sweep(&SPECS)
                     .expect("sweep succeeds");
                 black_box(total_area(&outcomes))

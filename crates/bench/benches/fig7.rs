@@ -20,7 +20,7 @@ fn bench_fig7_points(c: &mut Criterion) {
         group.bench_function(format!("c432_point_{spec}"), |b| {
             b.iter(|| {
                 let outcomes = problem
-                    .session(SessionConfig::cold())
+                    .session(SessionConfig::warm())
                     .sweep(black_box(&[spec]))
                     .expect("sweep runs");
                 black_box(outcomes.len())

@@ -12,8 +12,9 @@
 //!    never waiting for responses; a reader thread classifies every
 //!    answer. Proves the overload contract: `busy` is answered in
 //!    bounded time while the worker is saturated, already-expired
-//!    queued work is shed with `expired`, and resident memory stays
-//!    bounded (the queue cannot absorb the flood).
+//!    queued work is shed with `expired`, in-flight work past its
+//!    deadline stops with `timeout`, and resident memory stays bounded
+//!    (the queue cannot absorb the flood).
 //! 3. **Read-heavy fan-out** — 8 clients at 95% `what_if` / 5% `size`
 //!    against a `replicas: 2` server and a single-worker one: reports
 //!    throughput and p50/p99 for both, the per-replica served
@@ -96,7 +97,7 @@ fn prepare_problem() -> SizingProblem {
 
 fn start_server(config: ServerConfig, problem: &SizingProblem) -> ServerHandle {
     let server = CircuitServer::new(config);
-    let response = server.install("dut", problem.clone(), SessionConfig::warm());
+    let response = server.install("dut", problem.clone());
     assert!(
         matches!(response, Response::Loaded { .. }),
         "install failed: {response:?}"
@@ -243,15 +244,24 @@ struct OverloadReport {
 
 /// Phase 2: open-loop flood against a tiny admission bound.
 fn overload(problem: &SizingProblem) -> OverloadReport {
-    // Cold sessions make every admitted sweep a full cold run, so the
-    // worker is genuinely saturated at this arrival rate; admitted
-    // sweeps that overrun the 250 ms default deadline answer `timeout`
-    // mid-computation, exercising cooperative cancellation too.
+    // Every admitted sweep runs the D/W loop at each of its specs, so
+    // the worker is saturated at this arrival rate. The flood opens
+    // with a long sweep whose deadline is half what that sweep takes
+    // on a warm session: the idle circuit admits and starts it at
+    // once, and it answers `timeout` mid-computation, exercising
+    // cooperative cancellation too.
+    let long_sweep = Request::Sweep {
+        specs: (0..32).map(|k| 0.95 - 0.015 * f64::from(k)).collect(),
+    };
+    let mut warm = problem.session(SessionConfig::warm());
+    warm.serve(&long_sweep);
+    let t0 = Instant::now();
+    warm.serve(&long_sweep);
+    let long_sweep_deadline_ms = t0.elapsed().as_secs_f64() * 1e3 / 2.0;
     let handle = start_server(
         ServerConfig {
             max_queue_depth: 8,
             default_deadline_ms: Some(250.0),
-            session: SessionConfig::cold(),
             ..Default::default()
         },
         problem,
@@ -279,7 +289,11 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
         scope.spawn(move || {
             let t0 = Instant::now();
             for i in 0..offered as u64 {
-                let frame = if i % 8 == 7 {
+                let frame = if i == 0 {
+                    RequestFrame::new(long_sweep.clone())
+                        .for_circuit("dut")
+                        .with_deadline_ms(long_sweep_deadline_ms)
+                } else if i % 8 == 7 {
                     size_frame(0.8).with_deadline_ms(0.0)
                 } else {
                     RequestFrame::new(Request::Sweep {
@@ -350,13 +364,19 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
 
     // The overload contract, asserted so CI catches regressions:
     // rejection is the common outcome, it is fast even while the
-    // worker is saturated, and the flood cannot balloon memory.
+    // worker is saturated, work past its deadline stops, and the flood
+    // cannot balloon memory.
     let min_busy = if smoke() { 1 } else { report.offered / 4 };
     assert!(
         report.busy >= min_busy,
         "flood must be rejected at admission (busy={} of {}, need >= {min_busy})",
         report.busy,
         report.offered
+    );
+    assert!(
+        report.timed_out >= 1,
+        "the opening sweep must stop at its deadline (timeout={})",
+        report.timed_out
     );
     let busy_bound_us = if smoke() { 100_000 } else { 10_000 };
     assert!(

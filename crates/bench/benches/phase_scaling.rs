@@ -33,7 +33,7 @@ fn bench_phases(c: &mut Criterion) {
         let model = problem.model();
         let target = 0.6 * problem.dmin();
         let tilos = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .tilos_to(target)
             .expect("spec reachable");
         let delays = model.delays(&tilos.sizes);

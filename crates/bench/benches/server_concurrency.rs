@@ -55,13 +55,13 @@ fn serve_serially(problems: &[(String, SizingProblem)]) -> usize {
     served
 }
 
-/// The server: fresh registry per iteration (cold sessions each time,
+/// The server: fresh registry per iteration (new sessions each time,
 /// matching the serial baseline), one pipelined TCP connection per
 /// circuit, driven concurrently.
 fn serve_concurrently(problems: &[(String, SizingProblem)]) -> usize {
     let server = CircuitServer::new(ServerConfig::default());
     for (name, problem) in problems {
-        let response = server.install(name, problem.clone(), SessionConfig::warm());
+        let response = server.install(name, problem.clone());
         assert!(
             matches!(response, mft_core::Response::Loaded { .. }),
             "install failed"
@@ -124,7 +124,7 @@ fn bench_server(c: &mut Criterion) {
             .serve(&frame.request)
             .to_json_line_with_id(frame.id.as_deref());
         let server = CircuitServer::new(ServerConfig::default());
-        server.install(name, problem.clone(), SessionConfig::warm());
+        server.install(name, problem.clone());
         let (listener, addr) = mft_core::ServerListener::bind_tcp("127.0.0.1:0").expect("bind");
         let got = std::thread::scope(|scope| {
             let runner = scope.spawn(|| server.run(vec![listener]));

@@ -4,11 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mft_circuit::{SizingDag, SizingMode};
-use mft_core::{SessionConfig, SizingProblem};
+use mft_core::{SessionConfig, SizingProblem, SizingSession};
 use mft_delay::{DelayModel, LinearDelayModel, Technology};
 use mft_gen::Benchmark;
 use mft_sta::{BalanceStyle, BalancedConfig, TimingReport};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_substrates(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
@@ -40,10 +41,11 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("area_sensitivities", |b| {
         b.iter(|| black_box(model.area_sensitivities(black_box(&sizes))))
     });
-    let mut session = problem.session(SessionConfig::cold());
+    // A new session per request, so each one runs the bump loop.
+    let shared = Arc::new(problem.clone());
     group.bench_function("tilos_c880", |b| {
         b.iter(|| {
-            let r = session
+            let r = SizingSession::new(Arc::clone(&shared), SessionConfig::warm())
                 .tilos_to(black_box(0.5 * problem.dmin()))
                 .expect("ok");
             black_box(r.bumps)

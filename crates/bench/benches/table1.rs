@@ -6,10 +6,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mft_circuit::SizingMode;
-use mft_core::{Minflotransit, MinflotransitConfig, SessionConfig, SizingProblem};
+use mft_core::{Minflotransit, MinflotransitConfig, SessionConfig, SizingProblem, SizingSession};
 use mft_delay::Technology;
 use mft_gen::Benchmark;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_table1_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_rows");
@@ -17,20 +18,23 @@ fn bench_table1_rows(c: &mut Criterion) {
     for bench in [Benchmark::Adder32, Benchmark::C432, Benchmark::C880] {
         let netlist = bench.generate().expect("generator is valid");
         let tech = Technology::cmos_130nm();
-        let problem =
-            SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds");
+        let problem = Arc::new(
+            SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds"),
+        );
         let target = bench.paper_spec() * problem.dmin();
-        // A cold session runs every TILOS request from a fresh state.
-        let mut session = problem.session(SessionConfig::cold());
+        // A new session per TILOS request, so each one runs the bump
+        // loop instead of replaying the first one's trajectory.
+        let tilos = || {
+            SizingSession::new(Arc::clone(&problem), SessionConfig::warm())
+                .tilos_to(black_box(target))
+                .expect("spec reachable")
+        };
 
         group.bench_function(format!("{}_tilos", bench.name()), |b| {
-            b.iter(|| {
-                let r = session.tilos_to(black_box(target)).expect("spec reachable");
-                black_box(r.area)
-            })
+            b.iter(|| black_box(tilos().area))
         });
 
-        let seed = session.tilos_to(target).expect("spec reachable");
+        let seed = tilos();
         group.bench_function(format!("{}_mft_refine", bench.name()), |b| {
             b.iter(|| {
                 let sol = Minflotransit::new(MinflotransitConfig::default())

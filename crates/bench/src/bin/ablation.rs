@@ -34,7 +34,7 @@ fn main() {
         SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).expect("pipeline builds");
     let target = bench.paper_spec() * problem.dmin();
     let tilos = problem
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .tilos_to(target)
         .expect("spec reachable");
     println!(
@@ -100,7 +100,7 @@ fn main() {
             ..Default::default()
         };
         match problem
-            .session(SessionConfig::cold().with_tilos(tilos))
+            .session(SessionConfig::warm().with_tilos(tilos))
             .tilos_to(target)
         {
             Ok(seed) => {

@@ -120,9 +120,11 @@ pub fn run_benchmark(bench: Benchmark, config: &MinflotransitConfig) -> Result<T
 
     let mut spec = bench.paper_spec();
     let mut adjusted = None;
-    let mut session = problem.session(SessionConfig::cold());
     let (tilos, tilos_seconds) = loop {
         let target = spec * dmin;
+        // A new session per try, so each one runs and times the bump
+        // loop instead of a replay of the last try's trajectory.
+        let mut session = problem.session(SessionConfig::warm());
         let t0 = Instant::now();
         match session.tilos_to(target) {
             Ok(t) => break (t, t0.elapsed().as_secs_f64()),
@@ -310,7 +312,10 @@ pub fn run_fig7(quick: bool) -> Result<Fig7Report, String> {
         let problem =
             SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).map_err(|e| e.to_string())?;
         let outcomes = problem
-            .into_session(SessionConfig::cold_with(config.clone()))
+            .into_session(SessionConfig {
+                optimizer: config.clone(),
+                ..SessionConfig::warm()
+            })
             .sweep(&specs)
             .map_err(|e| e.to_string())?;
         curves.push((bench.name().to_owned(), outcomes));
@@ -360,7 +365,7 @@ pub fn run_scaling(sizes: &[usize]) -> Result<Vec<ScalingPoint>, String> {
         let model = problem.model();
         let dmin = problem.dmin();
         let target = 0.6 * dmin;
-        let mut session = problem.session(SessionConfig::cold());
+        let mut session = problem.session(SessionConfig::warm());
         let t0 = Instant::now();
         let tilos = session.tilos_to(target).map_err(|e| e.to_string())?;
         let tilos_seconds = t0.elapsed().as_secs_f64();

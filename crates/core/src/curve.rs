@@ -195,18 +195,18 @@ mod tests {
     use mft_circuit::{parse_bench, SizingMode, C17_BENCH};
     use mft_delay::Technology;
 
-    fn cold_c17_sweep(specs: &[f64]) -> Vec<SweepOutcome> {
+    fn c17_sweep(specs: &[f64]) -> Vec<SweepOutcome> {
         let netlist = parse_bench("c17", C17_BENCH).unwrap();
         SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate)
             .unwrap()
-            .into_session(SessionConfig::cold())
+            .into_session(SessionConfig::warm())
             .sweep(specs)
             .unwrap()
     }
 
     #[test]
     fn c17_curve_shapes() {
-        let outcomes = cold_c17_sweep(&[0.9, 0.8, 0.7]);
+        let outcomes = c17_sweep(&[0.9, 0.8, 0.7]);
         assert_eq!(outcomes.len(), 3);
         let mut last_tilos = 0.0;
         for o in &outcomes {
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn unreachable_specs_are_reported() {
-        let outcomes = cold_c17_sweep(&[0.05]);
+        let outcomes = c17_sweep(&[0.05]);
         assert!(matches!(outcomes[0], SweepOutcome::Unreachable { .. }));
         let table = format_curve("c17", &outcomes);
         assert!(table.contains("unreachable"));
@@ -251,7 +251,7 @@ mod tests {
     /// with a status column instead of silently dropping them.
     #[test]
     fn csv_emits_unreachable_rows() {
-        let outcomes = cold_c17_sweep(&[0.8, 0.05]);
+        let outcomes = c17_sweep(&[0.8, 0.05]);
         let csv = curve_to_csv(&outcomes);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3, "header + one row per spec:\n{csv}");

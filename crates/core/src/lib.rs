@@ -37,21 +37,14 @@
 //!   request/response protocol ([`Request`]/[`Response`]), with a
 //!   newline-delimited JSON wire format behind the `mft serve` CLI.
 //!
-//! Configuration is one builder, [`SessionConfig`], with presets over
-//! the optimizer ([`MinflotransitConfig`]) and TILOS knobs, the reuse
-//! levers and the sweep worker count:
-//!
-//! * [`SessionConfig::cold`] (or [`SessionConfig::cold_with`] for a
-//!   custom optimizer configuration) keeps no state between requests:
-//!   each one runs a fresh TILOS seed and fresh solvers, the path the
-//!   `mft size` command takes;
-//! * [`SessionConfig::warm`] shares the trajectory and solvers across
-//!   requests, and serves the same bytes as the cold preset.
-//!
-//! Under both presets the D-phase warm-starts each flow solve from the
-//! basis the last one left; its answer does not depend on that basis
-//! (see [`DPhaseSolver`]). Each W-phase solves its SMP from the lower
-//! bounds in one pass, so it carries no state either.
+//! Configuration is one builder, [`SessionConfig`]: the optimizer
+//! ([`MinflotransitConfig`]) and TILOS knobs and the sweep worker
+//! count. Every session shares its trajectory and solvers across
+//! requests. The D-phase warm-starts each flow solve from the basis the
+//! last one left; its answer does not depend on that basis (see
+//! [`DPhaseSolver`]). Each W-phase solves its SMP from the lower bounds
+//! in one pass, so it carries no state either. A request therefore
+//! answers the same bytes as on a new session.
 //!
 //! Requests may arrive in any order (see the [`session`-module
 //! exactness notes](SizingSession) and `tests/session_golden.rs`).

@@ -571,7 +571,7 @@ mod tests {
     fn loose_target_returns_minimum_sizes() {
         let problem = setup(&fig6());
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(problem.dmin() * 2.0)
             .unwrap();
         assert_eq!(sol.iterations, 0);
@@ -584,7 +584,7 @@ mod tests {
         let problem = setup(&fig6());
         let target = 0.6 * problem.dmin();
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(target)
             .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));
@@ -645,7 +645,7 @@ mod tests {
         let problem = setup(&b.finish().unwrap());
         let target = 0.72 * problem.dmin();
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(target)
             .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));

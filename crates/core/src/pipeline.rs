@@ -175,7 +175,7 @@ mod tests {
         let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
         assert!(problem.dmin() > 0.0);
         let target = 0.7 * problem.dmin();
-        let mut session = problem.session(SessionConfig::cold());
+        let mut session = problem.session(SessionConfig::warm());
         let tilos = session.tilos_to(target).unwrap();
         let mft = session.size_to(target).unwrap();
         assert!(mft.achieved_delay <= target * (1.0 + 1e-6));
@@ -185,7 +185,7 @@ mod tests {
         assert!((problem.area_of(&mft.sizes) - mft.area).abs() < 1e-9);
     }
 
-    /// A cold session's TILOS seed is a fresh `TilosState` advanced
+    /// A new session's TILOS seed is a fresh `TilosState` advanced
     /// once, bitwise.
     #[test]
     fn cold_tilos_matches_direct_sizer() {
@@ -194,7 +194,7 @@ mod tests {
         let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
         let wrapped = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .tilos_to(target)
             .unwrap();
         let direct = TilosState::new(problem.dag(), problem.model(), TilosConfig::default())
@@ -230,7 +230,7 @@ y = XOR(a, b)
         assert_eq!(problem.dag().num_vertices(), 24);
         let target = 0.8 * problem.dmin();
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(target)
             .unwrap();
         assert!(sol.achieved_delay <= target * (1.0 + 1e-6));

@@ -81,10 +81,11 @@ pub struct LoadRequest {
     pub corner: Option<String>,
     /// Threshold-voltage flavor: `svt` (default) | `lvt` | `hvt`.
     pub vt: Option<String>,
-    /// Session preset: `warm` | `cold` (default: the server's
-    /// configured preset). Both serve the same bytes.
+    /// Session preset: `warm` | `cold`, checked but not applied (every
+    /// circuit loads the server's one session configuration); kept for
+    /// wire compatibility.
     pub preset: Option<String>,
-    /// D-phase flow backend: only `simplex`, which every preset runs;
+    /// D-phase flow backend: only `simplex`, checked but not applied;
     /// the server answers the names of removed backends with an error.
     pub flow: Option<String>,
     /// Atomically replace an already-loaded circuit of the same name

@@ -203,7 +203,7 @@ mod tests {
             SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(target)
             .unwrap();
         let report = SizingReport::for_solution(&problem, &sol, target);

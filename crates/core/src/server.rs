@@ -128,8 +128,7 @@ pub struct ServerConfig {
     /// discarded up to the next newline and answered with an error
     /// response — the connection stays up.
     pub max_line_bytes: usize,
-    /// The session configuration applied to `load` requests that do
-    /// not name a `preset`.
+    /// The session configuration of every loaded circuit.
     pub session: SessionConfig,
     /// Admission bound per circuit queue, in *weighted* units (cheap
     /// requests count 1, a `size` counts 8, a `sweep` 8 per
@@ -180,8 +179,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// The session-configuration preset names a `load` request accepts —
-/// the single source for both the match and its error message, so the
+/// The preset names a `load` request accepts, kept for wire
+/// compatibility: both load the server's one session configuration.
+/// The single source for both the check and its error message, so the
 /// list cannot drift out of the error text.
 const SESSION_PRESETS: [&str; 2] = ["warm", "cold"];
 
@@ -347,17 +347,17 @@ impl CircuitServer {
     /// Registers an already-prepared problem under `name` and spawns
     /// its workers — the in-process equivalent of a `load` request
     /// (used by the CLI to preload circuits given on the command
-    /// line). Answers [`Response::Loaded`] or [`Response::Error`]
-    /// (invalid name, duplicate name, registry full).
-    pub fn install(&self, name: &str, problem: SizingProblem, session: SessionConfig) -> Response {
-        self.install_inner(name, problem, session, false, self.config.replicas)
+    /// line). The circuit's session runs [`ServerConfig::session`].
+    /// Answers [`Response::Loaded`] or [`Response::Error`] (invalid
+    /// name, duplicate name, registry full).
+    pub fn install(&self, name: &str, problem: SizingProblem) -> Response {
+        self.install_inner(name, problem, false, self.config.replicas)
     }
 
     fn install_inner(
         &self,
         name: &str,
         problem: SizingProblem,
-        session: SessionConfig,
         replace: bool,
         replicas: usize,
     ) -> Response {
@@ -374,7 +374,7 @@ impl CircuitServer {
         // The replicas and the session share one (immutable) problem.
         let problem = Arc::new(problem);
         let shared = Arc::clone(&problem);
-        let session = SizingSession::new(problem, session);
+        let session = SizingSession::new(problem, self.config.session.clone());
         let stats = Arc::new(Mutex::new(session.stats()));
         let writer = Writer {
             session,
@@ -517,19 +517,18 @@ impl CircuitServer {
             // The error text enumerates the library's registered names.
             Err(e) => return Response::error(format!("unknown technology: {e}")),
         };
-        let session = match load.preset.as_deref() {
-            None => self.config.session.clone(),
-            Some("warm") => SessionConfig::warm(),
-            Some("cold") => SessionConfig::cold(),
-            Some(other) => {
-                return Response::error(format!(
-                    "unknown preset `{other}` ({})",
-                    SESSION_PRESETS.join(" | ")
-                ))
-            }
-        };
-        // `simplex` is the only backend, and every preset runs it: the
-        // field is checked, not applied.
+        // Every session runs one configuration, and `simplex` is the
+        // only backend: `preset` and `flow` are checked, not applied.
+        if let Some(other) = load
+            .preset
+            .as_deref()
+            .filter(|p| !SESSION_PRESETS.contains(p))
+        {
+            return Response::error(format!(
+                "unknown preset `{other}` ({})",
+                SESSION_PRESETS.join(" | ")
+            ));
+        }
         if let Some(Err(e)) = load.flow.as_deref().map(FlowAlgorithm::parse) {
             return Response::error(e);
         }
@@ -551,7 +550,6 @@ impl CircuitServer {
             Ok(problem) => self.install_inner(
                 name,
                 problem,
-                session,
                 load.replace,
                 load.replicas.unwrap_or(self.config.replicas),
             ),
@@ -1676,9 +1674,10 @@ mod tests {
         server.join_workers();
     }
 
-    /// A `load` accepts the presets `warm` and `cold`; any other name,
-    /// the removed `shared_exact` included, answers an error listing
-    /// them and installs nothing.
+    /// A `load` accepts the presets `warm` and `cold` and applies
+    /// neither: circuits loaded under `warm`, `cold` and no preset
+    /// serve the same bytes. Any other name, the removed `shared_exact`
+    /// included, answers an error listing the two and installs nothing.
     #[test]
     fn load_preset_accepts_only_warm_and_cold() {
         let server = CircuitServer::new(ServerConfig::default());
@@ -1695,6 +1694,31 @@ mod tests {
         );
         assert_eq!(lines[1], "{\"id\":2,\"type\":\"list\",\"circuits\":[]}");
         assert!(server.circuit_names().is_empty());
+        let served: Vec<Vec<String>> = [Some("warm"), Some("cold"), None]
+            .into_iter()
+            .enumerate()
+            .map(|(k, preset)| {
+                let name = format!("c17_{k}");
+                let mut frame = load_c17_frame(&name);
+                if let Request::Load(load) = &mut frame.request {
+                    load.preset = preset.map(str::to_owned);
+                }
+                let (tx, rx) = mpsc::channel();
+                server.dispatch(frame, &tx);
+                assert!(rx.recv().unwrap().contains("\"type\":\"loaded\""));
+                let script = [
+                    "{\"type\":\"size\",\"spec\":0.7}",
+                    "{\"type\":\"size_power\",\"spec\":0.6}",
+                    "{\"type\":\"sweep\",\"specs\":[0.9,0.5]}",
+                    "{\"type\":\"size\",\"spec\":0.8,\"return_sizes\":true}",
+                ]
+                .map(|line| line.replacen('{', &format!("{{\"circuit\":\"{name}\","), 1));
+                drive(&server, &(script.join("\n") + "\n"))
+            })
+            .collect();
+        assert_eq!(served[0].len(), 4, "{:?}", served[0]);
+        assert_eq!(served[1], served[0], "cold vs warm");
+        assert_eq!(served[2], served[0], "no preset vs warm");
         server.join_workers();
     }
 
@@ -1708,17 +1732,14 @@ mod tests {
         let problem =
             SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
         assert!(matches!(
-            server.install("a", problem.clone(), SessionConfig::warm()),
+            server.install("a", problem.clone()),
             Response::Loaded { .. }
         ));
-        let Response::Error { message, .. } =
-            server.install("a", problem.clone(), SessionConfig::warm())
-        else {
+        let Response::Error { message, .. } = server.install("a", problem.clone()) else {
             panic!("duplicate load must fail");
         };
         assert!(message.contains("already loaded"), "{message}");
-        let Response::Error { message, .. } = server.install("b", problem, SessionConfig::warm())
-        else {
+        let Response::Error { message, .. } = server.install("b", problem) else {
             panic!("overflow load must fail");
         };
         assert!(message.contains("full"), "{message}");
@@ -1965,7 +1986,7 @@ mod tests {
                 replicas,
                 ..Default::default()
             });
-            let loaded = server.install("c17", problem.clone(), SessionConfig::warm());
+            let loaded = server.install("c17", problem.clone());
             assert!(matches!(loaded, Response::Loaded { .. }));
             let mut out = Vec::new();
             server

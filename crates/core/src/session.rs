@@ -8,8 +8,7 @@
 //! pair per objective (area and power), and serves a typed request
 //! stream against it: "size to target A, then B, then sweep 8 points"
 //! runs over **one** trajectory, one flow network, one SMP solver and
-//! one timing engine end to end. Under [`SessionConfig::cold`] no state
-//! survives a request: each one builds a fresh seed and fresh solvers.
+//! one timing engine end to end. Every session runs this one path.
 //!
 //! What-if requests never touch that optimizer state: the session
 //! answers them through one lazily built [`ReadView`] over its shared
@@ -19,16 +18,15 @@
 //! # Exactness
 //!
 //! Cross-request reuse never changes a result. Every value served by a
-//! session is **bit-identical** to the same request on a fresh
-//! [`SessionConfig::cold_with`] session under the same
-//! [`MinflotransitConfig`]:
+//! session is **bit-identical** to the same request served first on a
+//! new session under the same [`MinflotransitConfig`], so requests may
+//! arrive in **any order**:
 //!
 //! * TILOS seeds come from the shared trajectory — tighter-than-before
 //!   targets advance it (bit-exact, the bump sequence is
 //!   target-independent), already-passed targets are replayed from the
 //!   bump log by [`mft_tilos::TilosState::snapshot_at`] (bit-exact,
-//!   zero timing work). Requests may therefore arrive in **any
-//!   order**.
+//!   zero timing work).
 //! * Solver reuse is basis-independent. The D-phase warm-starts every
 //!   flow solve from the spanning tree the previous one left, across
 //!   iterations, requests and sweep points alike, yet its answer is the
@@ -40,8 +38,8 @@
 //!   lower bounds in one pass over the dependency blocks
 //!   ([`mft_smp::SmpSolver::solve`]), a function of its budgets alone.
 //!
-//! So [`SessionConfig::warm`] and [`SessionConfig::cold`] serve the same
-//! bytes and differ only in cost, which `tests/session_golden.rs` pins.
+//! `tests/session_golden.rs` pins this against a new session per
+//! request.
 //!
 //! Every request kind runs through one private runner per step — the
 //! TILOS seed, the optimizer phase, a full size request, a sweep point
@@ -107,61 +105,30 @@ use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosResult, TilosSta
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which cross-request reuse levers a session runs with — across
-/// requests and across the points of one sweep alike.
+/// The reuse levers of a session. Every session runs all of them, so
+/// each field is always `true`; none is read by the session. They stay
+/// only because the end-to-end benchmark's replay (`e2ebench/`) still
+/// branches on them; the next change to that benchmark (the ROADMAP's
+/// replay-mirror item) deletes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepWarmStart {
-    /// Reuse the TILOS bump trajectory across targets. Bit-exact: the
-    /// greedy bump choice never reads the target, so every target's
-    /// seed is a snapshot of one trajectory
-    /// ([`mft_tilos::TilosState`]).
+    /// The session reuses the TILOS bump trajectory across targets.
     pub resume_tilos: bool,
-    /// Hold one [`SolverContext`] (per sweep worker) across targets
-    /// instead of rebuilding the D-phase network and SMP solver per
-    /// target. Bit-exact: the held D-phase solver warm-starts the next
-    /// target's first solve from the last target's basis, and its
-    /// answer does not depend on that basis.
+    /// The session holds its [`SolverContext`] across targets.
     pub reuse_solvers: bool,
-    /// Read by nothing: a held [`SolverContext`] always carries its
-    /// D-phase basis across targets (see
-    /// [`SweepWarmStart::reuse_solvers`]). The field stays only because
-    /// the end-to-end benchmark's replay (`e2ebench/`) still branches
-    /// on it; [`SweepWarmStart::full`] sets it, so the replay takes the
-    /// session's path. The next change to that benchmark (the ROADMAP's
-    /// replay-mirror item) deletes it.
+    /// The held D-phase solver carries its basis across targets.
     pub cross_target_state: bool,
 }
 
-impl SweepWarmStart {
-    /// Every lever off: each target runs from fresh state.
-    pub fn cold() -> Self {
-        SweepWarmStart {
-            resume_tilos: false,
-            reuse_solvers: false,
-            cross_target_state: false,
-        }
-    }
-
-    /// The standard warm configuration: trajectory + solver reuse.
-    pub fn full() -> Self {
-        SweepWarmStart {
-            resume_tilos: true,
-            reuse_solvers: true,
-            cross_target_state: true,
-        }
-    }
-}
-
 /// The one configuration of a [`SizingSession`]: the optimizer and
-/// TILOS knobs ([`MinflotransitConfig`], [`TilosConfig`]), the reuse
-/// levers and the sweep worker count behind a single builder.
+/// TILOS knobs ([`MinflotransitConfig`], [`TilosConfig`]) and the sweep
+/// worker count behind a single builder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// The per-request optimizer configuration (trust region, flow
     /// backend, TILOS knobs).
     pub optimizer: MinflotransitConfig,
-    /// Which cross-request reuse levers the session runs with (the
-    /// same levers a sweep uses across points).
+    /// Always every lever on (see [`SweepWarmStart`]).
     pub warm: SweepWarmStart,
     /// Worker threads for multi-point sweep requests. `0` is clamped
     /// to `1`; workers never outnumber specs or available cores;
@@ -170,37 +137,27 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// The standard warm preset: shared trajectory + persistent
-    /// solvers across requests. It serves the same bytes as
-    /// [`SessionConfig::cold`], at a lower cost. (The D-phase
-    /// warm-starts under both presets.)
+    /// The session configuration: the default optimizer, one sweep
+    /// worker. The session shares its trajectory and solvers across
+    /// requests.
     pub fn warm() -> Self {
         SessionConfig {
             optimizer: MinflotransitConfig::default(),
-            warm: SweepWarmStart::full(),
+            warm: SweepWarmStart {
+                resume_tilos: true,
+                reuse_solvers: true,
+                cross_target_state: true,
+            },
             jobs: 1,
         }
     }
 
-    /// Every reuse lever off: each request runs from fresh state (fresh
-    /// trajectory, fresh solvers), so it does no work that depends on
-    /// the requests before it.
+    /// Exactly [`SessionConfig::warm`]. The `cold` name stays only for
+    /// the end-to-end benchmark's replay (`e2ebench/`), which the next
+    /// change to that benchmark rewrites; a fresh state per request is
+    /// a new [`SizingSession`] per request.
     pub fn cold() -> Self {
-        SessionConfig {
-            optimizer: MinflotransitConfig::default(),
-            warm: SweepWarmStart::cold(),
-            jobs: 1,
-        }
-    }
-
-    /// [`SessionConfig::cold`] on top of a custom optimizer
-    /// configuration.
-    pub fn cold_with(optimizer: MinflotransitConfig) -> Self {
-        SessionConfig {
-            optimizer,
-            warm: SweepWarmStart::cold(),
-            jobs: 1,
-        }
+        Self::warm()
     }
 
     /// Replaces the TILOS seed configuration.
@@ -218,7 +175,7 @@ impl SessionConfig {
 }
 
 impl Default for SessionConfig {
-    /// Defaults to the fully warm session.
+    /// [`SessionConfig::warm`].
     fn default() -> Self {
         Self::warm()
     }
@@ -244,7 +201,7 @@ pub struct SessionStats {
     /// TILOS bumps actually executed by this session (each runs the
     /// sensitivity loop + an incremental timing wave).
     pub trajectory_bumps: usize,
-    /// TILOS bumps a cold per-request stack would have re-executed but
+    /// TILOS bumps a new session per request would have re-executed but
     /// the shared trajectory served from memory — the cross-request
     /// reuse win.
     pub trajectory_reused_bumps: usize,
@@ -336,14 +293,13 @@ struct WarmState {
     context: Option<SolverContext>,
 }
 
-/// Runs the TILOS-seed part of a request: from the shared trajectory
-/// when [`SweepWarmStart::resume_tilos`] is on (snapshot replay for
-/// already-passed targets, trajectory advance otherwise), else a fresh
-/// [`TilosState`] advanced once. The power objective runs the same seed
-/// machinery through a [`PowerWeightedModel`] wrapper (identical
-/// delays, power-derived objective weights). The seed's timing and
-/// sensitivity work is added to `stats`; a caller that needs it per
-/// request reads it as the difference to a snapshot taken before.
+/// Runs the TILOS-seed part of a request from the state's trajectory:
+/// a snapshot replay for an already-passed target, a trajectory advance
+/// otherwise. The power objective runs the same seed machinery through
+/// a [`PowerWeightedModel`] wrapper (identical delays, power-derived
+/// objective weights). The seed's timing and sensitivity work is added
+/// to `stats`; a caller that needs it per request reads it as the
+/// difference to a snapshot taken before.
 fn tilos_point<M: DelayModel>(
     problem: &SizingProblem,
     model: &M,
@@ -355,30 +311,18 @@ fn tilos_point<M: DelayModel>(
 ) -> Result<TilosResult, TilosError> {
     let dag = problem.dag();
     let probe = token.map(|t| t as &dyn mft_tilos::CancelProbe);
-    let mut fresh = None;
-    let slot = if config.warm.resume_tilos {
-        &mut state.trajectory
-    } else {
-        &mut fresh
-    };
-    // A state built by this request charges its construction full pass
-    // to this request.
-    let (timing_before, sens_before, bumps_before) = slot
+    // A trajectory built by this request charges its construction full
+    // pass to this request.
+    let (timing_before, sens_before, bumps_before) = state
+        .trajectory
         .as_ref()
         .map(|s| (s.timing_stats(), s.sensitivity_stats(), s.bumps()))
         .unwrap_or_default();
-    if slot.is_none() {
-        *slot = Some(TilosState::new(dag, model, config.optimizer.tilos.clone())?);
-    }
-    let tilos = slot.as_mut().expect("just ensured");
-    // Only a shared trajectory replays from its bump log; a fresh one
-    // always advances.
-    let snapshot = if config.warm.resume_tilos {
-        tilos.snapshot_at(model, target)
-    } else {
-        None
+    let tilos = match &mut state.trajectory {
+        Some(tilos) => tilos,
+        slot => slot.insert(TilosState::new(dag, model, config.optimizer.tilos.clone())?),
     };
-    let result = match snapshot {
+    let result = match tilos.snapshot_at(model, target) {
         Some(snapshot) => {
             stats.snapshot_hits += 1;
             stats.trajectory_reused_bumps += snapshot.bumps;
@@ -401,9 +345,8 @@ fn tilos_point<M: DelayModel>(
 }
 
 /// Runs the optimizer phase of a request over the given warm state:
-/// lazy [`SolverContext`] construction (or a throwaway context without
-/// solver reuse) and the counter accounting — shared by size requests
-/// and sweep points so the two cannot drift.
+/// lazy [`SolverContext`] construction and the counter accounting —
+/// shared by size requests and sweep points so the two cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn optimize_with_state<M: DelayModel>(
     problem: &SizingProblem,
@@ -416,15 +359,9 @@ fn optimize_with_state<M: DelayModel>(
     token: Option<&CancelToken>,
 ) -> Result<SizingSolution, MftError> {
     let dag = problem.dag();
-    let mut throwaway;
-    let ctx = if config.warm.reuse_solvers {
-        if state.context.is_none() {
-            state.context = Some(SolverContext::new(&config.optimizer, dag, model)?);
-        }
-        state.context.as_mut().expect("just ensured")
-    } else {
-        throwaway = SolverContext::new(&config.optimizer, dag, model)?;
-        &mut throwaway
+    let ctx = match &mut state.context {
+        Some(ctx) => ctx,
+        slot => slot.insert(SolverContext::new(&config.optimizer, dag, model)?),
     };
     let solution = Minflotransit::new(config.optimizer.clone())
         .optimize_from_with(ctx, dag, model, target, seed_sizes, token)?;
@@ -760,9 +697,8 @@ impl SizingSession {
 
     /// Sizes to an absolute delay target through the full
     /// MINFLOTRANSIT pipeline: the TILOS seed, then the D/W relaxation.
-    /// Under [`SessionConfig::cold`] every call starts from fresh state;
-    /// under the other presets it resumes the session's warm state, with
-    /// the results described in the module docs.
+    /// It resumes the session's warm state, with the results described
+    /// in the module docs.
     ///
     /// # Errors
     ///
@@ -1379,21 +1315,22 @@ mod tests {
         assert!(zero.sweep(&[]).unwrap().is_empty());
     }
 
-    /// A cold sweep reproduces per-point cold requests bit for bit:
-    /// `tilos_to` for the seed, `size_to` for the refinement.
+    /// A sweep reproduces, bit for bit, each point's requests served
+    /// each on a new session: `tilos_to` for the seed, `size_to` for
+    /// the refinement.
     #[test]
-    fn cold_sweep_matches_manual_per_point_loop() {
-        let problem = c17_session(SessionConfig::cold()).problem().clone();
-        let specs = [0.9, 0.7, 0.5];
+    fn sweep_matches_fresh_sessions_per_point() {
+        let problem = c17_session(SessionConfig::warm()).problem().clone();
+        let specs = [0.95, 0.9, 0.85, 0.75, 0.7, 0.65, 0.55, 0.5];
         let got = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .sweep(&specs)
             .unwrap();
-        let mut cold = problem.session(SessionConfig::cold());
+        let fresh = || problem.session(SessionConfig::warm());
         for (&spec, outcome) in specs.iter().zip(got.iter()) {
             let target = spec * problem.dmin();
-            let tilos = cold.tilos_to(target).unwrap();
-            let mft = cold.size_to(target).unwrap();
+            let tilos = fresh().tilos_to(target).unwrap();
+            let mft = fresh().size_to(target).unwrap();
             let SweepOutcome::Point(p) = outcome else {
                 panic!("c17 specs are reachable");
             };
@@ -1404,9 +1341,10 @@ mod tests {
             );
             assert_eq!(
                 p.mft_area_ratio.to_bits(),
-                (mft.area / problem.min_area()).to_bits()
+                (mft.area / problem.min_area()).to_bits(),
+                "spec {spec}"
             );
-            assert_eq!(p.iterations, mft.iterations);
+            assert_eq!(p.iterations, mft.iterations, "spec {spec}");
         }
     }
 
@@ -1420,28 +1358,6 @@ mod tests {
                 panic!("reachable");
             };
             assert_eq!(p.spec, spec);
-        }
-    }
-
-    /// Warm results match the cold curve bit for bit: no reuse lever
-    /// changes a result.
-    #[test]
-    fn warm_sweep_matches_cold_sweep() {
-        let specs = [0.95, 0.85, 0.75, 0.65, 0.55];
-        let cold = c17_session(SessionConfig::cold()).sweep(&specs).unwrap();
-        let warm = c17_session(SessionConfig::warm()).sweep(&specs).unwrap();
-        for (c, w) in cold.iter().zip(warm.iter()) {
-            let (SweepOutcome::Point(c), SweepOutcome::Point(w)) = (c, w) else {
-                panic!("reachable specs");
-            };
-            assert_eq!(c.tilos_area_ratio.to_bits(), w.tilos_area_ratio.to_bits());
-            assert_eq!(
-                c.mft_area_ratio.to_bits(),
-                w.mft_area_ratio.to_bits(),
-                "spec {}",
-                c.spec
-            );
-            assert_eq!(c.iterations, w.iterations, "spec {}", c.spec);
         }
     }
 
@@ -1470,20 +1386,23 @@ mod tests {
         }
     }
 
-    /// Unreachable specs latch correctly through the shared trajectory.
+    /// Unreachable specs latch correctly through the shared trajectory:
+    /// each reports what a one-spec sweep on a new session reports.
     #[test]
     fn unreachable_specs_survive_trajectory_reuse() {
         let specs = [0.9, 0.05, 0.04];
         let got = c17_session(SessionConfig::warm()).sweep(&specs).unwrap();
         assert!(matches!(got[0], SweepOutcome::Point(_)));
-        let cold = c17_session(SessionConfig::cold()).sweep(&specs).unwrap();
         for i in [1, 2] {
+            let fresh = c17_session(SessionConfig::warm())
+                .sweep(&specs[i..=i])
+                .unwrap();
             let (
                 SweepOutcome::Unreachable { best_ratio: w, .. },
                 SweepOutcome::Unreachable { best_ratio: c, .. },
-            ) = (&got[i], &cold[i])
+            ) = (&got[i], &fresh[0])
             else {
-                panic!("specs {i} must be unreachable in both sweeps");
+                panic!("spec {i} must be unreachable in both sweeps");
             };
             assert_eq!(w.to_bits(), c.to_bits());
         }

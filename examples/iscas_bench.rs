@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let tech = Technology::cmos_130nm();
     let mut session =
-        SizingSession::prepare(&netlist, &tech, SizingMode::Gate, SessionConfig::cold())?;
+        SizingSession::prepare(&netlist, &tech, SizingMode::Gate, SessionConfig::warm())?;
     let dmin = session.problem().dmin();
     println!("D_min = {dmin:.1} ps");
 

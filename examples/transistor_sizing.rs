@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("gate sizing      ", SizingMode::Gate),
         ("transistor sizing", SizingMode::Transistor),
     ] {
-        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::cold())?;
+        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::warm())?;
         let target = 0.65 * session.problem().dmin();
         let solution = session.size_to(target)?;
         let problem = session.problem();

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("gates only  ", SizingMode::Gate),
         ("gates + wires", SizingMode::GateWire),
     ] {
-        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::cold())?;
+        let mut session = SizingSession::prepare(&netlist, &tech, mode, SessionConfig::warm())?;
         let target = 0.7 * session.problem().dmin();
         let solution = session.size_to(target)?;
         let problem = session.problem();

@@ -1,10 +1,10 @@
 //! `mft` — the MINFLOTRANSIT command-line tool.
 //!
 //! ```text
-//! mft size <file.bench> [--spec F] [--target PS] [--mode M] [--corner C] [--vt V] [--objective O] [--flow B] [--tilos-only] [--report] [--sizes OUT]
+//! mft size <file.bench> [--spec F] [--target PS] [--mode M] [--corner C] [--vt V] [--objective O] [--tilos-only] [--report] [--sizes OUT]
 //! mft report <file.bench> [--mode M] [--corner C] [--vt V]
-//! mft sweep <file.bench> --specs 0.9,0.7,0.5 [--mode M] [--corner C] [--vt V] [--flow B] [--jobs N] [--cold] [--csv OUT]
-//! mft serve <file.bench>... [--listen ADDR] [--unix PATH] [--flow B] [--max-circuits N] [--cold] [--stats]
+//! mft sweep <file.bench> --specs 0.9,0.7,0.5 [--mode M] [--corner C] [--vt V] [--jobs N] [--csv OUT]
+//! mft serve <file.bench>... [--listen ADDR] [--unix PATH] [--max-circuits N] [--stats]
 //! mft generate <benchmark> [--out FILE]
 //! mft list
 //! ```
@@ -18,7 +18,6 @@ use minflotransit::core::{
     curve_to_csv, format_curve, CircuitServer, Response, ServerConfig, ServerListener,
     SessionConfig, SizingProblem, SizingReport,
 };
-use minflotransit::flow::FlowAlgorithm;
 use minflotransit::gen::Benchmark;
 use minflotransit::tech::{Corner, TechLibrary};
 use std::error::Error;
@@ -47,16 +46,10 @@ OPTIONS:
   --objective O   size: area | power                  (default area)
                   `power` minimizes leakage + activity-weighted
                   switching power under the same delay target
-  --flow B        D-phase flow backend: simplex (network simplex, the
-                  only backend and the default; the names of removed
-                  backends are rejected)
   --specs LIST    comma-separated spec fractions for `sweep`
   --jobs N        sweep worker threads (default 1; 0 means 1; capped at
                   the specs and the cores); results are identical for
                   every N
-  --cold          disable cross-request reuse (each request runs from
-                  fresh state and answers the same bytes, at a higher
-                  cost; sweep and serve)
   --csv FILE      also write the sweep as CSV (one row per spec,
                   unreachable specs flagged in a status column)
   --tilos-only    stop after the TILOS seed (no flow refinement)
@@ -90,10 +83,10 @@ OPTIONS:
                   JSON line per circuit on stderr) on exit
   --out FILE      output path for `generate` (default stdout)
 
-`mft sweep` runs warm by default: one warm session (or one per worker)
-resumes the TILOS bump trajectory across targets and reuses the
-D-phase flow network and W-phase SMP solver for every point, so a
-sweep costs little more than its tightest spec alone.
+`mft sweep` runs one session (or one per worker), which resumes the
+TILOS bump trajectory across targets and reuses the D-phase flow
+network and W-phase SMP solver for every point, so a sweep costs
+little more than its tightest spec alone.
 
 `mft serve` answers the newline-delimited JSON protocol specified in
 docs/PROTOCOL.md (one request per line in, one response per line out):
@@ -248,15 +241,6 @@ fn parse_corner(args: &Args) -> Result<Corner, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Checks `--flow`: `simplex` is the only backend, so the flag selects
-/// nothing, but a removed or unknown backend name is an error.
-fn check_flow(args: &Args) -> Result<(), String> {
-    match args.value("--flow") {
-        None => Ok(()),
-        Some(name) => FlowAlgorithm::parse(name).map(drop),
-    }
-}
-
 fn load_problem(path: &str, args: &Args) -> Result<SizingProblem, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let netlist = parse_bench(path, &text).map_err(|e| e.to_string())?;
@@ -280,7 +264,6 @@ fn run(args: &[String], out: Out) -> Outcome {
                     "--corner",
                     "--vt",
                     "--objective",
-                    "--flow",
                     "--sizes",
                 ],
                 &["--tilos-only", "--report"],
@@ -290,10 +273,8 @@ fn run(args: &[String], out: Out) -> Outcome {
         "report" => cmd_report(&parse(&["--mode", "--corner", "--vt"], &[])?, out),
         "sweep" => cmd_sweep(
             &parse(
-                &[
-                    "--specs", "--jobs", "--csv", "--flow", "--mode", "--corner", "--vt",
-                ],
-                &["--cold"],
+                &["--specs", "--jobs", "--csv", "--mode", "--corner", "--vt"],
+                &[],
             )?,
             out,
         ),
@@ -303,7 +284,6 @@ fn run(args: &[String], out: Out) -> Outcome {
                     "--mode",
                     "--corner",
                     "--vt",
-                    "--flow",
                     "--jobs",
                     "--listen",
                     "--unix",
@@ -313,7 +293,7 @@ fn run(args: &[String], out: Out) -> Outcome {
                     "--deadline-ms",
                     "--replicas",
                 ],
-                &["--cold", "--stats"],
+                &["--stats"],
             )?,
             out,
         ),
@@ -329,9 +309,6 @@ fn run(args: &[String], out: Out) -> Outcome {
 
 fn cmd_size(args: &Args, out: Out) -> Outcome {
     let path = args.only("<file.bench>")?;
-    // Validate the backend name before any sizing work so a typo
-    // fails fast instead of after the TILOS seed.
-    check_flow(args)?;
     let problem = load_problem(path, args)?;
     let target = match args.value("--target") {
         Some(t) => parse_target("--target", t)?,
@@ -345,8 +322,9 @@ fn cmd_size(args: &Args, out: Out) -> Outcome {
         target,
         target / problem.dmin()
     )?;
-    // One cold session: every request below runs from fresh state.
-    let mut session = problem.into_session(SessionConfig::cold());
+    // One session: the sizing request below starts from the TILOS
+    // seed printed first, replayed from the trajectory.
+    let mut session = problem.into_session(SessionConfig::warm());
     let tilos = session.tilos_to(target).map_err(|e| e.to_string())?;
     writeln!(
         out,
@@ -449,15 +427,8 @@ fn cmd_sweep(args: &Args, out: Out) -> Outcome {
         .map(|s| parse_target("--specs", s.trim()))
         .collect::<Result<_, _>>()?;
     let jobs = args.count("--jobs", 1)?;
-    check_flow(args)?;
-    let config = if args.has("--cold") {
-        SessionConfig::cold()
-    } else {
-        SessionConfig::warm()
-    }
-    .with_jobs(jobs);
     let outcomes = problem
-        .into_session(config)
+        .into_session(SessionConfig::warm().with_jobs(jobs))
         .sweep(&specs)
         .map_err(|e| e.to_string())?;
     writeln!(out, "{}", format_curve(path, &outcomes))?;
@@ -478,20 +449,13 @@ fn cmd_serve(args: &Args, out: Out) -> Outcome {
         ),
         None => None,
     };
-    let session = if args.has("--cold") {
-        SessionConfig::cold()
-    } else {
-        SessionConfig::warm()
-    }
-    .with_jobs(jobs);
-    check_flow(args)?;
     let server = CircuitServer::new(ServerConfig {
         max_circuits: args.count("--max-circuits", 16)?,
         max_line_bytes: args.count("--max-line-bytes", default_config.max_line_bytes)?,
         max_queue_depth: args.count("--max-queue-depth", default_config.max_queue_depth)?,
         default_deadline_ms,
         replicas: args.count("--replicas", default_config.replicas)?,
-        session: session.clone(),
+        session: SessionConfig::warm().with_jobs(jobs),
     });
     let listen = args.value("--listen");
     let unix = args.value("--unix");
@@ -507,7 +471,7 @@ fn cmd_serve(args: &Args, out: Out) -> Outcome {
             .unwrap_or(path)
             .to_owned();
         let problem = load_problem(path, args)?;
-        match server.install(&name, problem, session.clone()) {
+        match server.install(&name, problem) {
             Response::Loaded {
                 gates, vertices, ..
             } => {

@@ -33,9 +33,8 @@
 //! All sizing runs through one API: a [`core::SizingSession`] owns the
 //! prepared problem plus all warm state (TILOS trajectory, flow network,
 //! SMP solver, incremental timing engine) and serves size / sweep /
-//! what-if / stats requests against it — results bit-identical to a
-//! cold session's ([`core::SessionConfig::cold`]), work amortized across
-//! requests. The same requests travel as newline-delimited JSON through
+//! what-if / stats requests against it — each result bit-identical to
+//! the same request on a new session, work amortized across requests. The same requests travel as newline-delimited JSON through
 //! `mft serve` ([`core::Request`]/[`core::Response`]).
 //!
 //! ```

@@ -48,10 +48,10 @@ fn size_prints_the_timing_engine_line_once() {
     }
 }
 
-/// `mft size --sizes` writes, bit for bit, the sizes of an in-process
-/// cold session over the same file: `size_to` for the area objective,
-/// `size_to_power` for `--objective power` and `tilos_to` for
-/// `--tilos-only`.
+/// `mft size --sizes` writes, bit for bit, the sizes of a request on
+/// a new in-process session over the same file: `size_to` for the area
+/// objective, `size_to_power` for `--objective power` and `tilos_to`
+/// for `--tilos-only`.
 #[test]
 fn size_writes_the_sizes_of_a_cold_session() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -64,14 +64,14 @@ fn size_writes_the_sizes_of_a_cold_session() {
         let netlist = parse_bench(bench.to_str().unwrap(), &text).unwrap();
         let problem = SizingProblem::prepare_corner(&netlist, &corner, SizingMode::Gate).unwrap();
         let target = 0.7 * problem.dmin();
-        let mut session = problem.session(SessionConfig::cold());
+        let fresh = || problem.session(SessionConfig::warm());
         let cases: [(&[&str], Vec<f64>); 3] = [
-            (&[], session.size_to(target).unwrap().sizes),
+            (&[], fresh().size_to(target).unwrap().sizes),
             (
                 &["--objective", "power"],
-                session.size_to_power(target).unwrap().solution.sizes,
+                fresh().size_to_power(target).unwrap().solution.sizes,
             ),
-            (&["--tilos-only"], session.tilos_to(target).unwrap().sizes),
+            (&["--tilos-only"], fresh().tilos_to(target).unwrap().sizes),
         ];
         for (extra, want) in cases {
             let sizes_file = dir.join("cli_sizes.csv");
@@ -203,8 +203,8 @@ fn corner_flag_matches_the_load_corner_and_tech_is_refused() {
 }
 
 /// Each command rejects a flag it does not read, naming it, before any
-/// output: neither a typo (`spce` for `spec`) nor the removed `tech`
-/// alias of `corner` may size at the defaults.
+/// output: neither a typo (`spce` for `spec`), the removed `tech` alias
+/// of `corner`, nor the removed `cold` switch may size at the defaults.
 #[test]
 fn unknown_flags_are_rejected() {
     let bench = c17_file();
@@ -213,6 +213,8 @@ fn unknown_flags_are_rejected() {
         ("size", "tech", &["65"][..]),
         ("sweep", "tech", &["65"][..]),
         ("serve", "tech", &["65"][..]),
+        ("sweep", "cold", &[][..]),
+        ("serve", "cold", &[][..]),
     ] {
         let flag = format!("--{name}");
         let out = Command::new(env!("CARGO_BIN_EXE_mft"))
@@ -284,21 +286,14 @@ fn size_stops_quietly_when_stdout_closes() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
-/// `--flow` accepts only `simplex`; each removed backend name fails
-/// with an error naming it, before any sizing output.
+/// `simplex` is the only flow backend, so `mft size` takes no `--flow`:
+/// the flag fails as unknown with exit 1 before any output, whatever
+/// backend it names.
 #[test]
 fn size_rejects_removed_flow_backends() {
     let bench = c17_file();
-    let run = |flow: &str| {
-        Command::new(env!("CARGO_BIN_EXE_mft"))
-            .arg("size")
-            .arg(&bench)
-            .args(["--spec", "0.7", "--flow", flow])
-            .output()
-            .unwrap()
-    };
-    assert!(run("simplex").status.success());
     for name in [
+        "simplex",
         "ssp",
         "simplex-first",
         "simplex-block",
@@ -307,16 +302,20 @@ fn size_rejects_removed_flow_backends() {
         "reference",
         "auto",
     ] {
-        let out = run(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg("size")
+            .arg(&bench)
+            .args(["--spec", "0.7", "--flow", name])
+            .output()
+            .unwrap();
         let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(!out.status.success(), "{name}");
+        assert_eq!(out.status.code(), Some(1), "{name}");
         assert!(
             out.stdout.is_empty(),
             "{name}: sizing output before the error"
         );
         assert!(
-            stderr.contains(&format!("flow backend `{name}` was removed"))
-                && stderr.contains("`simplex` (network simplex) is the only backend"),
+            stderr.contains("unknown flag `--flow` for `mft size`"),
             "{name}: {stderr}"
         );
     }
@@ -355,13 +354,13 @@ fn size_and_sweep_reject_non_finite_targets() {
     }
 }
 
-/// `mft sweep` gives the same curve under the warm default, `--cold`
-/// and `--jobs 2`: per row, the spec, both area ratios, the saving and
-/// the iteration count agree (the other columns are timings and work
+/// `mft sweep` gives the same curve with one worker and with
+/// `--jobs 2`: per row, the spec, both area ratios, the saving and the
+/// iteration count agree (the other columns are timings and work
 /// counters), unreachable rows included. Bad input exits 1 before any
 /// output.
 #[test]
-fn sweep_outputs_agree_across_presets_and_jobs() {
+fn sweep_outputs_agree_across_jobs() {
     let bench = c17_file();
     let sweep = |extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_mft"))
@@ -391,9 +390,7 @@ fn sweep_outputs_agree_across_presets_and_jobs() {
         assert!(rows[3].contains("unreachable by TILOS"), "{extra:?}");
         rows
     };
-    let warm = curve(&[]);
-    assert_eq!(curve(&["--cold"]), warm);
-    assert_eq!(curve(&["--jobs", "2"]), warm);
+    assert_eq!(curve(&["--jobs", "2"]), curve(&[]));
     for bad in [
         &["--specs", "0.9,fast"][..],
         &["--jobs", "many"][..],

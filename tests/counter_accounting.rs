@@ -2,7 +2,8 @@
 //!
 //! * Per-point attribution adds up: summing each counter group over the
 //!   points of a sweep gives exactly the session's cumulative totals,
-//!   for the cold, warm and two-worker configurations.
+//!   for one session with one and two workers and for one new session
+//!   per spec.
 //! * A gate-mode W-phase costs one SMP update per vertex per solve.
 //! * A sweep that fails still counts the work it did, whatever the
 //!   worker count.
@@ -13,10 +14,13 @@
 //! * The sinks' shapes are fixed: the key sequence of a `stats` line,
 //!   the sweep table header and the CSV header.
 
+mod common;
+
+use common::fresh;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
 use minflotransit::core::{
-    curve_to_csv, format_curve, CancelToken, Request, Response, SessionConfig, SizingProblem,
-    SweepOutcome,
+    curve_to_csv, format_curve, CancelToken, Request, Response, SessionConfig, SessionStats,
+    SizingProblem, SweepOutcome,
 };
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
@@ -36,14 +40,31 @@ fn c17_problem() -> SizingProblem {
 #[test]
 fn per_point_counters_sum_to_the_session_totals() {
     let problem = c432_problem();
-    for (name, config) in [
-        ("cold", SessionConfig::cold()),
-        ("warm", SessionConfig::warm()),
-        ("warm jobs 2", SessionConfig::warm().with_jobs(2)),
-    ] {
+    let config = SessionConfig::warm();
+    // One sweep of every spec on one session, and one sweep of each
+    // spec on a new session, its counters summed over the sessions.
+    let one_session = |config: SessionConfig| {
         let mut session = problem.session(config);
         let outcomes = session.sweep(&SPECS).unwrap();
-        let stats = session.stats();
+        (outcomes, session.stats())
+    };
+    let fresh_per_spec = || {
+        let (mut outcomes, mut stats) = (Vec::new(), SessionStats::default());
+        for spec in SPECS {
+            let (mut point, point_stats) = fresh(&problem, &config, |s| {
+                let outcomes = s.sweep(&[spec]).unwrap();
+                (outcomes, s.stats())
+            });
+            outcomes.append(&mut point);
+            stats = stats.merged(&point_stats);
+        }
+        (outcomes, stats)
+    };
+    for (name, (outcomes, stats)) in [
+        ("one session", one_session(config.clone())),
+        ("jobs 2", one_session(config.clone().with_jobs(2))),
+        ("fresh per spec", fresh_per_spec()),
+    ] {
         let (mut flow, mut wphase, mut timing, mut sensitivity) = Default::default();
         let mut points = 0;
         for outcome in &outcomes {
@@ -101,17 +122,12 @@ fn cancelled_sweep_counts_its_work_for_every_worker_count() {
 #[test]
 fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
     let problem = c432_problem();
-    let candidate = problem
-        .session(SessionConfig::cold())
-        .tilos_to(SPECS[0] * problem.dmin())
+    let config = SessionConfig::warm();
+    let candidate = fresh(&problem, &config, |s| s.tilos_to(SPECS[0] * problem.dmin()))
         .unwrap()
         .sizes;
-    for (name, config) in [
-        ("cold", SessionConfig::cold()),
-        ("warm", SessionConfig::warm()),
-    ] {
-        let timings = |what_if: bool| {
-            let mut session = problem.session(config.clone());
+    let timings = |what_if: bool| {
+        fresh(&problem, &config, |session| {
             if what_if {
                 session.what_if(&candidate, None).unwrap();
             }
@@ -120,12 +136,12 @@ fn what_if_before_a_sweep_leaves_its_timing_counters_unchanged() {
                 .into_iter()
                 .map(|outcome| match outcome {
                     SweepOutcome::Point(p) => p.timing,
-                    other => panic!("{name}: every c432-like spec is reachable: {other:?}"),
+                    other => panic!("every c432-like spec is reachable: {other:?}"),
                 })
                 .collect::<Vec<_>>()
-        };
-        assert_eq!(timings(true), timings(false), "{name}");
-    }
+        })
+    };
+    assert_eq!(timings(true), timings(false));
 }
 
 /// The D-phase solver of a warm session carries its basis from one
@@ -199,7 +215,7 @@ fn stats_line_keys_are_pinned() {
 #[test]
 fn sweep_sink_headers_are_pinned() {
     let outcomes = c17_problem()
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .sweep(&[0.8])
         .unwrap();
     let table = format_curve("c17", &outcomes);

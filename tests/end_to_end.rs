@@ -19,7 +19,7 @@ fn prepare(bench: Benchmark) -> SizingProblem {
 fn small_suite_meets_timing_and_beats_tilos() {
     for bench in [Benchmark::C432, Benchmark::C499, Benchmark::C880] {
         let problem = prepare(bench);
-        let mut session = problem.session(SessionConfig::cold());
+        let mut session = problem.session(SessionConfig::warm());
         let target = bench.paper_spec() * problem.dmin();
         let tilos = session.tilos_to(target).expect("paper spec reachable");
         let mft = session.size_to(target).expect("optimizer runs");
@@ -47,7 +47,7 @@ fn small_suite_meets_timing_and_beats_tilos() {
 #[test]
 fn loose_target_is_globally_optimal() {
     let problem = prepare(Benchmark::C432);
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let target = 2.0 * problem.dmin();
     let sol = session.size_to(target).expect("optimizer runs");
     // The minimum-sized circuit is feasible, hence optimal.
@@ -58,7 +58,7 @@ fn loose_target_is_globally_optimal() {
 #[test]
 fn final_sizes_are_within_bounds() {
     let problem = prepare(Benchmark::C880);
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let target = 0.5 * problem.dmin();
     let sol = session.size_to(target).expect("optimizer runs");
     let (lo, hi) = {
@@ -73,7 +73,7 @@ fn final_sizes_are_within_bounds() {
 #[test]
 fn solution_delay_matches_recomputation() {
     let problem = prepare(Benchmark::C499);
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let target = 0.7 * problem.dmin();
     let sol = session.size_to(target).expect("optimizer runs");
     use minflotransit::delay::DelayModel;
@@ -85,7 +85,7 @@ fn solution_delay_matches_recomputation() {
 #[test]
 fn tighter_specs_cost_more_area_for_both_sizers() {
     let problem = prepare(Benchmark::C432);
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let dmin = problem.dmin();
     let mut last_tilos = 0.0;
     let mut last_mft = 0.0;
@@ -103,7 +103,7 @@ fn tighter_specs_cost_more_area_for_both_sizers() {
 #[test]
 fn history_is_consistent() {
     let problem = prepare(Benchmark::C880);
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let target = 0.5 * problem.dmin();
     let sol = session.size_to(target).expect("runs");
     // Accepted areas are non-increasing; the final area equals the last

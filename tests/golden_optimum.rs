@@ -69,7 +69,10 @@ fn check_matches_golden(netlist: &Netlist, spec: f64) {
         ..Default::default()
     };
     let sol = problem
-        .session(SessionConfig::cold_with(config))
+        .session(SessionConfig {
+            optimizer: config,
+            ..SessionConfig::warm()
+        })
         .size_to(target)
         .expect("optimizer runs");
     assert!(sol.achieved_delay <= target * (1.0 + 1e-6));

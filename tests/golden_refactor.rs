@@ -60,7 +60,7 @@ fn default_run_is_bit_identical_to_pre_refactor() {
     let target = 0.75 * problem.dmin();
     let golden = golden_sizes();
     let sol = problem
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .size_to(target)
         .unwrap();
     assert_eq!(sol.iterations, GOLDEN_ITERATIONS);

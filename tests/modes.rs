@@ -34,7 +34,7 @@ fn all_modes_run_end_to_end() {
         let problem = SizingProblem::prepare(&netlist, &tech, mode).expect("builds");
         let target = 0.7 * problem.dmin();
         let sol = problem
-            .session(SessionConfig::cold())
+            .session(SessionConfig::warm())
             .size_to(target)
             .expect("runs");
         assert!(
@@ -83,7 +83,7 @@ fn transistor_mode_uses_unequal_stack_sizes() {
     let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Transistor).unwrap();
     let target = 0.6 * problem.dmin();
     let sol = problem
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .size_to(target)
         .expect("runs");
     // Find a gate whose devices ended up with different sizes.

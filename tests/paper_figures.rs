@@ -87,7 +87,7 @@ fn figure6_global_view_beats_greedy() {
     let tech = Technology::cmos_130nm();
     let problem = SizingProblem::prepare(&netlist, &tech, SizingMode::Gate).unwrap();
     let target = 0.55 * problem.dmin();
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let tilos = session.tilos_to(target).unwrap();
     let mft = session.size_to(target).unwrap();
     assert!(mft.area <= tilos.area + 1e-9);
@@ -107,7 +107,7 @@ fn figure7_dominance_on_c17() {
     let problem =
         SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap();
     let outcomes = problem
-        .into_session(SessionConfig::cold())
+        .into_session(SessionConfig::warm())
         .sweep(&[0.9, 0.8, 0.7, 0.6, 0.5])
         .unwrap();
     for o in &outcomes {

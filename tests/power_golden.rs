@@ -4,16 +4,18 @@
 //! * preparing at the library's default corner is **bit-identical** on
 //!   the default area path to the historical plain-`Technology`
 //!   preparation — the corner adds power bookkeeping, never arithmetic;
-//! * a `size_power` request served through a session (cold or warm
-//!   preset, including warm-state reuse across targets) is
-//!   bit-identical to the same request on a fresh cold session under
-//!   the same optimizer configuration;
+//! * a `size_power` request served through a session (including
+//!   warm-state reuse across targets) is bit-identical to the same
+//!   request on a new session;
 //! * at an equal delay target the power objective strictly beats the
 //!   area objective on total power, and the area objective strictly
 //!   beats the power objective on area — both delay-feasible, so the
 //!   two objectives genuinely trade off rather than aliasing each
 //!   other.
 
+mod common;
+
+use common::fresh;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
 use minflotransit::core::{PowerSolution, SessionConfig, SizingProblem};
 use minflotransit::delay::Technology;
@@ -91,11 +93,11 @@ fn default_corner_matches_plain_technology_bitwise() {
     assert_eq!(plain.min_area().to_bits(), cornered.min_area().to_bits());
     let target = 0.7 * plain.dmin();
     let a = plain
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .size_to(target)
         .unwrap();
     let b = cornered
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .size_to(target)
         .unwrap();
     assert_eq!(a.area.to_bits(), b.area.to_bits());
@@ -105,54 +107,45 @@ fn default_corner_matches_plain_technology_bitwise() {
     }
 }
 
-/// `size_to_power` under every session preset — including a second
-/// tighter target resuming the power-objective warm state — matches
-/// a cold session's `size_to_power` bitwise on c17 and c432-like.
+/// `size_to_power` on one session — including a second tighter target
+/// resuming the power-objective warm state — matches each request on
+/// a new session bitwise on c17 and c432-like.
 #[test]
-fn power_objective_is_preset_invariant_and_matches_one_shot() {
+fn power_objective_matches_fresh_sessions() {
+    let config = SessionConfig::warm();
     for (what, problem) in [("c17", c17_problem()), ("c432", c432_problem())] {
         let dmin = problem.dmin();
         let specs = [0.75, 0.65];
-        for (preset, config) in [
-            ("cold", SessionConfig::cold()),
-            ("warm", SessionConfig::warm()),
-        ] {
-            // Cold twin under the same optimizer configuration — warm
-            // state may only change wall-clock, never values.
-            let mut cold = problem.session(SessionConfig::cold_with(config.optimizer.clone()));
-            let one_shot: Vec<PowerSolution> = specs
-                .iter()
-                .map(|s| cold.size_to_power(s * dmin).unwrap())
-                .collect();
-            let mut session = problem.session(config);
-            for (k, &spec) in specs.iter().enumerate() {
-                let served = session.size_to_power(spec * dmin).unwrap();
-                assert_power_solutions_bit_identical(
-                    &served,
-                    &one_shot[k],
-                    &format!("{what}/{preset} spec {spec}"),
-                );
-            }
-            assert_eq!(session.stats().size_power_requests, specs.len());
+        let mut session = problem.session(config.clone());
+        for &spec in &specs {
+            let served = session.size_to_power(spec * dmin).unwrap();
+            let one_shot = fresh(&problem, &config, |s| s.size_to_power(spec * dmin)).unwrap();
+            assert_power_solutions_bit_identical(
+                &served,
+                &one_shot,
+                &format!("{what} spec {spec}"),
+            );
         }
+        assert_eq!(session.stats().size_power_requests, specs.len());
     }
 }
 
 /// Power-objective warm state is separate from area-objective warm
 /// state: interleaving the two objectives on one session perturbs
-/// neither — every served value still matches its cold twin.
+/// neither — every served value still matches the same request on a
+/// new session.
 #[test]
 fn objectives_do_not_share_warm_state() {
     let problem = c17_problem();
     let dmin = problem.dmin();
-    let mut session = problem.session(SessionConfig::warm());
+    let config = SessionConfig::warm();
+    let mut session = problem.session(config.clone());
     let area_a = session.size_to(0.8 * dmin).unwrap();
     let power_a = session.size_to_power(0.8 * dmin).unwrap();
     let area_b = session.size_to(0.65 * dmin).unwrap();
     let power_b = session.size_to_power(0.65 * dmin).unwrap();
-    let mut cold = problem.session(SessionConfig::cold());
     for (served, spec) in [(&area_a, 0.8), (&area_b, 0.65)] {
-        let one_shot = cold.size_to(spec * dmin).unwrap();
+        let one_shot = fresh(&problem, &config, |s| s.size_to(spec * dmin)).unwrap();
         assert_eq!(
             served.area.to_bits(),
             one_shot.area.to_bits(),
@@ -163,7 +156,7 @@ fn objectives_do_not_share_warm_state() {
         }
     }
     for (served, spec) in [(&power_a, 0.8), (&power_b, 0.65)] {
-        let one_shot = cold.size_to_power(spec * dmin).unwrap();
+        let one_shot = fresh(&problem, &config, |s| s.size_to_power(spec * dmin)).unwrap();
         assert_power_solutions_bit_identical(served, &one_shot, &format!("power {spec}"));
     }
 }
@@ -176,7 +169,7 @@ fn objectives_do_not_share_warm_state() {
 fn power_objective_trades_area_for_power_on_c432() {
     let problem = c432_problem();
     let target = 0.6 * problem.dmin();
-    let mut session = problem.session(SessionConfig::cold());
+    let mut session = problem.session(SessionConfig::warm());
     let area_sol = session.size_to(target).unwrap();
     let power_sol = session.size_to_power(target).unwrap();
     let tol = target * (1.0 + 1e-6);

@@ -1,18 +1,16 @@
 //! Golden pins for the session-oriented service API: everything a
-//! [`SizingSession`] serves must be **bit-identical** to the "legacy"
-//! path — each request on a fresh cold session (`size_to`/`tilos_to`
-//! under `SessionConfig::cold_with`, a per-point sweep of them,
-//! `delay_of`/`area_of`) under the same optimizer
-//! configuration — including mixed request sequences where cross-request
-//! warm state (the shared TILOS trajectory, the persistent D-phase
-//! network, the SMP solver, the incremental timing engine) carries over
-//! from one request to the next, and out-of-order targets are replayed
-//! from the trajectory's bump log.
+//! [`SizingSession`] serves must be **bit-identical** to the same
+//! request served first on a new session (`size_to`/`tilos_to`, a
+//! per-point sweep of them, `delay_of`/`area_of`) under the same
+//! optimizer configuration — including mixed and random request
+//! sequences where cross-request warm state (the shared TILOS
+//! trajectory, the persistent D-phase network, the SMP solver, the
+//! incremental timing engine) carries over from one request to the
+//! next, and out-of-order targets are replayed from the trajectory's
+//! bump log. The same scripts served as wire lines through one session
+//! and one new session per line answer the same bytes.
 //!
-//! The same scripts served as wire lines through a session of the given
-//! preset and through a cold one answer the same bytes.
-//!
-//! Also pinned: the cross-request *reuse* itself, via the PR 3 timing
+//! Also pinned: the cross-request *reuse* itself, via the timing
 //! counters — a second size request at a nearby tighter target performs
 //! zero cold STA full passes on the TILOS side (the trajectory advances
 //! incrementally), and a repeated target does zero timing work at all
@@ -20,11 +18,13 @@
 
 mod common;
 
-use common::per_point_curve;
+use common::{fresh, per_point_curve};
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
 use minflotransit::core::{Request, SessionConfig, SizingProblem, SizingSolution, SweepOutcome};
 use minflotransit::delay::Technology;
 use minflotransit::gen::Benchmark;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn c17_problem() -> SizingProblem {
     let netlist = parse_bench("c17", C17_BENCH).unwrap();
@@ -99,36 +99,53 @@ fn assert_outcomes_bit_identical(a: &[SweepOutcome], b: &[SweepOutcome], what: &
     }
 }
 
-/// The response lines of the mixed sequence's size and sweep requests,
-/// served as wire lines through one session under `config`.
-fn served_lines(
-    problem: &SizingProblem,
-    config: SessionConfig,
-    specs_sized: &[f64],
-    sweep_specs: &[f64],
-) -> Vec<String> {
-    let mut session = problem.session(config);
+/// The mixed sequence's size and sweep requests as wire requests: each
+/// size, the sweep, then each size again.
+fn script(specs_sized: &[f64], sweep_specs: &[f64]) -> Vec<Request> {
     let size = |spec: &f64| format!("{{\"type\":\"size\",\"spec\":{spec},\"return_sizes\":true}}");
     let specs: Vec<String> = sweep_specs.iter().map(f64::to_string).collect();
     let sweep = format!("{{\"type\":\"sweep\",\"specs\":[{}]}}", specs.join(","));
-    let script = specs_sized
+    specs_sized
         .iter()
         .map(size)
         .chain([sweep])
-        .chain(specs_sized.iter().map(size));
-    script
-        .map(|line| {
-            let request = Request::from_json_line(&line).unwrap();
-            session.serve(&request).to_json_line()
-        })
+        .chain(specs_sized.iter().map(size))
+        .map(|line| Request::from_json_line(&line).unwrap())
         .collect()
 }
 
-/// Runs the issue's mixed request sequence — size, tighter size, sweep,
-/// size at an earlier (looser, already-passed) target, repeat of the
-/// first target, what-if — through one session, pinning every value
-/// bitwise against requests on fresh cold sessions, and the same
-/// script's response lines byte for byte against a cold session's.
+/// The response lines of `requests` served in order through one
+/// session under `config`.
+fn served_lines(
+    problem: &SizingProblem,
+    config: &SessionConfig,
+    requests: &[Request],
+) -> Vec<String> {
+    let mut session = problem.session(config.clone());
+    requests
+        .iter()
+        .map(|request| session.serve(request).to_json_line())
+        .collect()
+}
+
+/// The response lines of `requests`, each served on its own new
+/// session under `config`.
+fn fresh_lines(
+    problem: &SizingProblem,
+    config: &SessionConfig,
+    requests: &[Request],
+) -> Vec<String> {
+    requests
+        .iter()
+        .map(|request| fresh(problem, config, |s| s.serve(request).to_json_line()))
+        .collect()
+}
+
+/// Runs the mixed request sequence — size, tighter size, sweep, size at
+/// an earlier (looser, already-passed) target, repeat of the first
+/// target, what-if — through one session, pinning every value bitwise
+/// against each request on a new session, and the same script's
+/// response lines byte for byte against one new session per line.
 fn mixed_sequence_matches_legacy(
     problem: &SizingProblem,
     config: SessionConfig,
@@ -139,10 +156,7 @@ fn mixed_sequence_matches_legacy(
     let dmin = problem.dmin();
     let mut session = problem.session(config.clone());
     let legacy = |spec: f64| -> SizingSolution {
-        problem
-            .session(SessionConfig::cold_with(config.optimizer.clone()))
-            .size_to(spec * dmin)
-            .unwrap()
+        fresh(problem, &config, |s| s.size_to(spec * dmin)).unwrap()
     };
 
     // Requests in the given order (includes out-of-order/looser and
@@ -152,10 +166,10 @@ fn mixed_sequence_matches_legacy(
         assert_solutions_bit_identical(&served, &legacy(spec), &format!("{what}: size#{k} {spec}"));
     }
 
-    // A sweep mid-stream, against the cold requests point by point
-    // under the same optimizer configuration.
+    // A sweep mid-stream, against the requests point by point, each on
+    // a new session under the same configuration.
     let served_sweep = session.sweep(sweep_specs).unwrap();
-    let legacy_sweep = per_point_curve(problem, &config.optimizer, sweep_specs);
+    let legacy_sweep = per_point_curve(problem, &config, sweep_specs);
     assert_outcomes_bit_identical(&served_sweep, &legacy_sweep, &format!("{what}: sweep"));
 
     // Size again after the sweep (the sweep advanced the shared
@@ -186,9 +200,9 @@ fn mixed_sequence_matches_legacy(
     );
     assert_eq!(report.meets_target, Some(true), "{what}: what_if feasible");
 
-    let cold = SessionConfig::cold_with(config.optimizer.clone());
-    let served = served_lines(problem, config, specs_sized, sweep_specs);
-    let legacy = served_lines(problem, cold, specs_sized, sweep_specs);
+    let requests = script(specs_sized, sweep_specs);
+    let served = served_lines(problem, &config, &requests);
+    let legacy = fresh_lines(problem, &config, &requests);
     assert_eq!(served.len(), specs_sized.len() * 2 + 1, "{what}");
     for (k, (a, b)) in served.iter().zip(&legacy).enumerate() {
         assert!(
@@ -200,10 +214,11 @@ fn mixed_sequence_matches_legacy(
 }
 
 /// c17, shared-exact W-phase (cross-request trajectory + solver reuse):
-/// every served value is bit-identical to the legacy cold path across
-/// an out-of-order sequence even with `wphase_warm_start` set, which
-/// the exact W-phase ignores — the script's response lines equal a
-/// default cold session's byte for byte.
+/// every served value is bit-identical to each request on a new
+/// session across an out-of-order sequence even with
+/// `wphase_warm_start` set, which the exact W-phase ignores — the
+/// script's response lines equal a default configuration's, each line
+/// on a new session, byte for byte.
 #[test]
 fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
     let problem = c17_problem();
@@ -218,40 +233,32 @@ fn c17_mixed_sequence_shared_exact_is_bit_identical_to_legacy() {
         &sweep_specs,
         "c17 shared-exact",
     );
-    let served = served_lines(&problem, config, &specs_sized, &sweep_specs);
-    let cold = served_lines(&problem, SessionConfig::cold(), &specs_sized, &sweep_specs);
-    assert_eq!(served, cold, "c17 shared-exact vs default cold");
+    let requests = script(&specs_sized, &sweep_specs);
+    let served = served_lines(&problem, &config, &requests);
+    let fresh = fresh_lines(&problem, &SessionConfig::warm(), &requests);
+    assert_eq!(served, fresh, "c17 shared-exact vs default, fresh per line");
 }
 
-/// c17, fully cold session config: every request from fresh state.
-#[test]
-fn c17_mixed_sequence_cold_is_bit_identical_to_legacy() {
-    let problem = c17_problem();
-    mixed_sequence_matches_legacy(
-        &problem,
-        SessionConfig::cold(),
-        &[0.8, 0.6, 0.75],
-        &[0.9, 0.5],
-        "c17 cold",
-    );
-}
-
-/// c17, warm config (cross-request trajectory + solver reuse): the
-/// session must match the legacy stack (the same optimizer config on
-/// fresh cold sessions, point by point for the sweep) bit for bit,
-/// across a deliberately out-of-order sequence.
+/// c17 (cross-request trajectory + solver reuse): the session must
+/// match each request on a new session (point by point for the sweep)
+/// bit for bit, across deliberately out-of-order sequences.
 #[test]
 fn c17_mixed_sequence_warm_matches_legacy_warm_stack() {
     let problem = c17_problem();
-    mixed_sequence_matches_legacy(
-        &problem,
-        SessionConfig::warm(),
+    for (specs_sized, sweep_specs) in [
         // 0.8 → 0.6 (tighter) → 0.75 (looser: bump-log replay) → 0.6
         // (repeat) — the "size at an earlier target" case.
-        &[0.8, 0.6, 0.75, 0.6],
-        &[0.9, 0.7, 0.5],
-        "c17 warm",
-    );
+        (&[0.8, 0.6, 0.75, 0.6][..], &[0.9, 0.7, 0.5][..]),
+        (&[0.8, 0.6, 0.75][..], &[0.9, 0.5][..]),
+    ] {
+        mixed_sequence_matches_legacy(
+            &problem,
+            SessionConfig::warm(),
+            specs_sized,
+            sweep_specs,
+            "c17 warm",
+        );
+    }
 }
 
 /// The c432-like generated circuit (254 gates): the mixed sequence
@@ -269,7 +276,8 @@ fn c432_mixed_sequence_warm_is_bit_identical_to_legacy() {
     );
 }
 
-/// The c432-like circuit under the warm preset, sized 0.8 then 0.7.
+/// The c432-like circuit, sized 0.8 then 0.7 on one session, against
+/// each request on a new session.
 #[test]
 fn c432_warm_session_matches_legacy_warm_stack() {
     let problem = c432_problem();
@@ -278,25 +286,85 @@ fn c432_warm_session_matches_legacy_warm_stack() {
     let mut session = problem.session(config.clone());
     for spec in [0.8, 0.7] {
         let served = session.size_to(spec * dmin).unwrap();
-        let legacy = problem
-            .session(SessionConfig::cold_with(config.optimizer.clone()))
-            .size_to(spec * dmin)
-            .unwrap();
+        let legacy = fresh(&problem, &config, |s| s.size_to(spec * dmin)).unwrap();
         assert_solutions_bit_identical(&served, &legacy, &format!("c432 warm {spec}"));
     }
 }
 
+/// A seeded random order of `size`, `size_power`, `sweep` and
+/// TILOS-only requests (each kind equally often, at random specs)
+/// through one session: every answer equals the same request's answer
+/// on a new session — the wire line for the protocol requests, and for
+/// `tilos_to` the `Debug` form of its result (which prints every float
+/// round-trip exact).
+#[test]
+fn random_request_order_matches_fresh_sessions() {
+    let config = SessionConfig::warm();
+    for (what, problem, specs, rounds) in [
+        (
+            "c17",
+            c17_problem(),
+            &[0.9, 0.8, 0.7, 0.6, 0.5, 0.05][..],
+            6,
+        ),
+        ("c432", c432_problem(), &[0.9, 0.8, 0.7, 0.65, 0.6][..], 3),
+    ] {
+        let dmin = problem.dmin();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        // Every kind `rounds` times, Fisher–Yates shuffled.
+        let mut kinds: Vec<usize> = (0..4 * rounds).map(|k| k % 4).collect();
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, rng.gen_range(0..=i));
+        }
+        let mut session = problem.session(config.clone());
+        for (k, &kind) in kinds.iter().enumerate() {
+            let spec = specs[rng.gen_range(0..specs.len())];
+            let (got, want) = match kind {
+                0 => (
+                    format!("{:?}", session.tilos_to(spec * dmin)),
+                    format!(
+                        "{:?}",
+                        fresh(&problem, &config, |s| s.tilos_to(spec * dmin))
+                    ),
+                ),
+                kind => {
+                    let request = match kind {
+                        1 => Request::Size {
+                            spec: Some(spec),
+                            target: None,
+                            return_sizes: true,
+                        },
+                        2 => Request::SizePower {
+                            spec: Some(spec),
+                            target: None,
+                            return_sizes: true,
+                        },
+                        _ => Request::Sweep {
+                            specs: vec![spec, specs[rng.gen_range(0..specs.len())]],
+                        },
+                    };
+                    (
+                        session.serve(&request).to_json_line(),
+                        fresh(&problem, &config, |s| s.serve(&request).to_json_line()),
+                    )
+                }
+            };
+            assert_eq!(got, want, "{what}: request {k} at spec {spec}");
+        }
+    }
+}
+
 /// Unreachable targets fail identically through the session (the
-/// trajectory latches infeasibility like a cold run reports it).
+/// trajectory latches infeasibility like a new session reports it).
 #[test]
 fn unreachable_targets_match_legacy_errors() {
     let problem = c17_problem();
     let dmin = problem.dmin();
-    let mut session = problem.session(SessionConfig::warm());
+    let config = SessionConfig::warm();
+    let mut session = problem.session(config.clone());
     session.size_to(0.8 * dmin).unwrap();
     let served = session.size_to(0.05 * dmin).unwrap_err();
-    let mut cold = problem.session(SessionConfig::cold());
-    let legacy = cold.size_to(0.05 * dmin).unwrap_err();
+    let legacy = fresh(&problem, &config, |s| s.size_to(0.05 * dmin)).unwrap_err();
     assert_eq!(
         format!("{served}"),
         format!("{legacy}"),
@@ -306,13 +374,13 @@ fn unreachable_targets_match_legacy_errors() {
     let ok = session.size_to(0.7 * dmin).unwrap();
     assert_solutions_bit_identical(
         &ok,
-        &cold.size_to(0.7 * dmin).unwrap(),
+        &fresh(&problem, &config, |s| s.size_to(0.7 * dmin)).unwrap(),
         "post-failure request",
     );
 }
 
-/// The acceptance pin: cross-request reuse, asserted via the PR 3
-/// timing counters. The second size request at a nearby tighter target
+/// The acceptance pin: cross-request reuse, asserted via the timing
+/// counters. The second size request at a nearby tighter target
 /// performs **zero** cold STA full passes — the TILOS side advances the
 /// existing trajectory purely incrementally — and a repeated target
 /// does zero TILOS timing work at all (bump-log replay).
@@ -455,9 +523,9 @@ fn socket_round_trip_is_bit_identical_to_in_process_sessions() {
         ]
     };
 
-    // Expected lines through in-process sessions (one warm session per
-    // circuit, same preset the server loads with; session values are
-    // order-independent, so one fixed serving order stands in for
+    // Expected lines through in-process sessions (one session per
+    // circuit, the configuration the server loads with; session values
+    // are order-independent, so one fixed serving order stands in for
     // every interleaving).
     let mut expected: HashMap<String, String> = HashMap::new();
     {

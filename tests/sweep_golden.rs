@@ -1,6 +1,6 @@
-//! Golden pins for session sweeps: the warm-started sweep (all three
-//! reuse levers on) must reproduce the cold per-point curve, and worker
-//! partitioning must never change results.
+//! Golden pins for session sweeps: a session's sweep must reproduce the
+//! cold per-point curve (each request on its own new session), and
+//! worker partitioning must never change results.
 //!
 //! Equality contract (matching the session's documentation):
 //!
@@ -8,7 +8,7 @@
 //!   pinned bitwise everywhere, as are `Unreachable` outcomes.
 //! * The D-phase's simplex tree reuse never changes a bit, and each
 //!   W-phase fixpoint is a function of its budgets alone, so every
-//!   warm curve is pinned bitwise against the cold one.
+//!   sweep is pinned bitwise against the per-point curve.
 //! * `jobs = N` is pinned bit-identical to `jobs = 1` — no state a
 //!   worker carries from point to point (the TILOS trajectory, the
 //!   D-phase basis) changes a point's result, so every point is
@@ -18,7 +18,7 @@ mod common;
 
 use common::per_point_curve;
 use minflotransit::circuit::{parse_bench, SizingMode, C17_BENCH};
-use minflotransit::core::{MinflotransitConfig, SessionConfig, SizingProblem, SweepOutcome};
+use minflotransit::core::{SessionConfig, SizingProblem, SweepOutcome};
 use minflotransit::delay::Technology;
 use minflotransit::gen::alu;
 use proptest::prelude::*;
@@ -78,14 +78,14 @@ fn assert_bit_identical(a: &[SweepOutcome], b: &[SweepOutcome], what: &str) {
     }
 }
 
-/// On c17, the fully warm sweep (TILOS trajectory + shared solvers +
-/// D-phase warm starts) is bit-identical to the cold per-point curve, for
-/// one worker and for four.
+/// On c17, a session's sweep (TILOS trajectory + shared solvers +
+/// D-phase warm starts) is bit-identical to the cold per-point curve,
+/// for one worker and for four.
 #[test]
 fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
     let problem = c17_problem();
     let specs = [0.95, 0.85, 0.75, 0.65, 0.55, 0.5];
-    let cold = per_point_curve(&problem, &MinflotransitConfig::default(), &specs);
+    let cold = per_point_curve(&problem, &SessionConfig::warm(), &specs);
     for jobs in [1usize, 4] {
         let warm = problem
             .session(SessionConfig::warm().with_jobs(jobs))
@@ -108,13 +108,13 @@ fn golden_c17_warm_sweep_is_bit_identical_to_cold() {
 }
 
 /// On a generated datapath circuit (4-bit ALU), with an unreachable
-/// spec: the warm session sweep is bit-identical to the per-point cold
+/// spec: the session sweep is bit-identical to the per-point cold
 /// curve, and jobs=4 reproduces jobs=1 bitwise.
 #[test]
 fn golden_datapath_warm_sweep_matches_cold() {
     let problem = datapath_problem();
     let specs = [0.9, 0.8, 0.7, 0.6, 0.05];
-    let cold = per_point_curve(&problem, &MinflotransitConfig::default(), &specs);
+    let cold = per_point_curve(&problem, &SessionConfig::warm(), &specs);
     let warm = problem
         .session(SessionConfig::warm())
         .sweep(&specs)

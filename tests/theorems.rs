@@ -121,7 +121,7 @@ fn theorem3_monotone_descent() {
         .expect("builds");
     let target = 0.6 * problem.dmin();
     let sol = problem
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .size_to(target)
         .expect("runs");
     let mut area = sol.initial_area;
@@ -151,7 +151,7 @@ fn wphase_minimality_on_benchmark() {
     let model = problem.model();
     let target = 0.6 * problem.dmin();
     let tilos = problem
-        .session(SessionConfig::cold())
+        .session(SessionConfig::warm())
         .tilos_to(target)
         .expect("reachable");
     let budgets = model.delays(&tilos.sizes);
