@@ -1,13 +1,19 @@
 //! Criterion bench of the min-cost flow substrate: the network simplex
-//! on random transshipment networks, the D-phase LP dual, and the
+//! on random transshipment networks, the D-phase LP dual, the
 //! cold-rebuild vs incremental-reuse comparison for the optimizer's
-//! iteration cost-update pattern.
+//! iteration cost-update pattern, and the warm D-phase of a served
+//! session (`dphase_warm`, which also prints µs per solve and per
+//! pivot).
 //!
 //! Set `MFT_BENCH_SMOKE=1` for the single-sample CI run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mft_bench::smoke;
+use mft_circuit::SizingMode;
+use mft_core::{DPhaseStats, SessionConfig, SizingProblem};
+use mft_delay::Technology;
 use mft_flow::{DualLp, FlowNetwork, SimplexSolver};
+use mft_gen::Benchmark;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -235,5 +241,48 @@ fn bench_iteration_pattern(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flow, bench_iteration_pattern);
+/// The D-phase as a served session runs it: one c880-like session sized
+/// at 0.45, 0.42 and 0.40 of `D_min`. Its first flow solve is cold and
+/// every later one warm-starts. Prints the D-phase time per solve and
+/// per pivot of the fastest run, from the session's `dphase` counters.
+fn bench_dphase_warm(c: &mut Criterion) {
+    let netlist = Benchmark::C880.generate().expect("generator valid");
+    let problem = SizingProblem::prepare(&netlist, &Technology::cmos_130nm(), SizingMode::Gate)
+        .expect("prepares");
+    let dmin = problem.dmin();
+    let mut fastest: Option<DPhaseStats> = None;
+    let mut group = c.benchmark_group("dphase_warm");
+    group.sample_size(if smoke() { 1 } else { 10 });
+    group.bench_function("c880_like_session", |b| {
+        b.iter(|| {
+            let mut session = problem.session(SessionConfig::warm());
+            for spec in [0.45, 0.42, 0.40] {
+                black_box(session.size_to(spec * dmin).expect("reachable"));
+            }
+            let dphase = session.stats().dphase;
+            if fastest.is_none_or(|f| dphase.total_time < f.total_time) {
+                fastest = Some(dphase);
+            }
+        })
+    });
+    group.finish();
+    let d = fastest.expect("one run");
+    let us = d.total_time.as_secs_f64() * 1e6;
+    println!(
+        "dphase_warm/c880_like_session: {} solves ({} warm), {} pivots, \
+         {:.1} us/solve, {:.3} us/pivot",
+        d.solves(),
+        d.flow.warm_solves,
+        d.flow.pivots,
+        us / d.solves() as f64,
+        us / d.flow.pivots as f64
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_flow,
+    bench_iteration_pattern,
+    bench_dphase_warm
+);
 criterion_main!(benches);

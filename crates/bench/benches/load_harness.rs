@@ -244,8 +244,10 @@ struct OverloadReport {
 
 /// Phase 2: open-loop flood against a tiny admission bound.
 fn overload(problem: &SizingProblem) -> OverloadReport {
-    // Every admitted sweep runs the D/W loop at each of its specs, so
-    // the worker is saturated at this arrival rate. The flood opens
+    // Every admitted sweep runs the D/W loop at each of its specs, and
+    // requests arrive at least four times as often as a warm session
+    // serves a flood sweep, so the worker is saturated on any host
+    // however fast the solver gets. The flood opens
     // with a long sweep whose deadline is half what that sweep takes
     // on a warm session: the idle circuit admits and starts it at
     // once, and it answers `timeout` mid-computation, exercising
@@ -258,6 +260,17 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
     let t0 = Instant::now();
     warm.serve(&long_sweep);
     let long_sweep_deadline_ms = t0.elapsed().as_secs_f64() * 1e3 / 2.0;
+    let sweep = Request::Sweep {
+        specs: vec![0.9, 0.8, 0.7],
+    };
+    let sweep_time = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            warm.serve(&sweep);
+            t0.elapsed()
+        })
+        .min()
+        .expect("three timings");
     let handle = start_server(
         ServerConfig {
             max_queue_depth: 8,
@@ -271,7 +284,8 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
         Duration::from_micros(500)
     } else {
         Duration::from_micros(300)
-    };
+    }
+    .min(sweep_time / 4);
     let rss_before_kb = rss_kb();
 
     let stream = TcpStream::connect(handle.addr).expect("connect");
@@ -296,10 +310,7 @@ fn overload(problem: &SizingProblem) -> OverloadReport {
                 } else if i % 8 == 7 {
                     size_frame(0.8).with_deadline_ms(0.0)
                 } else {
-                    RequestFrame::new(Request::Sweep {
-                        specs: vec![0.9, 0.8, 0.7],
-                    })
-                    .for_circuit("dut")
+                    RequestFrame::new(sweep.clone()).for_circuit("dut")
                 };
                 let mut line = frame.with_id(&i.to_string()).to_json_line();
                 line.push('\n');

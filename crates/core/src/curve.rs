@@ -80,7 +80,8 @@ pub enum SweepOutcome {
 }
 
 /// The integer columns of both sweep sinks, in order: table header,
-/// table width, CSV key, and the value read from a point.
+/// table width, CSV key, and the value read from a point. `d-scan`
+/// counts the reduced costs the flow pricing computed.
 #[allow(clippy::type_complexity)]
 #[rustfmt::skip]
 const COUNTER_COLUMNS: [(&str, usize, &str, fn(&CurvePoint) -> usize); 14] = [

@@ -167,7 +167,7 @@ impl SizingReport {
         if let Some(solver) = &self.solver {
             let _ = writeln!(
                 s,
-                "d-phase [{}]: {} cold + {} warm solves ({} repairs, {} fallbacks), {} pivots over {} scanned arcs, flow time {:?}",
+                "d-phase [{}]: {} cold + {} warm solves ({} repairs, {} fallbacks), {} pivots, {} arcs priced, flow time {:?}",
                 solver.backend,
                 solver.flow.cold_solves,
                 solver.flow.warm_solves,

@@ -3,7 +3,9 @@
 //!
 //! Each simplex pivot must pick a non-basic arc violating the
 //! reduced-cost optimality conditions. Dantzig's rule takes the most
-//! negative violation over every arc, which gives the fewest pivots.
+//! negative violation over every real arc, which gives the fewest
+//! pivots; the artificial arcs are never priced, so one that leaves the
+//! basis stays out.
 //! [`DantzigBlocks`] caches the best arc of each fixed block of 64 arcs.
 //! Between selections every arc whose eligibility a pivot may have
 //! changed is merged into its block once its change is final: priced
@@ -29,7 +31,7 @@ const DANTZIG_BLOCK: usize = 64;
 /// Read-only pricing view of the current basis, offered to
 /// [`DantzigBlocks::select`] once per pivot.
 pub(crate) trait PricingContext {
-    /// Total number of internal arcs (public then artificial).
+    /// Number of arcs that can be eligible.
     fn num_arcs(&self) -> usize;
 
     /// The eligibility of arc `k` under the current potentials:
@@ -88,12 +90,15 @@ pub(crate) struct DantzigBlocks {
     dirty_list: Vec<usize>,
     /// Arcs touched since the last selection, in touch order.
     touched: Vec<u32>,
+    /// Reduced costs computed since the last reset: each arc a merge
+    /// prices alone, plus every arc of each block re-priced in full.
+    pub(crate) priced: usize,
 }
 
 impl DantzigBlocks {
     /// Clears per-solve state; called once before each solve's pivot
-    /// loop with the instance's internal arc count. Every block awaits a
-    /// full re-price afterwards.
+    /// loop with the count of arcs to price. Every block awaits a full
+    /// re-price afterwards.
     pub(crate) fn reset(&mut self, num_arcs: usize) {
         let blocks = num_arcs.div_ceil(DANTZIG_BLOCK);
         self.num_arcs = num_arcs;
@@ -104,6 +109,7 @@ impl DantzigBlocks {
         self.dirty_list.clear();
         self.dirty_list.extend(0..blocks);
         self.touched.clear();
+        self.priced = 0;
     }
 
     /// Records that arc `k`'s eligibility may have changed since the
@@ -132,6 +138,7 @@ impl DantzigBlocks {
                 self.dirty_list.push(b);
             }
             cached => {
+                self.priced += 1;
                 if let Some((violation, forward)) = pricing.violation(k) {
                     if cached.is_none_or(|(v, a, _)| (violation, k) < (v, a)) {
                         self.best[b] = Some((violation, k, forward));
@@ -142,16 +149,10 @@ impl DantzigBlocks {
     }
 
     /// Selects the entering arc, or `None` when no arc is eligible (the
-    /// current basis is optimal). Adds the number of arcs the selection
-    /// covers, every arc whether cached or re-priced, to `scanned`.
-    pub(crate) fn select<P: PricingContext>(
-        &mut self,
-        pricing: &P,
-        scanned: &mut usize,
-    ) -> Option<(usize, bool)> {
+    /// current basis is optimal).
+    pub(crate) fn select<P: PricingContext>(&mut self, pricing: &P) -> Option<(usize, bool)> {
         let n = pricing.num_arcs();
         assert_eq!(n, self.num_arcs, "reset before the first select");
-        *scanned += n;
         let mut touched = std::mem::take(&mut self.touched);
         for &k in &touched {
             self.merge(pricing, k as usize);
@@ -160,7 +161,9 @@ impl DantzigBlocks {
         self.touched = touched;
         for &b in &self.dirty_list {
             let lo = b * DANTZIG_BLOCK;
-            self.best[b] = best_in(pricing, lo, (lo + DANTZIG_BLOCK).min(n));
+            let hi = (lo + DANTZIG_BLOCK).min(n);
+            self.best[b] = best_in(pricing, lo, hi);
+            self.priced += hi - lo;
             self.dirty[b] = false;
         }
         self.dirty_list.clear();
@@ -207,10 +210,9 @@ mod tests {
             Some((-7, true)),
         ]);
         let mut dantzig = DantzigBlocks::default();
-        let mut scanned = 0;
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((2, false)));
-        assert_eq!(scanned, 4);
+        assert_eq!(dantzig.select(&table), Some((2, false)));
+        assert_eq!(dantzig.priced, 4);
     }
 
     /// A pricing table that counts the arcs it prices.
@@ -250,19 +252,18 @@ mod tests {
         let mut table = Counted::new(200);
         table.cells[10] = Some((-3, true));
         let mut dantzig = DantzigBlocks::default();
-        let mut scanned = 0;
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(dantzig.select(&table), Some((10, true)));
         assert_eq!(table.take_priced(), 200, "reset re-prices every block");
         // No touch: nothing is priced, the cached answer stands.
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(dantzig.select(&table), Some((10, true)));
         assert_eq!(table.take_priced(), 0);
         // Touching arcs that are not their block's best prices those
         // arcs alone.
         table.cells[100] = Some((-9, false));
         dantzig.touch(100);
         dantzig.touch(127);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((100, false)));
+        assert_eq!(dantzig.select(&table), Some((100, false)));
         assert_eq!(table.take_priced(), 2);
         // Touching a block's cached best re-prices the whole block once;
         // later touches in that block ride along.
@@ -270,16 +271,16 @@ mod tests {
         table.cells[90] = Some((-2, true));
         dantzig.touch(100);
         dantzig.touch(90);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(dantzig.select(&table), Some((10, true)));
         assert_eq!(table.take_priced(), 64);
         // The same two rules in the short last block.
         table.cells[199] = Some((-4, true));
         dantzig.touch(199);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((199, true)));
+        assert_eq!(dantzig.select(&table), Some((199, true)));
         assert_eq!(table.take_priced(), 1);
         table.cells[199] = None;
         dantzig.touch(199);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((10, true)));
+        assert_eq!(dantzig.select(&table), Some((10, true)));
         assert_eq!(table.take_priced(), 8);
         // A touched arc that orders after its block's cached best leaves
         // that best in place.
@@ -287,15 +288,15 @@ mod tests {
         dantzig.touch(80);
         table.cells[10] = None;
         dantzig.touch(10);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((90, true)));
+        assert_eq!(dantzig.select(&table), Some((90, true)));
         assert_eq!(table.take_priced(), 1 + 64);
-        // `arcs_scanned` counts every arc each selection covers.
-        assert_eq!(scanned, 7 * 200);
+        // `priced` counts the reduced costs computed since the reset.
+        assert_eq!(dantzig.priced, 200 + 2 + 64 + 1 + 8 + 1 + 64);
         // An untouched change stays invisible until a reset.
         table.cells[150] = Some((-8, true));
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((90, true)));
+        assert_eq!(dantzig.select(&table), Some((90, true)));
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((150, true)));
+        assert_eq!(dantzig.select(&table), Some((150, true)));
     }
 
     #[test]
@@ -306,11 +307,10 @@ mod tests {
         table.cells[10] = Some((-3, true));
         table.cells[70] = Some((-5, false));
         let (mut now, mut later) = (DantzigBlocks::default(), DantzigBlocks::default());
-        let mut scanned = 0;
         now.reset(table.num_arcs());
         later.reset(table.num_arcs());
-        assert_eq!(now.select(&table, &mut scanned), Some((70, false)));
-        assert_eq!(later.select(&table, &mut scanned), Some((70, false)));
+        assert_eq!(now.select(&table), Some((70, false)));
+        assert_eq!(later.select(&table), Some((70, false)));
         // Arc 70, the cached best, drops out; 90 improves in its block;
         // 150 appears in another: in either order of merges.
         for changes in [[70, 90, 150], [150, 90, 70]] {
@@ -323,16 +323,16 @@ mod tests {
                 now.merge(&table, k);
                 later.touch(k);
             }
-            let got = now.select(&table, &mut scanned);
-            assert_eq!(got, later.select(&table, &mut scanned), "{changes:?}");
+            let got = now.select(&table);
+            assert_eq!(got, later.select(&table), "{changes:?}");
             assert_eq!(got, dantzig_full_scan(&table), "{changes:?}");
             table.cells[70] = Some((-5, false));
             table.cells[90] = None;
             table.cells[150] = None;
             now.reset(table.num_arcs());
             later.reset(table.num_arcs());
-            now.select(&table, &mut scanned);
-            later.select(&table, &mut scanned);
+            now.select(&table);
+            later.select(&table);
         }
     }
 
@@ -341,28 +341,27 @@ mod tests {
         let mut table = Counted::new(128);
         table.cells[40] = Some((-5, true));
         let mut dantzig = DantzigBlocks::default();
-        let mut scanned = 0;
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((40, true)));
+        assert_eq!(dantzig.select(&table), Some((40, true)));
         // An equal violation at a higher index does not displace 40 ...
         table.cells[50] = Some((-5, false));
         dantzig.touch(50);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((40, true)));
+        assert_eq!(dantzig.select(&table), Some((40, true)));
         // ... one at a lower index does, in either touch order.
         table.cells[20] = Some((-5, false));
         table.cells[30] = Some((-5, true));
         dantzig.touch(30);
         dantzig.touch(20);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((20, false)));
+        assert_eq!(dantzig.select(&table), Some((20, false)));
         // A tie across blocks keeps the lower block's arc.
         table.cells[64] = Some((-5, true));
         dantzig.touch(64);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((20, false)));
+        assert_eq!(dantzig.select(&table), Some((20, false)));
         assert_eq!(table.take_priced(), 128 + 1 + 2 + 1);
         // Once 20 drops out, its block's re-price finds 30 next.
         table.cells[20] = None;
         dantzig.touch(20);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((30, true)));
+        assert_eq!(dantzig.select(&table), Some((30, true)));
     }
 
     #[test]
@@ -372,21 +371,20 @@ mod tests {
         table.cells[63] = Some((-5, false));
         table.cells[190] = Some((-5, true));
         let mut dantzig = DantzigBlocks::default();
-        let mut scanned = 0;
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((63, false)));
+        assert_eq!(dantzig.select(&table), Some((63, false)));
         // Re-pricing a later block with an equal violation keeps 63.
         table.cells[130] = Some((-5, true));
         dantzig.touch(130);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((63, false)));
+        assert_eq!(dantzig.select(&table), Some((63, false)));
         // Once 63 drops out, the next lowest of the tied arcs wins.
         table.cells[63] = None;
         dantzig.touch(63);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((64, true)));
+        assert_eq!(dantzig.select(&table), Some((64, true)));
         // A strictly smaller violation wins wherever it sits.
         table.cells[191] = Some((-6, false));
         dantzig.touch(191);
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((191, false)));
+        assert_eq!(dantzig.select(&table), Some((191, false)));
     }
 
     #[test]
@@ -394,13 +392,12 @@ mod tests {
         let mut table = Counted::new(130);
         table.cells[129] = Some((-1, true));
         let mut dantzig = DantzigBlocks::default();
-        let mut scanned = 0;
         dantzig.reset(table.num_arcs());
-        assert_eq!(dantzig.select(&table, &mut scanned), Some((129, true)));
+        assert_eq!(dantzig.select(&table), Some((129, true)));
         table.cells[129] = None;
         dantzig.touch(129);
-        assert_eq!(dantzig.select(&table, &mut scanned), None);
+        assert_eq!(dantzig.select(&table), None);
         assert_eq!(table.take_priced(), 130 + 2);
-        assert_eq!(scanned, 2 * 130);
+        assert_eq!(dantzig.priced, 130 + 2);
     }
 }

@@ -8,12 +8,24 @@
 //!
 //! * an artificial root node with big-`M` arcs gives the initial
 //!   spanning tree (all supplies routed through the root);
-//! * each pivot brings in the arc with the most negative reduced-cost
-//!   violation (block-cached Dantzig pricing), pushes flow around the
-//!   unique tree cycle, and re-hangs the subtree cut off by the leaving
-//!   arc;
+//! * each pivot brings in the real arc with the most negative
+//!   reduced-cost violation (block-cached Dantzig pricing), pushes flow
+//!   around the unique tree cycle, and re-hangs the subtree cut off by
+//!   the leaving arc;
 //! * artificial flow remaining at optimality signals infeasibility; an
 //!   uncapacitated negative cycle signals unboundedness.
+//!
+//! **Only the real arcs are priced.** An artificial arc enters the basis
+//! only through a basis install (the cold star, or a warm repair swap);
+//! once a pivot drives it out, at zero flow, it never re-enters (as in
+//! LEMON's `NetworkSimplex` with balanced supplies). That keeps the
+//! method exact. Dropping the non-basic artificial arcs leaves every
+//! real-only feasible flow feasible, so a basis with no eligible real
+//! arc is optimal for the network plus the basic artificial arcs. With
+//! big-`M` = (max|cost| + 1) · nodes, every cycle through the root
+//! carries two artificial arcs and costs more than
+//! 2 · big-`M` − nodes · max|cost| > 0, so an optimum that still routes
+//! flow through the root proves the instance infeasible.
 //!
 //! **Per-pivot cost.** A pivot costs its pricing, the walk around the
 //! tree cycle, and the basis exchange (Király & Kovács, "Efficient
@@ -23,11 +35,11 @@
 //! arc's inner endpoint up to the node below the leaving arc; the rest
 //! of the moved subtree keeps its parents. Its potentials all shift by
 //! one exact `i64` amount σ (tree arcs inside it keep zero reduced
-//! cost), so one walk of the subtree adds σ and re-derives depths,
-//! without any per-node arc lookups. Only arcs with exactly one endpoint
-//! in the moved subtree change reduced cost, so the exchange prices
-//! just those boundary arcs (read, with their heads, from the
-//! topology's adjacency) and the moved nodes' artificial arcs as its
+//! cost), so one walk of the subtree adds σ, re-derives depths and
+//! stamps each node with the exchange's epoch, without any per-node arc
+//! lookups. Only arcs with exactly one endpoint in the moved subtree
+//! change reduced cost, so the exchange prices just those boundary real
+//! arcs (read, with their heads, from the topology's adjacency) as its
 //! walk finds them, and touches the entering arc for the next
 //! selection; Dantzig pricing merges each such arc alone into its
 //! 64-arc block and re-prices a whole block only when the arc was that
@@ -52,9 +64,10 @@
 //! **Warm starts.** Every solve after the first starts from the
 //! previous solve's spanning tree: non-basic arc flows are kept, the
 //! basic (tree) arc flows are recomputed leaf-to-root for the new
-//! supplies, and artificial arcs flip direction freely (they are
-//! symmetric big-`M` arcs). A real tree arc that would need a flow
-//! outside `[0, cap]` is repaired in place (counted in
+//! supplies, and basic artificial arcs flip direction freely (they are
+//! symmetric big-`M` arcs; a non-basic one carries nothing and is never
+//! priced, so its direction is never read). A real tree arc that would
+//! need a flow outside `[0, cap]` is repaired in place (counted in
 //! [`SolverStats::warm_repairs`]); a retained state that cannot be
 //! repaired falls back to a cold start (counted in
 //! [`SolverStats::warm_fallbacks`]). [`SimplexSolver::invalidate`]
@@ -103,7 +116,8 @@ pub struct SimplexSolver {
     flow: Vec<f64>,
     /// Whether each arc is in the current spanning tree.
     in_tree: Vec<bool>,
-    /// Direction of each node's artificial arc (`true` = node → root).
+    /// Direction of each node's artificial arc (`true` = node → root),
+    /// read only while the arc is basic.
     art_to_root: Vec<bool>,
     // The spanning tree rooted at the artificial root: set by the basis
     // installs, kept up to date by `exchange` on every pivot.
@@ -119,9 +133,11 @@ pub struct SimplexSolver {
     /// Root-first walk of the tree's child lists, taken by each warm
     /// install: every node comes after its parent.
     order: Vec<u32>,
-    /// The subtree the last exchange moved, top-down, and its members.
+    /// The subtree the last exchange moved, top-down; its members carry
+    /// that exchange's `epoch` in `stamp`, and no other node does.
     subtree: Vec<u32>,
-    in_subtree: Vec<bool>,
+    stamp: Vec<u32>,
+    epoch: u32,
     /// Cycle walks of the current pivot (taken/restored around borrows).
     cycle_va: Vec<usize>,
     cycle_vb: Vec<usize>,
@@ -144,18 +160,17 @@ pub struct SimplexSolver {
 struct TreePricing<'a> {
     topo: &'a NetworkTopology,
     layer: &'a CostLayer,
-    art_to_root: &'a [bool],
     flow: &'a [f64],
     in_tree: &'a [bool],
     pi: &'a [i64],
-    big_m: i64,
     /// Minimum residual flow for backward eligibility.
     backward_eps: f64,
 }
 
 impl PricingContext for TreePricing<'_> {
+    /// The real arcs only: an artificial arc is never eligible.
     fn num_arcs(&self) -> usize {
-        self.flow.len()
+        self.topo.num_arcs()
     }
 
     // Forced: without it the pricing's scan loop keeps an out-of-line
@@ -165,17 +180,12 @@ impl PricingContext for TreePricing<'_> {
         if self.in_tree[k] {
             return None;
         }
-        let (from, to) = arc_endpoints(self.topo, self.art_to_root, k);
-        let (cost, cap) = if k < self.topo.num_arcs() {
-            (self.layer.costs[k], self.layer.caps[k])
-        } else {
-            (self.big_m, f64::INFINITY)
-        };
-        let rc = cost + self.pi[from] - self.pi[to];
+        let (from, to) = self.topo.arc_endpoints(k);
+        let rc = self.layer.costs[k] + self.pi[from] - self.pi[to];
         // Forward and backward eligibility are mutually exclusive
         // (rc < 0 vs rc > 0), so checking forward first preserves the
         // historical inline loop's outcome exactly.
-        if self.flow[k] < cap && rc < 0 {
+        if self.flow[k] < self.layer.caps[k] && rc < 0 {
             return Some((rc, true));
         }
         if self.flow[k] > self.backward_eps && -rc < 0 {
@@ -185,40 +195,19 @@ impl PricingContext for TreePricing<'_> {
     }
 }
 
-/// The solver's [`TreePricing`] view for big-`M` cost `$big_m` and
-/// balance tolerance `$eps`, borrowing field by field.
+/// The solver's [`TreePricing`] view for balance tolerance `$eps`,
+/// borrowing field by field.
 macro_rules! tree_pricing {
-    ($solver:expr, $big_m:expr, $eps:expr) => {
+    ($solver:expr, $eps:expr) => {
         TreePricing {
             topo: &$solver.topo,
             layer: &$solver.layer,
-            art_to_root: &$solver.art_to_root,
             flow: &$solver.flow,
             in_tree: &$solver.in_tree,
             pi: &$solver.pi,
-            big_m: $big_m,
             backward_eps: $eps.min(1e-12),
         }
     };
-}
-
-/// Endpoints of internal arc `k`: public arcs first, then one
-/// artificial arc per node `v` between `v` and the root, in its current
-/// orientation.
-#[inline]
-fn arc_endpoints(topo: &NetworkTopology, art_to_root: &[bool], k: usize) -> (usize, usize) {
-    let m = topo.num_arcs();
-    if k < m {
-        topo.arc_endpoints(k)
-    } else {
-        let v = k - m;
-        let root = topo.num_nodes();
-        if art_to_root[v] {
-            (v, root)
-        } else {
-            (root, v)
-        }
-    }
 }
 
 impl SimplexSolver {
@@ -246,7 +235,8 @@ impl SimplexSolver {
             prev_sib: vec![NONE; num_nodes],
             order: Vec::with_capacity(num_nodes),
             subtree: Vec::new(),
-            in_subtree: vec![false; num_nodes],
+            stamp: vec![0; num_nodes],
+            epoch: 0,
             cycle_va: Vec::new(),
             cycle_vb: Vec::new(),
             need: vec![0.0; num_nodes],
@@ -259,9 +249,15 @@ impl SimplexSolver {
         }
     }
 
-    /// Endpoints of arc `k` (public or artificial, current orientation).
+    /// Endpoints of arc `k`: public arcs first, then one artificial arc
+    /// per node `v` between `v` and the root, in its current orientation.
     fn endpoints(&self, k: usize) -> (usize, usize) {
-        arc_endpoints(&self.topo, &self.art_to_root, k)
+        let (m, root) = (self.topo.num_arcs(), self.topo.num_nodes());
+        match k.checked_sub(m) {
+            None => self.topo.arc_endpoints(k),
+            Some(v) if self.art_to_root[v] => (v, root),
+            Some(v) => (root, v),
+        }
     }
 
     fn arc_cap(&self, k: usize) -> f64 {
@@ -348,11 +344,12 @@ impl SimplexSolver {
     /// its parents, depths and potentials), so the pivot sequence does
     /// not depend on which of the two maintained it.
     ///
-    /// Then the exchange merges into the pricing every non-tree arc
-    /// with exactly one endpoint in the moved subtree, which includes
-    /// the leaving arc: arcs inside it keep their reduced costs, and
-    /// arcs outside it keep their potentials. Their eligibility is final
-    /// here, so each is priced as the walk finds it.
+    /// Then the exchange merges into the pricing every non-tree real
+    /// arc with exactly one endpoint in the moved subtree, which
+    /// includes a real leaving arc: arcs inside it keep their reduced
+    /// costs, and arcs outside it keep their potentials. Their
+    /// eligibility is final here, so each is priced as the walk finds
+    /// it. The moved nodes' artificial arcs are never priced.
     fn exchange(
         &mut self,
         entering: usize,
@@ -378,6 +375,12 @@ impl SimplexSolver {
             }
             (w, p, arc) = (old_parent, w, old_arc);
         }
+        // Stamp a fresh epoch; on wrap-around, no old stamp may match.
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
         // Walk the moved subtree top-down (the list is its own queue).
         self.subtree.clear();
         self.subtree.push(inner as u32);
@@ -387,30 +390,21 @@ impl SimplexSolver {
             head += 1;
             self.depth[w] = self.depth[self.parent[w]] + 1;
             self.pi[w] += sigma;
-            self.in_subtree[w] = true;
+            self.stamp[w] = self.epoch;
             let mut child = self.first_child[w];
             while child != NONE {
                 self.subtree.push(child);
                 child = self.next_sib[child as usize];
             }
         }
-        let m = self.topo.num_arcs();
-        let pricing = tree_pricing!(self, big_m, eps);
+        let pricing = tree_pricing!(self, eps);
         for &w in &self.subtree {
-            let w = w as usize;
-            for &(i, other) in self.topo.public_adjacent(w) {
+            for &(i, other) in self.topo.public_adjacent(w as usize) {
                 let k = i as usize >> 1;
-                if !self.in_subtree[other as usize] && !self.in_tree[k] {
+                if self.stamp[other as usize] != self.epoch && !self.in_tree[k] {
                     self.dantzig.merge(&pricing, k);
                 }
             }
-            // The artificial arc's other end is the root, never moved.
-            if !self.in_tree[m + w] {
-                self.dantzig.merge(&pricing, m + w);
-            }
-        }
-        for &w in &self.subtree {
-            self.in_subtree[w as usize] = false;
         }
     }
 
@@ -480,12 +474,6 @@ impl SimplexSolver {
             let (from, to) = self.topo.arc_endpoints(k);
             need[from] -= f;
             need[to] += f;
-        }
-        for v in 0..n {
-            if !self.in_tree[m + v] {
-                debug_assert_eq!(self.flow[m + v], 0.0);
-                self.art_to_root[v] = self.layer.supply[v] >= 0.0;
-            }
         }
         // Walk the child lists root first (the list is its own queue).
         self.order.clear();
@@ -588,10 +576,11 @@ impl SimplexSolver {
     }
 
     /// Runs primal pivots until optimality, selecting entering arcs by
-    /// block-cached Dantzig pricing. Returns `(pivots, arcs_scanned)`
-    /// for stats attribution. Each pivot costs its pricing, the tree
-    /// cycle, and the walk of the subtree it re-hangs; every arc whose
-    /// eligibility a pivot can change is merged into the pricing.
+    /// block-cached Dantzig pricing over the real arcs. Returns
+    /// `(pivots, reduced costs computed)` for stats attribution. Each
+    /// pivot costs its pricing, the tree cycle, and the walk of the
+    /// subtree it re-hangs; every real arc whose eligibility a pivot can
+    /// change is merged into the pricing.
     ///
     /// # Errors
     ///
@@ -601,12 +590,10 @@ impl SimplexSolver {
     fn run_pivots(&mut self, big_m: i64, eps: f64) -> Result<(usize, usize), FlowError> {
         // The pivot cap is a generous safety net; typical instances use
         // far fewer.
-        let num_arcs = self.flow.len();
-        let max_pivots = 200 * num_arcs + 10_000;
+        let max_pivots = 200 * self.flow.len() + 10_000;
         let mut attempts = 0usize;
         let mut pivots = 0usize;
-        let mut scanned = 0usize;
-        self.dantzig.reset(num_arcs);
+        self.dantzig.reset(self.topo.num_arcs());
         loop {
             attempts += 1;
             if attempts > max_pivots {
@@ -621,8 +608,8 @@ impl SimplexSolver {
             {
                 return Err(FlowError::Cancelled);
             }
-            let pricing = tree_pricing!(self, big_m, eps);
-            let selected = self.dantzig.select(&pricing, &mut scanned);
+            let pricing = tree_pricing!(self, eps);
+            let selected = self.dantzig.select(&pricing);
             #[cfg(test)]
             self.assert_selection_matches_full_scan(&pricing, selected);
             let Some((entering, forward)) = selected else {
@@ -736,7 +723,7 @@ impl SimplexSolver {
             self.cycle_va = va;
             self.cycle_vb = vb;
         }
-        Ok((pivots, scanned))
+        Ok((pivots, self.dantzig.priced))
     }
 
     /// Post-pivot epilogue: infeasibility check, flow extraction, clean
@@ -746,7 +733,7 @@ impl SimplexSolver {
         &mut self,
         warm: bool,
         pivots: usize,
-        scanned: usize,
+        priced: usize,
         total_pos: f64,
         scale: f64,
         eps: f64,
@@ -775,7 +762,7 @@ impl SimplexSolver {
                 .compute(&self.topo, &self.layer, &self.flow[..m], &self.pi, dust)?;
         self.has_state = true;
         self.stats.pivots += pivots;
-        self.stats.arcs_scanned += scanned;
+        self.stats.arcs_scanned += priced;
         if warm {
             self.stats.warm_solves += 1;
         } else {
@@ -868,8 +855,8 @@ impl SimplexSolver {
         }
         self.has_state = false;
 
-        let (pivots, scanned) = self.run_pivots(big_m, eps)?;
-        self.finish(warm, pivots, scanned, total_pos, scale, eps)
+        let (pivots, priced) = self.run_pivots(big_m, eps)?;
+        self.finish(warm, pivots, priced, total_pos, scale, eps)
     }
 
     /// Cold/warm counters since construction.
@@ -893,6 +880,9 @@ mod tests {
         static PRICING_CHECKS: Cell<usize> = const { Cell::new(0) };
         /// Nodes moved by the exchanges cross-checked on this thread.
         static MOVED_NODES: Cell<usize> = const { Cell::new(0) };
+        /// Selections on this test thread whose entering arc was
+        /// artificial: the pricing covers the real arcs only, so 0.
+        static ARTIFICIAL_ENTRIES: Cell<usize> = const { Cell::new(0) };
     }
 
     /// What last changed the spanning tree, for the cross-check tallies.
@@ -967,7 +957,10 @@ mod tests {
             for u in 0..self.parent.len() {
                 assert_eq!(self.children(u), fresh.children(u), "children of {u}");
             }
-            assert!(self.in_subtree.iter().all(|&b| !b), "membership cleared");
+            assert!(
+                self.stamp.iter().all(|&e| e <= self.epoch),
+                "no stamp from a future epoch"
+            );
             let slot = match event {
                 TreeEvent::Exchange => {
                     TREE_CHECKS.with(|c| c.set(c.get() + 1));
@@ -1015,14 +1008,95 @@ mod tests {
         ) {
             assert_eq!(selected, crate::pivot::dantzig_full_scan(pricing));
             PRICING_CHECKS.with(|c| c.set(c.get() + 1));
+            if selected.is_some_and(|(k, _)| k >= self.topo.num_arcs()) {
+                ARTIFICIAL_ENTRIES.with(|c| c.set(c.get() + 1));
+            }
         }
+
+        /// Solves, then checks that no artificial arc carries flow, and
+        /// that the solution matches the reference oracle on a mirror
+        /// network built from the solver's current instance.
+        fn solve_and_match_reference(&mut self) {
+            let got = self.solve().unwrap();
+            let m = self.topo.num_arcs();
+            // Zero up to the rounding of the fractional supplies' sums.
+            let (_, scale) = check_balance(&self.layer.supply).unwrap();
+            let artificial: f64 = self.flow[m..].iter().sum();
+            assert!(artificial <= 1e-12 * scale, "artificial flow {artificial}");
+            let mut mirror = FlowNetwork::new(self.num_nodes());
+            for v in 0..self.num_nodes() {
+                mirror.set_supply(v, self.supply(v));
+            }
+            for k in 0..m {
+                let (from, to) = self.topo.arc_endpoints(k);
+                let (cap, cost) = (self.layer.caps[k], self.layer.costs[k]);
+                mirror.add_arc(from, to, cap, cost).unwrap();
+            }
+            let want = mirror.solve_reference().unwrap();
+            let tol = 1e-9 * (1.0 + want.total_cost.abs());
+            assert!((got.total_cost - want.total_cost).abs() < tol);
+            assert_eq!(got.potentials, want.potentials);
+            got.verify(&mirror).unwrap();
+        }
+    }
+
+    /// A ring with random chords, 40% of them capacitated, and
+    /// fractional balanced supplies.
+    fn ring_network(rng: &mut rand::rngs::StdRng, n: usize) -> FlowNetwork {
+        use rand::Rng;
+        let mut net = FlowNetwork::new(n);
+        let mut total = 0.0;
+        for v in 0..n - 1 {
+            let s = rng.gen_range(-3.0..3.0);
+            net.set_supply(v, s);
+            total += s;
+        }
+        net.set_supply(n - 1, -total);
+        for v in 0..n {
+            net.add_arc(v, (v + 1) % n, f64::INFINITY, rng.gen_range(0..10))
+                .unwrap();
+            for _ in 0..3 {
+                let u = rng.gen_range(0..n);
+                if u != v {
+                    let cap = if rng.gen_bool(0.4) {
+                        rng.gen_range(0.5..3.0)
+                    } else {
+                        f64::INFINITY
+                    };
+                    net.add_arc(v, u, cap, rng.gen_range(0..20)).unwrap();
+                }
+            }
+        }
+        net
+    }
+
+    /// Rewrites half the costs at random and drifts the supplies, which
+    /// moves tree flows past their capacities: the next warm start
+    /// repairs them with artificial arcs.
+    fn perturb(rng: &mut rand::rngs::StdRng, solver: &mut SimplexSolver) {
+        use rand::Rng;
+        let (n, m) = (solver.num_nodes(), solver.num_arcs());
+        for _ in 0..m / 2 {
+            let k = rng.gen_range(0..m);
+            solver.set_cost(k, rng.gen_range(0..25)).unwrap();
+        }
+        let mut shift = 0.0;
+        for v in 0..n - 1 {
+            let d = rng.gen_range(-1.0..1.0);
+            let s = solver.supply(v);
+            solver.set_supply(v, s + d);
+            shift += d;
+        }
+        let last = solver.supply(n - 1);
+        solver.set_supply(n - 1, last - shift);
     }
 
     /// Every basis exchange and every basis install (cold stars, warm
     /// re-solves with and without repairs that swap artificial arcs in)
     /// of solves with finite capacities leaves the tree a rebuild would
-    /// produce, and every block-cached Dantzig selection is the full
-    /// scan's.
+    /// produce, every block-cached Dantzig selection is the full scan's
+    /// and enters a real arc, and every solve ends with no artificial
+    /// flow and the reference oracle's potentials.
     #[test]
     fn incremental_tree_matches_rebuild_after_every_pivot() {
         use rand::rngs::StdRng;
@@ -1034,48 +1108,10 @@ mod tests {
         let mut repairs = 0;
         for _ in 0..12 {
             let n = rng.gen_range(6..24);
-            let mut net = FlowNetwork::new(n);
-            let mut total = 0.0;
-            for v in 0..n - 1 {
-                let s = rng.gen_range(-3.0..3.0);
-                net.set_supply(v, s);
-                total += s;
-            }
-            net.set_supply(n - 1, -total);
-            for v in 0..n {
-                net.add_arc(v, (v + 1) % n, f64::INFINITY, rng.gen_range(0..10))
-                    .unwrap();
-                for _ in 0..3 {
-                    let u = rng.gen_range(0..n);
-                    if u != v {
-                        let cap = if rng.gen_bool(0.4) {
-                            rng.gen_range(0.5..3.0)
-                        } else {
-                            f64::INFINITY
-                        };
-                        net.add_arc(v, u, cap, rng.gen_range(0..20)).unwrap();
-                    }
-                }
-            }
-            let mut solver = SimplexSolver::new(&net);
+            let mut solver = SimplexSolver::new(&ring_network(&mut rng, n));
             for _ in 0..4 {
-                solver.solve().unwrap();
-                let m = solver.num_arcs();
-                for _ in 0..m / 2 {
-                    let k = rng.gen_range(0..m);
-                    solver.set_cost(k, rng.gen_range(0..25)).unwrap();
-                }
-                // Supply drift moves tree flows past their bounds,
-                // which the warm start repairs with artificial arcs.
-                let mut shift = 0.0;
-                for v in 0..n - 1 {
-                    let d = rng.gen_range(-1.0..1.0);
-                    let s = solver.supply(v);
-                    solver.set_supply(v, s + d);
-                    shift += d;
-                }
-                let last = solver.supply(n - 1);
-                solver.set_supply(n - 1, last - shift);
+                solver.solve_and_match_reference();
+                perturb(&mut rng, &mut solver);
             }
             let stats = solver.stats();
             assert!(
@@ -1124,7 +1160,7 @@ mod tests {
             }
         }
         let mut solver = SimplexSolver::new(&net);
-        solver.solve().unwrap();
+        solver.solve_and_match_reference();
         let (checks_cold, moved_cold) = (TREE_CHECKS.with(Cell::get), MOVED_NODES.with(Cell::get));
         for _ in 0..6 {
             let m = solver.num_arcs();
@@ -1133,7 +1169,7 @@ mod tests {
                     solver.set_cost(k, rng.gen_range(1..20)).unwrap();
                 }
             }
-            solver.solve().unwrap();
+            solver.solve_and_match_reference();
         }
         let exchanges = TREE_CHECKS.with(Cell::get) - checks_cold;
         let moved = MOVED_NODES.with(Cell::get) - moved_cold;
@@ -1152,6 +1188,31 @@ mod tests {
             plain >= 6 && repaired >= 10,
             "{plain} plain, {repaired} repaired"
         );
+        assert_eq!(ARTIFICIAL_ENTRIES.with(Cell::get), 0);
+    }
+
+    /// The exchange's membership stamps stay exact across the `u32`
+    /// epoch wrap-around: stamps left from before it cannot pass for
+    /// members of a later subtree (every exchange and selection is
+    /// still cross-checked).
+    #[test]
+    fn exchange_stamps_survive_the_epoch_wrap() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut solver = SimplexSolver::new(&ring_network(&mut rng, 40));
+        solver.solve_and_match_reference();
+        let early = solver.epoch;
+        assert!(early > 3, "{early} cold exchanges");
+        solver.epoch = u32::MAX - 3;
+        let checks_before = TREE_CHECKS.with(Cell::get);
+        for _ in 0..3 {
+            perturb(&mut rng, &mut solver);
+            solver.solve_and_match_reference();
+        }
+        // Wrapped, and past the stamps the cold exchanges left.
+        assert!(solver.epoch > early && solver.epoch < u32::MAX / 2);
+        assert!(TREE_CHECKS.with(Cell::get) > checks_before + 3);
+        assert_eq!(ARTIFICIAL_ENTRIES.with(Cell::get), 0);
     }
 
     /// Big-`M` may reach `i64::MAX / 8`, where the `i64` potentials and

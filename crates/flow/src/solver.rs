@@ -64,10 +64,9 @@ pub struct SolverStats {
     pub warm_repairs: usize,
     /// Simplex pivots performed across completed solves.
     pub pivots: usize,
-    /// Arcs covered by Dantzig entering-arc selections across completed
-    /// solves: every arc per selection, whether its block was re-priced
-    /// or served from the cache. It counts the selections' reach, not
-    /// the per-pivot pricing work.
+    /// Reduced costs the Dantzig pricing computed across completed
+    /// solves: each arc a basis exchange priced alone, plus every arc of
+    /// each block re-priced in full. A cached block costs nothing.
     pub arcs_scanned: usize,
 }
 

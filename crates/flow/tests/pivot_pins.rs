@@ -4,11 +4,11 @@
 //! pivots; the tree it keeps must be the one a from-scratch rebuild
 //! would produce, so the entering/leaving sequence never depends on how
 //! the tree is maintained. These pins record `SolverStats::{pivots,
-//! arcs_scanned}` over a cold solve plus warm
-//! re-solves (cost rewrites, supply drift, finite capacities that force
-//! warm repairs through artificial arcs) on seeded random networks. Any
-//! change to tie-breaking, pricing order or the tree update shows up as
-//! a count mismatch here before it reaches a golden.
+//! arcs_scanned}` (reduced costs the pricing computed) over a cold solve
+//! plus warm re-solves (cost rewrites, supply drift, finite capacities
+//! that force warm repairs through artificial arcs) on seeded random
+//! networks. Any change to tie-breaking, pricing order or the tree
+//! update shows up as a count mismatch here before it reaches a golden.
 
 use mft_flow::{FlowNetwork, SimplexSolver};
 use rand::rngs::StdRng;
@@ -81,10 +81,10 @@ fn pivot_counts(seed: u64) -> (usize, usize, usize) {
 /// fractional, so a warm install's flows depend on the order its float
 /// sums take: the leaf-to-root order of a walk of the tree's child lists.
 const RECORDED: [(u64, (usize, usize, usize)); 4] = [
-    (1, (180, 43896, 2)),
-    (2, (157, 38631, 2)),
-    (3, (167, 40828, 2)),
-    (4, (179, 44215, 2)),
+    (1, (171, 19866, 2)),
+    (2, (154, 15680, 2)),
+    (3, (154, 18736, 2)),
+    (4, (175, 21177, 2)),
 ];
 
 #[test]
