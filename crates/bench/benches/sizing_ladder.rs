@@ -1,21 +1,19 @@
 //! The 100k-gate scaling ladder (`mft_gen::SIZING_LADDER`): per-rung
 //! measurements of the two hot loops this stack optimizes.
 //!
-//! 1. **Bump loop** — a fixed-budget TILOS advance toward an impossible
-//!    target, once with the incremental sensitivity cache
-//!    (`TilosConfig::sensitivity_cache`, the default) and once with the
-//!    historical per-bump scan. Both runs execute the identical bump
-//!    sequence (asserted bitwise on the resulting sizes); the bench
-//!    records wall time, the sensitivity share of each run
-//!    (`TilosConfig::profile_timing`), and the cache's hit/miss/
-//!    invalidation counters.
+//! 1. **Bump loop** — one fixed-budget TILOS advance toward an
+//!    impossible target. The bench records its wall time, the
+//!    sensitivity share of the loop (`TilosConfig::profile_timing`),
+//!    and the sensitivity cache's hit/miss/invalidation counters
+//!    (asserting at least one hit).
 //! 2. **Rebase churn replay** — W-phase-shaped candidate evaluations
 //!    routed exactly as the optimizer routes them
 //!    (`DelayModel::delays_diff` + `IncrementalTiming::rebase_scoped`)
 //!    across churn fractions from 1% to 75%, against the historical
 //!    full re-evaluation (`DelayModel::delays` + full-vector rebase).
-//!    Records the sparse-vs-full decision counters of the churn policy
-//!    and both wall times.
+//!    Each route runs once untimed, then once timed. Records the
+//!    sparse-vs-full decision counters of the churn rule
+//!    (`IncrementalTiming::prefers_full_pass`) and both wall times.
 //!
 //! 3. **Power vs. area objectives** — on c432-like and the 10k random
 //!    rung, a full MINFLOTRANSIT run under each objective at the same
@@ -27,15 +25,15 @@
 //! Results go to `BENCH_sizing.json` at the repository root plus a
 //! human summary on stdout. Set `MFT_BENCH_SMOKE=1` for the CI run:
 //! c432-like plus the smallest rung only, single sample each, still
-//! asserting cached == uncached bitwise and the objective
-//! inequalities; it prints the JSON instead of writing the file.
+//! asserting cache hits and the objective inequalities; it prints the
+//! JSON instead of writing the file.
 
 use mft_bench::smoke;
 use mft_circuit::{SizingMode, VertexId};
 use mft_core::{SessionConfig, SizingProblem};
 use mft_delay::{DelayModel, DiffScratch, Technology};
 use mft_gen::{Benchmark, LadderRung, SIZING_LADDER};
-use mft_sta::{IncrementalConfig, IncrementalTiming};
+use mft_sta::IncrementalTiming;
 use mft_tilos::{SensitivityStats, TilosConfig, TilosError, TilosState};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -68,10 +66,9 @@ struct BumpLoopRun {
 /// Runs a fixed-budget TILOS advance toward an impossible target and
 /// returns the wall time of the bump loop proper (trajectory
 /// construction excluded).
-fn run_bump_loop(problem: &SizingProblem, budget: usize, cache: bool) -> BumpLoopRun {
+fn run_bump_loop(problem: &SizingProblem, budget: usize) -> BumpLoopRun {
     let config = TilosConfig {
         max_bumps: budget,
-        sensitivity_cache: cache,
         profile_timing: true,
         ..Default::default()
     };
@@ -129,55 +126,64 @@ fn churn_replay(problem: &SizingProblem, base_sizes: &[f64], steps: usize) -> Ch
         cand
     };
 
-    // Sparse path: the optimizer's exact W-phase routing.
-    let mut timing =
-        IncrementalTiming::with_config(dag, &base_delays, IncrementalConfig::default())
-            .expect("engine builds");
-    let before = timing.stats();
+    // Sparse route: the optimizer's exact W-phase routing.
     let mut cand_delays = base_delays.clone();
     let mut changed: Vec<VertexId> = Vec::new();
     let mut affected: Vec<VertexId> = Vec::new();
     let mut scratch = DiffScratch::new();
+    let mut sparse_route = |timing: &mut IncrementalTiming| {
+        for step in 0..steps {
+            let cand = candidate(step);
+            changed.clear();
+            changed.extend(
+                (0..n)
+                    .filter(|&i| base_sizes[i].to_bits() != cand[i].to_bits())
+                    .map(VertexId::new),
+            );
+            cand_delays.copy_from_slice(&base_delays);
+            model.delays_diff(
+                &changed,
+                &cand,
+                &mut cand_delays,
+                &mut affected,
+                &mut scratch,
+            );
+            timing
+                .rebase_scoped(dag, &cand_delays, &affected)
+                .expect("rebase");
+            std::hint::black_box(timing.critical_path());
+            // Reject: restore the engine to the base delays over the
+            // same scope, as the optimizer does.
+            timing
+                .rebase_scoped(dag, &base_delays, &affected)
+                .expect("restore");
+        }
+    };
+    // Historical full route: full delay vector + full-vector rebase.
+    let full_route = |timing: &mut IncrementalTiming| {
+        for step in 0..steps {
+            let cand = candidate(step);
+            let cand_delays = model.delays(&cand);
+            timing.rebase(dag, &cand_delays).expect("rebase");
+            std::hint::black_box(timing.critical_path());
+            timing.rebase(dag, &base_delays).expect("restore");
+        }
+    };
+
+    // Each route runs once untimed first, so neither pays the other's
+    // warm-up (first-touch allocations, cold caches).
+    let mut timing = IncrementalTiming::new(dag, &base_delays).expect("engine builds");
+    sparse_route(&mut timing);
+    let before = timing.stats();
     let t0 = Instant::now();
-    for step in 0..steps {
-        let cand = candidate(step);
-        changed.clear();
-        changed.extend(
-            (0..n)
-                .filter(|&i| base_sizes[i].to_bits() != cand[i].to_bits())
-                .map(VertexId::new),
-        );
-        cand_delays.copy_from_slice(&base_delays);
-        model.delays_diff(
-            &changed,
-            &cand,
-            &mut cand_delays,
-            &mut affected,
-            &mut scratch,
-        );
-        timing
-            .rebase_scoped(dag, &cand_delays, &affected)
-            .expect("rebase");
-        std::hint::black_box(timing.critical_path());
-        // Reject: restore the engine to the base delays over the same
-        // scope, as the optimizer does.
-        timing
-            .rebase_scoped(dag, &base_delays, &affected)
-            .expect("restore");
-    }
+    sparse_route(&mut timing);
     let sparse_seconds = t0.elapsed().as_secs_f64();
     let delta = timing.stats().since(&before);
 
-    // Historical full path: full delay vector + full-vector rebase.
-    let mut full_timing = IncrementalTiming::new(dag, &base_delays, 0.0).expect("engine builds");
+    let mut full_timing = IncrementalTiming::new(dag, &base_delays).expect("engine builds");
+    full_route(&mut full_timing);
     let t1 = Instant::now();
-    for step in 0..steps {
-        let cand = candidate(step);
-        let cand_delays = model.delays(&cand);
-        full_timing.rebase(dag, &cand_delays).expect("rebase");
-        std::hint::black_box(full_timing.critical_path());
-        full_timing.rebase(dag, &base_delays).expect("restore");
-    }
+    full_route(&mut full_timing);
     let full_seconds = t1.elapsed().as_secs_f64();
 
     ChurnReport {
@@ -192,36 +198,23 @@ struct RungReport {
     name: String,
     gates: usize,
     vertices: usize,
-    bumps: usize,
-    cached: BumpLoopRun,
-    uncached: BumpLoopRun,
+    bump_loop: BumpLoopRun,
     churn: ChurnReport,
     peak_rss_kb: u64,
 }
 
 fn run_rung(name: &str, problem: &SizingProblem, budget: usize, churn_steps: usize) -> RungReport {
-    let cached = run_bump_loop(problem, budget, true);
-    let uncached = run_bump_loop(problem, budget, false);
-    assert_eq!(cached.bumps, uncached.bumps, "{name}: bump counts differ");
-    for (i, (a, b)) in cached.sizes.iter().zip(uncached.sizes.iter()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{name}: cached and uncached sizes diverge at vertex {i}"
-        );
-    }
+    let bump_loop = run_bump_loop(problem, budget);
     assert!(
-        cached.stats.hits > 0,
+        bump_loop.stats.hits > 0,
         "{name}: the cache never hit — nothing was measured"
     );
-    let churn = churn_replay(problem, &cached.sizes, churn_steps);
+    let churn = churn_replay(problem, &bump_loop.sizes, churn_steps);
     RungReport {
         name: name.to_owned(),
         gates: problem.netlist().num_gates(),
         vertices: problem.dag().num_vertices(),
-        bumps: cached.bumps,
-        cached,
-        uncached,
+        bump_loop,
         churn,
         peak_rss_kb: rss_kb(),
     }
@@ -304,7 +297,7 @@ fn prepare(rung: &LadderRung) -> SizingProblem {
 }
 
 /// Bump budget per rung: enough to exercise steady-state cache
-/// behavior, bounded so the uncached baseline stays affordable.
+/// behavior, bounded so a full ladder run stays affordable.
 fn budget_for(gates: usize) -> usize {
     match gates {
         g if g >= 100_000 => 700,
@@ -357,15 +350,12 @@ fn main() {
 
     // Human summary.
     println!(
-        "{:<10} {:>8} {:>7} {:>10} {:>10} {:>7} {:>9} {:>9} {:>10} {:>10} {:>7} {:>7} {:>9}",
+        "{:<10} {:>8} {:>7} {:>10} {:>9} {:>10} {:>10} {:>7} {:>7} {:>9}",
         "rung",
         "vertices",
         "bumps",
-        "cached s",
-        "uncach s",
-        "x",
-        "sens% c",
-        "sens% u",
+        "loop s",
+        "sens%",
         "sparse s",
         "full s",
         "reb-sp",
@@ -374,15 +364,12 @@ fn main() {
     );
     for r in &reports {
         println!(
-            "{:<10} {:>8} {:>7} {:>10.4} {:>10.4} {:>7.2} {:>9.3} {:>9.3} {:>10.4} {:>10.4} {:>7} {:>7} {:>9.1}",
+            "{:<10} {:>8} {:>7} {:>10.4} {:>9.3} {:>10.4} {:>10.4} {:>7} {:>7} {:>9.1}",
             r.name,
             r.vertices,
-            r.bumps,
-            r.cached.seconds,
-            r.uncached.seconds,
-            r.uncached.seconds / r.cached.seconds.max(1e-12),
-            r.cached.sens_share,
-            r.uncached.sens_share,
+            r.bump_loop.bumps,
+            r.bump_loop.seconds,
+            r.bump_loop.sens_share,
             r.churn.sparse_seconds,
             r.churn.full_seconds,
             r.churn.rebase_sparse,
@@ -459,25 +446,19 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"gates\": {}, \"vertices\": {}, \"bumps\": {},",
-            r.gates, r.vertices, r.bumps
+            r.gates, r.vertices, r.bump_loop.bumps
         );
         let _ = writeln!(
             json,
-            "      \"bump_loop\": {{\"cached_seconds\": {:.6}, \"uncached_seconds\": {:.6}, \
-             \"speedup\": {:.3}, \"cached_sens_seconds\": {:.6}, \"uncached_sens_seconds\": {:.6}, \
-             \"scan_speedup\": {:.3}, \"cached_sens_share\": {:.4}, \"uncached_sens_share\": {:.4}, \
-             \"sens_hits\": {}, \"sens_misses\": {}, \"sens_invalidations\": {}}},",
-            r.cached.seconds,
-            r.uncached.seconds,
-            r.uncached.seconds / r.cached.seconds.max(1e-12),
-            r.cached.sens_seconds,
-            r.uncached.sens_seconds,
-            r.uncached.sens_seconds / r.cached.sens_seconds.max(1e-12),
-            r.cached.sens_share,
-            r.uncached.sens_share,
-            r.cached.stats.hits,
-            r.cached.stats.misses,
-            r.cached.stats.invalidations
+            "      \"bump_loop\": {{\"cached_seconds\": {:.6}, \"cached_sens_seconds\": {:.6}, \
+             \"cached_sens_share\": {:.4}, \"sens_hits\": {}, \"sens_misses\": {}, \
+             \"sens_invalidations\": {}}},",
+            r.bump_loop.seconds,
+            r.bump_loop.sens_seconds,
+            r.bump_loop.sens_share,
+            r.bump_loop.stats.hits,
+            r.bump_loop.stats.misses,
+            r.bump_loop.stats.invalidations
         );
         let _ = writeln!(
             json,

@@ -1,11 +1,12 @@
-//! Property tests pinning the TILOS sensitivity cache
-//! ([`TilosConfig::sensitivity_cache`]) bit-identical to the uncached
-//! historical scan over random bump sequences.
+//! Property tests pinning the TILOS bump loop's sensitivity cache
+//! (see `mft_tilos::SensitivityStats`) bit-identical to the cold
+//! reference ([`TilosConfig::cold_timing`]: no timing engine, no cache)
+//! over random bump sequences.
 //!
 //! The cache's correctness argument is that a hit returns bitwise what
 //! the scan would recompute, so the *entire trajectory* — every bump
 //! choice, every intermediate critical path, the final sizes — must
-//! match the uncached run exactly. One diverging ULP anywhere changes
+//! match the cold run exactly. One diverging ULP anywhere changes
 //! a bump choice and cascades, so comparing final sizes bitwise after
 //! a long random sequence is a strong pin.
 //!
@@ -48,7 +49,7 @@ fn rand10k() -> &'static SizingProblem {
 /// state: `(bumps so far, latched best delay, sizes)`.
 fn drive(
     problem: &SizingProblem,
-    cache: bool,
+    cold_timing: bool,
     bump_factor: f64,
     budget: usize,
     target_fractions: &[f64],
@@ -56,7 +57,7 @@ fn drive(
     let config = TilosConfig {
         bump_factor,
         max_bumps: budget,
-        sensitivity_cache: cache,
+        cold_timing,
         ..Default::default()
     };
     let (dag, model) = (problem.dag(), problem.model());
@@ -90,9 +91,9 @@ fn assert_trajectories_match(
     budget: usize,
     target_fractions: &[f64],
 ) -> Result<(), TestCaseError> {
-    let cached = drive(problem, true, bump_factor, budget, target_fractions);
-    let uncached = drive(problem, false, bump_factor, budget, target_fractions);
-    for (step, ((cb, ccp, cs), (ub, ucp, us))) in cached.iter().zip(uncached.iter()).enumerate() {
+    let cached = drive(problem, false, bump_factor, budget, target_fractions);
+    let cold = drive(problem, true, bump_factor, budget, target_fractions);
+    for (step, ((cb, ccp, cs), (ub, ucp, us))) in cached.iter().zip(cold.iter()).enumerate() {
         prop_assert_eq!(cb, ub, "step {}: bump counts diverge", step);
         prop_assert_eq!(ccp, ucp, "step {}: best delays diverge", step);
         for (i, (a, b)) in cs.iter().zip(us.iter()).enumerate() {

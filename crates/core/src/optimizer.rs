@@ -7,7 +7,7 @@ use crate::error::MftError;
 use mft_circuit::{SizingDag, VertexId};
 use mft_delay::{DelayModel, DiffScratch};
 use mft_smp::SmpSolver;
-use mft_sta::{BalanceStyle, BalancedConfig, IncrementalConfig, IncrementalTiming, TimingStats};
+use mft_sta::{BalanceStyle, BalancedConfig, IncrementalTiming, TimingStats};
 use mft_tilos::{SensitivityStats, TilosConfig};
 use std::time::Duration;
 
@@ -61,12 +61,10 @@ pub struct MinflotransitConfig {
     pub tilos: TilosConfig,
     /// Relative timing tolerance when accepting a W-phase result.
     pub timing_eps: f64,
-    /// Churn fraction above which the persistent timing engine's rebase
-    /// falls back to one full pass (forwarded to
-    /// [`mft_sta::IncrementalConfig::full_pass_churn`]). Purely a cost
-    /// policy — any value yields bit-identical results; the
-    /// sparse-vs-full decisions taken are reported through
-    /// [`TimingStats::rebase_sparse`] / [`TimingStats::rebase_full`].
+    /// Read by nothing: the timing engine takes its one churn rule,
+    /// [`IncrementalTiming::prefers_full_pass`]. The field stays only
+    /// because the end-to-end benchmark's replay (`e2ebench/`) still
+    /// reads it, like [`MinflotransitConfig::dphase_warm_start`].
     pub full_pass_churn: f64,
 }
 
@@ -185,9 +183,9 @@ impl SizingSolution {
 /// area–delay sweep can run every point through one context instead of
 /// rebuilding the solvers per point (a [`crate::SizingSession`] sweep
 /// does exactly that, one context per worker). Carrying the state
-/// across points never changes a result: the timing engine runs at
-/// tolerance `0.0` (every critical-path value is bit-identical to a
-/// cold recomputation), and the D-phase solver's answer does not depend
+/// across points never changes a result: the timing engine cuts off
+/// bitwise (every critical-path value is bit-identical to a cold
+/// recomputation), and the D-phase solver's answer does not depend
 /// on the basis its warm start begins from (see [`DPhaseSolver`]).
 #[derive(Debug)]
 pub struct SolverContext {
@@ -240,14 +238,7 @@ impl SolverContext {
         // evaluation — the first run re-bases it onto its real delays
         // with one full pass anyway; later runs over the same context
         // get incremental diffs).
-        let timing = IncrementalTiming::with_config(
-            dag,
-            &vec![0.0; n],
-            IncrementalConfig {
-                tol: 0.0,
-                full_pass_churn: config.full_pass_churn,
-            },
-        )?;
+        let timing = IncrementalTiming::new(dag, &vec![0.0; n])?;
         Ok(SolverContext {
             dphase,
             smp,
@@ -370,9 +361,8 @@ impl Minflotransit {
         let dphase_baseline = dphase_solver.stats();
         // The persistent timing engine carries the arrival state of the
         // previous check (possibly from a previous run over the same
-        // context); re-basing diffs against it. At tolerance 0.0 every
-        // critical-path value below is bit-identical to a cold
-        // `critical_path` call.
+        // context); re-basing diffs against it. Every critical-path
+        // value below is bit-identical to a cold `critical_path` call.
         let timing = &mut context.timing;
         let timing_baseline = timing.stats();
         let mut wphase_stats = WPhaseStats::default();

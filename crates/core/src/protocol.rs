@@ -65,6 +65,10 @@ use crate::error::MftError;
 use crate::session::{SessionStats, WhatIfReport};
 use std::fmt::Write as _;
 
+/// The most read replicas one circuit may run (`load.replicas`, and
+/// `mft serve --replicas`): each replica is one thread.
+pub const MAX_REPLICAS: usize = 64;
+
 /// The body of a `load` request: where the netlist comes from and how
 /// to prepare it (see `docs/PROTOCOL.md` for the field table).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -270,10 +274,10 @@ impl Request {
                     replicas: match fields.num_opt("replicas")? {
                         None => None,
                         Some(n) => {
-                            if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n > 64.0 {
-                                return Err(MftError::Protocol(
-                                    "load field `replicas` must be an integer in 0..=64".into(),
-                                ));
+                            if !(0.0..=MAX_REPLICAS as f64).contains(&n) || n.fract() != 0.0 {
+                                return Err(MftError::Protocol(format!(
+                                    "load field `replicas` must be an integer in 0..={MAX_REPLICAS}"
+                                )));
                             }
                             Some(n as usize)
                         }

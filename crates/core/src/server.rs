@@ -755,10 +755,13 @@ impl CircuitServer {
         }
         // Clamp before converting: a hostile-but-valid `deadline_ms`
         // like 1e300 must not overflow the Duration/Instant arithmetic
-        // (≈ 31 years is "unbounded" for any practical purpose).
-        let deadline = deadline_ms
-            .or(self.config.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_secs_f64(ms.min(1e12) / 1000.0));
+        // (≈ 31 years is "unbounded" for any practical purpose), and a
+        // negative or NaN configured default must not panic it (it
+        // reads as 0, already expired).
+        let deadline = deadline_ms.or(self.config.default_deadline_ms).map(|ms| {
+            let secs = if ms > 0.0 { ms.min(1e12) / 1000.0 } else { 0.0 };
+            Instant::now() + Duration::from_secs_f64(secs)
+        });
         let job = Job {
             id,
             request,
@@ -1593,6 +1596,43 @@ mod tests {
         assert!(server.circuit_names().is_empty());
         assert!(matches!(server.unload(Some("c17")), Response::Error { .. }));
         server.join_workers();
+    }
+
+    /// No configured default deadline panics admission: a negative or
+    /// NaN default reads as already expired, an infinite one as
+    /// unbounded.
+    #[test]
+    fn any_default_deadline_is_admitted_without_a_panic() {
+        for (ms, expired) in [
+            (-1.0, true),
+            (f64::NAN, true),
+            (f64::NEG_INFINITY, true),
+            (f64::INFINITY, false),
+        ] {
+            let server = CircuitServer::new(ServerConfig {
+                default_deadline_ms: Some(ms),
+                ..ServerConfig::default()
+            });
+            let (tx, rx) = mpsc::channel();
+            server.dispatch(load_c17_frame("c17"), &tx);
+            assert!(rx.recv().unwrap().contains("\"type\":\"loaded\""));
+            let lines = drive(&server, "{\"type\":\"stats\"}\n");
+            assert_eq!(lines.len(), 1, "{ms}: {lines:?}");
+            if expired {
+                assert!(
+                    lines[0].contains("\"code\":\"expired\""),
+                    "{ms}: {}",
+                    lines[0]
+                );
+            } else {
+                assert!(
+                    lines[0].starts_with("{\"type\":\"stats\""),
+                    "{ms}: {}",
+                    lines[0]
+                );
+            }
+            server.join_workers();
+        }
     }
 
     /// Hostile circuit names (NUL bytes would panic the thread-name

@@ -33,7 +33,7 @@
 //!   flow certificate's potentials: the greatest optimal dual that is
 //!   `≤ 0`, a function of the LP alone, read exactly on the integral
 //!   D-phase LP (see [`crate::DPhaseSolver`]). The persistent timing
-//!   engine runs at tolerance `0.0`.
+//!   engine is bit-identical to cold timing.
 //! * The W-phase carries nothing: each one solves its SMP from the
 //!   lower bounds in one pass over the dependency blocks
 //!   ([`mft_smp::SmpSolver::solve`]), a function of its budgets alone.
@@ -1059,10 +1059,9 @@ impl ReadView {
                         self.changed.push(VertexId::new(i));
                     }
                 }
-                // Past 50% churn a full pass touches fewer vertices
-                // than the scoped one would (the same cliff the
-                // incremental engine uses); fall back rather than diff.
-                if 2 * self.changed.len() <= n {
+                // The engine's churn rule decides between a scoped
+                // diff and a full re-time.
+                if !IncrementalTiming::prefers_full_pass(self.changed.len(), n) {
                     self.delays.clear();
                     self.delays.extend_from_slice(&self.prev_delays);
                     model.delays_diff(
@@ -1081,7 +1080,7 @@ impl ReadView {
             self.delays = model.delays(sizes);
             match self.engine.as_mut() {
                 Some(engine) => engine.rebase(dag, &self.delays)?,
-                None => self.engine = Some(IncrementalTiming::new(dag, &self.delays, 0.0)?),
+                None => self.engine = Some(IncrementalTiming::new(dag, &self.delays)?),
             }
         }
         let cp = self

@@ -27,7 +27,7 @@
 //! arrival times only in the affected cone, and the critical path is
 //! read off a bucketed max tracker — O(affected cone) per bump instead
 //! of the historical two full O(V+E) passes, with
-//! **bit-identical** results (the engine runs at tolerance `0.0`;
+//! **bit-identical** results (the engine cuts off bitwise;
 //! [`TilosConfig::cold_timing`] retains the full-recompute reference
 //! path for differential tests and the `tilos_bump_loop` bench).
 //!
@@ -79,28 +79,15 @@ pub struct TilosConfig {
     /// Hard cap on the number of bumps (safety against pathological
     /// targets).
     pub max_bumps: usize,
-    /// Relative timing tolerance for declaring the target met.
-    pub rel_eps: f64,
     /// Run the reference cold timing path: re-extract the critical path
     /// and recompute `CP(G)` from scratch after every bump instead of
     /// through the incremental engine ([`mft_sta::IncrementalTiming`]).
-    /// Results are **bit-identical** either way (the engine runs at
-    /// tolerance `0.0`); this switch exists for differential tests and
-    /// the `tilos_bump_loop` benchmark, and must be chosen at
-    /// [`TilosState::new`] time.
+    /// It also skips the sensitivity cache (see [`SensitivityStats`]),
+    /// so it is the one unaccelerated reference: results are
+    /// **bit-identical** either way. This switch exists for
+    /// differential tests and the `tilos_bump_loop` benchmark, and must
+    /// be chosen at [`TilosState::new`] time.
     pub cold_timing: bool,
-    /// Cache per-candidate sensitivities across bumps: a candidate's
-    /// `(d_path, d_area)` pair is remembered and invalidated only when
-    /// the bump's affected cone or a critical-path membership flip
-    /// intersects the candidate's coupling cone (see
-    /// [`SensitivityStats`]). On a cache hit the stored pair feeds the
-    /// *exact* legacy floating-point expression, so results stay
-    /// **bit-identical** with the cache on or off — `false` retains the
-    /// historical scan (every on-path candidate re-evaluated per bump)
-    /// as the measured baseline. Ignored (treated as `false`) in
-    /// [`TilosConfig::cold_timing`] mode, which is the unaccelerated
-    /// reference path.
-    pub sensitivity_cache: bool,
     /// Accumulate a wall-clock split of the bump loop (sensitivity scan
     /// vs timing update), readable via
     /// [`TilosState::profile_seconds`]. Off by default: it puts two
@@ -114,24 +101,29 @@ impl Default for TilosConfig {
         TilosConfig {
             bump_factor: 1.1,
             max_bumps: 2_000_000,
-            rel_eps: 1e-9,
             cold_timing: false,
-            sensitivity_cache: true,
             profile_timing: false,
         }
     }
 }
 
+/// Relative timing tolerance for declaring a target met.
+const REL_EPS: f64 = 1e-9;
+
 mft_sta::counter_group! {
-    /// Work counters of the incremental sensitivity cache
-    /// ([`TilosConfig::sensitivity_cache`]).
+    /// Work counters of the incremental sensitivity cache.
     ///
-    /// A hit means a candidate's `(d_path, d_area)` pair was served from the
-    /// cache (skipping its delay-model evaluations); a miss means it was
-    /// (re)computed and stored; an invalidation means a previously cached
-    /// pair was discarded because a bump's affected cone or a critical-path
-    /// membership flip touched the candidate's coupling cone. All zero when
-    /// the cache is disabled.
+    /// Outside [`TilosConfig::cold_timing`] mode the bump loop caches
+    /// each candidate's sensitivity ratio. A hit returns the stored
+    /// ratio, whose every input is unchanged since the store, so the
+    /// trajectory is bit-identical to the cold reference's.
+    ///
+    /// A hit means a candidate's ratio was served from the cache (skipping
+    /// its delay-model evaluations); a miss means it was (re)computed and
+    /// stored; an invalidation means a previously cached ratio was
+    /// discarded because a bump's affected cone or a critical-path
+    /// membership flip touched the candidate's coupling cone. All zero in
+    /// [`TilosConfig::cold_timing`] mode.
     pub struct SensitivityStats {
         /// Candidate evaluations served from the cache.
         pub hits: usize,
@@ -376,11 +368,11 @@ impl TilosState {
             cold_stats.vertices_touched += n;
             (None, critical_path(dag, &delays)?)
         } else {
-            let mut engine = IncrementalTiming::new(dag, &delays, 0.0)?;
+            let mut engine = IncrementalTiming::new(dag, &delays)?;
             let cp = engine.critical_path();
             (Some(engine), cp)
         };
-        let use_cache = config.sensitivity_cache && !config.cold_timing;
+        let cache_len = if timing.is_some() { n } else { 0 };
         Ok(TilosState {
             config,
             sizes,
@@ -397,11 +389,11 @@ impl TilosState {
             cold_stats,
             affected: Vec::new(),
             diff_scratch: DiffScratch::new(),
-            sens_ratio: vec![0.0; if use_cache { n } else { 0 }],
-            sens_d_area: vec![0.0; if use_cache { n } else { 0 }],
-            sens_valid: DenseBitSet::new(if use_cache { n } else { 0 }),
+            sens_ratio: vec![0.0; cache_len],
+            sens_d_area: vec![0.0; cache_len],
+            sens_valid: DenseBitSet::new(cache_len),
             prev_path: Vec::new(),
-            path_mark: DenseBitSet::new(if use_cache { n } else { 0 }),
+            path_mark: DenseBitSet::new(cache_len),
             flips: Vec::new(),
             sens_stats: SensitivityStats::default(),
             sens_seconds: 0.0,
@@ -409,15 +401,15 @@ impl TilosState {
         })
     }
 
-    /// Whether the incremental sensitivity cache is active for this
-    /// trajectory (configured on and not in the cold reference mode).
+    /// Whether the sensitivity cache is active: everywhere but the cold
+    /// reference mode.
     fn use_cache(&self) -> bool {
-        self.config.sensitivity_cache && !self.config.cold_timing
+        self.timing.is_some()
     }
 
     /// Cached-mode `on_path` maintenance: diffs the new critical path
     /// against the previous one, flipping only the membership marks
-    /// that actually changed (the uncached loop clears all n marks per
+    /// that actually changed (the cold reference clears all n marks per
     /// bump), and invalidates the cached sensitivity of every candidate
     /// coupled to a flipped vertex — a flip at `u` changes whether `u`
     /// contributes to the `d_path` of each `v ∈ load_deps(u)`.
@@ -483,8 +475,8 @@ impl TilosState {
         }
     }
 
-    /// Sensitivity-cache work counters accumulated so far (all zero when
-    /// [`TilosConfig::sensitivity_cache`] is off).
+    /// Sensitivity-cache work counters accumulated so far (all zero in
+    /// [`TilosConfig::cold_timing`] mode).
     pub fn sensitivity_stats(&self) -> SensitivityStats {
         self.sens_stats
     }
@@ -509,7 +501,7 @@ impl TilosState {
     /// and its size vector replayed by `k` multiply-and-clamp steps —
     /// **bit-identical** to the cold run, with zero timing analysis.
     pub fn snapshot_at<M: DelayModel>(&self, model: &M, target: f64) -> Option<TilosResult> {
-        let tol = self.config.rel_eps * target.abs().max(1.0);
+        let tol = REL_EPS * target.abs().max(1.0);
         let k = if self.cp0 <= target + tol {
             0
         } else {
@@ -574,7 +566,7 @@ impl TilosState {
         target: f64,
         probe: Option<&dyn CancelProbe>,
     ) -> Result<TilosResult, TilosError> {
-        let tol = self.config.rel_eps * target.abs().max(1.0);
+        let tol = REL_EPS * target.abs().max(1.0);
         while self.cp > target + tol {
             if let Some(p) = probe {
                 if self.bumps.is_multiple_of(CANCEL_POLL_BUMPS) && p.is_cancelled() {
@@ -1001,11 +993,11 @@ mod tests {
         assert!(traj.snapshot_at(&model, 0.5 * dmin).is_none());
     }
 
-    /// The sensitivity cache changes nothing observable: trajectories
-    /// with the cache on and off produce bit-identical sizes, delays
-    /// and bump logs across a multi-target sweep — while the cached run
-    /// serves a measurable share of its candidate evaluations from the
-    /// cache.
+    /// The sensitivity cache changes nothing observable: the default
+    /// trajectory and the cold reference produce bit-identical sizes,
+    /// delays and bump logs across a multi-target sweep — while the
+    /// cached run serves a measurable share of its candidate
+    /// evaluations from the cache.
     #[test]
     fn sensitivity_cache_matches_uncached_bitwise() {
         let mut b = NetlistBuilder::new("mesh");
@@ -1028,7 +1020,7 @@ mod tests {
         let (dag, model) = setup(&mut n);
         let dmin = minimum_sized_delay(&dag, &model).unwrap();
         let uncached_cfg = TilosConfig {
-            sensitivity_cache: false,
+            cold_timing: true,
             ..Default::default()
         };
         let mut cached = TilosState::new(&dag, &model, TilosConfig::default()).unwrap();

@@ -16,7 +16,7 @@
 use minflotransit::circuit::{parse_bench, write_bench, SizingMode};
 use minflotransit::core::{
     curve_to_csv, format_curve, CircuitServer, Response, ServerConfig, ServerListener,
-    SessionConfig, SizingProblem, SizingReport,
+    SessionConfig, SizingProblem, SizingReport, MAX_REPLICAS,
 };
 use minflotransit::gen::Benchmark;
 use minflotransit::tech::{Corner, TechLibrary};
@@ -442,19 +442,28 @@ fn cmd_sweep(args: &Args, out: Out) -> Outcome {
 fn cmd_serve(args: &Args, out: Out) -> Outcome {
     let jobs = args.count("--jobs", 1)?;
     let default_config = ServerConfig::default();
-    let default_deadline_ms: Option<f64> = match args.value("--deadline-ms") {
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|e: std::num::ParseFloatError| e.to_string())?,
-        ),
+    // The wire's `deadline_ms` rule: finite and ≥ 0.
+    let default_deadline_ms = match args.value("--deadline-ms") {
         None => None,
+        Some(v) => match v.parse::<f64>() {
+            Ok(ms) if ms.is_finite() && ms >= 0.0 => Some(ms),
+            _ => {
+                return Err(
+                    format!("`--deadline-ms` must be a finite number ≥ 0, got `{v}`").into(),
+                )
+            }
+        },
     };
+    let replicas = args.count("--replicas", default_config.replicas)?;
+    if replicas > MAX_REPLICAS {
+        return Err(format!("`--replicas` must be an integer in 0..={MAX_REPLICAS}").into());
+    }
     let server = CircuitServer::new(ServerConfig {
         max_circuits: args.count("--max-circuits", 16)?,
         max_line_bytes: args.count("--max-line-bytes", default_config.max_line_bytes)?,
         max_queue_depth: args.count("--max-queue-depth", default_config.max_queue_depth)?,
         default_deadline_ms,
-        replicas: args.count("--replicas", default_config.replicas)?,
+        replicas,
         session: SessionConfig::warm().with_jobs(jobs),
     });
     let listen = args.value("--listen");

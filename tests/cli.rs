@@ -354,6 +354,62 @@ fn size_and_sweep_reject_non_finite_targets() {
     }
 }
 
+/// `mft serve` applies the wire's rules to its flags: `--deadline-ms`
+/// must be finite and ≥ 0 (a negative value used to panic the
+/// connection thread), and `--replicas` at most 64. A bad value exits 1
+/// before serving anything, without a panic.
+#[test]
+fn serve_rejects_out_of_range_deadline_and_replicas() {
+    let bench = c17_file();
+    for (flag, value, message) in [
+        (
+            "--deadline-ms",
+            "-1",
+            "`--deadline-ms` must be a finite number ≥ 0",
+        ),
+        (
+            "--deadline-ms",
+            "NaN",
+            "`--deadline-ms` must be a finite number ≥ 0",
+        ),
+        (
+            "--deadline-ms",
+            "inf",
+            "`--deadline-ms` must be a finite number ≥ 0",
+        ),
+        (
+            "--replicas",
+            "65",
+            "`--replicas` must be an integer in 0..=64",
+        ),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg("serve")
+            .arg(&bench)
+            .args([flag, value])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The process may exit before reading its input: ignore EPIPE.
+        let _ = child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(b"{\"type\":\"size\",\"spec\":0.9}\n");
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: output before the error"
+        );
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+    }
+}
+
 /// `mft sweep` gives the same curve with one worker and with
 /// `--jobs 2`: per row, the spec, both area ratios, the saving and the
 /// iteration count agree (the other columns are timings and work

@@ -81,7 +81,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let sizes = vec![1.0; n];
         let mut delays = model.delays(&sizes);
-        let mut engine = IncrementalTiming::new(&dag, &delays, 0.0).unwrap();
+        let mut engine = IncrementalTiming::new(&dag, &delays).unwrap();
         for step in 0..steps {
             for _ in 0..rng.gen_range(1..4usize) {
                 let v = rng.gen_range(0..n);
@@ -109,7 +109,7 @@ proptest! {
         let (min_size, max_size) = model.size_bounds();
         let mut sizes = vec![min_size; n];
         let mut delays = model.delays(&sizes);
-        let mut engine = IncrementalTiming::new(&dag, &delays, 0.0).unwrap();
+        let mut engine = IncrementalTiming::new(&dag, &delays).unwrap();
         let mut affected = Vec::new();
         let mut scratch = DiffScratch::new();
         for step in 0..bumps {
