@@ -9,6 +9,13 @@
 //! line and per float; setup asserts both writers emit the same bytes
 //! and that every float reads back bit for bit.
 //!
+//! A third row times a stream of 25 `what_if` lines, each ~1% of the
+//! sizes apart from the one before and the first drawn fresh, as the
+//! e2ebench `what_if_10k` stream sends them: decoded line by line with
+//! `RequestFrame::from_json_line` (old) and through one connection's
+//! `FrameDecoder`, which parses only the tokens that changed (new).
+//! Setup asserts both give every vector bit for bit.
+//!
 //! The e2ebench `what_if_10k` workload times the server side of a
 //! `what_if`; the client's encode of the request line shows only here.
 //! Set `MFT_BENCH_SMOKE=1` for the CI run (c432-like lines, few
@@ -18,7 +25,8 @@ use mft_bench::legacy_json::{self, Json};
 use mft_bench::smoke;
 use mft_circuit::{Netlist, SizingMode};
 use mft_core::{
-    extract_id, Request, RequestFrame, Response, SessionConfig, SizingProblem, SizingSession,
+    extract_id, FrameDecoder, Request, RequestFrame, Response, SessionConfig, SizingProblem,
+    SizingSession,
 };
 use mft_delay::Technology;
 use mft_gen::{ladder_rung, Benchmark};
@@ -84,9 +92,9 @@ fn prepare(netlist: &Netlist) -> SizingProblem {
     SizingProblem::prepare(netlist, &Technology::cmos_130nm(), SizingMode::Gate).unwrap()
 }
 
-/// The client side of a `what_if`: encode the framed request line, and
-/// the server side: decode it.
-fn bench_what_if(samples: usize) {
+/// The circuit the `what_if` rows send sizes for (rand10k, c432-like
+/// in smoke mode) and its vertex count.
+fn what_if_circuit() -> (&'static str, usize) {
     let (name, netlist) = if smoke() {
         ("c432", Benchmark::C432.generate().unwrap())
     } else {
@@ -95,7 +103,13 @@ fn bench_what_if(samples: usize) {
             ladder_rung("rand10k").unwrap().generate().unwrap(),
         )
     };
-    let n = prepare(&netlist).dag().num_vertices();
+    (name, prepare(&netlist).dag().num_vertices())
+}
+
+/// The client side of a `what_if`: encode the framed request line, and
+/// the server side: decode it.
+fn bench_what_if(samples: usize) {
+    let (name, n) = what_if_circuit();
     // Candidate sizes drawn like the e2ebench stream's fresh draws.
     let mut rng = StdRng::seed_from_u64(7);
     let sizes: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..3.0)).collect();
@@ -137,6 +151,62 @@ fn bench_what_if(samples: usize) {
             legacy_numbers(&legacy_json::parse_json(&line).unwrap(), "sizes")
         }),
         median_time(samples, || RequestFrame::from_json_line(&line).unwrap()),
+    );
+}
+
+/// The server side of a stream of `what_if` candidates on one
+/// connection: 25 lines, the first drawn fresh, each later one with
+/// n/100 sizes redrawn, as e2ebench's `Candidates` does.
+fn bench_what_if_stream(samples: usize) {
+    let (name, n) = what_if_circuit();
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut sizes: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..3.0)).collect();
+    let mut lines = Vec::new();
+    for _ in 0..25 {
+        lines.push(
+            RequestFrame::new(Request::WhatIf {
+                sizes: sizes.clone(),
+                spec: Some(0.8),
+                target: None,
+            })
+            .for_circuit(name)
+            .to_json_line(),
+        );
+        for _ in 0..(n / 100).max(1) {
+            sizes[rng.gen_range(0..n)] = rng.gen_range(1.0..3.0);
+        }
+    }
+    let what_if_bits = |frame: RequestFrame| match frame.request {
+        Request::WhatIf { sizes, .. } => bits(&sizes),
+        other => panic!("decoded {:?}", other.wire_type()),
+    };
+    let mut decoder = FrameDecoder::new();
+    // Twice round: the second pass starts from the last line's memo.
+    for line in lines.iter().chain(&lines) {
+        assert_eq!(
+            what_if_bits(decoder.decode(line).unwrap()),
+            what_if_bits(RequestFrame::from_json_line(line).unwrap()),
+            "the stream decodes bit for bit as line by line"
+        );
+    }
+    let (read, reused) = decoder.tokens();
+    println!(
+        "what_if stream: {name}, 25 lines of {n} sizes ~1% apart, {:.1}% of tokens reused, median of {samples}",
+        100.0 * reused as f64 / read as f64
+    );
+    report(
+        "what_if stream",
+        25 * n,
+        median_time(samples, || {
+            for line in &lines {
+                black_box(RequestFrame::from_json_line(line).unwrap());
+            }
+        }),
+        median_time(samples, || {
+            for line in &lines {
+                black_box(decoder.decode(line).unwrap());
+            }
+        }),
     );
 }
 
@@ -225,5 +295,6 @@ fn bench_size_response(samples: usize) {
 fn main() {
     let samples = if smoke() { 5 } else { 201 };
     bench_what_if(samples);
+    bench_what_if_stream(samples.min(41));
     bench_size_response(samples);
 }

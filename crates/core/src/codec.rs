@@ -14,6 +14,13 @@
 //!   tree node per element, and parses each number from a slice of the
 //!   input with `str::parse::<f64>` — lax forms such as `01`, `1.`,
 //!   `-.5` and `1e400` (∞) included.
+//! * **Unchanged numbers are not parsed twice.** A connection reads
+//!   through one [`NumberMemo`]: the previous top-level number array it
+//!   read, as text and values. A token whose bytes, and the byte after
+//!   them, equal those of the same-index token of that array takes the
+//!   remembered value; only the others go through `str::parse`. Equal
+//!   bytes parse to equal bits, so the values, the errors and their
+//!   byte offsets are those of the stateless [`parse_json`].
 
 use std::fmt::Write as _;
 
@@ -319,11 +326,94 @@ pub(crate) const MAX_JSON_DEPTH: usize = 64;
 /// Parses one JSON value spanning all of `text` (surrounding
 /// whitespace allowed).
 pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
+    parse(text, None)
+}
+
+/// The previous top-level number array a connection read: the field it
+/// came under, its text from the first element through the closing `]`,
+/// each token's byte span in that text and its value. It holds one
+/// array's text plus 16 bytes per number.
+#[derive(Debug, Default)]
+pub(crate) struct NumberMemo {
+    field: String,
+    text: Vec<u8>,
+    spans: Vec<(u32, u32)>,
+    values: Vec<f64>,
+    /// Top-level array tokens read and, of those, taken from the memo.
+    pub(crate) tokens_read: u64,
+    pub(crate) tokens_reused: u64,
+}
+
+impl NumberMemo {
+    /// [`parse_json`], reusing the tokens that equal the memo's and
+    /// then remembering each top-level field's number array read.
+    pub(crate) fn parse(&mut self, text: &str) -> Result<Json, String> {
+        parse(text, Some(self))
+    }
+
+    /// How many tokens from `i` on the array text `rest` repeats, and
+    /// the bytes they span: token `j` counts when its bytes and the one
+    /// after them (a separator, outside the number byte class) are the
+    /// same in both, and so do all tokens between `i` and `j`.
+    fn repeated(&self, i: usize, rest: &[u8]) -> (usize, usize) {
+        let Some(&(start, _)) = self.spans.get(i) else {
+            return (0, 0);
+        };
+        let start = start as usize;
+        let same = start + common_prefix(rest, &self.text[start..]);
+        let count = self.spans[i..]
+            .iter()
+            .take_while(|&&(_, end)| (end as usize) < same)
+            .count();
+        match count {
+            0 => (0, 0),
+            _ => (count, self.spans[i + count - 1].1 as usize - start),
+        }
+    }
+
+    /// Remembers the number array `field` whose text is `text`.
+    fn remember(&mut self, field: &str, text: &[u8], spans: Vec<(u32, u32)>, values: &[f64]) {
+        self.field.clear();
+        self.field.push_str(field);
+        self.text.clear();
+        self.text.extend_from_slice(text);
+        self.spans = spans;
+        self.values.clear();
+        self.values.extend_from_slice(values);
+    }
+}
+
+/// The length of the longest common prefix of `a` and `b`, compared
+/// eight bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let mut at = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return at + (diff.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The one JSON reader: with a memo, top-level number arrays reuse and
+/// refresh it ([`NumberMemo::parse`]); without, it is [`parse_json`].
+fn parse(text: &str, memo: Option<&mut NumberMemo>) -> Result<Json, String> {
     let mut p = JsonParser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
+        // Token spans are `u32`s; a longer line reads without the memo.
+        memo: memo.filter(|_| u32::try_from(text.len()).is_ok()),
     };
     p.skip_ws();
     let value = p.value()?;
@@ -334,15 +424,16 @@ pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-struct JsonParser<'a> {
+struct JsonParser<'a, 'm> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
+    memo: Option<&'m mut NumberMemo>,
 }
 
-impl<'a> JsonParser<'a> {
+impl JsonParser<'_, '_> {
     fn skip_ws(&mut self) {
         while matches!(
             self.bytes.get(self.pos),
@@ -380,6 +471,12 @@ impl<'a> JsonParser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
+        self.field_value(None)
+    }
+
+    /// [`JsonParser::value`] of the top-level object's field `field`
+    /// (`None` anywhere else).
+    fn field_value(&mut self, field: Option<&str>) -> Result<Json, String> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_JSON_DEPTH {
@@ -392,7 +489,7 @@ impl<'a> JsonParser<'a> {
                 let value = if open == b'{' {
                     self.object()
                 } else {
-                    self.array()
+                    self.array(field)
                 };
                 self.depth -= 1;
                 value
@@ -421,7 +518,7 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.field_value((self.depth == 1).then_some(key.as_str()))?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -437,30 +534,78 @@ impl<'a> JsonParser<'a> {
 
     /// Reads an array: numbers go straight into a `Vec<f64>` until the
     /// first element that is not a number, which moves the elements
-    /// read so far into a general [`Json::Arr`].
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut nums = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Nums(nums));
+    /// read so far into a general [`Json::Arr`]. The array of a
+    /// top-level field reads against the memo, if there is one, and
+    /// becomes the memo when it holds only numbers.
+    fn array(&mut self, field: Option<&str>) -> Result<Json, String> {
+        if field.is_none() {
+            return self.array_with(None, None);
         }
-        loop {
+        let mut memo = self.memo.take();
+        let array = self.array_with(field, memo.as_deref_mut());
+        self.memo = memo;
+        array
+    }
+
+    fn array_with(
+        &mut self,
+        field: Option<&str>,
+        mut memo: Option<&mut NumberMemo>,
+    ) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let base = self.pos;
+        let old = memo.as_deref().filter(|m| Some(m.field.as_str()) == field);
+        let expect = old.map_or(0, |m| m.values.len());
+        let mut nums = Vec::with_capacity(expect);
+        let mut spans = Vec::with_capacity(expect);
+        let mut reused = 0;
+        self.skip_ws();
+        let mut flat = self.peek() == Some(b']');
+        while !flat {
             self.skip_ws();
             if !self.at_number() {
                 break;
             }
-            nums.push(self.number()?);
+            let at = self.pos;
+            let i = nums.len();
+            match old.map(|m| (m, m.repeated(i, &self.bytes[at..]))) {
+                Some((m, (count, len))) if count > 0 => {
+                    nums.extend_from_slice(&m.values[i..i + count]);
+                    // The same tokens, where this line has them.
+                    let shift = (at - base) as u32;
+                    let from = m.spans[i].0;
+                    spans.extend(
+                        m.spans[i..i + count]
+                            .iter()
+                            .map(|&(s, e)| (s - from + shift, e - from + shift)),
+                    );
+                    reused += count;
+                    self.pos = at + len;
+                }
+                _ => {
+                    nums.push(self.number()?);
+                    if memo.is_some() {
+                        spans.push(((at - base) as u32, (self.pos - base) as u32));
+                    }
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Nums(nums));
-                }
+                Some(b']') => flat = true,
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
+        }
+        if let Some(m) = memo.as_deref_mut() {
+            m.tokens_read += nums.len() as u64;
+            m.tokens_reused += reused as u64;
+        }
+        if flat {
+            self.pos += 1;
+            if let (Some(m), Some(field)) = (memo, field) {
+                m.remember(field, &self.bytes[base..self.pos], spans, &nums);
+            }
+            return Ok(Json::Nums(nums));
         }
         let mut items: Vec<Json> = nums.into_iter().map(Json::Num).collect();
         loop {
@@ -675,6 +820,54 @@ mod tests {
             parse_json("[1,2-3]").unwrap_err(),
             "bad number `2-3` at byte 3"
         );
+    }
+
+    #[test]
+    fn common_prefixes_end_at_the_first_differing_byte() {
+        let a = b"0123456789abcdefghijklmnopqrstuvwxyz";
+        for len in 0..=a.len() {
+            assert_eq!(common_prefix(&a[..len], a), len);
+            for at in 0..len {
+                let mut b = a[..len].to_vec();
+                b[at] ^= 0x40;
+                assert_eq!(common_prefix(a, &b), at, "len {len}, at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_reuses_tokens_that_read_the_same_and_parses_the_rest() {
+        let mut memo = NumberMemo::default();
+        let mut read = |line: &str| {
+            let got = memo.parse(line);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", parse_json(line)),
+                "{line}"
+            );
+            (memo.tokens_read, memo.tokens_reused)
+        };
+        assert_eq!(read(r#"{"s":[1.5, 2,1e5 ,0,7]}"#), (5, 0));
+        // Lengthened, shortened and re-spelled tokens are parsed again.
+        assert_eq!(read(r#"{"s":[1.55, 2.0,1e50,-0,7]}"#), (10, 1));
+        assert_eq!(read(r#"{"s":[1.55, 2.0,1e50,-0,7]}"#), (15, 6));
+        // So is a token followed by other whitespace.
+        assert_eq!(read(r#"{"s":[1.55, 2.0 ,1e50,-0,7]}"#), (20, 10));
+        // Another field does not match the memo, and replaces it.
+        assert_eq!(read(r#"{"t":[1.55, 2.0]}"#), (22, 10));
+        // Growing re-reads the old last token: a `]` followed it.
+        assert_eq!(read(r#"{"t":[1.55, 2.0, 3]}"#), (25, 11));
+        assert_eq!(read(r#"{"t":[1.55, 2.0]}"#), (27, 12));
+        // Nested and non-top-level arrays leave the memo alone, and so
+        // does an array that is not all numbers.
+        assert_eq!(read(r#"{"t":[[1.55]],"u":{"t":[1.55]}}"#), (27, 12));
+        assert_eq!(read(r#"{"t":[1.55,"x"]}"#), (28, 13));
+        assert_eq!(read(r#"{"t":[1.55, 2.0]}"#), (30, 15));
+        // Errors and their offsets are the stateless reader's.
+        read(r#"{"t":[1.55, 2.0-]}"#);
+        read(r#"{"t":[1.55, 2"#);
+        read(r#"{"t":[1.55, 2.0"#);
+        assert_eq!(read(r#"{"t":[1.55, 2.0]}"#), (32, 17));
     }
 
     #[test]

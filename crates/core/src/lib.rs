@@ -113,8 +113,8 @@ pub use optimizer::{
 };
 pub use pipeline::SizingProblem;
 pub use protocol::{
-    extract_error_code, extract_id, CircuitSummary, ErrorCode, LoadRequest, ReplicaStatsReport,
-    Request, RequestFrame, Response, MAX_REPLICAS,
+    extract_error_code, extract_id, CircuitSummary, ErrorCode, FrameDecoder, LoadRequest,
+    ReplicaStatsReport, Request, RequestFrame, Response, MAX_REPLICAS,
 };
 pub use report::SizingReport;
 pub use server::{CircuitServer, LineClient, ServerConfig, ServerListener};

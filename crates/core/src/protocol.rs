@@ -59,7 +59,7 @@
 //! `{"type":"error","message":"…"}` lines, so a bad request never
 //! tears down the stream.
 
-use crate::codec::{parse_json, push_json_string, push_num, push_nums, Json};
+use crate::codec::{parse_json, push_json_string, push_num, push_nums, Json, NumberMemo};
 use crate::curve::SweepOutcome;
 use crate::error::MftError;
 use crate::session::{SessionStats, WhatIfReport};
@@ -440,7 +440,12 @@ impl RequestFrame {
     /// `id`, a non-string `circuit`, an unknown `type`, or
     /// missing/ill-typed payload fields.
     pub fn from_json_line(line: &str) -> Result<RequestFrame, MftError> {
-        let mut value = parse_json(line).map_err(MftError::Protocol)?;
+        RequestFrame::from_parsed(parse_json(line))
+    }
+
+    /// The frame of a parsed line.
+    fn from_parsed(parsed: Result<Json, String>) -> Result<RequestFrame, MftError> {
+        let mut value = parsed.map_err(MftError::Protocol)?;
         let mut fields = Fields::of_request(&mut value)?;
         let id = match fields.get("id") {
             None => None,
@@ -483,6 +488,43 @@ impl RequestFrame {
         }
         self.request.push_fields(&mut s);
         s
+    }
+}
+
+/// One connection's request decoder: [`RequestFrame::from_json_line`]
+/// line after line, remembering the last top-level number array it
+/// read (a `what_if`'s `sizes`, say). A number token whose bytes equal
+/// those of the same-index token of that array takes the remembered
+/// value instead of being parsed again, so a stream of candidates that
+/// differ in a few sizes costs a parse of the changed ones. Every frame
+/// and error is the one [`RequestFrame::from_json_line`] returns.
+///
+/// It holds one array's text (at most one line) and 16 bytes per
+/// number of that array.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    memo: NumberMemo,
+}
+
+impl FrameDecoder {
+    /// A decoder that remembers nothing yet.
+    pub fn new() -> Self {
+        FrameDecoder::default()
+    }
+
+    /// Decodes the connection's next line.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RequestFrame::from_json_line`] on the same line.
+    pub fn decode(&mut self, line: &str) -> Result<RequestFrame, MftError> {
+        RequestFrame::from_parsed(self.memo.parse(line))
+    }
+
+    /// Top-level array number tokens decoded so far, and how many of
+    /// them were taken from the previous line instead of parsed.
+    pub fn tokens(&self) -> (u64, u64) {
+        (self.memo.tokens_read, self.memo.tokens_reused)
     }
 }
 

@@ -86,15 +86,16 @@
 use crate::cancel::{is_read_request, request_weight, CancelToken};
 use crate::pipeline::SizingProblem;
 use crate::protocol::{
-    extract_error_code, extract_id, CircuitSummary, ErrorCode, LoadRequest, ReplicaStatsReport,
-    Request, RequestFrame, Response,
+    extract_error_code, extract_id, CircuitSummary, ErrorCode, FrameDecoder, LoadRequest,
+    ReplicaStatsReport, Request, RequestFrame, Response,
 };
 use crate::session::{error_response, ReadView, SessionConfig, SessionStats, SizingSession};
 use mft_circuit::{parse_bench, SizingMode};
 use mft_flow::FlowAlgorithm;
 use mft_tech::TechLibrary;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read as _};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -107,6 +108,10 @@ use std::time::{Duration, Instant};
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// The read buffer of a connection: a 270 KB `what_if` line of a
+/// 10k-gate circuit arrives in five fills.
+const READ_BUFFER_BYTES: usize = 64 << 10;
 
 /// How long an idle accept loop sleeps between polls — kept short
 /// because it bounds connection-setup latency (the listener sockets
@@ -791,44 +796,27 @@ impl CircuitServer {
         R: io::Read,
         W: io::Write,
     {
-        let mut reader = io::BufReader::new(reader);
+        let mut requests = RequestReader::new(reader);
         loop {
-            let response =
-                match read_bounded_line(&mut reader, self.config.max_line_bytes, &self.shutdown)? {
-                    LineRead::Eof | LineRead::Shutdown => return Ok(()),
-                    LineRead::TooLong => Response::error(format!(
-                        "request line exceeds {} bytes",
-                        self.config.max_line_bytes
-                    ))
-                    .to_json_line(),
-                    LineRead::Line(line) => {
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        match RequestFrame::from_json_line(line) {
-                            Err(e) => Response::error(e.to_string())
-                                .to_json_line_with_id(extract_id(line).as_deref()),
-                            Ok(frame) => {
-                                // Rendezvous: exactly one response line per
-                                // dispatch (inline or from the worker);
-                                // wait for it before reading on.
-                                let (tx, rx) = mpsc::channel::<String>();
-                                self.dispatch(frame, &tx);
-                                drop(tx);
-                                match rx.recv() {
-                                    Ok(line) => line,
-                                    // Only reachable if a worker died
-                                    // mid-request; keep the stream up.
-                                    Err(_) => {
-                                        Response::error("request was dropped by its circuit worker")
-                                            .to_json_line()
-                                    }
-                                }
-                            }
-                        }
+            let response = match requests.next(self.config.max_line_bytes, &self.shutdown)? {
+                None => return Ok(()),
+                Some(Err(line)) => line,
+                Some(Ok(frame)) => {
+                    // Rendezvous: exactly one response line per dispatch
+                    // (inline or from the worker); wait for it before
+                    // reading on.
+                    let (tx, rx) = mpsc::channel::<String>();
+                    self.dispatch(frame, &tx);
+                    drop(tx);
+                    match rx.recv() {
+                        Ok(line) => line,
+                        // Only reachable if a worker died mid-request;
+                        // keep the stream up.
+                        Err(_) => Response::error("request was dropped by its circuit worker")
+                            .to_json_line(),
                     }
-                };
+                }
+            };
             write_line(&mut writer, response)?;
             if self.is_shutting_down() {
                 return Ok(());
@@ -852,7 +840,7 @@ impl CircuitServer {
         R: io::Read,
         W: io::Write + Send,
     {
-        let mut reader = io::BufReader::new(reader);
+        let mut requests = RequestReader::new(reader);
         let (tx, rx) = mpsc::channel::<String>();
         thread::scope(|scope| {
             let writer_handle = scope.spawn(move || -> io::Result<()> {
@@ -864,43 +852,23 @@ impl CircuitServer {
             });
             let mut read_error = None;
             loop {
-                match read_bounded_line(&mut reader, self.config.max_line_bytes, &self.shutdown) {
+                match requests.next(self.config.max_line_bytes, &self.shutdown) {
                     Err(e) => {
                         read_error = Some(e);
                         break;
                     }
-                    Ok(LineRead::Eof) | Ok(LineRead::Shutdown) => break,
-                    Ok(LineRead::TooLong) => {
-                        let line = Response::error(format!(
-                            "request line exceeds {} bytes",
-                            self.config.max_line_bytes
-                        ))
-                        .to_json_line();
+                    Ok(None) => break,
+                    Ok(Some(Err(line))) => {
                         if tx.send(line).is_err() {
                             break;
                         }
                     }
-                    Ok(LineRead::Line(line)) => {
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
-                        }
-                        match RequestFrame::from_json_line(line) {
-                            Ok(frame) => self.dispatch(frame, &tx),
-                            Err(e) => {
-                                let response = Response::error(e.to_string())
-                                    .to_json_line_with_id(extract_id(line).as_deref());
-                                if tx.send(response).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                        // A shutdown request ends this connection too
-                        // (its acknowledgement is already queued).
-                        if self.is_shutting_down() {
-                            break;
-                        }
-                    }
+                    Ok(Some(Ok(frame))) => self.dispatch(frame, &tx),
+                }
+                // A shutdown request ends this connection too (its
+                // acknowledgement is already queued).
+                if self.is_shutting_down() {
+                    break;
                 }
             }
             // Close our sender; the writer drains every response still
@@ -1272,10 +1240,59 @@ impl ServerListener {
     }
 }
 
+/// One connection's request side: a [`READ_BUFFER_BYTES`] reader, the
+/// line buffer every read reuses, and the [`FrameDecoder`] that
+/// remembers the connection's previous number array.
+struct RequestReader<R> {
+    reader: io::BufReader<R>,
+    line: Vec<u8>,
+    decoder: FrameDecoder,
+}
+
+impl<R: io::Read> RequestReader<R> {
+    fn new(reader: R) -> Self {
+        RequestReader {
+            reader: io::BufReader::with_capacity(READ_BUFFER_BYTES, reader),
+            line: Vec::new(),
+            decoder: FrameDecoder::new(),
+        }
+    }
+
+    /// Reads and decodes the next non-blank line of at most `max`
+    /// bytes: its frame, or the error line that answers an unreadable
+    /// or over-long line. `None` at the end of the stream, or once the
+    /// server is shutting down.
+    fn next(
+        &mut self,
+        max: usize,
+        shutdown: &AtomicBool,
+    ) -> io::Result<Option<Result<RequestFrame, String>>> {
+        loop {
+            let line = match read_bounded_line(&mut self.reader, max, shutdown, &mut self.line)? {
+                LineRead::Eof | LineRead::Shutdown => return Ok(None),
+                LineRead::TooLong => {
+                    let refusal = Response::error(format!("request line exceeds {max} bytes"));
+                    return Ok(Some(Err(refusal.to_json_line())));
+                }
+                LineRead::Line(line) => line,
+            };
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let frame = self.decoder.decode(line).map_err(|e| {
+                Response::error(e.to_string()).to_json_line_with_id(extract_id(line).as_deref())
+            });
+            return Ok(Some(frame));
+        }
+    }
+}
+
 /// Result of one bounded line read.
-enum LineRead {
-    /// A complete line (without its newline).
-    Line(String),
+enum LineRead<'a> {
+    /// A complete line (without its newline), with U+FFFD in place of
+    /// each invalid UTF-8 sequence.
+    Line(Cow<'a, str>),
     /// The line exceeded the byte bound; it was discarded up to the
     /// next newline.
     TooLong,
@@ -1285,21 +1302,36 @@ enum LineRead {
     Shutdown,
 }
 
-/// Reads one newline-terminated line of at most `max` bytes. Longer
-/// lines are consumed and discarded up to their newline and reported
-/// as [`LineRead::TooLong`]. Read timeouts (used by socket connections
-/// to stay responsive) re-check `shutdown` and otherwise keep
-/// accumulating — a partially received line survives the poll.
-fn read_bounded_line<R: BufRead>(
+/// Reads one newline-terminated line of at most `max` bytes into `buf`
+/// (cleared first). The newline search is `read_until`'s `memchr`.
+/// Longer lines are consumed and discarded up to their newline and
+/// reported as [`LineRead::TooLong`]. Read timeouts (used by socket
+/// connections to stay responsive) re-check `shutdown` and otherwise
+/// keep accumulating — a partially received line survives the poll.
+fn read_bounded_line<'a, R: BufRead>(
     reader: &mut R,
     max: usize,
     shutdown: &AtomicBool,
-) -> io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
+    buf: &'a mut Vec<u8>,
+) -> io::Result<LineRead<'a>> {
+    buf.clear();
     let mut overflow = false;
     loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
+        // One byte past the bound tells a line of `max` bytes from a
+        // longer one, whose bytes are then dropped as they arrive.
+        let room = max.saturating_add(1) - buf.len();
+        match reader.by_ref().take(room as u64).read_until(b'\n', buf) {
+            Ok(_) if buf.last() == Some(&b'\n') => {
+                buf.pop();
+                break;
+            }
+            Ok(_) if buf.len() > max => {
+                overflow = true;
+                buf.clear();
+            }
+            // EOF. A trailing unterminated line still counts.
+            Ok(_) if buf.is_empty() && !overflow => return Ok(LineRead::Eof),
+            Ok(_) => break,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -1309,47 +1341,15 @@ fn read_bounded_line<R: BufRead>(
                 if shutdown.load(Ordering::Relaxed) {
                     return Ok(LineRead::Shutdown);
                 }
-                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            // EOF. A trailing unterminated line still counts.
-            return Ok(if overflow {
-                LineRead::TooLong
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(into_text(buf))
-            });
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(newline) => {
-                if !overflow && buf.len() + newline <= max {
-                    buf.extend_from_slice(&chunk[..newline]);
-                } else {
-                    overflow = true;
-                }
-                reader.consume(newline + 1);
-                return Ok(if overflow {
-                    LineRead::TooLong
-                } else {
-                    LineRead::Line(into_text(buf))
-                });
-            }
-            None => {
-                if !overflow && buf.len() + chunk.len() <= max {
-                    buf.extend_from_slice(chunk);
-                } else {
-                    overflow = true;
-                    buf.clear();
-                }
-                let n = chunk.len();
-                reader.consume(n);
-            }
         }
     }
+    Ok(if overflow {
+        LineRead::TooLong
+    } else {
+        LineRead::Line(String::from_utf8_lossy(buf))
+    })
 }
 
 /// Writes `line` and its newline with one `write_all` — one syscall,
@@ -1358,12 +1358,6 @@ fn write_line<W: io::Write>(writer: &mut W, mut line: String) -> io::Result<()> 
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()
-}
-
-/// The line as text: its own bytes when they are valid UTF-8, else a
-/// copy with U+FFFD in place of each invalid sequence.
-fn into_text(buf: Vec<u8>) -> String {
-    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// A minimal blocking protocol client — one framed request out, one
@@ -1923,6 +1917,173 @@ mod tests {
             lines[4]
         );
         server.join_workers();
+    }
+
+    /// The framing with a new buffer per line, the text owned.
+    fn read_bounded_line<R: BufRead>(
+        reader: &mut R,
+        max: usize,
+        shutdown: &AtomicBool,
+    ) -> io::Result<LineRead<'static>> {
+        let mut buf = Vec::new();
+        Ok(
+            match super::read_bounded_line(reader, max, shutdown, &mut buf)? {
+                LineRead::Line(line) => LineRead::Line(Cow::Owned(line.into_owned())),
+                LineRead::TooLong => LineRead::TooLong,
+                LineRead::Eof => LineRead::Eof,
+                LineRead::Shutdown => LineRead::Shutdown,
+            },
+        )
+    }
+
+    /// Every line of `data` as the framing reads it through a reader of
+    /// `capacity` bytes and one reused buffer: `Some(text)` per line,
+    /// `None` per over-long line.
+    fn framed(data: &[u8], capacity: usize, max: usize) -> Vec<Option<String>> {
+        let shutdown = AtomicBool::new(false);
+        let mut reader = io::BufReader::with_capacity(capacity, data);
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        loop {
+            match super::read_bounded_line(&mut reader, max, &shutdown, &mut buf).unwrap() {
+                LineRead::Line(line) => lines.push(Some(line.into_owned())),
+                LineRead::TooLong => lines.push(None),
+                LineRead::Eof => return lines,
+                LineRead::Shutdown => unreachable!("the flag is never set"),
+            }
+        }
+    }
+
+    #[test]
+    fn newlines_at_every_word_offset_and_reader_edge_are_found() {
+        for capacity in [8, READ_BUFFER_BYTES] {
+            // Lines of 0..=17 bytes put a newline at every offset of an
+            // 8-byte word, and each shifts the next line's alignment;
+            // the long ones end just before, at and past a fill.
+            let mut lengths: Vec<usize> = (0..=17).collect();
+            for edge in [capacity, 2 * capacity] {
+                lengths.extend([edge - 2, edge - 1, edge, edge + 1]);
+            }
+            lengths.extend((1..=9).rev());
+            let want: Vec<String> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let fill = char::from(b'a' + (i % 26) as u8);
+                    std::iter::repeat_n(fill, len).collect()
+                })
+                .collect();
+            let data = want
+                .iter()
+                .map(|line| format!("{line}\n"))
+                .collect::<String>();
+            let got = framed(data.as_bytes(), capacity, usize::MAX);
+            assert_eq!(
+                got,
+                want.iter().cloned().map(Some).collect::<Vec<_>>(),
+                "capacity {capacity}"
+            );
+            // The last line unterminated at EOF still counts.
+            let got = framed(&data.as_bytes()[..data.len() - 1], capacity, usize::MAX);
+            assert_eq!(got.len(), want.len(), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn a_line_of_max_bytes_is_read_and_one_byte_more_is_too_long() {
+        for capacity in [8, READ_BUFFER_BYTES] {
+            for max in [
+                0,
+                1,
+                7,
+                8,
+                9,
+                16,
+                READ_BUFFER_BYTES,
+                3 * READ_BUFFER_BYTES + 5,
+            ] {
+                let full = "x".repeat(max);
+                let data = format!("{full}\n{}y\nnext\n{full}", "y".repeat(max));
+                let mut want = vec![Some(full.clone()), None];
+                want.push((max >= 4).then(|| "next".to_owned()));
+                // The last line, unterminated, counts unless empty.
+                want.extend((max > 0).then(|| Some(full.clone())));
+                assert_eq!(
+                    framed(data.as_bytes(), capacity, max),
+                    want,
+                    "capacity {capacity}, max {max}"
+                );
+                // Over-long and unterminated at EOF.
+                let data = format!("{full}z");
+                assert_eq!(framed(data.as_bytes(), capacity, max), vec![None]);
+            }
+        }
+    }
+
+    #[test]
+    fn crlf_lines_frame_with_their_cr_and_serve_like_lf_lines() {
+        let got = framed(b"ab\r\n\r\nc\n", 8, 16);
+        assert_eq!(
+            got,
+            vec![
+                Some("ab\r".to_owned()),
+                Some("\r".to_owned()),
+                Some("c".to_owned())
+            ]
+        );
+        let server = CircuitServer::new(ServerConfig::default());
+        let lf = "{\"type\":\"list\",\"id\":1}\nnot json\n\n{\"type\":\"list\"}\n";
+        let crlf = lf.replace('\n', "\r\n");
+        let serve = |input: &str| {
+            let mut out = Vec::new();
+            server
+                .serve_connection_ordered(input.as_bytes(), &mut out)
+                .unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let want = serve(lf);
+        assert_eq!(want.lines().count(), 3, "{want}");
+        assert_eq!(serve(&crlf), want);
+    }
+
+    #[test]
+    fn what_if_sized_lines_frame_and_decode_like_the_stateless_reader() {
+        // ~270 KB, the size of a rand10k `what_if` line.
+        let sizes: Vec<f64> = (0..16_500).map(|i| 1.0 + f64::from(i) / 7.0).collect();
+        let edits = sizes.len().div_ceil(100) as u64;
+        let mut edited = sizes.clone();
+        for i in (0..edited.len()).step_by(100) {
+            edited[i] *= 1.5;
+        }
+        let line = |sizes: &[f64]| {
+            RequestFrame::new(Request::WhatIf {
+                sizes: sizes.to_vec(),
+                spec: Some(0.8),
+                target: None,
+            })
+            .to_json_line()
+        };
+        let lines = [line(&sizes), line(&edited), line(&sizes)];
+        assert!(lines[0].len() > 267_000, "{} bytes", lines[0].len());
+        let data = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        let got = framed(data.as_bytes(), READ_BUFFER_BYTES, 1 << 20);
+        assert_eq!(got, lines.iter().cloned().map(Some).collect::<Vec<_>>());
+        let shutdown = AtomicBool::new(false);
+        let mut requests = RequestReader::new(data.as_bytes());
+        for line in &lines {
+            let Ok(Some(Ok(frame))) = requests.next(1 << 20, &shutdown) else {
+                panic!("a what_if frame");
+            };
+            assert_eq!(
+                format!("{frame:?}"),
+                format!("{:?}", RequestFrame::from_json_line(line).unwrap())
+            );
+        }
+        assert!(matches!(requests.next(1 << 20, &shutdown), Ok(None)));
+        // The second line parses its edits, the third the same sizes
+        // back; every other size is taken from the line before.
+        let n = sizes.len() as u64;
+        assert_eq!(requests.decoder.tokens(), (3 * n, 2 * (n - edits)));
     }
 
     #[test]

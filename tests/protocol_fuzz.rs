@@ -23,7 +23,8 @@ use minflotransit::circuit::{
     parse_bench, write_bench, GateKind, NetId, Netlist, NetlistBuilder, C17_BENCH,
 };
 use minflotransit::core::{
-    extract_error_code, extract_id, LoadRequest, MftError, Request, RequestFrame, ServerConfig,
+    extract_error_code, extract_id, FrameDecoder, LoadRequest, MftError, Request, RequestFrame,
+    ServerConfig,
 };
 use minflotransit::gen::Benchmark;
 use rand::rngs::StdRng;
@@ -525,6 +526,224 @@ fn number_array_lines_decode_like_the_tree_oracle() {
         }
         read_line(&mutated);
     }
+}
+
+/// Feeds `line` to one connection's decoder; it must give the frame or
+/// the error the stateless reader gives, bit for bit (`{:?}` tells -0
+/// from 0 and every other f64 bit pattern apart).
+fn decode_on_connection(decoder: &mut FrameDecoder, line: &str) {
+    let got = catch_unwind(AssertUnwindSafe(|| format!("{:?}", decoder.decode(line))));
+    let Ok(got) = got else {
+        panic!("the connection decoder panicked on {}", preview(line));
+    };
+    assert_eq!(
+        got,
+        format!("{:?}", RequestFrame::from_json_line(line)),
+        "the connection decoder and the stateless reader disagree on {}",
+        preview(line)
+    );
+}
+
+/// Spelling changes that keep a token a number but change its length,
+/// each way round.
+const RESPELLINGS: &[(&str, &str)] = &[("1.5", "1.55"), ("2", "2.0"), ("1e5", "1e50"), ("0", "-0")];
+
+/// Lax spellings the reader accepts as numbers.
+const LAX_NUMBERS: &[&str] = &["01", "1.", "-.5", "00.0", "1E+5", "1e400", "4.9e-324"];
+
+/// Elements that are not numbers, and tokens that are not valid ones.
+const NOT_NUMBERS: &[&str] = &[
+    "null", "\"x\"", "[1]", "true", "{}", "1e", "--1", "1-2", "-",
+];
+
+/// One circuit's candidate stream: the token text of each size (always
+/// a number) and the separator after it.
+struct Candidate {
+    circuit: &'static str,
+    tokens: Vec<String>,
+    separators: Vec<&'static str>,
+}
+
+impl Candidate {
+    /// A new vector of up to 300 sizes.
+    fn fresh(rng: &mut StdRng, circuit: &'static str) -> Self {
+        let mut candidate = Candidate {
+            circuit,
+            tokens: Vec::new(),
+            separators: Vec::new(),
+        };
+        for _ in 0..rng.gen_range(0..300) {
+            candidate.push(rng);
+        }
+        candidate
+    }
+
+    fn push(&mut self, rng: &mut StdRng) {
+        self.tokens.push(size_token(rng));
+        self.separators.push(",");
+    }
+
+    /// The `what_if` line, with element `odd.0` spelt `odd.1` if given.
+    fn line(&self, sizes_first: bool, odd: Option<(usize, &str)>) -> String {
+        let mut sizes = String::from("[");
+        for (i, token) in self.tokens.iter().enumerate() {
+            if i > 0 {
+                sizes.push_str(self.separators[i - 1]);
+            }
+            sizes.push_str(match odd {
+                Some((at, other)) if at == i => other,
+                _ => token,
+            });
+        }
+        sizes.push(']');
+        let circuit = self.circuit;
+        if sizes_first {
+            format!(
+                "{{\"sizes\":{sizes},\"circuit\":\"{circuit}\",\"type\":\"what_if\",\"spec\":0.8}}"
+            )
+        } else {
+            format!(
+                "{{\"circuit\":\"{circuit}\",\"type\":\"what_if\",\"sizes\":{sizes},\"spec\":0.8}}"
+            )
+        }
+    }
+
+    /// One step of the stream, as a learned-sizing agent would take it.
+    fn step(&mut self, rng: &mut StdRng) {
+        let n = self.tokens.len();
+        match rng.gen_range(0..10) {
+            0 => *self = Candidate::fresh(rng, self.circuit),
+            // Respell tokens so they only lengthen or shorten.
+            1 if n > 0 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let (a, b) = RESPELLINGS[rng.gen_range(0..RESPELLINGS.len())];
+                    self.tokens[rng.gen_range(0..n)] =
+                        if rng.gen_bool(0.5) { a } else { b }.to_owned();
+                }
+            }
+            // Whitespace around a few commas.
+            2 if n > 1 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let spaced: [&str; 6] = [",", ", ", " ,", " , ", "\t,", ",\r"];
+                    self.separators[rng.gen_range(0..n - 1)] =
+                        spaced[rng.gen_range(0..spaced.len())];
+                }
+            }
+            // Grow or shrink.
+            3 => {
+                for _ in 0..rng.gen_range(1..5) {
+                    if rng.gen_bool(0.5) {
+                        self.push(rng);
+                    } else if self.tokens.pop().is_some() {
+                        self.separators.pop();
+                    }
+                }
+            }
+            // ~1% of the sizes redrawn (at least one).
+            _ => {
+                for _ in 0..(n / 100).max(1) {
+                    if n > 0 {
+                        self.tokens[rng.gen_range(0..n)] = size_token(rng);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A size as a client spells it: mostly a printed double.
+fn size_token(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..40) {
+        0 => LAX_NUMBERS[rng.gen_range(0..LAX_NUMBERS.len())].to_owned(),
+        1 => RESPELLINGS[rng.gen_range(0..RESPELLINGS.len())]
+            .1
+            .to_owned(),
+        _ => format!("{}", rng.gen_range(1.0..3.0)),
+    }
+}
+
+#[test]
+fn a_connection_decodes_its_candidate_stream_like_the_stateless_reader() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0008);
+    let (mut read, mut reused) = (0, 0);
+    for _ in 0..60 {
+        let mut decoder = FrameDecoder::new();
+        let mut circuits = [
+            Candidate::fresh(&mut rng, "a"),
+            Candidate::fresh(&mut rng, "b"),
+        ];
+        // Two circuits interleaved on one connection: runs of lines on
+        // one, then a switch.
+        let mut on = 0;
+        for _ in 0..80 {
+            if rng.gen_range(0..6) == 0 {
+                on = 1 - on;
+            }
+            let c = &mut circuits[on];
+            c.step(&mut rng);
+            let sizes_first = rng.gen_range(0..10) == 0;
+            let line = match rng.gen_range(0..16) {
+                // A non-number element mid-array.
+                0 if !c.tokens.is_empty() => {
+                    let odd = NOT_NUMBERS[rng.gen_range(0..NOT_NUMBERS.len())];
+                    c.line(sizes_first, Some((rng.gen_range(0..c.tokens.len()), odd)))
+                }
+                // Truncated.
+                1 => {
+                    let line = c.line(sizes_first, None);
+                    line[..rng.gen_range(0..=line.len())].to_owned()
+                }
+                // The same numbers under a sweep's `specs`.
+                2 => c
+                    .line(sizes_first, None)
+                    .replace("\"what_if\"", "\"sweep\"")
+                    .replace("sizes", "specs"),
+                // Mutated bytes.
+                3 => {
+                    let mut bytes = c.line(sizes_first, None).into_bytes();
+                    mutate(&mut rng, &mut bytes, NUMBER_TOKENS);
+                    String::from_utf8_lossy(&bytes).into_owned()
+                }
+                _ => c.line(sizes_first, None),
+            };
+            decode_on_connection(&mut decoder, &line);
+        }
+        let (r, u) = decoder.tokens();
+        read += r;
+        reused += u;
+    }
+    // The stream must reach the reuse path, not only the parse.
+    assert!(2 * reused > read, "{reused} of {read} tokens reused");
+}
+
+#[test]
+fn a_connection_reuses_the_unchanged_sizes_of_a_candidate_stream() {
+    // Candidates as e2ebench's `what_if_10k` draws them: 2000 sizes,
+    // 1% redrawn per line, a fresh vector every 25th.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0009);
+    let mut decoder = FrameDecoder::new();
+    let mut sizes: Vec<f64> = Vec::new();
+    for line_no in 0..100 {
+        if line_no % 25 == 0 {
+            sizes = (0..2000).map(|_| rng.gen_range(1.0..3.0)).collect();
+        } else {
+            for _ in 0..20 {
+                sizes[rng.gen_range(0..2000usize)] = rng.gen_range(1.0..3.0);
+            }
+        }
+        let line = RequestFrame::new(Request::WhatIf {
+            sizes: sizes.clone(),
+            spec: Some(0.8),
+            target: None,
+        })
+        .for_circuit("rand")
+        .to_json_line();
+        decode_on_connection(&mut decoder, &line);
+    }
+    let (read, reused) = decoder.tokens();
+    assert_eq!(read, 200_000);
+    // A 1% line parses at most its 20 redrawn sizes; a fresh one all.
+    assert!(reused >= 96 * 1980, "{reused} of {read} tokens reused");
 }
 
 /// The codec's number writer (reached through `Request::to_json_line`)
