@@ -13,7 +13,9 @@
 //!    full re-evaluation (`DelayModel::delays` + full-vector rebase).
 //!    Each route runs once untimed, then once timed. Records the
 //!    sparse-vs-full decision counters of the churn rule
-//!    (`IncrementalTiming::prefers_full_pass`) and both wall times.
+//!    (`IncrementalTiming::prefers_full_pass`), both wall times, the
+//!    arrival evaluations per sparse rebase and the sparse route's µs
+//!    per arrival evaluation.
 //!
 //! 3. **Power vs. area objectives** — on c432-like and the 10k random
 //!    rung, a full MINFLOTRANSIT run under each objective at the same
@@ -97,6 +99,11 @@ struct ChurnReport {
     full_seconds: f64,
     rebase_sparse: usize,
     rebase_full: usize,
+    /// Arrival evaluations of the sparse rebases (full passes
+    /// excluded), per sparse rebase.
+    evals_per_sparse: f64,
+    /// Sparse route wall time per arrival evaluation it made.
+    us_per_eval: f64,
 }
 
 /// Replays W-phase-shaped candidate evaluations over the optimizer's
@@ -186,11 +193,14 @@ fn churn_replay(problem: &SizingProblem, base_sizes: &[f64], steps: usize) -> Ch
     full_route(&mut full_timing);
     let full_seconds = t1.elapsed().as_secs_f64();
 
+    let sparse_evals = delta.vertices_touched - delta.full_passes * n;
     ChurnReport {
         sparse_seconds,
         full_seconds,
         rebase_sparse: delta.rebase_sparse,
         rebase_full: delta.rebase_full,
+        evals_per_sparse: sparse_evals as f64 / delta.rebase_sparse.max(1) as f64,
+        us_per_eval: 1e6 * sparse_seconds / delta.vertices_touched.max(1) as f64,
     }
 }
 
@@ -350,7 +360,7 @@ fn main() {
 
     // Human summary.
     println!(
-        "{:<10} {:>8} {:>7} {:>10} {:>9} {:>10} {:>10} {:>7} {:>7} {:>9}",
+        "{:<10} {:>8} {:>7} {:>10} {:>9} {:>10} {:>10} {:>7} {:>7} {:>10} {:>8} {:>9}",
         "rung",
         "vertices",
         "bumps",
@@ -360,11 +370,13 @@ fn main() {
         "full s",
         "reb-sp",
         "reb-fl",
+        "eval/reb",
+        "us/eval",
         "rss MiB"
     );
     for r in &reports {
         println!(
-            "{:<10} {:>8} {:>7} {:>10.4} {:>9.3} {:>10.4} {:>10.4} {:>7} {:>7} {:>9.1}",
+            "{:<10} {:>8} {:>7} {:>10.4} {:>9.3} {:>10.4} {:>10.4} {:>7} {:>7} {:>10.1} {:>8.4} {:>9.1}",
             r.name,
             r.vertices,
             r.bump_loop.bumps,
@@ -374,6 +386,8 @@ fn main() {
             r.churn.full_seconds,
             r.churn.rebase_sparse,
             r.churn.rebase_full,
+            r.churn.evals_per_sparse,
+            r.churn.us_per_eval,
             r.peak_rss_kb as f64 / 1024.0
         );
     }
@@ -463,11 +477,14 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"rebase\": {{\"sparse_seconds\": {:.6}, \"full_path_seconds\": {:.6}, \
-             \"rebase_sparse\": {}, \"rebase_full\": {}}},",
+             \"rebase_sparse\": {}, \"rebase_full\": {}, \"evals_per_sparse_rebase\": {:.1}, \
+             \"us_per_eval\": {:.5}}},",
             r.churn.sparse_seconds,
             r.churn.full_seconds,
             r.churn.rebase_sparse,
-            r.churn.rebase_full
+            r.churn.rebase_full,
+            r.churn.evals_per_sparse,
+            r.churn.us_per_eval
         );
         let _ = writeln!(
             json,

@@ -62,10 +62,22 @@ fn bench_bump_loop(c: &mut Criterion) {
         ),
     ];
     if !smoke() {
-        // The largest circuit only outside CI smoke runs: the cold path
-        // is (by design) painfully slow here. Wide and local, like real
-        // layouts — fanout cones are a small fraction of the circuit,
-        // which is the regime the incremental engine targets.
+        // The larger circuits only outside CI smoke runs: the cold path
+        // is (by design) slow here. c6288-like is the deep reconvergent
+        // multiplier whose bump cones reach most of the circuit.
+        for (name, bench) in [
+            ("c6288like", Benchmark::C6288),
+            ("c7552like", Benchmark::C7552),
+        ] {
+            problems.push((
+                name.into(),
+                SizingProblem::prepare(&bench.generate().unwrap(), &tech, SizingMode::Gate)
+                    .unwrap(),
+            ));
+        }
+        // Wide and local, like real layouts — fanout cones are a small
+        // fraction of the circuit, which is the regime the incremental
+        // engine targets.
         let cfg = RandomCircuitConfig {
             gates: 2000,
             inputs: 40,

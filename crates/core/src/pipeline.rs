@@ -108,6 +108,25 @@ impl SizingProblem {
         self.dmin
     }
 
+    /// The absolute delay target `spec · D_min` of a relative spec read
+    /// from `field` (a request's `spec` or `specs[i]`, a CLI flag): the
+    /// one place a spec becomes a target.
+    ///
+    /// # Errors
+    ///
+    /// [`MftError::Protocol`] naming `field` when the target is not
+    /// finite: a finite spec such as `1e308` overflows it.
+    pub fn spec_target(&self, field: &str, spec: f64) -> Result<f64, MftError> {
+        let target = spec * self.dmin;
+        if target.is_finite() {
+            Ok(target)
+        } else {
+            Err(MftError::Protocol(format!(
+                "`{field}` = {spec:e} overflows the target spec · D_min"
+            )))
+        }
+    }
+
     /// Weighted area of the minimum-sized circuit.
     pub fn min_area(&self) -> f64 {
         let (min_size, _) = self.model.size_bounds();

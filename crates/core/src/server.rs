@@ -89,7 +89,9 @@ use crate::protocol::{
     extract_error_code, extract_id, CircuitSummary, ErrorCode, FrameDecoder, LoadRequest,
     ReplicaStatsReport, Request, RequestFrame, Response,
 };
-use crate::session::{error_response, ReadView, SessionConfig, SessionStats, SizingSession};
+use crate::session::{
+    error_response, request_target, ReadView, SessionConfig, SessionStats, SizingSession,
+};
 use mft_circuit::{parse_bench, SizingMode};
 use mft_flow::FlowAlgorithm;
 use mft_tech::TechLibrary;
@@ -1113,8 +1115,9 @@ impl Worker for Replica {
                 spec,
                 target,
             } => {
-                let target = target.or_else(|| spec.map(|s| s * self.view.dmin()));
-                match self.view.what_if(sizes, target) {
+                let answer = request_target(self.view.problem(), *spec, *target)
+                    .and_then(|target| self.view.what_if(sizes, target));
+                match answer {
                     Ok((report, used_diff)) => {
                         let counter = if used_diff {
                             &self.counters.diff_hits

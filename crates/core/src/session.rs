@@ -472,12 +472,11 @@ fn sweep_point(
     config: &SessionConfig,
     state: &mut WarmState,
     stats: &mut SessionStats,
-    spec: f64,
+    (spec, target): (f64, f64),
     token: Option<&CancelToken>,
 ) -> Result<SweepOutcome, MftError> {
     let dmin = problem.dmin();
     let min_area = problem.min_area();
-    let target = spec * dmin;
     stats.sweep_points += 1;
     let t0 = Instant::now();
     let before = *stats;
@@ -566,6 +565,11 @@ fn run_sweep(
     specs: &[f64],
     token: Option<&CancelToken>,
 ) -> Result<Vec<SweepOutcome>, MftError> {
+    let targets = specs
+        .iter()
+        .enumerate()
+        .map(|(i, &spec)| Ok((spec, problem.spec_target(&format!("specs[{i}]"), spec)?)))
+        .collect::<Result<Vec<_>, MftError>>()?;
     stats.requests += 1;
     stats.sweep_requests += 1;
     let mut order: Vec<usize> = (0..specs.len()).collect();
@@ -581,11 +585,17 @@ fn run_sweep(
     if jobs == 1 {
         for &idx in &order {
             outcomes[idx] = Some(sweep_point(
-                problem, config, state, stats, specs[idx], token,
+                problem,
+                config,
+                state,
+                stats,
+                targets[idx],
+                token,
             )?);
         }
     } else {
         let chunk_len = order.len().div_ceil(jobs);
+        let targets = &targets;
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = order
                 .chunks(chunk_len)
@@ -601,7 +611,7 @@ fn run_sweep(
                                     config,
                                     &mut state,
                                     &mut worker,
-                                    specs[idx],
+                                    targets[idx],
                                     token,
                                 )?;
                                 Ok((idx, outcome))
@@ -884,11 +894,15 @@ impl SizingSession {
                 target,
                 return_sizes,
             } => {
-                let Some(target) = target.or_else(|| spec.map(|s| s * self.problem.dmin())) else {
-                    return Response::error(format!(
-                        "{} request needs `spec` or `target`",
-                        request.wire_type()
-                    ));
+                let target = match request_target(&self.problem, *spec, *target) {
+                    Ok(Some(target)) => target,
+                    Ok(None) => {
+                        return Response::error(format!(
+                            "{} request needs `spec` or `target`",
+                            request.wire_type()
+                        ))
+                    }
+                    Err(e) => return error_response(&e),
                 };
                 // A power-objective response reports the physical area
                 // of the power-optimal sizes; its saving percent is the
@@ -936,8 +950,9 @@ impl SizingSession {
                 spec,
                 target,
             } => {
-                let target = target.or_else(|| spec.map(|s| s * self.problem.dmin()));
-                match self.what_if(sizes, target) {
+                match request_target(&self.problem, *spec, *target)
+                    .and_then(|target| self.what_if(sizes, target))
+                {
                     Ok(report) => Response::WhatIf(report),
                     Err(e) => error_response(&e),
                 }
@@ -1006,11 +1021,10 @@ impl ReadView {
         }
     }
 
-    /// Critical-path delay of the minimum-sized circuit (used to
-    /// resolve `spec` into an absolute target, exactly as the session
-    /// does).
-    pub fn dmin(&self) -> f64 {
-        self.problem.dmin()
+    /// The problem the view times against (it resolves a request's
+    /// `spec` into an absolute target, exactly as the session does).
+    pub fn problem(&self) -> &SizingProblem {
+        &self.problem
     }
 
     /// Work counters of the view's timing engine (zero before the first
@@ -1123,6 +1137,20 @@ fn check_candidate(sizes: &[f64], n: usize) -> Result<(), MftError> {
             value: sizes[index],
         }),
         None => Ok(()),
+    }
+}
+
+/// A request's absolute delay target: its `target` when given, else
+/// its `spec` through [`SizingProblem::spec_target`], else `None`.
+pub(crate) fn request_target(
+    problem: &SizingProblem,
+    spec: Option<f64>,
+    target: Option<f64>,
+) -> Result<Option<f64>, MftError> {
+    match (target, spec) {
+        (Some(target), _) => Ok(Some(target)),
+        (None, Some(spec)) => problem.spec_target("spec", spec).map(Some),
+        (None, None) => Ok(None),
     }
 }
 

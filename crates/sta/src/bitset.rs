@@ -1,12 +1,11 @@
 //! A dense fixed-capacity bitset for hot-loop dirty marks.
 //!
-//! The sizing stack keeps several per-vertex boolean maps on its hottest
-//! paths (the timing engine's queued-vertex marks, the TILOS sensitivity
-//! cache's validity marks). A `Vec<bool>` spends a byte per vertex; at
-//! 100k gates that is 100 KB of cache traffic per map. [`DenseBitSet`]
-//! packs the same marks 64 per word, so the whole map for a 100k-gate
-//! circuit fits in ~12.5 KB — small enough to stay resident while the
-//! worklist churns.
+//! The sizing stack keeps per-vertex boolean maps on its hottest paths
+//! (the TILOS sensitivity cache's validity and path marks). A
+//! `Vec<bool>` spends a byte per vertex; at 100k gates that is 100 KB of
+//! cache traffic per map. [`DenseBitSet`] packs the same marks 64 per
+//! word, so the whole map for a 100k-gate circuit fits in ~12.5 KB —
+//! small enough to stay resident while the bump loop churns.
 
 /// A fixed-capacity set of `usize` indices packed 64 per word.
 #[derive(Debug, Clone, Default)]

@@ -15,16 +15,25 @@
 //!
 //! # Machinery
 //!
-//! * **Levelized worklist propagation** — every vertex carries its
-//!   topological level (`1 + max(level of predecessors)`, sources at 0).
-//!   Dirty vertices are bucketed by level and processed in ascending
-//!   level order, so each predecessor's arrival time is final before a
-//!   vertex is re-evaluated and no vertex is evaluated twice per wave.
-//!   The engine keeps its own flat predecessor/successor CSR (built once
-//!   from the DAG) so the hot loop runs on two array reads per edge.
+//! * **One topological sweep** — every vertex has a position in
+//!   [`SizingDag::topo_order`] (vertex ids need not be topological: a
+//!   `.bench` may list gates in any order), and dirty vertices are one
+//!   bit per position, 64 positions to a `u64` word. A wave drains the
+//!   marks in ascending position (clean words skipped, set bits found
+//!   with `trailing_zeros`), so each predecessor's arrival time is final
+//!   before a vertex is re-evaluated and no vertex is evaluated twice
+//!   per wave. The engine keeps its own flat predecessor/successor CSR
+//!   (built once from the DAG; successors stored as positions) so the
+//!   hot loop runs on two array reads per edge.
 //! * **Early cutoff** — a re-evaluated arrival time that is bitwise
-//!   unchanged does not enqueue its successors: the wave dies at the
+//!   unchanged does not mark its successors: the wave dies at the
 //!   cone's true edge.
+//! * **Dense tail** — once most of the positions a wave has swept needed
+//!   evaluation (`IncrementalTiming::sweep_goes_dense`), the wave
+//!   stops marking and re-folds every later vertex in topological order.
+//!   A vertex outside the cone re-folds from final predecessors to its
+//!   bitwise-same arrival, so the state is the cold pass's either way; a
+//!   full pass is the same tail run from position 0.
 //! * **Critical-path tracker** — `CP(G) = max_i (AT(i) + delay(i))` is
 //!   maintained as a *bucketed max*: vertices are grouped into `≈√V`
 //!   contiguous index buckets, each recording its maximum completion
@@ -47,7 +56,6 @@
 //! pass), and [`IncrementalTiming::critical_path`] is bit-identical to
 //! the cold [`crate::critical_path`].
 
-use crate::bitset::DenseBitSet;
 use crate::error::StaError;
 use crate::timing::tail_tie_eps;
 use mft_circuit::{SizingDag, VertexId};
@@ -79,8 +87,9 @@ crate::counter_group! {
     /// reference path, when a caller mirrors them by hand).
     ///
     /// `vertices_touched` counts arrival-time evaluations: a full pass
-    /// touches every vertex once, an incremental wave touches only the
-    /// affected cone — the ratio of the two is the engine's whole point.
+    /// touches every vertex once, an incremental wave only the affected
+    /// cone, plus every later vertex once it goes dense — the ratio of
+    /// the two is the engine's whole point.
     pub struct TimingStats {
         /// Full forward passes (construction, rebase fallbacks, cold calls).
         pub full_passes: usize,
@@ -89,7 +98,7 @@ crate::counter_group! {
         pub incremental_passes: usize,
         /// Total arrival-time evaluations across all passes and waves.
         pub vertices_touched: usize,
-        /// Rebase calls resolved through the sparse per-vertex queue (churn
+        /// Rebase calls resolved through the sparse per-vertex marks (churn
         /// at or below half the vertices, see
         /// [`IncrementalTiming::prefers_full_pass`]).
         pub rebase_sparse: usize,
@@ -130,17 +139,18 @@ pub struct IncrementalTiming {
     delays: Vec<f64>,
     // Flat adjacency (built once from the DAG, preserving its edge
     // order so incremental folds replay the cold pass exactly).
+    // Predecessors are vertex ids; successors are topological
+    // positions, the index the dirty marks take.
     pred_off: Vec<u32>,
     pred: Vec<u32>,
     succ_off: Vec<u32>,
     succ: Vec<u32>,
-    /// Topological level per vertex (sources at 0).
-    level: Vec<u32>,
-    /// Dirty vertices awaiting re-evaluation, bucketed by level.
-    worklist: Vec<Vec<u32>>,
-    queued: DenseBitSet,
+    /// The vertex at each topological position (`dag.topo_order()`).
+    order: Vec<u32>,
+    /// Dirty marks awaiting re-evaluation, one bit per position.
+    dirty: Vec<u64>,
+    /// Number of set bits in `dirty`.
     pending: usize,
-    min_dirty: u32,
     // Bucketed completion-time maxima (`cp_shift` index bits per
     // bucket): per-bucket max, smallest argmax index, and an
     // invalidation flag cleared by rescans.
@@ -149,6 +159,9 @@ pub struct IncrementalTiming {
     cp_arg: Vec<u32>,
     cp_stale: Vec<bool>,
     stats: TimingStats,
+    /// Waves that ended sparse / went dense (tests prove both run).
+    #[cfg(test)]
+    waves: [usize; 2],
 }
 
 impl IncrementalTiming {
@@ -166,6 +179,11 @@ impl IncrementalTiming {
                 found: delays.len(),
             });
         }
+        let order: Vec<u32> = dag.topo_order().iter().map(|v| v.index() as u32).collect();
+        let mut pos = vec![0u32; n];
+        for (p, &v) in order.iter().enumerate() {
+            pos[v as usize] = p as u32;
+        }
         let mut pred_off = Vec::with_capacity(n + 1);
         let mut pred = Vec::with_capacity(dag.num_edges());
         let mut succ_off = Vec::with_capacity(n + 1);
@@ -178,20 +196,9 @@ impl IncrementalTiming {
             }
             pred_off.push(pred.len() as u32);
             for &e in dag.out_edges(v) {
-                succ.push(dag.edge(e).1.index() as u32);
+                succ.push(pos[dag.edge(e).1.index()]);
             }
             succ_off.push(succ.len() as u32);
-        }
-        let mut level = vec![0u32; n];
-        let mut max_level = 0u32;
-        for &v in dag.topo_order() {
-            let i = v.index();
-            let mut l = 0u32;
-            for &p in &pred[pred_off[i] as usize..pred_off[i + 1] as usize] {
-                l = l.max(level[p as usize] + 1);
-            }
-            level[i] = l;
-            max_level = max_level.max(l);
         }
         // Bucket width 2^cp_shift ≈ √n keeps both the O(1)-update and
         // the rescan/fold sides of the tracker balanced.
@@ -208,18 +215,18 @@ impl IncrementalTiming {
             pred,
             succ_off,
             succ,
-            level,
-            worklist: vec![Vec::new(); max_level as usize + 1],
-            queued: DenseBitSet::new(n),
+            order,
+            dirty: vec![0; n.div_ceil(64)],
             pending: 0,
-            min_dirty: u32::MAX,
             cp_shift,
             cp_max: vec![f64::NEG_INFINITY; num_buckets],
             cp_arg: vec![0; num_buckets],
             cp_stale: vec![true; num_buckets],
             stats: TimingStats::default(),
+            #[cfg(test)]
+            waves: [0; 2],
         };
-        engine.full_pass(dag);
+        engine.full_pass();
         Ok(engine)
     }
 
@@ -245,6 +252,15 @@ impl IncrementalTiming {
     /// bench's churn replay times both).
     pub fn prefers_full_pass(changed: usize, n: usize) -> bool {
         2 * changed > n
+    }
+
+    /// The one dense rule: at a word boundary, a wave that has evaluated
+    /// more than half of the `swept` positions since its first dirty
+    /// word stops marking and re-folds every later vertex (the dense
+    /// tail). Like the churn rule it only picks the cheaper route: a
+    /// re-fold costs what a marked evaluation costs, minus the marks.
+    fn sweep_goes_dense(evaluated: usize, swept: usize) -> bool {
+        2 * evaluated > swept
     }
 
     /// Work counters since construction.
@@ -284,15 +300,13 @@ impl IncrementalTiming {
         // v's own arrival is unaffected, but its completion and every
         // successor's arrival are.
         self.update_completion(i);
-        for k in self.succ_off[i]..self.succ_off[i + 1] {
-            self.enqueue(self.succ[k as usize] as usize);
-        }
+        self.mark_successors(i);
     }
 
     /// Re-bases the engine onto a whole new delay vector, propagating
     /// only from the vertices whose delay actually changed. When
     /// [`IncrementalTiming::prefers_full_pass`] it falls back to one
-    /// full pass — cheaper than queue bookkeeping, and identical in
+    /// full pass — cheaper than mark bookkeeping, and identical in
     /// outcome. The decision taken is counted in
     /// [`TimingStats::rebase_sparse`] / [`TimingStats::rebase_full`].
     ///
@@ -319,8 +333,7 @@ impl IncrementalTiming {
         if Self::prefers_full_pass(changed, n) {
             self.stats.rebase_full += 1;
             self.delays.copy_from_slice(delays);
-            self.clear_queue();
-            self.full_pass(dag);
+            self.full_pass();
             return Ok(());
         }
         self.stats.rebase_sparse += 1;
@@ -377,8 +390,7 @@ impl IncrementalTiming {
             }
             self.stats.rebase_full += 1;
             self.delays.copy_from_slice(delays);
-            self.clear_queue();
-            self.full_pass(dag);
+            self.full_pass();
             return Ok(());
         }
         let mut touched = false;
@@ -397,50 +409,62 @@ impl IncrementalTiming {
         Ok(())
     }
 
-    /// Drains the dirty-vertex worklist: re-evaluates arrival times in
-    /// ascending level order, cutting each wave off where an arrival
-    /// time comes back unchanged.
+    /// Drains the dirty marks in one topological sweep, cutting each
+    /// wave off where an arrival time comes back unchanged, and re-folds
+    /// the rest of the order once the wave goes dense
+    /// (`IncrementalTiming::sweep_goes_dense`).
     pub fn propagate(&mut self, dag: &SizingDag) {
         debug_assert_eq!(dag.num_vertices(), self.at.len(), "wrong DAG");
         if self.pending == 0 {
             return;
         }
         self.stats.incremental_passes += 1;
-        let mut lvl = self.min_dirty as usize;
+        let first = self.dirty.iter().position(|&w| w != 0).unwrap_or(0);
+        let mut evaluated = 0usize;
+        let mut tail = None;
+        let mut w = first;
         while self.pending > 0 {
-            debug_assert!(
-                lvl < self.worklist.len(),
-                "dirty vertex below current level"
-            );
-            let mut bucket = std::mem::take(&mut self.worklist[lvl]);
-            for &vi in &bucket {
-                let i = vi as usize;
-                self.queued.remove(i);
+            let mut bits = self.dirty[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            // Successors sit at later positions, so the lowest set bit
+            // of the word is always the next vertex due.
+            while bits != 0 {
+                self.dirty[w] = bits & (bits - 1);
                 self.pending -= 1;
-                let mut a = 0.0f64;
-                for k in self.pred_off[i]..self.pred_off[i + 1] {
-                    a = a.max(self.done[self.pred[k as usize] as usize]);
-                }
-                self.stats.vertices_touched += 1;
+                evaluated += 1;
+                let i = self.order[(w << 6) | bits.trailing_zeros() as usize] as usize;
+                let a = self.fold(i);
                 if a.to_bits() != self.at[i].to_bits() {
                     self.at[i] = a;
                     self.done[i] = a + self.delays[i];
                     self.update_completion(i);
-                    for k in self.succ_off[i]..self.succ_off[i + 1] {
-                        self.enqueue(self.succ[k as usize] as usize);
-                    }
+                    self.mark_successors(i);
                 }
+                bits = self.dirty[w];
             }
-            bucket.clear();
-            self.worklist[lvl] = bucket;
-            lvl += 1;
+            w += 1;
+            if self.pending > 0 && Self::sweep_goes_dense(evaluated, (w - first) << 6) {
+                self.dirty[w..].fill(0);
+                self.pending = 0;
+                tail = Some(w << 6);
+            }
         }
-        self.min_dirty = u32::MAX;
+        self.stats.vertices_touched += evaluated;
+        #[cfg(test)]
+        {
+            self.waves[usize::from(tail.is_some())] += 1;
+        }
+        if let Some(start) = tail {
+            self.refold_from(start);
+        }
     }
 
     /// The critical path delay `CP(G) = max_i (AT(i) + delay(i))` —
     /// bit-identical to the cold [`crate::critical_path`]. Requires a
-    /// drained worklist ([`IncrementalTiming::propagate`]).
+    /// drained sweep ([`IncrementalTiming::propagate`]).
     pub fn critical_path(&mut self) -> f64 {
         self.repair_tracker().0.max(0.0)
     }
@@ -481,40 +505,49 @@ impl IncrementalTiming {
         path
     }
 
-    fn full_pass(&mut self, dag: &SizingDag) {
+    /// One forward pass over the whole order, dropping any marks.
+    fn full_pass(&mut self) {
         self.stats.full_passes += 1;
-        self.stats.vertices_touched += self.at.len();
-        for &v in dag.topo_order() {
-            let i = v.index();
-            let mut a = 0.0f64;
-            for k in self.pred_off[i]..self.pred_off[i + 1] {
-                a = a.max(self.done[self.pred[k as usize] as usize]);
-            }
+        self.dirty.fill(0);
+        self.pending = 0;
+        self.refold_from(0);
+    }
+
+    /// Re-folds every vertex from topological position `start` on,
+    /// marked or not: the dense tail of a wave, and the full pass.
+    fn refold_from(&mut self, start: usize) {
+        self.stats.vertices_touched += self.order.len() - start;
+        for p in start..self.order.len() {
+            let i = self.order[p] as usize;
+            let a = self.fold(i);
             self.at[i] = a;
-            self.done[i] = a + self.delays[i];
-        }
-        self.cp_stale.iter_mut().for_each(|s| *s = true);
-    }
-
-    fn clear_queue(&mut self) {
-        if self.pending > 0 {
-            for bucket in &mut self.worklist {
-                for &vi in bucket.iter() {
-                    self.queued.remove(vi as usize);
-                }
-                bucket.clear();
+            let d = a + self.delays[i];
+            if d.to_bits() != self.done[i].to_bits() {
+                self.done[i] = d;
+                self.update_completion(i);
             }
-            self.pending = 0;
         }
-        self.min_dirty = u32::MAX;
     }
 
-    fn enqueue(&mut self, i: usize) {
-        if self.queued.insert(i) {
-            self.pending += 1;
-            let lvl = self.level[i];
-            self.worklist[lvl as usize].push(i as u32);
-            self.min_dirty = self.min_dirty.min(lvl);
+    /// Vertex `i`'s arrival time from its predecessors' completions, in
+    /// the cold pass's edge order.
+    fn fold(&self, i: usize) -> f64 {
+        let mut a = 0.0f64;
+        for k in self.pred_off[i]..self.pred_off[i + 1] {
+            a = a.max(self.done[self.pred[k as usize] as usize]);
+        }
+        a
+    }
+
+    fn mark_successors(&mut self, i: usize) {
+        for k in self.succ_off[i]..self.succ_off[i + 1] {
+            let p = self.succ[k as usize] as usize;
+            let bit = 1u64 << (p & 63);
+            let word = &mut self.dirty[p >> 6];
+            if *word & bit == 0 {
+                *word |= bit;
+                self.pending += 1;
+            }
         }
     }
 
@@ -582,7 +615,7 @@ impl IncrementalTiming {
 mod tests {
     use super::*;
     use crate::timing::{arrival_times, critical_path, extract_critical_path};
-    use mft_circuit::{GateKind, Netlist, NetlistBuilder, SizingDag};
+    use mft_circuit::{parse_bench, GateKind, Netlist, NetlistBuilder, SizingDag, C17_BENCH};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -645,6 +678,11 @@ mod tests {
             "{what}: CP"
         );
         let cold_path = extract_critical_path(dag, &delays).unwrap();
+        assert_eq!(
+            engine.critical_tail(),
+            cold_path[cold_path.len() - 1],
+            "{what}: tail"
+        );
         assert_eq!(engine.extract_critical_path(dag), cold_path, "{what}: path");
     }
 
@@ -869,5 +907,157 @@ mod tests {
             assert_eq!(engine.extract_critical_path(&dag), cold_path, "{step}");
         }
         let _ = cp0;
+    }
+
+    /// A random reconvergent netlist of `gates` NOT/NAND2/NOR2/NAND3
+    /// gates as `.bench` text with its gate lines shuffled: most
+    /// arguments come from the last few dozen signals (deep cones), some
+    /// from anywhere (wide ones), and every gate without a load is an
+    /// output.
+    fn random_bench(rng: &mut StdRng, inputs: usize, gates: usize) -> String {
+        let mut text = String::new();
+        let mut signals: Vec<String> = (0..inputs).map(|i| format!("i{i}")).collect();
+        for s in &signals {
+            text.push_str(&format!("INPUT({s})\n"));
+        }
+        let mut loaded = vec![false; inputs + gates];
+        let mut lines = Vec::new();
+        for g in 0..gates {
+            let (cell, arity) =
+                [("NOT", 1), ("NAND", 2), ("NOR", 2), ("NAND", 3)][rng.gen_range(0..4usize)];
+            let n = signals.len();
+            let mut args: Vec<usize> = Vec::new();
+            while args.len() < arity {
+                let k = if rng.gen_bool(0.8) {
+                    n - 1 - rng.gen_range(0..n.min(40))
+                } else {
+                    rng.gen_range(0..n)
+                };
+                if !args.contains(&k) {
+                    args.push(k);
+                }
+            }
+            let names: Vec<&str> = args.iter().map(|&k| signals[k].as_str()).collect();
+            lines.push(format!("g{g} = {cell}({})", names.join(", ")));
+            for k in args {
+                loaded[k] = true;
+            }
+            signals.push(format!("g{g}"));
+        }
+        for (k, s) in signals.iter().enumerate().skip(inputs) {
+            if !loaded[k] {
+                text.push_str(&format!("OUTPUT({s})\n"));
+            }
+        }
+        for i in (1..lines.len()).rev() {
+            lines.swap(i, rng.gen_range(0..i + 1));
+        }
+        text + &lines.join("\n") + "\n"
+    }
+
+    /// Whether some edge runs from a larger vertex id to a smaller one.
+    fn ids_not_topological(dag: &SizingDag) -> bool {
+        dag.edge_ids().any(|e| {
+            let (u, v) = dag.edge(e);
+            u.index() > v.index()
+        })
+    }
+
+    /// The engine against the cold functions, bit for bit after every
+    /// step, on DAGs whose vertex ids are not a topological order: a
+    /// c17 listed backwards and two random reconvergent netlists listed
+    /// in shuffled order (both read by `parse_bench`, which relabels the
+    /// gates), each in gate, gate+wire and transistor mode. The steps
+    /// mix narrow `set_delay` waves, wide waves from the first eighth
+    /// of the order (reconvergent cones that go dense), and sparse and
+    /// full `rebase`/`rebase_scoped` calls. Each DAG with more than one
+    /// word of positions must run both sparse waves and dense tails.
+    #[test]
+    fn sweep_matches_cold_on_non_topological_ids() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let c17_backwards = {
+            let (gates, head): (Vec<&str>, Vec<&str>) =
+                C17_BENCH.lines().partition(|l| l.contains('='));
+            let mut text = head.join("\n") + "\n";
+            for line in gates.iter().rev() {
+                text.push_str(line);
+                text.push('\n');
+            }
+            text
+        };
+        let benches = [
+            c17_backwards,
+            random_bench(&mut rng, 12, 300),
+            random_bench(&mut rng, 40, 500),
+        ];
+        for (b, text) in benches.iter().enumerate() {
+            let netlist = parse_bench("shuffled", text).unwrap();
+            let dags = [
+                ("gate", SizingDag::gate_mode(&netlist).unwrap()),
+                ("wire", SizingDag::gate_mode_with_wires(&netlist).unwrap()),
+                ("transistor", SizingDag::transistor_mode(&netlist).unwrap()),
+            ];
+            for (mode, dag) in dags {
+                let what = format!("bench {b} {mode}");
+                let n = dag.num_vertices();
+                // Wire vertices are numbered after every gate they feed;
+                // past c17, the engine's positions are not the ids either.
+                assert_eq!(ids_not_topological(&dag), mode == "wire", "{what}");
+                assert!(
+                    n <= 64
+                        || dag
+                            .topo_order()
+                            .iter()
+                            .enumerate()
+                            .any(|(p, v)| v.index() != p),
+                    "{what}: positions are ids"
+                );
+                let mut delays: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..4.0)).collect();
+                let mut engine = IncrementalTiming::new(&dag, &delays).unwrap();
+                assert_matches_cold(&mut engine, &dag, &what);
+                let early: Vec<VertexId> = dag.topo_order()[..n.div_ceil(8)].to_vec();
+                for step in 0..48 {
+                    let what = format!("{what} step {step}");
+                    match step % 4 {
+                        0 => {
+                            for _ in 0..rng.gen_range(1..4usize) {
+                                let v = rng.gen_range(0..n);
+                                delays[v] = rng.gen_range(0.25..5.0);
+                                engine.set_delay(&dag, VertexId::new(v), delays[v]);
+                            }
+                            engine.propagate(&dag);
+                        }
+                        1 => {
+                            for &v in &early {
+                                delays[v.index()] *= rng.gen_range(0.5..2.0);
+                                engine.set_delay(&dag, v, delays[v.index()]);
+                            }
+                            engine.propagate(&dag);
+                        }
+                        _ => {
+                            let k = [1, 3, n / 4, n * 3 / 4][rng.gen_range(0..4usize)].max(1);
+                            let scope: Vec<VertexId> =
+                                (0..k).map(|_| VertexId::new(rng.gen_range(0..n))).collect();
+                            for &v in &scope {
+                                delays[v.index()] = rng.gen_range(0.25..5.0);
+                            }
+                            if step % 4 == 2 {
+                                engine.rebase(&dag, &delays).unwrap();
+                            } else {
+                                engine.rebase_scoped(&dag, &delays, &scope).unwrap();
+                            }
+                        }
+                    }
+                    assert_matches_cold(&mut engine, &dag, &what);
+                }
+                if n > 64 {
+                    let [sparse, dense] = engine.waves;
+                    assert!(
+                        sparse > 0 && dense > 0,
+                        "{what}: {sparse} sparse, {dense} dense"
+                    );
+                }
+            }
+        }
     }
 }

@@ -7,10 +7,10 @@
 //! * [`TimingReport`] — arrival/required times, vertex and edge slacks,
 //!   and the critical path, exactly as the paper's Eq. (8);
 //! * [`IncrementalTiming`] — the incremental engine behind the sizing
-//!   stack's per-bump timing: levelized worklist propagation over the
-//!   affected cone only and a lazily-invalidated critical-path tracker
-//!   (bit-identical to the cold functions — see the [`incremental`]
-//!   module docs for the invariants);
+//!   stack's per-bump timing: one topological sweep over the affected
+//!   cone only (dense once most of it is dirty) and a lazily-invalidated
+//!   critical-path tracker (bit-identical to the cold functions — see
+//!   the [`incremental`] module docs for the invariants);
 //! * [`BalancedConfig`] — delay-balanced configurations built with
 //!   Fictitious Specific Delay Units (FSDUs) capturing all circuit slack,
 //!   plus FSDU-*displacement* (Eq. (9)) and helpers validating the paper's

@@ -23,8 +23,8 @@
 //!
 //! Per-bump timing runs through [`mft_sta::IncrementalTiming`]: a bump's
 //! delay churn (computed once via [`mft_delay::DelayModel::delays_diff`]
-//! over the bumped vertex) seeds a levelized worklist that re-evaluates
-//! arrival times only in the affected cone, and the critical path is
+//! over the bumped vertex) marks the vertices one topological sweep
+//! re-evaluates, only in the affected cone, and the critical path is
 //! read off a bucketed max tracker — O(affected cone) per bump instead
 //! of the historical two full O(V+E) passes, with
 //! **bit-identical** results (the engine cuts off bitwise;
@@ -677,8 +677,8 @@ impl TilosState {
                 });
             };
             // Apply the bump: the delay model recomputes exactly the
-            // perturbed delays, which seed the timing engine's worklist
-            // — the whole step costs O(affected cone), not O(V+E).
+            // perturbed delays, which seed the timing engine's dirty
+            // marks — the whole step costs O(affected cone), not O(V+E).
             let update_start = self.config.profile_timing.then(Instant::now);
             self.sizes[v.index()] =
                 (self.sizes[v.index()] * self.config.bump_factor).min(self.max_size);

@@ -312,7 +312,10 @@ fn cmd_size(args: &Args, out: Out) -> Outcome {
     let problem = load_problem(path, args)?;
     let target = match args.value("--target") {
         Some(t) => parse_target("--target", t)?,
-        None => parse_target("--spec", args.value("--spec").unwrap_or("0.6"))? * problem.dmin(),
+        None => problem.spec_target(
+            "--spec",
+            parse_target("--spec", args.value("--spec").unwrap_or("0.6"))?,
+        )?,
     };
     writeln!(
         out,

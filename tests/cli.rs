@@ -354,6 +354,42 @@ fn size_and_sweep_reject_non_finite_targets() {
     }
 }
 
+/// A finite spec whose target `spec · D_min` overflows fails like a
+/// non-finite one: exit 1, no output, an error naming the flag (or the
+/// sweep's entry). It used to size to an infinite target (`size`) or
+/// fail inside the D-phase flow solve (`sweep`).
+#[test]
+fn size_and_sweep_reject_overflowing_specs() {
+    let bench = c17_file();
+    for (command, flag, value, named) in [
+        ("size", "--spec", "1e308", "`--spec` = 1e308 overflows"),
+        ("size", "--spec", "-1e308", "`--spec` = -1e308 overflows"),
+        (
+            "sweep",
+            "--specs",
+            "0.9,1e308",
+            "`specs[1]` = 1e308 overflows",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mft"))
+            .arg(command)
+            .arg(&bench)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} {flag} {value}");
+        assert!(
+            out.stdout.is_empty(),
+            "{command} {flag} {value}: output before the error"
+        );
+        assert!(
+            stderr.contains(named) && !stderr.contains("panicked"),
+            "{command} {flag} {value}: {stderr}"
+        );
+    }
+}
+
 /// `mft serve` applies the wire's rules to its flags: `--deadline-ms`
 /// must be finite and ≥ 0 (a negative value used to panic the
 /// connection thread), and `--replicas` at most 64. A bad value exits 1

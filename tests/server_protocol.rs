@@ -507,6 +507,62 @@ fn replace_load_hot_swaps_under_traffic() {
     shut_down(addr, &server, runner);
 }
 
+/// A finite `spec` whose target `spec · D_min` overflows answers one
+/// error naming the field, on the writer (`size`, `size_power`,
+/// `sweep`) and on a read replica (`what_if`), and the circuit keeps
+/// serving. Each used to answer a success with a `null` target, or a
+/// D-phase flow error.
+#[test]
+fn overflowing_specs_answer_an_error_naming_the_field() {
+    let (server, addr, runner) = start_tcp(ServerConfig {
+        session: SessionConfig::warm(),
+        ..Default::default()
+    });
+    let mut client = LineClient::connect(addr).unwrap();
+    let load = RequestFrame::new(Request::Load(LoadRequest {
+        bench: Some(C17_BENCH.to_owned()),
+        replicas: Some(1),
+        ..Default::default()
+    }))
+    .for_circuit("c17");
+    let line = client.call(&load).unwrap();
+    assert!(line.contains("\"type\":\"loaded\""), "{line}");
+    for (request, named) in [
+        (r#"{"type":"size","spec":1e308}"#, "`spec` = 1e308"),
+        (r#"{"type":"size_power","spec":-1e308}"#, "`spec` = -1e308"),
+        (
+            r#"{"type":"sweep","specs":[0.9,1e308]}"#,
+            "`specs[1]` = 1e308",
+        ),
+        (
+            r#"{"type":"what_if","sizes":[1,1,1,1,1,1],"spec":1e308}"#,
+            "`spec` = 1e308",
+        ),
+    ] {
+        let request = request.replacen('{', r#"{"circuit":"c17","#, 1);
+        client.send_raw(&request).unwrap();
+        let line = client.recv().unwrap().unwrap();
+        assert_eq!(
+            line,
+            format!(
+                "{{\"type\":\"error\",\"message\":\"bad request: {named} overflows the \
+                 target spec · D_min\"}}"
+            ),
+            "{request}"
+        );
+    }
+    // The circuit still serves.
+    client
+        .send_raw(r#"{"circuit":"c17","type":"size","spec":0.9}"#)
+        .unwrap();
+    let line = client.recv().unwrap().unwrap();
+    assert!(
+        line.starts_with("{\"type\":\"size\",\"spec\":0.9"),
+        "{line}"
+    );
+    shut_down(addr, &server, runner);
+}
+
 /// A bare `SizingSession` answers registry requests with an error
 /// pointing at the server (they are server-level operations).
 #[test]
